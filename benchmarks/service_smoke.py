@@ -6,7 +6,9 @@ ephemeral port with an on-disk compile-cache tier, connects two TCP
 clients, and checks the docs/SERVICE.md acceptance criteria end to end:
 
 * client 1's cold run compiles; client 2's identical request is a warm
-  cache hit that executes **zero** compiler passes;
+  cache hit that executes **zero** compiler passes, and so is its
+  repeat at a different processor count (one compiled program serves
+  every run configuration);
 * cold and warm responses are bit-identical — output, modeled elapsed
   time, per-rank clocks, message/byte counters, and the canonical trace
   SHA;
@@ -43,6 +45,7 @@ WORKLOADS = {
            "disp(sum(x));\n"),
 }
 NPROCS = 4
+OTHER_NPROCS = 8
 
 
 def start_server(cache_dir: str) -> tuple[subprocess.Popen, str, int]:
@@ -90,6 +93,16 @@ def main() -> int:
                 warm = two.run(src, nprocs=NPROCS, trace=True)
                 warm_s = time.perf_counter() - t0
                 check_pair(cold, warm, failures, name)
+                other = two.run(src, nprocs=OTHER_NPROCS)
+                if not other["cached"] or other["passes"] \
+                        or other["key"] != cold["key"]:
+                    failures.append(
+                        f"{name}: nprocs={OTHER_NPROCS} was not a zero-pass "
+                        f"hit on the same key (cached={other['cached']}, "
+                        f"passes={len(other['passes'])})")
+                if other["output"] != cold["output"]:
+                    failures.append(f"{name}: output differs at "
+                                    f"nprocs={OTHER_NPROCS}")
                 report["workloads"][name] = {
                     "key": cold["key"], "output": cold["output"].strip(),
                     "elapsed_virtual": cold["elapsed"],

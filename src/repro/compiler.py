@@ -80,7 +80,7 @@ class CompiledProgram:
 
     name: str
     #: pass-1..6 artifacts; ``None`` on a program rehydrated from the
-    #: on-disk compile cache (recompiled lazily by :meth:`_ensure_front_end`)
+    #: on-disk compile cache (recompiled lazily by :meth:`ensure_front_end`)
     resolved: Optional[ResolvedProgram]
     types: Optional[ProgramTypes]
     ir: Optional[IRProgram]
@@ -106,7 +106,7 @@ class CompiledProgram:
         artifacts (AST, types, IR) are recompiled lazily on demand."""
         return self.ir is None
 
-    def _ensure_front_end(self) -> None:
+    def ensure_front_end(self) -> None:
         """Recompile the pass-1..6 artifacts for a rehydrated program.
 
         A disk-cache hit carries only what execution needs (the emitted
@@ -127,7 +127,7 @@ class CompiledProgram:
         """SPMD C with run-time library calls (textual backend)."""
         from .codegen.c_emitter import emit_c
 
-        self._ensure_front_end()
+        self.ensure_front_end()
         return emit_c(self.ir)
 
     @property
@@ -136,11 +136,11 @@ class CompiledProgram:
         output: pass-2 AST unparsed back to canonical MATLAB)."""
         from .frontend.unparse import unparse_script
 
-        self._ensure_front_end()
+        self.ensure_front_end()
         return unparse_script(self.resolved.script.node)
 
     def ir_dump(self) -> str:
-        self._ensure_front_end()
+        self.ensure_front_end()
         return pretty_ir(self.ir)
 
     # ------------------------------------------------------------------ #
@@ -311,6 +311,13 @@ class CompiledProgram:
                          native=native_report)
 
 
+def parse_timed(source: str, name: str = "script") -> tuple:
+    """Pass 1 with its host seconds: ``(Script, seconds)``."""
+    t0 = time.perf_counter()
+    script = parse_script(source, name)
+    return script, time.perf_counter() - t0
+
+
 class OtterCompiler:
     """Front door: compile MATLAB source through all seven passes.
 
@@ -328,8 +335,13 @@ class OtterCompiler:
         self.licm = licm
         self.plan = plan
 
-    def compile(self, source: str, name: str = "script") -> CompiledProgram:
-        timings: list[tuple[str, float]] = []
+    def compile(self, source: str, name: str = "script",
+                parsed: Optional[tuple] = None) -> CompiledProgram:
+        """``parsed`` is :func:`parse_timed`'s result for this very
+        ``source`` and ``name`` when the caller already paid for pass 1
+        (the compile cache parses to canonicalise its key)."""
+        script, parse_seconds = parsed or parse_timed(source, name)  # pass 1
+        timings: list[tuple[str, float]] = [("parse", parse_seconds)]
 
         plan = self.plan
         if plan is not None:
@@ -351,7 +363,6 @@ class OtterCompiler:
             timings.append((pass_name, time.perf_counter() - t0))
             return result
 
-        script = timed("parse", parse_script, source, name)       # pass 1
         resolved = timed("resolve", resolve_program,              # pass 2
                          script, self.provider)
         types = timed("infer", infer_types, resolved)             # pass 3
@@ -389,32 +400,24 @@ def compile_source(source: str, provider: MFileProvider | None = None,
         .compile(source, name)
 
 
-# -------------------------------------------------------------------------- #
-# the compile memo: a thin projection over the service's content-
-# addressed CompileCache.  Keyed by canonical source + provider + the
-# plan's *compile-affecting* projection, so the autotuner's candidate
-# sweep pays the seven passes once per distinct lowering, not once per
-# candidate.  Deliberately memory-tier-only: the on-disk tier belongs to
-# full request keys (see repro.service.cache and docs/SERVICE.md).
-# -------------------------------------------------------------------------- #
-
-
 def compile_cached(source: str, provider: MFileProvider | None = None,
                    name: str = "script", plan=None) -> CompiledProgram:
-    """Memoized :func:`compile_source` (same CompiledProgram object back
-    for the same (source, provider, compile-side plan knobs)).
+    """:func:`compile_source` through the process-wide content-addressed
+    :class:`repro.service.cache.CompileCache`: the same CompiledProgram
+    object back for the same (canonical source, name, provider,
+    compile-side plan knobs), so the autotuner's candidate sweep pays
+    the passes once per distinct lowering, not once per candidate.
 
     Safe to share: a CompiledProgram is immutable after compilation and
-    ``run`` keeps no per-run state on it.  Runtime-only plan knobs
-    (distribution, collective algorithms) deliberately do NOT key the
-    memo — pass the full plan to :meth:`CompiledProgram.run` instead.
+    ``run`` keeps no per-run state on it.  Run-time plan knobs
+    (distribution, collective algorithms) never key the cache and the
+    returned program does not carry them — pass the full plan to
+    :meth:`CompiledProgram.run`.
     """
     from .service.cache import get_compile_cache
 
-    key_plan = ("default",) if plan is None else plan.compile_key()
     return get_compile_cache().get_or_compile(
-        source, provider=provider, name=name, plan=plan,
-        key_plan=key_plan, disk=False).program
+        source, provider=provider, name=name, plan=plan).program
 
 
 def compile_cache_stats() -> dict:

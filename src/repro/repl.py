@@ -190,8 +190,7 @@ class Repl:
         name = os.path.splitext(os.path.basename(path))[0]
         try:
             outcome = get_compile_cache().get_or_compile(
-                source, name=name, provider=self.provider,
-                nprocs=nprocs, machine=machine)
+                source, name=name, provider=self.provider)
             result = outcome.program.run(nprocs=nprocs, machine=machine,
                                          seed=self.seed)
         except OtterError as exc:

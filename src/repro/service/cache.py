@@ -1,19 +1,22 @@
 """Content-addressed compile cache: the compile-once half of the service.
 
-A :class:`CompileCache` keys compiled programs by sha256 of every input
-that can change the compiled artifact or the requested run
-configuration:
+A :class:`CompileCache` keys compiled programs by sha256 of exactly what
+the compiler reads — nothing about how the program will be *run*, since
+one compiled SPMD program serves every processor count, machine,
+backend and kernel mode:
 
 * the **canonical source** — the parsed script unparsed back to a
   normal form, so whitespace/comment-only edits hash identically;
+* the script **name**;
 * the **provider fingerprint** — in-memory M-file mappings hash their
   sources, directory providers hash their search paths (plus a per-use
   dependency validator, below);
-* the **plan** (full :class:`repro.tuning.Plan` content hash), the
-  **machine model** fingerprint, **nprocs**, **backend**, and the
-  **native** kernel mode.
+* the plan's **compile-side projection**
+  (:meth:`repro.tuning.Plan.compile_key`; ``None`` keys as the default
+  plan);
+* ``PAYLOAD_VERSION``.
 
-Two tiers:
+The one key names the entry in both tiers:
 
 ``memory``
     An in-process LRU (``max_entries``) with optional idle TTL driven by
@@ -26,16 +29,18 @@ Two tiers:
 ``disk``
     Opt-in: one ``p_<key>.json`` per program under the cache root
     (``$REPRO_COMPILE_CACHE=<dir>``; unset keeps it off), published
-    atomically with the same pid-suffixed-temp + ``os.replace`` pattern
-    as :mod:`repro.native.cache`, so racing processes both succeed.  A
-    disk hit rehydrates a runnable :class:`~repro.compiler
-    .CompiledProgram` from the emitted Python without running any
-    compiler pass; M-file dependencies are validated against the
+    atomically so racing processes both succeed.  A disk hit rehydrates
+    a runnable :class:`~repro.compiler.CompiledProgram` from the emitted
+    Python without running any compiler pass.  The tier fails closed: a
+    payload whose sha256 digest, ``key`` or ``version`` does not check
+    out is a miss that recompiles and republishes (its text is never
+    executed), and M-file dependencies are validated against the
     current provider (stale deps force a recompile).
 
-Cache *hits* report ``passes == []`` — the acceptance criterion that a
-warm ``run`` performs zero compiler passes is asserted straight off the
-:class:`CacheOutcome`.
+A new source is parsed **once**: the script parsed to canonicalise the
+key is the one handed to the compiler.  Cache *hits* report
+``passes == []`` — the acceptance criterion that a warm ``run`` performs
+zero compiler passes is asserted straight off the :class:`CacheOutcome`.
 """
 
 from __future__ import annotations
@@ -51,19 +56,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from ..compiler import CompiledProgram, compile_source
+from ..compiler import CompiledProgram, OtterCompiler, parse_timed
 from ..frontend.mfile import (
     ChainProvider,
     DictProvider,
     DirectoryProvider,
     EMPTY_PROVIDER,
 )
+from ..frontend.unparse import unparse_function, unparse_script
+from .stores import atomic_write_bytes
 
 ENV_COMPILE_CACHE = "REPRO_COMPILE_CACHE"
 
 #: bump when the cached-payload layout or the emitted-code ABI changes —
 #: stale major versions on disk are simply never looked up
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 
 _OFF_VALUES = ("0", "off", "none", "disabled")
 
@@ -90,33 +97,29 @@ def plan_from_dict(payload: Optional[dict]):
     return Plan(**kwargs)
 
 
-def canonical_source(source: str) -> str:
-    """Whitespace/comment-insensitive normal form of a MATLAB script.
-
-    Parses and unparses, so two sources differing only in layout or
-    comments canonicalize identically; a source that does not parse is
-    returned verbatim (the compile will raise the real diagnostic, and
-    failures are never cached).
-    """
-    from ..frontend.parser import parse_script
-    from ..frontend.unparse import unparse_script
-
+def _parse_canonical(source: str, name: str) -> tuple[str, Optional[tuple]]:
+    """``(canonical text, parse_timed result)`` of a script; a source
+    that does not parse is its own canonical text with no script (the
+    compile will raise the real diagnostic, and failures are never
+    cached)."""
     try:
-        return unparse_script(parse_script(source, "canon"))
+        parsed = parse_timed(source, name)
+        return unparse_script(parsed[0]), parsed
     except Exception:
-        return source
+        return source, None
 
 
-def machine_fingerprint(machine: Any) -> str:
-    """Stable identity of a machine model (or a registry name)."""
-    if machine is None:
-        return "-"
-    if isinstance(machine, str):
-        from ..mpi.machine import get_machine
+def canonical_source(source: str) -> str:
+    """Whitespace/comment-insensitive normal form of a MATLAB script:
+    parsed and unparsed, so two sources differing only in layout or
+    comments canonicalize identically."""
+    return _parse_canonical(source, "canon")[0]
 
-        machine = get_machine(machine)
-    return json.dumps(dataclasses.asdict(machine), sort_keys=True,
-                      default=str)
+
+def _payload_digest(payload: dict) -> str:
+    """sha256 over the canonical JSON of every field but ``digest``."""
+    body = {k: v for k, v in payload.items() if k != "digest"}
+    return _sha(json.dumps(body, sort_keys=True))
 
 
 def provider_fingerprint(provider) -> tuple[str, bool]:
@@ -146,8 +149,6 @@ def provider_fingerprint(provider) -> tuple[str, bool]:
 
 def _function_hash(provider, name: str) -> Optional[str]:
     """Canonical content hash of one provider-resolved M-file function."""
-    from ..frontend.unparse import unparse_function
-
     try:
         funcs = provider.lookup(name) if provider is not None else None
     except Exception:
@@ -176,11 +177,7 @@ class CacheOutcome:
     hit: bool                      # the request key was already cached
     tier: Optional[str]            # "memory" | "disk" | None (fresh miss)
     #: compiler passes executed *for this request* — ``[]`` on any hit
-    #: (and on a miss that shared another key's compilation)
     passes: list[tuple[str, float]] = field(default_factory=list)
-    #: True when a miss reused a compilation shared through the
-    #: compile-projection memo instead of running the passes again
-    shared: bool = False
 
     @property
     def compile_seconds(self) -> float:
@@ -189,8 +186,6 @@ class CacheOutcome:
     def describe(self) -> str:
         if self.hit:
             return f"hit ({self.tier} tier) key={self.key[:12]}"
-        if self.shared:
-            return f"miss (shared compilation) key={self.key[:12]}"
         return (f"miss (compiled in {self.compile_seconds * 1e3:.1f} ms) "
                 f"key={self.key[:12]}")
 
@@ -228,83 +223,56 @@ class CompileCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._inflight: dict[str, threading.Event] = {}
-        # object-sharing memo over the *compile-affecting* projection:
-        # request keys differing only in run configuration (nprocs,
-        # machine, backend, native, runtime plan knobs) reuse one
-        # CompiledProgram instead of re-running the passes
-        self._programs: dict[str, CompiledProgram] = {}
+        # raw-source sha -> canonical text: keeps the hit path parse-free
         self._canon_memo: dict[str, str] = {}
-        self._disk_ready = False
         self._stats = {"hits": 0, "misses": 0, "disk_hits": 0,
-                       "compiles": 0, "shared": 0,
+                       "disk_rejects": 0, "compiles": 0,
                        "evictions_lru": 0, "evictions_ttl": 0}
 
     # ------------------------------------------------------------------ #
     # keys
     # ------------------------------------------------------------------ #
 
-    def _canonical(self, source: str) -> str:
+    def _canonical(self, source: str,
+                   name: str = "canon") -> tuple[str, Optional[tuple]]:
+        """Canonical text of ``source``, plus the ``(Script, seconds)``
+        this call parsed to get it (``None`` on a memo hit)."""
         raw_sha = _sha(source)
-        hit = self._canon_memo.get(raw_sha)
-        if hit is not None:
-            return hit
-        canon = canonical_source(source)
+        canon = self._canon_memo.get(raw_sha)
+        if canon is not None:
+            return canon, None
+        canon, parsed = _parse_canonical(source, name)
         if len(self._canon_memo) >= 4 * self.max_entries:
             self._canon_memo.clear()
         self._canon_memo[raw_sha] = canon
-        return canon
-
-    @staticmethod
-    def _plan_component(plan, key_plan) -> str:
-        if key_plan is not None:
-            return f"proj:{key_plan!r}"
-        if plan is None:
-            return "-"
-        return plan.key()
+        return canon, parsed
 
     def key(self, source: str, *, name: str = "script", provider=None,
-            plan=None, nprocs: Optional[int] = None, machine=None,
-            backend: Optional[str] = None, native: Optional[str] = None,
-            key_plan=None) -> str:
-        """The request key: sha256 over every cache-relevant component."""
-        canon = self._canonical(source)
-        provider_fp, _disk_ok = provider_fingerprint(provider)
-        blob = json.dumps({
-            "version": PAYLOAD_VERSION,
-            "source": canon,
-            "name": name,
-            "provider": provider_fp,
-            "plan": self._plan_component(plan, key_plan),
-            "nprocs": nprocs,
-            "machine": machine_fingerprint(machine),
-            "backend": backend or "-",
-            "native": native or "-",
-        }, sort_keys=True)
-        return _sha(blob)
-
-    def _projection_key(self, canon: str, name: str, provider_fp: str,
-                        plan) -> str:
-        proj = None if plan is None else plan.compile_key()
-        return _sha(json.dumps([PAYLOAD_VERSION, canon, name, provider_fp,
-                                repr(proj)]))
+            plan=None) -> str:
+        """The artifact key: sha256 over everything the compiler reads."""
+        compile_plan = None if plan is None else plan.compile_side()
+        return _sha(json.dumps([
+            PAYLOAD_VERSION,
+            self._canonical(source)[0],
+            name,
+            provider_fingerprint(provider)[0],
+            None if compile_plan is None else compile_plan.compile_key(),
+        ]))
 
     # ------------------------------------------------------------------ #
     # the front door
     # ------------------------------------------------------------------ #
 
     def get_or_compile(self, source: str, *, name: str = "script",
-                       provider=None, plan=None,
-                       nprocs: Optional[int] = None, machine=None,
-                       backend: Optional[str] = None,
-                       native: Optional[str] = None,
-                       key_plan=None, disk: bool = True) -> CacheOutcome:
+                       provider=None, plan=None) -> CacheOutcome:
         """Return the compiled program for this request, compiling at
-        most once per key across all concurrent callers.  ``disk=False``
-        keeps this request out of the on-disk tier both ways (the
-        autotuner's candidate sweep wants in-process memo semantics)."""
-        key = self.key(source, name=name, provider=provider, plan=plan,
-                       nprocs=nprocs, machine=machine, backend=backend,
-                       native=native, key_plan=key_plan)
+        most once per key across all concurrent callers.  The program
+        carries only the plan's compile-side fields: pass the request
+        plan to :meth:`~repro.compiler.CompiledProgram.run`."""
+        # parse first, so a new source's one parse is the compiler's
+        # pass 1; key() then finds the canonical text memoised
+        _canon, parsed = self._canonical(source, name)
+        key = self.key(source, name=name, provider=provider, plan=plan)
         while True:
             with self._lock:
                 self._purge_expired_locked()
@@ -321,8 +289,8 @@ class CompileCache:
                     break
             waiter.wait()
         try:
-            outcome = self._build(key, source, name=name, provider=provider,
-                                  plan=plan, disk=disk)
+            outcome = self._build(key, source, parsed, name=name,
+                                  provider=provider, plan=plan)
         finally:
             with self._lock:
                 event = self._inflight.pop(key, None)
@@ -330,11 +298,9 @@ class CompileCache:
                 event.set()
         return outcome
 
-    def _build(self, key: str, source: str, *, name: str, provider,
-               plan, disk: bool = True) -> CacheOutcome:
-        canon = self._canonical(source)
-        provider_fp, disk_ok = provider_fingerprint(provider)
-        disk_ok = disk_ok and disk
+    def _build(self, key: str, source: str, parsed: Optional[tuple], *,
+               name: str, provider, plan) -> CacheOutcome:
+        disk_ok = provider_fingerprint(provider)[1]
         program = self._disk_lookup(key, provider) if disk_ok else None
         if program is not None:
             with self._lock:
@@ -344,27 +310,15 @@ class CompileCache:
             return CacheOutcome(program=program, key=key, hit=True,
                                 tier="disk")
 
-        proj = self._projection_key(canon, name, provider_fp, plan)
-        with self._lock:
-            shared = self._programs.get(proj)
-        if shared is not None:
-            with self._lock:
-                self._stats["misses"] += 1
-                self._stats["shared"] += 1
-                self._insert_locked(key, shared, tier="memory")
-            return CacheOutcome(program=shared, key=key, hit=False,
-                                tier=None, shared=True)
-
-        program = compile_source(source, provider, name=name, plan=plan)
+        compile_plan = None if plan is None else plan.compile_side()
+        program = OtterCompiler(provider, plan=compile_plan).compile(
+            source, name, parsed)
         with self._lock:
             self._stats["misses"] += 1
             self._stats["compiles"] += 1
-            self._programs[proj] = program
-            if len(self._programs) > 4 * self.max_entries:
-                self._programs.pop(next(iter(self._programs)))
             self._insert_locked(key, program, tier="memory")
         if disk_ok:
-            self._disk_publish(key, source, canon, program, provider)
+            self._disk_publish(key, program, provider)
         return CacheOutcome(program=program, key=key, hit=False, tier=None,
                             passes=list(program.pass_timings))
 
@@ -405,16 +359,21 @@ class CompileCache:
             return None
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if payload.get("version") != PAYLOAD_VERSION:
-            return None
-        for fname, expected in (payload.get("deps") or {}).items():
-            if _function_hash(provider, fname) != expected:
-                return None           # provider content drifted: stale
-        try:
+            # fail closed: nothing below trusts a field (least of all
+            # ``python_source``, which gets exec'd) until the digest,
+            # the key and the version all check out
+            if (not isinstance(payload, dict)
+                    or payload.get("digest") != _payload_digest(payload)
+                    or payload.get("key") != key
+                    or payload.get("version") != PAYLOAD_VERSION):
+                raise ValueError("payload does not verify")
+            for fname, expected in payload["deps"].items():
+                if _function_hash(provider, fname) != expected:
+                    return None       # provider content drifted: stale
             return self._rehydrate(payload, provider)
-        except Exception:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            with self._lock:
+                self._stats["disk_rejects"] += 1
             return None
 
     def _rehydrate(self, payload: dict, provider) -> CompiledProgram:
@@ -436,8 +395,8 @@ class CompileCache:
             source=payload["source"],
         )
 
-    def _disk_publish(self, key: str, source: str, canon: str,
-                      program: CompiledProgram, provider) -> None:
+    def _disk_publish(self, key: str, program: CompiledProgram,
+                      provider) -> None:
         path = self._disk_path(key)
         if path is None:
             return
@@ -452,8 +411,7 @@ class CompileCache:
             "version": PAYLOAD_VERSION,
             "key": key,
             "name": program.name,
-            "source": source,
-            "canonical": canon,
+            "source": program.source,
             "python_source": program.python_source,
             "peephole": dataclasses.asdict(program.peephole_stats),
             "licm": dataclasses.asdict(program.licm_stats),
@@ -461,13 +419,9 @@ class CompileCache:
             "deps": deps,
             "created": time.time(),
         }
+        payload["digest"] = _payload_digest(payload)
         try:
-            if not self._disk_ready:
-                self.disk_root.mkdir(parents=True, exist_ok=True)
-                self._disk_ready = True
-            tmp = self.disk_root / f"p_{key}.{os.getpid()}.tmp"
-            tmp.write_text(json.dumps(payload), encoding="utf-8")
-            os.replace(tmp, path)
+            atomic_write_bytes(str(path), json.dumps(payload).encode("utf-8"))
         except OSError:
             pass                      # disk tier is best-effort
 
@@ -494,7 +448,6 @@ class CompileCache:
     def clear(self, disk: bool = False) -> None:
         with self._lock:
             self._entries.clear()
-            self._programs.clear()
             self._canon_memo.clear()
             for stat in self._stats:
                 self._stats[stat] = 0

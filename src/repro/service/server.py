@@ -15,13 +15,14 @@ Protocol (newline-delimited JSON; see docs/SERVICE.md):
 
 ``{"op": "ping"}``
     Liveness + session id.
-``{"op": "compile", "source": ..., [name, nprocs, machine, backend,
-   native, plan, mfiles]}``
+``{"op": "compile", "source": ..., [name, plan, mfiles]}``
     Compile (or fetch) the program; reports the cache key, hit/tier,
     and the compiler passes executed *for this request* (``[]`` warm).
-``{"op": "run", ... compile fields ..., [seed, scheme, cache_gathers,
-   watchdog, trace]}``
-    Compile-or-fetch then execute; streams back output, modeled
+    Only the plan's compile-side fields key the program.
+``{"op": "run", ... compile fields ..., [nprocs, machine, backend,
+   native, seed, scheme, cache_gathers, watchdog, trace]}``
+    Compile-or-fetch then execute under the request's run
+    configuration and full plan; streams back output, modeled
     elapsed/per-rank clocks, communication counters, the JSON-encoded
     final workspace, and (``trace: true``) the canonical trace SHA.
 ``{"op": "trace", ...}``
@@ -54,11 +55,6 @@ from .transport import LoopbackTransport, SocketTransport, Transport, \
     TransportClosed
 
 PROTOCOL_VERSION = 1
-
-_COMPILE_FIELDS = ("source", "name", "nprocs", "machine", "backend",
-                   "native", "plan", "mfiles")
-_RUN_FIELDS = _COMPILE_FIELDS + ("seed", "scheme", "cache_gathers",
-                                 "watchdog", "trace")
 
 
 def _jsonify_value(value: Any) -> Any:
@@ -279,13 +275,12 @@ class ServiceServer:
         cfg = self._compile_config(request)
         outcome = self.cache.get_or_compile(
             cfg["source"], name=cfg["name"], provider=cfg["provider"],
-            plan=cfg["plan"], nprocs=cfg["nprocs"], machine=cfg["machine"],
-            backend=cfg["backend"], native=cfg["native"])
+            plan=cfg["plan"])
         program = outcome.program
         return {
             "ok": True, "op": "compile", "session": session_id,
             "key": outcome.key, "cached": outcome.hit,
-            "tier": outcome.tier, "shared": outcome.shared,
+            "tier": outcome.tier,
             "passes": [[name, seconds] for name, seconds in outcome.passes],
             "peephole": {"transpose_fused":
                          program.peephole_stats.transpose_fused,
@@ -306,6 +301,7 @@ class ServiceServer:
             backend=cfg["backend"],
             watchdog=request.get("watchdog"),
             trace=trace or None,
+            plan=cfg["plan"],
             native=cfg["native"],
             stores=self.stores)
         with self._lock:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io
 import os
+import tempfile
 import threading
 from typing import Callable, Optional
 from urllib.parse import urlparse
@@ -57,6 +58,27 @@ def parse_url(url: str) -> tuple[str, str]:
 
 def is_store_url(name: str) -> bool:
     return "://" in name
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Publish ``data`` at ``path`` all-or-nothing: readers see the old
+    file or the new one, never a prefix.  The temp file is unique per
+    call (threads of one process may race on one target) and lives in
+    the target's directory so ``os.replace`` stays on one filesystem."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp",
+                               prefix=os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class DataStore:
@@ -114,12 +136,10 @@ class FileStore(DataStore):
             raise StoreError(f"file://{path}: {exc}") from exc
 
     def put(self, path: str, data: bytes) -> None:
-        full = self._resolve(path)
-        os.makedirs(os.path.dirname(full) or "/", exist_ok=True)
-        tmp = f"{full}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, full)
+        try:
+            atomic_write_bytes(self._resolve(path), data)
+        except OSError as exc:
+            raise StoreError(f"file://{path}: {exc}") from exc
 
     def exists(self, path: str) -> bool:
         return os.path.isfile(self._resolve(path))

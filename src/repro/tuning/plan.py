@@ -69,6 +69,10 @@ ALLREDUCE_ALGOS = ("tree", "halving")
 HIERARCHIES = ("auto", "flat")
 NATIVE_MODES = ("auto", "off", "require")
 
+#: the fields a compiler pass reads; every other field is applied by
+#: ``CompiledProgram.run`` and must never key a compiled artifact
+COMPILE_FIELDS = ("fusion", "licm", "guard", "ew_split")
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -140,8 +144,16 @@ class Plan:
     def compile_key(self) -> tuple:
         """The compile-affecting projection: two plans sharing this key
         lower to byte-identical Python (runtime knobs differ only at
-        ``run`` time), so the compile memo can share the module."""
-        return (self.fusion, self.licm, self.guard, self.ew_split)
+        ``run`` time), so the compile cache keys on it alone."""
+        return tuple(getattr(self, name) for name in COMPILE_FIELDS)
+
+    def compile_side(self) -> "Plan | None":
+        """This plan with every run-time field back at its default —
+        all a compiler pass can read, and all a cached program carries
+        (``run(plan=)`` supplies the rest).  ``None`` when that is the
+        default plan, i.e. the compiler's own defaults."""
+        side = Plan(**dict(zip(COMPILE_FIELDS, self.compile_key())))
+        return None if side == DEFAULT_PLAN else side
 
     # -- application ----------------------------------------------------- #
 

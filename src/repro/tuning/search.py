@@ -214,6 +214,8 @@ def tune_program(source: str, nprocs: int = 4,
     # let the compile error propagate rather than report a non-search
     default_program = compile_cached(source, provider, name=name,
                                      plan=DEFAULT_PLAN)
+    # the axis pruning below reads the IR, which a disk-tier hit lacks
+    default_program.ensure_front_end()
 
     # candidate 0: the default plan — also the numerics reference and
     # the probe whose collective counts prune the axis list

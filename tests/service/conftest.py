@@ -10,6 +10,7 @@ import pytest
 
 from repro.service.cache import CompileCache, set_compile_cache
 from repro.service.stores import StoreManager, set_default_manager
+from repro.tuning.plan import Plan
 
 
 class FakeClock:
@@ -28,6 +29,29 @@ class FakeClock:
 @pytest.fixture
 def fake_clock() -> FakeClock:
     return FakeClock()
+
+
+@pytest.fixture
+def plan_src() -> str:
+    """Gathers, allreduces and a shift: every run-time plan knob moves
+    this program's modeled clocks or message counts."""
+    return ("A = ones(64, 64) + eye(64);\n"
+            "v = ones(64, 1);\n"
+            "for it = 1:3\n"
+            "  v = A * v;\n"
+            "  v = v / sum(v);\n"
+            "  v = circshift(v, 1);\n"
+            "end\n"
+            "disp(sum(v));\n")
+
+
+@pytest.fixture
+def runtime_plan() -> Plan:
+    """Differs from the default plan in every run-time field and in no
+    compile-side one."""
+    return Plan(scheme="cyclic", dist=(("A", "block"),),
+                gather_algo="doubling", allreduce_algo="halving",
+                hierarchy="flat", cache_gathers=True, native="off")
 
 
 @pytest.fixture(autouse=True)

@@ -54,6 +54,51 @@ def test_compile_then_run_shares_the_key(server, client):
     assert server.cache.stats()["compiles"] == 1
 
 
+def test_one_program_serves_every_run_configuration(server, client):
+    cold = client.run(SRC, nprocs=2)
+    for cfg in (dict(nprocs=8), dict(nprocs=4, machine="cluster"),
+                dict(nprocs=4, backend="fused", native="off")):
+        warm = client.run(SRC, **cfg)
+        assert warm["cached"] and warm["passes"] == []
+        assert warm["key"] == cold["key"] and "shared" not in warm
+        assert warm["output"] == cold["output"]
+    assert server.cache.stats()["compiles"] == 1
+
+
+RUN_FACTS = ("output", "elapsed", "rank_times", "messages", "bytes",
+             "collectives", "workspace")
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_run_time_plan_of_an_earlier_request_never_leaks(order, plan_src,
+                                                          runtime_plan):
+    """Requests whose plans differ only in run-time fields share one
+    compiled program, and each models what a fresh server given that
+    plan alone models — whichever came first."""
+    plans = ({}, runtime_plan.as_dict())
+    cfg = dict(nprocs=8, machine="meiko", backend="fused")
+
+    def fresh():
+        return ServiceServer(cache=CompileCache(disk_root=False))
+
+    expected = []
+    for plan in plans:
+        with fresh().loopback() as alone:
+            expected.append(alone.run(plan_src, plan=plan, **cfg))
+    assert expected[0]["elapsed"] != expected[1]["elapsed"]
+
+    shared = fresh()
+    with shared.loopback() as client:
+        replies = {i: client.run(plan_src, plan=plans[i], **cfg)
+                   for i in order}
+    for i in order:
+        for fact in RUN_FACTS:
+            assert replies[i][fact] == expected[i][fact], (i, fact)
+    assert replies[0]["key"] == replies[1]["key"]
+    assert [replies[i]["cached"] for i in order] == [False, True]
+    assert shared.cache.stats()["compiles"] == 1
+
+
 def test_cold_and_warm_runs_are_identical(client):
     cold = client.run(SRC, nprocs=4)
     warm = client.run(SRC, nprocs=4)

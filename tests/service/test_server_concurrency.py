@@ -1,9 +1,10 @@
 """Concurrency stress: N sessions hammering one server.
 
 Pins the multiplexing contract (docs/SERVICE.md): exactly one compile
-per unique request key no matter how many sessions race, no cross-
-session workspace or RNG bleed, and a per-request watchdog that aborts
-only its own session's run.
+per distinct compile key no matter how many sessions race or at how
+many processor counts they run, no cross-session workspace or RNG
+bleed, and a per-request watchdog that aborts only its own session's
+run.
 """
 
 import threading
@@ -14,6 +15,7 @@ from repro.service import ServiceError, ServiceServer
 from repro.service.cache import CompileCache
 
 NPROCS = 2
+NPROCS_MIX = (1, 2, 4)
 
 # miniature versions of the paper's workload mix
 HEAT = (
@@ -65,6 +67,7 @@ def test_stress_one_compile_per_unique_key_and_identical_outputs():
     nthreads, rounds = 9, 3
     barrier = threading.Barrier(nthreads)
     results: dict[int, list] = {}
+    keys: set = set()
     failures: list = []
 
     def session(tid):
@@ -74,8 +77,11 @@ def test_stress_one_compile_per_unique_key_and_identical_outputs():
                 mine = []
                 for r in range(rounds):
                     src = WORKLOADS[(tid + r) % len(WORKLOADS)]
-                    reply = client.run(src, nprocs=NPROCS)
-                    mine.append((src, reply["output"], reply["elapsed"]))
+                    nprocs = NPROCS_MIX[tid % len(NPROCS_MIX)]
+                    reply = client.run(src, nprocs=nprocs)
+                    keys.add(reply["key"])
+                    mine.append((src, nprocs, reply["output"],
+                                 reply["elapsed"]))
                 results[tid] = mine
         except Exception as exc:  # noqa: BLE001 — collected for the assert
             failures.append((tid, exc))
@@ -84,19 +90,25 @@ def test_stress_one_compile_per_unique_key_and_identical_outputs():
     assert not failures
     assert len(results) == nthreads
 
-    # exactly one compile per unique source, no matter the contention
+    # exactly one compile per distinct compile key, no matter the
+    # contention or the processor counts the sessions ran at
     stats = server.cache.stats()
-    assert stats["compiles"] == len(WORKLOADS)
+    assert len(keys) == len(WORKLOADS)
+    assert stats["compiles"] == len(keys)
     assert stats["hits"] + stats["misses"] == nthreads * rounds
 
-    # every session saw the same (output, modeled time) per source
-    by_source: dict[str, set] = {}
+    # every session saw the same output per source, and the same
+    # modeled time per (source, nprocs)
+    outputs: dict[str, set] = {}
+    clocks: dict[tuple, set] = {}
     for mine in results.values():
-        for src, output, elapsed in mine:
-            by_source.setdefault(src, set()).add((output, elapsed))
-    assert set(by_source) == set(WORKLOADS)
-    for src, outcomes in by_source.items():
-        assert len(outcomes) == 1, f"nondeterministic results for {src!r}"
+        for src, nprocs, output, elapsed in mine:
+            outputs.setdefault(src, set()).add(output)
+            clocks.setdefault((src, nprocs), set()).add(elapsed)
+    assert set(outputs) == set(WORKLOADS)
+    assert len(clocks) == len(WORKLOADS) * len(NPROCS_MIX)
+    for what, outcomes in list(outputs.items()) + list(clocks.items()):
+        assert len(outcomes) == 1, f"nondeterministic results for {what!r}"
 
 
 def test_no_rng_bleed_between_concurrent_sessions():

@@ -7,6 +7,8 @@ against a provider sample file, so traces stay bit-identical.
 """
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -90,6 +92,50 @@ def test_file_store_round_trip(tmp_path):
     assert not manager.exists(url)
 
 
+def test_file_store_concurrent_puts_to_one_path_publish_one_payload(tmp_path):
+    """Sessions of one server process are threads: their temp files must
+    not collide (a pid-only temp name let one ``os.replace`` find the
+    file already moved, or publish interleaved bytes)."""
+    store = FileStore()
+    target = str(tmp_path / "out" / "grid.dat")
+    nthreads, rounds = 8, 10
+    payloads = [bytes([65 + i]) * 300_000 for i in range(nthreads)]
+    barrier = threading.Barrier(nthreads)
+    failures: list = []
+
+    def session(i):
+        try:
+            for _ in range(rounds):
+                barrier.wait(timeout=30)
+                store.put(target, payloads[i])
+        except Exception as exc:  # noqa: BLE001 — collected for the assert
+            failures.append((i, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=session, args=(i,))
+                   for i in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert store.get(target) in payloads
+    assert store.listdir(str(tmp_path / "out")) == ["grid.dat"]
+
+
+def test_file_store_put_failure_is_a_store_error(tmp_path):
+    (tmp_path / "plain").write_text("a file, not a directory")
+    with pytest.raises(StoreError) as err:
+        FileStore().put(f"{tmp_path}/plain/x.dat", b"data")
+    assert "file://" in str(err.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
+
 def test_matrix_text_round_trip_is_exact():
     # %.17g round-trips every float64 exactly
     store = MemStore()
@@ -158,9 +204,7 @@ LOAD_SRC = "a = load('{target}');\nb = a * 2;\ndisp(sum(sum(b)));\n"
 
 
 def _run(source, provider=None, nprocs=4, **kw):
-    outcome = get_compile_cache().get_or_compile(source, provider=provider,
-                                                nprocs=nprocs,
-                                                machine=MEIKO_CS2)
+    outcome = get_compile_cache().get_or_compile(source, provider=provider)
     return outcome.program.run(nprocs=nprocs, machine=MEIKO_CS2,
                                trace=True, **kw)
 
@@ -207,8 +251,7 @@ def test_explicit_store_manager_overrides_the_default():
     default_manager().save_matrix("mem://iso/x", data)
     private.save_matrix("mem://iso/x", data * 10)
     src = "a = load('mem://iso/x');\ndisp(sum(sum(a)));\n"
-    outcome = get_compile_cache().get_or_compile(src, nprocs=2,
-                                                 machine=MEIKO_CS2)
+    outcome = get_compile_cache().get_or_compile(src)
     result = outcome.program.run(nprocs=2, machine=MEIKO_CS2, stores=private)
     assert "180" in result.output
 

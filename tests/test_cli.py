@@ -75,6 +75,21 @@ class TestRun:
         assert main(["run", script, "--scheme", "cyclic"]) == 0
         assert "max err" in capsys.readouterr().out
 
+    def test_scheme_of_an_earlier_invocation_never_sticks(self, tmp_path,
+                                                          capsys):
+        """One cached --no-peephole program serves every --scheme: the
+        flag reaches the run through the plan, not through the cache."""
+        path = tmp_path / "shift.m"
+        path.write_text("v = ones(64, 1);\nfor it = 1:3\n"
+                        "  v = circshift(v, 1) / sum(v);\nend\n"
+                        "disp(sum(v));\n")
+        modeled = []
+        for scheme in ("cyclic", "block", "cyclic"):
+            assert main(["run", str(path), "-n", "8", "--no-peephole",
+                         "--scheme", scheme, "--time"]) == 0
+            modeled.append(capsys.readouterr().err.splitlines()[0])
+        assert modeled[0] == modeled[2] != modeled[1]
+
     def test_run_with_mfile_path(self, tmp_path, capsys):
         (tmp_path / "double_it.m").write_text(
             "function y = double_it(x)\ny = 2 * x;\n")

@@ -83,6 +83,35 @@ def test_eval_memo_serves_repeat_searches():
     assert again.best.cost == first.best.cost
 
 
+def test_search_from_a_disk_tier_hit_matches_the_cold_search(tmp_path):
+    """The tuner shares the process cache's disk tier: a rehydrated
+    default program (no IR) must prune and search exactly as a freshly
+    compiled one, and the winner must run under its full plan."""
+    from repro.service.cache import CompileCache, set_compile_cache
+
+    def search():
+        clear_eval_memo()
+        previous = set_compile_cache(CompileCache(disk_root=tmp_path))
+        try:
+            tuned = tune_program(MATVEC_SRC, nprocs=16, budget=24)
+            run = tuned.best_program.run(nprocs=16, backend="fused",
+                                         plan=tuned.best.plan, tune=False)
+            return tuned, run.elapsed
+        finally:
+            set_compile_cache(previous)
+
+    cold, cold_elapsed = search()
+    assert cold.compile_memo["compiles"] >= 1
+    warm, warm_elapsed = search()
+    assert warm.compile_memo["compiles"] == 0
+    assert warm.compile_memo["disk_hits"] >= 1
+    assert [c.plan for c in warm.candidates] == \
+        [c.plan for c in cold.candidates]
+    assert [c.cost for c in warm.candidates] == \
+        [c.cost for c in cold.candidates]
+    assert warm_elapsed == cold_elapsed == cold.best.cost
+
+
 def test_collective_heavy_program_strictly_improves_at_16():
     """At P=16 the matvec loop allgathers every iteration; recursive
     doubling must beat the modeled ring/sequential-root library."""
