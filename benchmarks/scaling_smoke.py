@@ -6,10 +6,14 @@ accounting: the fused backend must stay fused (no silent lockstep
 fallback) at a node-spanning world size, finish each workload inside a
 hard wall-clock budget, and keep host-seconds-per-simulated-rank below
 an absolute ceiling — the quantity the numpy rank arrays make nearly
-free.  Writes the sweep to ``scaling_report.json`` for the CI artifact
-and exits non-zero on any violation so the job fails loudly.
+free.  It also counts the Python calls of one warm run at P=256 and at
+P=16 and gates their ratio: unlike the wall-clock budgets (slack for
+slow runners) the count is deterministic, so the gate is tight.
+Writes the sweep to ``scaling_report.json`` for the CI artifact and
+exits non-zero on any violation so the job fails loudly.
 """
 
+import itertools
 import json
 import sys
 import time
@@ -33,6 +37,34 @@ WALL_BUDGET_S = 10.0
 #: de-vectorization does not.
 PER_RANK_BUDGET_S = 0.02
 
+#: world size the P=256 call count is compared against
+BASE_NPROCS = 16
+
+#: ceiling on calls(P=256) / calls(P=16) for one warm fused run.
+#: Geometry and accounting dispatch are O(1) Python per op; what still
+#: grows with P is the per-block partial kernels (``sum``, ``dot``,
+#: ``matvec`` — bit-identity with the per-rank oracle needs per-rank
+#: partials) and the per-run result assembly.  Measured 1.15 (heat: two
+#: ``sum``s) and 3.2 (cg: a ``matvec`` and two ``dot``s per iteration);
+#: per-rank tables rebuilt on every op show up as 3.5 and 10.6.
+CALL_RATIO_CEILING = {"heat": 1.25, "cg": 3.5}
+
+
+def count_calls(fn) -> int:
+    """Python ``call`` + ``c_call`` profile events while ``fn()`` runs."""
+    counter = itertools.count()
+
+    def profiler(_frame, event, _arg):
+        if event == "call" or event == "c_call":
+            next(counter)
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return next(counter)
+
 
 def main() -> int:
     cg = make_workload("cg", scale="small")
@@ -47,6 +79,15 @@ def main() -> int:
                                  backend="fused")
             best = min(best, time.perf_counter() - t0)
         per_rank = best / NPROCS
+        calls = {}
+        for nprocs in (BASE_NPROCS, NPROCS):
+            def run():
+                program.run(nprocs=nprocs, machine=FATTREE_CLUSTER,
+                            backend="fused")
+
+            run()           # this world size's geometries are interned
+            calls[nprocs] = count_calls(run)
+        call_ratio = calls[NPROCS] / calls[BASE_NPROCS]
         payload[name] = {
             "nprocs": NPROCS,
             "machine": FATTREE_CLUSTER.name,
@@ -54,6 +95,9 @@ def main() -> int:
             "wall_s": round(best, 4),
             "wall_s_per_rank": round(per_rank, 6),
             "modeled_s": result.elapsed,
+            "calls": {str(nprocs): n for nprocs, n in calls.items()},
+            "call_ratio": round(call_ratio, 4),
+            "call_ratio_ceiling": CALL_RATIO_CEILING[name],
         }
         if result.spmd.backend != "fused":
             failures.append(f"{name}: fell back to "
@@ -64,9 +108,15 @@ def main() -> int:
         if per_rank > PER_RANK_BUDGET_S:
             failures.append(f"{name}: {per_rank:.4f}s/rank exceeds the "
                             f"{PER_RANK_BUDGET_S}s/rank ceiling")
+        if call_ratio > CALL_RATIO_CEILING[name]:
+            failures.append(
+                f"{name}: {calls[NPROCS]} calls at P={NPROCS} is "
+                f"{call_ratio:.2f}x the {calls[BASE_NPROCS]} at "
+                f"P={BASE_NPROCS} (ceiling {CALL_RATIO_CEILING[name]})")
         print(f"[scaling-smoke] {name}: P={NPROCS} fused in {best:.3f}s "
               f"({per_rank * 1e3:.3f} ms/rank, "
-              f"modeled {result.elapsed:.4f}s)")
+              f"modeled {result.elapsed:.4f}s), "
+              f"calls x{call_ratio:.2f} vs P={BASE_NPROCS}")
 
     with open("scaling_report.json", "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -46,6 +46,7 @@ All JSON writes are read-modify-write so the tests may run in any order
 
 import json
 import os
+import platform
 import time
 
 import numpy as np
@@ -96,6 +97,14 @@ def _merge_into_report(section: dict) -> None:
     with open(JSON_PATH, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+
+
+def _host_line() -> str:
+    """Where the numbers next to it were measured (ROADMAP aim 1: no
+    host-time row without the machine recorded beside it)."""
+    return (f"{platform.machine()} {platform.system()} "
+            f"{platform.release()}, {os.cpu_count()} CPUs, "
+            f"Python {platform.python_version()}, numpy {np.__version__}")
 
 
 def _time_workload(key, source, provider=None):
@@ -236,6 +245,7 @@ def test_fused_vs_lockstep_sweep(scale):
         "fused_vs_lockstep": {
             "nprocs": list(SWEEP_NPROCS),
             "metric": "min-of-3 host seconds",
+            "host": _host_line(),
             "workloads": entries,
         },
     })
@@ -295,6 +305,7 @@ def test_fused_scaling_sweep(scale):
             "backend": "fused",
             "nprocs": list(SCALING_NPROCS),
             "metric": "min-of-2 host seconds (and per simulated rank)",
+            "host": _host_line(),
             "workloads": entries,
         },
     })

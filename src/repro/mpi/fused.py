@@ -53,6 +53,17 @@ _FOLD_UFUNCS = {SUM: np.add, PROD: np.multiply,
 
 _MISSING = object()
 
+#: entries a charge memo may hold before it is dropped and refilled (a
+#: program that keeps growing an array meets a new geometry every step)
+_CHARGE_MEMO_MAX = 4096
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= _CHARGE_MEMO_MAX:
+        memo.clear()
+    memo[key] = value
+    return value
+
 
 def _bits_equal(a: Any, b: Any) -> bool:
     """Exact (bit-level for floats: ``repr`` separates ``0.0``/``-0.0``)
@@ -145,6 +156,14 @@ class FusedComm:
         # (op, size, type, value) -> fold result; replicated reductions
         # recur with identical inputs, so each distinct fold runs once
         self._fold_memo: dict = {}
+        # the charge memo.  Per-rank cost vectors are pure functions of
+        # their operands and (machine, size), both fixed for this run:
+        # (flops, elems, mem) -> compute_time_vec(...), and
+        # (nbytes, forward) -> ring_exchange's four per-rank columns.
+        # Keys are the operand tuples themselves (the geometry tables),
+        # values are read-only and bit-equal to an uncached evaluation.
+        self._compute_memo: dict = {}
+        self._ring_memo: dict = {}
 
     # -- identity --------------------------------------------------------- #
 
@@ -212,13 +231,27 @@ class FusedComm:
         One vectorized model evaluation charges all P clocks; each
         element of :meth:`MachineModel.compute_time_vec` is bit-identical
         to the scalar ``compute_time`` call the lockstep backend makes.
+        Hashable operands (the shared geometry tuples) evaluate the
+        model once per run; lists are data-dependent and never cached.
         """
         clocks = self.world.clocks
-        dts = self.machine.compute_time_vec(
-            flops=flops, elems=elems, mem=mem, active_cpus=self.size)
+        key = (flops, elems, mem)
+        try:
+            dts = self._compute_memo[key]
+        except KeyError:
+            dts = _remember(self._compute_memo, key,
+                            self._rank_costs(flops, elems, mem))
+        except TypeError:
+            dts = self._rank_costs(flops, elems, mem)
         if self._trace is not None:
             self._trace.batch_rank_compute(self.line, clocks, dts)
         clocks += dts
+
+    def _rank_costs(self, flops, elems, mem) -> np.ndarray:
+        dts = np.asarray(self.machine.compute_time_vec(
+            flops=flops, elems=elems, mem=mem, active_cpus=self.size))
+        dts.setflags(write=False)
+        return dts
 
     # -- collective accounting -------------------------------------------- #
 
@@ -299,13 +332,22 @@ class FusedComm:
         if p == 1:
             return  # self-exchange: no wire traffic
         pre = w.clocks.copy()
-        ranks = np.arange(p)
-        step = 1 if forward else -1
-        dests = (ranks + step) % p
-        lat, ptime = self.machine.p2p_time_vec(ranks, dests, nbytes)
+        key = (nbytes, forward)
+        try:
+            dests, sources, inject, ptime = self._ring_memo[key]
+        except KeyError:
+            ranks = np.arange(p)
+            step = 1 if forward else -1
+            dests = (ranks + step) % p
+            sources = (ranks - step) % p
+            lat, ptime = self.machine.p2p_time_vec(ranks, dests, nbytes)
+            inject = lat * 0.5
+            for column in (dests, sources, inject, ptime):
+                column.setflags(write=False)
+            _remember(self._ring_memo, key, (dests, sources, inject, ptime))
         arrivals = np.empty(p, dtype=np.float64)
         arrivals[dests] = pre + ptime
-        w.clocks[:] = pre + lat * 0.5
+        w.clocks[:] = pre + inject
         w.rank_messages += 1
         w.rank_bytes += nbytes
         if self._trace is not None:
@@ -314,7 +356,6 @@ class FusedComm:
         me = w.clocks.copy()
         np.maximum(me, arrivals, out=w.clocks)
         if self._trace is not None:
-            sources = (ranks - step) % p
             self._trace.batch_recv(self.line, me,
                                    np.maximum(0.0, arrivals - me),
                                    sources, 0, nbytes)

@@ -28,6 +28,7 @@ from ..errors import FusionDivergence, MatlabRuntimeError
 from ..interp import values as V
 from ..mpi.comm import Comm
 from ..mpi.fused import PerRankScalar
+from .distribution import get_geometry
 from .matrix import DMatrix, FusedDMatrix, RValue
 from .memory import MemoryTracker, current_tracker, install_tracker
 
@@ -187,8 +188,8 @@ class RuntimeContext:
             return V.simplify(full)
         scheme = scheme or self.scheme
         if self.fused:
-            return FusedDMatrix(full.shape[0], full.shape[1], full.dtype,
-                                full, self.size, scheme)
+            return FusedDMatrix(get_geometry(*full.shape, self.size, scheme),
+                                full.dtype, full)
         return DMatrix.from_full(full, self.size, self.rank, scheme)
 
     def realign(self, value: RValue, scheme: str) -> RValue:
@@ -220,9 +221,8 @@ class RuntimeContext:
             # the full array is already in hand; charge exactly what the
             # lockstep allgather would (max per-rank block, symmetric)
             self.comm.overhead()
-            per = value.cols if value.layout == "rows" else 1
-            nbytes = max(value.map.counts()) * per * value.full.itemsize
-            self.comm.charge_allgather(nbytes)
+            self.comm.charge_allgather(
+                value.geom.max_count * value.full.itemsize)
             # callers may scribble on the result unless they promised
             # not to
             full = np.array(value.full) if copy else value.full
@@ -267,10 +267,10 @@ class RuntimeContext:
         scheme = self._creation_scheme()
         if self.fused:
             full = np.asarray(full)
-            mat = FusedDMatrix(rows, cols, full.dtype, full, self.size,
-                               scheme)
+            geom = get_geometry(rows, cols, self.size, scheme)
+            mat = FusedDMatrix(geom, full.dtype, full)
             self.comm.overhead()
-            self.comm.compute_ranks(mem=mat.rank_counts())
+            self.comm.compute_ranks(mem=geom.counts)
             return mat
         mat = DMatrix.from_full(np.asarray(full), self.size, self.rank,
                                 scheme)
@@ -359,10 +359,9 @@ class RuntimeContext:
             return V.simplify(full)
         scheme = self._creation_scheme()
         if self.fused:
-            mat = FusedDMatrix(full.shape[0], full.shape[1], full.dtype,
-                               full, self.size, scheme)
-            self.comm.compute_ranks(mem=mat.rank_counts())
-            return mat
+            geom = get_geometry(*full.shape, self.size, scheme)
+            self.comm.compute_ranks(mem=geom.counts)
+            return FusedDMatrix(geom, full.dtype, full)
         mat = DMatrix.from_full(full, self.size, self.rank, scheme)
         self.comm.compute(mem=mat.local_count())
         return mat
@@ -509,7 +508,7 @@ class RuntimeContext:
         r_, c_ = (i % mat.rows, i // mat.rows) if j is None else (i, j)
         new_full[r_, c_] = value
         self.comm.overhead()
-        self.comm.compute_ranks(mem=mat.rank_counts())
+        self.comm.compute_ranks(mem=mat.geom.counts)
         if new_full is full:
             return mat
         return mat.like_full(new_full, dtype=mat.dtype)
@@ -640,10 +639,10 @@ class RuntimeContext:
             if out_full.dtype.kind not in ("f", "c"):
                 out_full = out_full.astype(float)
             template = dists[0]
-            counts = template.rank_counts()
+            geom = template.geom
             self.comm.overhead()
-            self.comm.compute_ranks(elems=[c * nops for c in counts],
-                                    mem=counts)
+            self.comm.compute_ranks(elems=geom.scaled_counts(nops),
+                                    mem=geom.counts)
             return template.like_full(out_full)
         args = []
         for op in operands:
@@ -679,7 +678,7 @@ class RuntimeContext:
 
             ok = bool(np.all(value.full != 0)) if value.full.size else True
             self.comm.overhead()
-            self.comm.compute_ranks(elems=value.rank_counts())
+            self.comm.compute_ranks(elems=value.geom.counts)
             combined = self.comm.allreduce(float(ok), op=LAND)
             return bool(combined) and value.numel > 0
         if isinstance(value, DMatrix):

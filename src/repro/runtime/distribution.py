@@ -11,6 +11,7 @@ benchmark.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -100,10 +101,10 @@ class BlockMap:
         return idx - starts
 
     def counts(self) -> list[int]:
-        return list(_block_counts(self.n, self.nprocs))
+        return [self.count(r) for r in range(self.nprocs)]
 
     def starts(self) -> list[int]:
-        return list(_block_starts(self.n, self.nprocs))
+        return [self.start(r) for r in range(self.nprocs)]
 
 
 @dataclass(frozen=True)
@@ -151,25 +152,136 @@ class CyclicMap:
         return np.arange(rank, self.n, self.nprocs)
 
     def counts(self) -> list[int]:
-        return list(_cyclic_counts(self.n, self.nprocs))
+        return [self.count(r) for r in range(self.nprocs)]
 
 
-# -- memoized geometry -------------------------------------------------- #
-# Maps are value objects keyed by (n, nprocs); SPMD programs construct
-# the same few geometries thousands of times (every DMatrix builds one),
-# so both the instances and their O(nprocs) count/start tables are
-# shared process-wide.
-#
+# -- interned array geometry --------------------------------------------- #
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a shared table read-only: an in-place write by any of the
+    arrays that share it must raise, not corrupt the others."""
+    array.setflags(write=False)
+    return array
+
+
+class Geometry:
+    """Everything derivable from ``(rows, cols, nprocs, scheme)``.
+
+    The paper's MATRIX descriptor keeps shape *and* each processor's
+    local-element count, and guarantees that "matrices of identical size
+    are distributed identically".  This is that guarantee as an object:
+    one immutable instance per geometry (interned by
+    :func:`get_geometry`), shared by every :class:`DMatrix` /
+    :class:`FusedDMatrix` of that size, so the per-rank tables are
+    computed once per geometry instead of once per operation.
+
+    Invariant: every attribute and every method result is a pure
+    function of the four constructor values.  Cached ndarrays are
+    read-only.
+
+    Matrices are distributed by rows, vectors by linear elements;
+    ``slices[r]`` indexes the distributed axis (a ``slice`` for block
+    maps, a read-only index array for cyclic ones) and ``counts[r]`` is
+    rank ``r``'s local *element* count.
+    """
+
+    __slots__ = ("rows", "cols", "nprocs", "scheme", "shape", "numel",
+                 "is_vector", "map", "counts", "starts", "slices",
+                 "local_shapes", "max_count", "_scaled", "_indices",
+                 "_overlaps")
+
+    def __init__(self, rows: int, cols: int, nprocs: int, scheme: str):
+        self.rows = rows = int(rows)
+        self.cols = cols = int(cols)
+        self.nprocs = nprocs
+        self.scheme = scheme
+        self.shape = (rows, cols)
+        self.numel = rows * cols
+        self.is_vector = rows == 1 or cols == 1
+        extent = self.numel if self.is_vector else rows
+        ranks = range(nprocs)
+        self.map = amap = (BlockMap if scheme == "block"
+                           else CyclicMap)(extent, nprocs)
+        held = [amap.count(r) for r in ranks]   # rows (elements) per rank
+        if scheme == "block":
+            self.starts = tuple(amap.start(r) for r in ranks)
+            self.slices = tuple(slice(start, start + n)
+                                for start, n in zip(self.starts, held))
+            self._indices = [None] * nprocs
+        else:
+            self.starts = None      # cyclic blocks are not contiguous
+            self._indices = [_frozen(amap.global_indices(r)) for r in ranks]
+            self.slices = tuple(self._indices)
+        if self.is_vector:
+            self.counts = tuple(held)
+            self.local_shapes = tuple((n,) for n in held)
+        else:
+            self.counts = tuple(n * cols for n in held)
+            self.local_shapes = tuple((n, cols) for n in held)
+        self.max_count = max(self.counts)
+        self._scaled: dict[int, tuple[int, ...]] = {1: self.counts}
+        self._overlaps: dict[int, int] = {}
+
+    def scaled_counts(self, k: int) -> tuple[int, ...]:
+        """``counts`` times ``k`` (the per-rank operation counts of a
+        kernel that does ``k`` units of work per local element)."""
+        try:
+            return self._scaled[k]
+        except KeyError:
+            scaled = self._scaled[k] = tuple(c * k for c in self.counts)
+            return scaled
+
+    def global_indices(self, rank: int) -> np.ndarray:
+        """Read-only global row (linear, for vectors) indices of
+        ``rank``'s block."""
+        indices = self._indices[rank]
+        if indices is None:
+            span = self.slices[rank]
+            indices = self._indices[rank] = _frozen(
+                np.arange(span.start, span.stop))
+        return indices
+
+    def shift_overlap(self, k: int) -> int:
+        """Of the elements a circular shift by ``k`` delivers to rank 0,
+        the largest number that come from a single source rank (block
+        vectors only): rank 0's block pulled back through the shift is
+        one circular interval, intersected here with every source block.
+        """
+        try:
+            return self._overlaps[k]
+        except KeyError:
+            pass
+        n, width = self.numel, self.counts[0]
+        lo = -k % n
+        starts = np.asarray(self.starts)
+        stops = starts + np.asarray(self.counts)
+
+        def covered(a: int, b: int) -> np.ndarray:
+            return np.clip(np.minimum(stops, b) - np.maximum(starts, a),
+                           0, None)
+
+        # [lo, lo + width) on the circle: the part below n, then the wrap
+        per_source = covered(lo, min(lo + width, n)) \
+            + covered(0, lo + width - n)
+        best = self._overlaps[k] = int(per_source.max())
+        return best
+
+    def __repr__(self) -> str:
+        return (f"Geometry({self.rows}x{self.cols}, {self.nprocs} ranks, "
+                f"{self.scheme})")
+
+
+# SPMD programs construct the same few geometries thousands of times
+# (every DMatrix carries one), so the instances are shared process-wide.
 # The cache size is configurable (REPRO_MAP_CACHE_SIZE or
 # ``configure_map_cache``): a multi-thousand-candidate autotuning search
-# sweeps many (n, nprocs) geometries and must not thrash a small LRU.
+# sweeps many geometries and must not thrash a small LRU.
 
 DEFAULT_MAP_CACHE_SIZE = 65536
 
 
 def _env_cache_size() -> int:
-    import os
-
     raw = os.environ.get("REPRO_MAP_CACHE_SIZE", "")
     try:
         size = int(raw)
@@ -178,75 +290,25 @@ def _env_cache_size() -> int:
         return DEFAULT_MAP_CACHE_SIZE
 
 
-def _get_map_raw(scheme: str, n: int, nprocs: int):
-    return (BlockMap(n, nprocs) if scheme == "block"
-            else CyclicMap(n, nprocs))
-
-
-def _block_counts_raw(n: int, nprocs: int) -> tuple[int, ...]:
-    m = get_map("block", n, nprocs)
-    return tuple(m.count(r) for r in range(nprocs))
-
-
-def _block_starts_raw(n: int, nprocs: int) -> tuple[int, ...]:
-    m = get_map("block", n, nprocs)
-    return tuple(m.start(r) for r in range(nprocs))
-
-
-def _cyclic_counts_raw(n: int, nprocs: int) -> tuple[int, ...]:
-    m = get_map("cyclic", n, nprocs)
-    return tuple(m.count(r) for r in range(nprocs))
-
-
-_CACHES: dict[str, object] = {}
-
-
 def configure_map_cache(maxsize: int | None = None) -> int:
-    """(Re)build the geometry caches with ``maxsize`` entries each
-    (default: REPRO_MAP_CACHE_SIZE or 65536).  Returns the size in
-    effect.  Existing cached entries are discarded."""
-    global _get_map_c, _block_counts_c, _block_starts_c, _cyclic_counts_c
+    """(Re)build the geometry cache with ``maxsize`` entries (default:
+    REPRO_MAP_CACHE_SIZE or 65536).  Returns the size in effect.
+    Existing cached entries are discarded."""
+    global _geometry_cache
     size = maxsize if maxsize and maxsize > 0 else _env_cache_size()
-    _get_map_c = lru_cache(maxsize=size)(_get_map_raw)
-    _block_counts_c = lru_cache(maxsize=size)(_block_counts_raw)
-    _block_starts_c = lru_cache(maxsize=size)(_block_starts_raw)
-    _cyclic_counts_c = lru_cache(maxsize=size)(_cyclic_counts_raw)
-    _CACHES.clear()
-    _CACHES.update(get_map=_get_map_c, block_counts=_block_counts_c,
-                   block_starts=_block_starts_c,
-                   cyclic_counts=_cyclic_counts_c)
+    _geometry_cache = lru_cache(maxsize=size)(Geometry)
     return size
 
 
 def map_cache_stats() -> dict:
-    """Aggregate + per-cache hit/miss counters (what the autotuner
-    asserts on to prove the search isn't thrashing the geometry LRU)."""
-    per = {name: cache.cache_info()._asdict()
-           for name, cache in _CACHES.items()}
-    return {
-        "hits": sum(info["hits"] for info in per.values()),
-        "misses": sum(info["misses"] for info in per.values()),
-        "currsize": sum(info["currsize"] for info in per.values()),
-        "maxsize": next(iter(per.values()))["maxsize"],
-        "per_cache": per,
-    }
+    """Hit/miss counters of the geometry cache (what the autotuner
+    asserts on to prove the search isn't thrashing it)."""
+    return _geometry_cache.cache_info()._asdict()
 
 
 configure_map_cache()
 
 
-def get_map(scheme: str, n: int, nprocs: int):
-    """Shared BlockMap/CyclicMap instance for this geometry."""
-    return _get_map_c(scheme, n, nprocs)
-
-
-def _block_counts(n: int, nprocs: int) -> tuple[int, ...]:
-    return _block_counts_c(n, nprocs)
-
-
-def _block_starts(n: int, nprocs: int) -> tuple[int, ...]:
-    return _block_starts_c(n, nprocs)
-
-
-def _cyclic_counts(n: int, nprocs: int) -> tuple[int, ...]:
-    return _cyclic_counts_c(n, nprocs)
+def get_geometry(rows: int, cols: int, nprocs: int, scheme: str) -> Geometry:
+    """The shared :class:`Geometry` for these four values."""
+    return _geometry_cache(rows, cols, nprocs, scheme)

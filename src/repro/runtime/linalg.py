@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import MatlabRuntimeError
 from ..interp import values as V
+from .distribution import get_geometry
 from .matrix import DMatrix, FusedDMatrix, RValue
 
 
@@ -89,7 +90,7 @@ def dot(rt, a: RValue, b: RValue) -> RValue:
         parts = [complex(np.dot(av, bv)) if cplx else float(np.dot(av, bv))
                  for av, bv in zip(a.blocks(), b.blocks())]
         rt.comm.overhead()
-        rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
+        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
         rt.comm.charge_reduce(16 if cplx else 8)
         return _fold(parts)
     if isinstance(a, DMatrix) and isinstance(b, DMatrix):
@@ -118,15 +119,17 @@ def outer(rt, a: RValue, b: RValue) -> RValue:
         # elementwise products: one full outer == stacked per-rank outers
         # (a's element blocks coincide with the result's row blocks)
         out = np.outer(a.full.reshape(-1), b_full)
-        counts = [c * n for c in a.map.counts()]
+        counts = a.geom.scaled_counts(n)
         rt.comm.overhead()
         rt.comm.compute_ranks(flops=counts, mem=counts)
-        return FusedDMatrix(m, n, out.dtype, out, rt.size, a.scheme)
+        return FusedDMatrix(get_geometry(m, n, rt.size, a.scheme),
+                            out.dtype, out)
     if isinstance(a, DMatrix):
         local = np.outer(a.local, b_full)
         rt.comm.overhead()
         rt.comm.compute(flops=local.size, mem=local.size)
-        return DMatrix(m, n, local.dtype, local, rt.size, rt.rank, a.scheme)
+        return DMatrix(get_geometry(m, n, rt.size, a.scheme),
+                       local.dtype, local, rt.rank)
     full = np.outer(_as_full(rt, a).reshape(-1), b_full)
     rt.comm.compute(flops=full.size, mem=full.size)
     return rt.distribute_full(full)
@@ -142,12 +145,12 @@ def matvec(rt, a: RValue, x: RValue) -> RValue:
             y = np.concatenate(parts)
         else:
             y = np.empty(m, dtype=np.result_type(*[p.dtype for p in parts]))
-            for r, part in enumerate(parts):
-                y[a.rank_global_indices(r)] = part
+            for span, part in zip(a.geom.slices, parts):
+                y[span] = part
         rt.comm.overhead()
-        rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
-        return FusedDMatrix(m, 1, y.dtype, y.reshape(-1, 1),
-                            rt.size, a.scheme)
+        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
+        return FusedDMatrix(get_geometry(m, 1, rt.size, a.scheme),
+                            y.dtype, y.reshape(-1, 1))
     if isinstance(a, DMatrix) and not a.is_vector:
         x_full = _as_full(rt, x).reshape(-1)
         y_local = a.local @ x_full
@@ -160,8 +163,8 @@ def matvec(rt, a: RValue, x: RValue) -> RValue:
                     np.asarray(y_local).reshape(1, -1))
         # row blocks/cycles of A coincide with the element partition of y
         # under A's own scheme, so y inherits it
-        return DMatrix(m, 1, y_local.dtype, np.asarray(y_local),
-                       rt.size, rt.rank, a.scheme)
+        return DMatrix(get_geometry(m, 1, rt.size, a.scheme),
+                       y_local.dtype, np.asarray(y_local), rt.rank)
     full = _as_full(rt, a) @ _as_full(rt, x)
     rt.comm.compute(flops=2 * _as_full(rt, a).size)
     return rt.distribute_full(full) if full.size > 1 else V.simplify(full)
@@ -172,13 +175,12 @@ def vecmat(rt, x: RValue, a: RValue) -> RValue:
     if isinstance(a, FusedDMatrix) and not a.is_vector:
         x_full = _as_full(rt, x).reshape(-1)
         parts = []
-        for r in range(rt.size):
-            blk = a.block(r)
-            parts.append(x_full[a.rank_global_indices(r)] @ blk
+        for r, blk in enumerate(a.blocks()):
+            parts.append(x_full[a.geom.global_indices(r)] @ blk
                          if blk.size else
                          np.zeros(a.cols, dtype=a.full.dtype))
         rt.comm.overhead()
-        rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
+        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
         rt.comm.charge_reduce(max(np.asarray(p).nbytes for p in parts))
         result = np.asarray(_fold(parts)).reshape(1, -1)
         return rt.distribute_full(result) if result.size > 1 \
@@ -210,19 +212,20 @@ def _matmat(rt, a: RValue, b: RValue) -> RValue:
         else:
             full = np.empty((a.rows, n),
                             dtype=np.result_type(*[p.dtype for p in parts]))
-            for r, part in enumerate(parts):
-                full[a.rank_global_indices(r), :] = part
+            for span, part in zip(a.geom.slices, parts):
+                full[span] = part
         rt.comm.overhead()
-        rt.comm.compute_ranks(
-            flops=[2 * c * n for c in a.rank_counts()])
-        return FusedDMatrix(a.rows, n, full.dtype, full, rt.size, a.scheme)
+        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2 * n))
+        return FusedDMatrix(get_geometry(a.rows, n, rt.size, a.scheme),
+                            full.dtype, full)
     if isinstance(a, DMatrix) and not a.is_vector:
         local = a.local @ b_full
         rt.comm.overhead()
         rt.comm.compute(flops=2 * a.local.shape[0] * a.local.shape[1]
                         * b_full.shape[1])
-        return DMatrix(a.rows, b_full.shape[1], local.dtype, local,
-                       rt.size, rt.rank, a.scheme)
+        return DMatrix(
+            get_geometry(a.rows, b_full.shape[1], rt.size, a.scheme),
+            local.dtype, local, rt.rank)
     a_full = _as_full(rt, a)
     rt.comm.compute(flops=2 * a_full.shape[0] * a_full.shape[1]
                     * b_full.shape[1] // max(rt.size, 1))
@@ -241,15 +244,15 @@ def transpose(rt, a: RValue, conjugate: bool = True) -> RValue:
             full = a.full.conj() if (conjugate and np.iscomplexobj(a.full)) \
                 else a.full
             rt.comm.overhead()
-            return FusedDMatrix(a.cols, a.rows, full.dtype,
-                                np.ascontiguousarray(full.T).copy(),
-                                rt.size, a.scheme)
+            return FusedDMatrix(
+                get_geometry(a.cols, a.rows, rt.size, a.scheme),
+                full.dtype, np.ascontiguousarray(full.T).copy())
         # both orientations share the element-block layout: free relabel
         local = a.local.conj() if (conjugate and np.iscomplexobj(a.local)) \
             else a.local
         rt.comm.overhead()
-        return DMatrix(a.cols, a.rows, local.dtype, local.copy(),
-                       rt.size, rt.rank, a.scheme)
+        return DMatrix(get_geometry(a.cols, a.rows, rt.size, a.scheme),
+                       local.dtype, local.copy(), rt.rank)
     full = rt.gather_full(a, copy=False)  # read-only: copied just below
     out = full.conj().T if conjugate else full.T
     rt.comm.compute(mem=out.size)
@@ -339,7 +342,7 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
                 partial = np.dot(av.conj() if conj else av, bv)
                 parts.append(complex(partial) if cplx else float(partial))
             rt.comm.overhead()
-            rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
+            rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
             rt.comm.charge_reduce(16 if cplx else 8)
             return _fold(parts)
         av = a.local.conj() if (conjugate and np.iscomplexobj(a.local)) \
@@ -369,8 +372,7 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
                 parts.append(np.ascontiguousarray(al @ bb))
             rt.comm.overhead()
             rt.comm.compute_ranks(
-                flops=[2 * rows_r * a.cols * b.cols
-                       for rows_r in a.map.counts()])
+                flops=a.geom.scaled_counts(2 * b.cols))
             rt.comm.charge_reduce(max(p.nbytes for p in parts))
             return rt.distribute_full(np.asarray(_fold(parts)))
         al = a.local.conj().T if conjugate and np.iscomplexobj(a.local) \
@@ -393,7 +395,7 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
                 parts.append(np.asarray(al.T @ bb if al.size
                                         else np.zeros(a.cols)))
             rt.comm.overhead()
-            rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
+            rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
             rt.comm.charge_reduce(max(p.nbytes for p in parts))
             total = np.asarray(_fold(parts))
             if total.size == 1:

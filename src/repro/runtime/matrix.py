@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from ..errors import DistributionError, FusionDivergence
-from .distribution import BlockMap, CyclicMap, get_map
+from .distribution import Geometry, get_geometry
 from .memory import record_allocation
 
 Scalar = Union[float, complex]
@@ -29,22 +29,28 @@ RValue = Union[float, complex, "DMatrix", str]
 
 
 class DMatrix:
-    """One rank's view of a distributed matrix or vector."""
+    """One rank's view of a distributed matrix or vector.
 
-    __slots__ = ("rows", "cols", "dtype", "layout", "local", "map",
-                 "nprocs", "rank", "scheme", "replica", "__weakref__")
+    Everything derivable from ``(rows, cols, nprocs, scheme)`` lives on
+    the shared :class:`~repro.runtime.distribution.Geometry` (``geom``);
+    the fields runtime ops read most are mirrored here as plain
+    attributes.
+    """
 
-    def __init__(self, rows: int, cols: int, dtype, local: np.ndarray,
-                 nprocs: int, rank: int, scheme: str = "block"):
-        self.rows = int(rows)
-        self.cols = int(cols)
+    __slots__ = ("geom", "rows", "cols", "shape", "numel", "is_vector",
+                 "scheme", "dtype", "local", "rank", "replica",
+                 "__weakref__")
+
+    def __init__(self, geom: Geometry, dtype, local: np.ndarray, rank: int):
+        self.geom = geom
+        self.rows = geom.rows
+        self.cols = geom.cols
+        self.shape = geom.shape
+        self.numel = geom.numel
+        self.is_vector = geom.is_vector
+        self.scheme = geom.scheme
         self.dtype = np.dtype(dtype)
-        self.nprocs = nprocs
         self.rank = rank
-        self.scheme = scheme
-        self.layout = "elems" if self.is_vector else "rows"
-        extent = self.rows * self.cols if self.layout == "elems" else self.rows
-        self.map = get_map(scheme, extent, nprocs)
         self.local = local
         #: memoized full array (the replicate-on-first-use cache; None
         #: until the first gather when the cache is enabled).  Sound
@@ -52,45 +58,20 @@ class DMatrix:
         #: new descriptor.
         self.replica = None
         record_allocation(self, local.nbytes)
-        expected = self.local_shape()
+        expected = geom.local_shapes[rank]
         if local.shape != expected:
             raise DistributionError(
                 f"local block shape {local.shape} != expected {expected} "
-                f"(global {self.rows}x{self.cols}, rank {rank}/{nprocs})")
-
-    # ------------------------------------------------------------------ #
-    # geometry
-    # ------------------------------------------------------------------ #
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    @property
-    def numel(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def is_vector(self) -> bool:
-        return self.rows == 1 or self.cols == 1
-
-    @property
-    def is_row_vector(self) -> bool:
-        return self.rows == 1 and self.cols != 1
+                f"(global {self.rows}x{self.cols}, "
+                f"rank {rank}/{geom.nprocs})")
 
     def local_count(self) -> int:
         return self.local.size
 
-    def local_shape(self) -> tuple[int, ...]:
-        if self.layout == "elems":
-            return (self.map.count(self.rank),)
-        return (self.map.count(self.rank), self.cols)
-
     def global_row_indices(self) -> np.ndarray:
-        """Global indices (rows, or linear for vectors) of the local block."""
-        if isinstance(self.map, CyclicMap):
-            return self.map.global_indices(self.rank)
-        return np.arange(self.map.start(self.rank), self.map.stop(self.rank))
+        """Global indices (rows, or linear for vectors) of the local
+        block — a shared read-only table."""
+        return self.geom.global_indices(self.rank)
 
     # ------------------------------------------------------------------ #
     # ownership (ML_owner)
@@ -98,25 +79,25 @@ class DMatrix:
 
     def owner_of(self, i: int, j: int | None = None) -> int:
         """Owning rank of element (i, j) — 0-based; j None = linear index."""
-        if self.layout == "elems":
+        if self.is_vector:
             linear = i if j is None else j * self.rows + i  # column-major
-            return self.map.owner(linear)
+            return self.geom.map.owner(linear)
         if j is None:
             # linear index into a row-distributed matrix (column-major)
             i, j = i % self.rows, i // self.rows
-        return self.map.owner(i)
+        return self.geom.map.owner(i)
 
     def owns(self, i: int, j: int | None = None) -> bool:
         return self.owner_of(i, j) == self.rank
 
     def local_element_index(self, i: int, j: int | None = None):
         """Local position of global element (i, j) on its owner."""
-        if self.layout == "elems":
+        if self.is_vector:
             linear = i if j is None else j * self.rows + i
-            return self.map.local_index(linear)
+            return self.geom.map.local_index(linear)
         if j is None:
             i, j = i % self.rows, i // self.rows
-        return (self.map.local_index(i), j)
+        return (self.geom.map.local_index(i), j)
 
     # ------------------------------------------------------------------ #
     # conversion
@@ -130,47 +111,32 @@ class DMatrix:
         if full.ndim != 2:
             raise DistributionError("DMatrix requires a 2-D array")
         rows, cols = full.shape
-        is_vec = rows == 1 or cols == 1
-        extent = rows * cols if is_vec else rows
-        amap = get_map(scheme, extent, nprocs)
-        if is_vec:
-            flat = full.reshape(-1, order="F")
-            idx = (amap.global_indices(rank) if isinstance(amap, CyclicMap)
-                   else np.arange(amap.start(rank), amap.stop(rank)))
-            local = np.ascontiguousarray(flat[idx])
-        else:
-            idx = (amap.global_indices(rank) if isinstance(amap, CyclicMap)
-                   else np.arange(amap.start(rank), amap.stop(rank)))
-            local = np.ascontiguousarray(full[idx, :])
-        return cls(rows, cols, full.dtype, local, nprocs, rank, scheme)
+        geom = get_geometry(rows, cols, nprocs, scheme)
+        base = full.reshape(-1, order="F") if geom.is_vector else full
+        local = np.ascontiguousarray(base[geom.global_indices(rank)])
+        return cls(geom, full.dtype, local, rank)
 
     def assemble(self, parts: list[np.ndarray]) -> np.ndarray:
         """Reconstruct the full array from every rank's local block
         (the caller supplies the allgathered parts)."""
-        if self.layout == "elems":
-            flat = np.empty(self.numel, dtype=self.dtype)
-            if isinstance(self.map, CyclicMap):
-                for rank, part in enumerate(parts):
-                    flat[self.map.global_indices(rank)] = part
-            else:
-                flat = np.concatenate(parts) if parts else flat
-            return flat.reshape((self.rows, self.cols), order="F")
-        if isinstance(self.map, CyclicMap):
-            full = np.empty((self.rows, self.cols), dtype=self.dtype)
-            for rank, part in enumerate(parts):
-                full[self.map.global_indices(rank), :] = part
-            return full
-        return np.vstack(parts) if parts else \
-            np.empty((self.rows, self.cols), dtype=self.dtype)
+        if self.scheme == "block" and parts:
+            full = np.concatenate(parts) if self.is_vector \
+                else np.vstack(parts)
+        else:
+            full = np.empty(self.numel if self.is_vector else self.shape,
+                            dtype=self.dtype)
+            for span, part in zip(self.geom.slices, parts):
+                full[span] = part
+        return full.reshape(self.shape, order="F") if self.is_vector \
+            else full
 
     def like(self, local: np.ndarray, dtype=None) -> "DMatrix":
         """A new DMatrix with the same global geometry, new local data."""
-        return DMatrix(self.rows, self.cols, dtype or local.dtype, local,
-                       self.nprocs, self.rank, self.scheme)
+        return DMatrix(self.geom, dtype or local.dtype, local, self.rank)
 
     def __repr__(self) -> str:
         return (f"DMatrix({self.rows}x{self.cols} {self.dtype}, "
-                f"rank {self.rank}/{self.nprocs}, "
+                f"rank {self.rank}/{self.geom.nprocs}, "
                 f"local {self.local.shape})")
 
 
@@ -179,8 +145,8 @@ class FusedDMatrix(DMatrix):
 
     Where :class:`DMatrix` stores one rank's local block, this stores the
     *full* array once — every rank's block is an implicit, deterministic
-    slice of it (``block(r)``), because the distribution maps are pure
-    functions of (extent, nprocs).  Runtime ops with a fused path apply
+    slice of it (``blocks()``), because the geometry is a pure function
+    of (rows, cols, nprocs, scheme).  Runtime ops with a fused path apply
     their kernel across the whole rank axis in one numpy call and charge
     each rank's virtual clock individually.
 
@@ -193,28 +159,24 @@ class FusedDMatrix(DMatrix):
 
     __slots__ = ("full",)
 
-    def __init__(self, rows: int, cols: int, dtype, full: np.ndarray,
-                 nprocs: int, scheme: str = "block"):
-        self.rows = int(rows)
-        self.cols = int(cols)
+    def __init__(self, geom: Geometry, dtype, full: np.ndarray):
+        self.geom = geom
+        self.rows = geom.rows
+        self.cols = geom.cols
+        self.shape = geom.shape
+        self.numel = geom.numel
+        self.is_vector = geom.is_vector
+        self.scheme = geom.scheme
         self.dtype = np.dtype(dtype)
-        self.nprocs = nprocs
         self.rank = 0
-        self.scheme = scheme
-        self.layout = "elems" if self.is_vector else "rows"
-        extent = self.rows * self.cols if self.layout == "elems" else self.rows
-        self.map = get_map(scheme, extent, nprocs)
-        full = np.asarray(full)
-        if full.shape != (self.rows, self.cols):
+        if full.shape != geom.shape:
             raise DistributionError(
                 f"full array shape {full.shape} != ({self.rows}, {self.cols})")
         self.full = full
         self.replica = None
         # the tracker models ONE rank's footprint; rank 0 holds the
         # largest block under both distribution schemes
-        per_row = self.cols if self.layout == "rows" else 1
-        record_allocation(
-            self, self.map.count(0) * per_row * self.dtype.itemsize)
+        record_allocation(self, geom.counts[0] * self.dtype.itemsize)
 
     # -- per-rank accessors: no single rank exists here ----------------- #
 
@@ -229,9 +191,6 @@ class FusedDMatrix(DMatrix):
     def local_count(self) -> int:
         self._diverge("local_count")
 
-    def local_shape(self) -> tuple[int, ...]:
-        self._diverge("local_shape")
-
     def global_row_indices(self) -> np.ndarray:
         self._diverge("global_row_indices")
 
@@ -243,41 +202,21 @@ class FusedDMatrix(DMatrix):
 
     # -- the rank axis, made explicit ----------------------------------- #
 
-    def block(self, r: int) -> np.ndarray:
-        """Rank ``r``'s local block (a view of the full array where the
-        layout allows, a fancy-index copy for cyclic maps)."""
-        if self.layout == "elems":
-            flat = self.full.reshape(-1, order="F")
-            if isinstance(self.map, CyclicMap):
-                return flat[self.map.global_indices(r)]
-            return flat[self.map.start(r):self.map.stop(r)]
-        if isinstance(self.map, CyclicMap):
-            return self.full[self.map.global_indices(r), :]
-        return self.full[self.map.start(r):self.map.stop(r), :]
-
-    def blocks(self):
-        return (self.block(r) for r in range(self.nprocs))
-
-    def rank_counts(self) -> tuple[int, ...]:
-        """Per-rank local element counts (what ``local_count`` would
-        return on each rank)."""
-        per = self.cols if self.layout == "rows" else 1
-        return tuple(c * per for c in self.map.counts())
-
-    def rank_global_indices(self, r: int) -> np.ndarray:
-        """Rank ``r``'s global row (or linear, for vectors) indices."""
-        if isinstance(self.map, CyclicMap):
-            return self.map.global_indices(r)
-        return np.arange(self.map.start(r), self.map.stop(r))
+    def blocks(self) -> list[np.ndarray]:
+        """Every rank's local block, in rank order (views of the full
+        array under the block distribution, fancy-index copies for
+        cyclic maps)."""
+        base = self.full.reshape(-1, order="F") if self.is_vector \
+            else self.full
+        return [base[span] for span in self.geom.slices]
 
     def like_full(self, full: np.ndarray, dtype=None) -> "FusedDMatrix":
         """Same geometry, new full data (the fused analogue of like())."""
-        return FusedDMatrix(self.rows, self.cols, dtype or full.dtype, full,
-                            self.nprocs, self.scheme)
+        return FusedDMatrix(self.geom, dtype or full.dtype, full)
 
     def __repr__(self) -> str:
         return (f"FusedDMatrix({self.rows}x{self.cols} {self.dtype}, "
-                f"{self.nprocs} fused ranks)")
+                f"{self.geom.nprocs} fused ranks)")
 
 
 def is_distributed(value) -> bool:

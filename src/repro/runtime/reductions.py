@@ -15,6 +15,7 @@ from ..errors import MatlabRuntimeError
 from ..interp import values as V
 from ..interp.values import np_trapz
 from ..mpi import comm as mpi_ops
+from .distribution import get_geometry
 from .matrix import DMatrix, FusedDMatrix, RValue
 
 # Fused paths mirror the lockstep backend kernel for kernel: the same
@@ -38,7 +39,7 @@ def _vector_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
             part = local_fn(blk) if blk.size else identity
             parts.append(complex(part) if cplx else float(part))
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=mat.rank_counts())
+        rt.comm.compute_ranks(elems=mat.geom.counts)
         rt.comm.charge_reduce(16 if cplx else 8)
         return _fold(parts, combine_op)
     part = local_fn(mat.local) if mat.local.size else identity
@@ -60,7 +61,7 @@ def _column_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
                          dtype=complex if cplx else float)
                  for blk in mat.blocks()]
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=mat.rank_counts())
+        rt.comm.compute_ranks(elems=mat.geom.counts)
         rt.comm.charge_reduce(max(p.nbytes for p in parts))
         result = np.asarray(_fold(parts, combine_op)).reshape(1, -1)
         return rt.distribute_full(result) if result.size > 1 \
@@ -135,18 +136,18 @@ def _row_reduce(rt, mat: DMatrix, local_fn):
         parts = [np.asarray(local_fn(blk, axis=1)) if blk.size else
                  np.zeros(0, dtype=mat.full.dtype) for blk in mat.blocks()]
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=mat.rank_counts())
+        rt.comm.compute_ranks(elems=mat.geom.counts)
         if mat.scheme == "block":
             y = np.concatenate(parts)
         else:
             y = np.empty(mat.rows,
                          dtype=np.result_type(*[p.dtype for p in parts]))
-            for r, part in enumerate(parts):
-                y[mat.rank_global_indices(r)] = part
+            for span, part in zip(mat.geom.slices, parts):
+                y[span] = part
         if mat.rows == 1:
             return V.simplify(y.reshape(1, 1))
-        return FusedDMatrix(mat.rows, 1, y.dtype, y.reshape(-1, 1),
-                            rt.size, mat.scheme)
+        return FusedDMatrix(get_geometry(mat.rows, 1, rt.size, mat.scheme),
+                            y.dtype, y.reshape(-1, 1))
     if mat.local.size:
         part = np.asarray(local_fn(mat.local, axis=1))
     else:
@@ -155,8 +156,8 @@ def _row_reduce(rt, mat: DMatrix, local_fn):
     rt.comm.compute(elems=mat.local_count())
     if mat.rows == 1:
         return V.simplify(part.reshape(1, 1))
-    return DMatrix(mat.rows, 1, part.dtype, part, rt.size, rt.rank,
-                   mat.scheme)
+    return DMatrix(get_geometry(mat.rows, 1, rt.size, mat.scheme),
+                   part.dtype, part, rt.rank)
 
 
 def mean(rt, value: RValue, dim: int | None = None) -> RValue:
@@ -253,9 +254,8 @@ def find(rt, value: RValue) -> RValue:
         return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
     if isinstance(value, FusedDMatrix):
         pieces = []
-        for r in range(rt.size):
-            blk = value.block(r)
-            gidx = value.rank_global_indices(r)
+        for r, blk in enumerate(value.blocks()):
+            gidx = value.geom.global_indices(r)
             if value.is_vector:
                 hits = gidx[np.flatnonzero(blk != 0)] + 1.0
             else:
@@ -263,7 +263,7 @@ def find(rt, value: RValue) -> RValue:
                 hits = (lj * value.rows + gidx[li]) + 1.0
             pieces.append(np.asarray(hits, dtype=float))
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=value.rank_counts())
+        rt.comm.compute_ranks(elems=value.geom.counts)
         rt.comm.charge_allgather(max(p.nbytes for p in pieces))
         all_hits = np.sort(np.concatenate(pieces)) if pieces else np.zeros(0)
     else:
@@ -320,16 +320,15 @@ def minmax_with_index(rt, name: str, value: RValue) -> tuple:
 
     if isinstance(value, FusedDMatrix):
         candidates = []
-        for r in range(rt.size):
-            blk = value.block(r)
-            gidx = value.rank_global_indices(r)
+        for r, blk in enumerate(value.blocks()):
+            gidx = value.geom.global_indices(r)
             if blk.size:
                 li = int(np.argmax(blk) if pick_max else np.argmin(blk))
                 candidates.append((float(np.real(blk[li])), int(gidx[li])))
             else:
                 candidates.append((-np.inf if pick_max else np.inf, -1))
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=value.rank_counts())
+        rt.comm.compute_ranks(elems=value.geom.counts)
         rt.comm.charge_reduce(24)  # sizeof((float, int)) on every rank
         best = _fold(candidates, pick)
         return best[0], float(best[1] + 1)
@@ -408,9 +407,8 @@ def trapz(rt, x: RValue | None, y: RValue) -> RValue:
             rt.gather_full(x) if isinstance(x, DMatrix)
             else V.as_matrix(x)).reshape(-1)
         parts = []
-        for r in range(rt.size):
-            blk = y.block(r)
-            gidx = y.rank_global_indices(r)
+        for r, blk in enumerate(y.blocks()):
+            gidx = y.geom.global_indices(r)
             if x_full is None:
                 w = np.where((gidx == 0) | (gidx == n - 1), 0.5, 1.0)
             else:
@@ -426,7 +424,7 @@ def trapz(rt, x: RValue | None, y: RValue) -> RValue:
                 part = float(np.real(np.sum(w * blk))) if blk.size else 0.0
             parts.append(part)
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=[c * 2 for c in y.rank_counts()])
+        rt.comm.compute_ranks(elems=y.geom.scaled_counts(2))
         rt.comm.charge_reduce(
             max(16 if isinstance(p, complex) else 8 for p in parts))
         return _fold(parts, mpi_ops.SUM)
@@ -469,13 +467,12 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
     wc[0] = wc[-1] = 0.5
     if isinstance(z, FusedDMatrix) and not z.is_vector:
         parts = []
-        for r in range(rt.size):
-            blk = z.block(r)
-            gidx = z.rank_global_indices(r)
+        for r, blk in enumerate(z.blocks()):
+            gidx = z.geom.global_indices(r)
             wr = np.where((gidx == 0) | (gidx == rows - 1), 0.5, 1.0)
             parts.append(float(wr @ (blk.real @ wc)) if blk.size else 0.0)
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=[c * 3 for c in z.rank_counts()])
+        rt.comm.compute_ranks(elems=z.geom.scaled_counts(3))
         rt.comm.charge_reduce(8)
         total = _fold(parts, mpi_ops.SUM)
         return float(total * dxv * dyv)
@@ -506,12 +503,12 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
         return V.simplify(np_fn(arr, axis=axis))
     if value.is_vector:
         if isinstance(value, FusedDMatrix):
-            blocks = list(value.blocks())
-            scanned = [np_fn(blk) if blk.size else blk for blk in blocks]
+            scanned = [np_fn(blk) if blk.size else blk
+                       for blk in value.blocks()]
             totals = [float(np.real(s[-1])) if s.size else identity
                       for s in scanned]
             rt.comm.overhead()
-            rt.comm.compute_ranks(elems=value.rank_counts())
+            rt.comm.compute_ranks(elems=value.geom.counts)
             rt.comm.charge_scan(8)
             # inclusive prefix per rank, folded in rank order like scan's
             # combine closure
@@ -534,8 +531,8 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
                     np.zeros(0, dtype=value.dtype)
             else:
                 flat = np.empty(value.numel, dtype=value.dtype)
-                for r, out in enumerate(outs):
-                    flat[value.rank_global_indices(r)] = out
+                for span, out in zip(value.geom.slices, outs):
+                    flat[span] = out
             full = flat.reshape((value.rows, value.cols), order="F")
             return value.like_full(full, dtype=value.dtype)
         local = value.local

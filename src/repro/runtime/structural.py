@@ -99,7 +99,7 @@ def _circshift2(rt, value: DMatrix, kr: int, kc: int) -> RValue:
     if kc:
         rt.comm.overhead()
         if isinstance(value, FusedDMatrix):
-            rt.comm.compute_ranks(mem=value.rank_counts())
+            rt.comm.compute_ranks(mem=value.geom.counts)
             value = value.like_full(np.roll(value.full, kc, axis=1))
         else:
             rt.comm.compute(mem=value.local.size)
@@ -129,7 +129,7 @@ def _circshift_vector(rt, vec: DMatrix, k: int) -> DMatrix:
         if isinstance(vec, FusedDMatrix):
             return vec.like_full(vec.full.copy())
         return vec.like(vec.local.copy())
-    min_count = vec.map.min_count()
+    min_count = vec.geom.map.min_count()
     if 0 < k <= min_count and rt.size > 1:
         return _circshift_ring(rt, vec, k)
     if 0 < (n - k) <= min_count and rt.size > 1:
@@ -143,7 +143,7 @@ def _circshift_vector(rt, vec: DMatrix, k: int) -> DMatrix:
     # slice.  sizeof() is O(1) on these payloads.
     gidx = vec.global_row_indices()
     dest_global = (gidx + k) % n
-    owners = vec.map.owners(dest_global)
+    owners = vec.geom.map.owners(dest_global)
     order = np.argsort(owners, kind="stable")
     sorted_dest = dest_global[order]
     sorted_vals = vec.local[order]
@@ -157,7 +157,7 @@ def _circshift_vector(rt, vec: DMatrix, k: int) -> DMatrix:
     incoming = rt.comm.alltoall(outgoing)
     new_local = np.empty_like(vec.local)
     for piece_dest, piece_vals in incoming:
-        new_local[vec.map.local_indices(piece_dest)] = piece_vals
+        new_local[vec.geom.map.local_indices(piece_dest)] = piece_vals
     return vec.like(new_local)
 
 
@@ -165,16 +165,12 @@ def _circshift_alltoall_fused(rt, vec: FusedDMatrix, k: int) -> DMatrix:
     """Fused large-shift path: the data movement is one ``np.roll``; the
     alltoall is charged with the lockstep payload size (each source's
     piece-to-rank-0, the row comm.alltoall prices)."""
-    n = vec.numel
-    per = 0
-    for r in range(rt.size):
-        gidx = vec.rank_global_indices(r)
-        owners = vec.map.owners((gidx + k) % n)
-        c0 = int(np.count_nonzero(owners == 0))
-        # (dest-indices int64, values) tuple, as the lockstep path packs
-        per = max(per, c0 * 8 + c0 * vec.full.itemsize + 8)
+    # the largest piece is a (dest-indices int64, values) tuple, as the
+    # lockstep path packs it
+    c0 = vec.geom.shift_overlap(k)
+    per = c0 * 8 + c0 * vec.full.itemsize + 8
     rt.comm.overhead()
-    rt.comm.compute_ranks(mem=vec.rank_counts())
+    rt.comm.compute_ranks(mem=vec.geom.counts)
     rt.comm.charge_alltoall(per)
     flat = np.roll(vec.full.reshape(-1, order="F"), k)
     return vec.like_full(flat.reshape((vec.rows, vec.cols), order="F"))
@@ -193,7 +189,7 @@ def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
         nbytes = abs(k) * vec.full.itemsize
         rt.comm.ring_exchange(nbytes, forward=k > 0)
         rt.comm.overhead()
-        rt.comm.compute_ranks(mem=vec.rank_counts())
+        rt.comm.compute_ranks(mem=vec.geom.counts)
         flat = np.roll(vec.full.reshape(-1, order="F"), k)
         return vec.like_full(
             np.asarray(flat.reshape((vec.rows, vec.cols), order="F"),
@@ -237,7 +233,7 @@ def flip(rt, value: RValue, axis: int) -> RValue:
         # column flip is local for row-distributed matrices
         if isinstance(value, FusedDMatrix):
             rt.comm.overhead()
-            rt.comm.compute_ranks(mem=value.rank_counts())
+            rt.comm.compute_ranks(mem=value.geom.counts)
             return value.like_full(
                 np.ascontiguousarray(np.flip(value.full, axis=1)))
         rt.comm.overhead()
@@ -267,7 +263,7 @@ def triangle(rt, value: RValue, k: RValue, lower: bool) -> RValue:
         else:
             mask = cols[None, :] >= gidx[:, None] + kv
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=value.rank_counts())
+        rt.comm.compute_ranks(elems=value.geom.counts)
         return value.like_full(np.where(mask, value.full, 0.0)
                                .astype(value.full.dtype))
     gidx = value.global_row_indices()

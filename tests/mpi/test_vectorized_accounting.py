@@ -21,14 +21,17 @@ The pinned golden traces in tests/trace/golden/ provide the third leg:
 they were recorded before vectorization and must keep passing unchanged.
 """
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import compile_source
+from repro.bench.workloads import make_workload
+from repro.compiler import OtterCompiler, compile_source
 from repro.mpi import (
     FATTREE_CLUSTER,
     GPU_CLUSTER,
@@ -39,6 +42,7 @@ from repro.mpi import (
 )
 from repro.mpi.comm import LAND, LOR, MAX, MIN, PROD, SUM
 from repro.mpi.fused import FusedComm
+from repro.runtime.distribution import configure_map_cache
 from repro.trace import WorldTrace, canonical_events
 
 NPROCS = (1, 2, 4, 7, 16)
@@ -409,3 +413,141 @@ class TestAllreduceFoldP1024:
                 comm = FusedComm(nprocs, MEIKO_CS2)
                 assert comm._fold_identical(op, obj) == \
                     _loop_fold(op, obj, nprocs)
+
+
+# -------------------------------------------------------------------------- #
+# the charge memo and the shared geometry tables
+# -------------------------------------------------------------------------- #
+
+MEMO_NPROCS = (1, 2, 3, 7, 16)
+
+
+def _accounting(result):
+    """Everything the modeled machine charged for one run."""
+    spmd = result.spmd
+    return (result.elapsed, tuple(spmd.times), spmd.messages_sent,
+            spmd.bytes_sent, spmd.collectives,
+            tuple(sorted(spmd.collective_counts.items())))
+
+
+@pytest.fixture(scope="module")
+def suite_programs():
+    programs = {"heat": compile_source(_SOURCE, name="heat")}
+    for key in ("cg", "ocean", "nbody", "closure"):
+        w = make_workload(key, scale="small")
+        programs[key] = OtterCompiler(provider=w.provider).compile(
+            w.source, name=key)
+    return programs
+
+
+@pytest.mark.parametrize("key", ["heat", "cg", "ocean", "nbody", "closure"])
+@pytest.mark.parametrize("nprocs", MEMO_NPROCS)
+def test_memoized_charges_equal_lockstep_cold_and_warm(
+        suite_programs, key, nprocs):
+    """A fused run that builds every geometry and cost vector from
+    scratch, and a second one that finds the geometry cache warm, charge
+    exactly what lockstep's scalar per-rank calls charge."""
+    program = suite_programs[key]
+
+    def run(backend):
+        result = program.run(nprocs=nprocs, machine=MEIKO_CS2,
+                             backend=backend)
+        assert result.spmd.backend == backend
+        return _accounting(result)
+
+    configure_map_cache()               # drop every interned geometry
+    cold = run("fused")
+    warm = run("fused")
+    assert cold == warm == run("lockstep")
+
+
+@pytest.mark.parametrize("nprocs", MEMO_NPROCS)
+def test_large_shift_alltoall_sizing_matches_lockstep(nprocs):
+    """Shifts beyond the smallest block take the alltoall path, whose
+    payload size the fused backend now derives from the geometry."""
+    source = "\n".join(
+        ["n = 45;", "v = linspace(1, 2, n);", "w = (1:n)';"]
+        + [f"a{i} = circshift(v, {k});\nb{i} = circshift(w, {k});"
+           for i, k in enumerate((4, 7, 22, 23, 38, 44, -5, -31, 52))]
+        + ["s = sum(a0 + a3 + a8) + sum(b1 + b6);"])
+    program = compile_source(source, name="big_shift")
+    runs = {backend: program.run(nprocs=nprocs, machine=MEIKO_CS2,
+                                 backend=backend)
+            for backend in ("lockstep", "fused")}
+    assert runs["fused"].spmd.backend == "fused"
+    assert _accounting(runs["fused"]) == _accounting(runs["lockstep"])
+    if nprocs != 2:     # two halves: every shift is within one block
+        assert runs["fused"].spmd.collective_counts["alltoall"] > 0
+    for name, value in runs["lockstep"].workspace.items():
+        np.testing.assert_array_equal(runs["fused"].workspace[name], value)
+
+
+def test_memoized_cost_vectors_are_read_only_and_never_alias_clocks():
+    comm = FusedComm(4, MEIKO_CS2)
+    counts = (5, 5, 4, 4)
+    comm.compute_ranks(elems=counts, mem=counts)
+    (dts,) = comm._compute_memo.values()
+    with pytest.raises(ValueError):
+        dts[0] = 1.0
+    want = MEIKO_CS2.compute_time_vec(elems=counts, mem=counts,
+                                      active_cpus=4)
+    assert dts.tolist() == want.tolist()
+    comm.compute_ranks(elems=counts, mem=counts)        # the memo hit
+    assert len(comm._compute_memo) == 1
+    assert not np.shares_memory(comm.world.clocks, dts)
+    assert dts.tolist() == want.tolist()                # += left it alone
+    assert comm.world.clocks.tolist() == (want + want).tolist()
+    # list operands are data-dependent: charged, never cached
+    comm.compute_ranks(elems=list(counts))
+    assert len(comm._compute_memo) == 1
+
+    comm.ring_exchange(64, forward=True)
+    comm.ring_exchange(64, forward=True)
+    ((dests, sources, inject, ptime),) = comm._ring_memo.values()
+    assert dests.tolist() == [1, 2, 3, 0] and sources.tolist() == [3, 0, 1, 2]
+    for column in (dests, sources, inject, ptime):
+        assert not np.shares_memory(comm.world.clocks, column)
+        with pytest.raises(ValueError):
+            column[0] = 0
+
+
+def _count_calls(fn):
+    """``call`` + ``c_call`` profile events while ``fn()`` runs."""
+    counter = itertools.count()
+
+    def profiler(_frame, event, _arg):
+        if event == "call" or event == "c_call":
+            next(counter)
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return next(counter)
+
+
+def test_fused_elementwise_calls_do_not_grow_with_nprocs():
+    """Geometry and accounting dispatch are O(1) Python per op: an
+    elementwise-only program makes (nearly) the same number of calls at
+    P=256 as at P=16.  The slack covers the per-run result assembly,
+    which lists one peak per rank."""
+    program = compile_source("""\
+n = 4096;
+x = linspace(0, 1, n);
+y = x .* x + 2 * x;
+for s = 1:200
+    y = sqrt(abs(y)) + 0.5 * x - y .* x;
+end
+z = y ./ (1 + x);
+""", name="ew_only")
+    counts = {}
+    for nprocs in (16, 256):
+        def run():
+            result = program.run(nprocs=nprocs, machine=FATTREE_CLUSTER,
+                                 backend="fused")
+            assert result.spmd.backend == "fused"
+
+        run()       # interns this P's geometries, builds native kernels
+        counts[nprocs] = _count_calls(run)
+    assert counts[256] <= 1.1 * counts[16], counts

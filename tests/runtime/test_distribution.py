@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import DistributionError
-from repro.runtime.distribution import BlockMap, CyclicMap
+from repro.runtime.distribution import BlockMap, CyclicMap, get_geometry
 
 
 class TestBlockMap:
@@ -136,3 +136,65 @@ def test_vectorized_owners_empty(cls):
     m = cls(5, 2)
     assert m.owners(np.array([], dtype=int)).size == 0
     assert m.local_indices(np.array([], dtype=int)).size == 0
+
+
+# -- the interned geometry descriptor ------------------------------------- #
+
+_SCHEMES = {"block": BlockMap, "cyclic": CyclicMap}
+
+
+@pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+@given(n=st.integers(0, 200), p=st.sampled_from((1, 2, 3, 7, 16, 64)),
+       cols=st.sampled_from((1, 3)))
+def test_geometry_tables_match_scalar_queries(scheme, n, p, cols):
+    """Every per-rank table entry equals the scalar map query it
+    replaces — vectors (cols == 1, distributed by elements) and matrices
+    (distributed by rows), including n < P."""
+    geom = get_geometry(n, cols, p, scheme)
+    assert geom.shape == (n, cols) and geom.numel == n * cols
+    assert geom.is_vector == (n == 1 or cols == 1)
+    per_item = 1 if geom.is_vector else cols
+    ref = _SCHEMES[scheme](n * cols // per_item, p)
+    assert sum(geom.counts) == n * cols
+    assert geom.max_count == max(geom.counts)
+    assert geom.scaled_counts(3) == tuple(3 * c for c in geom.counts)
+    assert geom.scaled_counts(3) is geom.scaled_counts(3)
+    for r in range(p):
+        count = ref.count(r)
+        assert geom.counts[r] == count * per_item
+        assert geom.local_shapes[r] == \
+            ((count,) if geom.is_vector else (count, cols))
+        if scheme == "block":
+            assert geom.starts[r] == ref.start(r)
+            assert geom.slices[r] == slice(ref.start(r), ref.stop(r))
+            want = np.arange(ref.start(r), ref.stop(r))
+        else:
+            want = ref.global_indices(r)
+        np.testing.assert_array_equal(geom.global_indices(r), want)
+        np.testing.assert_array_equal(
+            np.arange(ref.n)[geom.slices[r]], want)
+
+
+def test_geometry_is_interned_and_tables_are_read_only():
+    geom = get_geometry(10, 4, 3, "block")
+    assert get_geometry(10, 4, 3, "block") is geom
+    assert get_geometry(10, 4, 3, "cyclic") is not geom
+    for g in (geom, get_geometry(10, 1, 3, "cyclic")):
+        indices = g.global_indices(1)
+        assert g.global_indices(1) is indices
+        with pytest.raises(ValueError):
+            indices[0] = 99
+
+
+@given(n=st.integers(1, 120), p=st.sampled_from((1, 2, 3, 7, 16, 64)),
+       k=st.integers(1, 400))
+def test_shift_overlap_matches_owner_count(n, p, k):
+    """The closed-form interval overlap equals what the alltoall sizing
+    used to count: per source rank, the elements whose shifted
+    destination rank 0 owns."""
+    geom = get_geometry(1, n, p, "block")
+    k %= n
+    want = max(int(np.count_nonzero(
+        geom.map.owners((geom.global_indices(r) + k) % n) == 0))
+        for r in range(p))
+    assert geom.shift_overlap(k) == want

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_source
+from repro.errors import DistributionError
 from repro.mpi import MEIKO_CS2, run_spmd
 from repro.runtime.context import RuntimeContext
 from repro.runtime.memory import MemoryTracker, install_tracker
@@ -76,6 +77,50 @@ class TestRankTracking:
 
             DMatrix.from_full(np.ones((10, 10)), 1, 0)
             assert tracker.peak == 800
+        finally:
+            install_tracker(None)
+
+
+class TestSharedGeometry:
+    """The geometry is shared between descriptors; the memory charge is
+    still one allocation and one release per descriptor."""
+
+    def test_like_full_reuses_the_geometry(self):
+        from repro.runtime.distribution import get_geometry
+        from repro.runtime.matrix import DMatrix, FusedDMatrix
+
+        geom = get_geometry(12, 5, 4, "block")
+        a = FusedDMatrix(geom, float, np.zeros((12, 5)))
+        b = a.like_full(np.ones((12, 5)))
+        assert b.geom is a.geom is get_geometry(12, 5, 4, "block")
+        assert (b.rows, b.cols, b.shape, b.numel, b.is_vector, b.scheme) \
+            == (12, 5, (12, 5), 60, False, "block")
+        local = DMatrix.from_full(np.zeros((12, 5)), 4, 1)
+        assert local.geom is geom
+        assert local.like(np.ones((3, 5))).geom is geom
+        with pytest.raises(DistributionError):
+            a.like_full(np.ones((5, 12)))
+
+    def test_one_allocation_and_release_per_descriptor(self):
+        from repro.runtime.distribution import get_geometry
+        from repro.runtime.matrix import FusedDMatrix
+
+        tracker = MemoryTracker()
+        install_tracker(tracker)
+        try:
+            geom = get_geometry(12, 5, 4, "block")
+            block = geom.counts[0] * 8       # rank 0's share, float64
+            a = FusedDMatrix(geom, float, np.zeros((12, 5)))
+            assert tracker.current == block
+            b = a.like_full(np.ones((12, 5)))
+            c = b.like_full(np.ones((12, 5)))
+            assert tracker.current == tracker.peak == 3 * block
+            del a, c
+            gc.collect()
+            assert tracker.current == block
+            del b
+            gc.collect()
+            assert tracker.current == 0 and tracker.peak == 3 * block
         finally:
             install_tracker(None)
 
