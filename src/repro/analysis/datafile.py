@@ -60,7 +60,7 @@ def infer_load_type(call: A.Apply, arg_consts: list[object],
 
 def _load_sample(name: str, provider: MFileProvider):
     """Resolve a load target: URL-schema datastores (``mem://``,
-    ``file://``, ``s3://`` — the hosted data is its own sample) first,
+    ``file://``, ... — the hosted data is its own sample) first,
     then the provider's sample files."""
     from ..service.stores import StoreError, is_store_url
 

@@ -170,8 +170,8 @@ class CompiledProgram:
             stores=None) -> RunResult:
         """Execute on ``nprocs`` simulated ranks of ``machine``.
 
-        ``backend`` picks the SPMD execution backend (``"lockstep"``,
-        ``"threads"``, or ``"fused"``); ``None`` defers to
+        ``backend`` picks the SPMD execution backend (``"lockstep"``
+        or ``"fused"``); ``None`` defers to
         ``REPRO_SPMD_BACKEND`` / the lockstep default — see
         :func:`repro.mpi.executor.run_spmd`.  ``fault_plan`` and
         ``watchdog`` pass straight through to ``run_spmd`` (chaos
@@ -202,7 +202,8 @@ class CompiledProgram:
 
         ``stores`` is a :class:`repro.service.StoreManager` for
         URL-schema ``load``/``save`` targets (``file://``, ``mem://``,
-        ``s3://``); ``None`` uses the process-wide default manager —
+        any registered scheme); ``None`` uses the process-wide default
+        manager —
         see docs/SERVICE.md.
         """
         from .mpi.executor import resolve_tune

@@ -101,8 +101,9 @@ class MpiTimeoutError(MpiError):
 
 class SpmdWatchdogError(MpiTimeoutError):
     """The host-wall-clock watchdog expired: the SPMD run was aborted
-    instead of hanging (the free-running threads backend cannot detect
-    deadlock on its own)."""
+    instead of hanging (a rank wedged in host code is *running* as far
+    as the scheduler knows, so deadlock detection never fires; a fused
+    pass has no scheduler at all)."""
 
 
 class MpiRetryExhaustedError(MpiTimeoutError):

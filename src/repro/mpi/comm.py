@@ -11,17 +11,12 @@ latency/bandwidth/topology.  Reported speedups are ratios of virtual
 times, which is what lets a laptop reproduce the shape of the paper's
 Meiko CS-2 / SMP / Ethernet-cluster results.
 
-Two execution backends share this module (selected in
-:func:`~repro.mpi.executor.run_spmd`):
-
-* ``lockstep`` (default) — a cooperative scheduler
-  (:mod:`repro.mpi.scheduler`) gates the carrier threads so exactly one
-  rank runs at a time; blocking operations park the rank and hand off,
-  so there are no locks on the hot path, no condvar broadcasts, no
-  timeout polling, and runs are bit-deterministic.
-* ``threads`` — free-running threads rendezvousing on one
-  ``threading.Condition``; kept for differential testing of the
-  scheduler itself.
+A cooperative scheduler (:mod:`repro.mpi.scheduler`) gates the carrier
+threads so exactly one rank runs at a time; blocking operations park
+the rank and hand off, so there are no locks on the hot path, no
+condvar broadcasts, no timeout polling, and runs are bit-deterministic.
+(The ``fused`` backend, :mod:`repro.mpi.fused`, reuses :class:`World`
+as its clock/statistics container and runs no carrier threads at all.)
 
 The API mirrors mpi4py's lowercase (pickle-object) methods.
 """
@@ -43,35 +38,6 @@ from .recovery import retry_backoff
 
 ANY_SOURCE = -1
 ANY_TAG = -1
-
-_WAIT_TIMEOUT = 0.2  # seconds between abort checks while blocked (threads)
-
-#: wait-graph rendering cap: reports list at most this many blocked
-#: ranks beyond any detected cycle (a P=1024 deadlock report must stay
-#: readable and O(1)-ish to format)
-WAIT_REPORT_LIMIT = 16
-
-
-def find_wait_cycle(edges: dict) -> list:
-    """Ranks on the first cycle of a wait graph (``waiter -> waited-on``
-    single-successor edges; wildcard waits simply have no edge).  Empty
-    list when every chain dead-ends.  Deterministic: chains are chased
-    from the lowest-numbered waiter up."""
-    visited: set = set()
-    for start in sorted(edges):
-        if start in visited:
-            continue
-        index: dict = {}
-        path: list = []
-        node = start
-        while node in edges and node not in index and node not in visited:
-            index[node] = len(path)
-            path.append(node)
-            node = edges[node]
-        visited.update(path)
-        if node in index:
-            return path[index[node]:]
-    return []
 
 #: sentinel for "no matching message yet" from a nonblocking probe
 _NOT_READY = object()
@@ -134,10 +100,11 @@ class _Abort(MpiError):
 class World:
     """Shared state of one SPMD execution.
 
-    ``scheduler`` is a :class:`~repro.mpi.scheduler.LockstepScheduler`
-    when the cooperative backend is active, else ``None``.  Under
-    lockstep, exactly one rank runs at a time, so shared state is
-    mutated without taking ``cond``.
+    ``scheduler`` is the :class:`~repro.mpi.scheduler.LockstepScheduler`
+    gating the rank threads (``None`` only for the fused backend's
+    container world, which never blocks).  Exactly one rank runs at a
+    time, so shared state is mutated without a lock; only the set-once
+    ``aborted`` flag, which the watchdog thread may also write, has one.
     """
 
     def __init__(self, nprocs: int, machine: MachineModel, scheduler=None,
@@ -192,18 +159,17 @@ class World:
         #: per-rank virtual clocks.  A rank-indexed float64 array so the
         #: fused backend can charge all P ranks with one vector
         #: expression; scalar indexing (``clocks[r] += dt``) keeps the
-        #: lockstep/threads per-rank view and is bit-identical to the
-        #: old Python-list arithmetic (IEEE float64 either way).
+        #: lockstep per-rank view and is bit-identical to the old
+        #: Python-list arithmetic (IEEE float64 either way).
         self.clocks = np.full(nprocs, self.start_time, dtype=np.float64)
-        self.cond = threading.Condition()
+        self._abort_lock = threading.Lock()
         # (src, dst, tag) -> deque of (payload, arrival_time, nbytes,
         # checksum); the wire size is computed once at send time and
         # carried with the message so receive-side accounting never
         # re-walks payloads; checksum is None unless faults are active
         self.mailboxes: dict[tuple[int, int, int], deque] = {}
-        # rank -> (source, tag) pattern it is blocked on: lockstep uses
-        # it to unpark exactly the matching rank, the watchdog to report
-        # who was waiting on what when a run had to be aborted
+        # rank -> (source, tag) pattern it is parked on, so a send
+        # unparks exactly the matching rank
         self._recv_waiting: dict[int, tuple[int, int]] = {}
         self.aborted: Optional[BaseException] = None
         # collective rendezvous state
@@ -216,8 +182,6 @@ class World:
         #: ``collective_time``, so every backend reports the same bytes)
         self._coll_nbytes: int = 0
         self._arrived = 0
-        self._departed = 0
-        self._generation = 0
         # message statistics (observability / tests): rank-indexed
         # primaries so the fused backend can bump all P ranks at once;
         # the scalar totals everyone reads are properties over these.
@@ -243,59 +207,19 @@ class World:
     # ------------------------------------------------------------------ #
 
     def abort(self, exc: BaseException) -> None:
-        with self.cond:
+        with self._abort_lock:
             if self.aborted is None:
                 self.aborted = exc
-            self.cond.notify_all()
 
     def _check_abort(self) -> None:
         if self.aborted is not None:
             raise _Abort(f"peer rank failed: {self.aborted!r}")
 
     def _count(self, op: str) -> None:
-        """Tally one collective by name.  Callers either hold ``cond``,
-        run under the lockstep baton, or are the only rank — so a plain
-        increment is race-free everywhere it is used."""
+        """Tally one collective by name.  Callers run under the
+        lockstep baton or are the only rank — so a plain increment is
+        race-free everywhere it is used."""
         self.collective_counts[op] = self.collective_counts.get(op, 0) + 1
-
-    def wait_snapshot(self) -> str:
-        """Best-effort report of who is blocked on what (the watchdog's
-        post-mortem; under lockstep the scheduler's wait graph is the
-        authoritative version).  At most ``WAIT_REPORT_LIMIT`` waiters
-        are listed beyond any recv cycle — a P=1024 report stays
-        readable; below the cap the rendering is byte-identical to the
-        full listing."""
-        waiting = self._recv_waiting
-
-        def render(rank: int) -> str:
-            source, tag = waiting[rank]
-            return (f"rank {rank}: blocked in "
-                    f"recv(source={source}, tag={tag})")
-
-        ranks = sorted(waiting)
-        lines = []
-        if len(ranks) > WAIT_REPORT_LIMIT:
-            cycle = find_wait_cycle(
-                {r: waiting[r][0] for r in ranks
-                 if waiting[r][0] != ANY_SOURCE})
-            if cycle:
-                lines.append("recv cycle: " +
-                             " -> ".join(str(r) for r in
-                                         cycle + [cycle[0]]))
-            on_cycle = set(cycle)
-            rest = [r for r in ranks if r not in on_cycle]
-            shown = rest[:WAIT_REPORT_LIMIT]
-            lines.extend(render(r) for r in cycle)
-            lines.extend(render(r) for r in shown)
-            if len(rest) > len(shown):
-                lines.append(f"... and {len(rest) - len(shown)} more "
-                             f"blocked ranks")
-        else:
-            lines.extend(render(r) for r in ranks)
-        if self._arrived:
-            lines.append(f"collective rendezvous incomplete: "
-                         f"{self._arrived}/{self.nprocs} arrived")
-        return "\n  ".join(lines)
 
     def _check_virtual_timeout(self, rank: int, waited: float,
                                what: str) -> None:
@@ -317,7 +241,7 @@ class World:
 
     def _run_combine(self, combine: Callable, op: Optional[str]) -> None:
         """All contributions are in: run ``combine`` exactly once and
-        publish the result for this generation."""
+        publish the result."""
         self._coll_nbytes = 0  # combines that price bytes re-publish
         tmax = float(self.clocks.max())
         result, tnew = combine(list(self._slots), tmax)
@@ -325,7 +249,6 @@ class World:
         self._coll_time = tnew
         self._coll_tmax = tmax
         self._arrived = 0
-        self._generation += 1
         self.collectives += 1
         self.rank_collectives += 1
         if op is not None:
@@ -342,22 +265,6 @@ class World:
     def sync(self, rank: int, contribution: Any,
              combine: Callable[[list, float], tuple[Any, float]],
              op: Optional[str] = None, rec=None, line: int = 0):
-        """``rec``/``line`` are the calling rank's trace recorder and
-        current source line (``None``/0 when tracing is off or
-        suspended) — passed by value so a suspended recorder really
-        records nothing."""
-        if self.faults is not None:
-            self.faults.check_crash(rank, op or "collective",
-                                    self.clocks[rank])
-        if self.scheduler is not None:
-            return self._sync_lockstep(rank, contribution, combine, op,
-                                       rec, line)
-        return self._sync_threads(rank, contribution, combine, op,
-                                  rec, line)
-
-    def _sync_lockstep(self, rank: int, contribution: Any,
-                       combine: Callable, op: Optional[str],
-                       rec=None, line: int = 0):
         """Single-runner rendezvous: no locks, no broadcast, no polling.
 
         Early ranks park; the last rank to arrive runs ``combine`` once
@@ -366,7 +273,15 @@ class World:
         can complete the *next* collective (that would require this rank
         to have arrived there first), so one result slot suffices and no
         departure barrier is needed.
+
+        ``rec``/``line`` are the calling rank's trace recorder and
+        current source line (``None``/0 when tracing is off or
+        suspended) — passed by value so a suspended recorder really
+        records nothing.
         """
+        if self.faults is not None:
+            self.faults.check_crash(rank, op or "collective",
+                                    self.clocks[rank])
         self._check_abort()
         self._slots[rank] = contribution
         self._arrived += 1
@@ -389,46 +304,6 @@ class World:
             rec.collective(op or "collective", line, t0,
                            self.clocks[rank] - t0, self._coll_nbytes)
         return self._coll_result
-
-    def _sync_threads(self, rank: int, contribution: Any,
-                      combine: Callable, op: Optional[str],
-                      rec=None, line: int = 0):
-        with self.cond:
-            self._check_abort()
-            generation = self._generation
-            self._slots[rank] = contribution
-            self._arrived += 1
-            if self._arrived == self.nprocs:
-                self._run_combine(combine, op)
-                self.cond.notify_all()
-            else:
-                while (self._generation == generation
-                       and self.aborted is None):
-                    self.cond.wait(_WAIT_TIMEOUT)
-                self._check_abort()
-            result = self._coll_result
-            self._check_virtual_timeout(
-                rank, self._coll_tmax - self.clocks[rank],
-                op or "collective")
-            t0 = self.clocks[rank]
-            self.clocks[rank] = max(t0, self._coll_time)
-            if rec is not None:
-                # still under ``cond`` and before departure, so
-                # ``_coll_nbytes`` cannot yet belong to the *next*
-                # collective of a faster peer
-                rec.collective(op or "collective", line, t0,
-                               self.clocks[rank] - t0, self._coll_nbytes)
-            self._departed += 1
-            if self._departed == self.nprocs:
-                self._departed = 0
-                self._slots = [None] * self.nprocs
-                self.cond.notify_all()
-            else:
-                # hold the next collective until everyone has read
-                while self._departed != 0 and self.aborted is None:
-                    self.cond.wait(_WAIT_TIMEOUT)
-                self._check_abort()
-            return result
 
 
 class Request:
@@ -571,13 +446,6 @@ class Comm:
         self._check_tag(tag)
         nbytes = sizeof(obj)
         world = self.world
-        scheduler = world.scheduler
-        if scheduler is None:
-            with world.cond:
-                world._check_abort()
-                self._post_message(obj, dest, tag, nbytes)
-                world.cond.notify_all()
-            return
         world._check_abort()
         delivered = self._post_message(obj, dest, tag, nbytes)
         # unpark the receiver iff it is parked on a matching pattern
@@ -589,7 +457,7 @@ class Comm:
             wsource, wtag = waiting
             if (wsource in (ANY_SOURCE, self.rank)
                     and wtag in (ANY_TAG, tag)):
-                scheduler.unblock(dest)
+                world.scheduler.unblock(dest)
 
     def _post_message(self, obj: Any, dest: int, tag: int,
                       nbytes: int) -> bool:
@@ -714,17 +582,6 @@ class Comm:
             world.faults.check_crash(self.rank, "recv",
                                      world.clocks[self.rank])
         scheduler = world.scheduler
-        if scheduler is None:
-            with world.cond:
-                while True:
-                    world._check_abort()
-                    key = self._find_message(source, tag)
-                    if key is not None:
-                        world._recv_waiting.pop(self.rank, None)
-                        return self._take_message(key, status)
-                    # record the wait pattern for watchdog post-mortems
-                    world._recv_waiting[self.rank] = (source, tag)
-                    world.cond.wait(_WAIT_TIMEOUT)
         while True:
             world._check_abort()
             key = self._find_message(source, tag)
@@ -764,22 +621,14 @@ class Comm:
     def _try_recv(self, source: int, tag: int,
                   status: Optional[Status] = None) -> Any:
         """Nonblocking receive attempt: the matched payload, or
-        ``_NOT_READY``.  Under lockstep a miss rotates the baton once so
+        ``_NOT_READY``.  A miss rotates the baton once so
         ``while not request.test()`` polling loops cannot starve the
         sender, then re-probes."""
         world = self.world
-        scheduler = world.scheduler
-        if scheduler is None:
-            with world.cond:
-                world._check_abort()
-                key = self._find_message(source, tag)
-                if key is None:
-                    return _NOT_READY
-                return self._take_message(key, status)
         world._check_abort()
         key = self._find_message(source, tag)
         if key is None:
-            scheduler.yield_now(self.rank)
+            world.scheduler.yield_now(self.rank)
             world._check_abort()
             key = self._find_message(source, tag)
         if key is None:
@@ -964,9 +813,18 @@ class Comm:
 
     def scan(self, obj: Any, op: Callable = SUM) -> Any:
         """Inclusive prefix reduction."""
+        return self._prefixes(obj, op)[self.rank]
+
+    def exscan(self, obj: Any, op: Callable = SUM) -> Any:
+        """Exclusive prefix reduction: the fold of the lower ranks'
+        contributions (``None`` on rank 0, like mpi4py).  Same
+        rendezvous, price and ``scan`` tally as :meth:`scan`."""
+        prefixes = self._prefixes(obj, op)
+        return prefixes[self.rank - 1] if self.rank else None
+
+    def _prefixes(self, obj: Any, op: Callable) -> list:
         machine = self.machine
         size = self.size
-        rank = self.rank
         world = self.world
 
         def combine(slots, tmax):
@@ -980,6 +838,5 @@ class Comm:
             cost = machine.collective_time("allreduce", nbytes, size)
             return prefixes, tmax + cost
 
-        result = self.world.sync(self.rank, obj, combine, op="scan",
-                                 rec=self._rec, line=self.line)
-        return result[rank]
+        return self.world.sync(self.rank, obj, combine, op="scan",
+                               rec=self._rec, line=self.line)

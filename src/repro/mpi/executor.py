@@ -15,11 +15,6 @@ Two backends execute the rank programs (``backend=`` argument, or the
     free per extra rank, and it *detects* deadlock (reporting the full
     blocked-rank wait graph) instead of hanging.
 
-``threads``
-    Free-running OS threads rendezvousing on a condition variable.
-    Kept for differential testing of the scheduler: both backends must
-    produce identical virtual times and communication statistics.
-
 ``fused``
     Rank fusion: the program runs **once** with a
     :class:`~repro.mpi.fused.FusedComm` carrying all ranks' state, so
@@ -28,8 +23,9 @@ Two backends execute the rank programs (``backend=`` argument, or the
     is bit-identical to ``lockstep``.  If the program turns out to be
     rank-dependent (it reads ``comm.rank``, or hits an op with no fused
     path), the run raises :class:`~repro.errors.FusionDivergence` and
-    ``run_spmd`` transparently re-runs it under ``lockstep`` — fusion is
-    an optimization, never a semantics change.
+    ``run_spmd`` transparently re-runs it under ``lockstep`` (the next
+    turn of the same attempt loop, on what is left of the same watchdog
+    budget) — fusion is an optimization, never a semantics change.
 
 Self-healing (``on_fault=`` / ``$REPRO_ON_FAULT``; see
 :mod:`repro.mpi.recovery` and docs/RESILIENCE.md): with a non-abort
@@ -48,6 +44,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -60,7 +57,7 @@ from .machine import MachineModel
 from .recovery import ActiveRecovery, RecoveryReport, resolve_recovery
 from .scheduler import DeadlockError, LockstepScheduler
 
-BACKENDS = ("lockstep", "threads", "fused")
+BACKENDS = ("lockstep", "fused")
 
 #: environment override for the default backend (used by the CI matrix
 #: to run the whole suite under each backend)
@@ -195,32 +192,36 @@ class SpmdResult:
         return max(self.times) if self.times else 0.0
 
 
-def _arm_watchdog(world: World, scheduler, budget: float,
-                  total: Optional[float] = None) -> threading.Timer:
-    """Start the host-wall-clock watchdog for one execution attempt.
-    The timer fires after ``budget`` (the *remaining* allowance — one
-    budget spans fused attempt, fallback, and restarts) but the
-    diagnostic names ``total``, the allowance the caller configured.
-    The timer aborts the *world*; blocked ranks unwind through the
-    normal abort path, and the fused backend checks the abort flag at
-    every collective charge."""
-    if total is None:
-        total = budget
+@contextmanager
+def _watchdog(world: World, scheduler: Optional[LockstepScheduler],
+              budget: Optional[float], total: Optional[float]):
+    """Host-wall-clock watchdog around one execution attempt (a no-op
+    when ``budget`` is ``None``).  The timer fires after ``budget`` (the
+    *remaining* allowance — one budget spans fused attempt, fallback,
+    and restarts) but the diagnostic names ``total``, the allowance the
+    caller configured.  It aborts the *world*: parked ranks unwind
+    through the normal abort path, and the fused backend (no scheduler,
+    nobody parked) checks the abort flag at every collective charge."""
+    if budget is None:
+        yield
+        return
 
-    def _expire() -> None:
-        graph = world.wait_snapshot()
-        exc = SpmdWatchdogError(
+    def expire() -> None:
+        graph = scheduler.wait_graph("ranks at expiry:") \
+            if scheduler is not None else None
+        world.abort(SpmdWatchdogError(
             f"SPMD watchdog expired after {total:g}s host time; "
-            f"aborting the run instead of hanging",
-            wait_graph=graph or None)
-        world.abort(exc)
+            f"aborting the run instead of hanging", wait_graph=graph))
         if scheduler is not None:
             scheduler.abort()
 
-    timer = threading.Timer(budget, _expire)
+    timer = threading.Timer(budget, expire)
     timer.daemon = True
     timer.start()
-    return timer
+    try:
+        yield
+    finally:
+        timer.cancel()
 
 
 def _recoverable(exc: BaseException, plan: Optional[FaultPlan]) -> bool:
@@ -276,41 +277,61 @@ def _unconsumed(world: World) -> Optional[MpiError]:
     return None
 
 
-def _run_attempt(nprocs: int, machine: MachineModel, fn: Callable,
-                 args: tuple, kwargs: dict, backend: str,
-                 plan: Optional[FaultPlan],
-                 fault_state: Optional[FaultState],
-                 recovery: Optional[ActiveRecovery],
-                 start_base: float, world_trace,
-                 budget: Optional[float],
-                 watchdog_total: Optional[float] = None):
-    """One execution attempt of the threaded backends.
+def _run_fused(nprocs: int, machine: MachineModel, fn: Callable,
+               args: tuple, kwargs: dict, plan: Optional[FaultPlan],
+               recovery: Optional[ActiveRecovery], world_trace,
+               budget: Optional[float], watchdog_total: Optional[float]):
+    """One fused pass: ``(world, results, None)``.  A rank-dependent
+    program raises :class:`FusionDivergence` for the caller to re-run
+    under lockstep; any other failure raises as rank 0's would (there
+    is no second rank whose error could outrank it)."""
+    comm = FusedComm(nprocs, machine, fault_plan=plan, trace=world_trace,
+                     recovery=recovery)
+    world = comm.world
+    with _watchdog(world, None, budget, watchdog_total):
+        try:
+            result = fn(comm, *args, **kwargs)
+            if world.aborted is not None:
+                raise world.aborted
+        except (FusionDivergence, MpiError):
+            raise  # substrate diagnostics keep their structured type
+        except BaseException as exc:  # noqa: BLE001 - lockstep parity
+            raise MpiError(f"rank 0 failed: {exc}") from exc
+    return world, [result] * nprocs, None
+
+
+def _run_lockstep(nprocs: int, machine: MachineModel, fn: Callable,
+                  args: tuple, kwargs: dict, plan: Optional[FaultPlan],
+                  fault_state: Optional[FaultState],
+                  recovery: Optional[ActiveRecovery],
+                  start_base: float, world_trace,
+                  budget: Optional[float],
+                  watchdog_total: Optional[float]):
+    """One lockstep execution attempt.
 
     Builds a fresh world (carrying the cross-attempt fault state, so
     fired one-shot rules stay consumed on replay, and the recovery
     ledger), runs every rank, and returns ``(world, results, error)``
     without raising for rank failures — the caller's recovery loop
     decides what heals and what surfaces."""
-    scheduler = LockstepScheduler(nprocs) if backend == "lockstep" else None
+    scheduler = LockstepScheduler(nprocs)
     world = World(nprocs, machine, scheduler=scheduler, fault_plan=plan,
                   trace=world_trace, fault_state=fault_state,
                   recovery=recovery, start_time=start_base)
-    if scheduler is not None:
-        scheduler.trace = world_trace
-        scheduler.on_deadlock = world.abort
-        if world.virtual_timeout is not None:
-            timeout = world.virtual_timeout
-            scheduler.deadlock_factory = lambda graph: MpiTimeoutError(
-                f"virtual-clock timeout (limit {timeout:.9g}s): "
-                f"no simulated rank can make progress", wait_graph=graph)
+    scheduler.trace = world_trace
+    scheduler.on_deadlock = world.abort
+    if world.virtual_timeout is not None:
+        timeout = world.virtual_timeout
+        scheduler.deadlock_factory = lambda graph: MpiTimeoutError(
+            f"virtual-clock timeout (limit {timeout:.9g}s): "
+            f"no simulated rank can make progress", wait_graph=graph)
     results: list[Any] = [None] * nprocs
     errors: list[tuple[int, BaseException]] = []
     lock = threading.Lock()
 
     def worker(rank: int) -> None:
         comm = Comm(world, rank)
-        if scheduler is not None:
-            scheduler.start_rank(rank)
+        scheduler.start_rank(rank)
         try:
             if world.aborted is None:
                 results[rank] = fn(comm, *args, **kwargs)
@@ -320,20 +341,14 @@ def _run_attempt(nprocs: int, machine: MachineModel, fn: Callable,
             with lock:
                 errors.append((rank, exc))
             world.abort(exc)
-            if scheduler is not None:
-                scheduler.abort()
+            scheduler.abort()
         finally:
-            if scheduler is not None:
-                scheduler.finish_rank(rank)
+            scheduler.finish_rank(rank)
 
-    timer: Optional[threading.Timer] = None
-    if budget is not None:
-        timer = _arm_watchdog(world, scheduler, budget, watchdog_total)
-    try:
-        if scheduler is not None:
-            scheduler.kickoff()
+    with _watchdog(world, scheduler, budget, watchdog_total):
+        scheduler.kickoff()
         if nprocs == 1:
-            # fast path: no threads needed (the baton, if any, is pre-set)
+            # fast path: no threads needed (the baton is pre-set)
             worker(0)
         else:
             threads = [threading.Thread(target=worker, args=(rank,),
@@ -356,9 +371,6 @@ def _run_attempt(nprocs: int, machine: MachineModel, fn: Callable,
                         deadline = time.monotonic() + _TEARDOWN_GRACE
                     elif time.monotonic() > deadline:
                         break
-    finally:
-        if timer is not None:
-            timer.cancel()
     return world, results, _select_error(world, errors)
 
 
@@ -403,11 +415,15 @@ def run_spmd(nprocs: int, machine: MachineModel,
     watchdog = resolve_watchdog(watchdog)
     tracing = resolve_trace(trace)
     policy = resolve_recovery(on_fault, max_restarts, checkpoint_every)
-    recovery: Optional[ActiveRecovery] = None
-    if policy.active and plan is not None:
+
+    def new_recovery() -> Optional[ActiveRecovery]:
         # without a plan there is nothing injectable to heal — the
         # policy stays inert and healthy runs pay nothing
-        recovery = ActiveRecovery(policy, nprocs, seed=plan.seed)
+        if policy.active and plan is not None:
+            return ActiveRecovery(policy, nprocs, seed=plan.seed)
+        return None
+
+    recovery = new_recovery()
     deadline = time.monotonic() + watchdog if watchdog is not None \
         else None
 
@@ -431,67 +447,6 @@ def run_spmd(nprocs: int, machine: MachineModel,
                        nprocs=nprocs)
         return wt
 
-    if backend == "fused":
-        world_trace = new_trace() if tracing else None
-        timer: Optional[threading.Timer] = None
-        try:
-            try:
-                comm = FusedComm(nprocs, machine,  # validates nprocs
-                                 fault_plan=plan, trace=world_trace,
-                                 recovery=recovery)
-                if watchdog is not None:
-                    timer = _arm_watchdog(comm.world, None, watchdog)
-                result = fn(comm, *args, **kwargs)
-                if comm.world.aborted is not None:
-                    raise comm.world.aborted
-            except FusionDivergence:
-                # rank-dependent program — or a chaos plan, whose fault
-                # schedule is inherently rank-dependent: re-run honestly
-                # (with a fresh trace; the aborted fused pass is
-                # discarded along with its World).  The re-run inherits
-                # the *remaining* watchdog budget: one budget covers
-                # the whole call, never a fresh allowance per attempt.
-                if timer is not None:
-                    timer.cancel()
-                    timer = None
-                if on_fused_fallback is not None:
-                    on_fused_fallback()
-                remaining = budget_left("the lockstep re-run")
-                return run_spmd(nprocs, machine, fn, *args,
-                                backend="lockstep",
-                                on_fused_fallback=on_fused_fallback,
-                                fault_plan=plan, watchdog=remaining,
-                                trace=tracing, on_fault=policy.on_fault,
-                                max_restarts=policy.max_restarts,
-                                checkpoint_every=policy.checkpoint_every,
-                                **kwargs)
-            except MpiError:
-                raise  # substrate diagnostics keep their structured type
-            except BaseException as exc:  # noqa: BLE001 - lockstep parity
-                raise MpiError(f"rank 0 failed: {exc}") from exc
-        finally:
-            if timer is not None:
-                timer.cancel()
-        world = comm.world
-        report: Optional[RecoveryReport] = None
-        if recovery is not None:
-            recovery.finish_attempt(world, "completed", None)
-            report = recovery.report
-        return SpmdResult(
-            results=[result] * nprocs,
-            times=world.clocks.tolist(),
-            machine=machine,
-            nprocs=nprocs,
-            messages_sent=world.messages_sent,
-            bytes_sent=world.bytes_sent,
-            collectives=world.collectives,
-            collective_counts=dict(world.collective_counts),
-            backend="fused",
-            trace=world_trace,
-            recovery=report,
-            rank_retries=world.rank_retries.tolist(),
-        )
-
     fault_state: Optional[FaultState] = None
     if plan is not None and plan.has_faults:
         # built once and carried across restart attempts: fired
@@ -499,18 +454,35 @@ def run_spmd(nprocs: int, machine: MachineModel,
         # not re-trip the crash it is recovering from
         fault_state = FaultState(plan, nprocs)
 
+    stage = "execution attempt 0"
     while True:
-        attempt_no = recovery.attempt if recovery is not None else 0
-        budget = budget_left(f"execution attempt {attempt_no}") \
-            if deadline is not None else None
+        budget = budget_left(stage)
         world_trace = new_trace() if tracing else None
         if recovery is not None:
             recovery.stamp_pending(world_trace)
-        start_base = recovery.start_base if recovery is not None else 0.0
-        world, results, exc = _run_attempt(
-            nprocs, machine, fn, args, kwargs, backend, plan,
-            fault_state, recovery, start_base, world_trace, budget,
-            watchdog)
+        if backend == "fused":
+            try:
+                world, results, exc = _run_fused(
+                    nprocs, machine, fn, args, kwargs, plan, recovery,
+                    world_trace, budget, watchdog)
+            except FusionDivergence:
+                # rank-dependent program — or a chaos plan, whose fault
+                # schedule is inherently rank-dependent: re-run honestly
+                # under lockstep.  The aborted pass is discarded with
+                # its World, trace and recovery ledger; the watchdog
+                # deadline is not — one budget covers the whole call.
+                if on_fused_fallback is not None:
+                    on_fused_fallback()
+                backend = "lockstep"
+                recovery = new_recovery()
+                stage = "the lockstep re-run"
+                continue
+        else:
+            start_base = recovery.start_base if recovery is not None \
+                else 0.0
+            world, results, exc = _run_lockstep(
+                nprocs, machine, fn, args, kwargs, plan, fault_state,
+                recovery, start_base, world_trace, budget, watchdog)
 
         anomaly = None
         if exc is None:
@@ -568,5 +540,6 @@ def run_spmd(nprocs: int, machine: MachineModel,
                 recovery.plan_restart(world, machine, exc)
                 if on_fused_fallback is not None:
                     on_fused_fallback()  # discard partial side effects
+                stage = f"execution attempt {recovery.attempt}"
                 continue
         raise exc

@@ -1,10 +1,11 @@
 """Cooperative lockstep scheduler for simulated SPMD ranks.
 
-The free-running ``threads`` backend lets every rank's carrier thread
-run whenever the OS pleases and rendezvouses them on one
-``threading.Condition`` — correct, but each collective is a
-double-barrier broadcast across GIL-contended threads, with timeout
-polling (``cond.wait(0.2)``) so aborts are noticed.
+Letting every rank's carrier thread run whenever the OS pleases and
+rendezvous on one condition variable would be correct, but each
+collective becomes a double-barrier broadcast across GIL-contended
+threads, aborts are only noticed by timeout polling, and a deadlock is
+indistinguishable from a slow run (measured at twice this scheduler's
+cost per collective at P=16; docs/PERFORMANCE_MODEL.md §8).
 
 This module implements the discrete-event alternative: **exactly one
 rank runs at a time**.  Each rank still owns a carrier thread (rank
@@ -52,6 +53,13 @@ from ..errors import MpiError
 #: everything the existing tests pin — are unchanged)
 _WAIT_GRAPH_FULL_LIMIT = 32
 
+#: truncated reports list at most this many blocked ranks beyond any
+#: detected cycle (a P=1024 report must stay readable and O(1)-ish to
+#: format)
+WAIT_REPORT_LIMIT = 16
+
+_DEADLOCK_HEADER = "deadlock: no simulated rank can make progress"
+
 #: rank lifecycle states
 READY = "ready"        # in the run queue, waiting for the baton
 RUNNING = "running"    # holds the baton (at most one rank)
@@ -61,6 +69,28 @@ DONE = "done"          # program returned (or raised)
 
 class DeadlockError(MpiError):
     """Every live rank is blocked on a peer: the run cannot progress."""
+
+
+def find_wait_cycle(edges: dict) -> list:
+    """Ranks on the first cycle of a wait graph (``waiter -> waited-on``
+    single-successor edges; wildcard waits simply have no edge).  Empty
+    list when every chain dead-ends.  Deterministic: chains are chased
+    from the lowest-numbered waiter up."""
+    visited: set = set()
+    for start in sorted(edges):
+        if start in visited:
+            continue
+        index: dict = {}
+        path: list = []
+        node = start
+        while node in edges and node not in index and node not in visited:
+            index[node] = len(path)
+            path.append(node)
+            node = edges[node]
+        visited.update(path)
+        if node in index:
+            return path[index[node]:]
+    return []
 
 
 class LockstepScheduler:
@@ -129,6 +159,13 @@ class LockstepScheduler:
         """Wake every parked rank so it can observe the world's abort."""
         with self._lock:
             self._abort_locked()
+
+    def wait_graph(self, header: str) -> str:
+        """Who is running and who is parked on what, right now — the
+        watchdog's post-mortem (a deadlock report is the same rendering
+        taken at the instant the run queue emptied)."""
+        with self._lock:
+            return self._wait_graph_locked(header)
 
     # -- blocking and handoff ------------------------------------------- #
 
@@ -219,8 +256,8 @@ class LockstepScheduler:
             except RuntimeError:
                 pass
 
-    def _wait_graph_locked(self) -> str:
-        header = "deadlock: no simulated rank can make progress\n  "
+    def _wait_graph_locked(self, header: str = _DEADLOCK_HEADER) -> str:
+        header += "\n  "
         if self.nprocs <= _WAIT_GRAPH_FULL_LIMIT:
             lines = []
             for rank in range(self.nprocs):
@@ -235,8 +272,6 @@ class LockstepScheduler:
         # unreadable (and O(P) strings to build) — show any recv wait
         # cycle, the first WAIT_REPORT_LIMIT blocked ranks, and a
         # per-state census for the rest
-        from .comm import WAIT_REPORT_LIMIT, find_wait_cycle
-
         edges = {}
         blocked = []
         census: dict[str, int] = {}

@@ -1,21 +1,30 @@
 """On-disk content-addressed kernel cache.
 
-Layout: one ``k_<hash>.c`` / ``k_<hash>.so`` pair per kernel under the
-cache root (``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro-kernels``).  The
-hash covers op tree + slot signature + codegen ABI version, so a cache
-directory can be shared freely across runs, processes, and repo
-checkouts — a warm cache compiles nothing.
+Layout: ``k_<hash>.c`` / ``k_<hash>.so`` / ``k_<hash>.sha256`` per
+kernel under the cache root (``$REPRO_KERNEL_CACHE`` or
+``~/.cache/repro-kernels``).  The hash covers op tree + slot signature +
+codegen ABI version, so a cache directory can be shared freely across
+runs, processes, containers and repo checkouts — a warm cache compiles
+nothing.
 
-Publishing is atomic (compile to a pid-suffixed temp name, then
-``os.replace``) so concurrent processes racing on the same kernel both
-succeed and one .so wins.
+Each builder compiles in a private scratch directory and publishes the
+finished bytes with :func:`~repro.atomicio.atomic_write_bytes`, so
+racing builders never write into one file.  The ``.sha256`` sidecar
+records the digest of the ``.so`` it was published with; ``lookup``
+verifies it before the engine may ``dlopen`` the file, so a torn,
+truncated or mismatched entry is a miss (rebuilt and republished over),
+never executed garbage or a permanent fallback.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
+import tempfile
 from pathlib import Path
+
+from ..atomicio import atomic_write_bytes
 
 ENV_CACHE_DIR = "REPRO_KERNEL_CACHE"
 
@@ -36,12 +45,6 @@ class KernelCache:
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self._ready = False
-
-    def _ensure_root(self) -> None:
-        if not self._ready:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._ready = True
 
     def so_path(self, key: str) -> Path:
         return self.root / f"k_{key}.so"
@@ -49,10 +52,19 @@ class KernelCache:
     def source_path(self, key: str) -> Path:
         return self.root / f"k_{key}.c"
 
+    def digest_path(self, key: str) -> Path:
+        return self.root / f"k_{key}.sha256"
+
     def lookup(self, key: str) -> Path | None:
-        """Return the shared object for ``key`` if already on disk."""
+        """The shared object for ``key``, if it is on disk *and* its
+        bytes are the ones its digest was recorded for."""
         path = self.so_path(key)
-        return path if path.exists() else None
+        try:
+            recorded = self.digest_path(key).read_text().strip()
+            actual = hashlib.sha256(path.read_bytes()).hexdigest()
+        except OSError:
+            return None
+        return path if actual == recorded else None
 
     def build(self, key: str, source: str, cc: str,
               extra_flags: tuple[str, ...] = ()) -> Path:
@@ -66,22 +78,27 @@ class KernelCache:
         bookkeeping, which is what lets ``sqrt`` inline to a bare
         ``sqrtsd`` instead of a guarded libm call.
         """
-        self._ensure_root()
-        src = self.source_path(key)
-        src.write_text(source)
+        self.root.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=self.root,
+                                         prefix=f"k_{key}.") as scratch:
+            src = Path(scratch) / f"k_{key}.c"
+            out = Path(scratch) / f"k_{key}.so"
+            src.write_text(source)
+            cmd = [cc, "-O2", "-fPIC", "-shared",
+                   "-fno-fast-math", "-ffp-contract=off", "-fno-math-errno",
+                   *extra_flags, str(src), "-o", str(out), "-lm"]
+            try:
+                proc = subprocess.run(cmd, capture_output=True, text=True,
+                                      timeout=60)
+            except (OSError, subprocess.SubprocessError) as exc:
+                raise KernelCompileError(f"{cc}: {exc}") from exc
+            if proc.returncode != 0:
+                raise KernelCompileError(
+                    f"{cc} exited {proc.returncode}: {proc.stderr.strip()}")
+            binary = out.read_bytes()
         final = self.so_path(key)
-        tmp = self.root / f"k_{key}.{os.getpid()}.tmp.so"
-        cmd = [cc, "-O2", "-fPIC", "-shared",
-               "-fno-fast-math", "-ffp-contract=off", "-fno-math-errno",
-               *extra_flags, str(src), "-o", str(tmp), "-lm"]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=60)
-        except (OSError, subprocess.SubprocessError) as exc:
-            raise KernelCompileError(f"{cc}: {exc}") from exc
-        if proc.returncode != 0:
-            tmp.unlink(missing_ok=True)
-            raise KernelCompileError(
-                f"{cc} exited {proc.returncode}: {proc.stderr.strip()}")
-        os.replace(tmp, final)
+        atomic_write_bytes(str(self.source_path(key)), source.encode())
+        atomic_write_bytes(str(final), binary)
+        atomic_write_bytes(str(self.digest_path(key)),
+                           hashlib.sha256(binary).hexdigest().encode())
         return final

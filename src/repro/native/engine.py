@@ -21,8 +21,8 @@ Correctness layers (all per-kernel, all automatic):
    bitwise against the reference lambda; any mismatch blacklists the
    kernel permanently.
 
-The engine is shared across ranks and backends; the free-running
-threads backend may call it concurrently, so compilation, cache
+The engine is shared across ranks, backends and the compile server's
+sessions, which may call it concurrently, so compilation, cache
 mutation, and probing hold a lock (kernel *execution* does not — the
 C loop only touches its own buffers).
 """
@@ -50,6 +50,7 @@ STAT_FIELDS = (
     "kernels",            # distinct kernels loaded this process
     "compiles",           # kernels built by the C compiler
     "disk_hits",          # kernels dlopen'ed straight from the disk cache
+    "disk_rejects",       # cached .so failed its digest check (rebuilt)
     "mem_hits",           # calls that found their kernel in-process
     "guard_fallbacks",    # calls aborted by a semantic guard (rc != 0)
     "verify_rejects",     # kernels blacklisted by first-call verification
@@ -357,6 +358,10 @@ class NativeEngine:
         if path is not None:
             self.stats.bump("disk_hits")
         else:
+            if self.cache.so_path(key).exists():
+                # torn write, bit rot, or a pre-digest publisher: never
+                # dlopen'ed — rebuilt and republished over it instead
+                self.stats.bump("disk_rejects")
             try:
                 path = self.cache.build(key, source, self.cc)
             except KernelCompileError:

@@ -495,58 +495,48 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
     """cumsum/cumprod via local scan + exclusive scan of block totals."""
     np_fn = np.cumsum if name == "cumsum" else np.cumprod
     op = mpi_ops.SUM if name == "cumsum" else mpi_ops.PROD
-    identity = 0.0 if name == "cumsum" else 1.0
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
         rt.comm.compute(elems=arr.size)
         axis = 1 if arr.shape[0] == 1 else 0
         return V.simplify(np_fn(arr, axis=axis))
     if value.is_vector:
+        # a rank's offset is the fold of the *preceding* ranks' totals,
+        # which is only its prefix when each rank owns one contiguous run
+        value = rt.realign(value, "block")
+        # what a rank with no elements contributes (typed like the data,
+        # so every rank's contribution has the same wire size)
+        identity = value.dtype.type(name == "cumprod").item()
         if isinstance(value, FusedDMatrix):
             scanned = [np_fn(blk) if blk.size else blk
                        for blk in value.blocks()]
-            totals = [float(np.real(s[-1])) if s.size else identity
+            totals = [s[-1].item() if s.size else identity
                       for s in scanned]
             rt.comm.overhead()
             rt.comm.compute_ranks(elems=value.geom.counts)
-            rt.comm.charge_scan(8)
-            # inclusive prefix per rank, folded in rank order like scan's
-            # combine closure
+            rt.comm.charge_scan(16 if np.iscomplexobj(value.full) else 8)
+            # exclusive prefix per rank, folded in rank order like
+            # exscan's combine closure (never recovered by subtracting or
+            # dividing the rank's own total back out: inf - inf, x / 0)
             outs = []
-            inclusive = None
-            for r in range(rt.size):
-                inclusive = totals[r] if r == 0 else op(inclusive, totals[r])
-                if name == "cumsum":
-                    offset = inclusive - totals[r]
-                    out = scanned[r] + offset if scanned[r].size \
-                        else scanned[r]
-                else:
-                    offset = inclusive / totals[r] if totals[r] != 0 \
-                        else identity
-                    out = scanned[r] * offset if scanned[r].size \
-                        else scanned[r]
+            exclusive = None
+            for part, total in zip(scanned, totals):
+                out = part if exclusive is None or not part.size \
+                    else op(part, exclusive)
                 outs.append(np.asarray(out, dtype=value.dtype))
-            if value.scheme == "block":
-                flat = np.concatenate(outs) if outs else \
-                    np.zeros(0, dtype=value.dtype)
-            else:
-                flat = np.empty(value.numel, dtype=value.dtype)
-                for span, out in zip(value.geom.slices, outs):
-                    flat[span] = out
-            full = flat.reshape((value.rows, value.cols), order="F")
+                exclusive = total if exclusive is None \
+                    else op(exclusive, total)
+            full = np.concatenate(outs).reshape(
+                (value.rows, value.cols), order="F")
             return value.like_full(full, dtype=value.dtype)
         local = value.local
         scanned = np_fn(local) if local.size else local
-        block_total = float(np.real(scanned[-1])) if local.size else identity
+        total = scanned[-1].item() if local.size else identity
         rt.comm.overhead()
         rt.comm.compute(elems=value.local_count())
-        inclusive = rt.comm.scan(block_total, op=op)
-        if name == "cumsum":
-            offset = inclusive - block_total
-            out = scanned + offset if local.size else scanned
-        else:
-            offset = inclusive / block_total if block_total != 0 else identity
-            out = scanned * offset if local.size else scanned
+        exclusive = rt.comm.exscan(total, op=op)
+        out = scanned if exclusive is None or not local.size \
+            else op(scanned, exclusive)
         return value.like(np.asarray(out, dtype=value.local.dtype))
     # matrix: per-column scans stay within row blocks only if P == 1;
     # gather-based general path

@@ -10,9 +10,9 @@ compiler into a service:
   reads (and nothing about how the program is run), so a warm ``run``
   at any processor count performs zero compiler passes.
 * :class:`~repro.service.stores.StoreManager` — a registry of
-  URL-schema datastores (``file://``, ``mem://``, and an ``s3://``
-  stub) that ``load``/``save`` resolve through, so the same script runs
-  against hosted data.
+  URL-schema datastores (``file://``, ``mem://``, and whatever else is
+  registered) that ``load``/``save`` resolve through, so the same
+  script runs against hosted data.
 * :class:`~repro.service.server.ServiceServer` /
   :class:`~repro.service.client.ServiceClient` — a threaded socket
   server (``python -m repro.serve``) multiplexing concurrent sessions
@@ -36,9 +36,7 @@ from .stores import (
     DataStore,
     FileStore,
     MemStore,
-    S3Store,
     StoreManager,
-    StoreUnavailableError,
     default_manager,
 )
 
@@ -52,9 +50,7 @@ __all__ = [
     "DataStore",
     "FileStore",
     "MemStore",
-    "S3Store",
     "StoreManager",
-    "StoreUnavailableError",
     "default_manager",
     "ServiceServer",
     "ServiceClient",

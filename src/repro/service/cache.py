@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
+from ..atomicio import atomic_write_bytes
 from ..compiler import CompiledProgram, OtterCompiler, parse_timed
 from ..frontend.mfile import (
     ChainProvider,
@@ -64,7 +65,6 @@ from ..frontend.mfile import (
     EMPTY_PROVIDER,
 )
 from ..frontend.unparse import unparse_function, unparse_script
-from .stores import atomic_write_bytes
 
 ENV_COMPILE_CACHE = "REPRO_COMPILE_CACHE"
 

@@ -8,7 +8,8 @@ requesting the same program pay exactly one compile — while every run
 gets a fresh, isolated :class:`~repro.runtime.context.RuntimeContext`
 (own workspace, own seeded RNG, own memory tracker), so sessions can
 never observe each other's state.  Hosted data *is* deliberately
-shared: ``mem://``/``file://``/``s3://`` URLs resolve through one
+shared: ``mem://``/``file://`` (and any registered scheme's) URLs
+resolve through one
 :class:`~repro.service.stores.StoreManager`.
 
 Protocol (newline-delimited JSON; see docs/SERVICE.md):

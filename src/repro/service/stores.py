@@ -12,13 +12,11 @@ a registry mapping URL schemes to :class:`DataStore` implementations
 ``mem://<key>``
     An in-process key→bytes mapping shared by every session of the
     process — the "hosted" store the service tests and demos use.
-``s3://<bucket>/<key>``
-    A stub behind the same interface: it parses bucket/key and speaks
-    to any object with ``get_object``/``put_object``/``head_object``
-    (injectable for tests); without an injected client it requires
-    ``boto3``, and where that is absent plain use raises
-    :class:`StoreUnavailableError` with a clear message instead of an
-    ImportError deep in a run.
+
+Any other scheme (an object store, say) is one
+``StoreManager.register(scheme, factory)`` call with a
+:class:`DataStore` subclass — the registry is the extension point; no
+stub for a service this repo cannot reach ships in the box.
 
 Matrices travel as MATLAB-friendly whitespace text (``numpy.loadtxt``
 compatible), so a ``mem://`` round trip is bit-comparable to the
@@ -29,22 +27,18 @@ from __future__ import annotations
 
 import io
 import os
-import tempfile
 import threading
 from typing import Callable, Optional
 from urllib.parse import urlparse
 
 import numpy as np
 
+from ..atomicio import atomic_write_bytes
 from ..errors import OtterError
 
 
 class StoreError(OtterError):
     """A datastore operation failed (missing object, bad URL, ...)."""
-
-
-class StoreUnavailableError(StoreError):
-    """The scheme is registered but its backing driver is absent."""
 
 
 def parse_url(url: str) -> tuple[str, str]:
@@ -58,27 +52,6 @@ def parse_url(url: str) -> tuple[str, str]:
 
 def is_store_url(name: str) -> bool:
     return "://" in name
-
-
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Publish ``data`` at ``path`` all-or-nothing: readers see the old
-    file or the new one, never a prefix.  The temp file is unique per
-    call (threads of one process may race on one target) and lives in
-    the target's directory so ``os.replace`` stays on one filesystem."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp",
-                               prefix=os.path.basename(path) + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class DataStore:
@@ -192,91 +165,11 @@ class MemStore(DataStore):
             return sorted(k for k in self._objects if k.startswith(prefix))
 
 
-class S3Store(DataStore):
-    """``s3://bucket/key`` — stub over an injectable object client.
-
-    ``client`` needs ``get_object(Bucket=, Key=)`` →
-    ``{"Body": file-like}``, ``put_object(Bucket=, Key=, Body=)``, and
-    ``head_object(Bucket=, Key=)`` (raising on absence) — the boto3
-    surface.  Without an injected client, construction defers and first
-    use tries ``boto3``; where that is missing, plain use degrades to a
-    clear :class:`StoreUnavailableError`.
-    """
-
-    scheme = "s3"
-
-    def __init__(self, client=None):
-        self._client = client
-
-    def _require_client(self):
-        if self._client is None:
-            try:
-                import boto3  # type: ignore
-
-                self._client = boto3.client("s3")
-            except ImportError:
-                raise StoreUnavailableError(
-                    "s3:// store needs boto3 (not installed in this "
-                    "environment) or an injected client — "
-                    "StoreManager.register('s3', lambda: S3Store(client))"
-                ) from None
-        return self._client
-
-    @staticmethod
-    def _split(path: str) -> tuple[str, str]:
-        bucket, _, key = path.partition("/")
-        if not bucket or not key:
-            raise StoreError(f"s3://{path}: need s3://bucket/key")
-        return bucket, key
-
-    def get(self, path: str) -> bytes:
-        bucket, key = self._split(path)
-        client = self._require_client()
-        try:
-            return client.get_object(Bucket=bucket, Key=key)["Body"].read()
-        except StoreError:
-            raise
-        except Exception as exc:
-            raise StoreError(f"s3://{path}: {exc}") from exc
-
-    def put(self, path: str, data: bytes) -> None:
-        bucket, key = self._split(path)
-        client = self._require_client()
-        try:
-            client.put_object(Bucket=bucket, Key=key, Body=bytes(data))
-        except Exception as exc:
-            raise StoreError(f"s3://{path}: {exc}") from exc
-
-    def exists(self, path: str) -> bool:
-        bucket, key = self._split(path)
-        client = self._require_client()
-        try:
-            client.head_object(Bucket=bucket, Key=key)
-            return True
-        except StoreUnavailableError:
-            raise
-        except Exception:
-            return False
-
-    def delete(self, path: str) -> None:
-        bucket, key = self._split(path)
-        client = self._require_client()
-        try:
-            client.delete_object(Bucket=bucket, Key=key)
-        except Exception as exc:
-            raise StoreError(f"s3://{path}: {exc}") from exc
-
-    def listdir(self, path: str = "") -> list[str]:
-        raise StoreUnavailableError("s3:// listing is not implemented "
-                                    "by the stub")
-
-
 class StoreManager:
     """Scheme → store registry; resolves URLs to ``(store, path)``.
 
-    Stores are constructed lazily (one instance per scheme per manager)
-    so registering the ``s3://`` stub costs nothing until a script
-    actually names an ``s3://`` URL.
+    Stores are constructed lazily (one instance per scheme per manager),
+    so registering a scheme costs nothing until a script names it.
     """
 
     def __init__(self):
@@ -285,7 +178,6 @@ class StoreManager:
         self._lock = threading.Lock()
         self.register("file", FileStore)
         self.register("mem", MemStore)
-        self.register("s3", S3Store)
 
     def register(self, scheme: str,
                  factory: Callable[[], DataStore]) -> None:

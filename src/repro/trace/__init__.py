@@ -8,12 +8,11 @@ perturbing the run it observes:
   :class:`~repro.trace.recorder.RankRecorder` per simulated rank.  The
   MPI substrate (``Comm``/``FusedComm``/``World``), the runtime library,
   and the fault injector append events to the recorder of the acting
-  rank only, so no locking is ever needed — even under the free-running
-  ``threads`` backend.
+  rank only, so no locking is ever needed.
 * Events are stamped with the **virtual clock**; host time is carried as
   an advisory side-channel and excluded from canonical output.  Because
   per-rank virtual-clock trajectories are bit-identical across the
-  ``lockstep``/``threads``/``fused`` backends (the repo's standing
+  ``lockstep`` and ``fused`` backends (the repo's standing
   differential invariant), the canonical trace is too.
 * :mod:`repro.trace.profile` folds events into the per-source-line
   communication profile (calls, messages, bytes, collectives, virtual

@@ -1,11 +1,14 @@
-"""Differential testing: the lockstep, threads, and fused backends must
-be observationally identical.
+"""Differential testing: the lockstep and fused backends — and every
+lockstep schedule — must be observationally identical.
 
 The scheduler changes *when* carrier threads run (or whether ranks run
 at all, for fused), never *what* the simulated machine does — virtual
 clocks, message/byte counts, and collective tallies are all functions of
 the program alone.  Randomized SPMD programs (hypothesis) run on every
-backend and every observable must match bit-for-bit.
+backend, and under lockstep with the scheduler's initial run-queue order
+permuted (reversed, rotated, seed-shuffled: a deterministic stand-in for
+"whichever rank the OS happens to run first"), and every observable must
+match bit-for-bit.
 
 The generated programs are deterministic by construction: point-to-point
 uses explicit (source, tag) pairs (no multi-sender ANY_SOURCE races) and
@@ -19,11 +22,19 @@ lockstep run, transparently).  Compiled MATLAB programs are rank-
 agnostic at the source level and execute genuinely fused.
 """
 
+import hashlib
+import random
+from collections import deque
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_source
 from repro.mpi import MEIKO_CS2, run_spmd
+from repro.mpi.scheduler import LockstepScheduler
+from repro.trace import canonical_events
 
 # -- program generator --------------------------------------------------- #
 
@@ -101,7 +112,39 @@ def _observables(result):
     }
 
 
-# -- the differential property ------------------------------------------- #
+def _traced_observables(result):
+    sha = hashlib.sha256(
+        canonical_events(result.trace).encode()).hexdigest()
+    return dict(_observables(result), trace_sha=sha)
+
+
+# -- schedule permutation -------------------------------------------------- #
+
+_ORDERS = {
+    "reversed": lambda ranks, seed: ranks[::-1],
+    "rotated": lambda ranks, seed: ranks[seed % len(ranks):]
+    + ranks[:seed % len(ranks)],
+    "shuffled": lambda ranks, seed: random.Random(seed).sample(
+        ranks, len(ranks)),
+}
+
+
+@contextmanager
+def initial_run_queue(order, seed=1):
+    """Start every lockstep world in this block with its run queue
+    permuted.  Test-only: the product has (and needs) no such knob —
+    the queue is patched from outside."""
+    init = LockstepScheduler.__init__
+
+    def permuted_init(self, nprocs):
+        init(self, nprocs)
+        self._run_queue = deque(_ORDERS[order](list(range(nprocs)), seed))
+
+    with mock.patch.object(LockstepScheduler, "__init__", permuted_init):
+        yield
+
+
+# -- the differential properties ----------------------------------------- #
 
 
 @settings(max_examples=25, deadline=None)
@@ -110,13 +153,29 @@ def test_backends_observationally_identical(program):
     nprocs, ops = program
     prog = _make_program(ops)
     lockstep = run_spmd(nprocs, MEIKO_CS2, prog, backend="lockstep")
-    threads = run_spmd(nprocs, MEIKO_CS2, prog, backend="threads")
     fused = run_spmd(nprocs, MEIKO_CS2, prog, backend="fused")
-    assert _observables(lockstep) == _observables(threads)
     # prog reads comm.rank, so fused falls back to lockstep — the result
     # must be indistinguishable from a lockstep run
     assert fused.backend == "lockstep"
     assert _observables(lockstep) == _observables(fused)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spmd_programs(), st.sampled_from(sorted(_ORDERS)),
+       st.integers(min_value=1, max_value=2 ** 16))
+def test_lockstep_is_schedule_independent(program, order, seed):
+    """Whichever rank runs first, the simulated machine does the same
+    thing: results, per-rank clocks, message/byte/collective counts and
+    the canonical trace are functions of the program alone (the
+    generated programs use explicit sources, never ``ANY_SOURCE``)."""
+    nprocs, ops = program
+    prog = _make_program(ops)
+    default = run_spmd(nprocs, MEIKO_CS2, prog, backend="lockstep",
+                       trace=True)
+    with initial_run_queue(order, seed):
+        permuted = run_spmd(nprocs, MEIKO_CS2, prog, backend="lockstep",
+                            trace=True)
+    assert _traced_observables(permuted) == _traced_observables(default)
 
 
 # -- compiled-program differential: fused runs for real ------------------ #
@@ -205,17 +264,21 @@ def plans(draw):
 @given(matlab_programs(), plans())
 def test_any_plan_is_backend_invariant(program, plan):
     """The plan changes *what* the compiler and runtime decide — never
-    the simulated machine's determinism: under any plan, lockstep,
-    threads, and fused execution agree bit-for-bit on workspace values,
-    program output, virtual clocks, and communication accounting."""
+    the simulated machine's determinism: under any plan, lockstep
+    (in default and reversed rank order) and fused execution agree
+    bit-for-bit on workspace values, program output, virtual clocks,
+    and communication accounting."""
     nprocs, src = program
     prog = compile_source(src, plan=plan)
     runs = {backend: prog.run(nprocs=nprocs, backend=backend, plan=plan)
-            for backend in ("lockstep", "threads", "fused")}
-    out_ref, obs_ref, ws_ref = _run_observables(runs["lockstep"])
+            for backend in ("lockstep", "fused")}
+    with initial_run_queue("reversed"):
+        runs["lockstep-reversed"] = prog.run(
+            nprocs=nprocs, backend="lockstep", plan=plan)
+    out_ref, obs_ref, ws_ref = _run_observables(runs.pop("lockstep"))
     obs_ref.pop("results")
-    for backend in ("threads", "fused"):
-        out, obs, ws = _run_observables(runs[backend])
+    for backend, run in runs.items():
+        out, obs, ws = _run_observables(run)
         obs.pop("results")
         assert out == out_ref, backend
         assert obs == obs_ref, backend
@@ -245,8 +308,13 @@ def test_backends_identical_on_mixed_fixed_program():
         comm.barrier()
         return comm.scan(sum(parts))
 
-    lockstep = run_spmd(4, MEIKO_CS2, prog, backend="lockstep")
-    threads = run_spmd(4, MEIKO_CS2, prog, backend="threads")
-    assert _observables(lockstep) == _observables(threads)
+    lockstep = run_spmd(4, MEIKO_CS2, prog, backend="lockstep",
+                        trace=True)
+    for order in sorted(_ORDERS):
+        with initial_run_queue(order, seed=3):
+            permuted = run_spmd(4, MEIKO_CS2, prog, backend="lockstep",
+                                trace=True)
+        assert _traced_observables(permuted) == \
+            _traced_observables(lockstep), order
     assert lockstep.collective_counts["allreduce"] == 3
     assert lockstep.collective_counts["scan"] == 1

@@ -15,6 +15,9 @@ No test here may rely on host waits longer than 30 s; the watchdog
 tests use ~1 s budgets.
 """
 
+import threading
+import time
+
 import pytest
 
 import numpy as np
@@ -26,11 +29,11 @@ from repro.errors import (
     RankCrashedError,
     SpmdWatchdogError,
 )
-from repro.mpi import MEIKO_CS2, FaultPlan, load_plan, run_spmd
+from repro.mpi import MEIKO_CS2, FaultPlan, executor, load_plan, run_spmd
 from repro.mpi.faults import FaultState, corrupt_payload, payload_checksum
 from repro.mpi.scheduler import DeadlockError
 
-BACKENDS = ["lockstep", "threads"]
+BACKENDS = ["lockstep", "fused"]
 
 
 # ------------------------------------------------------------------------- #
@@ -168,7 +171,7 @@ def _fingerprint(res):
 
 
 class TestZeroFaultTransparency:
-    @pytest.mark.parametrize("backend", BACKENDS + ["fused"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_timeout_only_plan_is_bit_identical(self, backend):
         base = run_spmd(4, MEIKO_CS2, ring, backend=backend)
         chaos = run_spmd(4, MEIKO_CS2, ring, backend=backend,
@@ -357,20 +360,34 @@ class TestCrashFaults:
 
 
 class TestWatchdog:
-    def test_threads_backend_raises_instead_of_hanging(self):
-        # a cross deadlock: both ranks recv first.  The threads backend
-        # cannot detect this; only the watchdog saves CI.
+    def test_watchdog_raises_instead_of_hanging(self, monkeypatch):
+        # rank 2 is wedged in host code (as far as the scheduler knows
+        # it is running, so this is no deadlock); both peers wait on it.
+        # Only the watchdog saves CI.
+        monkeypatch.setattr(executor, "_TEARDOWN_GRACE", 0.5)
+        release = threading.Event()
+
         def prog(comm):
-            got = comm.recv(source=1 - comm.rank, tag=1)
-            comm.send(comm.rank, dest=1 - comm.rank, tag=1)
+            if comm.rank == 2:
+                while not release.is_set():
+                    time.sleep(0.01)
+            got = comm.recv(source=2, tag=1)
             return got
 
-        with pytest.raises(SpmdWatchdogError) as info:
-            run_spmd(2, MEIKO_CS2, prog, backend="threads", watchdog=1.0)
+        try:
+            with pytest.raises(SpmdWatchdogError) as info:
+                run_spmd(3, MEIKO_CS2, prog, backend="lockstep",
+                         watchdog=1.0)
+        finally:
+            release.set()  # let the abandoned daemon exit quietly
         assert "watchdog expired after 1s" in str(info.value)
-        # the post-mortem names both blocked ranks
+        # the post-mortem names both blocked ranks ...
         assert "rank 0: blocked in recv" in str(info.value)
         assert "rank 1: blocked in recv" in str(info.value)
+        # ... what they wait for, and the rank that never yielded
+        assert "rank 1: blocked in recv(source=2, tag=1)" \
+            in info.value.wait_graph
+        assert "rank 2: running" in info.value.wait_graph
 
     def test_lockstep_detects_the_same_deadlock_first(self):
         def prog(comm):
@@ -385,25 +402,24 @@ class TestWatchdog:
         # a compute loop that never reaches an abort check; after the
         # teardown grace the daemon thread is abandoned and the caller
         # still gets the structured error
-        import threading
-        import time
-
-        from repro.mpi import executor
         monkeypatch.setattr(executor, "_TEARDOWN_GRACE", 0.5)
         release = threading.Event()
 
         def prog(comm):
-            if comm.rank == 0:
+            if comm.rank == 1:
                 while not release.is_set():  # wedged as far as MPI knows
                     time.sleep(0.01)
-            return comm.recv(source=0)
+            return comm.recv(source=1)
 
         try:
-            with pytest.raises(SpmdWatchdogError):
-                run_spmd(2, MEIKO_CS2, prog, backend="threads",
+            with pytest.raises(SpmdWatchdogError) as info:
+                run_spmd(2, MEIKO_CS2, prog, backend="lockstep",
                          watchdog=0.5)
         finally:
             release.set()  # let the abandoned daemon exit quietly
+        assert "rank 0: blocked in recv(source=1, tag=-1)" \
+            in info.value.wait_graph
+        assert "rank 1: running" in info.value.wait_graph
 
     def test_healthy_run_unaffected_by_watchdog(self):
         base = run_spmd(2, MEIKO_CS2, one_message)
@@ -411,7 +427,6 @@ class TestWatchdog:
         assert _fingerprint(base) == _fingerprint(guarded)
 
     def test_env_var_configures_the_watchdog(self, monkeypatch):
-        from repro.mpi import executor
         monkeypatch.setenv(executor.WATCHDOG_ENV_VAR, "not-a-number")
         with pytest.raises(MpiError, match="number of seconds"):
             executor.resolve_watchdog()

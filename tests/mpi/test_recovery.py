@@ -41,8 +41,9 @@ from repro.mpi.recovery import (
     resolve_recovery,
     retry_backoff,
 )
+from repro.trace import canonical_events
 
-BACKENDS = ["lockstep", "threads", "fused"]
+BACKENDS = ["lockstep", "fused"]
 
 
 # ------------------------------------------------------------------------- #
@@ -153,13 +154,11 @@ class TestRetryHealing:
 
     @pytest.mark.parametrize("plan", PLANS)
     def test_plans_are_lethal_without_recovery(self, plan):
-        # lockstep only: the threads backend cannot detect starvation
-        # without burning a real watchdog budget
         with pytest.raises(MpiError):
             run_spmd(4, MEIKO_CS2, ring, backend="lockstep",
                      fault_plan=plan)
 
-    @pytest.mark.parametrize("backend", ["lockstep", "threads"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("plan", PLANS)
     def test_message_faults_heal_bit_identically(self, backend, plan):
         base = run_spmd(4, MEIKO_CS2, ring, backend=backend)
@@ -439,19 +438,55 @@ class TestWatchdogReArm:
         finally:
             release.set()
 
-    def test_watchdog_error_is_never_recoverable(self):
+    def test_fallback_reuses_resolved_knobs_but_not_the_fused_ledger(self):
+        # the fused pass takes three checkpoints, then diverges; the
+        # lockstep re-run is the next turn of the same attempt loop
+        # (same plan, policy, deadline) with a fresh recovery ledger, so
+        # it reports exactly what a plain lockstep run reports
         def prog(comm):
-            got = comm.recv(source=1 - comm.rank, tag=1)
-            comm.send(comm.rank, dest=1 - comm.rank, tag=1)
-            return got
+            total = comm.allreduce(1.0) + comm.allreduce(2.0)
+            comm.barrier()
+            return total + comm.allreduce(float(comm.rank))
+
+        knobs = dict(fault_plan="seed=3; timeout=60", on_fault="restart",
+                     checkpoint_every=1, watchdog=30.0, trace=True)
+        discarded = []
+        via_fused = run_spmd(4, MEIKO_CS2, prog, backend="fused",
+                             on_fused_fallback=lambda: discarded.append(1),
+                             **knobs)
+        direct = run_spmd(4, MEIKO_CS2, prog, backend="lockstep", **knobs)
+        assert via_fused.backend == "lockstep" and discarded == [1]
+        assert via_fused.recovery.checkpoints == \
+            direct.recovery.checkpoints == 4
+        assert via_fused.recovery.summary() == direct.recovery.summary()
+        assert via_fused.times == direct.times
+        assert canonical_events(via_fused.trace) == \
+            canonical_events(direct.trace)
+
+    def test_watchdog_error_is_never_recoverable(self, monkeypatch):
+        from repro.mpi import executor
+        monkeypatch.setattr(executor, "_TEARDOWN_GRACE", 0.5)
+        release = threading.Event()
+
+        def prog(comm):
+            if comm.rank == 1:
+                while not release.is_set():  # wedged in host code
+                    time.sleep(0.01)
+            return comm.recv(source=1, tag=1)
 
         t0 = time.monotonic()
-        with pytest.raises(SpmdWatchdogError):
-            run_spmd(2, MEIKO_CS2, prog, backend="threads", watchdog=1.0,
-                     fault_plan="seed=1; timeout=60", on_fault="restart",
-                     max_restarts=5)
+        try:
+            with pytest.raises(SpmdWatchdogError) as info:
+                run_spmd(2, MEIKO_CS2, prog, backend="lockstep",
+                         watchdog=1.0, fault_plan="seed=1; timeout=60",
+                         on_fault="restart", max_restarts=5)
+        finally:
+            release.set()
         # no restart loop: the budget was spent exactly once
         assert time.monotonic() - t0 < 8.0
+        assert "rank 0: blocked in recv(source=1, tag=1)" \
+            in info.value.wait_graph
+        assert "rank 1: running" in info.value.wait_graph
 
 
 # ------------------------------------------------------------------------- #
@@ -468,7 +503,7 @@ POLICY_FOR = {"crash rank=1 op=allreduce step=1": "restart",
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 16),
        rule=st.sampled_from(sorted(POLICY_FOR)),
-       backend=st.sampled_from(["lockstep", "threads"]))
+       backend=st.sampled_from(BACKENDS))
 def test_property_chaos_heals_to_baseline(seed, rule, backend):
     plan = f"seed={seed}; {rule}"
     base = run_spmd(4, MEIKO_CS2, ring, backend=backend)

@@ -21,14 +21,23 @@ class TestBackendSelection:
         assert resolve_backend() == "lockstep"
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threads")
-        assert resolve_backend() == "threads"
-        res = run_spmd(2, MEIKO_CS2, lambda comm: comm.rank)
-        assert res.backend == "threads"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "fused")
+        assert resolve_backend() == "fused"
+        res = run_spmd(2, MEIKO_CS2, lambda comm: comm.allreduce(1.0))
+        assert res.backend == "fused"
 
     def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threads")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "fused")
         assert resolve_backend("lockstep") == "lockstep"
+
+    def test_exactly_two_backends(self, monkeypatch):
+        # the free-running backend is gone, not aliased: its old name
+        # fails like any other unknown one, naming what exists
+        assert BACKENDS == ("lockstep", "fused")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "threads")
+        with pytest.raises(MpiError, match="unknown SPMD backend "
+                           "'threads'.*lockstep, fused"):
+            run_spmd(2, MEIKO_CS2, lambda comm: None)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(MpiError, match="unknown SPMD backend"):
@@ -215,7 +224,7 @@ class TestWaitGraphTruncation:
         assert "states:" not in report
 
     def test_p1024_report_is_truncated(self):
-        from repro.mpi.comm import WAIT_REPORT_LIMIT
+        from repro.mpi.scheduler import WAIT_REPORT_LIMIT
 
         sched = self._scheduler(1024)
         report = sched._wait_graph_locked()
@@ -237,7 +246,7 @@ class TestWaitGraphTruncation:
         assert "states: blocked=1000, done=24" in report
 
     def test_find_wait_cycle(self):
-        from repro.mpi.comm import find_wait_cycle
+        from repro.mpi.scheduler import find_wait_cycle
 
         assert find_wait_cycle({}) == []
         assert find_wait_cycle({0: 1, 1: 0}) == [0, 1]
@@ -247,34 +256,36 @@ class TestWaitGraphTruncation:
         # self-wait is a 1-cycle
         assert find_wait_cycle({3: 3}) == [3]
 
-    def test_world_wait_snapshot_small_is_unchanged(self):
-        from repro.mpi.comm import World
+    def test_snapshot_names_running_and_parked_ranks(self):
+        # the watchdog's post-mortem is this same renderer, taken while
+        # a rank is still running (a deadlock report never has one)
+        from repro.mpi.scheduler import BLOCKED, RUNNING, LockstepScheduler
 
-        world = World(4, MEIKO_CS2)
-        world._recv_waiting = {0: (1, 5), 2: (3, -1)}
-        snap = world.wait_snapshot()
-        assert "rank 0: blocked in recv(source=1, tag=5)" in snap
-        assert "rank 2: blocked in recv(source=3, tag=-1)" in snap
-        assert "more blocked ranks" not in snap
+        sched = LockstepScheduler(3)
+        sched._state = [BLOCKED, RUNNING, BLOCKED]
+        sched._reason = [("recv", 1, 5), None,
+                         ("collective", "barrier", 1, 3)]
+        report = sched.wait_graph("ranks at expiry:")
+        assert report.splitlines() == [
+            "ranks at expiry:",
+            "  rank 0: blocked in recv(source=1, tag=5)",
+            "  rank 1: running",
+            "  rank 2: blocked in barrier (1/3 arrived)"]
 
-    def test_world_wait_snapshot_p1024_truncates(self):
-        from repro.mpi import FATTREE_CLUSTER
-        from repro.mpi.comm import WAIT_REPORT_LIMIT, World
+    def test_p1024_waiter_cap_without_a_cycle(self):
+        from repro.mpi.scheduler import RUNNING, WAIT_REPORT_LIMIT
 
-        world = World(1024, FATTREE_CLUSTER)
-        world._recv_waiting = {r: ((r + 1) % 1024, 0) for r in range(1024)}
-        snap = world.wait_snapshot()
-        assert "recv cycle:" in snap  # the full ring is one big cycle
-        assert "more blocked ranks" not in snap or "... and" in snap
-        # a ring of 1024 is all cycle: the renderer shows the cycle and
-        # nothing is left over to truncate; break the ring to check the
-        # waiter cap
-        world._recv_waiting = {r: (1023, 0) for r in range(1023)}
-        snap = world.wait_snapshot()
-        shown = snap.count("blocked in recv")
-        assert shown == WAIT_REPORT_LIMIT
+        sched = self._scheduler(1024)
+        for rank in range(1023):
+            sched._reason[rank] = ("recv", 1023, 0)
+        sched._state[1023] = RUNNING
+        sched._reason[1023] = None
+        report = sched.wait_graph("ranks at expiry:")
+        assert "recv cycle:" not in report
+        assert report.count("blocked in recv") == WAIT_REPORT_LIMIT
         assert f"... and {1023 - WAIT_REPORT_LIMIT} more blocked ranks" \
-            in snap
+            in report
+        assert "states: blocked=1023, running=1" in report
 
     def test_live_deadlock_at_p64_reports_cycle(self):
         def prog(comm):

@@ -159,6 +159,102 @@ def test_warm_disk_cache_zero_recompiles(engine, tmp_path):
     assert stats["disk_hits"] == 1
 
 
+def _replace(path, data):
+    # a new inode, like any publisher's os.replace: the first engine
+    # still has the old file mapped, and scribbling on a dlopen'ed
+    # library in place is a SIGBUS no cache discipline can prevent
+    tmp = path.with_suffix(".damaged")
+    tmp.write_bytes(data)
+    tmp.replace(path)
+
+
+def _damage_truncate(cache, key):
+    path = cache.so_path(key)
+    _replace(path, path.read_bytes()[:100])
+
+
+def _damage_flip_byte(cache, key):
+    path = cache.so_path(key)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    _replace(path, bytes(data))
+
+
+def _damage_drop_digest(cache, key):
+    cache.digest_path(key).unlink()
+
+
+@pytest.mark.parametrize("damage", [_damage_truncate, _damage_flip_byte,
+                                    _damage_drop_digest])
+def test_damaged_disk_entry_recompiles_once_then_hits(engine, tmp_path,
+                                                      damage):
+    """A cached ``.so`` that is not the bytes its digest was recorded
+    for is never dlopen'ed: one rebuild republishes over it, and the
+    entry is a plain hit again afterwards (under ``auto`` the parent
+    fell back to numpy forever; under ``require`` it failed forever)."""
+    a = _arr(1.0, 2.0, 3.0)
+    want = run_ref(engine, CHAIN, [a, a])
+    damage(engine.cache, spec_key(CHAIN, "aa"))
+
+    healer = NativeEngine(cache_dir=str(tmp_path / "kernels"))
+    np.testing.assert_array_equal(run_ref(healer, CHAIN, [a, a]), want)
+    stats = healer.stats.snapshot()
+    assert (stats["disk_hits"], stats["compiles"]) == (0, 1)
+    # the missing-digest entry is indistinguishable from a pre-digest
+    # publisher's: rejected like the others
+    assert stats["disk_rejects"] == 1
+    assert stats["compile_failures"] == 0
+
+    after = NativeEngine(cache_dir=str(tmp_path / "kernels"))
+    np.testing.assert_array_equal(run_ref(after, CHAIN, [a, a]), want)
+    stats = after.stats.snapshot()
+    assert (stats["disk_hits"], stats["compiles"], stats["disk_rejects"]) \
+        == (1, 0, 0)
+
+
+def test_same_key_build_race_publishes_one_loadable_kernel(engine, tmp_path):
+    """Eight builders (two engines in one server process, or same-pid
+    processes in two containers on one cache volume) racing on one key
+    each compile privately and publish whole files: whatever
+    interleaving wins, the entry verifies and loads."""
+    import threading
+
+    from repro.native.cache import KernelCache
+
+    key = spec_key(CHAIN, "aa")
+    source, _ = generate_source(CHAIN, "aa", f"k_{key}")
+    cache = KernelCache(tmp_path / "raced")
+    nthreads = 8
+    barrier = threading.Barrier(nthreads)
+    errors = []
+
+    def builder():
+        barrier.wait()
+        try:
+            cache.build(key, source, engine.cc)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=builder) for _ in range(nthreads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert cache.lookup(key) == cache.so_path(key)
+    # nothing but the three published files: no stray temp names
+    assert sorted(p.name for p in cache.root.iterdir()) == \
+        sorted(f"k_{key}.{ext}" for ext in ("c", "sha256", "so"))
+
+    loader = NativeEngine(cache_dir=str(tmp_path / "raced"))
+    a = _arr(1.0, 2.0, 3.0)
+    np.testing.assert_array_equal(run_ref(loader, CHAIN, [a, a]),
+                                  a * a + 2.0)
+    stats = loader.stats.snapshot()
+    assert (stats["disk_hits"], stats["compiles"]) == (1, 0)
+
+
 def test_cache_key_separates_spec_and_signature(engine):
     a = _arr(1.0, 2.0)
     assert run_ref(engine, CHAIN, [a, a]) is not None       # sig "aa"

@@ -408,7 +408,7 @@ def test_disk_tier_fails_closed_on_a_damaged_payload(tmp_path, damage,
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ["lockstep", "threads", "fused"])
+@pytest.mark.parametrize("backend", ["lockstep", "fused"])
 def test_warm_run_bit_identical_to_cold(backend, tmp_path):
     root = tmp_path / "programs"
     cold_cache = CompileCache(disk_root=root)

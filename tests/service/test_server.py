@@ -157,7 +157,7 @@ def test_stats_reports_cache_counters_and_schemes(client):
     reply = client.stats()
     assert reply["cache"]["compiles"] == 1
     assert reply["counters"]["runs"] == 1
-    assert reply["store_schemes"] == ["file", "mem", "s3"]
+    assert reply["store_schemes"] == ["file", "mem"]
 
 
 # ---------------------------------------------------------------------- #

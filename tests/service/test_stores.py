@@ -20,15 +20,15 @@ from repro.mpi.machine import MEIKO_CS2
 from repro.runtime.context import RuntimeContext
 from repro.service.cache import get_compile_cache
 from repro.service.stores import (
+    DataStore,
     FileStore,
     MemStore,
-    S3Store,
     StoreError,
     StoreManager,
-    StoreUnavailableError,
     default_manager,
     is_store_url,
     parse_url,
+    set_default_manager,
 )
 from repro.trace import canonical_events
 
@@ -48,8 +48,8 @@ def test_parse_url_and_predicate():
 
 def test_unknown_scheme_names_the_known_ones():
     with pytest.raises(StoreError) as err:
-        StoreManager().resolve("gopher://x/y")
-    assert "mem" in str(err.value) and "s3" in str(err.value)
+        StoreManager().resolve("s3://x/y")   # once a stub; now unregistered
+    assert "s3:// (known: file, mem)" in str(err.value)
 
 
 def test_register_replaces_factory_and_instance():
@@ -57,7 +57,7 @@ def test_register_replaces_factory_and_instance():
     first = manager.store_for("mem")
     manager.register("mem", MemStore)
     assert manager.store_for("mem") is not first
-    assert manager.schemes() == ["file", "mem", "s3"]
+    assert manager.schemes() == ["file", "mem"]
 
 
 # ---------------------------------------------------------------------- #
@@ -145,8 +145,8 @@ def test_matrix_text_round_trip_is_exact():
     np.testing.assert_array_equal(store.load_matrix("m"), matrix)
 
 
-class FakeS3Client:
-    """The boto3 surface the stub speaks, over a dict."""
+class FakeBucketClient:
+    """An object-store client surface (the boto3 shape), over a dict."""
 
     def __init__(self):
         self.objects = {}
@@ -161,39 +161,56 @@ class FakeS3Client:
     def put_object(self, Bucket, Key, Body):
         self.objects[(Bucket, Key)] = bytes(Body)
 
-    def head_object(self, Bucket, Key):
-        if (Bucket, Key) not in self.objects:
-            raise KeyError(Key)
-        return {}
 
-    def delete_object(self, Bucket, Key):
-        self.objects.pop((Bucket, Key), None)
+class BucketStore(DataStore):
+    """What a user-supplied object store looks like: a ``DataStore``
+    over an injected client, registered under its own scheme."""
+
+    scheme = "bucket"
+
+    def __init__(self, client):
+        self._client = client
+
+    @staticmethod
+    def _split(path):
+        bucket, _, key = path.partition("/")
+        if not bucket or not key:
+            raise StoreError(f"bucket://{path}: need bucket://bucket/key")
+        return bucket, key
+
+    def get(self, path):
+        bucket, key = self._split(path)
+        try:
+            return self._client.get_object(
+                Bucket=bucket, Key=key)["Body"].read()
+        except Exception as exc:
+            raise StoreError(f"bucket://{path}: {exc}") from exc
+
+    def put(self, path, data):
+        bucket, key = self._split(path)
+        self._client.put_object(Bucket=bucket, Key=key, Body=bytes(data))
+
+    def exists(self, path):
+        return self._split(path) in self._client.objects
 
 
-def test_s3_stub_with_injected_client():
-    client = FakeS3Client()
-    store = S3Store(client=client)
-    store.put("bucket/data/x.dat", b"1 2 3\n")
-    assert store.exists("bucket/data/x.dat")
-    assert store.get("bucket/data/x.dat") == b"1 2 3\n"
-    store.delete("bucket/data/x.dat")
-    assert not store.exists("bucket/data/x.dat")
+def test_registered_scheme_with_injected_client():
+    """``StoreManager.register`` is the extension point: a store for a
+    service the repo does not ship (the deleted ``s3://`` stub's job)
+    is one subclass plus one call."""
+    client = FakeBucketClient()
+    manager = StoreManager()
+    manager.register("bucket", lambda: BucketStore(client))
+    assert manager.schemes() == ["bucket", "file", "mem"]
+
+    manager.put("bucket://b/data/x.dat", b"1 2 3\n")
+    assert manager.exists("bucket://b/data/x.dat")
+    assert manager.get("bucket://b/data/x.dat") == b"1 2 3\n"
+    assert client.objects == {("b", "data/x.dat"): b"1 2 3\n"}
     with pytest.raises(StoreError):
-        store.get("bucket/data/x.dat")
+        manager.get("bucket://b/missing.dat")
     with pytest.raises(StoreError):
-        store.get("bucket-without-key")
-
-
-def test_s3_without_boto3_degrades_clearly(monkeypatch):
-    import sys
-
-    # a None module entry makes `import boto3` raise ImportError, so
-    # this exercises the degraded path whether or not boto3 is baked in
-    monkeypatch.setitem(sys.modules, "boto3", None)
-    store = S3Store()
-    with pytest.raises(StoreUnavailableError) as err:
-        store.get("bucket/key")
-    assert "boto3" in str(err.value)
+        manager.get("bucket://bucket-without-key")
 
 
 # ---------------------------------------------------------------------- #
@@ -273,12 +290,17 @@ def test_interp_load_resolves_store_urls():
         run_source("a = load('mem://i/absent');\n")
 
 
-def test_s3_hosted_run_with_injected_client():
-    client = FakeS3Client()
-    default_manager().register("s3", lambda: S3Store(client=client))
-    data = np.full((4, 4), 5.0)
-    default_manager().save_matrix("s3://lab/runs/a.dat", data)
-    result = _run(LOAD_SRC.format(target="s3://lab/runs/a.dat"), nprocs=2)
+def test_registered_scheme_hosted_run_with_injected_client():
+    manager = StoreManager()
+    manager.register("bucket", lambda: BucketStore(FakeBucketClient()))
+    # compile-time sample inference reads the process default manager
+    previous = set_default_manager(manager)
+    try:
+        manager.save_matrix("bucket://lab/runs/a.dat", np.full((4, 4), 5.0))
+        result = _run(LOAD_SRC.format(target="bucket://lab/runs/a.dat"),
+                      nprocs=2)
+    finally:
+        set_default_manager(previous)
     assert "160" in result.output
 
 
