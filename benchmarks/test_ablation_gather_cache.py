@@ -9,6 +9,7 @@ remains OFF to keep the figure calibration paper-faithful).
 """
 
 from repro.compiler import compile_source
+from repro.tuning import Plan
 
 SRC = """\
 rand('seed', 44);
@@ -26,11 +27,13 @@ fprintf('gather-cache chk %.6e\\n', chk);
 
 
 def test_ablation_gather_cache(benchmark):
-    program = compile_source(SRC, licm=False)  # keep products in the loop
+    no_licm = Plan(licm="off")  # keep products in the loop
+    program = compile_source(SRC, plan=no_licm)
 
     def measure():
-        off = program.run(nprocs=8, cache_gathers=False)
-        on = program.run(nprocs=8, cache_gathers=True)
+        off = program.run(nprocs=8, plan=no_licm)
+        on = program.run(nprocs=8,
+                         plan=Plan(licm="off", cache_gathers=True))
         return off, on
 
     off, on = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -20,6 +20,7 @@ from ..frontend.parser import parse_script
 from ..interp.costmodel import CostMeter
 from ..interp.interpreter import Interpreter
 from ..mpi.machine import MEIKO_CS2, MachineModel
+from ..tuning.plan import FUSION_REWRITES, Plan
 from .workloads import Workload
 
 
@@ -69,13 +70,18 @@ class BenchHarness:
 
     # ------------------------------------------------------------------ #
 
-    def compiled(self, workload: Workload,
-                 peephole: bool = True, scheme: str = "block",
+    @staticmethod
+    def _plan(peephole: bool, licm: bool, scheme: str = "block") -> Plan:
+        """The figures' ablation switches, as the plan they spell."""
+        return Plan(fusion=FUSION_REWRITES if peephole else (),
+                    licm="aggressive" if licm else "off", scheme=scheme)
+
+    def compiled(self, workload: Workload, peephole: bool = True,
                  licm: bool = True) -> CompiledProgram:
         key = f"{workload.key}:{hash(workload.source)}:{peephole}:{licm}"
         if key not in self._compiled:
-            compiler = OtterCompiler(provider=workload.provider,
-                                     peephole=peephole, licm=licm)
+            compiler = OtterCompiler(workload.provider,
+                                     self._plan(peephole, licm))
             self._compiled[key] = compiler.compile(workload.source,
                                                    name=workload.key)
         return self._compiled[key]
@@ -115,8 +121,8 @@ class BenchHarness:
                    peephole: bool = True, scheme: str = "block",
                    licm: bool = True) -> float:
         program = self.compiled(workload, peephole=peephole, licm=licm)
-        result = program.run(nprocs=nprocs, machine=machine,
-                             seed=self.seed, scheme=scheme)
+        result = program.run(nprocs, machine, self.seed,
+                             plan=self._plan(peephole, licm, scheme))
         self._check_output(workload, result.output)
         return result.elapsed
 

@@ -37,7 +37,8 @@ from .ir.licm import LicmStats, licm_program
 from .ir.peephole import PeepholeStats, peephole_program
 from .ir.pretty import pretty_ir
 from .mpi.executor import SpmdResult, run_spmd
-from .mpi.machine import MachineModel
+from .mpi.machine import MEIKO_CS2, MachineModel
+from .runconfig import RunConfig, resolve
 from .runtime.context import RuntimeContext
 
 
@@ -154,103 +155,57 @@ class CompiledProgram:
         return self._module
 
     def run(self, nprocs: int = 1, machine: MachineModel | None = None,
-            seed: int = 0, scheme: str = "block",
-            cache_gathers: bool = False,
-            backend: str | None = None,
-            fault_plan=None,
-            watchdog: float | None = None,
-            trace: bool | None = None,
-            on_fault: str | None = None,
-            max_restarts: int | None = None,
-            checkpoint_every: int | None = None,
-            plan=None,
-            tune: bool | None = None,
-            tune_budget: int | None = None,
-            native: str | None = None,
-            stores=None) -> RunResult:
+            seed: int = 0, *, plan=None, stores=None,
+            config: RunConfig | None = None, **knobs) -> RunResult:
         """Execute on ``nprocs`` simulated ranks of ``machine``.
 
-        ``backend`` picks the SPMD execution backend (``"lockstep"``
-        or ``"fused"``); ``None`` defers to
-        ``REPRO_SPMD_BACKEND`` / the lockstep default — see
-        :func:`repro.mpi.executor.run_spmd`.  ``fault_plan`` and
-        ``watchdog`` pass straight through to ``run_spmd`` (chaos
-        injection and the host-wall-clock safety net; see
-        docs/RESILIENCE.md).  ``trace`` records a deterministic
-        :class:`~repro.trace.WorldTrace`, surfaced on
-        ``RunResult.trace`` (default ``$REPRO_TRACE``; see
-        docs/OBSERVABILITY.md).  ``on_fault`` selects the self-healing
-        policy for faulted runs (``"abort"``/``"retry"``/
-        ``"restart"``/``"degrade"``; ``None`` defers to
-        ``$REPRO_ON_FAULT`` then ``abort``), with ``max_restarts`` and
-        ``checkpoint_every`` tuning the restart budget and checkpoint
-        cadence; the recovery report lands on ``RunResult.recovery``
-        (see docs/RESILIENCE.md).
+        *How* is a :class:`~repro.runconfig.RunConfig`: pass a resolved
+        ``config`` (used as is) or run-knob keywords — ``backend=``,
+        ``native=``, ``trace=``, ``fault_plan=``, ``watchdog=``,
+        ``on_fault=``, ``tune=``, ...; docs/CONFIGURATION.md — which are
+        resolved here, once, against the environment.
 
         ``plan`` applies a :class:`repro.tuning.Plan`'s *runtime* knobs
         (distribution, collective algorithms, gather caching) — the
         compile-side knobs must have been applied at ``compile`` time
-        (see :func:`compile_cached`).  ``tune=True`` (or ``REPRO_TUNE``
-        when ``tune is None``) first searches the plan space on the
-        fused backend, then runs the winner here; the search report
-        lands on ``RunResult.tune`` (see docs/TUNING.md).
-
-        ``native`` selects the JIT kernel tier (``"auto"``/``"off"``/
-        ``"require"``); ``None`` defers to the plan's ``native`` axis,
-        then ``$REPRO_NATIVE``, then ``auto`` — see docs/NATIVE.md.
-        Kernel activity lands on ``RunResult.native``.
+        (see :func:`compile_cached`).  With ``tune`` on, the plan space
+        is searched first and the winner runs here instead.
 
         ``stores`` is a :class:`repro.service.StoreManager` for
-        URL-schema ``load``/``save`` targets (``file://``, ``mem://``,
-        any registered scheme); ``None`` uses the process-wide default
-        manager —
-        see docs/SERVICE.md.
+        URL-schema ``load``/``save`` targets; ``None`` uses the
+        process-wide default manager — see docs/SERVICE.md.
         """
-        from .mpi.executor import resolve_tune
-        from .mpi.machine import MEIKO_CS2
+        from .native import resolve_native
 
-        budget = resolve_tune(tune, tune_budget)
-        if budget:
+        if config is None:
+            config = resolve(**knobs)
+        elif knobs:
+            raise TypeError("pass run knobs or a resolved config, not both")
+        if config.tune:
             from .tuning import tune_program
 
             tuned = tune_program(self.source or "", nprocs=nprocs,
-                                 machine=machine, budget=budget,
+                                 machine=machine, budget=config.tune_budget,
                                  provider=self.provider, seed=seed,
                                  name=self.name)
             result = tuned.best_program.run(
-                nprocs=nprocs, machine=machine, seed=seed,
-                backend=backend, fault_plan=fault_plan, watchdog=watchdog,
-                trace=trace, on_fault=on_fault, max_restarts=max_restarts,
-                checkpoint_every=checkpoint_every,
-                plan=tuned.best.plan, tune=False,
-                native=native, stores=stores)
+                nprocs, machine, seed, plan=tuned.best.plan, stores=stores,
+                config=config._replace(tune=False))
             result.tune = tuned
             return result
 
         plan = plan if plan is not None else self.plan
+        scheme, cache_gathers, dist_plan = "block", False, None
         if plan is not None:
             machine = plan.apply_machine(machine or MEIKO_CS2)
-            scheme = plan.scheme
-            cache_gathers = cache_gathers or plan.cache_gathers
+            scheme, cache_gathers = plan.scheme, plan.cache_gathers
             dist_plan = dict(plan.dist)
-        else:
-            dist_plan = None
 
         machine = machine or MEIKO_CS2
         main = self._load_module().main
         output: list[str] = []
         provider = self.provider
-
-        import os as _os
-
-        from .native import ENV_NATIVE, resolve_native
-
-        native_mode = native
-        if native_mode is None and plan is not None \
-                and getattr(plan, "native", "auto") != "auto":
-            native_mode = plan.native
-        engine = resolve_native(native_mode)
-        native_mode = native_mode or _os.environ.get(ENV_NATIVE) or "auto"
+        engine = resolve_native(config.native)
         stats_before = engine.stats.snapshot() if engine is not None else None
 
         peaks: dict[int, int] = {}
@@ -287,12 +242,8 @@ class CompiledProgram:
             output.clear()
             peaks.clear()
 
-        spmd = run_spmd(nprocs, machine, rank_main, backend=backend,
-                        on_fused_fallback=discard_partial_fused,
-                        fault_plan=fault_plan, watchdog=watchdog,
-                        trace=trace, on_fault=on_fault,
-                        max_restarts=max_restarts,
-                        checkpoint_every=checkpoint_every)
+        spmd = run_spmd(nprocs, machine, rank_main, config=config,
+                        on_fused_fallback=discard_partial_fused)
         if spmd.backend == "fused":
             # one pass stood in for all ranks: its (rank-0-modeled) peak
             # applies to every rank's local share estimate
@@ -304,7 +255,7 @@ class CompiledProgram:
         if engine is not None:
             after = engine.stats.snapshot()
             native_report = {k: after[k] - stats_before[k] for k in after}
-            native_report["mode"] = native_mode
+            native_report["mode"] = config.native
         return RunResult(workspace=workspace, output="".join(output),
                          elapsed=spmd.elapsed, spmd=spmd,
                          peak_local_bytes=[peaks.get(r, 0)
@@ -322,18 +273,13 @@ def parse_timed(source: str, name: str = "script") -> tuple:
 class OtterCompiler:
     """Front door: compile MATLAB source through all seven passes.
 
-    ``plan`` (a :class:`repro.tuning.Plan`, duck-typed to avoid an import
-    cycle) selects the compile-side knobs: peephole fusion schedule, LICM
-    policy, guard placement, and elementwise splitting.  Without a plan
-    the legacy ``peephole``/``licm`` booleans apply (the shipped
-    defaults, identical to the default plan).
+    ``plan`` (a :class:`repro.tuning.Plan`) selects the compile-side
+    knobs: peephole fusion schedule, LICM policy, guard placement, and
+    elementwise splitting.  ``None`` is :data:`repro.tuning.DEFAULT_PLAN`.
     """
 
-    def __init__(self, provider: MFileProvider | None = None,
-                 peephole: bool = True, licm: bool = True, plan=None):
+    def __init__(self, provider: MFileProvider | None = None, plan=None):
         self.provider = provider or EMPTY_PROVIDER
-        self.peephole = peephole
-        self.licm = licm
         self.plan = plan
 
     def compile(self, source: str, name: str = "script",
@@ -341,22 +287,11 @@ class OtterCompiler:
         """``parsed`` is :func:`parse_timed`'s result for this very
         ``source`` and ``name`` when the caller already paid for pass 1
         (the compile cache parses to canonicalise its key)."""
+        from .tuning.plan import DEFAULT_PLAN    # imports this module
+
         script, parse_seconds = parsed or parse_timed(source, name)  # pass 1
         timings: list[tuple[str, float]] = [("parse", parse_seconds)]
-
-        plan = self.plan
-        if plan is not None:
-            peep_enabled = bool(plan.fusion)
-            peep_schedule = plan.fusion
-            licm_policy = plan.licm
-            guard_placement = plan.guard
-            ew_split = plan.ew_split
-        else:
-            peep_enabled = self.peephole
-            peep_schedule = None
-            licm_policy = "aggressive" if self.licm else "off"
-            guard_placement = "owner"
-            ew_split = False
+        plan = self.plan if self.plan is not None else DEFAULT_PLAN
 
         def timed(pass_name, fn, *args, **kwargs):
             t0 = time.perf_counter()
@@ -368,13 +303,13 @@ class OtterCompiler:
                          script, self.provider)
         types = timed("infer", infer_types, resolved)             # pass 3
         ir = timed("lower", lower_program, resolved, types,       # pass 4
-                   ew_split=ew_split)
+                   ew_split=plan.ew_split)
         timed("guard", guard_program, ir,                         # pass 5
-              placement=guard_placement)
+              placement=plan.guard)
         stats = timed("peephole", peephole_program,               # pass 6
-                      ir, enabled=peep_enabled, schedule=peep_schedule)
+                      ir, schedule=plan.fusion)
         licm_stats = timed("licm", licm_program,                  # pass 6b
-                           ir, policy=licm_policy)
+                           ir, policy=plan.licm)
         from .codegen.py_emitter import emit_python               # pass 7
 
         py_source = timed("emit", emit_python, ir)
@@ -388,17 +323,15 @@ class OtterCompiler:
             licm_stats=licm_stats,
             provider=self.provider,
             pass_timings=timings,
-            plan=plan,
+            plan=self.plan,
             source=source,
         )
 
 
 def compile_source(source: str, provider: MFileProvider | None = None,
-                   peephole: bool = True, licm: bool = True,
                    name: str = "script", plan=None) -> CompiledProgram:
     """Convenience one-shot compile."""
-    return OtterCompiler(provider, peephole, licm, plan=plan) \
-        .compile(source, name)
+    return OtterCompiler(provider, plan).compile(source, name)
 
 
 def compile_cached(source: str, provider: MFileProvider | None = None,

@@ -81,6 +81,13 @@ class MpiError(OtterError):
     """Raised by the simulated MPI layer on protocol misuse."""
 
 
+class ConfigError(MpiError):
+    """A run knob or request field carries a value it cannot take; the
+    message leads with where it came from (``native=`` for a keyword or
+    request field, ``$REPRO_NATIVE`` for the environment).  An
+    :class:`MpiError` because callers catch the executor's knobs as such."""
+
+
 class MpiTimeoutError(MpiError):
     """A simulated rank waited longer than a configured timeout.
 

@@ -5,8 +5,9 @@
 times, and any exception.  A failure on one rank aborts the world so
 peers blocked in ``recv``/collectives unwind instead of deadlocking.
 
-Two backends execute the rank programs (``backend=`` argument, or the
-``REPRO_SPMD_BACKEND`` environment variable; default ``lockstep``):
+Two backends execute the rank programs (the ``backend`` run knob; see
+:mod:`repro.runconfig` and docs/CONFIGURATION.md for every knob, its
+keyword, its environment variable and its default):
 
 ``lockstep``
     Cooperative: a :class:`~repro.mpi.scheduler.LockstepScheduler`
@@ -27,7 +28,7 @@ Two backends execute the rank programs (``backend=`` argument, or the
     turn of the same attempt loop, on what is left of the same watchdog
     budget) — fusion is an optimization, never a semantics change.
 
-Self-healing (``on_fault=`` / ``$REPRO_ON_FAULT``; see
+Self-healing (the ``on_fault`` knob; see
 :mod:`repro.mpi.recovery` and docs/RESILIENCE.md): with a non-abort
 policy, a faulted run retries dropped/corrupted messages at the comm
 layer, and — under ``restart``/``degrade`` — replays terminal faults
@@ -41,7 +42,6 @@ restart attempt draw down the same allowance.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -50,111 +50,17 @@ from typing import Any, Callable, Optional
 
 from ..errors import FusionDivergence, MpiCorruptionError, MpiError, \
     MpiTimeoutError, RankCrashedError, SpmdWatchdogError
+from ..runconfig import RunConfig, resolve
 from .comm import Comm, World, _Abort
-from .faults import FaultPlan, FaultState, load_plan
+from .faults import FaultPlan, FaultState
 from .fused import FusedComm
 from .machine import MachineModel
-from .recovery import ActiveRecovery, RecoveryReport, resolve_recovery
+from .recovery import ActiveRecovery, RecoveryPolicy, RecoveryReport
 from .scheduler import DeadlockError, LockstepScheduler
-
-BACKENDS = ("lockstep", "fused")
-
-#: environment override for the default backend (used by the CI matrix
-#: to run the whole suite under each backend)
-BACKEND_ENV_VAR = "REPRO_SPMD_BACKEND"
-
-#: environment default for the chaos fault plan (inline spec or a path)
-FAULT_PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
-
-#: environment default for the host-wall-clock watchdog (seconds)
-WATCHDOG_ENV_VAR = "REPRO_WATCHDOG_SECONDS"
-
-#: environment default for trace recording (any non-empty value except
-#: "0" enables it; the CLI additionally interprets the value — see
-#: docs/OBSERVABILITY.md)
-TRACE_ENV_VAR = "REPRO_TRACE"
-
-#: environment default for plan autotuning ("0"/"" off, "1"/other truthy
-#: on with the default candidate budget, an integer sets the budget)
-TUNE_ENV_VAR = "REPRO_TUNE"
-
-#: candidate budget used when tuning is enabled without an explicit one
-DEFAULT_TUNE_BUDGET = 64
 
 #: after an abort, give wedged carrier threads this long to unwind
 #: before abandoning them (they are daemons; the process stays healthy)
 _TEARDOWN_GRACE = 5.0
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Pick the SPMD backend: explicit argument > environment > default."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "lockstep"
-    if backend not in BACKENDS:
-        raise MpiError(
-            f"unknown SPMD backend {backend!r} (expected one of "
-            f"{', '.join(BACKENDS)})")
-    return backend
-
-
-def resolve_fault_plan(fault_plan=None) -> Optional[FaultPlan]:
-    """Pick the chaos plan: explicit argument > $REPRO_FAULT_PLAN > none.
-
-    Accepts a :class:`FaultPlan`, an inline spec string, or a path."""
-    if fault_plan is not None:
-        return load_plan(fault_plan)
-    return load_plan(os.environ.get(FAULT_PLAN_ENV_VAR))
-
-
-def resolve_trace(trace: Optional[bool] = None) -> bool:
-    """Decide whether to record a trace: argument > $REPRO_TRACE > off."""
-    if trace is not None:
-        return bool(trace)
-    raw = os.environ.get(TRACE_ENV_VAR)
-    return bool(raw) and raw != "0"
-
-
-def resolve_tune(tune: Optional[bool] = None,
-                 budget: Optional[int] = None) -> Optional[int]:
-    """Decide the autotuning candidate budget (None: tuning off).
-
-    ``tune=True`` enables with ``budget`` (or the default);
-    ``tune=False`` disables regardless of the environment;
-    ``tune=None`` consults ``$REPRO_TUNE``.
-    """
-    if tune is False:
-        return None
-    if tune:
-        return int(budget) if budget else DEFAULT_TUNE_BUDGET
-    raw = os.environ.get(TUNE_ENV_VAR, "")
-    if not raw or raw == "0":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return int(budget) if budget else DEFAULT_TUNE_BUDGET
-    if value <= 0:
-        return None
-    return value
-
-
-def resolve_watchdog(watchdog: Optional[float] = None) -> Optional[float]:
-    """Pick the host-wall-clock watchdog: argument > environment > off."""
-    if watchdog is not None:
-        value = float(watchdog)
-    else:
-        raw = os.environ.get(WATCHDOG_ENV_VAR)
-        if not raw:
-            return None
-        try:
-            value = float(raw)
-        except ValueError:
-            raise MpiError(
-                f"{WATCHDOG_ENV_VAR} must be a number of seconds "
-                f"(got {raw!r})") from None
-    if value <= 0:
-        raise MpiError(f"watchdog must be positive (got {value:g}s)")
-    return value
 
 
 @dataclass
@@ -376,45 +282,29 @@ def _run_lockstep(nprocs: int, machine: MachineModel, fn: Callable,
 
 def run_spmd(nprocs: int, machine: MachineModel,
              fn: Callable[..., Any], *args: Any,
-             backend: Optional[str] = None,
+             config: Optional[RunConfig] = None,
              on_fused_fallback: Optional[Callable[[], Any]] = None,
-             fault_plan=None,
-             watchdog: Optional[float] = None,
-             trace: Optional[bool] = None,
-             on_fault: Optional[str] = None,
-             max_restarts: Optional[int] = None,
-             checkpoint_every: Optional[int] = None,
              **kwargs: Any) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` simulated ranks.
+
+    ``config`` is the resolved :class:`~repro.runconfig.RunConfig`, used
+    as is.  Without one, the run-knob keywords among ``kwargs``
+    (``backend=``, ``trace=``, ``fault_plan=``, ``watchdog=``,
+    ``on_fault=``, ...; docs/CONFIGURATION.md) are resolved here, once,
+    against the environment; every other keyword goes to ``fn``.
 
     ``on_fused_fallback`` is invoked (if given) when a ``fused`` run
     diverges, *before* the lockstep re-run — and again before each
     recovery restart attempt — callers use it to discard any partial
     side effects the aborted pass left behind.
-
-    ``fault_plan`` (a :class:`~repro.mpi.faults.FaultPlan`, inline spec
-    string, or path; default ``$REPRO_FAULT_PLAN``) injects a
-    deterministic chaos schedule.  ``watchdog`` (seconds, default
-    ``$REPRO_WATCHDOG_SECONDS``) aborts the run with a structured
-    :class:`~repro.errors.SpmdWatchdogError` if it exceeds that much
-    *host* wall-clock time; one budget covers the fused attempt, any
-    lockstep fallback, and every restart.  See docs/RESILIENCE.md.
-
-    ``on_fault`` / ``max_restarts`` / ``checkpoint_every`` (defaults
-    ``$REPRO_ON_FAULT`` / ``$REPRO_MAX_RESTARTS`` /
-    ``$REPRO_CHECKPOINT_EVERY``) select the self-healing policy; the
-    default ``"abort"`` reproduces the historical fail-fast behavior
-    exactly.  See :mod:`repro.mpi.recovery`.
-
-    ``trace`` (default ``$REPRO_TRACE``) records a deterministic
-    :class:`~repro.trace.WorldTrace` of the run, returned on
-    ``SpmdResult.trace``.  See docs/OBSERVABILITY.md.
     """
-    backend = resolve_backend(backend)
-    plan = resolve_fault_plan(fault_plan)
-    watchdog = resolve_watchdog(watchdog)
-    tracing = resolve_trace(trace)
-    policy = resolve_recovery(on_fault, max_restarts, checkpoint_every)
+    if config is None:
+        config = resolve(**{name: kwargs.pop(name)
+                            for name in RunConfig._fields if name in kwargs})
+    backend, watchdog, tracing = config.backend, config.watchdog, config.trace
+    plan: Optional[FaultPlan] = config.fault_plan
+    policy = RecoveryPolicy(config.on_fault, config.max_restarts,
+                            config.checkpoint_every)
 
     def new_recovery() -> Optional[ActiveRecovery]:
         # without a plan there is nothing injectable to heal — the

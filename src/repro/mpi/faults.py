@@ -20,7 +20,7 @@ This module defines the fault *schedule*:
 :class:`FaultPlan`
     An immutable, reusable bundle of rules + seed (+ an optional
     virtual-clock timeout).  Parsable from a small text format so plans
-    travel through ``--fault-plan`` / ``$REPRO_FAULT_PLAN``.
+    travel through ``--fault-plan`` / ``fault_plan=``.
 
 :class:`FaultState`
     The per-run mutable consultation state.  **Determinism is the whole
@@ -458,7 +458,7 @@ def _parse_float(value: str, what: str) -> float:
 
 
 def load_plan(spec) -> Optional[FaultPlan]:
-    """Resolve a ``--fault-plan`` / ``$REPRO_FAULT_PLAN`` value.
+    """Resolve a ``--fault-plan`` / ``fault_plan=`` value.
 
     ``None``/empty → no plan; an existing :class:`FaultPlan` passes
     through; ``@path`` or a path to an existing file reads the file;

@@ -60,21 +60,9 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ..errors import MpiError
+from ..runconfig import ON_FAULT_POLICIES, RunConfig
 from .faults import _hash01
 
-#: the four degradation policies, in increasing order of self-healing
-ON_FAULT_POLICIES = ("abort", "retry", "restart", "degrade")
-
-#: environment default for the degradation policy
-ON_FAULT_ENV_VAR = "REPRO_ON_FAULT"
-
-#: environment default for the restart budget
-MAX_RESTARTS_ENV_VAR = "REPRO_MAX_RESTARTS"
-
-#: environment default for the checkpoint cadence (collectives)
-CHECKPOINT_EVERY_ENV_VAR = "REPRO_CHECKPOINT_EVERY"
-
-DEFAULT_MAX_RESTARTS = 2
 DEFAULT_MAX_RETRIES = 8
 
 
@@ -92,7 +80,7 @@ class RecoveryPolicy:
     """
 
     on_fault: str = "abort"
-    max_restarts: int = DEFAULT_MAX_RESTARTS
+    max_restarts: int = RunConfig().max_restarts
     checkpoint_every: Optional[int] = None
     max_retries: int = DEFAULT_MAX_RETRIES
     rto_factor: float = 4.0
@@ -133,35 +121,6 @@ class RecoveryPolicy:
     @property
     def degrade(self) -> bool:
         return self.on_fault == "degrade"
-
-
-def resolve_recovery(on_fault: Optional[str] = None,
-                     max_restarts: Optional[int] = None,
-                     checkpoint_every: Optional[int] = None,
-                     checkpoint_dir: Optional[str] = None) -> RecoveryPolicy:
-    """Build the policy: explicit arguments > environment > defaults."""
-    if on_fault is None:
-        on_fault = os.environ.get(ON_FAULT_ENV_VAR) or "abort"
-    if max_restarts is None:
-        raw = os.environ.get(MAX_RESTARTS_ENV_VAR)
-        max_restarts = _env_int(raw, MAX_RESTARTS_ENV_VAR) \
-            if raw else DEFAULT_MAX_RESTARTS
-    if checkpoint_every is None:
-        raw = os.environ.get(CHECKPOINT_EVERY_ENV_VAR)
-        checkpoint_every = _env_int(raw, CHECKPOINT_EVERY_ENV_VAR) \
-            if raw else None
-    return RecoveryPolicy(on_fault=on_fault,
-                          max_restarts=int(max_restarts),
-                          checkpoint_every=checkpoint_every,
-                          checkpoint_dir=checkpoint_dir)
-
-
-def _env_int(raw: str, what: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise MpiError(
-            f"{what} must be an integer (got {raw!r})") from None
 
 
 def retry_backoff(seed: int, rank: int, seq: int, attempt: int,

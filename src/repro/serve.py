@@ -35,7 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    return run(build_parser().parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Serve until shutdown under parsed :func:`build_parser` options
+    (``repro serve`` parses them with this parser as its parent)."""
     from .service.cache import CompileCache
     from .service.server import ServiceServer
 

@@ -70,7 +70,7 @@ ENV_COMPILE_CACHE = "REPRO_COMPILE_CACHE"
 
 #: bump when the cached-payload layout or the emitted-code ABI changes —
 #: stale major versions on disk are simply never looked up
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 
 _OFF_VALUES = ("0", "off", "none", "disabled")
 
@@ -81,20 +81,14 @@ def _sha(text: str) -> str:
 
 def plan_from_dict(payload: Optional[dict]):
     """Rebuild a :class:`repro.tuning.Plan` from its ``as_dict`` form
-    (JSON round-trip turns the tuple fields into lists)."""
+    (the plan itself turns JSON's lists back into tuples).  The payload
+    may come off the wire: anything but a mapping of plan fields to
+    legal values raises ``TypeError`` or ``ValueError``."""
     if payload is None:
         return None
     from ..tuning.plan import Plan
 
-    kwargs = {}
-    for key, value in payload.items():
-        if key == "dist":
-            kwargs[key] = tuple(tuple(pair) for pair in value)
-        elif key == "fusion":
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    return Plan(**kwargs)
+    return Plan(**payload)
 
 
 def _parse_canonical(source: str, name: str) -> tuple[str, Optional[tuple]]:

@@ -20,10 +20,11 @@ Protocol (newline-delimited JSON; see docs/SERVICE.md):
     Compile (or fetch) the program; reports the cache key, hit/tier,
     and the compiler passes executed *for this request* (``[]`` warm).
     Only the plan's compile-side fields key the program.
-``{"op": "run", ... compile fields ..., [nprocs, machine, backend,
-   native, seed, scheme, cache_gathers, watchdog, trace]}``
+``{"op": "run", ... compile fields ..., [nprocs, machine, seed,
+   scheme, cache_gathers, backend, native, watchdog, trace]}``
     Compile-or-fetch then execute under the request's run
-    configuration and full plan; streams back output, modeled
+    configuration and full plan (``scheme``/``cache_gathers`` override
+    the plan's fields of the same name); streams back output, modeled
     elapsed/per-rank clocks, communication counters, the JSON-encoded
     final workspace, and (``trace: true``) the canonical trace SHA.
 ``{"op": "trace", ...}``
@@ -36,12 +37,14 @@ Protocol (newline-delimited JSON; see docs/SERVICE.md):
 
 Every request is answered — errors come back structured
 (``{"ok": false, "error": <type>, "message": ...}``) and the session
-survives them; a per-request ``watchdog`` aborts only that session's
-run.
+survives them, a line that is not a JSON object included
+(``ProtocolError``); a per-request ``watchdog`` aborts only that
+session's run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import threading
 import time
@@ -49,13 +52,40 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..errors import OtterError
+from ..errors import ConfigError, OtterError
+from ..mpi.machine import MACHINES
+from ..runconfig import choice, integer, resolve
 from .cache import CompileCache, plan_from_dict
 from .stores import StoreManager, default_manager
-from .transport import LoopbackTransport, SocketTransport, Transport, \
-    TransportClosed
+from .transport import LoopbackTransport, ProtocolError, SocketTransport, \
+    Transport, TransportClosed
 
 PROTOCOL_VERSION = 1
+
+#: the run knobs a remote request may set (docs/CONFIGURATION.md).
+#: ``fault_plan`` is deliberately not one: its value may name a file to
+#: read on this host.
+_REQUEST_KNOBS = ("backend", "native", "watchdog", "trace")
+
+# the other run fields, validated like knobs: parser(value, origin)
+_NPROCS, _SEED = integer(1), integer(0)
+_MACHINE = choice("machine", tuple(sorted(MACHINES)))
+
+
+def _request_plan(request: dict):
+    """The request's plan: its ``plan`` object with the ``scheme`` and
+    ``cache_gathers`` fields laid over it (``None``: the default)."""
+    try:
+        plan = plan_from_dict(request.get("plan"))
+        over = {field: request[field]
+                for field in ("scheme", "cache_gathers") if field in request}
+        if over:
+            from ..tuning.plan import DEFAULT_PLAN
+
+            plan = dataclasses.replace(plan or DEFAULT_PLAN, **over)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"plan=: {exc}") from None
+    return plan
 
 
 def _jsonify_value(value: Any) -> Any:
@@ -181,17 +211,23 @@ class ServiceServer:
             self._session_threads.add(threading.current_thread())
         try:
             while not self._stopped.is_set():
-                request = transport.recv()
-                if request is None:
-                    return
+                request: dict = {}
+                hang_up = False
                 try:
+                    received = transport.recv()
+                    if received is None:
+                        return
+                    if not isinstance(received, dict):
+                        raise ProtocolError(
+                            f"a request is a JSON object (got "
+                            f"{type(received).__name__})")
+                    request = received
                     response = self._dispatch(request, session_id)
                 except TransportClosed:
                     raise
-                except OtterError as exc:
-                    response = self._error(request, exc)
                 except Exception as exc:  # noqa: BLE001 — session survives
                     response = self._error(request, exc)
+                    hang_up = isinstance(exc, ProtocolError) and exc.fatal
                 # stop *before* answering a shutdown, so the flag is
                 # already set when the client reads the acknowledgement
                 closing = request.get("op") == "shutdown" \
@@ -202,7 +238,7 @@ class ServiceServer:
                     transport.send(response)
                 except TransportClosed:
                     return
-                if closing:
+                if closing or hang_up:
                     return
         finally:
             transport.close()
@@ -223,7 +259,7 @@ class ServiceServer:
             return {"ok": True, "op": "ping", "pong": True,
                     "session": session_id, "protocol": PROTOCOL_VERSION}
         if op == "compile":
-            return self._op_compile(request, session_id)
+            return self._compile(request, session_id)[0]
         if op == "run":
             return self._op_run(request, session_id, force_trace=False)
         if op == "trace":
@@ -239,44 +275,22 @@ class ServiceServer:
     # ops
     # ------------------------------------------------------------------ #
 
-    def _compile_config(self, request: dict) -> dict:
-        if not isinstance(request.get("source"), str):
-            raise OtterError("compile/run needs a 'source' string")
-        nprocs = request.get("nprocs", 1)
-        if not isinstance(nprocs, int) or nprocs < 1:
-            raise OtterError(f"nprocs must be a positive int "
-                             f"(got {nprocs!r})")
-        provider = None
-        mfiles = request.get("mfiles")
-        if mfiles:
-            from ..frontend.mfile import DictProvider
-
-            provider = DictProvider(dict(mfiles))
-        machine_name = request.get("machine") or "meiko"
-        from ..mpi.machine import get_machine
-
-        return {
-            "source": request["source"],
-            "name": request.get("name") or "script",
-            "provider": provider,
-            "plan": plan_from_dict(request.get("plan")),
-            "nprocs": nprocs,
-            "machine": get_machine(machine_name),
-            "backend": request.get("backend"),
-            "native": request.get("native"),
-        }
-
-    def _op_compile(self, request: dict, session_id: int) -> dict:
-        response, _cfg, _outcome = self._compile_common(request, session_id)
-        return response
-
-    def _compile_common(self, request: dict, session_id: int):
+    def _compile(self, request: dict, session_id: int):
+        """Compile-or-fetch for a compile/run/trace request:
+        ``(response, cache outcome, request plan)``."""
         with self._lock:
             self.counters["compiles_requested"] += 1
-        cfg = self._compile_config(request)
+        if not isinstance(request.get("source"), str):
+            raise OtterError("compile/run needs a 'source' string")
+        provider = None
+        if request.get("mfiles"):
+            from ..frontend.mfile import DictProvider
+
+            provider = DictProvider(dict(request["mfiles"]))
+        plan = _request_plan(request)
         outcome = self.cache.get_or_compile(
-            cfg["source"], name=cfg["name"], provider=cfg["provider"],
-            plan=cfg["plan"])
+            request["source"], name=request.get("name") or "script",
+            provider=provider, plan=plan)
         program = outcome.program
         return {
             "ok": True, "op": "compile", "session": session_id,
@@ -287,24 +301,23 @@ class ServiceServer:
                          program.peephole_stats.transpose_fused,
                          "cse_removed": program.peephole_stats.cse_removed},
             "licm_hoisted": program.licm_stats.hoisted,
-        }, cfg, outcome
+        }, outcome, plan
 
     def _op_run(self, request: dict, session_id: int,
                 force_trace: bool) -> dict:
-        compile_response, cfg, outcome = \
-            self._compile_common(request, session_id)
-        trace = bool(request.get("trace")) or force_trace
-        result = outcome.program.run(
-            nprocs=cfg["nprocs"], machine=cfg["machine"],
-            seed=int(request.get("seed", 0)),
-            scheme=request.get("scheme", "block"),
-            cache_gathers=bool(request.get("cache_gathers", False)),
-            backend=cfg["backend"],
-            watchdog=request.get("watchdog"),
-            trace=trace or None,
-            plan=cfg["plan"],
-            native=cfg["native"],
-            stores=self.stores)
+        # the whole run configuration is checked before any work is done
+        knobs = {knob: request[knob]
+                 for knob in _REQUEST_KNOBS if knob in request}
+        if force_trace:
+            knobs["trace"] = True
+        config = resolve(**knobs)
+        nprocs = _NPROCS(request.get("nprocs", 1), "nprocs=")
+        seed = _SEED(request.get("seed", 0), "seed=")
+        machine = _MACHINE(request.get("machine") or "meiko", "machine=")
+        compile_response, outcome, plan = self._compile(request, session_id)
+        result = outcome.program.run(nprocs, MACHINES[machine], seed,
+                                     plan=plan, stores=self.stores,
+                                     config=config)
         with self._lock:
             self.counters["runs"] += 1
         response = dict(compile_response)
@@ -333,8 +346,8 @@ class ServiceServer:
                 from ..trace import pass_report
 
                 summary["profile"] = render_source_profile(
-                    result.trace.line_profile(), cfg["source"],
-                    filename=cfg["name"], elapsed=result.elapsed)
+                    result.trace.line_profile(), request["source"],
+                    filename=outcome.program.name, elapsed=result.elapsed)
                 summary["pass_report"] = pass_report(
                     outcome.passes, native=result.native,
                     cache=outcome.describe())

@@ -20,9 +20,26 @@ import queue
 import socket
 from typing import Optional
 
+from ..errors import OtterError
+
+#: longest line a socket session reads (requests carry whole sources
+#: and M-files, so this is generous); a peer that never sends a newline
+#: cannot make the reader buffer more than this
+MAX_LINE_BYTES = 8 * 1024 * 1024
+
 
 class TransportClosed(Exception):
     """The peer went away mid-conversation."""
+
+
+class ProtocolError(OtterError):
+    """What arrived is not a message of the protocol.  ``fatal`` marks
+    one after which the stream cannot be trusted to be at a line
+    boundary: answer, then close."""
+
+    def __init__(self, message: str, fatal: bool = False):
+        super().__init__(message)
+        self.fatal = fatal
 
 
 class Transport:
@@ -30,7 +47,8 @@ class Transport:
         raise NotImplementedError
 
     def recv(self) -> Optional[dict]:
-        """Next message, or ``None`` on orderly close."""
+        """Next message, or ``None`` on orderly close; raises
+        :class:`ProtocolError` for a line that is not one."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -53,12 +71,18 @@ class SocketTransport(Transport):
 
     def recv(self) -> Optional[dict]:
         try:
-            line = self._rfile.readline()
+            line = self._rfile.readline(MAX_LINE_BYTES + 1)
         except OSError:
             return None
         if not line:
             return None
-        return json.loads(line.decode("utf-8"))
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolError(
+                f"line longer than {MAX_LINE_BYTES} bytes", fatal=True)
+        try:
+            return json.loads(line.decode("utf-8"))
+        except ValueError as exc:     # bad UTF-8 or bad JSON
+            raise ProtocolError(f"not a JSON line: {exc}") from None
 
     def close(self) -> None:
         try:

@@ -1,10 +1,12 @@
 """Candidate-evaluation memo.
 
-Tuning the same source at several rank counts (or re-running a sweep)
-re-evaluates many identical (source, nprocs, machine, plan) points; the
-memo returns the recorded cost instead of re-running the workload.  The
-machine model participates in the key as itself — it is a frozen
-dataclass, so value equality is exactly "same cost model".
+Tuning the same program at several rank counts (or re-running a sweep)
+re-evaluates many identical (program, plan, nprocs, machine, seed)
+points; the memo returns the recorded cost instead of re-running the
+workload.  The program is named by its compile-cache key (canonical
+source, script name, M-file provider).  The machine model participates
+in the key as itself — it is a frozen dataclass, so value equality is
+exactly "same cost model".
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ _EVAL_MEMO_STATS = {"hits": 0, "misses": 0}
 _EVAL_MEMO_MAX = 4096
 
 
-def eval_key(src_hash: str, nprocs: int, machine, plan) -> tuple:
-    return (src_hash, nprocs, machine, plan.key())
+def eval_key(program_key: str, plan, nprocs: int, machine,
+             seed: int) -> tuple:
+    return (program_key, plan.key(), nprocs, machine, seed)
 
 
 def eval_lookup(key: tuple) -> Optional[dict]:

@@ -43,13 +43,6 @@ Knob reference:
     world actually spans nodes.
 ``cache_gathers``
     Reuse gathered replicas of unmodified distributed values.
-``native``
-    JIT kernel tier for fused elementwise chains (docs/NATIVE.md):
-    ``auto`` (use when a C compiler exists — the default) | ``off`` |
-    ``require``.  A *host-time* knob: modeled numbers are bit-identical
-    either way, so the virtual-clock objective cannot distinguish
-    settings — the axis exists so tuned plans can carry an explicit
-    tier choice into production runs, not for the search to explore.
 """
 
 from __future__ import annotations
@@ -67,7 +60,6 @@ GUARD_PLACEMENTS = ("owner", "replicated")
 GATHER_ALGOS = ("ring", "doubling")
 ALLREDUCE_ALGOS = ("tree", "halving")
 HIERARCHIES = ("auto", "flat")
-NATIVE_MODES = ("auto", "off", "require")
 
 #: the fields a compiler pass reads; every other field is applied by
 #: ``CompiledProgram.run`` and must never key a compiled artifact
@@ -88,7 +80,6 @@ class Plan:
     allreduce_algo: str = "tree"
     hierarchy: str = "auto"
     cache_gathers: bool = False
-    native: str = "auto"
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -124,9 +115,6 @@ class Plan:
         if self.hierarchy not in HIERARCHIES:
             raise ValueError(f"hierarchy must be one of {HIERARCHIES} "
                              f"(got {self.hierarchy!r})")
-        if self.native not in NATIVE_MODES:
-            raise ValueError(f"native must be one of {NATIVE_MODES} "
-                             f"(got {self.native!r})")
 
     # -- identity -------------------------------------------------------- #
 

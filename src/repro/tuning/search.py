@@ -17,7 +17,6 @@ the neighborhood has nothing to offer.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -25,10 +24,21 @@ from typing import Any, Optional
 import numpy as np
 
 from ..compiler import compile_cache_stats, compile_cached
+from ..errors import MpiCorruptionError, MpiTimeoutError, RankCrashedError
 from ..mpi.machine import MEIKO_CS2, MachineModel
+from ..runconfig import RunConfig
 from .memo import eval_key, eval_lookup, eval_memo_stats, eval_store
 from .plan import DEFAULT_PLAN, Plan
 from .space import enumerate_plans
+
+#: every evaluation runs under this configuration and no other: the
+#: search must cost plans, not whatever the caller's environment or
+#: final-run knobs (tracing, chaos, watchdog, backend) would add
+_EVAL_CONFIG = RunConfig(backend="fused")
+
+#: failures of the substrate or the host, not of the plan under test —
+#: reported on the candidate, never memoised as its cost
+_NOT_THE_PLAN = (MpiTimeoutError, MpiCorruptionError, RankCrashedError)
 
 
 @dataclass
@@ -176,16 +186,17 @@ def tune_program(source: str, nprocs: int = 4,
     by a fused-backend run; the winner is the valid candidate with the
     smallest final virtual clock.
     """
+    from ..service.cache import get_compile_cache
+
     machine = machine or MEIKO_CS2
     budget = max(int(budget), 1)
     t0 = time.perf_counter()
-    src_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()
 
     result = TuneResult(name=name, nprocs=nprocs, machine=machine,
                         budget=budget)
 
     def evaluate(plan: Plan, reference: Optional[dict]):
-        key = eval_key(src_hash, nprocs, machine, plan)
+        key = eval_key(program_key, plan, nprocs, machine, seed)
         hit = eval_lookup(key)
         if hit is not None:
             cand = Candidate(plan=plan, cost=hit["cost"],
@@ -195,8 +206,8 @@ def tune_program(source: str, nprocs: int = 4,
         counts: dict = {}
         try:
             program = compile_cached(source, provider, name=name, plan=plan)
-            run = program.run(nprocs=nprocs, machine=machine, seed=seed,
-                              backend="fused", plan=plan, tune=False)
+            run = program.run(nprocs, machine, seed, plan=plan,
+                              config=_EVAL_CONFIG)
             observed = _observed(run)
             counts = dict(run.spmd.collective_counts)
             valid = reference is None or _numerics_match(reference, observed)
@@ -205,6 +216,8 @@ def tune_program(source: str, nprocs: int = 4,
             observed = None
             cand = Candidate(plan=plan, cost=float("inf"), valid=False,
                              error=f"{type(exc).__name__}: {exc}")
+            if isinstance(exc, _NOT_THE_PLAN):
+                return cand, observed, counts
         eval_store(key, {"cost": cand.cost, "valid": cand.valid,
                          "error": cand.error, "observed": observed,
                          "counts": counts})
@@ -216,6 +229,9 @@ def tune_program(source: str, nprocs: int = 4,
                                      plan=DEFAULT_PLAN)
     # the axis pruning below reads the IR, which a disk-tier hit lacks
     default_program.ensure_front_end()
+    # after the compile, whose one parse also canonicalised the source
+    program_key = get_compile_cache().key(source, name=name,
+                                          provider=provider)
 
     # candidate 0: the default plan — also the numerics reference and
     # the probe whose collective counts prune the axis list

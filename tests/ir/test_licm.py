@@ -5,6 +5,9 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.ir.nodes import IRFor, IRWhile, RTCall
+from repro.tuning import Plan
+
+NO_LICM = Plan(licm="off")
 
 
 def hoist_count(src, **kw):
@@ -127,12 +130,13 @@ end
 
     def test_disabled_flag(self):
         src = "d = rand(4, 4);\nt = 0;\nfor s = 1:10\n t = t + d(1, 2);\nend"
-        assert hoist_count(src, licm=False) == 0
+        assert hoist_count(src, plan=NO_LICM) == 0
 
 
 class TestSemanticsPreserved:
-    @pytest.mark.parametrize("licm", [True, False])
-    def test_identical_results(self, licm):
+    @pytest.mark.parametrize("plan,other", [(None, NO_LICM),
+                                            (NO_LICM, None)])
+    def test_identical_results(self, plan, other):
         src = """
 rand('seed', 3);
 a = rand(16, 16);
@@ -145,10 +149,10 @@ for s = 1:20
 end
 m = sum(acc);
 """
-        result = compile_source(src, licm=licm).run(nprocs=4)
+        result = compile_source(src, plan=plan).run(nprocs=4)
         # pin the value so both variants are compared to the same number
         assert result.workspace["m"] == pytest.approx(
-            compile_source(src, licm=not licm).run(
+            compile_source(src, plan=other).run(
                 nprocs=4).workspace["m"], rel=1e-12)
 
     def test_collectives_reduced(self):
@@ -159,8 +163,8 @@ for s = 1:50
     t = t + d(1, 2);
 end
 """
-        with_licm = compile_source(src, licm=True).run(nprocs=4)
-        without = compile_source(src, licm=False).run(nprocs=4)
+        with_licm = compile_source(src).run(nprocs=4)
+        without = compile_source(src, plan=NO_LICM).run(nprocs=4)
         assert (with_licm.spmd.collective_counts.get("bcast", 0)
                 < without.spmd.collective_counts.get("bcast", 0))
         assert with_licm.elapsed < without.elapsed

@@ -426,16 +426,6 @@ class TestWatchdog:
         guarded = run_spmd(2, MEIKO_CS2, one_message, watchdog=30.0)
         assert _fingerprint(base) == _fingerprint(guarded)
 
-    def test_env_var_configures_the_watchdog(self, monkeypatch):
-        monkeypatch.setenv(executor.WATCHDOG_ENV_VAR, "not-a-number")
-        with pytest.raises(MpiError, match="number of seconds"):
-            executor.resolve_watchdog()
-        monkeypatch.setenv(executor.WATCHDOG_ENV_VAR, "-3")
-        with pytest.raises(MpiError, match="positive"):
-            executor.resolve_watchdog()
-        monkeypatch.setenv(executor.WATCHDOG_ENV_VAR, "2.5")
-        assert executor.resolve_watchdog() == 2.5
-
 
 class TestAbortPropagation:
     """A rank raising mid-collective must surface *its* error (with the

@@ -33,12 +33,8 @@ from repro.errors import (
 )
 from repro.mpi import MEIKO_CS2, run_spmd
 from repro.mpi.recovery import (
-    CHECKPOINT_EVERY_ENV_VAR,
-    MAX_RESTARTS_ENV_VAR,
-    ON_FAULT_ENV_VAR,
     CheckpointStore,
     RecoveryPolicy,
-    resolve_recovery,
     retry_backoff,
 )
 from repro.trace import canonical_events
@@ -79,28 +75,18 @@ def _clocks(result):
 # ------------------------------------------------------------------------- #
 
 
-class TestPolicyResolution:
-    def test_default_is_abort_and_inactive(self, monkeypatch):
-        monkeypatch.delenv(ON_FAULT_ENV_VAR, raising=False)
-        policy = resolve_recovery()
+class TestPolicy:
+    # where on_fault / max_restarts / checkpoint_every come from
+    # (keyword, environment, default): tests/test_runconfig.py
+
+    def test_default_is_abort_and_inactive(self):
+        policy = RecoveryPolicy()
         assert policy.on_fault == "abort"
         assert not policy.active
         assert not policy.restarts_enabled and not policy.degrade
 
-    def test_arguments_beat_environment(self, monkeypatch):
-        monkeypatch.setenv(ON_FAULT_ENV_VAR, "degrade")
-        monkeypatch.setenv(MAX_RESTARTS_ENV_VAR, "7")
-        monkeypatch.setenv(CHECKPOINT_EVERY_ENV_VAR, "9")
-        policy = resolve_recovery(on_fault="retry", max_restarts=1,
-                                  checkpoint_every=2)
-        assert (policy.on_fault, policy.max_restarts,
-                policy.checkpoint_every) == ("retry", 1, 2)
-
-    def test_environment_beats_defaults(self, monkeypatch):
-        monkeypatch.setenv(ON_FAULT_ENV_VAR, "restart")
-        monkeypatch.setenv(MAX_RESTARTS_ENV_VAR, "5")
-        monkeypatch.setenv(CHECKPOINT_EVERY_ENV_VAR, "3")
-        policy = resolve_recovery()
+    def test_restart_policy_is_active(self):
+        policy = RecoveryPolicy("restart", 5, 3)
         assert (policy.on_fault, policy.max_restarts,
                 policy.checkpoint_every) == ("restart", 5, 3)
         assert policy.active and policy.restarts_enabled
@@ -118,11 +104,6 @@ class TestPolicyResolution:
     def test_rejects_bad_knobs(self, kwargs, match):
         with pytest.raises(MpiError, match=match):
             RecoveryPolicy(**kwargs)
-
-    def test_non_integer_environment_is_actionable(self, monkeypatch):
-        monkeypatch.setenv(MAX_RESTARTS_ENV_VAR, "many")
-        with pytest.raises(MpiError, match="must be an integer"):
-            resolve_recovery(on_fault="restart")
 
     def test_run_spmd_rejects_unknown_policy_eagerly(self):
         with pytest.raises(MpiError, match="unknown on_fault"):

@@ -5,30 +5,23 @@ import numpy as np
 import pytest
 
 from repro.mpi import (
-    BACKEND_ENV_VAR,
     BACKENDS,
     MEIKO_CS2,
     DeadlockError,
     MpiError,
-    resolve_backend,
     run_spmd,
 )
 
+BACKEND_ENV_VAR = "REPRO_SPMD_BACKEND"
+
 
 class TestBackendSelection:
-    def test_default_is_lockstep(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend() == "lockstep"
+    # default / environment / explicit precedence: tests/test_runconfig.py
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "fused")
-        assert resolve_backend() == "fused"
         res = run_spmd(2, MEIKO_CS2, lambda comm: comm.allreduce(1.0))
         assert res.backend == "fused"
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fused")
-        assert resolve_backend("lockstep") == "lockstep"
 
     def test_exactly_two_backends(self, monkeypatch):
         # the free-running backend is gone, not aliased: its old name

@@ -1,7 +1,9 @@
-"""Mode resolution and forced-fallback behavior: ``off`` never touches
+"""Mode → engine and forced-fallback behavior: ``off`` never touches
 the tier, a poisoned compiler degrades ``auto`` cleanly and makes
 ``require`` raise, and full programs produce bitwise-identical results
-and virtual clocks with the tier on or off."""
+and virtual clocks with the tier on or off.  (Where the mode itself
+comes from — keyword, ``$REPRO_NATIVE``, default — and what an invalid
+one raises: tests/test_runconfig.py.)"""
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from repro.compiler import compile_source
 from repro.mpi import MEIKO_CS2
 from repro.native import (
     ENV_CC,
-    ENV_NATIVE,
     NativeUnavailableError,
     find_compiler,
     get_engine,
@@ -23,27 +24,12 @@ HAVE_NATIVE = find_compiler() is not None and get_engine().available
 
 
 # ---------------------------------------------------------------------- #
-# mode resolution
+# mode → engine
 # ---------------------------------------------------------------------- #
 
 
 def test_off_mode_resolves_to_none():
     assert resolve_native("off") is None
-
-
-def test_env_off_resolves_to_none(monkeypatch):
-    monkeypatch.setenv(ENV_NATIVE, "off")
-    assert resolve_native() is None
-
-
-def test_explicit_mode_beats_env(monkeypatch):
-    monkeypatch.setenv(ENV_NATIVE, "require")
-    assert resolve_native("off") is None
-
-
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError, match="native mode"):
-        resolve_native("fast")
 
 
 @pytest.mark.skipif(not HAVE_NATIVE, reason="native tier unavailable")

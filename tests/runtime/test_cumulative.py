@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_source
 from repro.interp.interpreter import run_source
+from repro.tuning import Plan
 
 # inf * 0 and inf - inf are the point of half these inputs
 pytestmark = pytest.mark.filterwarnings(
@@ -53,8 +54,8 @@ def _check_against_interpreter(source):
     program = compile_source(source)
     for nprocs in NPROCS:
         for scheme in SCHEMES:
-            runs = {backend: program.run(nprocs=nprocs, scheme=scheme,
-                                         backend=backend)
+            runs = {backend: program.run(nprocs=nprocs, backend=backend,
+                                         plan=Plan(scheme=scheme))
                     for backend in BACKENDS}
             where = f"P={nprocs} {scheme}"
             assert runs["fused"].spmd.backend == "fused", where

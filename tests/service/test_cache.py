@@ -252,7 +252,7 @@ def test_run_time_plan_fields_never_stick_to_the_cached_program(
 def test_cached_program_carries_compile_side_plan_fields_only(plan_src):
     cache = CompileCache(disk_root=False)
     request = Plan(fusion=(), licm="safe", scheme="cyclic",
-                   gather_algo="doubling", cache_gathers=True, native="off")
+                   gather_algo="doubling", cache_gathers=True)
     program = cache.get_or_compile(plan_src, plan=request).program
     assert program.plan == Plan(fusion=(), licm="safe")
 

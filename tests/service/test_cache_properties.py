@@ -58,10 +58,9 @@ ALTERNATIVES = {
     "allreduce_algo": ["halving"],
     "hierarchy": ["flat"],
     "cache_gathers": [True],
-    "native": ["off", "require"],
 }
 RUN_TIME_FIELDS = ("scheme", "dist", "gather_algo", "allreduce_algo",
-                   "hierarchy", "cache_gathers", "native")
+                   "hierarchy", "cache_gathers")
 
 
 def test_every_plan_field_is_classified_and_fully_enumerated():
@@ -73,8 +72,7 @@ def test_every_plan_field_is_classified_and_fully_enumerated():
                         ("guard", plan_mod.GUARD_PLACEMENTS),
                         ("gather_algo", plan_mod.GATHER_ALGOS),
                         ("allreduce_algo", plan_mod.ALLREDUCE_ALGOS),
-                        ("hierarchy", plan_mod.HIERARCHIES),
-                        ("native", plan_mod.NATIVE_MODES)):
+                        ("hierarchy", plan_mod.HIERARCHIES)):
         default = getattr(DEFAULT_PLAN, name)
         assert sorted(ALTERNATIVES[name] + [default]) == sorted(legal)
 
@@ -118,7 +116,7 @@ _PLANS = {"nofuse": Plan(fusion=()), "safe": Plan(licm="safe"),
 
 # run-time dressings of a request: none may move the key
 run_side = st.sampled_from((
-    {}, {"scheme": "cyclic"}, {"gather_algo": "doubling", "native": "off"},
+    {}, {"scheme": "cyclic"}, {"gather_algo": "doubling"},
     {"dist": (("x", "cyclic"),), "cache_gathers": True,
      "allreduce_algo": "halving", "hierarchy": "flat"}))
 

@@ -215,6 +215,71 @@ def test_watchdog_aborts_only_the_request(client):
 
 
 # ---------------------------------------------------------------------- #
+# request configuration: one carrier per choice, validated up front
+# ---------------------------------------------------------------------- #
+
+
+def test_scheme_field_overrides_the_request_plan(plan_src):
+    """``scheme`` next to a ``plan`` used to be clobbered by the plan's
+    own (default) scheme and silently ran block."""
+    cfg = dict(nprocs=4, machine="meiko", backend="fused", trace=True)
+
+    def fresh_run(**fields):
+        server = ServiceServer(cache=CompileCache(disk_root=False))
+        with server.loopback() as alone:
+            return alone.run(plan_src, **cfg, **fields)
+
+    field = fresh_run(scheme="cyclic", plan={"fusion": []})
+    on_plan = fresh_run(plan={"fusion": [], "scheme": "cyclic"})
+    block = fresh_run(plan={"fusion": []})
+    for fact in ("elapsed", "rank_times"):
+        assert field[fact] == on_plan[fact] != block[fact], fact
+    assert field["trace"]["sha"] == on_plan["trace"]["sha"] \
+        != block["trace"]["sha"]
+    assert field["key"] == on_plan["key"] == block["key"]
+    # without a plan, and for the other overriding field, too
+    assert fresh_run(scheme="cyclic")["elapsed"] \
+        == fresh_run(plan={"scheme": "cyclic"})["elapsed"]
+    assert fresh_run(cache_gathers=True)["elapsed"] \
+        == fresh_run(plan={"cache_gathers": True})["elapsed"]
+
+
+@pytest.mark.parametrize("fields,named", [
+    (dict(scheme="diag"), "scheme"),
+    (dict(nprocs=True), "nprocs"),
+    (dict(nprocs=2.5), "nprocs"),
+    (dict(watchdog="abc"), "watchdog"),
+    (dict(native="fast"), "native"),
+    (dict(backend="threads"), "backend"),
+    (dict(seed="q"), "seed"),
+    (dict(seed=-1), "seed"),
+    (dict(machine="cray"), "machine"),
+    (dict(plan={"bogus": 1}), "bogus"),
+    (dict(plan={"licm": "sometimes"}), "licm"),
+    (dict(plan=[1, 2]), "plan"),
+    (dict(plan={"dist": 7}), "plan"),
+])
+def test_bad_run_field_is_a_config_error_naming_it(server, client, fields,
+                                                   named):
+    with pytest.raises(ServiceError) as err:
+        client.run(SRC, **fields)
+    assert err.value.kind == "ConfigError"
+    assert named in str(err.value)
+    assert client.ping()["pong"]          # session survived
+    # checked before any work: nothing was compiled for the bad request
+    assert server.cache.stats()["compiles"] == 0
+    assert client.stats()["counters"]["errors"] == 1
+
+
+def test_fault_plan_is_not_a_request_field(client):
+    """It can name a file to read on the server: a remote request that
+    sends one runs fault-free."""
+    reply = client.run(SRC, nprocs=4,
+                       fault_plan="seed=7; crash rank=1 step=1")
+    assert reply["ok"] and reply["output"].strip() == "64"
+
+
+# ---------------------------------------------------------------------- #
 # TCP
 # ---------------------------------------------------------------------- #
 
@@ -246,3 +311,102 @@ def test_serve_forever_unblocks_on_shutdown(server):
         c.shutdown()
     waiter.join(timeout=5)
     assert not waiter.is_alive()
+
+
+# ---------------------------------------------------------------------- #
+# a malformed line must not kill a session (real sockets)
+# ---------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def tcp(server):
+    host, port = server.start()
+    yield host, port
+    server.stop()
+
+
+def _exchange(sock, payload: bytes) -> dict:
+    import json
+
+    sock.sendall(payload)
+    line = sock.makefile("rb").readline()
+    assert line.endswith(b"\n"), "no reply"
+    return json.loads(line)
+
+
+PING = b'{"op": "ping"}\n'
+
+
+@pytest.mark.parametrize("payload", [b"hello\n", b"\xff\xfe\n", b"42\n",
+                                     b"[1, 2]\n", b"\n", b'{"op": \n'])
+def test_malformed_line_is_answered_and_the_session_survives(server, tcp,
+                                                             payload):
+    import socket
+
+    with socket.create_connection(tcp, timeout=10) as sock:
+        reply = _exchange(sock, payload)
+        assert reply["ok"] is False and reply["error"] == "ProtocolError"
+        assert reply["message"]
+        assert _exchange(sock, PING)["pong"]       # same session
+    assert server.counters["errors"] == 1
+
+
+def test_oversize_line_is_answered_then_the_connection_closes(
+        server, tcp, monkeypatch):
+    import socket
+
+    from repro.service import transport
+
+    monkeypatch.setattr(transport, "MAX_LINE_BYTES", 4096)
+    with socket.create_connection(tcp, timeout=10) as sock:
+        # never sends a newline: the reader must stop at the bound
+        reply = _exchange(sock, b"x" * 5000)
+        assert reply["error"] == "ProtocolError"
+        assert "4096" in reply["message"]
+        assert sock.makefile("rb").readline() == b""    # closed
+    assert server.counters["errors"] == 1
+    with ServiceClient.connect(*tcp) as fresh:
+        assert fresh.ping()["pong"]
+        # a line of exactly the bound is still a request
+        body = b'{"op": "ping", "pad": "' + b"p" * 4096
+        body = body[:4096 - 3] + b'"}\n'
+        assert len(body) == 4096
+    with socket.create_connection(tcp, timeout=10) as sock:
+        assert _exchange(sock, body)["pong"]
+
+
+def test_half_closed_socket_mid_line(server, tcp):
+    """The peer shuts down its sending side mid-request: the fragment is
+    answered as a protocol error, then end-of-stream ends the session
+    quietly — and the server keeps serving."""
+    import socket
+
+    with socket.create_connection(tcp, timeout=10) as sock:
+        sock.sendall(b'{"op": "pi')
+        sock.shutdown(socket.SHUT_WR)
+        reader = sock.makefile("rb")
+        import json
+
+        reply = json.loads(reader.readline())
+        assert reply["error"] == "ProtocolError"
+        assert reader.readline() == b""
+    with ServiceClient.connect(*tcp) as fresh:
+        assert fresh.ping()["pong"]
+        assert fresh.stats()["counters"]["errors"] == 1
+
+
+def test_non_object_request_over_loopback(server):
+    """The object check lives in the session loop, so every transport
+    gets it."""
+    from repro.service.transport import LoopbackTransport
+    import threading
+
+    client_end, server_end = LoopbackTransport.pair()
+    threading.Thread(target=server.serve_session, args=(server_end,),
+                     daemon=True).start()
+    client_end.send(42)
+    reply = client_end.recv()
+    assert reply["error"] == "ProtocolError" and "int" in reply["message"]
+    client_end.send({"op": "ping"})
+    assert client_end.recv()["pong"]
+    client_end.close()

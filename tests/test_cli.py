@@ -99,6 +99,77 @@ class TestRun:
         assert capsys.readouterr().out == "42\n"
 
 
+class TestRunConfiguration:
+    """The CLI resolves the run knobs once, through the one table
+    (tests/test_runconfig.py): a bad value is one ``error:`` line that
+    names where it came from, never a traceback."""
+
+    @pytest.mark.parametrize("variable,value", [
+        ("REPRO_NATIVE", "fast"),
+        ("REPRO_SPMD_BACKEND", "threads"),
+        ("REPRO_WATCHDOG_SECONDS", "abc"),
+        ("REPRO_MAX_RESTARTS", "abc"),
+        ("REPRO_ON_FAULT", "sometimes"),
+        ("REPRO_CHECKPOINT_EVERY", "0"),
+    ])
+    def test_bad_environment_is_one_error_line(self, script, capsys,
+                                               monkeypatch, variable, value):
+        monkeypatch.setenv(variable, value)
+        assert main(["run", script]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"${variable}" in lines[0] and value in lines[0]
+
+    def test_flag_beats_bad_environment(self, script, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_BACKEND", "threads")
+        monkeypatch.setenv("REPRO_NATIVE", "fast")
+        assert main(["run", script, "--backend", "fused",
+                     "--native", "off"]) == 0
+        assert "max err" in capsys.readouterr().out
+
+    def test_out_of_range_flag_is_one_error_line(self, script, capsys):
+        assert main(["run", script, "--watchdog-seconds", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: watchdog=") and "positive" in err
+
+    def test_trace_variable_doubles_as_an_output_mode(self, script, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "summary")
+        assert main(["run", script, "-n", "2"]) == 0
+        assert "[cache]" in capsys.readouterr().err      # the pass report
+        out = tmp_path / "trace.json"
+        monkeypatch.setenv("REPRO_TRACE", str(out))
+        assert main(["run", script, "-n", "2"]) == 0
+        assert f"[trace] wrote {out}" in capsys.readouterr().err
+        assert out.exists()
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        assert main(["run", script, "-n", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_retired_fault_plan_variable_injects_nothing(self, script, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "seed=7; crash rank=1 step=3")
+        assert main(["run", script, "-n", "4"]) == 0
+        captured = capsys.readouterr()
+        assert "max err" in captured.out and captured.err == ""
+
+    def test_serve_flags_come_from_the_service_parser(self):
+        from repro import serve
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--max-entries", "4", "--ttl", "1.5"])
+        alone = serve.build_parser().parse_args(
+            ["--port", "0", "--max-entries", "4", "--ttl", "1.5"])
+        for name, value in vars(alone).items():
+            assert getattr(args, name) == value
+        defaults = build_parser().parse_args(["serve"])
+        assert vars(serve.build_parser().parse_args([])).items() \
+            <= vars(defaults).items()
+
+
 class TestInterp:
     def test_interp_matches_run(self, script, capsys):
         assert main(["interp", script]) == 0

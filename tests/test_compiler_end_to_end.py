@@ -13,6 +13,7 @@ from repro import (
     compile_source,
 )
 from repro.mpi import MEIKO_CS2, SPARC20_CLUSTER, SUN_ENTERPRISE
+from repro.tuning import Plan
 
 
 class TestPipeline:
@@ -126,7 +127,7 @@ s = sum(v);
 
 class TestPeepholeFlag:
     def test_disabled_compiler_flag(self):
-        compiler = OtterCompiler(peephole=False)
+        compiler = OtterCompiler(plan=Plan(fusion=()))
         prog = compiler.compile("r = ones(64, 1);\ns = r' * r;")
         assert prog.peephole_stats.transpose_fused == 0
 
@@ -138,8 +139,9 @@ v = rand(256, 1);
 w = A' * v;
 s = sum(w);
 """
-        fast = compile_source(src, peephole=True).run(nprocs=8).elapsed
-        slow = compile_source(src, peephole=False).run(nprocs=8).elapsed
+        fast = compile_source(src).run(nprocs=8).elapsed
+        slow = compile_source(src, plan=Plan(fusion=())) \
+            .run(nprocs=8).elapsed
         assert fast < slow  # fused a'*b avoids transpose + allgather
 
 

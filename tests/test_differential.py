@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.frontend.mfile import DictProvider
+from repro.tuning import Plan
 
 CORPUS = {
     "scalar_arithmetic": """
@@ -235,8 +236,8 @@ r = rand(10, 1);
 s1 = r' * r;
 s2 = r' * (A * r);
 """
-    with_pe = compile_source(src, peephole=True).run(nprocs=4)
-    without = compile_source(src, peephole=False).run(nprocs=4)
+    with_pe = compile_source(src).run(nprocs=4)
+    without = compile_source(src, plan=Plan(fusion=())).run(nprocs=4)
     assert abs(with_pe.workspace["s1"] - without.workspace["s1"]) < 1e-9
     assert abs(with_pe.workspace["s2"] - without.workspace["s2"]) < 1e-9
 
@@ -249,8 +250,8 @@ x = ones(9, 1);
 y = A * x;
 s = sum(y);
 """
-    block, _ = run_compiled(src, nprocs=3, scheme="block")
-    cyclic, _ = run_compiled(src, nprocs=3, scheme="cyclic")
+    block, _ = run_compiled(src, nprocs=3)
+    cyclic, _ = run_compiled(src, nprocs=3, plan=Plan(scheme="cyclic"))
     np.testing.assert_allclose(np.asarray(block["y"]),
                                np.asarray(cyclic["y"]))
 
@@ -270,7 +271,7 @@ def test_benchmarks_match_oracle_small(assert_matches_oracle):
 def test_cyclic_scheme_on_corpus(key, run_interp, run_compiled):
     """The ablation distribution must be drop-in correct on real scripts."""
     interp = run_interp(CORPUS[key])
-    ws, _ = run_compiled(CORPUS[key], nprocs=4, scheme="cyclic")
+    ws, _ = run_compiled(CORPUS[key], nprocs=4, plan=Plan(scheme="cyclic"))
     for name, expected in interp.workspace.items():
         if isinstance(expected, str):
             assert ws[name] == expected

@@ -12,7 +12,6 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.mpi import MEIKO_CS2, run_spmd
-from repro.mpi.executor import TRACE_ENV_VAR, resolve_trace
 from repro.trace import canonical_events, chrome_trace
 
 BACKENDS = ("lockstep", "fused")
@@ -112,21 +111,8 @@ def test_trace_off_by_default():
     assert result.trace is None
 
 
-def test_resolve_trace_env(monkeypatch):
-    monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
-    assert resolve_trace() is False
-    assert resolve_trace(True) is True
-    monkeypatch.setenv(TRACE_ENV_VAR, "1")
-    assert resolve_trace() is True
-    assert resolve_trace(False) is False  # explicit argument wins
-    monkeypatch.setenv(TRACE_ENV_VAR, "0")
-    assert resolve_trace() is False
-    monkeypatch.setenv(TRACE_ENV_VAR, "summary")
-    assert resolve_trace() is True
-
-
 def test_trace_env_enables_recording(monkeypatch):
-    monkeypatch.setenv(TRACE_ENV_VAR, "summary")
+    monkeypatch.setenv("REPRO_TRACE", "summary")
     result = run_spmd(2, MEIKO_CS2, _mixed_program)
     assert result.trace is not None
     assert result.trace.meta["backend"] in BACKENDS

@@ -148,6 +148,130 @@ def test_tune_result_json_roundtrip():
     assert "plan search" in tuned.report()
 
 
+# -- hygiene: the search costs plans, nothing else ------------------------ #
+
+
+def _facts(tuned):
+    return [(c.summary, c.cost, c.valid, c.error) for c in tuned.candidates], \
+        tuned.best.summary
+
+
+def _spy_on_run_spmd(monkeypatch):
+    import repro.compiler
+    from repro.mpi import executor
+
+    seen = []
+
+    def spy(*args, config, **kwargs):
+        seen.append(config)
+        return executor.run_spmd(*args, config=config, **kwargs)
+
+    monkeypatch.setattr(repro.compiler, "run_spmd", spy)
+    return seen
+
+
+def test_search_ignores_the_environment(monkeypatch):
+    import threading
+
+    import repro.trace
+    from repro.runconfig import RunConfig
+
+    for name in ("REPRO_TRACE", "REPRO_ON_FAULT", "REPRO_WATCHDOG_SECONDS",
+                 "REPRO_SPMD_BACKEND"):
+        monkeypatch.delenv(name, raising=False)
+    clear_eval_memo()
+    scrubbed = _facts(tune_program(MATVEC_SRC, nprocs=4, budget=8))
+
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    monkeypatch.setenv("REPRO_ON_FAULT", "degrade")
+    monkeypatch.setenv("REPRO_WATCHDOG_SECONDS", "30")
+    monkeypatch.setenv("REPRO_SPMD_BACKEND", "lockstep")
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the search built a trace or armed a timer")
+
+    monkeypatch.setattr(repro.trace, "WorldTrace", forbidden)
+    monkeypatch.setattr(threading, "Timer", forbidden)
+    seen = _spy_on_run_spmd(monkeypatch)
+    clear_eval_memo()
+    tuned = tune_program(MATVEC_SRC, nprocs=4, budget=8)
+    assert _facts(tuned) == scrubbed
+    assert not any(c.cached for c in tuned.candidates)
+    assert len(seen) == len(tuned.candidates)
+    assert set(seen) == {RunConfig(backend="fused")}
+
+
+def test_fault_plan_reaches_the_final_run_only(monkeypatch):
+    """``run(tune=True, fault_plan=...)`` searches fault-free; the memo
+    it leaves behind answers a later fault-free search exactly as a
+    fresh process would compute it."""
+    import pytest
+
+    from repro.bench.workloads import make_workload
+    from repro.errors import RankCrashedError
+
+    cg = make_workload("cg", scale="small")
+    clear_eval_memo()
+    fresh = _facts(tune_program(cg.source, nprocs=4, budget=8,
+                                provider=cg.provider, name="cg"))
+    assert len(fresh[0]) == 8 and all(err is None for *_, err in fresh[0])
+
+    clear_eval_memo()
+    seen = _spy_on_run_spmd(monkeypatch)
+    program = compile_source(cg.source, cg.provider, name="cg")
+    with pytest.raises(RankCrashedError):
+        program.run(nprocs=4, tune=True, tune_budget=8,
+                    fault_plan="seed=7; crash rank=1 step=3")
+    assert [c.fault_plan is not None for c in seen] == [False] * 8 + [True]
+    after = tune_program(cg.source, nprocs=4, budget=8,
+                         provider=cg.provider, name="cg")
+    assert all(c.cached for c in after.candidates)
+    assert _facts(after) == fresh
+
+
+def test_eval_memo_tells_providers_and_seeds_apart():
+    from repro.frontend.mfile import DictProvider
+
+    src = ("n = 8;\nv = rand(n, 1);\nw = f(v);\n"
+           "for i = 1:2\n  w = w / (norm(w) + 1);\nend\ns = sum(w);\n")
+    one = DictProvider({"f": "function y = f(x)\ny = x + 1;\n"})
+    two = DictProvider({"f": "function y = f(x)\ny = cumsum(x);\n"})
+    clear_eval_memo()
+    clear_compile_cache()
+    first = tune_program(src, nprocs=4, budget=4, provider=one)
+    other = tune_program(src, nprocs=4, budget=4, provider=two)
+    assert not any(c.cached for c in other.candidates)
+    assert other.default.cost != first.default.cost
+    reseeded = tune_program(src, nprocs=4, budget=4, provider=one, seed=1)
+    assert not any(c.cached for c in reseeded.candidates)
+    again = tune_program(src, nprocs=4, budget=4, provider=one)
+    assert all(c.cached for c in again.candidates)
+    assert _facts(again) == _facts(first)
+
+
+def test_substrate_failures_are_reported_but_never_memoised(monkeypatch):
+    import repro.compiler
+    from repro.errors import SpmdWatchdogError
+
+    def expired(*_args, **_kwargs):
+        raise SpmdWatchdogError("SPMD watchdog expired after 1s host time")
+
+    clear_eval_memo()
+    with monkeypatch.context() as patched:
+        patched.setattr(repro.compiler, "run_spmd", expired)
+        tuned = tune_program(MATVEC_SRC, nprocs=4, budget=4)
+    assert len(tuned.candidates) == 1
+    assert tuned.default.error.startswith("SpmdWatchdogError")
+    assert eval_memo_stats()["size"] == 0
+    healthy = tune_program(MATVEC_SRC, nprocs=4, budget=4)
+    assert np.isfinite(healthy.default.cost)
+    assert not any(c.cached for c in healthy.candidates)
+    # a failure that *is* the program's stays memoised
+    broken = "v = rand(4, 1);\ns = v(9);"
+    tune_program(broken, nprocs=4, budget=4)
+    assert tune_program(broken, nprocs=4, budget=4).default.cached
+
+
 # -- enumeration ---------------------------------------------------------- #
 
 
