@@ -20,14 +20,23 @@ from dataclasses import dataclass, field
 from ..frontend import ast_nodes as A
 
 
-def _expr_uses(expr: A.Expr | None) -> list[A.Node]:
-    """Collect variable-use sites in an expression: Ident reads, EndRef."""
-    if expr is None:
-        return []
-    uses: list[A.Node] = []
-    for node in A.walk(expr):
-        if isinstance(node, (A.Ident, A.EndRef)):
-            uses.append(node)
+def _expr_uses(expr: A.Expr | None, uses: list[A.Node] | None = None) -> list[A.Node]:
+    """Collect variable-use sites in an expression (appending to ``uses``
+    when given), in pre-order: Ident reads, EndRef."""
+    if uses is None:
+        uses = []
+    kind = type(expr)
+    if kind is A.Ident or kind is A.EndRef:
+        uses.append(expr)
+    elif kind is A.BinOp:       # the common shapes, without the generic walk
+        _expr_uses(expr.lhs, uses)
+        _expr_uses(expr.rhs, uses)
+    elif kind is A.Apply:
+        for arg in expr.args:
+            _expr_uses(arg, uses)
+    elif expr is not None and kind is not A.Num:
+        for child in expr.children():
+            _expr_uses(child, uses)
     return uses
 
 
@@ -64,14 +73,14 @@ class StmtEvent(Event):
             nodes = _expr_uses(s.value)
             if isinstance(s.target, A.IndexLValue):
                 for arg in s.target.args:
-                    nodes.extend(_expr_uses(arg))
+                    _expr_uses(arg, nodes)
             return nodes
         if isinstance(s, A.MultiAssign):
             nodes = _expr_uses(s.call)
             for target in s.targets:
                 if isinstance(target, A.IndexLValue):
                     for arg in target.args:
-                        nodes.extend(_expr_uses(arg))
+                        _expr_uses(arg, nodes)
             return nodes
         if isinstance(s, A.ExprStmt):
             return _expr_uses(s.value)

@@ -7,12 +7,23 @@ from constants, operators, builtin signatures, user-function bodies
 (interprocedurally, to a fixpoint), and sample data files for ``load`` —
 the same sources the paper lists.
 
-The analysis is a forward dataflow problem on a finite-height lattice:
-each local pass re-evaluates every event in reverse postorder and joins
-into the value table; the engine iterates until nothing changes.  Function
-calls are handled by accumulating, per callee, the join of the argument
-types seen at every call site, and iterating the *set of units* to a global
-fixpoint.
+The analysis is a forward dataflow problem on a finite-height lattice.
+Each unit is swept in reverse postorder, phis before events, until a sweep
+changes nothing; function calls accumulate, per callee, the join of the
+argument types seen at every call site, and the *set of units* is iterated
+to a global fixpoint.  A definition is *replaced* by what its inputs
+currently imply (not joined with its old type), so precision improves as
+constants become known; that is not monotone, so the sweep order is part of
+the semantics and is kept fixed.
+
+The sweeps are change-driven.  Every change of an SSA value's type or
+constant, or of a function's return types, is stamped with an epoch, every
+evaluation of a phi or event records which of those it read, and a sweep
+skips whatever was last evaluated after the last change of all its inputs:
+evaluating it again would compute the same outputs from the same inputs
+(and join the same argument types into the callee's parameter table, which
+changes nothing).  The sweep that confirms a fixpoint, and a global round
+over an unchanged unit, cost one stamp check per read.
 """
 
 from __future__ import annotations
@@ -61,6 +72,25 @@ _FOLDABLE = {
     "log": lambda x: __import__("math").log(x),
     "log2": lambda x: __import__("math").log2(x),
 }
+
+
+def _same_const(a: object, b: object) -> bool:
+    """Equality of two compile-time constants under which NaN — a real one,
+    or either part of a complex one — equals itself: a fixpoint test that
+    used ``!=`` would see ``x = nan`` change on every sweep."""
+    if a == b:
+        return True
+    if isinstance(a, (float, complex)) and isinstance(b, (float, complex)):
+        a, b = complex(a), complex(b)
+        return all(x == y or (x != x and y != y)
+                   for x, y in ((a.real, b.real), (a.imag, b.imag)))
+    return False
+
+
+def _all_same_const(consts: list[object]) -> bool:
+    """Do all of ``consts`` (at least one) hold one known constant?"""
+    return bool(consts) and all(
+        c is not None and _same_const(c, consts[0]) for c in consts)
 
 
 def _num_type(value: float) -> VarType:
@@ -120,6 +150,14 @@ class InferenceEngine:
         self._param_consts: dict[str, list[object]] = {}
         self._return_types: dict[str, list[VarType]] = {}
         self._changed = False
+        # Change-driven sweeps (module docstring).  All of it lives here,
+        # not on UnitTypes, which cached programs retain.  An input is an
+        # SSA value or a callee's return-type list, keyed by id().
+        self._epoch = 0
+        self._stamp: dict[int, int] = {}    # input -> epoch of its last change
+        # id(phi or event) -> (epoch its last evaluation began, inputs read)
+        self._evaluated: dict[int, tuple[int, list[int]]] = {}
+        self._reads: list[int] = []     # ... by the evaluation in progress
 
     # ------------------------------------------------------------------ #
     # driver
@@ -139,8 +177,7 @@ class InferenceEngine:
         # global fixpoint over all units
         for _round in range(64):
             self._changed = False
-            self._infer_unit(script_unit)
-            for name, unit in self.program.functions.items():
+            for unit in [script_unit, *self.program.functions.values()]:
                 self._infer_unit(unit)
             if not self._changed:
                 break
@@ -187,8 +224,7 @@ class InferenceEngine:
                     vtype = VarType(BaseType.REAL, vtype.rank, vtype.shape)
                 ut.var_types[name] = vtype
                 consts = per_var_consts.get(name, [])
-                if consts and all(c is not None and c == consts[0]
-                                  for c in consts):
+                if _all_same_const(consts):
                     ut.var_consts[name] = consts[0]
                 sym = unit.symtab.lookup(name)
                 if sym is not None:
@@ -211,8 +247,9 @@ class InferenceEngine:
                 value = ssa.param_values.get(pname)
                 if value is not None:
                     self._set_type(ut, value, ptypes[i])
-                    if pconsts[i] is not None:
-                        ut.consts.setdefault(value.vid, pconsts[i])
+                    if pconsts[i] is not None and value.vid not in ut.consts:
+                        ut.consts[value.vid] = pconsts[i]
+                        self._touch(value)
 
         for _round in range(64):
             before = self._changed
@@ -235,27 +272,65 @@ class InferenceEngine:
                 if joined != rets[i]:
                     rets[i] = rets[i].join(joined)
                     self._changed = True
+                    self._touch(rets)
 
     def _one_pass(self, unit: ResolvedUnit, ut: UnitTypes) -> None:
         ssa = ut.ssa
         for block_id in ssa.dom.rpo:
             for phi in ssa.phis.get(block_id, []):
-                joined = BOTTOM
-                const_candidates: list[object] = []
-                for value in phi.args.values():
-                    t = ut.types.get(value.vid, BOTTOM)
-                    joined = joined.join(t)
-                    if t != BOTTOM:
-                        const_candidates.append(ut.consts.get(value.vid))
-                self._set_type(ut, phi.result, joined)
-                if (const_candidates
-                        and all(c is not None and c == const_candidates[0]
-                                for c in const_candidates)):
-                    self._set_const(ut, phi.result, const_candidates[0])
-                else:
-                    self._set_const(ut, phi.result, None)
+                self._evaluate(self._infer_phi, ut, phi)
             for event in ssa.cfg.blocks[block_id].events:
-                self._infer_event(unit, ut, event)
+                self._evaluate(self._infer_event, unit, ut, event)
+
+    def _evaluate(self, infer, *args) -> None:
+        """Run ``infer(*args)`` for the phi or event that is its last
+        argument, unless it would read exactly what it read last time."""
+        node = args[-1]
+        if self._is_clean(node):
+            return
+        self._reads = reads = []
+        began = self._epoch
+        infer(*args)
+        self._evaluated[id(node)] = (began, reads)
+
+    def _is_clean(self, node) -> bool:
+        """Has no input of ``node`` changed since its last evaluation
+        began?  (A change it made to a value it also reads — an indexed
+        read joins every version, its own definition included — is later
+        than that, so it counts.)"""
+        last = self._evaluated.get(id(node))
+        if last is None:
+            return False
+        began, reads = last
+        stamp = self._stamp
+        for key in reads:
+            if stamp.get(key, 0) > began:
+                return False
+        return True
+
+    def _touch(self, changed) -> None:
+        """Stamp a change of an input: an SSA value's type or constant, or
+        a function's return types."""
+        self._epoch += 1
+        self._stamp[id(changed)] = self._epoch
+
+    def _read(self, ut: UnitTypes, value: SSAValue) -> VarType:
+        """The type of ``value``, noted as an input (with its constant) of
+        the evaluation in progress."""
+        self._reads.append(id(value))
+        return ut.types.get(value.vid, BOTTOM)
+
+    def _infer_phi(self, ut: UnitTypes, phi) -> None:
+        joined = BOTTOM
+        const_candidates: list[object] = []
+        for value in phi.args.values():
+            t = self._read(ut, value)
+            joined = joined.join(t)
+            if t != BOTTOM:
+                const_candidates.append(ut.consts.get(value.vid))
+        self._set_type(ut, phi.result, joined)
+        self._set_const(ut, phi.result, const_candidates[0]
+                        if _all_same_const(const_candidates) else None)
 
     def _set_type(self, ut: UnitTypes, value: SSAValue, vtype: VarType) -> None:
         """Replace-at-def semantics: each pass recomputes every definition
@@ -266,6 +341,7 @@ class InferenceEngine:
         if vtype != old:
             ut.types[value.vid] = vtype
             self._changed = True
+            self._touch(value)
 
     def _set_const(self, ut: UnitTypes, value: SSAValue, const: object) -> None:
         old = ut.consts.get(value.vid)
@@ -273,68 +349,63 @@ class InferenceEngine:
             if value.vid in ut.consts:
                 del ut.consts[value.vid]
                 self._changed = True
-        elif old != const:
+                self._touch(value)
+        elif old is None or not _same_const(old, const):
             ut.consts[value.vid] = const
             self._changed = True
+            self._touch(value)
 
     # ------------------------------------------------------------------ #
     # events
     # ------------------------------------------------------------------ #
 
     def _infer_event(self, unit: ResolvedUnit, ut: UnitTypes, event) -> None:
+        defs = ut.ssa.defs_of.get(id(event), [])
         if isinstance(event, CondEvent):
             self._type_expr(unit, ut, event.expr)
             return
         if isinstance(event, LoopIndexEvent):
             it_type, _ = self._type_expr(unit, ut, event.stmt.iterable)
-            loop_type = self._loop_var_type(it_type)
-            defs = ut.ssa.defs_of.get(id(event), [])
             if defs:
-                self._set_type(ut, defs[0], loop_type)
+                self._set_type(ut, defs[0], self._loop_var_type(it_type))
             return
         assert isinstance(event, StmtEvent)
         stmt = event.stmt
         if isinstance(stmt, A.Assign):
             rhs_type, rhs_const = self._type_expr(unit, ut, stmt.value)
-            defs = ut.ssa.defs_of.get(id(event), [])
             if not defs:
                 return
+            self._set_type(ut, defs[0], self._stored_type(
+                unit, ut, event, stmt.target, rhs_type))
             if isinstance(stmt.target, A.NameLValue):
-                self._set_type(ut, defs[0], rhs_type)
                 self._set_const(ut, defs[0], rhs_const)
-            else:
-                target = stmt.target
-                assert isinstance(target, A.IndexLValue)
-                arg_info = [self._type_expr(unit, ut, a) for a in target.args]
-                old = ut.ssa.implicit_use_of.get((id(event), target.name))
-                old_type = ut.types.get(old.vid, BOTTOM) if old else BOTTOM
-                new_type = self._indexed_assign_type(
-                    old_type, rhs_type, target.args, arg_info)
-                self._set_type(ut, defs[0], new_type)
         elif isinstance(stmt, A.MultiAssign):
             out_types = self._call_types(unit, ut, stmt.call,
                                          nargout=len(stmt.targets))
-            defs = ut.ssa.defs_of.get(id(event), [])
             for i, value in enumerate(defs):
                 produced = out_types[i] if i < len(out_types) else UNKNOWN
-                target = stmt.targets[i]
-                if isinstance(target, A.IndexLValue):
-                    arg_info = [self._type_expr(unit, ut, a)
-                                for a in target.args]
-                    old = ut.ssa.implicit_use_of.get((id(event), target.name))
-                    old_type = ut.types.get(old.vid, BOTTOM) if old else BOTTOM
-                    produced = self._indexed_assign_type(
-                        old_type, produced, target.args, arg_info)
-                self._set_type(ut, value, produced)
+                self._set_type(ut, value, self._stored_type(
+                    unit, ut, event, stmt.targets[i], produced))
         elif isinstance(stmt, A.ExprStmt):
             etype, econst = self._type_expr(unit, ut, stmt.value)
-            defs = ut.ssa.defs_of.get(id(event), [])
             if defs:  # the implicit `ans`
                 self._set_type(ut, defs[0], etype)
                 self._set_const(ut, defs[0], econst)
         elif isinstance(stmt, A.Global):
-            for value in ut.ssa.defs_of.get(id(event), []):
+            for value in defs:
                 self._set_type(ut, value, UNKNOWN)
+
+    def _stored_type(self, unit: ResolvedUnit, ut: UnitTypes, event,
+                     target: A.LValue, rhs_type: VarType) -> VarType:
+        """Type of ``target``'s variable once ``rhs_type`` is assigned to
+        it: an indexed target is a read-modify-write of the old version."""
+        if isinstance(target, A.NameLValue):
+            return rhs_type
+        arg_info = [self._type_expr(unit, ut, a) for a in target.args]
+        old = ut.ssa.implicit_use_of.get((id(event), target.name))
+        old_type = self._read(ut, old) if old else BOTTOM
+        return self._indexed_assign_type(old_type, rhs_type, target.args,
+                                         arg_info)
 
     @staticmethod
     def _loop_var_type(it_type: VarType) -> VarType:
@@ -412,26 +483,27 @@ class InferenceEngine:
 
     def _type_expr_inner(self, unit: ResolvedUnit, ut: UnitTypes,
                          expr: A.Expr) -> tuple[VarType, object]:
-        if isinstance(expr, A.Num):
+        kind = type(expr)   # node classes are leaves: identity, not isinstance
+        if kind is A.Num:
             return _num_type(expr.value), expr.value
-        if isinstance(expr, A.ImagNum):
+        if kind is A.ImagNum:
             return scalar(BaseType.COMPLEX), complex(0.0, expr.value)
-        if isinstance(expr, A.Str):
+        if kind is A.Str:
             return VarType(BaseType.LITERAL, Rank.MATRIX,
                            Shape(1, len(expr.value))), expr.value
-        if isinstance(expr, A.Ident):
+        if kind is A.Ident:
             value = ut.ssa.use_of.get(id(expr))
             if value is None:
                 return UNKNOWN, None
-            return ut.types.get(value.vid, BOTTOM), ut.consts.get(value.vid)
-        if isinstance(expr, A.EndRef):
+            return self._read(ut, value), ut.consts.get(value.vid)
+        if kind is A.EndRef:
             value = ut.ssa.use_of.get(id(expr))
-            vtype = ut.types.get(value.vid, BOTTOM) if value else BOTTOM
+            vtype = self._read(ut, value) if value else BOTTOM
             const = self._end_const(expr, vtype)
             return scalar(BaseType.INTEGER), const
-        if isinstance(expr, A.Colon):
+        if kind is A.Colon:
             return scalar(BaseType.INTEGER), None
-        if isinstance(expr, A.UnaryOp):
+        if kind is A.UnaryOp:
             otype, oconst = self._type_expr(unit, ut, expr.operand)
             if expr.op == "~":
                 return VarType(BaseType.INTEGER, otype.rank, otype.shape), None
@@ -439,17 +511,17 @@ class InferenceEngine:
             if oconst is not None and isinstance(oconst, (int, float, complex)):
                 const = -oconst if expr.op == "-" else +oconst
             return otype, const
-        if isinstance(expr, A.Transpose):
+        if kind is A.Transpose:
             otype, _ = self._type_expr(unit, ut, expr.operand)
             return VarType(otype.base, otype.rank,
                            otype.shape.transposed()), None
-        if isinstance(expr, A.Range):
+        if kind is A.Range:
             return self._range_type(unit, ut, expr)
-        if isinstance(expr, A.MatrixLit):
+        if kind is A.MatrixLit:
             return self._matrix_lit_type(unit, ut, expr)
-        if isinstance(expr, A.BinOp):
+        if kind is A.BinOp:
             return self._binop_type(unit, ut, expr)
-        if isinstance(expr, A.Apply):
+        if kind is A.Apply:
             if expr.resolved == "index":
                 return self._index_type(unit, ut, expr)
             types = self._call_types(unit, ut, expr, nargout=1)
@@ -550,7 +622,7 @@ class InferenceEngine:
         # indexing subject is not required for correctness).
         joined = BOTTOM
         for v in ut.ssa.versions_of(expr.name):
-            joined = joined.join(ut.types.get(v.vid, BOTTOM))
+            joined = joined.join(self._read(ut, v))
         base_type = joined if joined != BOTTOM else UNKNOWN
         arg_info = [self._type_expr(unit, ut, a) for a in expr.args]
         base = base_type.base
@@ -634,20 +706,17 @@ class InferenceEngine:
             if joined != params[i]:
                 params[i] = joined
                 self._changed = True
-            if params[i] == arg_types[i] and arg_consts[i] is not None:
-                if pconsts[i] is None:
-                    pconsts[i] = arg_consts[i]
-                    self._changed = True
-                elif pconsts[i] != arg_consts[i]:
-                    pass  # conflicting constants: keep first, types still join
+            if (params[i] == arg_types[i] and arg_consts[i] is not None
+                    and pconsts[i] is None):    # conflicting constants: keep
+                pconsts[i] = arg_consts[i]      # the first, types still join
+                self._changed = True
+        # Joining the same arguments in again changes neither table, so the
+        # one interprocedural input of the calling event is what the callee
+        # returns.
         rets = self._return_types[name]
-        out: list[VarType] = []
-        for i in range(max(nargout, 1)):
-            if i < len(rets) and rets[i] != BOTTOM:
-                out.append(rets[i])
-            else:
-                out.append(BOTTOM)
-        return out
+        self._reads.append(id(rets))
+        return [rets[i] if i < len(rets) else BOTTOM
+                for i in range(max(nargout, 1))]
 
     def _call_const(self, unit: ResolvedUnit, ut: UnitTypes,
                     call: A.Apply) -> object:

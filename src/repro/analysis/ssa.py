@@ -54,6 +54,7 @@ class SSAInfo:
         self.cfg = cfg
         self.dom = dom
         self.values: list[SSAValue] = []
+        self._versions: dict[str, list[SSAValue]] = {}  # var -> its values
         # id(ast node) -> value read there
         self.use_of: dict[int, SSAValue] = {}
         # (id(event), var) -> value of the *previous* version read implicitly
@@ -70,13 +71,14 @@ class SSAInfo:
     def new_value(self, var: str, index: int) -> SSAValue:
         value = SSAValue(var, index, len(self.values))
         self.values.append(value)
+        self._versions.setdefault(var, []).append(value)
         return value
 
     def all_phis(self) -> list[Phi]:
         return [phi for phis in self.phis.values() for phi in phis]
 
     def versions_of(self, var: str) -> list[SSAValue]:
-        return [v for v in self.values if v.var == var]
+        return self._versions.get(var, [])
 
 
 class SSABuilder:
@@ -87,6 +89,7 @@ class SSABuilder:
         self.params = list(params or [])
         self._counters: dict[str, int] = {}
         self._stacks: dict[str, list[SSAValue]] = {}
+        self._uses: dict[int, list[A.Node]] = {}  # id(event) -> event.uses()
 
     # ------------------------------------------------------------------ #
 
@@ -112,7 +115,8 @@ class SSABuilder:
         for _bid, event in self.cfg.all_events():
             names.update(event.defs())
             names.update(event.implicit_uses())
-            for node in event.uses():
+            uses = self._uses[id(event)] = event.uses()
+            for node in uses:
                 names.add(_use_name(node))
         return names
 
@@ -177,7 +181,7 @@ class SSABuilder:
             self._stacks[phi.var].append(phi.result)
             pushed.append(phi.var)
         for event in self.cfg.blocks[block].events:
-            for node in event.uses():
+            for node in self._uses[id(event)]:
                 var = _use_name(node)
                 self.info.use_of[id(node)] = self._stacks[var][-1]
             for var in event.implicit_uses():

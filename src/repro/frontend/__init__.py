@@ -2,7 +2,7 @@
 
 from . import ast_nodes
 from .ast_nodes import Program, Script, FunctionDef, walk
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .mfile import ChainProvider, DictProvider, DirectoryProvider, MFileProvider
 from .parser import Parser, parse_expression, parse_function_file, parse_script
 from .tokens import Token, TokenKind
@@ -13,7 +13,6 @@ __all__ = [
     "Script",
     "FunctionDef",
     "walk",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_expression",

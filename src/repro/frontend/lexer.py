@@ -1,21 +1,36 @@
-"""Hand-written MATLAB scanner.
+"""One-regex MATLAB scanner.
 
-The original Otter used ``lex``; we implement the equivalent scanner from
-scratch.  The classic MATLAB lexing subtleties handled here:
+The original Otter used ``lex``; this is the equivalent scanner: one
+compiled master pattern matched once per token, so no Python code runs per
+source *character*.  Everything context-free lives in the pattern:
 
-* ``'`` is *transpose* when it immediately follows a value-producing token
-  (identifier, number, ``)``, ``]``, ``}`` or another transpose) and a
-  *string delimiter* otherwise.  Inside strings, ``''`` is an escaped quote.
 * ``%`` starts a comment running to end of line.
 * ``...`` is a line continuation: the rest of the line (a comment, usually)
   and the newline are discarded.
 * Numbers accept ``3``, ``3.``, ``.5``, ``3.5e-2`` and an ``i``/``j`` suffix
-  marking an imaginary literal.
+  marking an imaginary literal.  Digits are ``[0-9]`` only — ``\\d`` and
+  ``str.isdigit`` accept characters ``float()`` rejects.  A dot followed by
+  an operator character stays with the operator (``1.^2``, ``2.'``).
+* Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; keywords are told apart by a
+  table lookup.
 * Newlines are significant (they terminate statements) and are emitted as
   :data:`TokenKind.NEWLINE` tokens.
+
+The one context-sensitive rule lives outside it, in the loop: ``'`` is
+*transpose* when it follows a value-producing token (identifier, number,
+``)``, ``]``, ``}``, ``end`` or another transpose) — white space in
+between or not — and a *string delimiter* otherwise.  Inside strings,
+``''`` is an escaped quote.
+
+Locations are arithmetic: the loop keeps the current line number and the
+offset where that line starts, and a token's column is its offset from
+there.  Anything the pattern cannot start a token with is a
+:class:`LexError` naming the character and its ``file:line:col``.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..errors import LexError, SourceLocation
 from .tokens import KEYWORDS, Token, TokenKind
@@ -34,7 +49,7 @@ _TRANSPOSE_CONTEXT = {
     TokenKind.END,  # `end` used as an index: a(end)' is a transpose
 }
 
-_TWO_CHAR_OPS = {
+_OPERATORS = {
     "==": TokenKind.EQ,
     "~=": TokenKind.NE,
     "<=": TokenKind.LE,
@@ -46,9 +61,6 @@ _TWO_CHAR_OPS = {
     ".\\": TokenKind.DOTBACKSLASH,
     ".^": TokenKind.DOTCARET,
     ".'": TokenKind.DOTTRANSPOSE,
-}
-
-_ONE_CHAR_OPS = {
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     "[": TokenKind.LBRACKET,
@@ -74,169 +86,88 @@ _ONE_CHAR_OPS = {
     ".": TokenKind.DOT,
 }
 
+# `1.^2` and `2.'` keep the dot with the operator; any other dot after the
+# integer part belongs to the number (`3.`, `3.e2`, even the `1.` of `1...`).
+# An `e` commits to an exponent: `2e` with no digits is an error, not `2`
+# followed by an identifier.
+_NUMBER = r"(?:[0-9]+(?:\.(?![*/\\^'])[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?"
 
-class Lexer:
-    """Tokenize MATLAB source text.
+# The insignificant prefix (blanks and one comment) never holds a newline,
+# so columns stay `offset - line_start`.  Alternatives are ordered so that
+# `...` and `.5` are tried before the operator `.`, and the imaginary form
+# before the real one (a shorter mantissa is never followed by `i`/`j`, so
+# backtracking cannot split a literal).  Identifiers are ASCII, as in MATLAB:
+# the emitted Python would NFKC-fold other letters (`µ` and `μ` into one
+# variable) and has no identifier `x²` at all.
+_MASTER = re.compile(
+    r"[ \t\r]*(?:%[^\n]*)?(?:"
+    r"([A-Za-z_][A-Za-z0-9_]*)"          # 1 identifier / keyword
+    r"|(\.\.\.[^\n]*\n?)"                # 2 continuation
+    r"|(" + _NUMBER + r")[ij](?![A-Za-z0-9_])"  # 3 imaginary (sans suffix)
+    r"|(" + _NUMBER + r")"                # 4 real literal
+    r"|(==|~=|<=|>=|&&|\|\||\.[*/\\^']|[()\[\]{},;=:@+\-*/\\^<>&|~.])"  # 5
+    r"|(\n)"                             # 6
+    r"|(')"                               # 7 transpose or string opener
+    r")?")
+_IDENT, _CONTINUATION, _IMAG, _REAL, _OP, _NEWLINE, _QUOTE = range(1, 8)
 
-    Use :func:`tokenize` for the common case; instantiate :class:`Lexer`
-    directly to tokenize incrementally.
-    """
-
-    def __init__(self, source: str, filename: str = "<script>"):
-        self.src = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self._prev_kind: TokenKind | None = None
-
-    # -- low-level helpers -------------------------------------------------
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.filename, self.line, self.col)
-
-    def _peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.src[i] if i < len(self.src) else ""
-
-    def _advance(self, n: int = 1) -> str:
-        text = self.src[self.pos : self.pos + n]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return text
-
-    # -- scanning ----------------------------------------------------------
-
-    def tokens(self) -> list[Token]:
-        """Scan the whole input and return the token list (ending in EOF)."""
-        out: list[Token] = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
-
-    def next_token(self) -> Token:
-        self._skip_insignificant()
-        loc = self._loc()
-        ch = self._peek()
-
-        if ch == "":
-            tok = Token(TokenKind.EOF, "", loc)
-        elif ch == "\n":
-            self._advance()
-            tok = Token(TokenKind.NEWLINE, "\n", loc)
-        elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            tok = self._scan_number(loc)
-        elif ch.isalpha() or ch == "_":
-            tok = self._scan_ident(loc)
-        elif ch == "'":
-            if self._prev_kind in _TRANSPOSE_CONTEXT:
-                self._advance()
-                tok = Token(TokenKind.TRANSPOSE, "'", loc)
-            else:
-                tok = self._scan_string(loc)
-        else:
-            tok = self._scan_operator(loc)
-
-        self._prev_kind = tok.kind
-        return tok
-
-    def _skip_insignificant(self) -> None:
-        """Skip spaces, tabs, comments, and `...` continuations."""
-        while True:
-            ch = self._peek()
-            if ch in (" ", "\t", "\r"):
-                self._advance()
-            elif ch == "%":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-            elif ch == "." and self._peek(1) == "." and self._peek(2) == ".":
-                # Continuation: discard through (and including) the newline.
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-                if self._peek() == "\n":
-                    self._advance()
-            else:
-                return
-
-    def _scan_number(self, loc: SourceLocation) -> Token:
-        start = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == ".":
-            # Careful: `1.^2` and `2.'` keep the dot with the operator, and
-            # `1..5` never occurs (ranges use `:`), so a dot followed by an
-            # operator char belongs to the operator.
-            nxt = self._peek(1)
-            if nxt not in ("*", "/", "\\", "^", "'"):
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        if self._peek() in ("e", "E"):
-            save = self.pos
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            if self._peek().isdigit():
-                while self._peek().isdigit():
-                    self._advance()
-            else:
-                # Not an exponent after all (e.g. `2end` is impossible but
-                # `2e` followed by junk is an error in MATLAB too).
-                raise LexError("malformed exponent in numeric literal", loc)
-        text = self.src[start : self.pos]
-        if self._peek() in ("i", "j") and not (
-            self._peek(1).isalnum() or self._peek(1) == "_"
-        ):
-            self._advance()
-            return Token(TokenKind.IMAG_NUMBER, text, loc, value=float(text))
-        return Token(TokenKind.NUMBER, text, loc, value=float(text))
-
-    def _scan_ident(self, loc: SourceLocation) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.src[start : self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, loc)
-
-    def _scan_string(self, loc: SourceLocation) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch in ("", "\n"):
-                raise LexError("unterminated string literal", loc)
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    chars.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                break
-            chars.append(ch)
-            self._advance()
-        value = "".join(chars)
-        return Token(TokenKind.STRING, f"'{value}'", loc, value=value)
-
-    def _scan_operator(self, loc: SourceLocation) -> Token:
-        two = self._peek() + self._peek(1)
-        if two in _TWO_CHAR_OPS:
-            self._advance(2)
-            return Token(_TWO_CHAR_OPS[two], two, loc)
-        one = self._peek()
-        if one in _ONE_CHAR_OPS:
-            self._advance()
-            return Token(_ONE_CHAR_OPS[one], one, loc)
-        raise LexError(f"unexpected character {one!r}", loc)
+# Body and closing quote of a string literal, from just after the opener;
+# `''` is always an escape, so the closing quote is one not followed by another.
+_STRING_REST = re.compile(r"((?:[^'\n]|'')*)'(?!')")
 
 
 def tokenize(source: str, filename: str = "<script>") -> list[Token]:
     """Tokenize ``source`` and return the full token list ending in EOF."""
-    return Lexer(source, filename).tokens()
+    out: list[Token] = []
+    match = _MASTER.match
+    pos = 0
+    line = 1
+    line_start = 0      # offset of the first character of `line`
+    prev_kind = None
+    while True:
+        m = match(source, pos)
+        group = m.lastindex
+        if group is None:       # nothing but blanks / a comment matched
+            pos = m.end()
+            loc = SourceLocation(filename, line, pos - line_start + 1)
+            if pos < len(source):
+                raise LexError(f"unexpected character {source[pos]!r}", loc)
+            out.append(Token(TokenKind.EOF, "", loc))
+            return out
+        start, pos = m.span(group)
+        if group == _CONTINUATION:
+            if source[pos - 1] == "\n":
+                line += 1
+                line_start = pos
+            continue
+        text = source[start:pos]
+        loc = SourceLocation(filename, line, start - line_start + 1)
+        value = None
+        if group == _IDENT:
+            kind = KEYWORDS.get(text, TokenKind.IDENT)
+        elif group == _OP:
+            kind = _OPERATORS[text]
+        elif group == _REAL or group == _IMAG:
+            if text[-1] in "eE+-":
+                raise LexError("malformed exponent in numeric literal", loc)
+            kind = TokenKind.NUMBER
+            value = float(text)
+            if group == _IMAG:
+                kind = TokenKind.IMAG_NUMBER
+                pos += 1        # the suffix is not part of the token text
+        elif group == _NEWLINE:
+            kind = TokenKind.NEWLINE
+            line += 1
+            line_start = pos
+        elif prev_kind in _TRANSPOSE_CONTEXT:   # _QUOTE from here on
+            kind = TokenKind.TRANSPOSE
+        else:
+            rest = _STRING_REST.match(source, pos)
+            if rest is None:
+                raise LexError("unterminated string literal", loc)
+            kind = TokenKind.STRING
+            value = rest.group(1).replace("''", "'")
+            text = f"'{value}'"
+            pos = rest.end()
+        out.append(Token(kind, text, loc, value))
+        prev_kind = kind

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the MATLAB subset (pass 1).
+"""Recursive-descent statement parser, precedence-climbing expression
+parser, for the MATLAB subset (pass 1).
 
 The original Otter used ``yacc``; this is an equivalent hand-written parser
 producing the AST in :mod:`repro.frontend.ast_nodes`.  Notable behaviour,
@@ -9,12 +10,17 @@ matching the paper:
 * ``x(e)`` parses to an :class:`Apply` node; whether it is indexing or a
   function call is decided by identifier resolution (pass 2).
 * Newlines terminate statements at the top level, separate matrix rows
-  inside ``[ ]``, and are insignificant inside ``( )``.
+  inside ``[ ]``, and are insignificant inside ``( )`` and ``case { }``:
+  there the parser steps over them as it advances, so looking at the
+  current token is a plain list index.
 
 Operator precedence (loosest to tightest), as in MATLAB:
 ``||``  <  ``&&``  <  ``|``  <  ``&``  <  comparisons  <  ``:``  <
 ``+ -``  <  ``* / \\ .* ./ .\\``  <  unary ``+ - ~``  <  ``^ .^``  <
-transpose.
+transpose.  The binary levels of that list are the table
+:data:`_BINARY_LEVELS`, which one precedence-climbing loop
+(:meth:`Parser._expression`) walks; every level is left-associative except
+``:``, which builds a two- or three-part :class:`Range` and does not chain.
 """
 
 from __future__ import annotations
@@ -24,49 +30,71 @@ from . import ast_nodes as A
 from .lexer import tokenize
 from .tokens import Token, TokenKind as T
 
-_CMP_OPS = {T.EQ, T.NE, T.LT, T.GT, T.LE, T.GE}
-_ADD_OPS = {T.PLUS, T.MINUS}
-_MUL_OPS = {T.STAR, T.SLASH, T.BACKSLASH, T.DOTSTAR, T.DOTSLASH, T.DOTBACKSLASH}
+# Binary operator levels, loosest first: the docstring's list, as data.
+_BINARY_LEVELS = (
+    (T.OROR,),
+    (T.ANDAND,),
+    (T.OR,),
+    (T.AND,),
+    (T.EQ, T.NE, T.LT, T.GT, T.LE, T.GE),
+    (T.COLON,),
+    (T.PLUS, T.MINUS),
+    (T.STAR, T.SLASH, T.BACKSLASH, T.DOTSTAR, T.DOTSLASH, T.DOTBACKSLASH),
+)
+_LEVEL = {kind: level for level, kinds in enumerate(_BINARY_LEVELS, 1)
+          for kind in kinds}
+_RANGE_LEVEL = _LEVEL[T.COLON]
+_TIGHTEST = len(_BINARY_LEVELS)
+_SIGN_OPS = {T.MINUS, T.PLUS, T.NOT}
 _POW_OPS = {T.CARET, T.DOTCARET}
+_TRANSPOSE_OPS = {T.TRANSPOSE, T.DOTTRANSPOSE}
 
-_STMT_TERMINATORS = {T.SEMI, T.COMMA, T.NEWLINE, T.EOF}
 _BLOCK_ENDERS = {T.END, T.ELSE, T.ELSEIF, T.CASE, T.OTHERWISE, T.FUNCTION, T.EOF}
+_JUMPS = {T.BREAK: A.Break, T.CONTINUE: A.Continue, T.RETURN: A.Return}
 
 
 class Parser:
     def __init__(self, tokens: list[Token], filename: str = "<script>"):
-        self.toks = tokens
+        self.toks = tokens      # ends in EOF, which `advance` never passes
         self.i = 0
         self.filename = filename
-        # Grouping stack: newlines are skipped inside '(' but are row
-        # separators inside '['.
-        self._groups: list[str] = []
+        # Are newlines invisible at the current nesting depth (inside
+        # `( )` / `case { }`), and the same for the enclosing groups.
+        # While they are, `self.i` never rests on a NEWLINE.
+        self._invisible = False
+        self._enclosing: list[bool] = []
 
     # ------------------------------------------------------------------ #
     # token-stream helpers
     # ------------------------------------------------------------------ #
 
-    def _skip_invisible_newlines(self) -> None:
-        while (
-            self._groups
-            and self._groups[-1] == "paren"
-            and self.toks[self.i].kind is T.NEWLINE
-        ):
-            self.i += 1
-
-    def peek(self, ahead: int = 0) -> Token:
-        self._skip_invisible_newlines()
-        j = self.i + ahead
-        return self.toks[min(j, len(self.toks) - 1)]
+    def peek(self, ahead: int) -> Token:
+        """The token ``ahead`` past ``self.toks[self.i]`` (EOF beyond the end)."""
+        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
 
     def at(self, *kinds: T) -> bool:
-        return self.peek().kind in kinds
+        return self.toks[self.i].kind in kinds
 
     def advance(self) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok.kind is not T.EOF:
             self.i += 1
+            if self._invisible:
+                while self.toks[self.i].kind is T.NEWLINE:
+                    self.i += 1
         return tok
+
+    def _open(self, newlines_invisible: bool) -> None:
+        """Enter a bracketed group, just after its opening token."""
+        self._enclosing.append(self._invisible)
+        self._invisible = newlines_invisible
+        if newlines_invisible:
+            while self.toks[self.i].kind is T.NEWLINE:
+                self.i += 1
+
+    def _close(self) -> None:
+        """Leave the group, just before its closing token is consumed."""
+        self._invisible = self._enclosing.pop()
 
     def accept(self, kind: T) -> Token | None:
         if self.at(kind):
@@ -74,14 +102,14 @@ class Parser:
         return None
 
     def expect(self, kind: T, what: str = "") -> Token:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok.kind is not kind:
             wanted = what or kind.value
             raise ParseError(f"expected {wanted!r}, found {tok.text!r}", tok.loc)
         return self.advance()
 
     def error(self, message: str, loc: SourceLocation | None = None) -> ParseError:
-        return ParseError(message, loc or self.peek().loc)
+        return ParseError(message, loc or self.toks[self.i].loc)
 
     # ------------------------------------------------------------------ #
     # program units
@@ -143,12 +171,12 @@ class Parser:
                 name = first
         params: list[str] = []
         if self.accept(T.LPAREN):
-            self._groups.append("paren")
+            self._open(True)
             while not self.at(T.RPAREN):
                 params.append(self.expect(T.IDENT).text)
                 if not self.accept(T.COMMA):
                     break
-            self._groups.pop()
+            self._close()
             self.expect(T.RPAREN)
         body = self._stmt_list(stop={T.FUNCTION, T.EOF})
         return A.FunctionDef(loc=loc, name=name, params=params, returns=returns, body=body)
@@ -171,7 +199,7 @@ class Parser:
 
     def _terminator(self) -> bool:
         """Consume a statement terminator; return True if output suppressed."""
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok.kind is T.SEMI:
             self.advance()
             return True
@@ -183,7 +211,7 @@ class Parser:
         raise self.error(f"expected end of statement, found {tok.text!r}")
 
     def _statement(self) -> A.Stmt:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok.kind is T.IF:
             return self._if_stmt()
         if tok.kind is T.FOR:
@@ -192,18 +220,10 @@ class Parser:
             return self._while_stmt()
         if tok.kind is T.SWITCH:
             return self._switch_stmt()
-        if tok.kind is T.BREAK:
+        if tok.kind in _JUMPS:
             self.advance()
             self._terminator()
-            return A.Break(loc=tok.loc)
-        if tok.kind is T.CONTINUE:
-            self.advance()
-            self._terminator()
-            return A.Continue(loc=tok.loc)
-        if tok.kind is T.RETURN:
-            self.advance()
-            self._terminator()
-            return A.Return(loc=tok.loc)
+            return _JUMPS[tok.kind](loc=tok.loc)
         if tok.kind is T.GLOBAL:
             self.advance()
             names = [self.expect(T.IDENT).text]
@@ -225,7 +245,7 @@ class Parser:
     def _try_multi_assign(self) -> A.MultiAssign | None:
         """Attempt ``[a, b(i)] = f(...)``; backtrack on failure."""
         save = self.i
-        loc = self.peek().loc
+        loc = self.toks[self.i].loc
         try:
             self.advance()  # '['
             targets: list[A.LValue] = []
@@ -252,7 +272,7 @@ class Parser:
         return A.NameLValue(loc=tok.loc, name=tok.text)
 
     def _simple_stmt(self) -> A.Stmt:
-        loc = self.peek().loc
+        loc = self.toks[self.i].loc
         expr = self._expression()
         if self.at(T.ASSIGN):
             self.advance()
@@ -271,19 +291,13 @@ class Parser:
         raise self.error("invalid assignment target", expr.loc)
 
     def _if_stmt(self) -> A.If:
-        loc = self.expect(T.IF).loc
+        loc = self.toks[self.i].loc
         branches: list[tuple[A.Expr, list[A.Stmt]]] = []
-        cond = self._expression()
-        body = self._stmt_list(stop=_BLOCK_ENDERS)
-        branches.append((cond, body))
-        orelse: list[A.Stmt] = []
-        while self.at(T.ELSEIF):
-            self.advance()
+        while self.accept(T.ELSEIF if branches else T.IF):
             cond = self._expression()
-            body = self._stmt_list(stop=_BLOCK_ENDERS)
-            branches.append((cond, body))
-        if self.accept(T.ELSE):
-            orelse = self._stmt_list(stop=_BLOCK_ENDERS)
+            branches.append((cond, self._stmt_list(stop=_BLOCK_ENDERS)))
+        orelse = self._stmt_list(stop=_BLOCK_ENDERS) \
+            if self.accept(T.ELSE) else []
         self.expect(T.END)
         return A.If(loc=loc, branches=branches, orelse=orelse)
 
@@ -314,11 +328,11 @@ class Parser:
             values: list[A.Expr]
             if self.at(T.LBRACE):
                 self.advance()
-                self._groups.append("paren")
+                self._open(True)
                 values = [self._expression()]
                 while self.accept(T.COMMA):
                     values.append(self._expression())
-                self._groups.pop()
+                self._close()
                 self.expect(T.RBRACE)
             else:
                 values = [self._expression()]
@@ -333,84 +347,62 @@ class Parser:
     # expressions
     # ------------------------------------------------------------------ #
 
-    def _expression(self) -> A.Expr:
-        return self._oror()
-
-    def _binop_chain(self, sub, ops: set[T]) -> A.Expr:
-        lhs = sub()
-        while self.at(*ops):
-            op = self.advance()
-            rhs = sub()
-            lhs = A.BinOp(loc=op.loc, op=op.text, lhs=lhs, rhs=rhs)
-        return lhs
-
-    def _oror(self) -> A.Expr:
-        return self._binop_chain(self._andand, {T.OROR})
-
-    def _andand(self) -> A.Expr:
-        return self._binop_chain(self._elem_or, {T.ANDAND})
-
-    def _elem_or(self) -> A.Expr:
-        return self._binop_chain(self._elem_and, {T.OR})
-
-    def _elem_and(self) -> A.Expr:
-        return self._binop_chain(self._comparison, {T.AND})
-
-    def _comparison(self) -> A.Expr:
-        return self._binop_chain(self._range, _CMP_OPS)
-
-    def _range(self) -> A.Expr:
-        start = self._additive()
-        if not self.at(T.COLON):
-            return start
-        loc = self.advance().loc
-        second = self._additive()
-        if self.at(T.COLON):
+    def _expression(self, min_level: int = 1) -> A.Expr:
+        """Precedence climbing: an operand, then every binary operator of
+        level ``min_level`` or tighter, each taking a right operand of
+        strictly tighter operators (left associativity)."""
+        lhs = self._unary()
+        max_level = _TIGHTEST
+        while True:
+            op = self.toks[self.i]
+            level = _LEVEL.get(op.kind, 0)
+            if not min_level <= level <= max_level:
+                return lhs
             self.advance()
-            stop = self._additive()
-            return A.Range(loc=loc, start=start, stop=stop, step=second)
-        return A.Range(loc=loc, start=start, stop=second, step=None)
-
-    def _additive(self) -> A.Expr:
-        return self._binop_chain(self._multiplicative, _ADD_OPS)
-
-    def _multiplicative(self) -> A.Expr:
-        return self._binop_chain(self._unary, _MUL_OPS)
+            if level == _RANGE_LEVEL:
+                second = self._expression(level + 1)
+                if self.toks[self.i].kind is T.COLON:
+                    self.advance()
+                    lhs = A.Range(loc=op.loc, start=lhs, step=second,
+                                  stop=self._expression(level + 1))
+                else:
+                    lhs = A.Range(loc=op.loc, start=lhs, stop=second, step=None)
+                # `a:b:c:d` does not chain: no frame, this one or an outer
+                # one holding a looser operator, may take the next `:`
+                max_level = level - 1
+            else:
+                lhs = A.BinOp(loc=op.loc, op=op.text, lhs=lhs,
+                              rhs=self._expression(level + 1))
+                max_level = level
 
     def _unary(self) -> A.Expr:
-        tok = self.peek()
-        if tok.kind in (T.MINUS, T.PLUS, T.NOT):
+        tok = self.toks[self.i]
+        if tok.kind in _SIGN_OPS:
             self.advance()
             operand = self._unary()
             return A.UnaryOp(loc=tok.loc, op=tok.text, operand=operand)
         return self._power()
 
     def _power(self) -> A.Expr:
-        base = self._postfix()
-        if self.at(*_POW_OPS):
+        expr = self._postfix()
+        # MATLAB's ^ is left-associative; its exponent may carry a unary
+        # sign: 2^-3.
+        while self.toks[self.i].kind in _POW_OPS:
             op = self.advance()
-            # Exponent may carry a unary sign: 2^-3.  MATLAB's ^ is left-
-            # associative, but chained ^ is rare; we parse it as in MATLAB
-            # by looping.
-            exponent = self._power_operand()
-            expr = A.BinOp(loc=op.loc, op=op.text, lhs=base, rhs=exponent)
-            while self.at(*_POW_OPS):
-                op = self.advance()
-                exponent = self._power_operand()
-                expr = A.BinOp(loc=op.loc, op=op.text, lhs=expr, rhs=exponent)
-            return expr
-        return base
+            expr = A.BinOp(loc=op.loc, op=op.text, lhs=expr,
+                           rhs=self._power_operand())
+        return expr
 
     def _power_operand(self) -> A.Expr:
-        tok = self.peek()
-        if tok.kind in (T.MINUS, T.PLUS, T.NOT):
+        tok = self.toks[self.i]
+        if tok.kind in _SIGN_OPS:
             self.advance()
             return A.UnaryOp(loc=tok.loc, op=tok.text, operand=self._power_operand())
         return self._postfix()
 
     def _postfix(self) -> A.Expr:
         expr = self._primary()
-        while self.at(T.TRANSPOSE, T.DOTTRANSPOSE):
+        while self.toks[self.i].kind in _TRANSPOSE_OPS:
             tok = self.advance()
             expr = A.Transpose(
                 loc=tok.loc, operand=expr, conjugate=(tok.kind is T.TRANSPOSE)
@@ -418,7 +410,7 @@ class Parser:
         return expr
 
     def _primary(self) -> A.Expr:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok.kind is T.NUMBER:
             self.advance()
             return A.Num(loc=tok.loc, value=float(tok.value))
@@ -430,7 +422,7 @@ class Parser:
             return A.Str(loc=tok.loc, value=str(tok.value))
         if tok.kind is T.IDENT:
             self.advance()
-            if self.at(T.LPAREN):
+            if self.toks[self.i].kind is T.LPAREN:
                 args = self._apply_args()
                 return A.Apply(loc=tok.loc, name=tok.text, args=args)
             return A.Ident(loc=tok.loc, name=tok.text)
@@ -440,9 +432,9 @@ class Parser:
             return A.EndRef(loc=tok.loc)
         if tok.kind is T.LPAREN:
             self.advance()
-            self._groups.append("paren")
+            self._open(True)
             inner = self._expression()
-            self._groups.pop()
+            self._close()
             self.expect(T.RPAREN)
             return inner
         if tok.kind is T.LBRACKET:
@@ -451,14 +443,14 @@ class Parser:
 
     def _apply_args(self) -> list[A.Expr]:
         self.expect(T.LPAREN)
-        self._groups.append("paren")
+        self._open(True)
         args: list[A.Expr] = []
         if not self.at(T.RPAREN):
             while True:
                 args.append(self._subscript_expr())
                 if not self.accept(T.COMMA):
                     break
-        self._groups.pop()
+        self._close()
         self.expect(T.RPAREN)
         return args
 
@@ -471,7 +463,7 @@ class Parser:
 
     def _matrix_literal(self) -> A.MatrixLit:
         loc = self.expect(T.LBRACKET).loc
-        self._groups.append("bracket")
+        self._open(False)
         rows: list[list[A.Expr]] = []
         current: list[A.Expr] = []
         # skip leading newlines: `[<newline> 1, 2]`
@@ -497,7 +489,7 @@ class Parser:
             )
         if current:
             rows.append(current)
-        self._groups.pop()
+        self._close()
         self.expect(T.RBRACKET)
         return A.MatrixLit(loc=loc, rows=rows)
 

@@ -79,6 +79,10 @@ class TokenKind(enum.Enum):
 
     EOF = "eof"
 
+    # Members are singletons compared by identity; Enum's own __hash__ is a
+    # Python-level call on every dict and set lookup the parser makes.
+    __hash__ = object.__hash__
+
 
 KEYWORDS = {
     "if": TokenKind.IF,
@@ -98,8 +102,8 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+@dataclass(slots=True)      # not frozen: that costs four
+class Token:                # object.__setattr__ calls per token scanned
     kind: TokenKind
     text: str
     loc: SourceLocation = field(compare=False, default_factory=SourceLocation)

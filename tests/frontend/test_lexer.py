@@ -1,10 +1,18 @@
 """Scanner unit tests."""
 
-import pytest
+import hashlib
+import json
+import sys
+from pathlib import Path
 
-from repro.errors import LexError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import LexError, ParseError
 from repro.frontend.lexer import tokenize
+from repro.frontend.parser import parse_script
 from repro.frontend.tokens import TokenKind as T
+from tests.corpus import all_sources
 
 
 def kinds(src):
@@ -158,3 +166,141 @@ def test_locations_track_lines_and_columns():
 def test_unexpected_character():
     with pytest.raises(LexError):
         tokenize("x = $")
+
+
+# -------------------------------------------------------------------------- #
+# the token stream, pinned (tests/golden/token_streams.json was generated by
+# the per-character scanner this one replaced)
+# -------------------------------------------------------------------------- #
+
+GOLDEN = json.loads((Path(__file__).parent.parent / "golden"
+                     / "token_streams.json").read_text(encoding="utf-8"))
+SOURCES = all_sources()
+
+
+def render(toks):
+    return [[t.kind.name, t.text, t.value, t.loc.line, t.loc.col]
+            for t in toks]
+
+
+@pytest.mark.parametrize("case", GOLDEN["tricky"], ids=lambda c: repr(c["src"]))
+def test_pinned_token_stream(case):
+    if "error" in case:
+        with pytest.raises(LexError) as err:
+            tokenize(case["src"])
+        assert [err.value.message, err.value.loc.line,
+                err.value.loc.col] == case["error"]
+    else:
+        assert render(tokenize(case["src"])) == case["tokens"]
+
+
+def test_golden_covers_the_listed_cases():
+    pinned = {case["src"] for case in GOLDEN["tricky"]}
+    assert {"a = b';c='it''s';", "1.^2", "2.'", ".5e-3", "3.e2", "3i", "4.5j",
+            "3ij", "2e", "a(end)'", "[1, 2]''", "x = [1, 2 ...% c\n 3];",
+            "a = 1;\r\nb = a';\r\n", "x = 1; % done", "'abc", "1...",
+            "#"} <= pinned
+
+
+@pytest.mark.parametrize("label", sorted(SOURCES))
+def test_corpus_token_stream_sha(label):
+    stream = [tuple(t) for t in render(tokenize(SOURCES[label], label))]
+    assert hashlib.sha256(repr(stream).encode()).hexdigest() \
+        == GOLDEN["corpus_sha256"][label]
+
+
+def test_golden_sha_covers_the_corpus():
+    assert set(GOLDEN["corpus_sha256"]) == set(SOURCES)
+
+
+# -------------------------------------------------------------------------- #
+# failing closed: LexError or a token list, never anything else
+# -------------------------------------------------------------------------- #
+
+
+def scan_and_parse_fail_closed(src):
+    try:
+        toks = tokenize(src)
+    except LexError as err:
+        assert err.loc.line >= 1 and err.loc.col >= 1
+        with pytest.raises(LexError):
+            parse_script(src)
+        return
+    assert toks[-1].kind is T.EOF
+    assert all(t.kind is not T.EOF for t in toks[:-1])
+    try:
+        parse_script(src)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize("src", [
+    "x = ²;",       # str.isdigit() accepts it, float() does not
+    "x = 1²;",
+    "x = ٣;",       # float() accepts it; the language does not
+    "½x = 1;",      # numeric, but neither a digit nor a letter
+    "x = 1 \x0b 2;",
+    "x = \x00;",
+])
+def test_non_ascii_digits_and_controls_are_lex_errors(src):
+    with pytest.raises(LexError) as err:
+        tokenize(src)
+    assert "unexpected character" in err.value.message
+    assert err.value.loc.line == 1 and err.value.loc.col >= 1
+
+
+def test_unexpected_character_location():
+    with pytest.raises(LexError) as err:
+        tokenize("a = 1;\n  b = ²;", "prog.m")
+    assert str(err.value) == "prog.m:2:7: unexpected character '²'"
+
+
+@pytest.mark.parametrize("src, col", [
+    ("é = 2;", 1),              # emitted Python NFKC-folds identifiers:
+    ("µ = 1; μ = 2;", 1),       # these two were one variable once compiled
+    ("x² = 1;", 2),             # str.isalnum() accepts it; no Python
+    ("x½ = 1;", 2),             # identifier contains it
+    ("3iπ", 3),
+])
+def test_identifiers_are_ascii(src, col):
+    with pytest.raises(LexError) as err:
+        tokenize(src)
+    assert err.value.message == f"unexpected character {src[col - 1]!r}"
+    assert (err.value.loc.line, err.value.loc.col) == (1, col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_arbitrary_text_fails_closed(src):
+    scan_and_parse_fail_closed(src)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_corpus_programs_fail_closed(data):
+    src = SOURCES[data.draw(st.sampled_from(sorted(SOURCES)))]
+    at = data.draw(st.integers(0, len(src)))
+    char = data.draw(st.characters())
+    keep = data.draw(st.booleans())     # insert, or replace one character
+    scan_and_parse_fail_closed(src[:at] + char + src[at + (not keep):])
+
+
+def test_no_python_call_per_source_character():
+    """A comment-and-blank-only source costs O(lines) Python-level calls
+    (one NEWLINE token per line), not O(characters)."""
+    lines = 100
+    src = ("    % " + "comment text " * 8 + "\n") * lines
+    assert len(src) > 10_000
+    calls = 0
+
+    def profiler(_frame, event, _arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profiler)
+    try:
+        toks = tokenize(src)
+    finally:
+        sys.setprofile(None)
+    assert len(toks) == lines + 1
+    assert calls <= 4 * lines + 10

@@ -291,3 +291,191 @@ def test_comma_separated_statements():
     s = parse_script("a = 1, b = 2; c = 3\n")
     assert len(s.body) == 3
     assert s.body[0].display and not s.body[1].display
+
+
+# -------------------------------------------------------------------------- #
+# the grammar, pinned: what the ten-method precedence cascade parsed, as a
+# table the precedence-climbing parser must reproduce
+# -------------------------------------------------------------------------- #
+
+#: binary operators, loosest level first — the module docstring's list
+LEVELS = [
+    ["||"], ["&&"], ["|"], ["&"],
+    ["==", "~=", "<", ">", "<=", ">="],
+    [":"],
+    ["+", "-"],
+    ["*", "/", "\\", ".*", "./", ".\\"],
+]
+LEVEL_OF = {op: n for n, ops in enumerate(LEVELS) for op in ops}
+
+
+def sexpr(e):
+    """An expression tree as a nested tuple."""
+    if isinstance(e, A.BinOp):
+        return (e.op, sexpr(e.lhs), sexpr(e.rhs))
+    if isinstance(e, A.Range):
+        parts = [e.start, e.stop] if e.step is None \
+            else [e.start, e.step, e.stop]
+        return (":", *map(sexpr, parts))
+    if isinstance(e, A.UnaryOp):
+        return (f"u{e.op}", sexpr(e.operand))
+    if isinstance(e, A.Transpose):
+        return ("'" if e.conjugate else ".'", sexpr(e.operand))
+    if isinstance(e, A.Ident):
+        return e.name
+    if isinstance(e, A.Num):
+        return e.value
+    raise AssertionError(type(e).__name__)
+
+
+def expected_pair(op1, op2):
+    """``a op1 b op2 c`` under the precedence list, left-associative."""
+    if op1 == op2 == ":":
+        return (":", "a", "b", "c")             # start:step:stop
+    if LEVEL_OF[op1] >= LEVEL_OF[op2]:          # op1 at least as tight
+        return (op2, (op1, "a", "b"), "c")
+    return (op1, "a", (op2, "b", "c"))
+
+
+@pytest.mark.parametrize("op1", sorted(LEVEL_OF))
+@pytest.mark.parametrize("op2", sorted(LEVEL_OF))
+def test_every_ordered_pair_of_binary_operators(op1, op2):
+    tree = sexpr(parse_expression(f"a {op1} b {op2} c"))
+    assert tree == expected_pair(op1, op2)
+
+
+def test_docstring_lists_the_levels_the_table_has():
+    import repro.frontend.parser as parser_module
+
+    assert [[kind.value for kind in kinds]
+            for kinds in parser_module._BINARY_LEVELS] == LEVELS
+    doc = " ".join(parser_module.__doc__.split())
+    assert ("``||`` < ``&&`` < ``|`` < ``&`` < comparisons < ``:`` < "
+            "``+ -`` < ``* / \\ .* ./ .\\``") in doc
+
+
+@pytest.mark.parametrize("src, tree", [
+    ("1:2:n+1 == 3 | a",
+     ("|", ("==", (":", 1.0, 2.0, ("+", "n", 1.0)), 3.0), "a")),
+    ("a:b == c:d", ("==", (":", "a", "b"), (":", "c", "d"))),
+    ("a + b:c * d:e - f",
+     (":", ("+", "a", "b"), ("*", "c", "d"), ("-", "e", "f"))),
+    ("(a:b:c):d", (":", (":", "a", "b", "c"), "d")),
+    ("-a:b", (":", ("u-", "a"), "b")),
+    ("-2^2", ("u-", ("^", 2.0, 2.0))),
+    ("2^-3", ("^", 2.0, ("u-", 3.0))),
+    ("2^-~a", ("^", 2.0, ("u-", ("u~", "a")))),
+    ("2^-3^2", ("^", ("^", 2.0, ("u-", 3.0)), 2.0)),
+    ("a'^2'", ("^", ("'", "a"), ("'", 2.0))),
+    ("a.'.^b", (".^", (".'", "a"), "b")),
+    ("~a == b", ("==", ("u~", "a"), "b")),
+    ("-a * b", ("*", ("u-", "a"), "b")),
+    ("a * -b", ("*", "a", ("u-", "b"))),
+    ("- -a", ("u-", ("u-", "a"))),
+    ("a - b - c", ("-", ("-", "a", "b"), "c")),
+])
+def test_pinned_expression_trees(src, tree):
+    assert sexpr(parse_expression(src)) == tree
+
+
+@pytest.mark.parametrize("src, message, col", [
+    ("a:b:c:d", "expected 'eof', found ':'", 6),
+    ("1 == a:b:c:d", "expected 'eof', found ':'", 11),
+    ("a:b:c:d == 1", "expected 'eof', found ':'", 6),
+])
+def test_a_range_does_not_chain(src, message, col):
+    with pytest.raises(ParseError) as err:
+        parse_expression(src)
+    assert err.value.message == message
+    assert (err.value.loc.line, err.value.loc.col) == (1, col)
+
+
+def test_four_part_range_statement_message():
+    with pytest.raises(ParseError) as err:
+        parse_script("x = a:b:c:d;")
+    assert str(err.value) == \
+        "script:1:10: expected end of statement, found ':'"
+
+
+def test_operator_nodes_carry_the_operator_location():
+    e = parse_expression("aa + bb")
+    assert (e.loc.line, e.loc.col) == (1, 4)
+    e = parse_expression("aa:bb:cc")
+    assert isinstance(e, A.Range) and (e.loc.line, e.loc.col) == (1, 3)
+    e = parse_expression("x + ...\n  (y * z)")
+    assert isinstance(e.rhs, A.BinOp)
+    assert (e.rhs.loc.line, e.rhs.loc.col) == (2, 6)
+
+
+class TestNewlinesInsideGroups:
+    def test_invisible_inside_parentheses(self):
+        assert sexpr(parse_expression("(a +\n b\n)")) == ("+", "a", "b")
+        s = parse_script("y = f(a,\n\n b\n);\nz = 1;")
+        assert len(s.body) == 2 and len(s.body[0].value.args) == 2
+
+    def test_row_break_inside_brackets(self):
+        e = parse_expression("[a, b\n c, d]")
+        assert [len(row) for row in e.rows] == [2, 2]
+
+    def test_bracket_inside_parentheses_still_breaks_rows(self):
+        e = parse_expression("f([a\n b])")
+        assert [len(row) for row in e.args[0].rows] == [1, 1]
+
+    def test_parentheses_inside_bracket_still_invisible(self):
+        e = parse_expression("[f(a,\n b)\n c]")
+        assert [len(row) for row in e.rows] == [1, 1]
+        assert len(e.rows[0][0].args) == 2
+
+    def test_visible_again_after_the_closing_parenthesis(self):
+        s = parse_script("y = (a)\nz = 2")
+        assert len(s.body) == 2
+
+    def test_invisible_inside_case_braces(self):
+        s = parse_script("switch x\ncase {1,\n 2\n}\n y = 1;\nend")
+        assert len(s.body[0].cases[0][0]) == 2
+
+    def test_invisible_inside_function_parameters(self):
+        f = parse_function_file("function y = f(a,\n b)\ny = a;")[0]
+        assert f.params == ["a", "b"]
+
+    def test_not_invisible_in_multi_assign_targets(self):
+        with pytest.raises(ParseError) as err:
+            parse_script("[a,\n b] = size(x);")
+        assert err.value.message == "unexpected token '\\n' in expression"
+
+    def test_bare_colon_lookahead_does_not_skip_newlines(self):
+        with pytest.raises(ParseError) as err:
+            parse_expression("a(:\n, 1)")
+        assert err.value.message == "unexpected token ':' in expression"
+
+
+def test_token_stream_helper_calls_per_token():
+    """Looking at the current token is a list index: the helper methods
+    (peek/at/advance/accept/expect) are entered at most 3 times per token
+    over the seven benchmark programs (6.6 ``peek`` calls alone, each with
+    three nested calls, before the rewrite)."""
+    import sys
+
+    from repro.frontend.lexer import tokenize
+    from repro.frontend.parser import Parser
+    from tests.corpus import shipped_programs
+
+    streams = [tokenize(src) for label, (src, _m) in shipped_programs().items()
+               if label.startswith("e2e/")]
+    assert len(streams) == 7
+    helpers = {"peek", "at", "advance", "accept", "expect"}
+    calls = 0
+
+    def profiler(frame, event, _arg):
+        nonlocal calls
+        code = frame.f_code
+        calls += (event == "call" and code.co_name in helpers
+                  and code.co_filename.endswith("parser.py"))
+
+    sys.setprofile(profiler)
+    try:
+        for toks in streams:
+            Parser(toks).parse_script()
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls <= 3 * sum(len(toks) for toks in streams)

@@ -282,6 +282,31 @@ def test_cyclic_scheme_on_corpus(key, run_interp, run_compiled):
                 rtol=1e-9, atol=1e-12, err_msg=f"{key}:{name}")
 
 
+#: NaN as a compile-time constant: `x = nan;` used to make inference
+#: report a change on every sweep (NaN != NaN) until the round cap
+NAN_PROGRAMS = {
+    "literal_in_matrix": "x = nan; y = [1, x, 3]; disp(sum(isnan(y)))",
+    "loop_carried": "s = nan; for k = 1:3, s = s + k; end; disp(isnan(s))",
+    "folded_inf_minus_inf": "z = inf - inf;\nw = NaN;\ndisp(isnan(z) + isnan(w))",
+    "through_a_vector": "v = (1:6) * nan;\nm = max(isnan(v));\nc = nan + 2i;",
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("key", sorted(NAN_PROGRAMS))
+def test_nan_constants_on_both_backends(key, run_interp, run_compiled):
+    interp = run_interp(NAN_PROGRAMS[key])
+    for backend in ("lockstep", "fused"):
+        for p in (1, 3):
+            ws, out = run_compiled(NAN_PROGRAMS[key], nprocs=p,
+                                   backend=backend)
+            assert out == "".join(interp.output), (backend, p)
+            for name, expected in interp.workspace.items():
+                np.testing.assert_array_equal(      # NaN equals NaN here
+                    np.asarray(ws[name]), np.asarray(expected),
+                    err_msg=f"{backend} P={p}: {name}")
+
+
 @pytest.mark.slow
 def test_readme_quickstart_snippet():
     """The README's quickstart block must actually work as shown."""
