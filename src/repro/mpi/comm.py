@@ -65,14 +65,21 @@ def _op_prod(a, b):
     return a * b
 
 
+# MAX/MIN are ``np.maximum``/``np.minimum`` for Python numbers too: a NaN
+# on either side is the result (builtin ``max`` keeps a NaN only in
+# first position, so the answer would depend on which rank holds it),
+# and which zero wins a ``0.0``/``-0.0`` tie is numpy's choice here as
+# in the array arm and in the fused backend's ``accumulate`` fold.
+
+
 def _op_max(a, b):
-    return np.maximum(a, b) if isinstance(a, np.ndarray) \
-        or isinstance(b, np.ndarray) else max(a, b)
+    both = np.maximum(a, b)
+    return both if isinstance(both, np.ndarray) else both.item()
 
 
 def _op_min(a, b):
-    return np.minimum(a, b) if isinstance(a, np.ndarray) \
-        or isinstance(b, np.ndarray) else min(a, b)
+    both = np.minimum(a, b)
+    return both if isinstance(both, np.ndarray) else both.item()
 
 
 def _op_land(a, b):

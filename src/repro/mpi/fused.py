@@ -34,7 +34,9 @@ catches it and re-runs the program under ``lockstep``.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -50,6 +52,10 @@ from .machine import MachineModel
 #: to the Python loop ``acc = op(acc, obj)`` repeated P-1 times
 _FOLD_UFUNCS = {SUM: np.add, PROD: np.multiply,
                 MAX: np.maximum, MIN: np.minimum}
+
+#: the same fold over Python scalars: SUM and PROD stay Python
+#: arithmetic, which saturates silently where numpy would warn
+_FOLD_SCALARS = {SUM: operator.add, PROD: operator.mul}
 
 _MISSING = object()
 
@@ -69,6 +75,23 @@ def _bits_equal(a: Any, b: Any) -> bool:
     """Exact (bit-level for floats: ``repr`` separates ``0.0``/``-0.0``)
     equality — the fixed-point test of :meth:`FusedComm._fold_value`."""
     return type(a) is type(b) and a == b and repr(a) == repr(b)
+
+
+def fold_ranks(op: Callable, parts: np.ndarray):
+    """Fold every rank's partial (``parts``: rank axis first) in rank
+    order, at C speed: bit-identical to the ``acc = op(acc, item)`` loop
+    ``Comm``'s reduction runs over the same contributions — Python
+    scalars for a 1-D ``parts``, arrays otherwise.  ``op`` is one of
+    SUM, PROD, MAX, MIN."""
+    if parts.ndim == 1 and op in _FOLD_SCALARS:
+        return functools.reduce(_FOLD_SCALARS[op], parts.tolist())
+    if op is PROD and parts.dtype.kind == "c":
+        # numpy's complex multiply rounds differently inside accumulate
+        # (fused multiply-add) than in ``acc * item``
+        return functools.reduce(operator.mul, list(parts))
+    acc = _FOLD_UFUNCS[op].accumulate(parts, axis=0)[-1]
+    # (a copy, so the result does not keep all P prefixes alive)
+    return acc.item() if parts.ndim == 1 else acc.copy()
 
 
 class PerRankScalar:

@@ -98,6 +98,24 @@ class _Kernel:
 #: sentinel: spec permanently numpy-only for this process
 _UNSUPPORTED = object()
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _as_double(a) -> Optional[float]:
+    """The C ``double`` a replicated operand is passed as — size-1
+    float64 arrays, bools, real Python and numpy numbers — or ``None``
+    for what the tier does not take (complex, other dtypes, ...)."""
+    if isinstance(a, np.ndarray):
+        if a.size != 1 or a.dtype != _FLOAT64:
+            return None
+        return float(a.reshape(-1)[0])
+    # bool before int: bool is an int subclass
+    if isinstance(a, (bool, np.bool_)):
+        return 1.0 if a else 0.0
+    if isinstance(a, (float, int, np.floating, np.integer)):
+        return float(a)
+    return None
+
 
 def _resolve_cc(cand: str) -> Optional[str]:
     if os.path.sep in cand:
@@ -267,48 +285,42 @@ class NativeEngine:
         return out
 
     def _prepare_args(self, spec, args):
-        """Gate + normalize the operand list.
+        """Gate the operand list.
 
         Returns ``(sig, shape, call_values)`` or ``None``.  Arrays must
-        be float64, C-contiguous, and share one shape; size-1 arrays and
-        numpy scalars demote to C ``double`` arguments; complex anywhere
-        means the numpy path (output dtype would differ).
+        be float64, C-contiguous, and share one shape; complex anywhere
+        means the numpy path (output dtype would differ).  ``ew`` hands
+        over Python floats and whole arrays, which pass as they are;
+        whatever else can stand for one C ``double`` is demoted to it.
         """
-        if not isinstance(spec, tuple):
+        if spec.__class__ is not tuple:
             return None
-        sig = []
-        values = []
+        sig = ""
         shape = None
-        for a in args:
-            if isinstance(a, np.ndarray):
-                if a.size != 1:
-                    if a.dtype != np.float64 or not a.flags.c_contiguous:
-                        return None
-                    if shape is None:
-                        shape = a.shape
-                    elif a.shape != shape:
-                        return None
-                    sig.append("a")
-                    values.append(a)
-                    continue
-                if a.dtype != np.float64:  # size-1 broadcast
+        values = args
+        for index, a in enumerate(args):
+            kind = a.__class__
+            if kind is float:
+                sig += "s"
+            elif kind is np.ndarray and a.size != 1:
+                if a.dtype != _FLOAT64 or not a.flags.c_contiguous:
                     return None
-                sig.append("s")
-                values.append(float(a.reshape(-1)[0]))
-                continue
-            # bool before int: bool is an int subclass
-            if isinstance(a, (bool, np.bool_)):
-                sig.append("s")
-                values.append(1.0 if a else 0.0)
-                continue
-            if isinstance(a, (float, int, np.floating, np.integer)):
-                sig.append("s")
-                values.append(float(a))
-                continue
-            return None
+                if shape is None:
+                    shape = a.shape
+                elif a.shape != shape:
+                    return None
+                sig += "a"
+            else:
+                demoted = _as_double(a)
+                if demoted is None:
+                    return None
+                if values is args:
+                    values = list(args)
+                values[index] = demoted
+                sig += "s"
         if shape is None:
             return None  # pure-scalar chains never reach the tier
-        return "".join(sig), shape, values
+        return sig, shape, values
 
     # ---------------------------------------------------------------- #
     # kernel construction

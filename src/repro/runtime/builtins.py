@@ -1,11 +1,12 @@
 """Distributed implementations of the MATLAB builtins.
 
 ``call_builtin(rt, name, args, nargout)`` dispatches every name in
-:mod:`repro.analysis.builtin_sigs` to its parallel implementation; a test
-keeps the three tables (signatures / interpreter / run-time) in sync.
-Elementwise builtins reuse the interpreter's numpy kernels, applied to
-local blocks through :meth:`RuntimeContext.ew` so they are charged as one
-fused owner-computes loop.
+:mod:`repro.analysis.builtin_sigs` to its parallel implementation
+through one table, built at import: ``name -> handler(rt, args,
+nargout)``.  A test keeps the three tables (signatures / interpreter /
+run-time) in sync.  Elementwise builtins reuse the interpreter's numpy
+kernels, applied to local blocks through :meth:`RuntimeContext.ew` so
+they are charged as one fused owner-computes loop.
 """
 
 from __future__ import annotations
@@ -39,207 +40,202 @@ _EW_BINARY = {
 }
 
 
-def call_builtin(rt, name: str, args: list[RValue], nargout: int = 1):
-    """Invoke builtin ``name`` on the distributed runtime."""
-    if name in _CONSTANTS:
-        return _CONSTANTS[name]
-    if name in _EW_FUNCS:
-        return rt.ew(_EW_FUNCS[name], 1, args[0], spec=(f"fn:{name}", "@0"))
-    if name in _EW_BINARY:
-        return rt.ew(_EW_BINARY[name], 1, args[0], args[1],
-                     spec=(f"fn:{name}", "@0", "@1"))
+# Handlers take ``(rt, a, n)``: the context, the argument list, nargout.
 
-    if name == "zeros":
-        return rt.zeros(*args)
-    if name == "ones":
-        return rt.ones(*args)
-    if name == "eye":
-        return rt.eye(*args)
-    if name in ("rand", "randn"):
-        if args and isinstance(args[0], str):
-            if args[0] != "seed" or len(args) != 2:
+
+def _dim(rt, a):
+    """The optional second ``dim`` argument of ``sum``/``prod``/``mean``."""
+    return rt.int_scalar(a[1], "dim") if len(a) == 2 else None
+
+
+def _random(name: str):
+    def handler(rt, a, n):
+        if a and isinstance(a[0], str):
+            if a[0] != "seed" or len(a) != 2:
                 raise MatlabRuntimeError(f"{name}: unsupported string argument")
-            rt.reseed(rt.int_scalar(args[1], "seed"))
+            rt.reseed(rt.int_scalar(a[1], "seed"))
             return None
-        return rt.rand(*args) if name == "rand" else rt.randn(*args)
-    if name == "linspace":
-        return rt.linspace(*args)
+        return getattr(rt, name)(*a)
+    return handler
 
-    if name in ("sum", "prod"):
-        dim = rt.int_scalar(args[1], "dim") if len(args) == 2 else None
-        return reductions.reduce_op(rt, name, args[0], dim=dim)
-    if name == "mean":
-        dim = rt.int_scalar(args[1], "dim") if len(args) == 2 else None
-        return reductions.mean(rt, args[0], dim=dim)
-    if name in ("std", "var"):
-        return reductions.std_var(rt, name, args[0])
-    if name == "median":
-        return reductions.median(rt, args[0])
-    if name == "find":
-        return reductions.find(rt, args[0])
-    if name in ("all", "any"):
-        return reductions.all_any(rt, name, args[0])
-    if name in ("max", "min"):
-        if len(args) == 2:
-            fn = np.maximum if name == "max" else np.minimum
-            return rt.ew(fn, 1, args[0], args[1],
-                         spec=(f"fn:{name}imum", "@0", "@1"))
-        if nargout >= 2:
-            return reductions.minmax_with_index(rt, name, args[0])
-        return reductions.reduce_op(rt, name, args[0])
-    if name == "norm":
-        return reductions.norm(rt, args[0], args[1] if len(args) > 1 else None)
-    if name == "trapz":
-        if len(args) == 1:
-            return reductions.trapz(rt, None, args[0])
-        return reductions.trapz(rt, args[0], args[1])
-    if name == "trapz2":
-        return reductions.trapz2(rt, *args)
-    if name in ("cumsum", "cumprod"):
-        return reductions.cumulative(rt, name, args[0])
-    if name == "dot":
-        a, b = args
-        ra, ca = rt.shape_of(a)
-        rb, cb = rt.shape_of(b)
-        if ra * ca != rb * cb:
-            raise MatlabRuntimeError("dot: vectors must be the same length")
-        row = a if ra == 1 else linalg.transpose(rt, a, conjugate=True)
-        col = b if cb == 1 else linalg.transpose(rt, b, conjugate=False)
-        return linalg.dot(rt, row, col)
 
-    if name == "size":
-        r, c = rt.shape_of(args[0])
-        if len(args) == 2:
-            dim = rt.int_scalar(args[1], "size")
-            return float(r) if dim == 1 else (float(c) if dim == 2 else 1.0)
-        if nargout >= 2:
-            return (float(r), float(c))
-        return rt.from_literal([[float(r), float(c)]])
-    if name == "length":
-        r, c = rt.shape_of(args[0])
-        return float(max(r, c)) if r * c else 0.0
-    if name == "numel":
-        r, c = rt.shape_of(args[0])
-        return float(r * c)
-    if name == "isempty":
-        r, c = rt.shape_of(args[0])
-        return 1.0 if r * c == 0 else 0.0
-    if name == "isreal":
-        if isinstance(args[0], str):
-            return 1.0
-        if isinstance(args[0], DMatrix):
-            return 0.0 if np.iscomplexobj(args[0].local) else 1.0
-        return 0.0 if isinstance(args[0], complex) or \
-            np.iscomplexobj(V.as_matrix(args[0])) else 1.0
-    if name == "isscalar":
-        r, c = rt.shape_of(args[0])
-        return 1.0 if r * c == 1 else 0.0
+def _extremum(name: str):
+    ufunc = np.maximum if name == "max" else np.minimum
+    spec = (f"fn:{name}imum", "@0", "@1")
 
-    if name == "reshape":
-        return structural.reshape(rt, args[0], args[1], args[2])
-    if name == "repmat":
-        return structural.repmat(rt, args[0], args[1], args[2])
-    if name == "circshift":
-        return structural.circshift(rt, args[0], args[1])
-    if name == "fliplr":
-        return structural.flip(rt, args[0], axis=1)
-    if name == "flipud":
-        return structural.flip(rt, args[0], axis=0)
-    if name == "tril":
-        return structural.triangle(rt, args[0],
-                                   args[1] if len(args) > 1 else None,
-                                   lower=True)
-    if name == "triu":
-        return structural.triangle(rt, args[0],
-                                   args[1] if len(args) > 1 else None,
-                                   lower=False)
-    if name == "diag":
-        return structural.diag(rt, args[0])
-    if name == "transpose":
-        return linalg.transpose(rt, args[0], conjugate=False)
-    if name == "ctranspose":
-        return linalg.transpose(rt, args[0], conjugate=True)
-    if name == "sort":
-        return structural.sort(rt, args[0])
+    def handler(rt, a, n):
+        if len(a) == 2:
+            return rt.ew(ufunc, 1, a[0], a[1], spec=spec)
+        if n >= 2:
+            return reductions.minmax_with_index(rt, name, a[0])
+        return reductions.reduce_op(rt, name, a[0])
+    return handler
 
-    if name == "inv":
-        shape = rt.shape_of(args[0])
-        if shape[0] != shape[1]:
-            raise MatlabRuntimeError("inv: matrix must be square")
-        return linalg.solve(rt, args[0],
-                            rt.eye(float(shape[0]), float(shape[0])),
-                            left=True)
-    if name == "det":
-        full = rt.gather_full(args[0]) if isinstance(args[0], DMatrix) \
-            else V.as_matrix(args[0])
-        if full.shape[0] != full.shape[1]:
-            raise MatlabRuntimeError("det: matrix must be square")
-        rt.comm.compute(flops=2 * full.shape[0] ** 3 // 3)
-        return V.simplify(np.asarray(np.linalg.det(full)).reshape(1, 1))
-    if name == "trace":
-        d = structural.diag(rt, args[0])
-        return reductions.reduce_op(rt, "sum", d)
-    if name == "sprintf":
-        from ..interp.builtins import sprintf_cycle
 
-        fmt = args[0]
-        if not isinstance(fmt, str):
-            raise MatlabRuntimeError(
-                "sprintf: first argument must be a format")
-        values: list = []
-        for a in args[1:]:
-            rep = rt.to_interp_value(a)
-            if isinstance(rep, str):
-                values.append(rep)
-            else:
-                values.extend(V.as_matrix(rep).reshape(-1, order="F")
-                              .tolist())
-        return sprintf_cycle(fmt, values)
-    if name in ("num2str", "int2str"):
+def _dot(rt, args, nargout):
+    a, b = args
+    ra, ca = rt.shape_of(a)
+    rb, cb = rt.shape_of(b)
+    if ra * ca != rb * cb:
+        raise MatlabRuntimeError("dot: vectors must be the same length")
+    row = a if ra == 1 else linalg.transpose(rt, a, conjugate=True)
+    col = b if cb == 1 else linalg.transpose(rt, b, conjugate=False)
+    return linalg.dot(rt, row, col)
+
+
+def _size(rt, a, n):
+    r, c = rt.shape_of(a[0])
+    if len(a) == 2:
+        dim = rt.int_scalar(a[1], "size")
+        return float(r) if dim == 1 else (float(c) if dim == 2 else 1.0)
+    if n >= 2:
+        return (float(r), float(c))
+    return rt.from_literal([[float(r), float(c)]])
+
+
+def _shape(fn):
+    """Builtins that read only the argument's shape (local metadata)."""
+    return lambda rt, a, n: fn(*rt.shape_of(a[0]))
+
+
+def _isreal(rt, a, n):
+    if isinstance(a[0], str):
+        return 1.0
+    if isinstance(a[0], DMatrix):
+        return 0.0 if np.iscomplexobj(a[0].local) else 1.0
+    return 0.0 if isinstance(a[0], complex) or \
+        np.iscomplexobj(V.as_matrix(a[0])) else 1.0
+
+
+def _inv(rt, a, n):
+    shape = rt.shape_of(a[0])
+    if shape[0] != shape[1]:
+        raise MatlabRuntimeError("inv: matrix must be square")
+    return linalg.solve(rt, a[0], rt.eye(float(shape[0]), float(shape[0])),
+                        left=True)
+
+
+def _det(rt, a, n):
+    full = rt.gather_full(a[0]) if isinstance(a[0], DMatrix) \
+        else V.as_matrix(a[0])
+    if full.shape[0] != full.shape[1]:
+        raise MatlabRuntimeError("det: matrix must be square")
+    rt.comm.compute(flops=2 * full.shape[0] ** 3 // 3)
+    return V.simplify(np.asarray(np.linalg.det(full)).reshape(1, 1))
+
+
+def _sprintf(rt, a, n):
+    from ..interp.builtins import sprintf_cycle
+
+    if not isinstance(a[0], str):
+        raise MatlabRuntimeError(
+            "sprintf: first argument must be a format")
+    values: list = []
+    for arg in a[1:]:
+        rep = rt.to_interp_value(arg)
+        if isinstance(rep, str):
+            values.append(rep)
+        else:
+            values.extend(V.as_matrix(rep).reshape(-1, order="F")
+                          .tolist())
+    return sprintf_cycle(a[0], values)
+
+
+def _via_interpreter(name: str):
+    """``num2str``/``int2str``: the interpreter's own implementation,
+    on the replicated values."""
+    def handler(rt, a, n):
         from ..interp.builtins import TABLE as _ITABLE
         from ..interp.costmodel import NULL_METER
 
         class _Shim:
             meter = NULL_METER
 
-        rep = [rt.to_interp_value(a) for a in args]
-        return _ITABLE[name](_Shim(), rep, nargout)
-    if name == "disp":
-        rt.disp(args[0])
-        return None
-    if name == "fprintf":
-        rt.fprintf(args[0], *args[1:])
-        return None
-    if name == "error":
-        rt.error(args[0], *args[1:])
-        return None
-    if name == "load":
-        return rt.load(args[0])
-    if name == "save":
-        rt.save(args[0], *args[1:])
-        return None
-    if name == "tic":
-        rt.tic()
-        return None
-    if name == "toc":
-        return rt.toc()
-    if name == "double":
-        return args[0]
+        return _ITABLE[name](_Shim(), [rt.to_interp_value(v) for v in a], n)
+    return handler
 
-    raise MatlabRuntimeError(
-        f"builtin {name!r} has no distributed implementation")
 
+_TABLE = {
+    "zeros": lambda rt, a, n: rt.zeros(*a),
+    "ones": lambda rt, a, n: rt.ones(*a),
+    "eye": lambda rt, a, n: rt.eye(*a),
+    "rand": _random("rand"),
+    "randn": _random("randn"),
+    "linspace": lambda rt, a, n: rt.linspace(*a),
+    "sum": lambda rt, a, n: reductions.reduce_op(rt, "sum", a[0], _dim(rt, a)),
+    "prod": lambda rt, a, n: reductions.reduce_op(rt, "prod", a[0],
+                                                  _dim(rt, a)),
+    "mean": lambda rt, a, n: reductions.mean(rt, a[0], _dim(rt, a)),
+    "std": lambda rt, a, n: reductions.std_var(rt, "std", a[0]),
+    "var": lambda rt, a, n: reductions.std_var(rt, "var", a[0]),
+    "median": lambda rt, a, n: reductions.median(rt, a[0]),
+    "find": lambda rt, a, n: reductions.find(rt, a[0]),
+    "all": lambda rt, a, n: reductions.all_any(rt, "all", a[0]),
+    "any": lambda rt, a, n: reductions.all_any(rt, "any", a[0]),
+    "max": _extremum("max"),
+    "min": _extremum("min"),
+    "norm": lambda rt, a, n: reductions.norm(rt, *a[:2]),
+    "trapz": lambda rt, a, n: reductions.trapz(
+        rt, a[0] if len(a) > 1 else None, a[-1]),
+    "trapz2": lambda rt, a, n: reductions.trapz2(rt, *a),
+    "cumsum": lambda rt, a, n: reductions.cumulative(rt, "cumsum", a[0]),
+    "cumprod": lambda rt, a, n: reductions.cumulative(rt, "cumprod", a[0]),
+    "dot": _dot,
+    "size": _size,
+    "length": _shape(lambda r, c: float(max(r, c)) if r * c else 0.0),
+    "numel": _shape(lambda r, c: float(r * c)),
+    "isempty": _shape(lambda r, c: 1.0 if r * c == 0 else 0.0),
+    "isreal": _isreal,
+    "isscalar": _shape(lambda r, c: 1.0 if r * c == 1 else 0.0),
+    "reshape": lambda rt, a, n: structural.reshape(rt, a[0], a[1], a[2]),
+    "repmat": lambda rt, a, n: structural.repmat(rt, a[0], a[1], a[2]),
+    "circshift": lambda rt, a, n: structural.circshift(rt, a[0], a[1]),
+    "fliplr": lambda rt, a, n: structural.flip(rt, a[0], axis=1),
+    "flipud": lambda rt, a, n: structural.flip(rt, a[0], axis=0),
+    "tril": lambda rt, a, n: structural.triangle(
+        rt, a[0], a[1] if len(a) > 1 else None, lower=True),
+    "triu": lambda rt, a, n: structural.triangle(
+        rt, a[0], a[1] if len(a) > 1 else None, lower=False),
+    "diag": lambda rt, a, n: structural.diag(rt, a[0]),
+    "transpose": lambda rt, a, n: linalg.transpose(rt, a[0], conjugate=False),
+    "ctranspose": lambda rt, a, n: linalg.transpose(rt, a[0], conjugate=True),
+    "sort": lambda rt, a, n: structural.sort(rt, a[0]),
+    "inv": _inv,
+    "det": _det,
+    "trace": lambda rt, a, n: reductions.reduce_op(
+        rt, "sum", structural.diag(rt, a[0])),
+    "sprintf": _sprintf,
+    "num2str": _via_interpreter("num2str"),
+    "int2str": _via_interpreter("int2str"),
+    "disp": lambda rt, a, n: rt.disp(a[0]),
+    "fprintf": lambda rt, a, n: rt.fprintf(*a),
+    "error": lambda rt, a, n: rt.error(*a),
+    "load": lambda rt, a, n: rt.load(a[0]),
+    "save": lambda rt, a, n: rt.save(*a),
+    "tic": lambda rt, a, n: rt.tic(),
+    "toc": lambda rt, a, n: rt.toc(),
+}
+# the kernel families and the constants; on a name clash a later family
+# answers, as the lookup order always had it ("double" is a unary kernel)
+for _name, _fn in _EW_BINARY.items():
+    _TABLE[_name] = lambda rt, a, n, fn=_fn, spec=(
+        f"fn:{_name}", "@0", "@1"): rt.ew(fn, 1, a[0], a[1], spec=spec)
+for _name, _fn in _EW_FUNCS.items():
+    _TABLE[_name] = lambda rt, a, n, fn=_fn, spec=(
+        f"fn:{_name}", "@0"): rt.ew(fn, 1, a[0], spec=spec)
+for _name, _value in _CONSTANTS.items():
+    _TABLE[_name] = lambda rt, a, n, value=_value: value
 
 #: names handled by this dispatcher (kept in sync with the signature
 #: registry by a test)
-SUPPORTED = (set(_CONSTANTS) | set(_EW_FUNCS) | set(_EW_BINARY) | {
-    "zeros", "ones", "eye", "rand", "randn", "linspace",
-    "sum", "prod", "mean", "std", "var", "median", "find",
-    "all", "any", "max", "min", "norm",
-    "trapz", "trapz2", "cumsum", "cumprod", "dot",
-    "size", "length", "numel", "isempty", "isreal", "isscalar",
-    "reshape", "repmat", "circshift", "fliplr", "flipud",
-    "tril", "triu", "diag", "transpose", "ctranspose", "sort",
-    "disp", "fprintf", "error", "load", "save", "tic", "toc", "double",
-    "inv", "det", "trace", "sprintf", "num2str", "int2str",
-})
+SUPPORTED = frozenset(_TABLE)
+
+
+def call_builtin(rt, name: str, args: list[RValue], nargout: int = 1):
+    """Invoke builtin ``name`` on the distributed runtime."""
+    try:
+        handler = _TABLE[name]
+    except KeyError:
+        raise MatlabRuntimeError(
+            f"builtin {name!r} has no distributed implementation") from None
+    return handler(rt, args, nargout)

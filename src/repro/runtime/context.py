@@ -587,12 +587,35 @@ class RuntimeContext:
         and verification, falling back to ``fn`` per call otherwise.
         The cost-model charges below are issued identically either way.
         """
-        dists = [op for op in operands if isinstance(op, DMatrix)]
+        # One pass classifies the operands: the kernel's arguments, the
+        # first distributed operand (the result's template) and whatever
+        # is out of the ordinary.  The ordinary case — Python floats and
+        # matrices of one interned geometry — meets no other check.
+        template = clash = None
+        per_rank = realign = False
+        args = []
         for op in operands:
-            self._check_numeric(op, "elementwise operation")
-        per_rank = [op for op in operands if isinstance(op, PerRankScalar)]
+            kind = op.__class__
+            if kind is float:
+                args.append(op)
+            elif kind is FusedDMatrix or kind is DMatrix:
+                if template is None:
+                    template = op
+                elif op.geom is not template.geom:
+                    if op.shape != template.shape:
+                        if clash is None:
+                            clash = op
+                    elif op.scheme != template.scheme:
+                        realign = True
+                args.append(op.full if kind is FusedDMatrix else op.local)
+            elif isinstance(op, str):
+                raise MatlabRuntimeError(
+                    "elementwise operation: expected a numeric value")
+            else:       # complex, replicated arrays, numpy scalars, ...
+                per_rank = per_rank or isinstance(op, PerRankScalar)
+                args.append(op)
         if per_rank:
-            if dists:
+            if template is not None:
                 raise FusionDivergence(
                     "rank-varying scalar mixed into distributed arithmetic")
             # pure-scalar chain over rank-varying values: apply per rank
@@ -607,63 +630,42 @@ class RuntimeContext:
                 outs.append(complex(res) if np.iscomplexobj(res)
                             else float(res))
             return PerRankScalar(outs).collapse()
-        if not dists:
+        if template is None:
             locals_ = [complex(op) if isinstance(op, complex) else
                        np.asarray(V.as_matrix(op)) for op in operands]
             out = fn(*locals_)
             return V.simplify(np.asarray(out))
-        shape = dists[0].shape
-        for d in dists[1:]:
-            if d.shape != shape:
-                raise MatlabRuntimeError(
-                    f"matrix dimensions must agree ({shape} vs {d.shape})")
-        if any(d.scheme != dists[0].scheme for d in dists[1:]):
+        if clash is not None:
+            raise MatlabRuntimeError(
+                f"matrix dimensions must agree "
+                f"({template.shape} vs {clash.shape})")
+        if realign:
             # mixed distributions (a per-array plan choice): realign to
             # the first operand's scheme, paying the gather honestly
-            scheme = dists[0].scheme
-            operands = tuple(self.realign(op, scheme)
-                             if isinstance(op, DMatrix) else op
-                             for op in operands)
-            dists = [op for op in operands if isinstance(op, DMatrix)]
-        if isinstance(dists[0], FusedDMatrix):
-            # one full-array pass — bitwise identical to the per-block
-            # calls (elementwise ufuncs are position-independent)
-            args = [op.full if isinstance(op, DMatrix) else op
-                    for op in operands]
-            out_full = None
-            if spec is not None and self.native is not None:
-                out_full = self.native.run(spec, args, fn)
-            if out_full is None:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out_full = np.asarray(fn(*args))
-            if out_full.dtype.kind not in ("f", "c"):
-                out_full = out_full.astype(float)
-            template = dists[0]
+            scheme = template.scheme
+            return self.ew(fn, nops, *(
+                self.realign(op, scheme) if isinstance(op, DMatrix) else op
+                for op in operands), spec=spec)
+        # the kernel, over the whole array when fused — bitwise identical
+        # to the per-block calls (elementwise ufuncs are
+        # position-independent) — else over this rank's block
+        out = None
+        if spec is not None and self.native is not None:
+            out = self.native.run(spec, args, fn)
+        if out is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.asarray(fn(*args))
+        if out.dtype.kind not in "fc":
+            out = out.astype(float)
+        self.comm.overhead()
+        if template.__class__ is FusedDMatrix:
             geom = template.geom
-            self.comm.overhead()
             self.comm.compute_ranks(elems=geom.scaled_counts(nops),
                                     mem=geom.counts)
-            return template.like_full(out_full)
-        args = []
-        for op in operands:
-            if isinstance(op, DMatrix):
-                args.append(op.local)
-            else:
-                args.append(op)  # replicated scalar broadcast
-        out_local = None
-        if spec is not None and self.native is not None:
-            out_local = self.native.run(spec, args, fn)
-        if out_local is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out_local = fn(*args)
-        out_local = np.asarray(out_local)
-        if out_local.dtype.kind not in ("f", "c"):
-            out_local = out_local.astype(float)
-        template = dists[0]
-        self.comm.overhead()
-        self.comm.compute(elems=template.local_count() * nops,
-                          mem=template.local_count())
-        return template.like(out_local)
+            return template.like_full(out)
+        count = template.local.size
+        self.comm.compute(elems=count * nops, mem=count)
+        return template.like(out)
 
     # ------------------------------------------------------------------ #
     # truthiness / control flow support
@@ -854,32 +856,18 @@ from . import reductions as _reductions  # noqa: E402
 from . import structural as _structural  # noqa: E402
 
 
-def _delegate(cls):
-    cls.matmul = lambda self, a, b: _linalg.matmul(self, a, b)
-    cls.dot = lambda self, a, b: _linalg.dot(self, a, b)
-    cls.outer = lambda self, a, b: _linalg.outer(self, a, b)
-    cls.matvec = lambda self, a, x: _linalg.matvec(self, a, x)
-    cls.vecmat = lambda self, x, a: _linalg.vecmat(self, x, a)
-    cls.transpose = lambda self, a, conjugate=True: _linalg.transpose(
-        self, a, conjugate)
-    cls.solve = lambda self, a, b, left=True: _linalg.solve(self, a, b, left)
-    cls.matrix_power = lambda self, a, k: _linalg.matrix_power(self, a, k)
-    cls.reduce_op = lambda self, name, v: _reductions.reduce_op(self, name, v)
-    cls.mean = lambda self, v: _reductions.mean(self, v)
-    cls.norm = lambda self, v, mode=None: _reductions.norm(self, v, mode)
-    cls.trapz = lambda self, x, y: _reductions.trapz(self, x, y)
-    cls.trapz2 = lambda self, z, dx=1.0, dy=1.0: _reductions.trapz2(
-        self, z, dx, dy)
-    cls.cumulative = lambda self, name, v: _reductions.cumulative(
-        self, name, v)
-    cls.sort = lambda self, v: _structural.sort(self, v)
-    cls.circshift = lambda self, v, k: _structural.circshift(self, v, k)
-    cls.call_builtin = lambda self, name, args, nargout=1: \
-        _builtins.call_builtin(self, name, args, nargout)
-    return cls
-
-
-_delegate(RuntimeContext)
+# The operation modules' functions take the context first, so they are
+# the methods: ``rt.matmul(a, b)`` is ``linalg.matmul(rt, a, b)`` with no
+# frame in between.
+for _module, _names in (
+        (_linalg, ("matmul", "dot", "outer", "matvec", "vecmat", "transpose",
+                   "solve", "matrix_power", "matmul_t")),
+        (_reductions, ("reduce_op", "mean", "norm", "trapz", "trapz2",
+                       "cumulative")),
+        (_structural, ("sort", "circshift")),
+        (_builtins, ("call_builtin",))):
+    for _name in _names:
+        setattr(RuntimeContext, _name, getattr(_module, _name))
 
 
 # -------------------------------------------------------------------------- #
@@ -920,13 +908,9 @@ def _codegen_support(cls):
         return 1.0 if bool(_np.all(_V.as_matrix(sv) == _V.as_matrix(cv))) \
             else 0.0
 
-    def matmul_t(self, a, b, conjugate=True):
-        return _linalg.matmul_t(self, a, b, conjugate)
-
     cls.loop_range = loop_range
     cls.end_extent = end_extent
     cls.switch_match = switch_match
-    cls.matmul_t = matmul_t
     return cls
 
 

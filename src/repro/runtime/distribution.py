@@ -184,12 +184,20 @@ class Geometry:
     ``slices[r]`` indexes the distributed axis (a ``slice`` for block
     maps, a read-only index array for cyclic ones) and ``counts[r]`` is
     rank ``r``'s local *element* count.
+
+    The rank axis: both maps give the first ``extent % nprocs`` ranks
+    one item more than the rest, so the distributed axis is at most two
+    *runs* of ranks holding equally many items.  :meth:`stacked` lays an
+    array out as one ``(ranks, items per rank, ...)`` array per run, in
+    rank order — the one way a fused op sees the ranks, so its kernel is
+    a numpy call per run, not per rank — and :meth:`unstacked` is the
+    inverse, for results laid out by rank.
     """
 
     __slots__ = ("rows", "cols", "nprocs", "scheme", "shape", "numel",
                  "is_vector", "map", "counts", "starts", "slices",
                  "local_shapes", "max_count", "_scaled", "_indices",
-                 "_overlaps")
+                 "_overlaps", "_runs", "_run_indices")
 
     def __init__(self, rows: int, cols: int, nprocs: int, scheme: str):
         self.rows = rows = int(rows)
@@ -222,6 +230,16 @@ class Geometry:
         self.max_count = max(self.counts)
         self._scaled: dict[int, tuple[int, ...]] = {1: self.counts}
         self._overlaps: dict[int, int] = {}
+        # the runs, as (first rank, ranks, items per rank, where a block
+        # map keeps them); the last one always exists and is the only
+        # one whose ranks may hold nothing (extent < nprocs)
+        items, longer = divmod(extent, nprocs)
+        split = longer * (items + 1)
+        runs = [(longer, nprocs - longer, items, slice(split, extent))]
+        if longer:
+            runs.insert(0, (0, longer, items + 1, slice(0, split)))
+        self._runs = tuple(runs)
+        self._run_indices = None
 
     def scaled_counts(self, k: int) -> tuple[int, ...]:
         """``counts`` times ``k`` (the per-rank operation counts of a
@@ -241,6 +259,47 @@ class Geometry:
             indices = self._indices[rank] = _frozen(
                 np.arange(span.start, span.stop))
         return indices
+
+    def run_indices(self) -> tuple[np.ndarray, ...]:
+        """Per run, the read-only ``(ranks, items per rank)`` table of
+        global indices along the distributed axis: row ``i`` is
+        :meth:`global_indices` of the run's ``i``-th rank."""
+        tables = self._run_indices
+        if tables is None:
+            if self.scheme == "block":
+                line = _frozen(np.arange(self.map.n))
+                tables = [line[span].reshape(ranks, items)
+                          for _, ranks, items, span in self._runs]
+            else:
+                tables = [_frozen(np.arange(first, first + ranks)[:, None]
+                                  + self.nprocs * np.arange(items))
+                          for first, ranks, items, _ in self._runs]
+            tables = self._run_indices = tuple(tables)
+        return tables
+
+    def stacked(self, base: np.ndarray) -> list[np.ndarray]:
+        """``base`` (distributed axis first) as one ``(ranks, items per
+        rank, ...)`` array per run, ranks in order: reshaped views under
+        the block map (splitting an axis never copies), one gather
+        through the run's index table under the cyclic one."""
+        if self.scheme == "block":
+            rest = base.shape[1:]
+            return [base[span].reshape((ranks, items) + rest)
+                    for _, ranks, items, span in self._runs]
+        return [base[table] for table in self.run_indices()]
+
+    def unstacked(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Inverse of :meth:`stacked`: per-run ``(ranks, items per rank,
+        ...)`` results back along the distributed axis (a view of the
+        part when a block map has one run)."""
+        if self.scheme == "block":
+            flat = [part.reshape((-1,) + part.shape[2:]) for part in parts]
+            return flat[0] if len(flat) == 1 else np.concatenate(flat)
+        out = np.empty((self.map.n,) + parts[0].shape[2:],
+                       dtype=parts[0].dtype)
+        for table, part in zip(self.run_indices(), parts):
+            out[table] = part
+        return out
 
     def shift_overlap(self, k: int) -> int:
         """Of the elements a circular shift by ``k`` delivers to rank 0,
@@ -270,6 +329,12 @@ class Geometry:
     def __repr__(self) -> str:
         return (f"Geometry({self.rows}x{self.cols}, {self.nprocs} ranks, "
                 f"{self.scheme})")
+
+
+def rank_axis(parts: list[np.ndarray]) -> np.ndarray:
+    """Per-run results of :meth:`Geometry.stacked` arrays (ranks first)
+    as one array over all the ranks, in rank order."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # SPMD programs construct the same few geometries thousands of times

@@ -28,7 +28,9 @@ import numpy as np
 
 from ..errors import MatlabRuntimeError
 from ..interp import values as V
-from .distribution import get_geometry
+from ..mpi.comm import SUM
+from ..mpi.fused import fold_ranks
+from .distribution import get_geometry, rank_axis
 from .matrix import DMatrix, FusedDMatrix, RValue
 
 
@@ -37,20 +39,46 @@ def _as_full(rt, value: RValue) -> np.ndarray:
         else V.as_matrix(value)
 
 
-# The fused paths below re-run each rank's *exact* local kernel on that
-# rank's block (contiguous views of the full array under the block
-# distribution, the same buffers BLAS saw under lockstep) and fold the
-# partials in rank order — the order ``Comm``'s combine uses — so both
-# the numerical results and the charged costs are bit-identical to the
-# lockstep backend.  What fusion removes is the P-fold re-execution of
-# the surrounding interpreter, not the arithmetic.
+# The fused paths below compute every rank's local kernel with one
+# numpy call per run of ``FusedDMatrix.stacked`` — a batched ``matmul``
+# runs the same BLAS routine on each item that the lockstep arm runs on
+# that rank's block — and fold the partials in rank order, the order
+# ``Comm``'s combine uses, so both the numerical results and the charged
+# costs are bit-identical to the lockstep backend.  Each form is pinned
+# by tests/runtime/test_batched_partials.py; multiplying the *whole*
+# matrix in one gemv/gemm is not among them (docs/SCALING.md).
 
 
-def _fold(parts):
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = acc + p
-    return acc
+def _vector_dot(rt, a: DMatrix, b: DMatrix, conj: bool = False) -> RValue:
+    """ML_dot of two vectors distributed alike (``conj``: of ``a``'s
+    conjugate): ``np.dot`` of each rank's blocks, then an allreduce."""
+    if isinstance(a, FusedDMatrix):
+        parts = []
+        for ra, rb in zip(a.stacked(), b.stacked()):
+            if conj:
+                ra = ra.conj()
+            if ra.shape[1] == 1:
+                # np.dot multiplies one-element vectors as scalars, which
+                # no batched call reproduces (-0.0 * x stays -0.0; matmul
+                # adds it to 0.0): vectors this short keep the rank's call
+                parts.append(np.array([np.dot(x, y)
+                                       for x, y in zip(ra, rb)]))
+            else:
+                parts.append((ra[:, None, :] @ rb[:, :, None])[:, 0, 0])
+        parts = rank_axis(parts)
+        rt.comm.overhead()
+        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
+        rt.comm.charge_reduce(parts.itemsize)
+        return fold_ranks(SUM, parts)
+    av, bv = a.local, b.local
+    if av.shape != bv.shape:  # the caller has realigned the schemes
+        raise MatlabRuntimeError("dot: inconsistent distributions")
+    partial = np.dot(av.conj() if conj else av, bv)
+    rt.comm.overhead()
+    rt.comm.compute(flops=2 * av.size)
+    return rt.comm.allreduce(
+        complex(partial) if np.iscomplexobj(av) or np.iscomplexobj(bv)
+        else float(partial))
 
 
 def matmul(rt, a: RValue, b: RValue) -> RValue:
@@ -85,25 +113,8 @@ def dot(rt, a: RValue, b: RValue) -> RValue:
     if (isinstance(a, DMatrix) and isinstance(b, DMatrix)
             and a.scheme != b.scheme):
         b = rt.realign(b, a.scheme)
-    if isinstance(a, FusedDMatrix) and isinstance(b, FusedDMatrix):
-        cplx = np.iscomplexobj(a.full) or np.iscomplexobj(b.full)
-        parts = [complex(np.dot(av, bv)) if cplx else float(np.dot(av, bv))
-                 for av, bv in zip(a.blocks(), b.blocks())]
-        rt.comm.overhead()
-        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
-        rt.comm.charge_reduce(16 if cplx else 8)
-        return _fold(parts)
     if isinstance(a, DMatrix) and isinstance(b, DMatrix):
-        av, bv = a.local, b.local
-        if av.shape != bv.shape:  # schemes already realigned above
-            raise MatlabRuntimeError("dot: inconsistent distributions")
-        partial = np.dot(av, bv)
-        rt.comm.overhead()
-        rt.comm.compute(flops=2 * av.size)
-        total = rt.comm.allreduce(
-            complex(partial) if np.iscomplexobj(av) or np.iscomplexobj(bv)
-            else float(partial))
-        return total
+        return _vector_dot(rt, a, b)
     full_a = _as_full(rt, a).reshape(-1)
     full_b = _as_full(rt, b).reshape(-1)
     rt.comm.compute(flops=2 * full_a.size)
@@ -139,17 +150,10 @@ def matvec(rt, a: RValue, x: RValue) -> RValue:
     """(m x k) * (k x 1): ML_matrix_vector_multiply."""
     if isinstance(a, FusedDMatrix) and not a.is_vector:
         x_full = _as_full(rt, x).reshape(-1)
-        parts = [blk @ x_full for blk in a.blocks()]
-        m = a.rows
-        if a.scheme == "block":
-            y = np.concatenate(parts)
-        else:
-            y = np.empty(m, dtype=np.result_type(*[p.dtype for p in parts]))
-            for span, part in zip(a.geom.slices, parts):
-                y[span] = part
+        y = a.geom.unstacked([run @ x_full for run in a.stacked()])
         rt.comm.overhead()
         rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
-        return FusedDMatrix(get_geometry(m, 1, rt.size, a.scheme),
+        return FusedDMatrix(get_geometry(a.rows, 1, rt.size, a.scheme),
                             y.dtype, y.reshape(-1, 1))
     if isinstance(a, DMatrix) and not a.is_vector:
         x_full = _as_full(rt, x).reshape(-1)
@@ -172,27 +176,25 @@ def matvec(rt, a: RValue, x: RValue) -> RValue:
 
 def vecmat(rt, x: RValue, a: RValue) -> RValue:
     """(1 x k) * (k x n): partial products over row blocks + allreduce."""
-    if isinstance(a, FusedDMatrix) and not a.is_vector:
-        x_full = _as_full(rt, x).reshape(-1)
-        parts = []
-        for r, blk in enumerate(a.blocks()):
-            parts.append(x_full[a.geom.global_indices(r)] @ blk
-                         if blk.size else
-                         np.zeros(a.cols, dtype=a.full.dtype))
-        rt.comm.overhead()
-        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
-        rt.comm.charge_reduce(max(np.asarray(p).nbytes for p in parts))
-        result = np.asarray(_fold(parts)).reshape(1, -1)
-        return rt.distribute_full(result) if result.size > 1 \
-            else V.simplify(result)
     if isinstance(a, DMatrix) and not a.is_vector:
         x_full = _as_full(rt, x).reshape(-1)
-        rows = a.global_row_indices()
-        partial = x_full[rows] @ a.local if a.local.size else \
-            np.zeros(a.cols, dtype=a.local.dtype)
-        rt.comm.overhead()
-        rt.comm.compute(flops=2 * a.local.size)
-        total = rt.comm.allreduce(np.asarray(partial))
+        if isinstance(a, FusedDMatrix):
+            # each rank: its elements of x times its rows of a (ranks
+            # that hold nothing get matmul's zeros)
+            parts = rank_axis([
+                (rx[:, None, :] @ ra)[:, 0, :]
+                for rx, ra in zip(a.geom.stacked(x_full), a.stacked())])
+            rt.comm.overhead()
+            rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
+            rt.comm.charge_reduce(parts[0].nbytes)
+            total = fold_ranks(SUM, parts)
+        else:
+            rows = a.global_row_indices()
+            partial = x_full[rows] @ a.local if a.local.size else \
+                np.zeros(a.cols, dtype=a.local.dtype)
+            rt.comm.overhead()
+            rt.comm.compute(flops=2 * a.local.size)
+            total = rt.comm.allreduce(np.asarray(partial))
         result = np.asarray(total).reshape(1, -1)
         return rt.distribute_full(result) if result.size > 1 \
             else V.simplify(result)
@@ -205,15 +207,8 @@ def _matmat(rt, a: RValue, b: RValue) -> RValue:
     """(m x k) * (k x n): allgather B, multiply local row block of A."""
     b_full = _as_full(rt, b)
     if isinstance(a, FusedDMatrix) and not a.is_vector:
-        parts = [blk @ b_full for blk in a.blocks()]
+        full = a.geom.unstacked([run @ b_full for run in a.stacked()])
         n = b_full.shape[1]
-        if a.scheme == "block":
-            full = np.vstack(parts)
-        else:
-            full = np.empty((a.rows, n),
-                            dtype=np.result_type(*[p.dtype for p in parts]))
-            for span, part in zip(a.geom.slices, parts):
-                full[span] = part
         rt.comm.overhead()
         rt.comm.compute_ranks(flops=a.geom.scaled_counts(2 * n))
         return FusedDMatrix(get_geometry(a.rows, n, rt.size, a.scheme),
@@ -310,6 +305,15 @@ def matrix_power(rt, a: RValue, k: RValue) -> RValue:
     return result
 
 
+def _transposed_products(a: FusedDMatrix, b_runs: list[np.ndarray],
+                         conjugate: bool) -> list[np.ndarray]:
+    """Per run, every rank's ``A_p' @ B_p`` (ranks first; matmul's
+    zeros for a rank that holds nothing)."""
+    conj = conjugate and a.full.dtype.kind == "c"
+    return [(ra.conj() if conj else ra).transpose(0, 2, 1) @ rb
+            for ra, rb in zip(a.stacked(), b_runs)]
+
+
 def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
     """Fused ``a' * b`` (pass 6's transpose+multiply rewrite).
 
@@ -318,11 +322,11 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
     with no transpose materialization and no allgather.  For column
     vectors this degenerates to ML_dot.
     """
-    if (isinstance(a, DMatrix) and isinstance(b, DMatrix)
-            and a.scheme != b.scheme):
+    both = isinstance(a, DMatrix) and isinstance(b, DMatrix)
+    if both and a.scheme != b.scheme:
         b = rt.realign(b, a.scheme)
-    a_shape = rt.shape_of(a)
-    b_shape = rt.shape_of(b)
+    a_shape, b_shape = (a.shape, b.shape) if both \
+        else (rt.shape_of(a), rt.shape_of(b))
     if a_shape == (1, 1) or b_shape == (1, 1):
         at = transpose(rt, a, conjugate)
         return rt.ew(lambda x, y: x * y, 1, at, b,
@@ -332,30 +336,9 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
             f"inner matrix dimensions must agree "
             f"({a_shape[::-1]} * {b_shape})")
     # column-vector case: a (k x 1), b (k x 1) -> scalar dot
-    if a_shape[1] == 1 and b_shape[1] == 1 and isinstance(a, DMatrix) \
-            and isinstance(b, DMatrix):
-        if isinstance(a, FusedDMatrix):
-            cplx = np.iscomplexobj(a.full) or np.iscomplexobj(b.full)
-            conj = conjugate and np.iscomplexobj(a.full)
-            parts = []
-            for av, bv in zip(a.blocks(), b.blocks()):
-                partial = np.dot(av.conj() if conj else av, bv)
-                parts.append(complex(partial) if cplx else float(partial))
-            rt.comm.overhead()
-            rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
-            rt.comm.charge_reduce(16 if cplx else 8)
-            return _fold(parts)
-        av = a.local.conj() if (conjugate and np.iscomplexobj(a.local)) \
-            else a.local
-        partial = np.dot(av, b.local)
-        rt.comm.overhead()
-        rt.comm.compute(flops=2 * av.size)
-        total = rt.comm.allreduce(
-            complex(partial) if np.iscomplexobj(a.local)
-            or np.iscomplexobj(b.local) else float(partial))
-        return total
-    if (isinstance(a, DMatrix) and isinstance(b, DMatrix)
-            and not a.is_vector and not b.is_vector):
+    if a_shape[1] == 1 and b_shape[1] == 1 and both:
+        return _vector_dot(rt, a, b, conjugate and a.dtype.kind == "c")
+    if both and not a.is_vector and not b.is_vector:
         # The inner-product algorithm allreduces the full m x n result;
         # when that volume exceeds the gather traffic of the unfused
         # transpose+multiply, fall back (the run-time library picks the
@@ -365,16 +348,13 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
         if result_bytes > 2 * gather_bytes and rt.size > 1:
             return matmul(rt, transpose(rt, a, conjugate), b)
         if isinstance(a, FusedDMatrix):
-            conj = conjugate and np.iscomplexobj(a.full)
-            parts = []
-            for ab, bb in zip(a.blocks(), b.blocks()):
-                al = ab.conj().T if conj else ab.T
-                parts.append(np.ascontiguousarray(al @ bb))
+            parts = rank_axis(_transposed_products(
+                a, b.stacked(), conjugate))
             rt.comm.overhead()
             rt.comm.compute_ranks(
                 flops=a.geom.scaled_counts(2 * b.cols))
-            rt.comm.charge_reduce(max(p.nbytes for p in parts))
-            return rt.distribute_full(np.asarray(_fold(parts)))
+            rt.comm.charge_reduce(parts[0].nbytes)
+            return rt.distribute_full(fold_ranks(SUM, parts))
         al = a.local.conj().T if conjugate and np.iscomplexobj(a.local) \
             else a.local.T
         partial = al @ b.local
@@ -385,29 +365,22 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
         return rt.distribute_full(np.asarray(total))
     # matrix' * vector: partial products over row blocks + one small
     # allreduce — no transpose materialization, no matrix gather
-    if (isinstance(a, DMatrix) and not a.is_vector
-            and isinstance(b, DMatrix) and b.cols == 1):
+    if both and not a.is_vector and b.cols == 1:
         if isinstance(a, FusedDMatrix):
-            conj = conjugate and np.iscomplexobj(a.full)
-            parts = []
-            for ab, bb in zip(a.blocks(), b.blocks()):
-                al = ab.conj() if conj else ab
-                parts.append(np.asarray(al.T @ bb if al.size
-                                        else np.zeros(a.cols)))
+            parts = rank_axis(_transposed_products(
+                a, [rb[:, :, None] for rb in b.stacked()],
+                conjugate))[:, :, 0]
             rt.comm.overhead()
             rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
-            rt.comm.charge_reduce(max(p.nbytes for p in parts))
-            total = np.asarray(_fold(parts))
-            if total.size == 1:
-                return V.simplify(total.reshape(1, 1))
-            return rt.distribute_full(total.reshape(-1, 1))
-        bl = b.local
-        al = a.local.conj() if conjugate and np.iscomplexobj(a.local) \
-            else a.local
-        partial = al.T @ bl if al.size else np.zeros(a.cols)
-        rt.comm.overhead()
-        rt.comm.compute(flops=2 * a.local.size)
-        total = np.asarray(rt.comm.allreduce(np.asarray(partial)))
+            rt.comm.charge_reduce(parts[0].nbytes)
+            total = fold_ranks(SUM, parts)
+        else:
+            al = a.local.conj() if conjugate and np.iscomplexobj(a.local) \
+                else a.local
+            partial = al.T @ b.local if al.size else np.zeros(a.cols)
+            rt.comm.overhead()
+            rt.comm.compute(flops=2 * a.local.size)
+            total = np.asarray(rt.comm.allreduce(np.asarray(partial)))
         if total.size == 1:
             return V.simplify(total.reshape(1, 1))
         return rt.distribute_full(total.reshape(-1, 1))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import DistributionError, FusionDivergence
 from .distribution import Geometry, get_geometry
-from .memory import record_allocation
+from .memory import ACTIVE
 
 Scalar = Union[float, complex]
 RValue = Union[float, complex, "DMatrix", str]
@@ -39,7 +39,7 @@ class DMatrix:
 
     __slots__ = ("geom", "rows", "cols", "shape", "numel", "is_vector",
                  "scheme", "dtype", "local", "rank", "replica",
-                 "__weakref__")
+                 "_tracker", "_charged")
 
     def __init__(self, geom: Geometry, dtype, local: np.ndarray, rank: int):
         self.geom = geom
@@ -57,13 +57,28 @@ class DMatrix:
         #: because DMatrix values are immutable — every update builds a
         #: new descriptor.
         self.replica = None
-        record_allocation(self, local.nbytes)
         expected = geom.local_shapes[rank]
         if local.shape != expected:
             raise DistributionError(
                 f"local block shape {local.shape} != expected {expected} "
                 f"(global {self.rows}x{self.cols}, "
                 f"rank {rank}/{geom.nprocs})")
+        # charge the local block to the calling rank's tracker
+        # (repro.runtime.memory), inline: every runtime op allocates
+        self._tracker = tracker = ACTIVE.tracker
+        if tracker is not None:
+            self._charged = nbytes = local.nbytes
+            tracker.current = current = tracker.current + nbytes
+            if current > tracker.peak:
+                tracker.peak = current
+
+    def __del__(self):
+        try:
+            tracker = self._tracker
+        except AttributeError:      # the constructor raised: never charged
+            return
+        if tracker is not None:
+            tracker.current -= self._charged
 
     def local_count(self) -> int:
         return self.local.size
@@ -176,7 +191,12 @@ class FusedDMatrix(DMatrix):
         self.replica = None
         # the tracker models ONE rank's footprint; rank 0 holds the
         # largest block under both distribution schemes
-        record_allocation(self, geom.counts[0] * self.dtype.itemsize)
+        self._tracker = tracker = ACTIVE.tracker
+        if tracker is not None:
+            self._charged = nbytes = geom.counts[0] * self.dtype.itemsize
+            tracker.current = current = tracker.current + nbytes
+            if current > tracker.peak:
+                tracker.peak = current
 
     # -- per-rank accessors: no single rank exists here ----------------- #
 
@@ -202,12 +222,26 @@ class FusedDMatrix(DMatrix):
 
     # -- the rank axis, made explicit ----------------------------------- #
 
+    def base(self) -> np.ndarray:
+        """The full array with the distributed axis first."""
+        return self.full.reshape(-1, order="F") if self.is_vector \
+            else self.full
+
+    def stacked(self) -> list[np.ndarray]:
+        """Every rank's local block as one ``(ranks, items per rank,
+        ...)`` array per run of equally loaded ranks — how an op body
+        sees the ranks (:meth:`Geometry.stacked` of :meth:`base`, spelt
+        out: every reduction starts here)."""
+        return self.geom.stacked(self.full.reshape(-1, order="F")
+                                 if self.is_vector else self.full)
+
     def blocks(self) -> list[np.ndarray]:
         """Every rank's local block, in rank order (views of the full
         array under the block distribution, fancy-index copies for
-        cyclic maps)."""
-        base = self.full.reshape(-1, order="F") if self.is_vector \
-            else self.full
+        cyclic maps) — for the ops whose per-rank *output size* depends
+        on the data (the sample sort); everything else takes
+        :meth:`stacked`."""
+        base = self.base()
         return [base[span] for span in self.geom.slices]
 
     def like_full(self, full: np.ndarray, dtype=None) -> "FusedDMatrix":

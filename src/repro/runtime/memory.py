@@ -7,11 +7,13 @@ solve problems where the aggregate amount of data being manipulated
 exceeds the primary memory capacity of a workstation.  In contrast, a
 parallel computer may have far more primary memory."
 
-To reproduce that claim quantitatively, every :class:`DMatrix` records
-its local block's bytes against the *current thread's* tracker (each
-simulated rank is a thread), decrementing when the block is garbage
-collected.  ``peak_local_bytes`` is then exactly the high-water mark of
-one rank's share of distributed data — the quantity that must fit in one
+To reproduce that claim quantitatively, every :class:`DMatrix` charges
+its local block's bytes to the *current thread's* tracker (each
+simulated rank is a thread) in its constructor and credits the same
+tracker back in ``__del__`` — from fields stored on the descriptor, so
+a matrix freed on another thread still credits the rank that created
+it.  ``peak_local_bytes`` is then exactly the high-water mark of one
+rank's share of distributed data — the quantity that must fit in one
 node's memory.  (The deterministic full-array generation trick in
 ``RuntimeContext._create`` means real Python RSS does *not* reflect the
 distribution; the tracker measures what a real per-node implementation
@@ -21,7 +23,6 @@ would hold.)
 from __future__ import annotations
 
 import threading
-import weakref
 
 
 class MemoryTracker:
@@ -51,23 +52,16 @@ class _ThreadLocalTrackers(threading.local):
         self.tracker: MemoryTracker | None = None
 
 
-_STATE = _ThreadLocalTrackers()
+#: the calling thread's tracker is ``ACTIVE.tracker``; the matrix
+#: constructors read it directly (the allocation path is the hottest
+#: one in the runtime)
+ACTIVE = _ThreadLocalTrackers()
 
 
 def current_tracker() -> MemoryTracker | None:
     """The tracker installed for the calling rank's thread, if any."""
-    return _STATE.tracker
+    return ACTIVE.tracker
 
 
 def install_tracker(tracker: MemoryTracker | None) -> None:
-    _STATE.tracker = tracker
-
-
-def record_allocation(owner: object, nbytes: int) -> None:
-    """Charge ``nbytes`` of local storage to the calling rank and arrange
-    for the charge to be released when ``owner`` is collected."""
-    tracker = _STATE.tracker
-    if tracker is None or nbytes <= 0:
-        return
-    tracker.allocate(nbytes)
-    weakref.finalize(owner, tracker.release, nbytes)
+    ACTIVE.tracker = tracker

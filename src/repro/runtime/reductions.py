@@ -5,9 +5,22 @@ column-wise to a row vector.  With the row-contiguous distribution a
 column-wise reduction is a local partial per rank plus one allreduce of a
 ``cols``-length vector; vector reductions are a local partial plus a
 scalar allreduce.
+
+The fused arms compute every rank's partial with one numpy call per run
+of :meth:`FusedDMatrix.stacked` — never one per rank — and combine them
+with :func:`~repro.mpi.fused.fold_ranks`.  Only forms that are
+bit-identical to the per-rank call of the lockstep arm next to them are
+used (the same pairwise routine per contiguous row, the same BLAS
+routine per item of a batched matmul); each is pinned by
+tests/runtime/test_batched_partials.py and docs/SCALING.md lists the
+ones that failed.  The charges are the lockstep arm's, per rank.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import operator
 
 import numpy as np
 
@@ -15,75 +28,73 @@ from ..errors import MatlabRuntimeError
 from ..interp import values as V
 from ..interp.values import np_trapz
 from ..mpi import comm as mpi_ops
-from .distribution import get_geometry
+from ..mpi.fused import fold_ranks
+from .distribution import get_geometry, rank_axis
 from .matrix import DMatrix, FusedDMatrix, RValue
 
-# Fused paths mirror the lockstep backend kernel for kernel: the same
-# per-block partials (on the same contiguous buffers), folded with the
-# same combine op in rank order, and the same per-rank charges — so both
-# results and performance-model numbers are bit-identical.
 
-
-def _fold(parts, op):
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = op(acc, p)
-    return acc
+def _partials(runs: list[np.ndarray], local_fn, identity) -> np.ndarray:
+    """``local_fn`` down every rank's block of the stacked ``runs``,
+    rank axis first; a rank that holds nothing contributes
+    ``identity``."""
+    return rank_axis([
+        local_fn(run, axis=1) if run.shape[1] else
+        np.full(run.shape[:1] + run.shape[2:], identity, dtype=run.dtype)
+        for run in runs])
 
 
 def _vector_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
     if isinstance(mat, FusedDMatrix):
-        cplx = np.iscomplexobj(mat.full)
-        parts = []
-        for blk in mat.blocks():
-            part = local_fn(blk) if blk.size else identity
-            parts.append(complex(part) if cplx else float(part))
+        parts = _partials(mat.stacked(), local_fn, identity)
         rt.comm.overhead()
         rt.comm.compute_ranks(elems=mat.geom.counts)
-        rt.comm.charge_reduce(16 if cplx else 8)
-        return _fold(parts, combine_op)
-    part = local_fn(mat.local) if mat.local.size else identity
-    rt.comm.overhead()
-    rt.comm.compute(elems=mat.local_count())
-    if np.iscomplexobj(mat.local):
-        part = complex(part)
+        rt.comm.charge_reduce(parts.itemsize)
+        total = fold_ranks(combine_op, parts)
     else:
-        part = float(part)
-    return rt.comm.allreduce(part, op=combine_op)
+        part = local_fn(mat.local) if mat.local.size else identity
+        rt.comm.overhead()
+        rt.comm.compute(elems=mat.local_count())
+        if np.iscomplexobj(mat.local):
+            part = complex(part)
+        else:
+            part = float(part)
+        total = rt.comm.allreduce(part, op=combine_op)
+    # a Python number either way; V.simplify's canonical scalar form
+    if isinstance(total, complex):
+        return total if total.imag != 0 else total.real
+    return float(total)
 
 
 def _column_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
     """Column-wise partials + allreduce; returns a distributed row vector."""
     if isinstance(mat, FusedDMatrix):
-        cplx = np.iscomplexobj(mat.full)
-        parts = [np.asarray(local_fn(blk, axis=0)) if blk.size else
-                 np.full(mat.cols, identity,
-                         dtype=complex if cplx else float)
-                 for blk in mat.blocks()]
+        parts = _partials(mat.stacked(), local_fn, identity)
         rt.comm.overhead()
         rt.comm.compute_ranks(elems=mat.geom.counts)
-        rt.comm.charge_reduce(max(p.nbytes for p in parts))
-        result = np.asarray(_fold(parts, combine_op)).reshape(1, -1)
-        return rt.distribute_full(result) if result.size > 1 \
-            else V.simplify(result)
-    if mat.local.size:
-        part = local_fn(mat.local, axis=0)
+        rt.comm.charge_reduce(parts[0].nbytes)
+        total = fold_ranks(combine_op, parts)
     else:
-        part = np.full(mat.cols, identity,
-                       dtype=complex if np.iscomplexobj(mat.local)
-                       else float)
-    rt.comm.overhead()
-    rt.comm.compute(elems=mat.local_count())
-    total = rt.comm.allreduce(np.asarray(part), op=combine_op)
+        if mat.local.size:
+            part = local_fn(mat.local, axis=0)
+        else:
+            part = np.full(mat.cols, identity,
+                           dtype=complex if np.iscomplexobj(mat.local)
+                           else float)
+        rt.comm.overhead()
+        rt.comm.compute(elems=mat.local_count())
+        total = rt.comm.allreduce(np.asarray(part), op=combine_op)
     result = np.asarray(total).reshape(1, -1)
     return rt.distribute_full(result) if result.size > 1 else V.simplify(result)
 
 
+#: name -> (local kernel, combine op, what an empty block contributes);
+#: the kernels are ``np.sum``/``prod``/``max``/``min`` without their
+#: Python wrappers (axis 0 unless told otherwise)
 _REDUCERS = {
-    "sum": (np.sum, mpi_ops.SUM, 0.0),
-    "prod": (np.prod, mpi_ops.PROD, 1.0),
-    "max": (np.max, mpi_ops.MAX, -np.inf),
-    "min": (np.min, mpi_ops.MIN, np.inf),
+    "sum": (np.add.reduce, mpi_ops.SUM, 0.0),
+    "prod": (np.multiply.reduce, mpi_ops.PROD, 1.0),
+    "max": (np.maximum.reduce, mpi_ops.MAX, -np.inf),
+    "min": (np.minimum.reduce, mpi_ops.MIN, np.inf),
 }
 
 
@@ -114,17 +125,13 @@ def reduce_op(rt, name: str, value: RValue,
         return _row_reduce(rt, value, local_fn)
     if dim == 1 and not value.is_vector:
         return _column_reduce(rt, value, local_fn, combine, identity)
-    if value.is_vector and dim is not None:
+    if value.is_vector:
         # explicit dim on a vector: reduce only along that dim
         rows, cols = value.shape
         if (dim == 1 and rows == 1) or (dim == 2 and cols == 1):
             rt.comm.overhead()
             return value  # reducing a singleton dimension is the identity
-        return V.simplify(np.asarray(
-            _vector_reduce(rt, value, local_fn, combine, identity)))
-    if value.is_vector:
-        return V.simplify(np.asarray(
-            _vector_reduce(rt, value, local_fn, combine, identity)))
+        return _vector_reduce(rt, value, local_fn, combine, identity)
     return _column_reduce(rt, value, local_fn, combine, identity)
 
 
@@ -133,17 +140,11 @@ def _row_reduce(rt, mat: DMatrix, local_fn):
     rank reduces its own rows; the result is a column vector whose block
     layout coincides with the row blocks."""
     if isinstance(mat, FusedDMatrix):
-        parts = [np.asarray(local_fn(blk, axis=1)) if blk.size else
-                 np.zeros(0, dtype=mat.full.dtype) for blk in mat.blocks()]
+        # a row never leaves its rank, so the whole array reduces in one
+        # call whatever the ranks hold
+        y = local_fn(mat.full, axis=1)
         rt.comm.overhead()
         rt.comm.compute_ranks(elems=mat.geom.counts)
-        if mat.scheme == "block":
-            y = np.concatenate(parts)
-        else:
-            y = np.empty(mat.rows,
-                         dtype=np.result_type(*[p.dtype for p in parts]))
-            for span, part in zip(mat.geom.slices, parts):
-                y[span] = part
         if mat.rows == 1:
             return V.simplify(y.reshape(1, 1))
         return FusedDMatrix(get_geometry(mat.rows, 1, rt.size, mat.scheme),
@@ -253,19 +254,17 @@ def find(rt, value: RValue) -> RValue:
             else idx.reshape(-1, 1)
         return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
     if isinstance(value, FusedDMatrix):
-        pieces = []
-        for r, blk in enumerate(value.blocks()):
-            gidx = value.geom.global_indices(r)
-            if value.is_vector:
-                hits = gidx[np.flatnonzero(blk != 0)] + 1.0
-            else:
-                li, lj = np.nonzero(blk)
-                hits = (lj * value.rows + gidx[li]) + 1.0
-            pieces.append(np.asarray(hits, dtype=float))
+        # the ranks' hit lists, allgathered and sorted, are the nonzeros
+        # of the whole array in column-major order; only the allgather's
+        # price needs the rank axis (the longest list)
+        axes = (1,) if value.is_vector else (1, 2)
+        most = max(int(np.count_nonzero(run, axis=axes).max())
+                   for run in value.stacked())
         rt.comm.overhead()
         rt.comm.compute_ranks(elems=value.geom.counts)
-        rt.comm.charge_allgather(max(p.nbytes for p in pieces))
-        all_hits = np.sort(np.concatenate(pieces)) if pieces else np.zeros(0)
+        rt.comm.charge_allgather(most * 8)
+        all_hits = np.flatnonzero(
+            value.full.reshape(-1, order="F") != 0) + 1.0
     else:
         if value.is_vector:
             gidx = value.global_row_indices()
@@ -308,41 +307,44 @@ def minmax_with_index(rt, name: str, value: RValue) -> tuple:
     if not value.is_vector:
         raise MatlabRuntimeError(
             f"[m, k] = {name}(..) is supported for vectors only")
-    def pick(a, b):
-        # MATLAB returns the *first* occurrence: ties prefer the smaller
-        # global index (the allreduce combines in rank order, but be
-        # explicit so any combining order gives the same answer).
-        if a[0] == b[0]:
-            return a if a[1] <= b[1] else b
-        if pick_max:
-            return a if a[0] > b[0] else b
-        return a if a[0] < b[0] else b
+    # a rank that holds nothing: loses to every element, ties included
+    nothing = (-np.inf if pick_max else np.inf, value.numel)
 
+    def pick(a, b):
+        # np.argmax's answer for the whole vector — the first NaN if it
+        # holds one, else the first occurrence of the extremum — in any
+        # combining order, so it cannot depend on which rank holds what
+        a_nan, b_nan = a[0] != a[0], b[0] != b[0]
+        if a_nan != b_nan:
+            return a if a_nan else b
+        if a_nan or a[0] == b[0]:
+            return a if a[1] <= b[1] else b
+        return a if (a[0] > b[0]) == pick_max else b
+
+    arg = np.argmax if pick_max else np.argmin
     if isinstance(value, FusedDMatrix):
         candidates = []
-        for r, blk in enumerate(value.blocks()):
-            gidx = value.geom.global_indices(r)
-            if blk.size:
-                li = int(np.argmax(blk) if pick_max else np.argmin(blk))
-                candidates.append((float(np.real(blk[li])), int(gidx[li])))
+        for run, table in zip(value.stacked(), value.geom.run_indices()):
+            if run.shape[1]:
+                at = (np.arange(len(run)), arg(run, axis=1))
+                candidates += zip(run[at].real.tolist(), table[at].tolist())
             else:
-                candidates.append((-np.inf if pick_max else np.inf, -1))
+                candidates += [nothing] * len(run)
         rt.comm.overhead()
         rt.comm.compute_ranks(elems=value.geom.counts)
         rt.comm.charge_reduce(24)  # sizeof((float, int)) on every rank
-        best = _fold(candidates, pick)
-        return best[0], float(best[1] + 1)
-    local = value.local
-    globals_ = value.global_row_indices()
-    if local.size:
-        li = int(np.argmax(local) if pick_max else np.argmin(local))
-        candidate = (float(np.real(local[li])), int(globals_[li]))
+        best = functools.reduce(pick, candidates)
     else:
-        candidate = (-np.inf if pick_max else np.inf, -1)
-    rt.comm.overhead()
-    rt.comm.compute(elems=value.local_count())
-
-    best = rt.comm.allreduce(candidate, op=pick)
+        local = value.local
+        if local.size:
+            li = int(arg(local))
+            candidate = (float(np.real(local[li])),
+                         int(value.global_row_indices()[li]))
+        else:
+            candidate = nothing
+        rt.comm.overhead()
+        rt.comm.compute(elems=value.local_count())
+        best = rt.comm.allreduce(candidate, op=pick)
     return best[0], float(best[1] + 1)
 
 
@@ -381,6 +383,19 @@ def norm(rt, value: RValue, mode: RValue | None = None) -> float:
     return float(np.linalg.norm(full, 2))
 
 
+def _trapz_weights(gidx: np.ndarray, n: int,
+                   x_full: np.ndarray | None) -> np.ndarray:
+    """Trapezoid weight of each of the ``n`` samples named by ``gidx``:
+    half the distance between its neighbours (unit spacing when no
+    abscissae are given), the end samples counting their one side."""
+    if x_full is None:
+        return np.where((gidx == 0) | (gidx == n - 1), 0.5, 1.0)
+    left = np.where(gidx > 0, x_full[np.maximum(gidx - 1, 0)], x_full[0])
+    right = np.where(gidx < n - 1, x_full[np.minimum(gidx + 1, n - 1)],
+                     x_full[n - 1])
+    return (right - left) / 2.0
+
+
 def trapz(rt, x: RValue | None, y: RValue) -> RValue:
     """trapz(y) with unit spacing, or trapz(x, y).
 
@@ -401,52 +416,24 @@ def trapz(rt, x: RValue | None, y: RValue) -> RValue:
     n = shape[0] * shape[1]
     if n < 2:
         return 0.0
-    if isinstance(y, FusedDMatrix):
-        cplx = np.iscomplexobj(y.full)
+    if isinstance(y, DMatrix):
         x_full = None if x is None else (
             rt.gather_full(x) if isinstance(x, DMatrix)
             else V.as_matrix(x)).reshape(-1)
-        parts = []
-        for r, blk in enumerate(y.blocks()):
-            gidx = y.geom.global_indices(r)
-            if x_full is None:
-                w = np.where((gidx == 0) | (gidx == n - 1), 0.5, 1.0)
-            else:
-                left = np.where(gidx > 0, x_full[np.maximum(gidx - 1, 0)],
-                                x_full[0])
-                right = np.where(gidx < n - 1,
-                                 x_full[np.minimum(gidx + 1, n - 1)],
-                                 x_full[n - 1])
-                w = (right - left) / 2.0
-            if cplx:
-                part = complex(np.sum(w * blk)) if blk.size else 0.0
-            else:
-                part = float(np.real(np.sum(w * blk))) if blk.size else 0.0
-            parts.append(part)
-        rt.comm.overhead()
-        rt.comm.compute_ranks(elems=y.geom.scaled_counts(2))
-        rt.comm.charge_reduce(
-            max(16 if isinstance(p, complex) else 8 for p in parts))
-        return _fold(parts, mpi_ops.SUM)
-    if isinstance(y, DMatrix):
-        gidx = y.global_row_indices()
-        if x is None:
-            w = np.where((gidx == 0) | (gidx == n - 1), 0.5, 1.0)
-        else:
-            x_full = (rt.gather_full(x) if isinstance(x, DMatrix)
-                      else V.as_matrix(x)).reshape(-1)
-            left = np.where(gidx > 0, x_full[np.maximum(gidx - 1, 0)],
-                            x_full[0])
-            right = np.where(gidx < n - 1,
-                             x_full[np.minimum(gidx + 1, n - 1)],
-                             x_full[n - 1])
-            w = (right - left) / 2.0
-        part = float(np.real(np.sum(w * y.local))) if y.local.size else 0.0
-        if np.iscomplexobj(y.local):
-            part = complex(np.sum(w * y.local)) if y.local.size else 0.0
+        if isinstance(y, FusedDMatrix):
+            # the weights multiply elementwise (position-independent),
+            # then every rank sums its block of the products
+            weighted = _trapz_weights(np.arange(n), n, x_full) * y.base()
+            parts = _partials(y.geom.stacked(weighted), np.add.reduce, 0.0)
+            rt.comm.overhead()
+            rt.comm.compute_ranks(elems=y.geom.scaled_counts(2))
+            rt.comm.charge_reduce(parts.itemsize)
+            return fold_ranks(mpi_ops.SUM, parts)
+        part = np.add.reduce(
+            _trapz_weights(y.global_row_indices(), n, x_full) * y.local)
         rt.comm.overhead()
         rt.comm.compute(elems=y.local_count() * 2)
-        return rt.comm.allreduce(part)
+        return rt.comm.allreduce(part.item())
     ya = V.as_matrix(y).reshape(-1)
     xa = None if x is None else V.as_matrix(x).reshape(-1)
     rt.comm.compute(elems=ya.size * 2)
@@ -466,24 +453,23 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
     wc = np.ones(cols)
     wc[0] = wc[-1] = 0.5
     if isinstance(z, FusedDMatrix) and not z.is_vector:
-        parts = []
-        for r, blk in enumerate(z.blocks()):
-            gidx = z.geom.global_indices(r)
-            wr = np.where((gidx == 0) | (gidx == rows - 1), 0.5, 1.0)
-            parts.append(float(wr @ (blk.real @ wc)) if blk.size else 0.0)
+        wr = np.ones(rows)
+        wr[0] = wr[-1] = 0.5
+        # per rank: its rows' weights . (its rows . the column weights)
+        parts = rank_axis([
+            (rw[:, None, :] @ (rz.real @ wc)[:, :, None])[:, 0, 0]
+            for rw, rz in zip(z.geom.stacked(wr), z.stacked())])
         rt.comm.overhead()
         rt.comm.compute_ranks(elems=z.geom.scaled_counts(3))
         rt.comm.charge_reduce(8)
-        total = _fold(parts, mpi_ops.SUM)
-        return float(total * dxv * dyv)
+        return float(fold_ranks(mpi_ops.SUM, parts) * dxv * dyv)
     if isinstance(z, DMatrix) and not z.is_vector:
         gidx = z.global_row_indices()
         wr = np.where((gidx == 0) | (gidx == rows - 1), 0.5, 1.0)
         part = float(wr @ (z.local.real @ wc)) if z.local.size else 0.0
         rt.comm.overhead()
         rt.comm.compute(elems=z.local_count() * 3)
-        total = rt.comm.allreduce(part)
-        return float(total * dxv * dyv)
+        return float(rt.comm.allreduce(part) * dxv * dyv)
     full = rt.gather_full(z) if isinstance(z, DMatrix) else V.as_matrix(z)
     wr = np.ones(rows)
     wr[0] = wr[-1] = 0.5
@@ -491,10 +477,18 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
     return float(wr @ (full.real @ wc) * dxv * dyv)
 
 
+#: name -> (the scan's ufunc, the same operation on Python scalars, the
+#: combine op of the exclusive scan over the ranks' totals)
+_SCANS = {
+    "cumsum": (np.add, operator.add, mpi_ops.SUM),
+    "cumprod": (np.multiply, operator.mul, mpi_ops.PROD),
+}
+
+
 def cumulative(rt, name: str, value: RValue) -> RValue:
     """cumsum/cumprod via local scan + exclusive scan of block totals."""
-    np_fn = np.cumsum if name == "cumsum" else np.cumprod
-    op = mpi_ops.SUM if name == "cumsum" else mpi_ops.PROD
+    ufunc, scalar_op, op = _SCANS[name]
+    np_fn = ufunc.accumulate            # np.cumsum / np.cumprod, axis 0
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
         rt.comm.compute(elems=arr.size)
@@ -508,27 +502,27 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
         # so every rank's contribution has the same wire size)
         identity = value.dtype.type(name == "cumprod").item()
         if isinstance(value, FusedDMatrix):
-            scanned = [np_fn(blk) if blk.size else blk
-                       for blk in value.blocks()]
-            totals = [s[-1].item() if s.size else identity
-                      for s in scanned]
+            geom = value.geom
+            scanned = [np_fn(run, axis=1) for run in value.stacked()]
+            totals = rank_axis([
+                scan[:, -1] if scan.shape[1] else
+                np.full(len(scan), identity, dtype=scan.dtype)
+                for scan in scanned]).tolist()
             rt.comm.overhead()
-            rt.comm.compute_ranks(elems=value.geom.counts)
-            rt.comm.charge_scan(16 if np.iscomplexobj(value.full) else 8)
-            # exclusive prefix per rank, folded in rank order like
-            # exscan's combine closure (never recovered by subtracting or
+            rt.comm.compute_ranks(elems=geom.counts)
+            rt.comm.charge_scan(value.full.itemsize)
+            # every rank above 0 combines the fold, in rank order, of the
+            # totals below it into its scan: exscan's combine closure on
+            # the same Python scalars (never recovered by subtracting or
             # dividing the rank's own total back out: inf - inf, x / 0)
-            outs = []
-            exclusive = None
-            for part, total in zip(scanned, totals):
-                out = part if exclusive is None or not part.size \
-                    else op(part, exclusive)
-                outs.append(np.asarray(out, dtype=value.dtype))
-                exclusive = total if exclusive is None \
-                    else op(exclusive, total)
-            full = np.concatenate(outs).reshape(
-                (value.rows, value.cols), order="F")
-            return value.like_full(full, dtype=value.dtype)
+            below = np.array(list(itertools.accumulate(totals[:-1],
+                                                       scalar_op)),
+                             dtype=value.dtype)
+            flat = geom.unstacked(scanned)
+            rest = flat[geom.counts[0]:]
+            ufunc(rest, np.repeat(below, geom.counts[1:]), out=rest)
+            return value.like_full(flat.reshape(value.shape, order="F"),
+                                   dtype=value.dtype)
         local = value.local
         scanned = np_fn(local) if local.size else local
         total = scanned[-1].item() if local.size else identity

@@ -232,6 +232,46 @@ def test_compiled_programs_fused_equals_lockstep(program):
     assert ws_l == ws_f
 
 
+# -- the batched partial kernels, end to end ------------------------------ #
+
+
+@st.composite
+def batched_op_runs(draw):
+    """A shape for ``tests.corpus.batched_ops_source``: ranks holding
+    nothing (``n < nprocs``), one run and two runs of equally loaded
+    ranks, blocks past numpy's pairwise-summation block."""
+    nprocs = draw(st.sampled_from([1, 2, 3, 7, 16, 33]))
+    per = draw(st.sampled_from([0, 1, 2, 3, 8, 17, 129]))
+    n = max(per * nprocs + draw(st.integers(0, nprocs - 1)), 2)
+    return (nprocs, n, draw(st.sampled_from(["block", "cyclic"])),
+            draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(batched_op_runs())
+def test_batched_partials_fused_equals_lockstep(run):
+    """One numpy call per run of ranks computes what each lockstep rank
+    computes from its own block: same values, bit for bit, same clocks,
+    counts and canonical trace."""
+    from repro.mpi import FATTREE_CLUSTER
+    from repro.tuning import Plan
+    from tests.corpus import batched_ops_source
+
+    nprocs, n, scheme, seed = run
+    prog = compile_source(batched_ops_source(n, nprocs, seed))
+    seen = []
+    for backend in ("lockstep", "fused"):
+        result = prog.run(nprocs=nprocs, machine=FATTREE_CLUSTER,
+                          backend=backend, plan=Plan(scheme=scheme),
+                          trace=True)
+        assert result.spmd.backend == backend
+        obs = _traced_observables(result.spmd)
+        obs.pop("results")
+        seen.append((obs, {name: np.asarray(value).tobytes()
+                           for name, value in result.workspace.items()}))
+    assert seen[0] == seen[1]
+
+
 # -- plan differential: any plan, every backend, same observables --------- #
 
 

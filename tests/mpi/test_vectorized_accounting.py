@@ -459,6 +459,32 @@ def test_memoized_charges_equal_lockstep_cold_and_warm(
     assert cold == warm == run("lockstep")
 
 
+@pytest.mark.parametrize("scheme", ["block", "cyclic"])
+@pytest.mark.parametrize("nprocs,per", [
+    (1, 9), (2, 0), (2, 3), (3, 1), (3, 129), (7, 0), (7, 2), (7, 17),
+    (16, 0), (16, 1), (16, 8), (33, 0), (33, 3), (33, 129)])
+def test_batched_partials_charge_what_lockstep_charges(nprocs, per, scheme):
+    """Reductions, products, scans and shifts over ranks that hold
+    nothing (``per == 0``), one run of equally loaded ranks and two:
+    the fused pass — one kernel call per run — charges every rank
+    exactly what its own lockstep call charges, event for event."""
+    from repro.tuning import Plan
+    from tests.corpus import batched_ops_source
+
+    n = max(per * nprocs + (nprocs + 1) // 2, 2)
+    program = compile_source(batched_ops_source(n, nprocs), name="batched")
+    runs = {backend: program.run(nprocs=nprocs, machine=FATTREE_CLUSTER,
+                                 backend=backend, plan=Plan(scheme=scheme),
+                                 trace=True)
+            for backend in ("lockstep", "fused")}
+    assert runs["fused"].spmd.backend == "fused"
+    assert _accounting(runs["fused"]) == _accounting(runs["lockstep"])
+    assert canonical_events(runs["fused"].trace) \
+        == canonical_events(runs["lockstep"].trace)
+    for name, value in runs["lockstep"].workspace.items():
+        np.testing.assert_array_equal(runs["fused"].workspace[name], value)
+
+
 @pytest.mark.parametrize("nprocs", MEMO_NPROCS)
 def test_large_shift_alltoall_sizing_matches_lockstep(nprocs):
     """Shifts beyond the smallest block take the alltoall path, whose

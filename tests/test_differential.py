@@ -307,6 +307,56 @@ def test_nan_constants_on_both_backends(key, run_interp, run_compiled):
                     err_msg=f"{backend} P={p}: {name}")
 
 
+#: where the NaNs sit in the 16-element vector and the 8 x 6 matrix
+NAN_POSITIONS = {
+    "first": ("v(1) = NaN;", "A(1, 1) = NaN;"),
+    "middle": ("v(7) = NaN;", "A(3, 2) = NaN;"),
+    "last": ("v(16) = NaN;", "A(8, 6) = NaN;"),
+    "everywhere": ("v = v * NaN;", "A = A * NaN;"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("scheme", ["block", "cyclic"])
+@pytest.mark.parametrize("where", sorted(NAN_POSITIONS))
+def test_extrema_of_nan_data_do_not_depend_on_the_ranks(
+        where, scheme, run_interp, run_compiled):
+    """``max``/``min`` propagate a NaN, and ``[m, k] = max(v)`` names
+    the first one, wherever it lives: the rank that holds it and the
+    order the ranks' candidates are combined in must not matter."""
+    vector, matrix = NAN_POSITIONS[where]
+    source = "\n".join([
+        "v = linspace(1, 16, 16);", vector,
+        "A = reshape(linspace(1, 48, 48), 8, 6);", matrix,
+        "hi = max(v); lo = min(v);",
+        "[m, k] = max(v); [n, j] = min(v);",
+        "w = v'; [mw, kw] = max(w); low = min(w);",
+        "chi = max(A); clo = min(A);"])
+    interp = run_interp(source)
+    assert np.isnan(interp.workspace["hi"]) and np.isnan(interp.workspace["m"])
+    for backend in ("lockstep", "fused"):
+        for p in (1, 3, 4, 16):
+            ws, _ = run_compiled(source, nprocs=p, backend=backend,
+                                 plan=Plan(scheme=scheme))
+            for name, expected in interp.workspace.items():
+                np.testing.assert_array_equal(      # NaN equals NaN here
+                    np.asarray(ws[name]), np.asarray(expected),
+                    err_msg=f"{backend} {scheme} P={p}: {name}")
+
+
+def test_index_of_an_extremum_ignores_ranks_that_hold_nothing(
+        run_interp, run_compiled):
+    """More ranks than elements: a rank without elements must lose a
+    tie against a real ``-inf`` (its candidate once carried index 0)."""
+    source = "v = [-inf, -inf, -inf];\n[m, k] = max(v); [n, j] = min(-v);"
+    interp = run_interp(source)
+    for backend in ("lockstep", "fused"):
+        ws, _ = run_compiled(source, nprocs=7, backend=backend)
+        assert (ws["m"], ws["k"], ws["n"], ws["j"]) == tuple(
+            interp.workspace[name] for name in "mknj") \
+            == (-np.inf, 1.0, np.inf, 1.0)
+
+
 @pytest.mark.slow
 def test_readme_quickstart_snippet():
     """The README's quickstart block must actually work as shown."""
