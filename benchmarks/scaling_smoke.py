@@ -9,6 +9,10 @@ an absolute ceiling — the quantity the numpy rank arrays make nearly
 free.  It also counts the Python calls of one warm run at P=256 and at
 P=16 and gates their ratio: unlike the wall-clock budgets (slack for
 slow runners) the count is deterministic, so the gate is tight.
+A third job gates the 2-D stencil: ``image_filter`` must reach its
+vertical neighbours by boundary exchange (two messages per rank per
+step), which is what lets its *modeled* time keep falling to one row per
+rank — modeled seconds and message counts, exact on any runner.
 Writes the sweep to ``scaling_report.json`` for the CI artifact and
 exits non-zero on any violation so the job fails loudly.
 """
@@ -20,9 +24,9 @@ import time
 
 from test_wallclock import HEAT_SOURCE
 
-from repro.bench.workloads import make_workload
+from repro.bench.workloads import image_filter, make_workload
 from repro.compiler import OtterCompiler
-from repro.mpi import FATTREE_CLUSTER
+from repro.mpi import FATTREE_CLUSTER, MEIKO_CS2
 
 NPROCS = 256
 
@@ -54,6 +58,16 @@ BASE_NPROCS = 16
 CALL_RATIO_CEILING = {"heat": 1.10, "cg": 1.5}
 
 
+#: image_filter(n=256, steps=8), fused.  Floor on modeled
+#: elapsed(P=4) / elapsed(P=16) on the Meiko CS-2 (measured 2.05; 1.12
+#: when every row shift allgathered the image) and ceiling on
+#: elapsed(P=256) / elapsed(P=1) on the fat tree, one row per rank
+#: (measured 0.083; 0.278 before).
+IMAGE_N, IMAGE_STEPS = 256, 8
+IMAGE_MEIKO_P4_OVER_P16_FLOOR = 1.8
+IMAGE_FATTREE_P256_OVER_P1_CEILING = 0.15
+
+
 def count_calls(fn) -> int:
     """Python ``call`` + ``c_call`` profile events while ``fn()`` runs."""
     counter = itertools.count()
@@ -68,6 +82,58 @@ def count_calls(fn) -> int:
     finally:
         sys.setprofile(None)
     return next(counter)
+
+
+def image_filter_gate(failures: list) -> dict:
+    """The 2-D stencil's modeled scaling and message counts."""
+    program = OtterCompiler().compile(
+        image_filter(n=IMAGE_N, steps=IMAGE_STEPS).source,
+        name="image_filter")
+    runs = {(machine.name, nprocs): program.run(
+                nprocs=nprocs, machine=machine, backend="fused")
+            for machine, sizes in ((MEIKO_CS2, (4, 16)),
+                                   (FATTREE_CLUSTER, (1, NPROCS)))
+            for nprocs in sizes}
+    for (machine, nprocs), result in runs.items():
+        if result.spmd.backend != "fused":
+            failures.append(f"image_filter: fell back to "
+                            f"{result.spmd.backend} at P={nprocs}")
+        want = 2 * IMAGE_STEPS * nprocs if nprocs > 1 else 0
+        if result.spmd.messages_sent != want:
+            failures.append(
+                f"image_filter: {result.spmd.messages_sent} messages on "
+                f"{machine} at P={nprocs}, not the {want} of two boundary "
+                f"rows per rank per step")
+    speedup = runs[MEIKO_CS2.name, 4].elapsed \
+        / runs[MEIKO_CS2.name, 16].elapsed
+    if speedup < IMAGE_MEIKO_P4_OVER_P16_FLOOR:
+        failures.append(
+            f"image_filter: modeled P=4 / P=16 on {MEIKO_CS2.name} is "
+            f"{speedup:.2f} (floor {IMAGE_MEIKO_P4_OVER_P16_FLOOR})")
+    remaining = runs[FATTREE_CLUSTER.name, NPROCS].elapsed \
+        / runs[FATTREE_CLUSTER.name, 1].elapsed
+    if remaining > IMAGE_FATTREE_P256_OVER_P1_CEILING:
+        failures.append(
+            f"image_filter: modeled P={NPROCS} / P=1 on "
+            f"{FATTREE_CLUSTER.name} is {remaining:.3f} "
+            f"(ceiling {IMAGE_FATTREE_P256_OVER_P1_CEILING})")
+    print(f"[scaling-smoke] image_filter: modeled P=4/P=16 x{speedup:.2f} "
+          f"({MEIKO_CS2.name}), P={NPROCS}/P=1 x{remaining:.3f} "
+          f"({FATTREE_CLUSTER.name})")
+    return {
+        "n": IMAGE_N, "steps": IMAGE_STEPS,
+        "runs": [{"machine": machine, "nprocs": nprocs,
+                  "backend": result.spmd.backend,
+                  "modeled_s": result.elapsed,
+                  "messages": result.spmd.messages_sent,
+                  "bytes": result.spmd.bytes_sent,
+                  "collectives": result.spmd.collectives}
+                 for (machine, nprocs), result in runs.items()],
+        "meiko_p4_over_p16": round(speedup, 4),
+        "meiko_p4_over_p16_floor": IMAGE_MEIKO_P4_OVER_P16_FLOOR,
+        "fattree_p256_over_p1": round(remaining, 4),
+        "fattree_p256_over_p1_ceiling": IMAGE_FATTREE_P256_OVER_P1_CEILING,
+    }
 
 
 def main() -> int:
@@ -121,6 +187,8 @@ def main() -> int:
               f"({per_rank * 1e3:.3f} ms/rank, "
               f"modeled {result.elapsed:.4f}s), "
               f"calls x{call_ratio:.2f} vs P={BASE_NPROCS}")
+
+    payload["image_filter"] = image_filter_gate(failures)
 
     with open("scaling_report.json", "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -15,6 +15,11 @@ The assertions pin the autotuner's contract:
   p2p-dominated stencil legitimately has little to gain;
 * a >= 50-candidate search completes in < 10 s host time per workload —
   the fused backend makes candidate evaluation cheap enough to sweep.
+
+It also records the modeled scaling of the 2-D stencil workload
+(``image_filter`` section): P in {1, 2, 4, 8, 16}, default plan.  The
+``image_filter_before`` section is the same sweep at the commit before
+row shifts became neighbour exchanges (531c418), kept by hand.
 """
 
 import json
@@ -23,7 +28,8 @@ import time
 
 from test_wallclock import HEAT_SOURCE
 
-from repro.bench.workloads import make_workload
+from repro.bench.workloads import image_filter, make_workload
+from repro.compiler import compile_source
 from repro.mpi import MEIKO_CS2
 from repro.tuning import tune_program
 
@@ -104,6 +110,39 @@ def test_vclock_default_vs_tuned(scale):
         "workloads": entries,
         "improved_at_16": improved,
     })
+
+
+IMAGE_NPROCS = (1, 2, 4, 8, 16)
+
+
+def test_vclock_image_filter():
+    """The benchmark's image filter (n = 256, 16 steps — the text of
+    benchmarks/e2e/programs/image_filter.m): its row shifts move one
+    boundary row per rank, so the modeled time keeps falling with P — at
+    least 6x on 16 CPUs (it was 2.2x while each shift allgathered the
+    image; measured 7.7x)."""
+    program = compile_source(image_filter(n=256, steps=16).source,
+                             name="image_filter")
+    rows = {}
+    for p in IMAGE_NPROCS:
+        result = program.run(nprocs=p, machine=MEIKO_CS2, backend="fused")
+        assert result.spmd.backend == "fused"
+        rows[str(p)] = {
+            "vclock_ms": round(result.elapsed * 1e3, 6),
+            "messages": result.spmd.messages_sent,
+            "bytes": result.spmd.bytes_sent,
+            "collectives": result.spmd.collectives,
+        }
+    clocks = [rows[str(p)]["vclock_ms"] for p in IMAGE_NPROCS]
+    assert clocks == sorted(clocks, reverse=True), clocks
+    assert clocks[0] / clocks[-1] >= 6.0, clocks
+    _merge_json({"image_filter": {
+        "machine_model": MEIKO_CS2.name,
+        "program": "benchmarks/e2e/programs/image_filter.m",
+        "backend": "fused",
+        "speedup_at_16": round(clocks[0] / clocks[-1], 3),
+        "nprocs": rows,
+    }})
 
 
 def _merge_json(section: dict) -> None:

@@ -379,7 +379,10 @@ _register("repmat", 3, 3, 1, "structural", _repmat_rule)
 _register("circshift", 2, 2, 1, "structural", _same_as_arg(),
           notes="shift is a scalar or MATLAB's [rows cols] pair; "
                 "column shifts are rank-local under the row "
-                "distribution")
+                "distribution, row shifts (like vector shifts) a "
+                "neighbour exchange up to the smallest block, an "
+                "alltoall beyond it, a gather only under a cyclic map "
+                "or with fewer rows than ranks")
 _register("fliplr", 1, 1, 1, "structural", _same_as_arg())
 _register("flipud", 1, 1, 1, "structural", _same_as_arg())
 _register("tril", 1, 2, 1, "structural", _same_as_arg())

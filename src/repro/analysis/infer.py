@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..errors import InferenceError
+from ..errors import NESTED_TOO_DEEPLY, InferenceError
 from ..frontend import ast_nodes as A
 from .builtin_sigs import get_sig
 from .cfg import CondEvent, LoopIndexEvent, StmtEvent
@@ -380,8 +380,10 @@ class InferenceEngine:
             if isinstance(stmt.target, A.NameLValue):
                 self._set_const(ut, defs[0], rhs_const)
         elif isinstance(stmt, A.MultiAssign):
-            out_types = self._call_types(unit, ut, stmt.call,
-                                         nargout=len(stmt.targets))
+            out_types = self._call_types(
+                stmt.call,
+                [self._type_expr(unit, ut, a) for a in stmt.call.args],
+                nargout=len(stmt.targets))
             for i, value in enumerate(defs):
                 produced = out_types[i] if i < len(out_types) else UNKNOWN
                 self._set_type(ut, value, self._stored_type(
@@ -524,9 +526,11 @@ class InferenceEngine:
         if kind is A.Apply:
             if expr.resolved == "index":
                 return self._index_type(unit, ut, expr)
-            types = self._call_types(unit, ut, expr, nargout=1)
-            const = self._call_const(unit, ut, expr)
-            return types[0], const
+            # typed once, for the result type and the folded constant:
+            # nested calls stay linear in their depth
+            arg_results = [self._type_expr(unit, ut, a) for a in expr.args]
+            types = self._call_types(expr, arg_results, nargout=1)
+            return types[0], self._call_const(expr, arg_results)
         raise InferenceError(f"cannot type node {type(expr).__name__}",
                              expr.loc)
 
@@ -661,9 +665,11 @@ class InferenceEngine:
 
     # -- calls --------------------------------------------------------------
 
-    def _call_types(self, unit: ResolvedUnit, ut: UnitTypes, call: A.Apply,
+    def _call_types(self, call: A.Apply,
+                    arg_results: list[tuple[VarType, object]],
                     nargout: int) -> list[VarType]:
-        arg_results = [self._type_expr(unit, ut, a) for a in call.args]
+        """Result types of a call whose arguments typed to
+        ``arg_results`` (one ``_type_expr`` result each)."""
         arg_types = [r[0] for r in arg_results]
         arg_consts = [r[1] for r in arg_results]
         if call.resolved == "builtin" and any(t == BOTTOM for t in arg_types):
@@ -718,8 +724,8 @@ class InferenceEngine:
         return [rets[i] if i < len(rets) else BOTTOM
                 for i in range(max(nargout, 1))]
 
-    def _call_const(self, unit: ResolvedUnit, ut: UnitTypes,
-                    call: A.Apply) -> object:
+    def _call_const(self, call: A.Apply,
+                    arg_results: list[tuple[VarType, object]]) -> object:
         if call.resolved != "builtin":
             return None
         if call.name in _CONSTANT_VALUES and not call.args:
@@ -728,7 +734,7 @@ class InferenceEngine:
             return complex(0, 1)
         fold = _FOLDABLE.get(call.name)
         if fold is not None and len(call.args) == 1:
-            _, const = self._type_expr(unit, ut, call.args[0])
+            const = arg_results[0][1]
             if isinstance(const, (int, float)):
                 try:
                     result = fold(float(const))
@@ -858,4 +864,7 @@ def _fold_binop(op: str, lc: object, rc: object) -> object:
 
 def infer_types(program: ResolvedProgram) -> ProgramTypes:
     """Run pass 3 over a resolved program."""
-    return InferenceEngine(program).run()
+    try:
+        return InferenceEngine(program).run()
+    except RecursionError:
+        raise InferenceError(NESTED_TOO_DEEPLY) from None

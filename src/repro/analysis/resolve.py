@@ -18,7 +18,7 @@ measures.
 
 from __future__ import annotations
 
-from ..errors import ResolutionError
+from ..errors import NESTED_TOO_DEEPLY, ResolutionError
 from ..frontend import ast_nodes as A
 from ..frontend.mfile import EMPTY_PROVIDER, MFileProvider
 from .builtin_sigs import get_sig, is_builtin
@@ -287,4 +287,7 @@ def resolve_program(script: A.Script,
     in the script — used by the REPL, whose workspace persists across
     inputs.
     """
-    return Resolver(provider, predefined).resolve(script)
+    try:
+        return Resolver(provider, predefined).resolve(script)
+    except RecursionError:
+        raise ResolutionError(NESTED_TOO_DEEPLY) from None

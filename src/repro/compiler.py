@@ -28,6 +28,7 @@ from typing import Any, Optional
 
 from .analysis.infer import ProgramTypes, infer_types
 from .analysis.resolve import ResolvedProgram, resolve_program
+from .errors import NESTED_TOO_DEEPLY, CodegenError
 from .frontend.mfile import EMPTY_PROVIDER, MFileProvider
 from .frontend.parser import parse_script
 from .ir.guard import guard_program
@@ -149,8 +150,16 @@ class CompiledProgram:
     def _load_module(self) -> _types.ModuleType:
         if self._module is None:
             module = _types.ModuleType(f"otter_generated_{self.name}")
-            exec(compile(self.python_source,
-                         f"<otter:{self.name}>", "exec"), module.__dict__)
+            try:
+                code = compile(self.python_source,
+                               f"<otter:{self.name}>", "exec")
+            except (SyntaxError, RecursionError, MemoryError) as exc:
+                # the emitter writes valid Python; what CPython refuses
+                # is its depth (100 indentation levels, 20 nested loops,
+                # its own parser and compiler stacks)
+                raise CodegenError(f"{NESTED_TOO_DEEPLY} for the Python "
+                                   f"backend ({exc})") from None
+            exec(code, module.__dict__)
             self._module = module
         return self._module
 

@@ -49,6 +49,11 @@ class DiagnosticError(OtterError):
         self.message = message
 
 
+#: what a recursive pass reports when a program's nesting exhausts the
+#: Python stack: its own diagnostic class, never a ``RecursionError``
+NESTED_TOO_DEEPLY = "program nested too deeply"
+
+
 class LexError(DiagnosticError):
     """Raised by the scanner on malformed input."""
 

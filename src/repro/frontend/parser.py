@@ -111,6 +111,12 @@ class Parser:
     def error(self, message: str, loc: SourceLocation | None = None) -> ParseError:
         return ParseError(message, loc or self.toks[self.i].loc)
 
+    def _too_deep(self) -> ParseError:
+        """What the entry points raise when the recursive descent ran out
+        of Python stack (at the token it had reached): a program nested
+        that deeply is a syntax error, not a crash."""
+        return self.error("expression nested too deeply")
+
     # ------------------------------------------------------------------ #
     # program units
     # ------------------------------------------------------------------ #
@@ -119,7 +125,10 @@ class Parser:
         """Parse a script M-file: a statement list with no function defs."""
         if self._file_is_function():
             raise self.error("expected a script, found a function M-file")
-        body = self._stmt_list(stop={T.EOF})
+        try:
+            body = self._stmt_list(stop={T.EOF})
+        except RecursionError:
+            raise self._too_deep() from None
         self.expect(T.EOF)
         return A.Script(name=name, body=body)
 
@@ -127,9 +136,12 @@ class Parser:
         """Parse a function M-file: a primary function plus subfunctions."""
         self._skip_separators()
         funcs: list[A.FunctionDef] = []
-        while self.at(T.FUNCTION):
-            funcs.append(self._function_def())
-            self._skip_separators()
+        try:
+            while self.at(T.FUNCTION):
+                funcs.append(self._function_def())
+                self._skip_separators()
+        except RecursionError:
+            raise self._too_deep() from None
         if not funcs:
             raise self.error("expected 'function'")
         self.expect(T.EOF)
@@ -512,7 +524,10 @@ def parse_function_file(source: str, name: str = "<mfile>") -> list[A.FunctionDe
 def parse_expression(source: str) -> A.Expr:
     """Parse a single expression (used heavily by tests)."""
     parser = Parser(tokenize(source, "<expr>"), "<expr>")
-    expr = parser._expression()
+    try:
+        expr = parser._expression()
+    except RecursionError:
+        raise parser._too_deep() from None
     parser._skip_separators()
     parser.expect(T.EOF)
     return expr

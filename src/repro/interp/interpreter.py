@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..errors import MatlabRuntimeError
+from ..errors import NESTED_TOO_DEEPLY, MatlabRuntimeError
 from ..frontend import ast_nodes as A
 from ..frontend.mfile import EMPTY_PROVIDER, MFileProvider
 from ..frontend.parser import parse_script
@@ -98,8 +98,13 @@ class Interpreter:
     def run(self) -> dict[str, Value]:
         """Execute the script; returns the final workspace."""
         self._frame_globals = [set()]
-        self._exec_body(self.program.script.body, self.workspace,
-                        global_names=self._frame_globals[-1])
+        try:
+            self._exec_body(self.program.script.body, self.workspace,
+                            global_names=self._frame_globals[-1])
+        except RecursionError:
+            raise MatlabRuntimeError(
+                "maximum recursion depth exceeded (unbounded function "
+                f"recursion, or a {NESTED_TOO_DEEPLY})") from None
         return self.workspace
 
     # ------------------------------------------------------------------ #

@@ -29,7 +29,7 @@ from ..analysis.infer import ProgramTypes, UnitTypes
 from ..analysis.lattice import BaseType, Rank, UNKNOWN, VarType, scalar
 from ..analysis.resolve import ResolvedProgram
 from ..analysis.builtin_sigs import get_sig
-from ..errors import LoweringError
+from ..errors import NESTED_TOO_DEEPLY, LoweringError
 from ..frontend import ast_nodes as A
 from .nodes import (
     CallUser,
@@ -514,9 +514,12 @@ def lower_program(program: ResolvedProgram, types: ProgramTypes,
     single-operator statements (one temp, one run-time call per operator)
     — the pre-fusion compiler the paper improves on, exposed as an
     autotuner ablation knob."""
-    ir = Lowerer(program, types).lower()
-    if ew_split:
-        _split_elementwise(ir)
+    try:
+        ir = Lowerer(program, types).lower()
+        if ew_split:
+            _split_elementwise(ir)
+    except RecursionError:
+        raise LoweringError(NESTED_TOO_DEEPLY) from None
     return ir
 
 

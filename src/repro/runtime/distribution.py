@@ -182,8 +182,9 @@ class Geometry:
 
     Matrices are distributed by rows, vectors by linear elements;
     ``slices[r]`` indexes the distributed axis (a ``slice`` for block
-    maps, a read-only index array for cyclic ones) and ``counts[r]`` is
-    rank ``r``'s local *element* count.
+    maps, a read-only index array for cyclic ones), ``width`` is the
+    number of elements one index of that axis holds (1, or ``cols``) and
+    ``counts[r]`` is rank ``r``'s local *element* count.
 
     The rank axis: both maps give the first ``extent % nprocs`` ranks
     one item more than the rest, so the distributed axis is at most two
@@ -195,7 +196,7 @@ class Geometry:
     """
 
     __slots__ = ("rows", "cols", "nprocs", "scheme", "shape", "numel",
-                 "is_vector", "map", "counts", "starts", "slices",
+                 "is_vector", "width", "map", "counts", "starts", "slices",
                  "local_shapes", "max_count", "_scaled", "_indices",
                  "_overlaps", "_runs", "_run_indices")
 
@@ -222,9 +223,11 @@ class Geometry:
             self._indices = [_frozen(amap.global_indices(r)) for r in ranks]
             self.slices = tuple(self._indices)
         if self.is_vector:
+            self.width = 1
             self.counts = tuple(held)
             self.local_shapes = tuple((n,) for n in held)
         else:
+            self.width = cols
             self.counts = tuple(n * cols for n in held)
             self.local_shapes = tuple((n, cols) for n in held)
         self.max_count = max(self.counts)
@@ -302,27 +305,29 @@ class Geometry:
         return out
 
     def shift_overlap(self, k: int) -> int:
-        """Of the elements a circular shift by ``k`` delivers to rank 0,
-        the largest number that come from a single source rank (block
-        vectors only): rank 0's block pulled back through the shift is
-        one circular interval, intersected here with every source block.
+        """Of the items (elements of a vector, rows of a matrix) a
+        circular shift by ``k`` along the distributed axis delivers to
+        rank 0, the largest number that come from a single source rank
+        (block maps only): rank 0's block pulled back through the shift
+        is one circular interval, intersected here with every source
+        block.
         """
         try:
             return self._overlaps[k]
         except KeyError:
             pass
-        n, width = self.numel, self.counts[0]
+        n, held = self.map.n, self.slices[0].stop   # rank 0 holds [0, held)
         lo = -k % n
         starts = np.asarray(self.starts)
-        stops = starts + np.asarray(self.counts)
+        stops = np.asarray([span.stop for span in self.slices])
 
         def covered(a: int, b: int) -> np.ndarray:
             return np.clip(np.minimum(stops, b) - np.maximum(starts, a),
                            0, None)
 
-        # [lo, lo + width) on the circle: the part below n, then the wrap
-        per_source = covered(lo, min(lo + width, n)) \
-            + covered(0, lo + width - n)
+        # [lo, lo + held) on the circle: the part below n, then the wrap
+        per_source = covered(lo, min(lo + held, n)) \
+            + covered(0, lo + held - n)
         best = self._overlaps[k] = int(per_source.max())
         return best
 

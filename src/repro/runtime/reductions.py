@@ -520,7 +520,10 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
                              dtype=value.dtype)
             flat = geom.unstacked(scanned)
             rest = flat[geom.counts[0]:]
-            ufunc(rest, np.repeat(below, geom.counts[1:]), out=rest)
+            # not ``out=rest``: numpy's in-place loop rounds a complex
+            # product of ONE element differently from a rank's own
+            # ``scan * offset``
+            rest[...] = ufunc(rest, np.repeat(below, geom.counts[1:]))
             return value.like_full(flat.reshape(value.shape, order="F"),
                                    dtype=value.dtype)
         local = value.local

@@ -2,9 +2,10 @@
 diag, repmat, and a parallel sample sort.
 
 Triangle masking (`tril`/`triu`) is fully local — each rank knows the
-global row indices of its block.  ``circshift`` on a vector is a single
-ring boundary exchange for stencil-sized shifts (an alltoall of
-per-destination pieces for larger ones).  ``sort`` uses a parallel
+global row indices of its block.  ``circshift`` along the distributed
+axis of a block-distributed array (a vector's elements, a matrix's rows)
+is a single ring boundary exchange for stencil-sized shifts (an alltoall
+of per-destination pieces for larger ones).  ``sort`` uses a parallel
 *sample sort* (an extension the
 paper lists as future work for the run-time library): local sort, sample,
 broadcast splitters, alltoall exchange, local merge.
@@ -85,8 +86,11 @@ def circshift(rt, value: RValue, shift: RValue) -> RValue:
         return V.simplify(np.roll(arr, kr, axis=axis))
     if kc is not None:
         return _circshift2(rt, value, kr, kc)
-    if value.is_vector and value.scheme == "block":
-        return _circshift_vector(rt, value, kr)
+    if (value.is_vector or value.rows >= rt.size) \
+            and value.scheme == "block":
+        return _circshift_block(rt, value, kr)
+    # cyclic maps, and matrices with fewer rows than ranks (some blocks
+    # are empty, so no neighbour holds the boundary)
     full = rt.gather_full(value, copy=False)  # np.roll allocates fresh
     axis = 1 if value.rows == 1 else 0
     rt.comm.compute(mem=full.size)
@@ -97,12 +101,13 @@ def _circshift2(rt, value: DMatrix, kr: int, kc: int) -> RValue:
     """``circshift(A, [kr kc])``: row component then column component.
 
     A vector has one non-singleton dimension, so the matching component
-    routes through the scalar path (ring exchange and all).  For a
-    matrix the *column* component never crosses rank boundaries under
-    the row-contiguous distribution — every rank rolls its own rows
-    locally, no communication — which is what makes two-element
-    ``circshift`` the stencil-friendly way to reach horizontal
-    neighbours (the scalar form would need a transpose sandwich)."""
+    routes through the scalar path.  For a matrix the *column* component
+    never crosses rank boundaries under the row-contiguous distribution
+    — every rank rolls its own rows locally, no communication — which
+    is what makes two-element ``circshift`` the stencil-friendly way to
+    reach horizontal neighbours (the scalar form would need a transpose
+    sandwich); the *row* component is the scalar path too: whole rows
+    move between ranks exactly as a vector's elements do."""
     if value.is_vector:
         k = kc if value.rows == 1 else kr
         return circshift(rt, value, float(k))
@@ -126,13 +131,15 @@ def _circshift2(rt, value: DMatrix, kr: int, kc: int) -> RValue:
     return circshift(rt, value, float(kr))
 
 
-def _circshift_vector(rt, vec: DMatrix, k: int) -> DMatrix:
-    """Block-distributed vector shift.
+def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
+    """Shift along the distributed axis of a block-distributed array:
+    the elements of a vector, the rows of a matrix (``vec.geom.width``
+    elements each).
 
-    Small shifts (|k| below the smallest block) are a single ring
+    Small shifts (|k| up to the smallest block) are a single ring
     boundary exchange — the stencil-friendly fast path.  Larger shifts
     fall back to an alltoall of per-destination pieces."""
-    n = vec.numel
+    n = vec.geom.map.n
     if n == 0:
         return vec
     k = k % n
@@ -151,8 +158,8 @@ def _circshift_vector(rt, vec: DMatrix, k: int) -> DMatrix:
         return _circshift_alltoall_fused(rt, vec, k)
     # Pack one (indices, values) array pair per destination rank — no
     # per-element Python: owners() is pure arithmetic, a stable argsort
-    # groups elements by destination, and each piece is a contiguous
-    # slice.  sizeof() is O(1) on these payloads.
+    # groups elements (rows) by destination, and each piece is a
+    # contiguous slice.  sizeof() is O(1) on these payloads.
     gidx = vec.global_row_indices()
     dest_global = (gidx + k) % n
     owners = vec.geom.map.owners(dest_global)
@@ -175,12 +182,12 @@ def _circshift_vector(rt, vec: DMatrix, k: int) -> DMatrix:
 
 def _circshift_alltoall_fused(rt, vec: FusedDMatrix, k: int) -> DMatrix:
     """Fused large-shift path: the data movement is one rotation of the
-    full vector; the alltoall is charged with the lockstep payload size
+    full array; the alltoall is charged with the lockstep payload size
     (each source's piece-to-rank-0, the row comm.alltoall prices)."""
     # the largest piece is a (dest-indices int64, values) tuple, as the
     # lockstep path packs it
     c0 = vec.geom.shift_overlap(k)
-    per = c0 * 8 + c0 * vec.full.itemsize + 8
+    per = c0 * 8 + c0 * vec.geom.width * vec.full.itemsize + 8
     rt.comm.overhead()
     rt.comm.compute_ranks(mem=vec.geom.counts)
     rt.comm.charge_alltoall(per)
@@ -190,14 +197,14 @@ def _circshift_alltoall_fused(rt, vec: FusedDMatrix, k: int) -> DMatrix:
 def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
     """Shift by |k| <= min block: one sendrecv with the ring neighbour.
 
-    Shifting right by k moves each rank's last k elements to the next
-    rank's front (and symmetrically for k < 0) — two messages per step
-    of a stencil instead of an alltoall.
+    Shifting right by k moves each rank's last k elements (rows) to the
+    next rank's front (and symmetrically for k < 0) — two messages per
+    step of a stencil instead of an alltoall.
     """
     if isinstance(vec, FusedDMatrix):
-        # P simultaneous boundary sendrecvs, |k| elements each; movement
-        # itself is one rotation of the full vector
-        nbytes = abs(k) * vec.full.itemsize
+        # P simultaneous boundary sendrecvs, |k| elements (rows) each;
+        # movement itself is one rotation of the full array
+        nbytes = abs(k) * vec.geom.width * vec.full.itemsize
         rt.comm.ring_exchange(nbytes, forward=k > 0)
         rt.comm.overhead()
         rt.comm.compute_ranks(mem=vec.geom.counts)

@@ -285,6 +285,36 @@ def test_mutated_corpus_programs_fail_closed(data):
     scan_and_parse_fail_closed(src[:at] + char + src[at + (not keep):])
 
 
+#: (opener, closer) pairs that nest: each opener costs the parser frames
+_NESTERS = [("(", ")"), ("[", "]"), ("-", ""), ("~", ""), ("abs(", ")"),
+            ("v(", ")"), ("2^-", ""), ("(1+", ")"), ("[1, ", "]"),
+            ("if 1\n", "\nend"), ("for k = 1:2\n", "\nend"),
+            ("while 0\n", "\nend"), ("switch 1\ncase {", "}\nend")]
+
+
+@st.composite
+def deeply_nested(draw):
+    """A program nested 0-3000 deep in runs of one or several
+    constructs, balanced or cut short anywhere."""
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        layers += [draw(st.sampled_from(_NESTERS))] \
+            * draw(st.sampled_from((0, 1, 30, 150, 400, 1000)))
+    src = "".join(opener for opener, _ in layers) + "1" \
+        + "".join(closer for _, closer in reversed(layers))
+    if draw(st.booleans()):
+        src = "x = " + src
+    return src[:draw(st.integers(0, len(src)))] if draw(st.booleans()) \
+        else src
+
+
+@settings(max_examples=60, deadline=None)
+@given(deeply_nested())
+def test_deeply_nested_programs_fail_closed(src):
+    """Whatever exhausts the recursive descent is a ParseError too."""
+    scan_and_parse_fail_closed(src)
+
+
 def test_no_python_call_per_source_character():
     """A comment-and-blank-only source costs O(lines) Python-level calls
     (one NEWLINE token per line), not O(characters)."""

@@ -13,7 +13,7 @@ match exactly.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.native import get_engine
 from repro.native.ops import EXACT, OPS, spec_reference
@@ -116,10 +116,34 @@ def _check(spec, args):
         f"native: {out!r}\nnumpy:  {ref!r}")
 
 
+_SIGNED_ZEROS = np.array([1.0, -0.0, 3.0, 0.0])
+
+
 @settings(max_examples=120, deadline=None)
 @given(spec=spec_trees(SAFE_OPS), args=operand_lists())
+@example(spec=("fn:sign", "@0"), args=[_SIGNED_ZEROS, 0.0, 0.0])
+@example(spec=("./", 1.0, ("fn:sign", "@0")), args=[_SIGNED_ZEROS, 0.0, 0.0])
+@example(spec=("fn:sign", (".*", "@0", "@1")),
+         args=[_SIGNED_ZEROS, -1.0, 0.0])
 def test_exact_chains_never_diverge(spec, args):
     _check(spec, args)
+
+
+def test_sign_of_negative_zero_after_verification():
+    """First-call verification sees no negative zero; the kernel it
+    admitted must still answer ``sign(-0.0) == +0.0`` as numpy does —
+    ``1 ./ sign(x)`` turns the zero's sign into ``-Inf`` vs ``+Inf``."""
+    # a spec no other test runs: its first call here is the verification
+    spec = ("./", 1.0, ("fn:sign", ("-", "@0", "@1")))
+    reference = spec_reference(spec)
+    clean = np.array([1.0, -2.0, 3.0, 0.0])
+    with np.errstate(divide="ignore"):
+        assert engine.run(spec, [clean, 0.0], reference) is not None
+        out = engine.run(spec, [_SIGNED_ZEROS, 0.0], reference)
+        want = reference(_SIGNED_ZEROS, 0.0)
+    assert out is not None
+    assert out.tobytes() == want.tobytes()
+    assert out[1] == np.inf
 
 
 @settings(max_examples=120, deadline=None)

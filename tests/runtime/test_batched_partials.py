@@ -236,7 +236,9 @@ def test_scan_offsets(case, name):
     with quiet():
         flat = base.copy()
         rest = flat[geom.counts[0]:]
-        ufunc(rest, np.repeat(offsets, geom.counts[1:]), out=rest)
+        # out of place: ``out=rest`` rounds a ONE-element complex product
+        # differently (46 % of random operands, numpy 2.4)
+        rest[...] = ufunc(rest, np.repeat(offsets, geom.counts[1:]))
         looped = [blk if not rank else ufunc(blk, offsets[rank - 1].item())
                   for rank, blk in enumerate(per_rank(geom, base))]
     same_bits(geom.stacked(flat), looped)

@@ -109,3 +109,20 @@ def test_cumulative_is_priced_like_a_scan():
         assert run.spmd.collective_counts == {"scan": 2, "allgather": 3}
         assert run.spmd.messages_sent == 0
         assert run.spmd.times == [0.0006535345454545455] * 3
+
+
+def test_complex_cumprod_of_one_trailing_element_rounds_like_lockstep():
+    """Inexact complex operands, and one element beyond rank 0's block:
+    the fused combine must round as a rank's own ``scan * offset`` does
+    (numpy's in-place loop rounds a one-element complex product
+    differently; 23 of these 40 pairs were a last-bit mismatch)."""
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        a, b, c, d = (float(v) for v in rng.uniform(-10, 10, 4))
+        program = compile_source(
+            f"z = [({a!r}) + ({b!r}) * 1i, ({c!r}) + ({d!r}) * 1i];\n"
+            "p = cumprod(z);\n")
+        fused, lockstep = (
+            np.asarray(program.run(nprocs=2, backend=backend).workspace["p"])
+            for backend in ("fused", "lockstep"))
+        assert fused.tobytes() == lockstep.tobytes(), (a, b, c, d)

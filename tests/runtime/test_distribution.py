@@ -187,12 +187,14 @@ def test_geometry_is_interned_and_tables_are_read_only():
 
 
 @given(n=st.integers(1, 120), p=st.sampled_from((1, 2, 3, 7, 16, 64)),
-       k=st.integers(1, 400))
-def test_shift_overlap_matches_owner_count(n, p, k):
+       k=st.integers(1, 400), shape=st.sampled_from(("row", "column", 5)))
+def test_shift_overlap_matches_owner_count(n, p, k, shape):
     """The closed-form interval overlap equals what the alltoall sizing
-    used to count: per source rank, the elements whose shifted
-    destination rank 0 owns."""
-    geom = get_geometry(1, n, p, "block")
+    used to count: per source rank, the elements (of a vector; rows, of
+    an ``n x 5`` matrix) whose shifted destination rank 0 owns."""
+    geom = get_geometry(*{"row": (1, n), "column": (n, 1)}.get(
+        shape, (n, shape)), p, "block")
+    n = geom.map.n
     k %= n
     want = max(int(np.count_nonzero(
         geom.map.owners((geom.global_indices(r) + k) % n) == 0))
