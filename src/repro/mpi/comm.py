@@ -393,6 +393,11 @@ class Comm:
             self._rec.compute(self.line, self.world.clocks[self.rank], dt)
         self.advance(dt)
 
+    #: "charge each rank its own load" — what an op body written once
+    #: for both descriptors calls with ``mat.load``: this rank's ``int``
+    #: here, every rank's under :class:`~repro.mpi.fused.FusedComm`
+    compute_own = compute
+
     def overhead(self, calls: int = 1) -> None:
         """Charge run-time-library call overhead."""
         if self._rec is not None:

@@ -10,14 +10,15 @@ Two backends execute the rank programs (the ``backend`` run knob; see
 keyword, its environment variable and its default):
 
 ``lockstep``
-    Cooperative: a :class:`~repro.mpi.scheduler.LockstepScheduler`
+    The oracle.  Cooperative: a
+    :class:`~repro.mpi.scheduler.LockstepScheduler`
     gates the carrier threads so exactly one rank runs at a time,
     parking at blocking points and handing off.  Deterministic, nearly
     free per extra rank, and it *detects* deadlock (reporting the full
     blocked-rank wait graph) instead of hanging.
 
 ``fused``
-    Rank fusion: the program runs **once** with a
+    The default.  Rank fusion: the program runs **once** with a
     :class:`~repro.mpi.fused.FusedComm` carrying all ranks' state, so
     the interpreter's control-flow overhead is paid once instead of P
     times.  Accounting (virtual clocks, message/byte/collective counts)
@@ -71,11 +72,14 @@ class SpmdResult:
     times: list[float]            # final virtual clock per rank
     machine: MachineModel
     nprocs: int
+    #: the backend that produced this result: ``lockstep`` under the
+    #: default configuration means the fused pass diverged (a
+    #: rank-dependent program, a chaos plan) and the run was redone
+    backend: str
     messages_sent: int = 0
     bytes_sent: int = 0
     collectives: int = 0
     collective_counts: dict[str, int] = field(default_factory=dict)
-    backend: str = "lockstep"
     #: deterministic log of injected chaos events (rank order), empty
     #: when no fault plan was active; spans *every* restart attempt
     fault_events: list[str] = field(default_factory=list)

@@ -270,6 +270,10 @@ class FusedComm:
             self._trace.batch_rank_compute(self.line, clocks, dts)
         clocks += dts
 
+    #: :attr:`Comm.compute_own`'s counterpart: a fused ``mat.load`` is
+    #: the per-rank sequence
+    compute_own = compute_ranks
+
     def _rank_costs(self, flops, elems, mem) -> np.ndarray:
         dts = np.asarray(self.machine.compute_time_vec(
             flops=flops, elems=elems, mem=mem, active_cpus=self.size))

@@ -24,6 +24,8 @@ from typing import Any, Optional
 
 from .errors import ConfigError
 
+#: ``fused`` is the production path; ``lockstep`` is the oracle it is
+#: tested against and the re-run of a program that cannot fuse
 BACKENDS = ("lockstep", "fused")
 NATIVE_MODES = ("auto", "off", "require")
 #: the four degradation policies, in increasing order of self-healing
@@ -70,7 +72,7 @@ def _seconds(value, origin) -> float:
                           f"(got {value!r})") from None
     if not seconds > 0:
         raise ConfigError(
-            f"{origin}: watchdog must be positive (got {seconds:g}s)")
+            f"{origin}: must be positive (got {seconds:g}s)")
     return seconds
 
 
@@ -91,7 +93,7 @@ def _fault_plan(value, origin):
 #: for it (the tuner's own candidate evaluations, for one).
 KNOBS = (
     ("backend", "REPRO_SPMD_BACKEND",
-     choice("SPMD backend", BACKENDS), "lockstep"),
+     choice("SPMD backend", BACKENDS), "fused"),
     ("native", "REPRO_NATIVE", choice("native mode", NATIVE_MODES), "auto"),
     ("fault_plan", None, _fault_plan, None),
     ("watchdog", "REPRO_WATCHDOG_SECONDS", _seconds, None),

@@ -26,9 +26,8 @@ import numpy as np
 
 from ..errors import FusionDivergence, MatlabRuntimeError
 from ..interp import values as V
-from ..mpi.comm import Comm
+from ..mpi.comm import LAND, Comm
 from ..mpi.fused import PerRankScalar
-from .distribution import get_geometry
 from .matrix import DMatrix, FusedDMatrix, RValue
 from .memory import MemoryTracker, current_tracker, install_tracker
 
@@ -50,8 +49,10 @@ class RuntimeContext:
         self.native = native
         #: under the ``fused`` backend one pass carries all ranks; rank 0
         #: stands in wherever a single identity is needed (I/O coordination)
-        self.fused = bool(getattr(comm, "is_fused", False))
-        self.rank = 0 if self.fused else comm.rank
+        self.fused = fused = bool(getattr(comm, "is_fused", False))
+        self.rank = 0 if fused else comm.rank
+        #: the descriptor class that goes with this communicator
+        self.descriptor = FusedDMatrix if fused else DMatrix
         self.size = comm.size
         self.scheme = scheme
         #: per-array distribution overrides ({name: scheme}, an autotuner
@@ -186,11 +187,8 @@ class RuntimeContext:
         full = V.as_matrix(full)
         if full.size == 1:
             return V.simplify(full)
-        scheme = scheme or self.scheme
-        if self.fused:
-            return FusedDMatrix(get_geometry(*full.shape, self.size, scheme),
-                                full.dtype, full)
-        return DMatrix.from_full(full, self.size, self.rank, scheme)
+        return self.descriptor.from_full(full, self.size, self.rank,
+                                         scheme or self.scheme)
 
     def realign(self, value: RValue, scheme: str) -> RValue:
         """Redistribute ``value`` to ``scheme`` (identity if it already
@@ -200,17 +198,17 @@ class RuntimeContext:
             return value
         return self.distribute_full(self.gather_full(value), scheme=scheme)
 
-    def gather_full(self, value: RValue, charge: bool = True,
-                    copy: bool = True) -> np.ndarray:
-        """Assemble the full array on every rank (ML-level allgather).
+    def gather_full(self, value: RValue, copy: bool = True) -> np.ndarray:
+        """Assemble the full array on every rank (ML-level allgather),
+        charging the allgather and one pass over the result.
 
         With ``cache_gathers`` the result is memoized on the descriptor
-        (safe: descriptors are immutable) and later gathers are free.
-        ``copy=False`` is an opt-in for callers that only *read* the
-        result (transpose, circshift, ... — anything that derives a
-        fresh array from it); it skips the defensive copy of an
-        already-replicated fused array.  Charges are identical either
-        way.
+        (safe: descriptors are immutable) and later gathers cost one
+        call overhead.  ``copy=False`` is an opt-in for callers that
+        only *read* the result (transpose, circshift, ... — anything
+        that derives a fresh array from it); it skips the defensive copy
+        of an already-replicated fused array.  Charges are identical
+        either way.
         """
         if not isinstance(value, DMatrix):
             return V.as_matrix(value)
@@ -231,11 +229,7 @@ class RuntimeContext:
                 value.replica = full
             return full
         self.comm.overhead()
-        parts = self.comm.allgather(value.local)
-        if not charge:
-            # caller accounts for traffic itself
-            pass
-        full = value.assemble(parts)
+        full = value.assemble(self.comm.allgather(value.local))
         self.comm.compute(mem=value.numel)
         if self.cache_gathers:
             value.replica = full
@@ -264,18 +258,10 @@ class RuntimeContext:
         if rows * cols <= 1:
             return V.simplify(np.asarray(full).reshape(rows, cols)
                               if rows * cols else np.zeros((rows, cols)))
-        scheme = self._creation_scheme()
-        if self.fused:
-            full = np.asarray(full)
-            geom = get_geometry(rows, cols, self.size, scheme)
-            mat = FusedDMatrix(geom, full.dtype, full)
-            self.comm.overhead()
-            self.comm.compute_ranks(mem=geom.counts)
-            return mat
-        mat = DMatrix.from_full(np.asarray(full), self.size, self.rank,
-                                scheme)
+        mat = self.descriptor.from_full(full, self.size, self.rank,
+                                        self._creation_scheme())
         self.comm.overhead()
-        self.comm.compute(mem=mat.local_count())
+        self.comm.compute_own(mem=mat.load)
         return mat
 
     def _creation_scheme(self) -> str:
@@ -357,13 +343,9 @@ class RuntimeContext:
         full = np.vstack(blocks)
         if full.size <= 1:
             return V.simplify(full)
-        scheme = self._creation_scheme()
-        if self.fused:
-            geom = get_geometry(*full.shape, self.size, scheme)
-            self.comm.compute_ranks(mem=geom.counts)
-            return FusedDMatrix(geom, full.dtype, full)
-        mat = DMatrix.from_full(full, self.size, self.rank, scheme)
-        self.comm.compute(mem=mat.local_count())
+        mat = self.descriptor.from_full(full, self.size, self.rank,
+                                        self._creation_scheme())
+        self.comm.compute_own(mem=mat.load)
         return mat
 
     # ------------------------------------------------------------------ #
@@ -466,10 +448,10 @@ class RuntimeContext:
                 idx = mat.local_element_index(i, j)
                 new_local[idx] = value
             self.comm.overhead()
-            self.comm.compute(mem=mat.local_count())
+            self.comm.compute(mem=mat.load)
             if new_local is local:
                 return mat
-            return mat.like(new_local, dtype=mat.dtype)
+            return mat.like(new_local)
         return self.index_assign(mat, subs, rhs)
 
     def _set_element_fused(self, mat: FusedDMatrix, subs: Sequence,
@@ -508,10 +490,10 @@ class RuntimeContext:
         r_, c_ = (i % mat.rows, i // mat.rows) if j is None else (i, j)
         new_full[r_, c_] = value
         self.comm.overhead()
-        self.comm.compute_ranks(mem=mat.geom.counts)
+        self.comm.compute_ranks(mem=mat.load)
         if new_full is full:
             return mat
-        return mat.like_full(new_full, dtype=mat.dtype)
+        return mat.like(new_full)
 
     def _in_bounds(self, mat: DMatrix, subs: Sequence) -> bool:
         try:
@@ -607,7 +589,7 @@ class RuntimeContext:
                             clash = op
                     elif op.scheme != template.scheme:
                         realign = True
-                args.append(op.full if kind is FusedDMatrix else op.local)
+                args.append(op.held)
             elif isinstance(op, str):
                 raise MatlabRuntimeError(
                     "elementwise operation: expected a numeric value")
@@ -646,9 +628,10 @@ class RuntimeContext:
             return self.ew(fn, nops, *(
                 self.realign(op, scheme) if isinstance(op, DMatrix) else op
                 for op in operands), spec=spec)
-        # the kernel, over the whole array when fused — bitwise identical
-        # to the per-block calls (elementwise ufuncs are
-        # position-independent) — else over this rank's block
+        # the kernel, over what the descriptors hold: the whole array
+        # when fused — bitwise identical to the per-block calls
+        # (elementwise ufuncs are position-independent) — else this
+        # rank's block
         out = None
         if spec is not None and self.native is not None:
             out = self.native.run(spec, args, fn)
@@ -658,13 +641,8 @@ class RuntimeContext:
         if out.dtype.kind not in "fc":
             out = out.astype(float)
         self.comm.overhead()
-        if template.__class__ is FusedDMatrix:
-            geom = template.geom
-            self.comm.compute_ranks(elems=geom.scaled_counts(nops),
-                                    mem=geom.counts)
-            return template.like_full(out)
-        count = template.local.size
-        self.comm.compute(elems=count * nops, mem=count)
+        load = template.load
+        self.comm.compute_own(elems=load * nops, mem=load)
         return template.like(out)
 
     # ------------------------------------------------------------------ #
@@ -675,22 +653,13 @@ class RuntimeContext:
         if isinstance(value, PerRankScalar):
             # the branch outcome would differ across ranks: abort fusion
             raise FusionDivergence("control flow on a rank-varying scalar")
-        if isinstance(value, FusedDMatrix):
-            from ..mpi.comm import LAND
-
-            ok = bool(np.all(value.full != 0)) if value.full.size else True
-            self.comm.overhead()
-            self.comm.compute_ranks(elems=value.geom.counts)
-            combined = self.comm.allreduce(float(ok), op=LAND)
-            return bool(combined) and value.numel > 0
         if isinstance(value, DMatrix):
-            local_ok = bool(np.all(value.local != 0)) \
-                if value.local.size else True
+            # every held element nonzero, on every rank
+            held = value.held
+            ok = bool(np.all(held != 0)) if held.size else True
             self.comm.overhead()
-            self.comm.compute(elems=value.local_count())
-            from ..mpi.comm import LAND
-
-            combined = self.comm.allreduce(float(local_ok), op=LAND)
+            self.comm.compute_own(elems=value.load)
+            combined = self.comm.allreduce(float(ok), op=LAND)
             return bool(combined) and value.numel > 0
         return V.truthy(value)
 

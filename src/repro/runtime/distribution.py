@@ -165,6 +165,29 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class RankLoads(tuple):
+    """Every rank's local element count, in rank order: what a fused
+    descriptor charges where one rank's descriptor charges an ``int``.
+
+    ``loads * k`` is therefore each count times ``k`` — the per-rank
+    operation counts of a kernel that does ``k`` units of work per local
+    element, as ``int * k`` is for one rank — and the same tuple every
+    time: the products key :class:`~repro.mpi.fused.FusedComm`'s charge
+    memo."""
+
+    def __new__(cls, counts):
+        self = super().__new__(cls, counts)
+        self._scaled = {1: self}
+        return self
+
+    def __mul__(self, k: int) -> "RankLoads":
+        try:
+            return self._scaled[k]
+        except KeyError:
+            scaled = self._scaled[k] = RankLoads(c * k for c in self)
+            return scaled
+
+
 class Geometry:
     """Everything derivable from ``(rows, cols, nprocs, scheme)``.
 
@@ -184,7 +207,8 @@ class Geometry:
     ``slices[r]`` indexes the distributed axis (a ``slice`` for block
     maps, a read-only index array for cyclic ones), ``width`` is the
     number of elements one index of that axis holds (1, or ``cols``) and
-    ``counts[r]`` is rank ``r``'s local *element* count.
+    ``counts[r]`` is rank ``r``'s local *element* count (``counts`` is a
+    :class:`RankLoads`).
 
     The rank axis: both maps give the first ``extent % nprocs`` ranks
     one item more than the rest, so the distributed axis is at most two
@@ -197,7 +221,7 @@ class Geometry:
 
     __slots__ = ("rows", "cols", "nprocs", "scheme", "shape", "numel",
                  "is_vector", "width", "map", "counts", "starts", "slices",
-                 "local_shapes", "max_count", "_scaled", "_indices",
+                 "local_shapes", "max_count", "_indices",
                  "_overlaps", "_runs", "_run_indices")
 
     def __init__(self, rows: int, cols: int, nprocs: int, scheme: str):
@@ -224,14 +248,13 @@ class Geometry:
             self.slices = tuple(self._indices)
         if self.is_vector:
             self.width = 1
-            self.counts = tuple(held)
+            self.counts = RankLoads(held)
             self.local_shapes = tuple((n,) for n in held)
         else:
             self.width = cols
-            self.counts = tuple(n * cols for n in held)
+            self.counts = RankLoads(n * cols for n in held)
             self.local_shapes = tuple((n, cols) for n in held)
         self.max_count = max(self.counts)
-        self._scaled: dict[int, tuple[int, ...]] = {1: self.counts}
         self._overlaps: dict[int, int] = {}
         # the runs, as (first rank, ranks, items per rank, where a block
         # map keeps them); the last one always exists and is the only
@@ -243,15 +266,6 @@ class Geometry:
             runs.insert(0, (0, longer, items + 1, slice(0, split)))
         self._runs = tuple(runs)
         self._run_indices = None
-
-    def scaled_counts(self, k: int) -> tuple[int, ...]:
-        """``counts`` times ``k`` (the per-rank operation counts of a
-        kernel that does ``k`` units of work per local element)."""
-        try:
-            return self._scaled[k]
-        except KeyError:
-            scaled = self._scaled[k] = tuple(c * k for c in self.counts)
-            return scaled
 
     def global_indices(self, rank: int) -> np.ndarray:
         """Read-only global row (linear, for vectors) indices of

@@ -67,7 +67,7 @@ def _vector_dot(rt, a: DMatrix, b: DMatrix, conj: bool = False) -> RValue:
                 parts.append((ra[:, None, :] @ rb[:, :, None])[:, 0, 0])
         parts = rank_axis(parts)
         rt.comm.overhead()
-        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
+        rt.comm.compute_ranks(flops=a.load * 2)
         rt.comm.charge_reduce(parts.itemsize)
         return fold_ranks(SUM, parts)
     av, bv = a.local, b.local
@@ -126,21 +126,14 @@ def outer(rt, a: RValue, b: RValue) -> RValue:
     m = rt.shape_of(a)[0]
     n = rt.shape_of(b)[1]
     b_full = _as_full(rt, b).reshape(-1)
-    if isinstance(a, FusedDMatrix):
-        # elementwise products: one full outer == stacked per-rank outers
-        # (a's element blocks coincide with the result's row blocks)
-        out = np.outer(a.full.reshape(-1), b_full)
-        counts = a.geom.scaled_counts(n)
-        rt.comm.overhead()
-        rt.comm.compute_ranks(flops=counts, mem=counts)
-        return FusedDMatrix(get_geometry(m, n, rt.size, a.scheme),
-                            out.dtype, out)
     if isinstance(a, DMatrix):
-        local = np.outer(a.local, b_full)
+        # the held elements of a are the held rows of the result
+        # (elementwise products: the outer of everything is every rank's
+        # outer, stacked), and each costs one pass over them
+        out = a.like(np.outer(a.held, b_full), shape=(m, n))
         rt.comm.overhead()
-        rt.comm.compute(flops=local.size, mem=local.size)
-        return DMatrix(get_geometry(m, n, rt.size, a.scheme),
-                       local.dtype, local, rt.rank)
+        rt.comm.compute_own(flops=out.load, mem=out.load)
+        return out
     full = np.outer(_as_full(rt, a).reshape(-1), b_full)
     rt.comm.compute(flops=full.size, mem=full.size)
     return rt.distribute_full(full)
@@ -152,7 +145,7 @@ def matvec(rt, a: RValue, x: RValue) -> RValue:
         x_full = _as_full(rt, x).reshape(-1)
         y = a.geom.unstacked([run @ x_full for run in a.stacked()])
         rt.comm.overhead()
-        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
+        rt.comm.compute_ranks(flops=a.load * 2)
         return FusedDMatrix(get_geometry(a.rows, 1, rt.size, a.scheme),
                             y.dtype, y.reshape(-1, 1))
     if isinstance(a, DMatrix) and not a.is_vector:
@@ -185,7 +178,7 @@ def vecmat(rt, x: RValue, a: RValue) -> RValue:
                 (rx[:, None, :] @ ra)[:, 0, :]
                 for rx, ra in zip(a.geom.stacked(x_full), a.stacked())])
             rt.comm.overhead()
-            rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
+            rt.comm.compute_ranks(flops=a.load * 2)
             rt.comm.charge_reduce(parts[0].nbytes)
             total = fold_ranks(SUM, parts)
         else:
@@ -210,7 +203,7 @@ def _matmat(rt, a: RValue, b: RValue) -> RValue:
         full = a.geom.unstacked([run @ b_full for run in a.stacked()])
         n = b_full.shape[1]
         rt.comm.overhead()
-        rt.comm.compute_ranks(flops=a.geom.scaled_counts(2 * n))
+        rt.comm.compute_ranks(flops=a.load * (2 * n))
         return FusedDMatrix(get_geometry(a.rows, n, rt.size, a.scheme),
                             full.dtype, full)
     if isinstance(a, DMatrix) and not a.is_vector:
@@ -235,19 +228,11 @@ def transpose(rt, a: RValue, conjugate: bool = True) -> RValue:
         out = arr.conj().T if conjugate else arr.T
         return V.simplify(np.ascontiguousarray(out))
     if a.is_vector:
-        if isinstance(a, FusedDMatrix):
-            full = a.full.conj() if (conjugate and np.iscomplexobj(a.full)) \
-                else a.full
-            rt.comm.overhead()
-            return FusedDMatrix(
-                get_geometry(a.cols, a.rows, rt.size, a.scheme),
-                full.dtype, np.ascontiguousarray(full.T).copy())
         # both orientations share the element-block layout: free relabel
-        local = a.local.conj() if (conjugate and np.iscomplexobj(a.local)) \
-            else a.local
+        held = a.held
         rt.comm.overhead()
-        return DMatrix(get_geometry(a.cols, a.rows, rt.size, a.scheme),
-                       local.dtype, local.copy(), rt.rank)
+        return a.like(held.conj() if conjugate and np.iscomplexobj(held)
+                      else held.copy(), shape=(a.cols, a.rows))
     full = rt.gather_full(a, copy=False)  # read-only: copied just below
     out = full.conj().T if conjugate else full.T
     rt.comm.compute(mem=out.size)
@@ -351,8 +336,7 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
             parts = rank_axis(_transposed_products(
                 a, b.stacked(), conjugate))
             rt.comm.overhead()
-            rt.comm.compute_ranks(
-                flops=a.geom.scaled_counts(2 * b.cols))
+            rt.comm.compute_ranks(flops=a.load * (2 * b.cols))
             rt.comm.charge_reduce(parts[0].nbytes)
             return rt.distribute_full(fold_ranks(SUM, parts))
         al = a.local.conj().T if conjugate and np.iscomplexobj(a.local) \
@@ -371,7 +355,7 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
                 a, [rb[:, :, None] for rb in b.stacked()],
                 conjugate))[:, :, 0]
             rt.comm.overhead()
-            rt.comm.compute_ranks(flops=a.geom.scaled_counts(2))
+            rt.comm.compute_ranks(flops=a.load * 2)
             rt.comm.charge_reduce(parts[0].nbytes)
             total = fold_ranks(SUM, parts)
         else:

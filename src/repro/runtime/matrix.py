@@ -12,6 +12,19 @@ rank's local block.  Matrices are distributed row-contiguously; vectors
 (either orientation) are distributed by linear-element blocks; scalars
 never become DMatrix — they are replicated Python numbers, exactly as the
 compiler replicates scalar variables.
+
+The descriptor hides "how many elements live here and where": an op
+whose kernel runs on *the array this descriptor holds* is written once,
+against three names :class:`DMatrix` (one rank's block) and
+:class:`FusedDMatrix` (every rank's, as the full array) both answer —
+``held`` (the block / the full array; a vector's block is 1-D), ``load``
+(what ``comm.compute_own`` charges for a pass over it: the ``int`` size
+of the real block / the geometry's per-rank
+:class:`~repro.runtime.distribution.RankLoads`, two independent
+derivations, which keeps lockstep an oracle for the fused clocks) and
+``like(data, shape=None)``.  ``local`` and ``full`` are the same slot
+under the name that says which descriptor an arm expects; the ops that
+stay forked (docs/INTERNALS.md lists them) read those.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ class DMatrix:
     """
 
     __slots__ = ("geom", "rows", "cols", "shape", "numel", "is_vector",
-                 "scheme", "dtype", "local", "rank", "replica",
+                 "scheme", "dtype", "held", "load", "rank", "replica",
                  "_tracker", "_charged")
 
     def __init__(self, geom: Geometry, dtype, local: np.ndarray, rank: int):
@@ -51,7 +64,8 @@ class DMatrix:
         self.scheme = geom.scheme
         self.dtype = np.dtype(dtype)
         self.rank = rank
-        self.local = local
+        self.held = local
+        self.load = local.size
         #: memoized full array (the replicate-on-first-use cache; None
         #: until the first gather when the cache is enabled).  Sound
         #: because DMatrix values are immutable — every update builds a
@@ -80,11 +94,8 @@ class DMatrix:
         if tracker is not None:
             tracker.current -= self._charged
 
-    def local_count(self) -> int:
-        return self.local.size
-
     def global_row_indices(self) -> np.ndarray:
-        """Global indices (rows, or linear for vectors) of the local
+        """Global indices (rows, or linear for vectors) of the held
         block — a shared read-only table."""
         return self.geom.global_indices(self.rank)
 
@@ -145,14 +156,24 @@ class DMatrix:
         return full.reshape(self.shape, order="F") if self.is_vector \
             else full
 
-    def like(self, local: np.ndarray, dtype=None) -> "DMatrix":
-        """A new DMatrix with the same global geometry, new local data."""
-        return DMatrix(self.geom, dtype or local.dtype, local, self.rank)
+    def like(self, data: np.ndarray, shape=None) -> "DMatrix":
+        """A new descriptor around ``data``: of this geometry, or of the
+        one that distributes ``shape`` over the same ranks by the same
+        scheme (a row reduction's column, an outer product's matrix, a
+        transposed vector)."""
+        geom = self.geom
+        if shape is not None:
+            geom = get_geometry(*shape, geom.nprocs, geom.scheme)
+        return DMatrix(geom, data.dtype, data, self.rank)
 
     def __repr__(self) -> str:
         return (f"DMatrix({self.rows}x{self.cols} {self.dtype}, "
                 f"rank {self.rank}/{self.geom.nprocs}, "
                 f"local {self.local.shape})")
+
+
+#: one rank's arm says ``local`` (the slot itself: no frame)
+DMatrix.local = DMatrix.held
 
 
 class FusedDMatrix(DMatrix):
@@ -165,14 +186,17 @@ class FusedDMatrix(DMatrix):
     their kernel across the whole rank axis in one numpy call and charge
     each rank's virtual clock individually.
 
-    Safety net: the per-rank accessors (``local``, ``local_count``,
-    ``owns``, ...) raise :class:`~repro.errors.FusionDivergence`, so any
-    op *without* a fused path aborts fusion and the executor transparently
-    re-runs the program under ``lockstep`` instead of silently computing
-    one rank's answer.
+    Safety net: the per-rank accessors (``local``, ``owns``) raise
+    :class:`~repro.errors.FusionDivergence`, so any op *without* a fused
+    path aborts fusion and the executor transparently re-runs the
+    program under ``lockstep`` instead of silently computing one rank's
+    answer.
     """
 
-    __slots__ = ("full",)
+    __slots__ = ()
+
+    #: the all-ranks arm says ``full`` (the slot itself: no frame)
+    full = DMatrix.held
 
     def __init__(self, geom: Geometry, dtype, full: np.ndarray):
         self.geom = geom
@@ -187,7 +211,8 @@ class FusedDMatrix(DMatrix):
         if full.shape != geom.shape:
             raise DistributionError(
                 f"full array shape {full.shape} != ({self.rows}, {self.cols})")
-        self.full = full
+        self.held = full
+        self.load = geom.counts
         self.replica = None
         # the tracker models ONE rank's footprint; rank 0 holds the
         # largest block under both distribution schemes
@@ -208,17 +233,11 @@ class FusedDMatrix(DMatrix):
     def local(self) -> np.ndarray:
         self._diverge("per-rank local block access")
 
-    def local_count(self) -> int:
-        self._diverge("local_count")
-
-    def global_row_indices(self) -> np.ndarray:
-        self._diverge("global_row_indices")
-
     def owns(self, i: int, j: int | None = None) -> bool:
         self._diverge("ownership test")
 
-    def like(self, local: np.ndarray, dtype=None) -> "DMatrix":
-        self._diverge("like() from a per-rank local")
+    def global_row_indices(self) -> np.ndarray:
+        return np.arange(self.geom.map.n)   # every rank's, in global order
 
     # -- the rank axis, made explicit ----------------------------------- #
 
@@ -244,9 +263,22 @@ class FusedDMatrix(DMatrix):
         base = self.base()
         return [base[span] for span in self.geom.slices]
 
-    def like_full(self, full: np.ndarray, dtype=None) -> "FusedDMatrix":
-        """Same geometry, new full data (the fused analogue of like())."""
-        return FusedDMatrix(self.geom, dtype or full.dtype, full)
+    @classmethod
+    def from_full(cls, full: np.ndarray, nprocs: int, rank: int = 0,
+                  scheme: str = "block") -> "FusedDMatrix":
+        """Every rank's slice of a replicated full array (2-D) is the
+        array."""
+        return cls(get_geometry(*full.shape, nprocs, scheme), full.dtype,
+                   full)
+
+    def like(self, data: np.ndarray, shape=None) -> "FusedDMatrix":
+        geom = self.geom
+        if shape is not None:
+            geom = get_geometry(*shape, geom.nprocs, geom.scheme)
+            if data.shape != shape:
+                # a vector's data, as its linear elements or transposed
+                data = data.reshape(shape)
+        return FusedDMatrix(geom, data.dtype, data)
 
     def __repr__(self) -> str:
         return (f"FusedDMatrix({self.rows}x{self.cols} {self.dtype}, "

@@ -29,7 +29,7 @@ from ..interp import values as V
 from ..interp.values import np_trapz
 from ..mpi import comm as mpi_ops
 from ..mpi.fused import fold_ranks
-from .distribution import get_geometry, rank_axis
+from .distribution import rank_axis
 from .matrix import DMatrix, FusedDMatrix, RValue
 
 
@@ -47,13 +47,13 @@ def _vector_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
     if isinstance(mat, FusedDMatrix):
         parts = _partials(mat.stacked(), local_fn, identity)
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=mat.geom.counts)
+        rt.comm.compute_ranks(elems=mat.load)
         rt.comm.charge_reduce(parts.itemsize)
         total = fold_ranks(combine_op, parts)
     else:
         part = local_fn(mat.local) if mat.local.size else identity
         rt.comm.overhead()
-        rt.comm.compute(elems=mat.local_count())
+        rt.comm.compute(elems=mat.load)
         if np.iscomplexobj(mat.local):
             part = complex(part)
         else:
@@ -70,7 +70,7 @@ def _column_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
     if isinstance(mat, FusedDMatrix):
         parts = _partials(mat.stacked(), local_fn, identity)
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=mat.geom.counts)
+        rt.comm.compute_ranks(elems=mat.load)
         rt.comm.charge_reduce(parts[0].nbytes)
         total = fold_ranks(combine_op, parts)
     else:
@@ -81,7 +81,7 @@ def _column_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
                            dtype=complex if np.iscomplexobj(mat.local)
                            else float)
         rt.comm.overhead()
-        rt.comm.compute(elems=mat.local_count())
+        rt.comm.compute(elems=mat.load)
         total = rt.comm.allreduce(np.asarray(part), op=combine_op)
     result = np.asarray(total).reshape(1, -1)
     return rt.distribute_full(result) if result.size > 1 else V.simplify(result)
@@ -138,27 +138,16 @@ def reduce_op(rt, name: str, value: RValue,
 def _row_reduce(rt, mat: DMatrix, local_fn):
     """Row-wise reduction of a row-distributed matrix: fully local — each
     rank reduces its own rows; the result is a column vector whose block
-    layout coincides with the row blocks."""
-    if isinstance(mat, FusedDMatrix):
-        # a row never leaves its rank, so the whole array reduces in one
-        # call whatever the ranks hold
-        y = local_fn(mat.full, axis=1)
-        rt.comm.overhead()
-        rt.comm.compute_ranks(elems=mat.geom.counts)
-        if mat.rows == 1:
-            return V.simplify(y.reshape(1, 1))
-        return FusedDMatrix(get_geometry(mat.rows, 1, rt.size, mat.scheme),
-                            y.dtype, y.reshape(-1, 1))
-    if mat.local.size:
-        part = np.asarray(local_fn(mat.local, axis=1))
-    else:
-        part = np.zeros(0, dtype=mat.local.dtype)
+    layout coincides with the row blocks (the matrix has at least two
+    rows: one row is a vector)."""
+    # a row never leaves its rank, so whatever rows are held reduce in
+    # one call
+    held = mat.held
+    part = local_fn(held, axis=1) if held.size \
+        else np.zeros(0, dtype=held.dtype)
     rt.comm.overhead()
-    rt.comm.compute(elems=mat.local_count())
-    if mat.rows == 1:
-        return V.simplify(part.reshape(1, 1))
-    return DMatrix(get_geometry(mat.rows, 1, rt.size, mat.scheme),
-                   part.dtype, part, rt.rank)
+    rt.comm.compute_own(elems=mat.load)
+    return mat.like(part, shape=(mat.rows, 1))
 
 
 def mean(rt, value: RValue, dim: int | None = None) -> RValue:
@@ -261,7 +250,7 @@ def find(rt, value: RValue) -> RValue:
         most = max(int(np.count_nonzero(run, axis=axes).max())
                    for run in value.stacked())
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=value.geom.counts)
+        rt.comm.compute_ranks(elems=value.load)
         rt.comm.charge_allgather(most * 8)
         all_hits = np.flatnonzero(
             value.full.reshape(-1, order="F") != 0) + 1.0
@@ -275,7 +264,7 @@ def find(rt, value: RValue) -> RValue:
             li, lj = np.nonzero(value.local)
             local_hits = (lj * value.rows + rows_g[li]) + 1.0
         rt.comm.overhead()
-        rt.comm.compute(elems=value.local_count())
+        rt.comm.compute(elems=value.load)
         pieces = rt.comm.allgather(np.asarray(local_hits, dtype=float))
         all_hits = np.sort(np.concatenate(pieces)) if pieces else np.zeros(0)
     if all_hits.size == 0:
@@ -331,7 +320,7 @@ def minmax_with_index(rt, name: str, value: RValue) -> tuple:
             else:
                 candidates += [nothing] * len(run)
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=value.geom.counts)
+        rt.comm.compute_ranks(elems=value.load)
         rt.comm.charge_reduce(24)  # sizeof((float, int)) on every rank
         best = functools.reduce(pick, candidates)
     else:
@@ -343,7 +332,7 @@ def minmax_with_index(rt, name: str, value: RValue) -> tuple:
         else:
             candidate = nothing
         rt.comm.overhead()
-        rt.comm.compute(elems=value.local_count())
+        rt.comm.compute(elems=value.load)
         best = rt.comm.allreduce(candidate, op=pick)
     return best[0], float(best[1] + 1)
 
@@ -426,13 +415,13 @@ def trapz(rt, x: RValue | None, y: RValue) -> RValue:
             weighted = _trapz_weights(np.arange(n), n, x_full) * y.base()
             parts = _partials(y.geom.stacked(weighted), np.add.reduce, 0.0)
             rt.comm.overhead()
-            rt.comm.compute_ranks(elems=y.geom.scaled_counts(2))
+            rt.comm.compute_ranks(elems=y.load * 2)
             rt.comm.charge_reduce(parts.itemsize)
             return fold_ranks(mpi_ops.SUM, parts)
         part = np.add.reduce(
             _trapz_weights(y.global_row_indices(), n, x_full) * y.local)
         rt.comm.overhead()
-        rt.comm.compute(elems=y.local_count() * 2)
+        rt.comm.compute(elems=y.load * 2)
         return rt.comm.allreduce(part.item())
     ya = V.as_matrix(y).reshape(-1)
     xa = None if x is None else V.as_matrix(x).reshape(-1)
@@ -460,7 +449,7 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
             (rw[:, None, :] @ (rz.real @ wc)[:, :, None])[:, 0, 0]
             for rw, rz in zip(z.geom.stacked(wr), z.stacked())])
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=z.geom.scaled_counts(3))
+        rt.comm.compute_ranks(elems=z.load * 3)
         rt.comm.charge_reduce(8)
         return float(fold_ranks(mpi_ops.SUM, parts) * dxv * dyv)
     if isinstance(z, DMatrix) and not z.is_vector:
@@ -468,7 +457,7 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
         wr = np.where((gidx == 0) | (gidx == rows - 1), 0.5, 1.0)
         part = float(wr @ (z.local.real @ wc)) if z.local.size else 0.0
         rt.comm.overhead()
-        rt.comm.compute(elems=z.local_count() * 3)
+        rt.comm.compute(elems=z.load * 3)
         return float(rt.comm.allreduce(part) * dxv * dyv)
     full = rt.gather_full(z) if isinstance(z, DMatrix) else V.as_matrix(z)
     wr = np.ones(rows)
@@ -524,13 +513,12 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
             # product of ONE element differently from a rank's own
             # ``scan * offset``
             rest[...] = ufunc(rest, np.repeat(below, geom.counts[1:]))
-            return value.like_full(flat.reshape(value.shape, order="F"),
-                                   dtype=value.dtype)
+            return value.like(flat.reshape(value.shape, order="F"))
         local = value.local
         scanned = np_fn(local) if local.size else local
         total = scanned[-1].item() if local.size else identity
         rt.comm.overhead()
-        rt.comm.compute(elems=value.local_count())
+        rt.comm.compute(elems=value.load)
         exclusive = rt.comm.exscan(total, op=op)
         out = scanned if exclusive is None or not local.size \
             else op(scanned, exclusive)

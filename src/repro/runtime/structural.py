@@ -115,19 +115,13 @@ def _circshift2(rt, value: DMatrix, kr: int, kc: int) -> RValue:
         kc = 0
     if kc:
         rt.comm.overhead()
-        if isinstance(value, FusedDMatrix):
-            rt.comm.compute_ranks(mem=value.geom.counts)
-            value = value.like_full(_rotated(value.full, kc, axis=1))
-        else:
-            rt.comm.compute(mem=value.local.size)
-            value = value.like(_rotated(value.local, kc, axis=1))
+        rt.comm.compute_own(mem=value.load)
+        value = value.like(_rotated(value.held, kc, axis=1))
     if value.rows == 0 or kr % value.rows == 0:
         if kc:
             return value
         rt.comm.overhead()  # pure no-op shift still returns a fresh copy
-        if isinstance(value, FusedDMatrix):
-            return value.like_full(value.full.copy())
-        return value.like(value.local.copy())
+        return value.like(value.held.copy())
     return circshift(rt, value, float(kr))
 
 
@@ -145,9 +139,7 @@ def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
     k = k % n
     if k == 0:
         rt.comm.overhead()
-        if isinstance(vec, FusedDMatrix):
-            return vec.like_full(vec.full.copy())
-        return vec.like(vec.local.copy())
+        return vec.like(vec.held.copy())
     min_count = vec.geom.map.min_count()
     if 0 < k <= min_count and rt.size > 1:
         return _circshift_ring(rt, vec, k)
@@ -172,7 +164,7 @@ def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
                  sorted_vals[offsets[r]:offsets[r + 1]])
                 for r in range(rt.size)]
     rt.comm.overhead()
-    rt.comm.compute(mem=vec.local_count())
+    rt.comm.compute(mem=vec.load)
     incoming = rt.comm.alltoall(outgoing)
     new_local = np.empty_like(vec.local)
     for piece_dest, piece_vals in incoming:
@@ -189,9 +181,9 @@ def _circshift_alltoall_fused(rt, vec: FusedDMatrix, k: int) -> DMatrix:
     c0 = vec.geom.shift_overlap(k)
     per = c0 * 8 + c0 * vec.geom.width * vec.full.itemsize + 8
     rt.comm.overhead()
-    rt.comm.compute_ranks(mem=vec.geom.counts)
+    rt.comm.compute_ranks(mem=vec.load)
     rt.comm.charge_alltoall(per)
-    return vec.like_full(_rotated(vec.base(), k).reshape(vec.shape))
+    return vec.like(_rotated(vec.base(), k).reshape(vec.shape))
 
 
 def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
@@ -207,8 +199,8 @@ def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
         nbytes = abs(k) * vec.geom.width * vec.full.itemsize
         rt.comm.ring_exchange(nbytes, forward=k > 0)
         rt.comm.overhead()
-        rt.comm.compute_ranks(mem=vec.geom.counts)
-        return vec.like_full(_rotated(vec.base(), k).reshape(vec.shape))
+        rt.comm.compute_ranks(mem=vec.load)
+        return vec.like(_rotated(vec.base(), k).reshape(vec.shape))
     local = vec.local
     p = rt.size
     if k > 0:
@@ -227,7 +219,7 @@ def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
         new_local = np.concatenate([local[kk:], received]) \
             if local.size else local.copy()
     rt.comm.overhead()
-    rt.comm.compute(mem=vec.local_count())
+    rt.comm.compute(mem=vec.load)
     return vec.like(np.asarray(new_local, dtype=vec.local.dtype))
 
 
@@ -246,14 +238,9 @@ def flip(rt, value: RValue, axis: int) -> RValue:
         return rt.distribute_full(np.ascontiguousarray(out))
     if axis == 1:
         # column flip is local for row-distributed matrices
-        if isinstance(value, FusedDMatrix):
-            rt.comm.overhead()
-            rt.comm.compute_ranks(mem=value.geom.counts)
-            return value.like_full(
-                np.ascontiguousarray(np.flip(value.full, axis=1)))
         rt.comm.overhead()
-        rt.comm.compute(mem=value.local_count())
-        return value.like(np.ascontiguousarray(np.flip(value.local, axis=1)))
+        rt.comm.compute_own(mem=value.load)
+        return value.like(np.ascontiguousarray(np.flip(value.held, axis=1)))
     full = rt.gather_full(value)
     rt.comm.compute(mem=full.size)
     return rt.distribute_full(np.ascontiguousarray(np.flip(full, axis=0)))
@@ -270,17 +257,6 @@ def triangle(rt, value: RValue, k: RValue, lower: bool) -> RValue:
         out = np.tril(full, kv) if lower else np.triu(full, kv)
         return rt.distribute_full(out)
     # local masking using global row indices — no communication
-    if isinstance(value, FusedDMatrix):
-        gidx = np.arange(value.rows)
-        cols = np.arange(value.cols)
-        if lower:
-            mask = cols[None, :] <= gidx[:, None] + kv
-        else:
-            mask = cols[None, :] >= gidx[:, None] + kv
-        rt.comm.overhead()
-        rt.comm.compute_ranks(elems=value.geom.counts)
-        return value.like_full(np.where(mask, value.full, 0.0)
-                               .astype(value.full.dtype))
     gidx = value.global_row_indices()
     cols = np.arange(value.cols)
     if lower:
@@ -288,9 +264,9 @@ def triangle(rt, value: RValue, k: RValue, lower: bool) -> RValue:
     else:
         mask = cols[None, :] >= gidx[:, None] + kv
     rt.comm.overhead()
-    rt.comm.compute(elems=value.local_count())
-    return value.like(np.where(mask, value.local, 0.0)
-                      .astype(value.local.dtype))
+    rt.comm.compute_own(elems=value.load)
+    held = value.held
+    return value.like(np.where(mask, held, 0.0).astype(held.dtype))
 
 
 def diag(rt, value: RValue) -> RValue:

@@ -33,8 +33,9 @@ from .space import enumerate_plans
 
 #: every evaluation runs under this configuration and no other: the
 #: search must cost plans, not whatever the caller's environment or
-#: final-run knobs (tracing, chaos, watchdog, backend) would add
-_EVAL_CONFIG = RunConfig(backend="fused")
+#: final-run knobs (tracing, chaos, watchdog, backend) would add —
+#: the defaults, whatever the environment says
+_EVAL_CONFIG = RunConfig()
 
 #: failures of the substrate or the host, not of the plan under test —
 #: reported on the candidate, never memoised as its cost

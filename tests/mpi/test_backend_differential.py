@@ -29,12 +29,15 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_source
+from repro.frontend.mfile import DictProvider
 from repro.mpi import MEIKO_CS2, run_spmd
 from repro.mpi.scheduler import LockstepScheduler
 from repro.trace import canonical_events
+from tests.corpus import shipped_programs
 
 # -- program generator --------------------------------------------------- #
 
@@ -272,6 +275,56 @@ def test_batched_partials_fused_equals_lockstep(run):
     assert seen[0] == seen[1]
 
 
+# -- the op bodies written once against the descriptor --------------------- #
+
+_ONE_BODY_OPS = """
+rand('seed', 1);
+A = rand(n, 3) + 1; v = rand(n, 1) + 1; w = rand(1, n) + 1;
+Z = zeros(n, 2); O = ones(2, n); E = eye(n);
+L = [1, 2; 3, 4; 5, 6]; M = [v', 7; 8, w];
+f = fliplr(A); lo = tril(A); up = triu(A, 1);
+rs = sum(A, 2); rp = prod(A, 2); rz = sum(A + 1i * f, 2); o = v * w;
+vt = v'; wt = w.'; zc = (v + 1i * w')';
+q = circshift(A, [0, 1]); q0 = circshift(A, [0, 0]); v0 = circshift(v, 0);
+e = A .* 2 + f ./ 3 - 1;
+if A
+  k = 1;
+else
+  k = 2;
+end
+if v - v
+  m = 1;
+else
+  m = 2;
+end
+"""
+
+
+@pytest.mark.parametrize("scheme", ["block", "cyclic"])
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 7, 16])
+def test_one_body_ops_charge_each_rank_its_own_load(nprocs, scheme):
+    """The bodies that exist once (creation, literals, ``ew``, truth
+    tests, column shifts and flips, triangles, row reductions, outer
+    products, vector transposes) charge a lockstep rank the size of its
+    real block and a fused rank its ``geom.counts`` entry: the clocks,
+    counts, traces and values must agree — ranks holding nothing
+    (``n < nprocs``) and unevenly loaded ones included."""
+    from repro.tuning import Plan
+
+    for n in (2, 5, 16):
+        prog = compile_source(f"n = {n};" + _ONE_BODY_OPS)
+        seen = []
+        for backend in ("lockstep", "fused"):
+            result = prog.run(nprocs=nprocs, backend=backend,
+                              plan=Plan(scheme=scheme), trace=True)
+            assert result.spmd.backend == backend
+            obs = _traced_observables(result.spmd)
+            obs.pop("results")
+            seen.append((obs, {name: np.asarray(value).tobytes()
+                               for name, value in result.workspace.items()}))
+        assert seen[0] == seen[1], n
+
+
 # -- plan differential: any plan, every backend, same observables --------- #
 
 
@@ -323,6 +376,100 @@ def test_any_plan_is_backend_invariant(program, plan):
         assert out == out_ref, backend
         assert obs == obs_ref, backend
         assert ws == ws_ref, backend
+
+
+# -- the default configuration: fused runs, lockstep is the oracle --------- #
+
+
+@pytest.fixture
+def default_config(monkeypatch):
+    """No ``REPRO_*`` variable set (CI's oracle leg exports the backend),
+    and a list that receives one entry per fused→lockstep re-run of a
+    compiled program."""
+    import os
+
+    from repro import compiler
+
+    for name in [name for name in os.environ if name.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    fallbacks = []
+    run = compiler.run_spmd
+
+    def spying(*args, on_fused_fallback, **kwargs):
+        def hook():
+            fallbacks.append(args[2].__name__)
+            on_fused_fallback()
+        return run(*args, on_fused_fallback=hook, **kwargs)
+
+    monkeypatch.setattr(compiler, "run_spmd", spying)
+    return fallbacks
+
+
+_SHIPPED = {label: program for label, program in shipped_programs().items()
+            if not label.endswith("@paper")}
+
+
+@pytest.mark.parametrize("label", sorted(_SHIPPED))
+def test_shipped_programs_fuse_under_the_default_config(label,
+                                                        default_config):
+    """Every program the repo ships runs fused with no flag and a clean
+    environment — never falling back — and an explicit lockstep run
+    agrees on output, values, clocks, counts and canonical trace."""
+    source, mfiles = _SHIPPED[label]
+    prog = compile_source(source, provider=DictProvider(mfiles))
+    for nprocs in (1, 4):
+        default = prog.run(nprocs=nprocs, trace=True)
+        assert default.spmd.backend == "fused" and default_config == []
+        oracle = prog.run(nprocs=nprocs, backend="lockstep", trace=True)
+        assert oracle.spmd.backend == "lockstep"
+        out_d, obs_d, ws_d = _run_observables(default)
+        out_o, obs_o, ws_o = _run_observables(oracle)
+        obs_d.pop("results"), obs_o.pop("results")
+        assert (out_d, obs_d, ws_d) == (out_o, obs_o, ws_o)
+        assert canonical_events(default.trace) \
+            == canonical_events(oracle.trace)
+
+
+_TOC_BRANCH = """
+rand('seed', 3);
+v = rand(5, 1);
+tic;
+s = sum(v);
+t = toc;
+if t
+  timed = 1;
+end
+v = circshift(v, 1) * 2;
+total = sum(v);
+"""
+
+
+@pytest.mark.parametrize("knobs", [
+    {},                                     # uneven blocks: t varies by rank
+    {"fault_plan": "seed=7; drop src=0 count=1", "on_fault": "retry"},
+], ids=["toc-feeds-a-branch", "one-dropped-message"])
+def test_what_cannot_fuse_ends_on_lockstep_under_the_default(
+        knobs, default_config):
+    """A rank-dependent program and a chaos plan, with no backend named:
+    the result is the lockstep oracle's — and the interpreter's — and
+    ``SpmdResult.backend`` says which backend produced it."""
+    from repro.interp.interpreter import run_source
+
+    prog = compile_source(_TOC_BRANCH)
+    default = prog.run(nprocs=3, **knobs)
+    assert default.spmd.backend == "lockstep"
+    assert len(default_config) == 1         # one re-run, not a loop
+    oracle = prog.run(nprocs=3, backend="lockstep", **knobs)
+    out_d, obs_d, ws_d = _run_observables(default)
+    out_o, obs_o, ws_o = _run_observables(oracle)
+    obs_d.pop("results"), obs_o.pop("results")
+    assert (out_d, obs_d, ws_d) == (out_o, obs_o, ws_o)
+    assert default.spmd.fault_events == oracle.spmd.fault_events
+    assert bool(default.spmd.fault_events) == bool(knobs)
+    expected = run_source(_TOC_BRANCH).workspace
+    for name in ("v", "s", "total"):
+        np.testing.assert_array_equal(
+            np.asarray(default.workspace[name]), np.asarray(expected[name]))
 
 
 def test_backends_identical_on_mixed_fixed_program():

@@ -157,8 +157,10 @@ def test_geometry_tables_match_scalar_queries(scheme, n, p, cols):
     ref = _SCHEMES[scheme](n * cols // per_item, p)
     assert sum(geom.counts) == n * cols
     assert geom.max_count == max(geom.counts)
-    assert geom.scaled_counts(3) == tuple(3 * c for c in geom.counts)
-    assert geom.scaled_counts(3) is geom.scaled_counts(3)
+    assert geom.counts * 3 == tuple(3 * c for c in geom.counts)
+    assert geom.counts * 3 is geom.counts * 3       # the charge-memo key
+    assert geom.counts * 1 is geom.counts
+    assert geom.counts * 2 * 3 == geom.counts * 6   # scales, never repeats
     for r in range(p):
         count = ref.count(r)
         assert geom.counts[r] == count * per_item
@@ -200,3 +202,53 @@ def test_shift_overlap_matches_owner_count(n, p, k, shape):
         geom.map.owners((geom.global_indices(r) + k) % n) == 0))
         for r in range(p))
     assert geom.shift_overlap(k) == want
+
+
+# -- the descriptor protocol: held / load / like --------------------------- #
+
+
+@pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+@pytest.mark.parametrize("nprocs", (1, 2, 3, 4, 7, 16))
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 23), (40, 1),
+                                   (3, 4), (9, 2), (16, 16), (2, 33)])
+def test_descriptors_answer_held_load_like(shape, nprocs, scheme):
+    """One rank's descriptor and the all-ranks one, over the same array
+    (ranks that hold nothing included): ``held`` is the real block / the
+    whole array, ``load`` is read off the one and off the geometry for
+    the other — and they agree, rank by rank — and ``like`` wraps new
+    data in this geometry or in a same-scheme one of another shape."""
+    from repro.mpi.comm import Comm
+    from repro.mpi.fused import FusedComm
+    from repro.runtime.matrix import DMatrix, FusedDMatrix
+
+    full = np.arange(1.0, shape[0] * shape[1] + 1).reshape(shape)
+    fused = FusedDMatrix.from_full(full, nprocs, 0, scheme)
+    geom = fused.geom
+    assert fused.held is fused.full is full
+    assert fused.load is geom.counts and sum(fused.load) == full.size
+    column = (geom.map.n, 1)        # what a row reduction of it returns
+    for rank, block in enumerate(fused.blocks()):
+        local = DMatrix.from_full(full, nprocs, rank, scheme)
+        assert local.geom is geom
+        assert local.held is local.local
+        np.testing.assert_array_equal(local.held, block)
+        assert type(local.load) is int
+        assert local.load == local.held.size == fused.load[rank]
+        assert local.load * 3 == (fused.load * 3)[rank]
+        np.testing.assert_array_equal(local.global_row_indices(),
+                                      fused.global_row_indices()[
+                                          geom.slices[rank]])
+        twin = local.like(local.held + 1)
+        assert twin.geom is geom and twin.rank == rank
+        part = np.zeros(geom.local_shapes[rank][0])
+        other = local.like(part, shape=column)
+        assert other.shape == column and other.scheme == scheme
+        assert other.load == part.size
+    assert fused.like(full + 1).geom is geom
+    other = fused.like(np.zeros(column[0]), shape=column)
+    assert other.held.shape == column and other.scheme == scheme
+    with pytest.raises(DistributionError):
+        fused.like(np.zeros((shape[0] + 1, shape[1])))
+    # one comm name charges "each rank its own load", with no frame added
+    assert Comm.compute_own is Comm.compute
+    assert FusedComm.compute_own is FusedComm.compute_ranks

@@ -85,13 +85,13 @@ class TestSharedGeometry:
     """The geometry is shared between descriptors; the memory charge is
     still one allocation and one release per descriptor."""
 
-    def test_like_full_reuses_the_geometry(self):
+    def test_like_reuses_the_geometry(self):
         from repro.runtime.distribution import get_geometry
         from repro.runtime.matrix import DMatrix, FusedDMatrix
 
         geom = get_geometry(12, 5, 4, "block")
         a = FusedDMatrix(geom, float, np.zeros((12, 5)))
-        b = a.like_full(np.ones((12, 5)))
+        b = a.like(np.ones((12, 5)))
         assert b.geom is a.geom is get_geometry(12, 5, 4, "block")
         assert (b.rows, b.cols, b.shape, b.numel, b.is_vector, b.scheme) \
             == (12, 5, (12, 5), 60, False, "block")
@@ -99,7 +99,11 @@ class TestSharedGeometry:
         assert local.geom is geom
         assert local.like(np.ones((3, 5))).geom is geom
         with pytest.raises(DistributionError):
-            a.like_full(np.ones((5, 12)))
+            a.like(np.ones((5, 12)))
+        # ... and `shape=` names the interned geometry of that shape
+        column = get_geometry(12, 1, 4, "block")
+        assert a.like(np.ones(12), shape=(12, 1)).geom is column
+        assert local.like(np.ones(3), shape=(12, 1)).geom is column
 
     def test_one_allocation_and_release_per_descriptor(self):
         from repro.runtime.distribution import get_geometry
@@ -112,8 +116,8 @@ class TestSharedGeometry:
             block = geom.counts[0] * 8       # rank 0's share, float64
             a = FusedDMatrix(geom, float, np.zeros((12, 5)))
             assert tracker.current == block
-            b = a.like_full(np.ones((12, 5)))
-            c = b.like_full(np.ones((12, 5)))
+            b = a.like(np.ones((12, 5)))
+            c = b.like(np.ones((12, 5)))
             assert tracker.current == tracker.peak == 3 * block
             del a, c
             gc.collect()

@@ -130,9 +130,17 @@ class TestRunConfiguration:
         assert "max err" in capsys.readouterr().out
 
     def test_out_of_range_flag_is_one_error_line(self, script, capsys):
-        assert main(["run", script, "--watchdog-seconds", "-3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: watchdog=") and "positive" in err
+        # ... that names the flag typed, not the keyword it travels as
+        for flag, value, complaint in [
+                ("--watchdog-seconds", "-3", "must be positive"),
+                ("--max-restarts", "-1", "must be >= 0"),
+                ("--checkpoint-every", "0", "must be >= 1"),
+                ("--tune-budget", "0", "must be >= 1")]:
+            assert main(["run", script, flag, value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {flag}: {complaint}")
+            assert len(captured.err.splitlines()) == 1
 
     def test_trace_variable_doubles_as_an_output_mode(self, script, tmp_path,
                                                       capsys, monkeypatch):

@@ -27,7 +27,7 @@ CRASH = "seed=7; crash rank=1 step=3"
 #:           [(explicit value, resolved value), ...],
 #:           [(malformed environment text, message pattern), ...])
 ROWS = {
-    "backend": ("lockstep", [("fused", "fused")],
+    "backend": ("fused", [("fused", "fused"), ("lockstep", "lockstep")],
                 [("lockstep", "lockstep"), ("fused", "fused")],
                 [("threads",
                   "unknown SPMD backend 'threads'.*lockstep, fused")]),
