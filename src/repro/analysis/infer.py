@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..errors import NESTED_TOO_DEEPLY, InferenceError
+from ..ewops import CONSTANTS, OPS
 from ..frontend import ast_nodes as A
 from .builtin_sigs import get_sig
 from .cfg import CondEvent, LoopIndexEvent, StmtEvent
@@ -50,28 +51,6 @@ from .lattice import (
 )
 from .resolve import ResolvedProgram, ResolvedUnit
 from .ssa import SSAInfo, SSAValue, build_ssa
-
-_CONSTANT_VALUES = {
-    "pi": 3.141592653589793,
-    "eps": 2.220446049250313e-16,
-    "inf": float("inf"),
-    "Inf": float("inf"),
-    "nan": float("nan"),
-    "NaN": float("nan"),
-    "realmax": 1.7976931348623157e308,
-    "realmin": 2.2250738585072014e-308,
-}
-
-_FOLDABLE = {
-    "sqrt": lambda x: x ** 0.5,
-    "abs": abs,
-    "floor": lambda x: float(__import__("math").floor(x)),
-    "ceil": lambda x: float(__import__("math").ceil(x)),
-    "round": lambda x: float(round(x)),
-    "exp": lambda x: __import__("math").exp(x),
-    "log": lambda x: __import__("math").log(x),
-    "log2": lambda x: __import__("math").log2(x),
-}
 
 
 def _same_const(a: object, b: object) -> bool:
@@ -677,10 +656,6 @@ class InferenceEngine:
         if call.resolved == "builtin":
             sig = get_sig(call.name)
             assert sig is not None
-            if call.name in _CONSTANT_VALUES:
-                return [scalar(BaseType.REAL)]
-            if call.name in ("i", "j"):
-                return [scalar(BaseType.COMPLEX)]
             if call.name == "load":
                 vtype = infer_load_type(call, arg_consts,
                                         self.program.provider)
@@ -728,20 +703,19 @@ class InferenceEngine:
                     arg_results: list[tuple[VarType, object]]) -> object:
         if call.resolved != "builtin":
             return None
-        if call.name in _CONSTANT_VALUES and not call.args:
-            return _CONSTANT_VALUES[call.name]
-        if call.name in ("i", "j") and not call.args:
-            return complex(0, 1)
-        fold = _FOLDABLE.get(call.name)
-        if fold is not None and len(call.args) == 1:
+        if call.name in CONSTANTS and not call.args:
+            return CONSTANTS[call.name][0]
+        row = OPS.get(f"fn:{call.name}")
+        if row is not None and row.arity == 1 == len(call.args):
             const = arg_results[0][1]
             if isinstance(const, (int, float)):
-                try:
-                    result = fold(float(const))
-                except (ValueError, OverflowError):
-                    return None
-                if isinstance(result, complex):
-                    return result  # e.g. sqrt of a negative constant
+                # the very kernel the run time calls, so the fold has
+                # its bits; numpy is imported here, at the first fold
+                import numpy as np
+                with np.errstate(all="ignore"):
+                    result = row.kernel(float(const))
+                if np.iscomplexobj(result):
+                    return complex(result)  # e.g. sqrt of a negative
                 return float(result)
         return None
 

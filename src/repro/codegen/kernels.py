@@ -4,10 +4,14 @@ Generated fused loops are ``rt.ew(lambda _v0, _v1: K.add(...), ...)``;
 every function here is polymorphic over numpy arrays *and* Python scalars
 (the replicated-scalar case) and reproduces MATLAB numeric semantics:
 division by zero yields Inf, negative bases with fractional exponents go
-complex, comparisons and logicals produce 0.0/1.0 doubles.
+complex, comparisons and logicals produce 0.0/1.0 doubles.  This module
+is the numpy column of :data:`repro.ewops.OPS`: each row names one
+attribute here.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -126,23 +130,20 @@ def idx(value) -> int:
     if v.size != 1:
         raise ValueError("subscript must be a scalar")
     f = float(v[0])
-    r = round(f)
-    if abs(f - r) > 1e-9:
+    r = math.floor(f + 0.5)
+    if not -1e-9 <= f - r <= 1e-9:
         raise ValueError("subscripts must be integers")
-    return int(r)
+    return r
 
 
-#: unary/binary named kernels (sqrt, sin, mod, ...) reused from the
-#: interpreter so compiled and interpreted results agree exactly
-FUNCS = dict(_EW_FUNCS)
-FUNCS.update({
-    "mod": lambda a, b: np.mod(a, b),
-    "rem": lambda a, b: np.fmod(a, b),
-    "atan2": np.arctan2,
-    "hypot": np.hypot,
-    "power": pow_,
-})
-
-
-def fn(name: str):
-    return FUNCS[name]
+# The named unary kernels (K.sqrt, K.sin, K.round, ...) are the
+# interpreter's own objects, so compiled and interpreted results agree
+# exactly.  ``abs`` and ``round`` shadow the builtins from here on.
+globals().update(_EW_FUNCS)
+mod = np.mod
+rem = np.fmod
+atan2 = np.arctan2
+hypot = np.hypot
+power = pow_
+maximum = np.maximum
+minimum = np.minimum

@@ -7,6 +7,7 @@ Python keywords, runtime names (``rt``), or compiler temporaries
 
 from __future__ import annotations
 
+from ..ewops import py_literal
 from ..ir.nodes import Const, Operand, StrConst, Temp, Var
 
 
@@ -22,14 +23,6 @@ def func_name(name: str) -> str:
     return f"fn_{name}"
 
 
-def py_const(value: complex) -> str:
-    if isinstance(value, complex):
-        if value.imag == 0:
-            return repr(float(value.real))
-        return repr(value)
-    return repr(float(value))
-
-
 def operand_py(op: Operand, globals_: set[str] | None = None) -> str:
     """Python expression reading an operand."""
     if isinstance(op, Var):
@@ -39,7 +32,7 @@ def operand_py(op: Operand, globals_: set[str] | None = None) -> str:
     if isinstance(op, Temp):
         return temp_name(op)
     if isinstance(op, Const):
-        return py_const(op.value)
+        return py_literal(op.value)
     if isinstance(op, StrConst):
         return repr(op.value)
     raise TypeError(f"cannot emit operand {op!r}")

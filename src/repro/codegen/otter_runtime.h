@@ -127,17 +127,14 @@ void ML_rand(int r, int c, MATRIX **out);
 void ML_randn(int r, int c, MATRIX **out);
 void ML_linspace(double a, double b, int n, MATRIX **out);
 
-/* elementwise kernels used inside generated loops */
-double ML_round(double x);
-double ML_sign(double x);
-double ML_real(double x);
-double ML_imag(double x);
-double ML_conj(double x);
-double ML_angle(double x);
-double ML_mod(double a, double b);
-double ML_isnan(double x);
-double ML_isinf(double x);
-double ML_isfinite(double x);
+/* Generated loops and scalar statements spell real elementwise
+ * arithmetic inline, from the C column of the compiler's op table (the
+ * expressions its native kernels run); only the parts of a complex
+ * value are run-time calls */
+double ML_real(ML_COMPLEX z);
+double ML_imag(ML_COMPLEX z);
+ML_COMPLEX ML_conj(ML_COMPLEX z);
+double ML_angle(ML_COMPLEX z);
 ML_COMPLEX ML_complex(double re, double im);
 
 /* reductions (vector -> scalar; matrix -> row vector; optional dim) */

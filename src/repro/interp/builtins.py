@@ -9,11 +9,10 @@ A test asserts this table covers exactly the names registered in
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import MatlabRuntimeError
+from ..ewops import CONSTANTS
 from .values import (
     np_trapz,
     Value,
@@ -188,7 +187,13 @@ TABLE["mod"] = _ew_binary(lambda a, b: np.mod(a, b))
 TABLE["rem"] = _ew_binary(lambda a, b: np.fmod(a, b))
 TABLE["atan2"] = _ew_binary(np.arctan2)
 TABLE["hypot"] = _ew_binary(np.hypot)
-TABLE["power"] = _ew_binary(lambda a, b: a ** b)
+
+
+@_register("power")
+def _power(ctx, args, nargout):
+    from .interpreter import apply_binop    # imports this module's TABLE
+
+    return apply_binop(".^", args[0], args[1], ctx.meter)
 
 
 # ------------------------------------------------------------------ #
@@ -495,17 +500,7 @@ def _sort(ctx, args, nargout):
 # constants
 # ------------------------------------------------------------------ #
 
-_CONSTANTS = {
-    "pi": math.pi,
-    "eps": float(np.finfo(float).eps),
-    "inf": math.inf, "Inf": math.inf,
-    "nan": math.nan, "NaN": math.nan,
-    "realmax": float(np.finfo(float).max),
-    "realmin": float(np.finfo(float).tiny),
-    "i": complex(0, 1), "j": complex(0, 1),
-}
-
-for _name, _value in _CONSTANTS.items():
+for _name, (_value, _) in CONSTANTS.items():
     TABLE[_name] = (lambda v: (lambda ctx, args, nargout: v))(_value)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from ..analysis.infer import ProgramTypes, UnitTypes
 from ..analysis.lattice import BaseType, Rank, UNKNOWN, VarType, scalar
 from ..analysis.resolve import ResolvedProgram
-from ..analysis.builtin_sigs import get_sig
+from ..analysis.builtin_sigs import REGISTRY, get_sig
 from ..errors import NESTED_TOO_DEEPLY, LoweringError
 from ..frontend import ast_nodes as A
 from .nodes import (
@@ -62,13 +62,8 @@ from .nodes import (
 _EW_BINOPS = {"+", "-", ".*", "./", ".\\", ".^",
               "==", "~=", "<", ">", "<=", ">=", "&", "|"}
 #: builtins fusable into the elementwise loop (pure, shape-preserving)
-_EW_BUILTINS = {
-    "sqrt", "exp", "log", "log2", "log10", "sin", "cos", "tan",
-    "asin", "acos", "atan", "sinh", "cosh", "tanh", "abs",
-    "floor", "ceil", "round", "fix", "sign", "real", "imag", "conj",
-    "angle", "double", "isnan", "isinf", "isfinite",
-    "mod", "rem", "atan2", "hypot", "power",
-}
+_EW_BUILTINS = {name for name, sig in REGISTRY.items()
+                if sig.kind in ("elementwise", "ewbinary")}
 
 
 def _stamp_block(stmts: list[IRStmt], line: int) -> None:
@@ -356,12 +351,15 @@ class Lowerer:
         if isinstance(expr, A.EndRef):
             temp = self._temp()
             out.append(RTCall(dest=temp, op="dim",
-                              args=[Var(expr.var), Const(expr.axis),
-                                    Const(expr.nargs)],
+                              args=[Var(expr.var), Const(float(expr.axis)),
+                                    Const(float(expr.nargs))],
                               vtype=scalar(BaseType.INTEGER)))
             return temp
         if isinstance(expr, A.UnaryOp):
             inner = self._lower_expr(expr.operand, ut, out)
+            if isinstance(inner, Const) and expr.op != "~":
+                # a signed literal, not an operation on one
+                return Const(-inner.value) if expr.op == "-" else inner
             op = {"-": "u-", "+": "u+", "~": "u~"}[expr.op]
             return EwNode(op, (inner,), scalar=self._is_scalar(ut, expr))
         if isinstance(expr, A.BinOp):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..analysis.lattice import UNKNOWN, VarType
+from ..errors import CodegenError
 
 # --------------------------------------------------------------------------
 # operands
@@ -126,6 +127,36 @@ def ew_operands(expr: EwExpr) -> list[Operand]:
             out.extend(ew_operands(a))
         return out
     return [expr]
+
+
+def ew_spec(expr: EwExpr) -> tuple[object, list[Operand]]:
+    """A fused tree as a *spec* (``repro.ewops``) and its operand list.
+
+    Interior nodes become ``(op, arg, ...)`` tuples, constants numeric
+    literals (a float when the imaginary part is zero) and each distinct
+    variable or temporary an ``"@N"`` slot, numbered in order of first
+    use — the index of the operand in the returned list.
+    """
+    operands: list[Operand] = []
+    slot_of: dict[Operand, str] = {}
+
+    def walk(node: EwExpr):
+        if node.__class__ is EwNode:
+            return (node.op, *[walk(a) for a in node.args])
+        if node.__class__ is Const:
+            value = node.value
+            if isinstance(value, complex) and value.imag == 0:
+                return float(value.real)
+            return value
+        if node.__class__ is StrConst:
+            raise CodegenError("string in an elementwise expression")
+        slot = slot_of.get(node)
+        if slot is None:
+            slot = slot_of[node] = f"@{len(operands)}"
+            operands.append(node)
+        return slot
+
+    return walk(expr), operands
 
 
 # --------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .cache import ENV_CACHE_DIR, KernelCache, KernelCompileError
 from .codegen import ABI_VERSION, UnsupportedSpecError, generate_source, \
     spec_key
 from .engine import ENV_CC, NativeEngine, NativeStats, find_compiler
-from .ops import OPS, spec_reference
 
 
 class NativeUnavailableError(OtterError):
@@ -96,7 +95,6 @@ __all__ = [
     "NativeEngine",
     "NativeStats",
     "NativeUnavailableError",
-    "OPS",
     "UnsupportedSpecError",
     "find_compiler",
     "generate_source",
@@ -104,5 +102,4 @@ __all__ = [
     "reset_engines",
     "resolve_native",
     "spec_key",
-    "spec_reference",
 ]

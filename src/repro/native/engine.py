@@ -13,8 +13,8 @@ Correctness layers (all per-kernel, all automatic):
    real scalars are admitted; anything else (complex, ints, views) is a
    numpy call.
 2. *Op admission*: PROBED ops run a one-time in-process differential
-   probe against the numpy reference (see ops.py) before any kernel
-   using them compiles.
+   probe against the numpy reference (see ``repro.ewops``) before any
+   kernel using them compiles.
 3. *Semantic guards*: kernels abort (rc=1) on inputs whose MATLAB
    semantics need complex promotion; the call falls back.
 4. *First-call verification*: each kernel's first result is compared
@@ -37,10 +37,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..ewops import OPS, PROBED, reference, single_op_spec
 from .cache import KernelCache, KernelCompileError
 from .codegen import (UnsupportedSpecError, cdef_signature, generate_source,
                       spec_key)
-from .ops import OPS, PROBED, probe_samples, spec_reference
 
 ENV_CC = "REPRO_NATIVE_CC"
 
@@ -151,6 +151,47 @@ def find_compiler(cc: Optional[str] = None) -> Optional[str]:
         if found:
             return found
     return None
+
+
+# --------------------------------------------------------------------- #
+# probe sample sets
+# --------------------------------------------------------------------- #
+
+_SPECIALS = np.array([
+    0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, np.pi, -np.pi,
+    np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324,
+    0.1, 1.0 / 3.0, 1e-16, 7.25, 1023.5,
+])
+
+
+def probe_samples(domain: str):
+    """Deterministic sample arrays for a probe domain.
+
+    Returns a list of operand arrays (one per kernel slot).  Samples are
+    fixed-seed so admission decisions are reproducible run to run.
+    """
+    rng = np.random.default_rng(0xC0FFEE)
+    base = np.concatenate([
+        rng.uniform(-1e3, 1e3, 1024),
+        rng.uniform(-2.0, 2.0, 1024),
+        np.exp(rng.uniform(-200.0, 200.0, 1024)) * rng.choice(
+            [-1.0, 1.0], 1024),
+        _SPECIALS,
+    ])
+    if domain == "positive":
+        return [np.abs(base)]
+    if domain == "pairs":
+        other = np.concatenate([base[1:], base[:1]])
+        return [base, other]
+    if domain == "pow_pairs":
+        # stay off the complex-promotion guard: integral exponents for
+        # arbitrary bases, arbitrary exponents for non-negative bases
+        with np.errstate(all="ignore"):
+            exps = np.floor(np.concatenate([base[1:], base[:1]]) % 7.0) - 3.0
+        bases = np.concatenate([base, np.abs(base)])
+        exps = np.concatenate([exps, np.concatenate([base[1:], base[:1]])])
+        return [bases, exps]
+    return [base]
 
 
 class NativeEngine:
@@ -423,7 +464,7 @@ class NativeEngine:
         """
         info = OPS[op]
         samples = probe_samples(info.domain)[:info.arity]
-        spec = (op, *(f"@{i}" for i in range(info.arity)))
+        spec = single_op_spec(op)
         sig = "a" * info.arity
         key = spec_key(spec, sig)
         kern = self._kernels.get(key)
@@ -441,6 +482,7 @@ class NativeEngine:
                        *cargs)
         if rc != 0:
             return False
-        ref = np.asarray(spec_reference(spec)(*arrays))
+        with np.errstate(all="ignore"):
+            ref = np.asarray(reference(spec)(*arrays))
         return (ref.dtype == np.float64 and ref.shape == out.shape
                 and ref.tobytes() == out.tobytes())

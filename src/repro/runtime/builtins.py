@@ -4,43 +4,31 @@
 :mod:`repro.analysis.builtin_sigs` to its parallel implementation
 through one table, built at import: ``name -> handler(rt, args,
 nargout)``.  A test keeps the three tables (signatures / interpreter /
-run-time) in sync.  Elementwise builtins reuse the interpreter's numpy
-kernels, applied to local blocks through :meth:`RuntimeContext.ew` so
-they are charged as one fused owner-computes loop.
+run-time) in sync.  Elementwise builtins are the rows of
+:data:`repro.ewops.OPS`, applied to local blocks through
+:meth:`RuntimeContext.ew` so they are charged as one fused
+owner-computes loop.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from ..analysis.builtin_sigs import REGISTRY
 from ..errors import MatlabRuntimeError
+from ..ewops import CONSTANTS, OPS, single_op_spec
 from ..interp import values as V
-from ..interp.builtins import _EW_FUNCS
 from .matrix import DMatrix, RValue
 from . import linalg, reductions, structural
 
-_CONSTANTS = {
-    "pi": math.pi,
-    "eps": float(np.finfo(float).eps),
-    "inf": math.inf, "Inf": math.inf,
-    "nan": math.nan, "NaN": math.nan,
-    "realmax": float(np.finfo(float).max),
-    "realmin": float(np.finfo(float).tiny),
-    "i": complex(0, 1), "j": complex(0, 1),
-}
-
-_EW_BINARY = {
-    "mod": lambda a, b: np.mod(a, b),
-    "rem": lambda a, b: np.fmod(a, b),
-    "atan2": np.arctan2,
-    "hypot": np.hypot,
-    "power": lambda a, b: a ** b,
-}
-
 
 # Handlers take ``(rt, a, n)``: the context, the argument list, nargout.
+
+
+def _elementwise(op: str):
+    """One row of ``OPS`` as a fused loop of its own."""
+    fn, spec = OPS[op].kernel, single_op_spec(op)
+    return lambda rt, a, n: rt.ew(fn, 1, *a, spec=spec)
 
 
 def _dim(rt, a):
@@ -60,12 +48,12 @@ def _random(name: str):
 
 
 def _extremum(name: str):
-    ufunc = np.maximum if name == "max" else np.minimum
-    spec = (f"fn:{name}imum", "@0", "@1")
+    op = f"fn:{name}imum"
+    fn, spec = OPS[op].kernel, single_op_spec(op)
 
     def handler(rt, a, n):
         if len(a) == 2:
-            return rt.ew(ufunc, 1, a[0], a[1], spec=spec)
+            return rt.ew(fn, 1, a[0], a[1], spec=spec)
         if n >= 2:
             return reductions.minmax_with_index(rt, name, a[0])
         return reductions.reduce_op(rt, name, a[0])
@@ -215,15 +203,10 @@ _TABLE = {
     "tic": lambda rt, a, n: rt.tic(),
     "toc": lambda rt, a, n: rt.toc(),
 }
-# the kernel families and the constants; on a name clash a later family
-# answers, as the lookup order always had it ("double" is a unary kernel)
-for _name, _fn in _EW_BINARY.items():
-    _TABLE[_name] = lambda rt, a, n, fn=_fn, spec=(
-        f"fn:{_name}", "@0", "@1"): rt.ew(fn, 1, a[0], a[1], spec=spec)
-for _name, _fn in _EW_FUNCS.items():
-    _TABLE[_name] = lambda rt, a, n, fn=_fn, spec=(
-        f"fn:{_name}", "@0"): rt.ew(fn, 1, a[0], spec=spec)
-for _name, _value in _CONSTANTS.items():
+for _name, _sig in REGISTRY.items():
+    if _sig.kind in ("elementwise", "ewbinary"):
+        _TABLE[_name] = _elementwise(f"fn:{_name}")
+for _name, (_value, _) in CONSTANTS.items():
     _TABLE[_name] = lambda rt, a, n, value=_value: value
 
 #: names handled by this dispatcher (kept in sync with the signature

@@ -56,6 +56,24 @@ class TestScalars:
         t = infer("x = 2 * pi;")
         assert abs(t.script.var_consts["x"] - 2 * np.pi) < 1e-12
 
+    @pytest.mark.parametrize("call", [
+        "round(2.5)", "round(-2.5)", "round(0.49999999999999994)",
+        "sqrt(2)", "sqrt(-4)", "exp(0.1)", "log(10)", "log(-0.5)",
+        "log2(3)", "sin(1)", "fix(-2.5)", "sign(-3)", "isnan(2)"])
+    def test_fold_has_the_bits_of_the_run_time_kernel(self, call):
+        """``f(const)`` folds by calling the kernel the emitted program
+        calls: Python's ``round`` (half to even) is not ``K.round``
+        (half up), ``x ** 0.5`` not ``K.sqrt``."""
+        from repro.codegen import kernels as K
+
+        name, arg = call[:-1].split("(")
+        folded = infer(f"x = {call};").script.var_consts["x"]
+        assert _same_const(folded, complex(getattr(K, name)(float(arg))))
+
+    def test_folded_round_sizes_the_array_the_run_time_builds(self):
+        t = infer("z = zeros(1, round(2.5)); w = z + ones(1, 3);")
+        assert vt(t, "w").shape == Shape(1, 3)
+
 
 class TestShapes:
     def test_zeros_shape_from_constants(self):

@@ -59,7 +59,7 @@ class TestStructure:
 
     def test_scalar_statement_inline(self):
         c = c_of("x = 1.5;\ny = x * 2 + 1;")
-        assert "y = ((x * 2) + 1);" in c
+        assert "y = ((x * 2.0) + 1.0);" in c
 
     def test_for_loop(self):
         c = c_of("s = 0;\nfor i = 1:10\n s = s + i;\nend")
@@ -69,11 +69,11 @@ class TestStructure:
         c = c_of("x = 0;\nwhile x < 5\n x = x + 1;\nend")
         assert "while (1) {" in c
         assert "if (!(ML_tmp" in c and ")) break;" in c
-        assert "(x < 5)" in c
+        assert "((double)x < 5.0)" in c
 
     def test_if_else(self):
         c = c_of("x = 1;\nif x > 0\n y = 1;\nelse\n y = 2;\nend")
-        assert "(x > 0)" in c and "if (ML_tmp" in c
+        assert "((double)x > 0.0)" in c and "if (ML_tmp" in c
         assert "} else {" in c
 
     def test_user_function_emitted(self):
@@ -107,7 +107,7 @@ class TestStructure:
         assert "for (ML_i0 = ML_local_els(b)-1; ML_i0 >= 0; ML_i0--) {" in c
 
     def test_scalar_kernel_functions(self):
-        c = c_of("x = 2.0;\ny = sqrt(x) + floor(x);")
+        c = c_of("x = 2.5;\ny = sqrt(x) + floor(x);")
         assert "sqrt(x)" in c and "floor(x)" in c
 
     def test_string_literal_in_call(self):
@@ -121,3 +121,42 @@ class TestStructure:
     def test_deterministic_output(self):
         src = "a = ones(3, 3);\nb = a * a;\nc = sum(sum(b));"
         assert c_of(src) == c_of(src)
+
+
+class TestExpressionsAreDoubles:
+    """Inside a C expression every literal is a double and an ``int``
+    scalar is cast, so ``/`` never divides integers; run-time call
+    arguments keep their ints."""
+
+    def test_integer_operands_do_not_divide_as_ints(self):
+        c = c_of("v = ones(1, 4);\nn = 64; h = 1 / n; t = (1/3) * v;")
+        assert "int n = 0;" in c and "n = 64;" in c
+        assert "h = (1.0 / (double)n);" in c
+        assert "((1.0 / 3.0) * v->realbase[ML_i0])" in c
+        assert "ML_ones(1, 4, &v);" in c
+
+    def test_non_finite_literals_compile(self):
+        c = c_of("x = 1e999;\ny = -1e999;\nz = 0 * 1e999;\nw = x - nan;")
+        assert "x = (1.0 / 0.0);" in c
+        assert "y = (-1.0 / 0.0);" in c
+        assert "z = (0.0 * (1.0 / 0.0));" in c
+        assert "NAN" in c
+
+    def test_operators_and_functions_come_from_the_op_table(self):
+        from repro.ewops import OPS
+
+        c = c_of("a = ones(1, 4); s = 3;\n"
+                 "b = mod(a, s) + round(a) .^ 2 + (a .\\ s) + ~a;")
+        loop = f"ML_i0"
+        a = f"a->realbase[{loop}]"
+        assert OPS["fn:mod"].c.format(a, "(double)s") in c
+        assert OPS["pow:2"].c.format(OPS["fn:round"].c.format(a)) in c
+        assert OPS[".\\"].c.format(a, "(double)s") in c
+        assert OPS["u~"].c.format(a) in c
+        assert "ML_mod" not in c and "ML_round" not in c
+
+    def test_parts_of_a_complex_value_stay_run_time_calls(self):
+        c = c_of("z = sqrt(-1) + 2i; r = real(z); g = angle(z);\n"
+                 "x = 2.5; q = real(x) + imag(x);")
+        assert "r = ML_real(z);" in c and "g = ML_angle(z);" in c
+        assert "q = ((x) + 0.0);" in c

@@ -33,8 +33,24 @@ class TestShape:
         line = [ln for ln in py.splitlines()
                 if "v_c = rt.ew" in ln][0]
         assert line.count("rt.ew(") == 1
-        assert "K.fn('sqrt')" in line
+        assert "K.sqrt(" in line
         assert "K.add" in line and "K.mul" in line
+
+    def test_non_finite_constants_are_literals(self):
+        py = py_of("x = 1e999;\ny = -1e999;\nv = ones(1, 3) * 1e999;\n"
+                   "z = 1e999i;")
+        assert "v_x = float('inf')" in py
+        assert "v_y = float('-inf')" in py
+        assert "K.mul(_v0, float('inf'))" in py
+        assert "spec=('.*', '@0', float('inf'))" in py
+        assert "v_z = complex(0.0, float('inf'))" in py
+        compile(py, "<gen>", "exec")
+
+    def test_signed_literal_is_a_constant(self):
+        py = py_of("u = ones(1, 8);\nw = circshift(u, -1);\nx = -2.5;")
+        assert "rt.call_builtin('circshift', [v_u, -1.0], 1)" in py
+        assert "v_x = -2.5" in py
+        assert "K.neg" not in py
 
     def test_matmul_call(self):
         py = py_of("a = ones(3, 3);\nb = a * a;")

@@ -8,6 +8,7 @@ from repro.frontend.parser import parse_script
 from repro.ir.guard import guard_program
 from repro.ir.lower import lower_program
 from repro.ir.nodes import (
+    Const,
     Copy,
     Elementwise,
     IndexAssign,
@@ -98,6 +99,24 @@ class TestLowering:
     def test_elementwise_builtin_fused_not_called(self):
         ir, _ = lower("v = ones(5, 1);\nw = sqrt(v) + 1;")
         assert "builtin:sqrt" not in rt_ops(ir)
+
+    def test_signed_literal_lowers_to_a_constant(self):
+        """heat's ``circshift(u, -1)``: one run-time call with a constant
+        argument, not a scalar ``u-`` kernel per iteration before it."""
+        ir, _ = lower("u = ones(1, 8);\nfor s = 1:3\n"
+                      " r = circshift(u, -1);\nend\n"
+                      "a = -2.5; b = +3; c = -(-4); d = -2i; e = -u; f = ~0;")
+        loop = [s for s in flat(ir.body) if isinstance(s, IRFor)][0]
+        (call,) = loop.body
+        assert call.op == "builtin:circshift"
+        assert call.args[1] == Const(-1.0)
+        copies = {s.dest.name: s.src for s in flat(ir.body)
+                  if isinstance(s, Copy)}
+        assert copies == {"a": Const(-2.5), "b": Const(3.0),
+                          "c": Const(4.0), "d": Const(-2j)}
+        ews = {s.dest.name: s.expr.op for s in flat(ir.body)
+               if isinstance(s, Elementwise)}
+        assert ews == {"e": "u-", "f": "u~"}
 
     def test_range_for_loop_not_materialized(self):
         ir, _ = lower("s = 0;\nfor i = 1:100\n s = s + i;\nend")

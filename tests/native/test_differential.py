@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.native import get_engine
-from repro.native.ops import EXACT, OPS, spec_reference
+from repro.ewops import EXACT, OPS, reference, single_op_spec, spec_to_c
+from repro.native import generate_source, get_engine
+from repro.native.engine import probe_samples
 
 engine = get_engine()
 
@@ -91,7 +92,12 @@ def _bits_match(out, ref):
 
 
 def _check(spec, args):
-    ref_fn = spec_reference(spec)
+    with np.errstate(all="ignore"):     # the samples overflow on purpose
+        _check_quietly(spec, args)
+
+
+def _check_quietly(spec, args):
+    ref_fn = reference(spec)
     try:
         ref = np.asarray(ref_fn(*args))
     except Exception:
@@ -135,12 +141,12 @@ def test_sign_of_negative_zero_after_verification():
     ``1 ./ sign(x)`` turns the zero's sign into ``-Inf`` vs ``+Inf``."""
     # a spec no other test runs: its first call here is the verification
     spec = ("./", 1.0, ("fn:sign", ("-", "@0", "@1")))
-    reference = spec_reference(spec)
+    ref_fn = reference(spec)
     clean = np.array([1.0, -2.0, 3.0, 0.0])
     with np.errstate(divide="ignore"):
-        assert engine.run(spec, [clean, 0.0], reference) is not None
-        out = engine.run(spec, [_SIGNED_ZEROS, 0.0], reference)
-        want = reference(_SIGNED_ZEROS, 0.0)
+        assert engine.run(spec, [clean, 0.0], ref_fn) is not None
+        out = engine.run(spec, [_SIGNED_ZEROS, 0.0], ref_fn)
+        want = ref_fn(_SIGNED_ZEROS, 0.0)
     assert out is not None
     assert out.tobytes() == want.tobytes()
     assert out[1] == np.inf
@@ -168,7 +174,39 @@ def test_every_safe_op_engages():
     for op in SAFE_OPS:
         arity = OPS[op].arity
         spec = (op, *(f"@{i}" for i in range(arity)))
-        out = engine.run(spec, [a, b][:arity], spec_reference(spec))
+        out = engine.run(spec, [a, b][:arity], reference(spec))
         assert out is not None, f"{op} fell back on benign inputs"
-        ref = np.asarray(spec_reference(spec)(*[a, b][:arity]))
+        ref = np.asarray(reference(spec)(*[a, b][:arity]))
         assert out.tobytes() == ref.tobytes(), op
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_c_column_has_the_bits_of_the_numpy_column(op):
+    """One row, both columns, over the probe's samples: the C template
+    — the text ``c_emitter`` lists, compiled here through the renderer
+    it calls — against the kernel the emitted lambda names.  An
+    ``exact`` row must run natively and agree bit for bit; a ``probed``
+    row must agree whenever this host's probe admitted it."""
+    row = OPS[op]
+    spec = single_op_spec(op)
+    domain = "pairs" if (row.arity, row.domain) == (2, "all") else row.domain
+    samples = probe_samples(domain)[:row.arity]
+    if row.guard is not None:   # stay off the complex-promotion abort
+        samples = [np.abs(s) for s in samples]
+    ref_fn = reference(spec)
+    if op == ".^":
+        # the tier takes no variable exponent; the listing spells libm's
+        assert spec_to_c(spec, str) == "pow(@0, @1)"
+        assert engine.run(spec, samples, ref_fn) is None
+        return
+    # the kernel's statements are the row's template, as listed
+    listed = spec_to_c(spec, lambda slot: f"a{slot[1:]}[i]")
+    assert f"= {listed};" in generate_source(spec, "a" * row.arity, "k")[0]
+    with np.errstate(all="ignore"):     # the samples overflow on purpose
+        out = engine.run(spec, samples, ref_fn)
+        want = np.asarray(ref_fn(*samples))
+    if row.kind == EXACT:
+        assert out is not None, f"{op} fell back"
+    elif out is None:
+        pytest.skip(f"{op}: not admitted by this host's probe")
+    assert out.tobytes() == want.tobytes(), op

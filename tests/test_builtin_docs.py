@@ -22,3 +22,20 @@ def test_doc_mentions_every_builtin():
         text = fh.read()
     for name in REGISTRY:
         assert f"`{name}`" in text, name
+
+
+def test_native_doc_lists_the_op_rows():
+    """docs/NATIVE.md's admission list, class by class, is the table."""
+    import re
+
+    from repro.ewops import OPS
+
+    path = os.path.join(os.path.dirname(DOC), "NATIVE.md")
+    with open(path, encoding="utf-8") as fh:
+        listed = {m.group(1): re.findall(r"`([^`]+)`", m.group(2))
+                  for m in re.finditer(r"^ *\* \*\*(\w+)\*\* — (.*)$",
+                                       fh.read(), re.M)}
+    for kind in ("exact", "probed"):
+        assert listed[kind] == [op for op, row in OPS.items()
+                                if row.kind == kind], kind
+    assert listed["guarded"] == [op for op, row in OPS.items() if row.guard]

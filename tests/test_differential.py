@@ -19,6 +19,11 @@ b = a * 2 + 1 / 4 - 2^3;
 c = mod(17, 5) + rem(-7, 3);
 d = abs(-2.5) + floor(3.7) + ceil(3.2) + round(2.5);
 """,
+    "folded_sizes": """
+z = zeros(1, round(2.5));
+w = z + ones(1, 3);
+h = zeros(floor(sqrt(17)), ceil(exp(1)));
+""",
     "vector_pipeline": """
 v = 1:0.5:20;
 w = sqrt(v) .* sin(v) + cos(v) ./ (v + 1);
@@ -303,6 +308,32 @@ def test_nan_constants_on_both_backends(key, run_interp, run_compiled):
             assert out == "".join(interp.output), (backend, p)
             for name, expected in interp.workspace.items():
                 np.testing.assert_array_equal(      # NaN equals NaN here
+                    np.asarray(ws[name]), np.asarray(expected),
+                    err_msg=f"{backend} P={p}: {name}")
+
+
+#: ``power`` is ``.^``: a negative base with a fractional exponent goes
+#: complex — in the oracle too, which once answered NaN with a warning
+POWER_PROGRAMS = {
+    "scalar": "a = power(-8, 1/3)\nb = (-8) .^ (1/3);",
+    "vector": "v = [-8, -27, 4]; a = power(v, 1/3)\nb = v .^ (1/3);",
+    "vector_exponent": "a = power(-8, [1/3, 2, 0.5])\nc = power([4, 9], 0.5)",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", sorted(POWER_PROGRAMS))
+def test_power_of_a_negative_base_on_both_backends(key, run_interp,
+                                                   run_compiled):
+    interp = run_interp(POWER_PROGRAMS[key])
+    assert np.iscomplexobj(interp.workspace["a"])
+    for backend in ("lockstep", "fused"):
+        for p in (1, 4):
+            ws, out = run_compiled(POWER_PROGRAMS[key], nprocs=p,
+                                   backend=backend)
+            assert out == "".join(interp.output), (backend, p)
+            for name, expected in interp.workspace.items():
+                np.testing.assert_array_equal(
                     np.asarray(ws[name]), np.asarray(expected),
                     err_msg=f"{backend} P={p}: {name}")
 

@@ -144,6 +144,26 @@ c = mod(7, -3);
         assert ws["b"] == -1.0   # rem follows dividend sign
         assert ws["c"] == -2.0
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_literals_beyond_realmax_are_infinite(self, run_interp,
+                                                  run_compiled):
+        """``1e999`` is ``Inf``: the emitted Python must spell it as a
+        literal (``repr`` gives the bare name ``inf``) on both backends."""
+        src = ("x = 1e999;\ny = -1e999;\nz = 0 * 1e999;\n"
+               "v = [1, -2] * 1e999;\nw = [1, 2] + -1e999;\n"
+               "disp(x); disp(y); disp(z); disp(v);")
+        interp = run_interp(src)
+        assert "Inf" in "".join(interp.output)
+        for backend in ("lockstep", "fused"):
+            for p in (1, 4):
+                ws, out = run_compiled(src, nprocs=p, backend=backend)
+                assert out == "".join(interp.output), (backend, p)
+                for name, expected in interp.workspace.items():
+                    np.testing.assert_array_equal(
+                        np.asarray(ws[name]), np.asarray(expected),
+                        err_msg=f"{backend} P={p}: {name}")
+        assert ws["x"] == np.inf and ws["y"] == -np.inf and np.isnan(ws["z"])
+
 
 def _magic_provider():
     from repro.frontend.mfile import DictProvider

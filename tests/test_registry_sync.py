@@ -1,7 +1,10 @@
-"""Keep the three builtin tables in lock-step: the signature registry, the
-interpreter implementations, and the distributed run-time dispatcher."""
+"""Keep the builtin tables in lock-step: the signature registry, the
+interpreter implementations, the distributed run-time dispatcher, and the
+elementwise op table that analysis, both emitters, the native tier and
+the dispatcher all read."""
 
 from repro.analysis.builtin_sigs import REGISTRY, builtin_names
+from repro.ewops import CONSTANTS, OPS
 from repro.interp.builtins import TABLE as INTERP_TABLE
 from repro.runtime.builtins import SUPPORTED as RUNTIME_SUPPORTED
 
@@ -19,6 +22,44 @@ def test_runtime_covers_registry():
 def test_no_orphan_interpreter_builtins():
     orphans = set(INTERP_TABLE) - builtin_names()
     assert not orphans, f"unregistered interpreter builtins: {sorted(orphans)}"
+
+
+#: rows no MATLAB name reaches: the run time's two-argument max/min
+_INTERNAL_ROWS = {"fn:maximum", "fn:minimum"}
+
+
+def test_every_elementwise_builtin_and_constant_has_a_row():
+    for name, sig in REGISTRY.items():
+        if sig.kind in ("elementwise", "ewbinary"):
+            assert OPS[f"fn:{name}"].arity == sig.min_args == sig.max_args
+        elif sig.kind == "constant":
+            assert name in CONSTANTS, name
+
+
+def test_no_orphan_rows():
+    for op in OPS:
+        if op.startswith("fn:") and op not in _INTERNAL_ROWS:
+            assert REGISTRY[op[3:]].kind in ("elementwise", "ewbinary"), op
+        elif op.startswith("pow:"):
+            assert OPS[op].py == "pow_" and OPS[op].arity == 1
+    assert set(CONSTANTS) == {name for name, sig in REGISTRY.items()
+                              if sig.kind == "constant"}
+
+
+def test_every_row_renders_in_both_targets():
+    from repro.codegen import kernels as K
+
+    for op, row in OPS.items():
+        args = [f"x{i}" for i in range(row.arity)]
+        assert callable(getattr(K, row.py)), op
+        text = row.c.format(*args)
+        assert "{" not in text and text.count("(") == text.count(")"), op
+        if row.guard is not None:
+            assert "x0" in row.guard.format(*args), op
+        # a template that ignores an operand is a constant (imag, pow:0)
+        assert all(a in text for a in args) or row.arity == 1, op
+    for value, c_text in CONSTANTS.values():
+        assert isinstance(value, (float, complex)) and c_text
 
 
 def test_registry_arities_sane():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.codegen.names import func_name, operand_py, py_const, var_name
+from repro.codegen.names import func_name, operand_py, var_name
+from repro.ewops import py_literal
 from repro.errors import DiagnosticError, OtterError, SourceLocation
 from repro.ir.nodes import ColonSub, Const, StrConst, Temp, Var
 from repro.ir.pretty import pretty_ir
@@ -17,9 +18,9 @@ class TestNames:
         assert func_name("f") == "fn_f"
 
     def test_const_rendering(self):
-        assert py_const(3.0) == "3.0"
-        assert py_const(complex(0, 2)) == "2j"
-        assert py_const(complex(1.5, 0)) == "1.5"
+        assert py_literal(3.0) == "3.0"
+        assert py_literal(complex(0, 2)) == "2j"
+        assert py_literal(complex(1.5, 0)) == "1.5"
 
     def test_operand_py_forms(self):
         assert operand_py(Var("a")) == "v_a"
