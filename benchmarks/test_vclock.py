@@ -19,7 +19,9 @@ The assertions pin the autotuner's contract:
 It also records the modeled scaling of the 2-D stencil workload
 (``image_filter`` section): P in {1, 2, 4, 8, 16}, default plan.  The
 ``image_filter_before`` section is the same sweep at the commit before
-row shifts became neighbour exchanges (531c418), kept by hand.
+row shifts became neighbour exchanges (531c418), kept by hand.  The
+``pass6_rewrites`` section is the before/after of pass 6's
+collective-removing rewrites on the frozen benchmark programs.
 """
 
 import json
@@ -31,7 +33,7 @@ from test_wallclock import HEAT_SOURCE
 from repro.bench.workloads import image_filter, make_workload
 from repro.compiler import compile_source
 from repro.mpi import MEIKO_CS2
-from repro.tuning import tune_program
+from repro.tuning import DEFAULT_PLAN, FUSION_REWRITES, Plan, tune_program
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_vclock.json")
@@ -142,6 +144,59 @@ def test_vclock_image_filter():
         "backend": "fused",
         "speedup_at_16": round(clocks[0] / clocks[-1], 3),
         "nprocs": rows,
+    }})
+
+
+#: pass 6 before it learned what costs a collective, and the registry
+PASS6_BEFORE = ("transpose_matmul", "cse")
+PASS6_PROGRAMS = ("image_filter", "nbody", "ocean", "closure", "heat", "cg")
+
+
+def test_vclock_pass6_rewrites():
+    """What ``const_args``, ``reduce2`` and ``batch_reduce`` take off
+    the modeled clock of the frozen benchmark programs: one fused run of
+    each of three pass-6 schedules — the one before them, the default
+    plan's, and every rewrite of the registry — at P = 4 and 16.
+    Programs none of them fires on charge the same, bit for bit."""
+    schedules = {"before": PASS6_BEFORE, "default": DEFAULT_PLAN.fusion,
+                 "every_rewrite": FUSION_REWRITES}
+    rows = {}
+    for key in PASS6_PROGRAMS:
+        with open(os.path.join(REPO_ROOT, "benchmarks", "e2e", "programs",
+                               f"{key}.m"), encoding="utf-8") as fh:
+            source = fh.read()
+        rows[key] = {}
+        for label, fusion in schedules.items():
+            plan = Plan(fusion=fusion)
+            program = compile_source(source, name=key, plan=plan)
+            for p in (4, 16):
+                result = program.run(nprocs=p, machine=MEIKO_CS2,
+                                     backend="fused", plan=plan)
+                rows[key].setdefault(label, {
+                    "fired": program.peephole_stats.fired()})[f"P={p}"] = {
+                    "machine": MEIKO_CS2.name, "nprocs": p,
+                    "vclock_ms": round(result.elapsed * 1e3, 6),
+                    "collectives": result.spmd.collectives}
+        for p in ("P=4", "P=16"):
+            before, default, every = (rows[key][label][p]
+                                      for label in schedules)
+            assert every["vclock_ms"] <= default["vclock_ms"] \
+                <= before["vclock_ms"], (key, p)
+            assert every["collectives"] <= default["collectives"] \
+                <= before["collectives"], (key, p)
+            if not rows[key]["every_rewrite"]["fired"].keys() \
+                    - set(PASS6_BEFORE):
+                assert every == before, (key, p)
+    image = rows["image_filter"]["default"]
+    assert image["P=4"]["collectives"] <= 20 >= image["P=16"]["collectives"]
+    assert image["P=16"]["vclock_ms"] <= 90.0
+    assert image["P=4"]["vclock_ms"] \
+        <= 0.96 * rows["image_filter"]["before"]["P=4"]["vclock_ms"]
+    _merge_json({"pass6_rewrites": {
+        "programs": "benchmarks/e2e/programs/*.m", "backend": "fused",
+        "schedules": {label: list(fusion)
+                      for label, fusion in schedules.items()},
+        "runs": rows,
     }})
 
 

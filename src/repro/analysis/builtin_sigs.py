@@ -377,7 +377,12 @@ _register("isscalar", 1, 1, 1, "query", _scalar_result(BaseType.INTEGER))
 _register("reshape", 3, 3, 1, "structural", _reshape_rule)
 _register("repmat", 3, 3, 1, "structural", _repmat_rule)
 _register("circshift", 2, 2, 1, "structural", _same_as_arg(),
-          notes="shift is a scalar or MATLAB's [rows cols] pair; "
+          notes="shift is a scalar or MATLAB's [rows cols] pair, anything "
+                "else 'shift must be a scalar or a two-element vector' "
+                "(interpreter and run-time library alike); a constant "
+                "pair is passed by value (pass 6's const_args: no "
+                "collective of its own), a computed one is a distributed "
+                "1x2 gathered on every call; "
                 "column shifts are rank-local under the row "
                 "distribution, row shifts (like vector shifts) a "
                 "neighbour exchange up to the smallest block, an "

@@ -72,6 +72,26 @@ def _all_same_const(consts: list[object]) -> bool:
         c is not None and _same_const(c, consts[0]) for c in consts)
 
 
+#: a matrix-valued constant holds at most this many elements: it exists
+#: for control data (a shift, a size vector), which is replicated
+MATRIX_CONST_MAX = 16
+
+_NUMBERS = (int, float, complex)
+
+
+def _matrix_const(cells: Optional[list[list]], shape: Shape) -> object:
+    """The value of an all-constant matrix literal as a tuple of row
+    tuples (hashable, and ``==`` compares it, so the phi join and
+    ``_same_const`` take it as they take a number), or ``None``: an
+    element that is not a known number — a NaN is not, ``nan != nan``
+    would never reach a fixpoint — ragged rows (their shape is not
+    static), or too many elements."""
+    numel = shape.numel()
+    if not cells or numel is None or not 0 < numel <= MATRIX_CONST_MAX:
+        return None
+    return tuple([tuple(row) for row in cells])
+
+
 def _num_type(value: float) -> VarType:
     base = BaseType.INTEGER if float(value).is_integer() else BaseType.REAL
     return scalar(base)
@@ -552,12 +572,23 @@ class InferenceEngine:
         row_heights: list[Optional[int]] = []
         width: Optional[int] = 0
         width_known = True
+        # the literal's value while every element is a known number: one
+        # list of constants per row, None once any element is not
+        cells: Optional[list[list]] = []
         for row in expr.rows:
             row_width: Optional[int] = 0
             height: Optional[int] = 1
+            if cells is not None:
+                cells.append([])
             for element in row:
-                etype, _ = self._type_expr(unit, ut, element)
+                etype, econst = self._type_expr(unit, ut, element)
                 base = base.join(etype.base)
+                if cells is not None:
+                    if etype.is_scalar and econst.__class__ in _NUMBERS \
+                            and econst == econst:
+                        cells[-1].append(econst)
+                    else:
+                        cells = None
                 if etype.is_scalar:
                     if row_width is not None:
                         row_width += 1
@@ -586,7 +617,7 @@ class InferenceEngine:
             base = BaseType.REAL if base is BaseType.BOTTOM else BaseType.UNKNOWN
         if shape == SCALAR_SHAPE and len(expr.rows) == 1 and len(expr.rows[0]) == 1:
             return VarType(base, Rank.SCALAR, SCALAR_SHAPE), None
-        return VarType(base, Rank.MATRIX, shape), None
+        return VarType(base, Rank.MATRIX, shape), _matrix_const(cells, shape)
 
     # -- operators --------------------------------------------------------
 
@@ -688,8 +719,11 @@ class InferenceEngine:
                 params[i] = joined
                 self._changed = True
             if (params[i] == arg_types[i] and arg_consts[i] is not None
-                    and pconsts[i] is None):    # conflicting constants: keep
-                pconsts[i] = arg_consts[i]      # the first, types still join
+                    and pconsts[i] is None      # conflicting constants: keep
+                    # the first, types still join — which is why a matrix
+                    # constant, whose *value* pass 6 uses, stops here
+                    and arg_consts[i].__class__ is not tuple):
+                pconsts[i] = arg_consts[i]
                 self._changed = True
         # Joining the same arguments in again changes neither table, so the
         # one interprocedural input of the calling event is what the callee

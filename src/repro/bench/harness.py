@@ -20,7 +20,7 @@ from ..frontend.parser import parse_script
 from ..interp.costmodel import CostMeter
 from ..interp.interpreter import Interpreter
 from ..mpi.machine import MEIKO_CS2, MachineModel
-from ..tuning.plan import FUSION_REWRITES, Plan
+from ..tuning.plan import DEFAULT_PLAN, Plan
 from .workloads import Workload
 
 
@@ -73,7 +73,7 @@ class BenchHarness:
     @staticmethod
     def _plan(peephole: bool, licm: bool, scheme: str = "block") -> Plan:
         """The figures' ablation switches, as the plan they spell."""
-        return Plan(fusion=FUSION_REWRITES if peephole else (),
+        return Plan(fusion=DEFAULT_PLAN.fusion if peephole else (),
                     licm="aggressive" if licm else "off", scheme=scheme)
 
     def compiled(self, workload: Workload, peephole: bool = True,

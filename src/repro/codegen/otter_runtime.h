@@ -151,6 +151,13 @@ void ML_any(MATRIX *a, ...);
 void ML_norm(MATRIX *a, ...);
 void ML_trapz(MATRIX *a, ...);
 void ML_trapz2(MATRIX *a, ...);
+/* pass 6: op(op(a)) as one call — column partials, one allreduce, a
+ * local fold of the row — and n adjacent scalar reductions of n vectors
+ * sharing one n-element allreduce (n inputs, then n double * outputs) */
+typedef enum { ML_OP_SUM, ML_OP_PROD, ML_OP_MAX, ML_OP_MIN, ML_OP_MEAN,
+               ML_OP_ANY, ML_OP_ALL } ML_REDUCTION;
+void ML_reduce2(ML_REDUCTION op, MATRIX *a, double *out);
+void ML_reduce_batch(ML_REDUCTION op, int n, ...);
 void ML_cumsum(MATRIX *a, MATRIX **out);
 void ML_cumprod(MATRIX *a, MATRIX **out);
 void ML_find(MATRIX *a, MATRIX **out);
@@ -167,6 +174,8 @@ void ML_isscalar(MATRIX *a, double *out);
 void ML_reshape(MATRIX *a, int r, int c, MATRIX **out);
 void ML_repmat(MATRIX *a, int m, int n, MATRIX **out);
 void ML_circshift(MATRIX *a, ...);  /* int k | MATRIX *[rows cols], then MATRIX **out */
+/* pass 6: a constant [rows cols] shift passed by value — no MATRIX to gather */
+void ML_circshift_const(MATRIX *a, const int *shift, MATRIX **out);
 void ML_fliplr(MATRIX *a, MATRIX **out);
 void ML_flipud(MATRIX *a, MATRIX **out);
 void ML_tril(MATRIX *a, ...);

@@ -427,6 +427,9 @@ def _circshift(ctx, args, nargout):
     if shift.size == 2:  # MATLAB's [rows cols] form
         kr, kc = (_scalar_int(v, "circshift") for v in shift.flat)
         return simplify(np.roll(arr, (kr, kc), axis=(0, 1)))
+    if shift.size != 1:
+        raise MatlabRuntimeError(
+            "circshift: shift must be a scalar or a two-element vector")
     k = _scalar_int(args[1], "circshift")
     if arr.shape[0] == 1:  # row vector: shift along columns
         return simplify(np.roll(arr, k, axis=1))

@@ -208,9 +208,10 @@ def _is_hoistable(stmt: IRStmt, loop_defs: set[str],
         allowed = True
     elif op in _SPECULATIVE:
         allowed = must_execute and speculate
-    elif op.startswith("builtin:"):
+    elif op.startswith(("builtin:", "reduce2:")):
+        # (``reduce2:sum`` is ``sum(sum(A))``, as pure as ``sum``)
         allowed = (must_execute and speculate
-                   and op[len("builtin:"):] in _HOISTABLE_BUILTINS)
+                   and op.partition(":")[2] in _HOISTABLE_BUILTINS)
     else:
         return False
     if not allowed:

@@ -88,6 +88,13 @@ def _stamp_block(stmts: list[IRStmt], line: int) -> None:
             _stamp_block(s.body, s.line)
 
 
+def _matrix_consts(ut: UnitTypes) -> dict[str, tuple]:
+    """The unit's matrix-valued constants (pass 6 reads nothing else of
+    pass 3's constants: the scalars already shaped the types)."""
+    return {name: const for name, const in ut.var_consts.items()
+            if const.__class__ is tuple}
+
+
 class Lowerer:
     def __init__(self, program: ResolvedProgram, types: ProgramTypes):
         self.program = program
@@ -100,6 +107,7 @@ class Lowerer:
         script = self.program.script
         ir = IRProgram(script_name=script.name)
         ir.var_types = dict(self.types.script.var_types)
+        ir.var_consts = _matrix_consts(self.types.script)
         ir.body = self._lower_body(script.body, self.types.script)
         for name, unit in self.program.functions.items():
             func = unit.node
@@ -111,6 +119,7 @@ class Lowerer:
                 returns=list(func.returns),
                 body=self._lower_body(func.body, ut),
                 var_types=dict(ut.var_types),
+                var_consts=_matrix_consts(ut),
             )
         return ir
 

@@ -180,7 +180,12 @@ class RTCall(IRStmt):
 
     ``op`` values: matmul, matmul_t (peephole-fused a' * b), dot, transpose,
     transpose_nc, solve_left, solve_right, matrix_power, broadcast_element,
-    index_read, range, literal, dim, builtin:<name>.
+    index_read, range, literal, dim, builtin:<name>, and pass 6's
+    reduce2:<name> (``name(name(A))``) and reduce_batch:<name> (one
+    scalar reduction per argument, into ``dest`` and ``extra_dests``).
+    An argument is an operand or, for ``literal`` and for a builtin
+    argument pass 6 made an immediate, a matrix as a list of rows of
+    :class:`Const`.
     """
 
     dest: Optional[Operand]
@@ -321,6 +326,27 @@ class IRGlobal(IRStmt):
 # --------------------------------------------------------------------------
 
 
+def walk_blocks(body: list[IRStmt]):
+    """Iterate every statement list of one unit: ``body`` and the blocks
+    nested in it (for passes)."""
+    stack = [body]
+    while stack:
+        block = stack.pop()
+        yield block
+        for stmt in block:
+            if isinstance(stmt, IRIf):
+                for cond_stmts, _cond, branch in stmt.branches:
+                    stack.append(cond_stmts)
+                    stack.append(branch)
+                stack.append(stmt.orelse)
+            elif isinstance(stmt, IRFor):
+                stack.append(stmt.iter_stmts)
+                stack.append(stmt.body)
+            elif isinstance(stmt, IRWhile):
+                stack.append(stmt.cond_stmts)
+                stack.append(stmt.body)
+
+
 @dataclass
 class IRFunction:
     name: str
@@ -328,6 +354,9 @@ class IRFunction:
     returns: list[str] = field(default_factory=list)
     body: list[IRStmt] = field(default_factory=list)
     var_types: dict[str, VarType] = field(default_factory=dict)
+    #: pass 3's matrix-valued constants: variable -> tuple of row tuples,
+    #: for a variable that holds that one literal wherever it is defined
+    var_consts: dict[str, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -336,22 +365,15 @@ class IRProgram:
     body: list[IRStmt] = field(default_factory=list)
     functions: dict[str, IRFunction] = field(default_factory=dict)
     var_types: dict[str, VarType] = field(default_factory=dict)
+    var_consts: dict[str, tuple] = field(default_factory=dict)
+
+    def units(self) -> list:
+        """The program units — the functions, last first, then the
+        script — as the script or :class:`IRFunction` itself: each
+        answers ``body`` and ``var_consts``."""
+        return [*reversed(self.functions.values()), self]
 
     def walk(self):
         """Iterate every statement list in the program (for passes)."""
-        stack = [self.body] + [f.body for f in self.functions.values()]
-        while stack:
-            block = stack.pop()
-            yield block
-            for stmt in block:
-                if isinstance(stmt, IRIf):
-                    for cond_stmts, _cond, branch in stmt.branches:
-                        stack.append(cond_stmts)
-                        stack.append(branch)
-                    stack.append(stmt.orelse)
-                elif isinstance(stmt, IRFor):
-                    stack.append(stmt.iter_stmts)
-                    stack.append(stmt.body)
-                elif isinstance(stmt, IRWhile):
-                    stack.append(stmt.cond_stmts)
-                    stack.append(stmt.body)
+        for unit in self.units():
+            yield from walk_blocks(unit.body)

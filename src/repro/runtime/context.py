@@ -831,8 +831,8 @@ from . import structural as _structural  # noqa: E402
 for _module, _names in (
         (_linalg, ("matmul", "dot", "outer", "matvec", "vecmat", "transpose",
                    "solve", "matrix_power", "matmul_t")),
-        (_reductions, ("reduce_op", "mean", "norm", "trapz", "trapz2",
-                       "cumulative")),
+        (_reductions, ("reduce_op", "reduce2", "reduce_batch", "mean", "norm",
+                       "trapz", "trapz2", "cumulative")),
         (_structural, ("sort", "circshift")),
         (_builtins, ("call_builtin",))):
     for _name in _names:

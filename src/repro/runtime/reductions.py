@@ -29,7 +29,7 @@ from ..interp import values as V
 from ..interp.values import np_trapz
 from ..mpi import comm as mpi_ops
 from ..mpi.fused import fold_ranks
-from .distribution import rank_axis
+from .distribution import get_geometry, rank_axis
 from .matrix import DMatrix, FusedDMatrix, RValue
 
 
@@ -43,47 +43,53 @@ def _partials(runs: list[np.ndarray], local_fn, identity) -> np.ndarray:
         for run in runs])
 
 
-def _vector_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
+def _rank_partials(mat: DMatrix, local_fn, identity):
+    """``local_fn`` over what each rank holds of ``mat`` — a vector's
+    elements, a matrix's rows, column by column; a rank that holds
+    nothing contributes ``identity``.  One rank's arm answers its own
+    partial (a Python number for a vector), the fused arm every rank's,
+    rank axis first."""
     if isinstance(mat, FusedDMatrix):
-        parts = _partials(mat.stacked(), local_fn, identity)
-        rt.comm.overhead()
-        rt.comm.compute_ranks(elems=mat.load)
-        rt.comm.charge_reduce(parts.itemsize)
-        total = fold_ranks(combine_op, parts)
-    else:
-        part = local_fn(mat.local) if mat.local.size else identity
-        rt.comm.overhead()
-        rt.comm.compute(elems=mat.load)
-        if np.iscomplexobj(mat.local):
-            part = complex(part)
-        else:
-            part = float(part)
-        total = rt.comm.allreduce(part, op=combine_op)
-    # a Python number either way; V.simplify's canonical scalar form
+        return _partials(mat.stacked(), local_fn, identity)
+    local = mat.local
+    part = local_fn(local) if local.size else np.full(
+        local.shape[1:], identity,
+        dtype=complex if np.iscomplexobj(local) else float)
+    return part if part.ndim else part.item()
+
+
+def _allreduce(rt, parts, combine_op):
+    """:func:`_rank_partials`' result, combined over the ranks in rank
+    order (the allreduce of one rank's, the fold of all ranks')."""
+    if rt.fused:
+        rt.comm.charge_reduce(parts[0].nbytes)
+        return fold_ranks(combine_op, parts)
+    return rt.comm.allreduce(parts, op=combine_op)
+
+
+def _replicated_scalar(total):
+    """A reduction's result as V.simplify's canonical scalar: a Python
+    number, complex only with an imaginary part."""
     if isinstance(total, complex):
         return total if total.imag != 0 else total.real
     return float(total)
 
 
+def _reduced(rt, mat: DMatrix, local_fn, combine_op, identity):
+    """``mat`` reduced over everything the ranks hold, replicated: one
+    library call, a pass over the local elements, one allreduce of the
+    partials — a vector's total (a Python number) or, column by column,
+    a matrix's (a ``cols``-long array)."""
+    parts = _rank_partials(mat, local_fn, identity)
+    rt.comm.overhead()
+    rt.comm.compute_own(elems=mat.load)
+    return _allreduce(rt, parts, combine_op)
+
+
 def _column_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
-    """Column-wise partials + allreduce; returns a distributed row vector."""
-    if isinstance(mat, FusedDMatrix):
-        parts = _partials(mat.stacked(), local_fn, identity)
-        rt.comm.overhead()
-        rt.comm.compute_ranks(elems=mat.load)
-        rt.comm.charge_reduce(parts[0].nbytes)
-        total = fold_ranks(combine_op, parts)
-    else:
-        if mat.local.size:
-            part = local_fn(mat.local, axis=0)
-        else:
-            part = np.full(mat.cols, identity,
-                           dtype=complex if np.iscomplexobj(mat.local)
-                           else float)
-        rt.comm.overhead()
-        rt.comm.compute(elems=mat.load)
-        total = rt.comm.allreduce(np.asarray(part), op=combine_op)
-    result = np.asarray(total).reshape(1, -1)
+    """The column totals as a distributed row vector."""
+    result = np.asarray(_reduced(rt, mat, local_fn, combine_op,
+                                 identity)).reshape(1, -1)
     return rt.distribute_full(result) if result.size > 1 else V.simplify(result)
 
 
@@ -131,7 +137,8 @@ def reduce_op(rt, name: str, value: RValue,
         if (dim == 1 and rows == 1) or (dim == 2 and cols == 1):
             rt.comm.overhead()
             return value  # reducing a singleton dimension is the identity
-        return _vector_reduce(rt, value, local_fn, combine, identity)
+        return _replicated_scalar(
+            _reduced(rt, value, local_fn, combine, identity))
     return _column_reduce(rt, value, local_fn, combine, identity)
 
 
@@ -148,6 +155,53 @@ def _row_reduce(rt, mat: DMatrix, local_fn):
     rt.comm.overhead()
     rt.comm.compute_own(elems=mat.load)
     return mat.like(part, shape=(mat.rows, 1))
+
+
+def reduce2(rt, name: str, value: RValue) -> RValue:
+    """``name(name(A))``, the reduction of a whole matrix, as one call
+    (pass 6's ``reduce2``): column partials and ONE allreduce of the
+    partial row; what the second call would have computed with a second,
+    scalar allreduce — the row cut into the pieces its distribution
+    gives the ranks, each piece reduced as its rank reduces it, the
+    pieces folded in rank order — every rank then computes on its own
+    copy of the row, so the value is the two calls' by construction.
+    ``all``/``any`` test the operand against zero first (the second
+    test, of a row of zeros and ones, changes nothing).  A vector or a
+    scalar is finished by one reduction: it takes the two calls."""
+    if not isinstance(value, DMatrix) or value.is_vector:
+        return rt.call_builtin(name, [rt.call_builtin(name, [value])])
+    if name in _TESTS:
+        name, value = _TESTS[name], _nonzero(rt, value)
+    local_fn, combine, identity = _REDUCERS[name]
+    row = np.asarray(_reduced(rt, value, local_fn, combine, identity))
+    pieces = get_geometry(1, row.size, rt.size, rt.scheme).stacked(row)
+    rt.comm.compute(elems=row.size)
+    return _replicated_scalar(fold_ranks(
+        combine, _partials(pieces, local_fn, identity)))
+
+
+def reduce_batch(rt, name: str, values: list) -> tuple:
+    """``name(v)`` of every vector in ``values`` (pass 6's
+    ``batch_reduce``; ``sum``/``mean``/``max``/``min``/``prod``) with
+    one allreduce: one partial per vector, combined component-wise — each
+    component folds in rank order exactly as its own allreduce would.
+    Anything but distributed real vectors takes the separate calls."""
+    if not all(isinstance(v, DMatrix) and v.is_vector
+               and v.dtype.kind == "f" for v in values):
+        return tuple([rt.call_builtin(name, [v]) for v in values])
+    local_fn, combine, identity = _REDUCERS["sum" if name == "mean"
+                                            else name]
+    # (vectors,) from one rank, (ranks, vectors) from all of them
+    parts = np.array([_rank_partials(v, local_fn, identity)
+                      for v in values]).T
+    rt.comm.overhead()
+    for v in values:
+        rt.comm.compute_own(elems=v.load)
+    totals = _allreduce(rt, parts, combine).tolist()
+    if name == "mean":
+        totals = [V.simplify(np.asarray(total) / v.numel)
+                  for total, v in zip(totals, values)]
+    return tuple(totals)
 
 
 def mean(rt, value: RValue, dim: int | None = None) -> RValue:
@@ -274,15 +328,18 @@ def find(rt, value: RValue) -> RValue:
     return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
 
 
-def all_any(rt, name: str, value: RValue) -> RValue:
-    mapped = rt.ew(lambda x: (x != 0).astype(float), 1, value) \
+#: the truth reductions: the reduction of the operand's nonzero test
+_TESTS = {"all": "min", "any": "max"}
+
+
+def _nonzero(rt, value: RValue) -> RValue:
+    return rt.ew(lambda x: (x != 0).astype(float), 1, value) \
         if isinstance(value, DMatrix) else \
         V.simplify((V.as_matrix(value) != 0).astype(float))
-    if name == "all":
-        reduced = reduce_op(rt, "min", mapped)
-    else:
-        reduced = reduce_op(rt, "max", mapped)
-    return reduced
+
+
+def all_any(rt, name: str, value: RValue) -> RValue:
+    return reduce_op(rt, _TESTS[name], _nonzero(rt, value))
 
 
 def minmax_with_index(rt, name: str, value: RValue) -> tuple:

@@ -53,6 +53,11 @@ def _shift_amounts(rt, shift: RValue) -> tuple[int, int | None]:
         if shift != int(shift):
             raise MatlabRuntimeError("circshift: expected an integer")
         return int(shift), None
+    if shift.__class__ is tuple:
+        # an immediate: a constant ``[rows cols]`` pass 6 checked (two
+        # whole numbers) and passed by value — nothing to gather
+        kr, kc = [int(v) for row in shift for v in row]
+        return kr, kc
     if isinstance(shift, DMatrix):
         shift = rt.gather_full(shift)
     arr = V.as_matrix(shift)

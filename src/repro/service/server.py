@@ -297,9 +297,7 @@ class ServiceServer:
             "key": outcome.key, "cached": outcome.hit,
             "tier": outcome.tier,
             "passes": [[name, seconds] for name, seconds in outcome.passes],
-            "peephole": {"transpose_fused":
-                         program.peephole_stats.transpose_fused,
-                         "cse_removed": program.peephole_stats.cse_removed},
+            "peephole": dict(program.peephole_stats.counts),
             "licm_hoisted": program.licm_stats.hoisted,
         }, outcome, plan
 

@@ -97,7 +97,7 @@ def write_chrome_trace(trace: WorldTrace, path: str,
 
 
 def pass_report(pass_timings: list[tuple[str, float]],
-                tune=None, native=None, cache=None) -> str:
+                tune=None, native=None, cache=None, rewrites=None) -> str:
     """Compiler-pass timing table (host seconds; advisory).
 
     ``tune`` is an optional :class:`repro.tuning.TuneResult`; when given,
@@ -113,7 +113,11 @@ def pass_report(pass_timings: list[tuple[str, float]],
     ``cache`` is an optional compile-cache outcome description (see
     :meth:`repro.service.cache.CacheOutcome.describe`); on a warm hit
     the pass table below it is empty — the zero-recompile criterion of
-    docs/SERVICE.md, made visible."""
+    docs/SERVICE.md, made visible.
+
+    ``rewrites`` is the program's :class:`repro.ir.peephole.PeepholeStats`:
+    which pass-6 rewrites fired, and how often (a cached program carries
+    them, so the line survives an empty pass table)."""
     total = sum(seconds for _name, seconds in pass_timings) or 1e-30
     out = []
     if cache is not None:
@@ -125,6 +129,8 @@ def pass_report(pass_timings: list[tuple[str, float]],
                    f"{100.0 * seconds / total:5.1f}%")
     out.append("-" * 31)
     out.append(f"{'total':<12s} {total * 1e3:10.3f} {100.0:5.1f}%")
+    if rewrites is not None:
+        out.append(f"pass 6 rewrites: {rewrites.summary()}")
     if native is not None:
         out.append("")
         out.append(f"native kernel tier (mode {native.get('mode', 'auto')})")

@@ -18,8 +18,10 @@ Knob reference:
     operand; the runtime realigns mixed-scheme operands (at an honest
     allgather cost) so every plan is *correct*, merely not always fast.
 ``fusion``
-    Peephole rewrite schedule for pass 6, an ordered subset of
-    ``("transpose_matmul", "cse")``.  Empty tuple disables pass 6.
+    Peephole rewrite schedule for pass 6, an ordered subset of the
+    names in :data:`repro.ir.peephole.REWRITES`
+    (:data:`FUSION_REWRITES`; each is described there).  Empty tuple
+    disables pass 6.
 ``licm``
     Pass 6b policy: ``off`` | ``safe`` (only always-safe ops) |
     ``aggressive`` (speculative hoisting, the shipped default).
@@ -53,8 +55,11 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from ..ir.peephole import DEFAULT_SCHEDULE, REWRITES, check_schedule
+
 SCHEMES = ("block", "cyclic")
-FUSION_REWRITES = ("transpose_matmul", "cse")
+#: every pass-6 rewrite, by registry name (the ``fusion`` axis' values)
+FUSION_REWRITES = tuple(REWRITES)
 LICM_POLICIES = ("off", "safe", "aggressive")
 GUARD_PLACEMENTS = ("owner", "replicated")
 GATHER_ALGOS = ("ring", "doubling")
@@ -72,7 +77,7 @@ class Plan:
 
     scheme: str = "block"
     dist: tuple[tuple[str, str], ...] = ()
-    fusion: tuple[str, ...] = FUSION_REWRITES
+    fusion: tuple[str, ...] = DEFAULT_SCHEDULE
     licm: str = "aggressive"
     guard: str = "owner"
     ew_split: bool = False
@@ -91,15 +96,7 @@ class Plan:
             if scheme not in SCHEMES:
                 raise ValueError(f"dist[{name!r}] must be one of {SCHEMES} "
                                  f"(got {scheme!r})")
-        object.__setattr__(self, "fusion", tuple(self.fusion))
-        seen = set()
-        for rewrite in self.fusion:
-            if rewrite not in FUSION_REWRITES:
-                raise ValueError(f"unknown fusion rewrite {rewrite!r}; "
-                                 f"choose from {FUSION_REWRITES}")
-            if rewrite in seen:
-                raise ValueError(f"duplicate fusion rewrite {rewrite!r}")
-            seen.add(rewrite)
+        object.__setattr__(self, "fusion", check_schedule(self.fusion))
         if self.licm not in LICM_POLICIES:
             raise ValueError(f"licm must be one of {LICM_POLICIES} "
                              f"(got {self.licm!r})")

@@ -5,9 +5,9 @@ The raw space is the cross product of every knob on
 mostly no-ops for any given program.  The enumerator prunes with two
 sources of evidence:
 
-* **compile-time stats** from the default-plan compilation: a program
-  with zero transpose fusions has nothing to gain (or lose) from
-  reordering the peephole schedule; a program with zero hoists doesn't
+* **compile-time stats** from the default-plan compilation: a pass-6
+  rewrite that never fired has nothing to gain (or lose) from being
+  dropped from the peephole schedule; a program with zero hoists doesn't
   need the LICM axis; a program with no guarded stores doesn't need the
   guard axis.
 * **a probe run** (the default plan on the fused backend): collective
@@ -26,6 +26,7 @@ deviations, truncated at the caller's budget.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from typing import Iterable, Optional
 
@@ -42,7 +43,8 @@ from ..ir.nodes import (
     Var,
     ew_operands,
 )
-from .plan import DEFAULT_PLAN, Plan
+from ..ir.peephole import peephole_program
+from .plan import DEFAULT_PLAN, FUSION_REWRITES, Plan
 
 #: per-class distribution flips explored (largest classes first)
 MAX_DIST_CLASSES = 3
@@ -179,14 +181,19 @@ def plan_axes(program, probe_counts: Optional[dict] = None,
 
     axes: dict[str, list[dict]] = {}
 
-    stats = program.peephole_stats
-    fusion: list[dict] = []
-    if stats.transpose_fused > 0:
-        fusion.append({"fusion": ("cse",)})          # drop the fuse rewrite
-    if stats.cse_removed > 0:
-        fusion.append({"fusion": ("transpose_matmul",)})  # drop CSE
-    if stats.transpose_fused > 0 or stats.cse_removed > 0:
-        fusion.append({"fusion": ()})                # pass 6 off entirely
+    # pass 6: the schedule without each rewrite that fired, the schedule
+    # with each rewrite the default leaves out (where it would fire on
+    # what the default's rewrites left), and the pass off entirely
+    schedule = DEFAULT_PLAN.fusion
+    fired = program.peephole_stats.fired()
+    fusion = [{"fusion": tuple(r for r in schedule if r != name)}
+              for name in fired]
+    fusion += [{"fusion": (*schedule, name)}
+               for name in FUSION_REWRITES if name not in schedule
+               and peephole_program(copy.deepcopy(ir),
+                                    schedule=(name,)).counts[name]]
+    if fired:
+        fusion.append({"fusion": ()})
     if fusion:
         axes["fusion"] = fusion
 

@@ -2,6 +2,7 @@
 examples from Section 3."""
 
 from repro.compiler import compile_source
+from repro.tuning import FUSION_REWRITES, Plan
 
 
 def c_of(src, **kw):
@@ -121,6 +122,39 @@ class TestStructure:
     def test_deterministic_output(self):
         src = "a = ones(3, 3);\nb = a * a;\nc = sum(sum(b));"
         assert c_of(src) == c_of(src)
+
+
+class TestPassSixCalls:
+    """The listing shows pass 6's collective-removing rewrites."""
+
+    def test_constant_shift_is_a_static_initialiser(self):
+        c = c_of("A = rand(4, 4);\nsh = [-1, 0];\n"
+                 "B = circshift(A, sh);\nC = circshift(A, [0; 2]);\n"
+                 "D = circshift(A, 1);")
+        assert "static const int ML_imm1[1][2] = {{-1, 0}};" in c
+        assert "ML_circshift_const(A, &ML_imm1[0][0], &B);" in c
+        assert "static const int ML_imm1[2][1] = {{0}, {2}};" in c
+        assert "ML_circshift_const(A, &ML_imm1[0][0], &C);" in c
+        # a scalar shift was never a matrix
+        assert "ML_circshift(A, 1, &D);" in c
+        # sh is still built (it is a workspace variable); the inline
+        # literal's temporary is gone
+        assert c.count("ML_literal(") == 1
+
+    def test_nested_reduction_names_its_op(self):
+        c = c_of("A = rand(4, 4);\ns = sum(sum(A));\n"
+                 "e = all(all(A > 0));")
+        assert "ML_reduce2(ML_OP_SUM, A, &s);" in c
+        assert "ML_reduce2(ML_OP_ALL, ML_tmp" in c
+        assert "ML_sum(" not in c and "ML_all(" not in c
+
+    def test_batched_reductions_are_one_variadic_call(self):
+        c = c_of("x = rand(9, 1); y = rand(9, 1); z = rand(9, 1);\n"
+                 "a = mean(x);\nb = mean(y);\nc = mean(z);",
+                 plan=Plan(fusion=FUSION_REWRITES))
+        assert "ML_reduce_batch(ML_OP_MEAN, 3, x, y, z, &a, &b, &c);" in c
+        assert "ML_mean(" not in c
+        assert "double a = 0.0;" in c and "double c = 0.0;" in c
 
 
 class TestExpressionsAreDoubles:

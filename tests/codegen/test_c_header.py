@@ -8,6 +8,7 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.frontend.mfile import DictProvider
+from repro.tuning import FUSION_REWRITES, Plan
 
 HEADER_PATH = os.path.join(os.path.dirname(__import__(
     "repro.codegen", fromlist=["codegen"]).__file__), "otter_runtime.h")
@@ -36,6 +37,13 @@ CORPUS = [
     "m = 2; switch m\ncase 1\n x = 1;\notherwise\n x = 0;\nend",
     "t = 0; for col = rand(3, 3)\n t = t + sum(col);\nend",
     "A = rand(6, 4); B = rand(6, 3); C = A' * B;",
+    "A = rand(6, 4); B = circshift(A, [1, 0]); s = sum(sum(B));",
+]
+
+#: a plan that runs every pass-6 rewrite, for the calls the default
+#: plan's schedule never prints
+FULL_CORPUS = [
+    "x = rand(6, 1); y = rand(6, 1); a = max(x); b = max(y);",
 ]
 
 MFILE_CORPUS = [
@@ -48,13 +56,16 @@ def emitted_ml_identifiers():
     for src in CORPUS:
         c = compile_source(src).c_source
         names.update(re.findall(r"\bML_[A-Za-z_0-9]+\b", c))
+    for src in FULL_CORPUS:
+        c = compile_source(src, plan=Plan(fusion=FUSION_REWRITES)).c_source
+        names.update(re.findall(r"\bML_[A-Za-z_0-9]+\b", c))
     for src, mfiles in MFILE_CORPUS:
         c = compile_source(src, provider=DictProvider(mfiles)).c_source
         names.update(re.findall(r"\bML_[A-Za-z_0-9]+\b", c))
-    # drop generated loop counters and temporaries
-    # drop generated locals: temporaries, loop counters, out-params
+    # drop generated locals: temporaries, loop counters, immediates,
+    # out-params
     return {n for n in names
-            if not re.match(r"ML_(tmp|i)\d+$", n)
+            if not re.match(r"ML_(tmp|i|imm)\d+$", n)
             and not n.startswith("ML_out_")}
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.compiler import compile_source
+from repro.tuning import FUSION_REWRITES, Plan
 
 
 def py_of(src, **kw):
@@ -94,6 +95,47 @@ class TestShape:
     def test_deterministic(self):
         src = "a = rand(5, 5);\nb = a' * a;\ns = sum(sum(b));"
         assert py_of(src) == py_of(src)
+
+
+class TestPassSixCalls:
+    """The forms pass 6's collective-removing rewrites are printed in."""
+
+    FULL = Plan(fusion=FUSION_REWRITES)
+
+    def test_constant_shift_is_passed_as_a_tuple(self):
+        py = py_of("A = rand(4, 4);\nsh = [-1, 0];\n"
+                   "B = circshift(A, sh);\nC = circshift(A, [0, 2]);")
+        assert "v_B = rt.call_builtin('circshift', " \
+            "[v_A, ((-1.0, 0.0),)], 1)" in py
+        assert "v_C = rt.call_builtin('circshift', " \
+            "[v_A, ((0.0, 2.0),)], 1)" in py
+        # sh stays a workspace variable; the inline literal is gone
+        assert py.count("rt.from_literal(") == 1
+        assert "'sh': v_sh" in py
+
+    def test_column_shift_keeps_its_shape(self):
+        py = py_of("A = rand(4, 4);\nB = circshift(A, [1; -1]);")
+        assert "[v_A, ((1.0,), (-1.0,))]" in py
+
+    def test_nested_reduction_is_one_runtime_call(self):
+        py = py_of("A = rand(4, 4);\nt = max(max(abs(A)));")
+        assert "v_t = rt.reduce2('max', ML_tmp2)" in py
+        assert "call_builtin('max'" not in py
+
+    def test_batched_reductions_unpack_one_call(self):
+        py = py_of("x = rand(9, 1); y = rand(9, 1);\n"
+                   "a = mean(x);\nb = mean(y);", plan=self.FULL)
+        assert "_r = rt.reduce_batch('mean', [v_x, v_y])" in py
+        assert "v_a = _r[0]" in py and "v_b = _r[1]" in py
+        assert "call_builtin('mean'" not in py
+
+    def test_the_old_schedule_prints_the_old_calls(self):
+        py = py_of("A = rand(4, 4);\nB = circshift(A, [0, 2]);\n"
+                   "t = sum(sum(A));",
+                   plan=Plan(fusion=("transpose_matmul", "cse")))
+        assert "rt.call_builtin('circshift', [v_A, ML_tmp2], 1)" in py
+        assert py.count("call_builtin('sum'") == 2
+        assert "reduce2" not in py
 
 
 class TestGeneratedSemantics:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.infer import infer_types
 from repro.analysis.resolve import resolve_program
+from repro.frontend.mfile import DictProvider
 from repro.frontend.parser import parse_script
 from repro.ir.guard import guard_program
 from repro.ir.lower import lower_program
@@ -19,15 +20,15 @@ from repro.ir.nodes import (
     SetElement,
     ew_op_count,
 )
-from repro.ir.peephole import peephole_program
+from repro.ir.peephole import DEFAULT_SCHEDULE, REWRITES, peephole_program
 
 
-def lower(src, guard=True, peephole=False):
-    prog = resolve_program(parse_script(src))
+def lower(src, guard=True, peephole=False, schedule=None, mfiles=None):
+    prog = resolve_program(parse_script(src), DictProvider(mfiles or {}))
     ir = lower_program(prog, infer_types(prog))
     if guard:
         guard_program(ir)
-    stats = peephole_program(ir, enabled=peephole)
+    stats = peephole_program(ir, enabled=peephole, schedule=schedule)
     return ir, stats
 
 
@@ -249,6 +250,214 @@ Ap = A * p;
 alpha = rsold / (p' * Ap);
 """, peephole=True)
         assert stats.transpose_fused == 2
+
+
+def rewritten(src, name, **kwargs):
+    """``src`` through the one rewrite ``name``: how often it fired and
+    the run-time ops left."""
+    ir, stats = lower(src, peephole=True, schedule=(name,), **kwargs)
+    assert set(stats.fired()) <= {name}
+    return stats.counts[name], rt_ops(ir), ir
+
+
+class TestRegistry:
+    def test_default_schedule_is_the_registry_minus_what_bends_a_figure(self):
+        assert tuple(REWRITES) == ("transpose_matmul", "cse", "const_args",
+                                   "reduce2", "batch_reduce")
+        assert DEFAULT_SCHEDULE == tuple(REWRITES)[:4]
+
+    def test_stats_count_by_name_and_keep_the_old_views(self):
+        _, stats = lower("r = ones(8, 1);\ns = r' * r;\nt = sum(sum(r * r'));",
+                         peephole=True)
+        assert stats.counts == {"transpose_matmul": 1, "cse": 0,
+                                "const_args": 0, "reduce2": 1,
+                                "batch_reduce": 0}
+        assert stats.fired() == {"transpose_matmul": 1, "reduce2": 1}
+        assert (stats.transpose_fused, stats.cse_removed) == (1, 0)
+        assert stats.summary() == "1 transpose_matmul, 1 reduce2"
+
+    def test_unknown_and_repeated_names_are_refused(self):
+        ir, _ = lower("x = 1;")
+        with pytest.raises(ValueError, match="unknown fusion rewrite 'cze'"):
+            peephole_program(ir, schedule=("cze",))
+        with pytest.raises(ValueError, match="duplicate fusion rewrite"):
+            peephole_program(ir, schedule=("cse", "cse"))
+
+    def test_schedule_order_decides_between_rewrites_of_one_op(self):
+        src = "x = ones(9, 1); y = ones(9, 1);\na = sum(x);\nb = sum(y);"
+        for schedule in (("reduce2", "batch_reduce"),
+                         ("batch_reduce", "reduce2")):
+            _, stats = lower(src, peephole=True, schedule=schedule)
+            assert stats.fired() == {"batch_reduce": 1}
+
+
+SHIFT = "A = rand(6, 6);\n{setup}\nB = circshift(A, {shift});"
+
+
+class TestConstArgs:
+    def immediates(self, src, **kwargs):
+        fired, _ops, ir = rewritten(src, "const_args", **kwargs)
+        calls = [s for s in flat(ir.body) + [
+            s for f in ir.functions.values() for s in flat(f.body)]
+            if isinstance(s, RTCall) and s.op == "builtin:circshift"]
+        shifts = [[[cell.value.real for cell in row] for row in c.args[1]]
+                  if isinstance(c.args[1], list) else None for c in calls]
+        return fired, shifts, ir
+
+    def test_constant_variable_becomes_an_immediate_and_stays_defined(self):
+        fired, shifts, ir = self.immediates(
+            SHIFT.format(setup="sh = [-1, 0];", shift="sh"))
+        assert (fired, shifts) == (1, [[[-1.0, 0.0]]])
+        # sh is still a workspace variable: its literal is not dead
+        assert rt_ops(ir).count("literal") == 1
+
+    def test_inline_literal_loses_its_temporary(self):
+        fired, shifts, ir = self.immediates(
+            SHIFT.format(setup="", shift="[0, 2]"))
+        assert (fired, shifts) == (1, [[[0.0, 2.0]]])
+        assert "literal" not in rt_ops(ir)
+
+    def test_column_literal_and_folded_elements_are_constants_too(self):
+        fired, shifts, _ = self.immediates(
+            SHIFT.format(setup="k = 3; sh = [k - 1; -k];", shift="sh"))
+        assert (fired, shifts) == (1, [[[2.0], [-3.0]]])
+
+    @pytest.mark.parametrize("setup, shift", [
+        ("k = numel(A) - 35; sh = [k, 0];", "sh"),      # unknown element
+        ("sh = [1, 0]; sh(1) = 2;", "sh"),              # indexed store
+        ("sh = [1, 0];\nif A(1) > 2\n sh = [2, 0];\nend", "sh"),
+        ("sh = [1, 0];\nfor i = 1:2\n sh = [sh(2), sh(1)];\nend", "sh"),
+        ("sh = [1, 0];\nfor i = 1:2\n A = A + 1;\n sh = [i, 0];\nend", "sh"),
+        ("k = 1;", "k"),                                # a scalar shift
+        ("", "[numel(A) - 35, 0]"),                     # inline, not constant
+        ("global sh\nsh = [1, 0];", "sh"),
+    ])
+    def test_whatever_is_not_one_literal_everywhere_stays_an_operand(
+            self, setup, shift):
+        fired, shifts, _ = self.immediates(
+            SHIFT.format(setup=setup, shift=shift))
+        assert (fired, shifts) == (0, [None])
+
+    @pytest.mark.parametrize("shift", ["[1, 2, 3]", "[0.5, 0]", "[1, 2i]",
+                                       "[1, inf]"])
+    def test_a_shift_the_run_time_refuses_is_left_for_it_to_refuse(
+            self, shift):
+        for setup, arg in (("", shift), (f"sh = {shift};", "sh")):
+            fired, shifts, _ = self.immediates(
+                SHIFT.format(setup=setup, shift=arg))
+            assert (fired, shifts) == (0, [None])
+
+    def test_same_literal_on_every_path_is_still_one_constant(self):
+        fired, shifts, _ = self.immediates(SHIFT.format(
+            setup="sh = [1, 0];\nif A(1) > 2\n sh = [1, 0];\nend",
+            shift="sh"))
+        assert (fired, shifts) == (1, [[[1.0, 0.0]]])
+
+    def test_function_parameter_is_not_a_constant(self):
+        fired, shifts, _ = self.immediates(
+            "A = rand(6, 6);\nB = roll(A, [1, 0]);\nC = roll(A, [1, 0]);",
+            mfiles={"roll": "function B = roll(A, sh)\n"
+                            "B = circshift(A, sh);"})
+        assert (fired, shifts) == (0, [None])
+
+    def test_constant_inside_a_function_is(self):
+        fired, shifts, _ = self.immediates(
+            "A = rand(6, 6);\nB = up(A);",
+            mfiles={"up": "function B = up(A)\nsh = [-1, 0];\n"
+                          "B = circshift(A, sh);"})
+        assert (fired, shifts) == (1, [[[-1.0, 0.0]]])
+
+
+class TestReduce2:
+    @pytest.mark.parametrize("op", ["sum", "prod", "max", "min", "any",
+                                    "all"])
+    def test_nested_reduction_is_one_call(self, op):
+        fired, ops, _ = rewritten(f"A = rand(5, 5);\nd = {op}({op}(A));",
+                                  "reduce2")
+        assert fired == 1
+        assert f"reduce2:{op}" in ops and f"builtin:{op}" not in ops
+
+    def test_the_operand_may_be_a_fused_loop(self):
+        fired, ops, _ = rewritten("f = rand(5, 5);\nm = max(max(abs(f)));",
+                                  "reduce2")
+        assert fired == 1 and ops.count("reduce2:max") == 1
+
+    @pytest.mark.parametrize("stmt", [
+        "d = sum(sum(A, 2));", "d = sum(sum(A), 2);",   # a dim argument
+        "d = mean(mean(A));",                           # not in the set
+        "d = max(max(A, B));", "d = max(max(A), 3);",   # elementwise max
+        "d = sum(max(A));", "d = max(sum(A));",         # mixed ops
+        "t = sum(A);\nd = sum(t);\ne = t + 1;",        # t read again
+        "t = sum(A);\nA = A + 1;\nd = sum(t);",        # not adjacent
+        "[m, i] = max(max(A));",                        # two outputs
+        "d = sum(A);",
+    ])
+    def test_anything_near_the_pattern_is_left_alone(self, stmt):
+        fired, ops, _ = rewritten(
+            f"A = rand(5, 5); B = rand(5, 5);\n{stmt}", "reduce2")
+        assert fired == 0 and not any(o.startswith("reduce2") for o in ops)
+
+    def test_ocean_lines_33_and_34_stay_a_trapz2_and_one_reduce2(self):
+        ir, stats = lower(
+            "f = rand(8, 8);\nimpulse = trapz2(f, 0.5, 0.25);\n"
+            "fmax = max(max(abs(f)));", peephole=True,
+            schedule=tuple(REWRITES))
+        assert stats.fired() == {"reduce2": 1}
+        assert rt_ops(ir)[-2:] == ["builtin:trapz2", "reduce2:max"]
+
+
+class TestBatchReduce:
+    def test_adjacent_independent_means_share_a_call(self):
+        fired, ops, ir = rewritten(
+            "x = rand(9, 1); y = rand(9, 1); z = rand(9, 1);\n"
+            "cx = mean(x);\ncy = mean(y);\ncz = mean(z);", "batch_reduce")
+        assert fired == 1 and ops.count("reduce_batch:mean") == 1
+        call = next(s for s in flat(ir.body)
+                    if isinstance(s, RTCall) and s.op == "reduce_batch:mean")
+        assert [repr(a) for a in call.args] == ["x", "y", "z"]
+        assert [repr(d) for d in (call.dest, *call.extra_dests)] \
+            == ["cx", "cy", "cz"]
+        assert call.nargout == 3 and call.line == 2
+
+    @pytest.mark.parametrize("op", ["sum", "mean", "max", "min", "prod"])
+    def test_every_op_of_the_set_batches(self, op):
+        fired, ops, _ = rewritten(
+            f"x = rand(9, 1); y = rand(1, 9);\na = {op}(x);\nb = {op}(y);",
+            "batch_reduce")
+        assert fired == 1 and f"builtin:{op}" not in ops
+
+    @pytest.mark.parametrize("body", [
+        "a = sum(x);\nb = sum(a * y);",         # b's operand needs a
+        "a = sum(x);\nb = mean(y);",            # two ops
+        "a = sum(x);\nc = x + 1;\nb = sum(y);",   # not adjacent
+        "a = sum(x);\nb = sum(y, 1);",          # a dim argument
+        "a = max(x);\n[b, i] = max(y);",        # two outputs
+        "a = max(x);\nb = max(x, y);",          # elementwise max
+        "a = any(x);\nb = any(y);",             # not in the set
+        "a = sum(M);\nb = sum(N);",             # column reductions
+        "a = sum(x);",
+    ])
+    def test_a_broken_run_is_left_alone(self, body):
+        fired, ops, _ = rewritten(
+            "x = rand(9, 1); y = rand(9, 1); M = rand(4, 4); N = rand(4, 4);"
+            f"\n{body}", "batch_reduce")
+        assert fired == 0 and not any(o.startswith("reduce_batch")
+                                      for o in ops)
+
+    def test_a_dependent_operand_ends_the_run_not_the_rewrite(self):
+        fired, ops, _ = rewritten(
+            "x = rand(9, 1); y = rand(9, 1);\n"
+            "a = sum(x);\nb = sum(y);\nc = sum(a * y);", "batch_reduce")
+        assert fired == 1
+        assert ops[-2:] == ["reduce_batch:sum", "builtin:sum"]
+
+    def test_rebinding_an_operand_of_the_run_is_not_a_dependence(self):
+        """``x = sum(y)`` after ``a = sum(x)`` reads nothing the run
+        wrote: every operand is evaluated before any result is bound."""
+        fired, _, ir = rewritten(
+            "x = rand(9, 1); y = rand(9, 1);\na = sum(x);\nx = sum(y);",
+            "batch_reduce")
+        assert fired == 1
 
 
 def test_pretty_ir_is_textual():

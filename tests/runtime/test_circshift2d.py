@@ -120,7 +120,8 @@ def test_shapes_at_the_edges(rows, cols, nprocs):
 # -- which path a call takes: its messages and collectives ------------------ #
 
 
-def call_cost(call, nprocs, scheme="block", rows=ROWS, cols=COLS):
+def call_cost(call, nprocs, scheme="block", rows=ROWS, cols=COLS,
+              **plan_fields):
     """(messages, bytes, collectives by kind) of one ``A = <call>``:
     a run with the statement minus a run without, same on both
     backends."""
@@ -128,10 +129,12 @@ def call_cost(call, nprocs, scheme="block", rows=ROWS, cols=COLS):
     for backend in BACKENDS:
         totals = []
         for statement in ("", f"A = {call};"):
+            plan = Plan(scheme=scheme, **plan_fields)
             result = compile_source(
-                f"rand('seed', 1); A = rand({rows}, {cols}); {statement}"
+                f"rand('seed', 1); A = rand({rows}, {cols}); {statement}",
+                plan=plan,
             ).run(nprocs=nprocs, machine=MEIKO_CS2, backend=backend,
-                  plan=Plan(scheme=scheme), native="off")
+                  plan=plan, native="off")
             assert result.spmd.backend == backend
             totals.append((result.spmd.messages_sent, result.spmd.bytes_sent,
                            Counter(result.spmd.collective_counts)))
@@ -143,9 +146,12 @@ def call_cost(call, nprocs, scheme="block", rows=ROWS, cols=COLS):
 
 
 ROW_BYTES = COLS * 8
-#: the 1x2 shift argument is a distributed vector: reading it is one
-#: (tiny) allgather of its own, whatever the operand's path
-ARGUMENT = {"allgather": 1}
+#: a constant 1x2 shift is an immediate (pass 6's ``const_args``):
+#: reading it costs nothing, whatever the operand's path
+ARGUMENT = {}
+#: ... and one the compiler cannot know is a distributed vector: reading
+#: it is one (tiny) allgather of its own
+GATHERED_ARGUMENT = {"allgather": 1}
 
 
 @pytest.mark.parametrize("kr", [1, -1, 2, SMALLEST, -SMALLEST,
@@ -164,7 +170,7 @@ def test_ring_sized_row_shift_never_gathers_the_matrix(kr):
                                 ROWS - SMALLEST - 1, ROWS + SMALLEST + 1])
 def test_larger_row_shift_is_one_alltoall(kr):
     assert call_cost(f"circshift(A, [{kr}, 0])", NPROCS) \
-        == (0, 0, {"allgather": 1, "alltoall": 1})
+        == (0, 0, {"alltoall": 1})
     assert call_cost(f"circshift(A, {kr})", NPROCS) \
         == (0, 0, {"alltoall": 1})
 
@@ -181,13 +187,23 @@ def test_gather_path_is_kept_for_cyclic_maps_and_empty_blocks():
     """What cannot do better: a cyclic map scatters every neighbourhood
     over all the ranks, and with fewer rows than ranks some blocks are
     empty (the smallest block, the ring's limit, is 0 rows)."""
-    gathered = (0, 0, {"allgather": 2})     # the argument + the matrix
+    gathered = (0, 0, {"allgather": 1})     # the matrix
     assert call_cost("circshift(A, [1, 0])", NPROCS, "cyclic") == gathered
     assert call_cost("circshift(A, [5, 0])", NPROCS, "cyclic") == gathered
     assert call_cost("circshift(A, [1, 0])", 16) == gathered    # 13 rows
     assert call_cost("circshift(A, 1)", 16) == (0, 0, {"allgather": 1})
     assert call_cost("circshift(A, [1, 0])", 16, rows=16) \
         == (16, 16 * ROW_BYTES, ARGUMENT)   # one row each still rings
+
+
+def test_only_a_shift_the_compiler_knows_is_free():
+    """``[k, 0]`` with a run-time ``k`` is still built, distributed and
+    gathered back; so is a constant one when ``const_args`` is off."""
+    ring = (NPROCS, NPROCS * ROW_BYTES)
+    assert call_cost("circshift(A, [numel(A) - 38, 0])", NPROCS) \
+        == (*ring, GATHERED_ARGUMENT)
+    assert call_cost("circshift(A, [1, 0])", NPROCS, fusion=()) \
+        == (*ring, GATHERED_ARGUMENT)
 
 
 def test_one_rank_has_no_wire_traffic():
@@ -213,8 +229,10 @@ def test_benchmark_image_filter_exchanges_boundary_rows_only():
     assert spmd.backend == "fused"
     assert spmd.messages_sent == 2 * 16 * 4 == 128
     assert spmd.bytes_sent == 128 * 256 * 8 == 262_144
-    # 32 fewer than when each row shift allgathered the image
-    assert spmd.collectives == 83
+    # 32 fewer than when each row shift allgathered the image, 64 fewer
+    # than when each of the 64 shifts allgathered its 1x2 argument, one
+    # fewer than when sum(sum(img)) was two calls
+    assert spmd.collectives == 18
     assert "alltoall" not in spmd.collective_counts
 
 

@@ -275,6 +275,8 @@ def test_disk_tier_rehydrates_across_cache_instances(tmp_path):
     assert warm.passes == []
     assert warm.program.from_cache
     assert warm.program.python_source == cold.program.python_source
+    assert warm.program.peephole_stats == cold.program.peephole_stats
+    assert warm.program.licm_stats == cold.program.licm_stats
     assert second.stats()["disk_hits"] == 1
 
     r_warm = warm.program.run(nprocs=4, machine=MEIKO_CS2, trace=True)

@@ -49,6 +49,29 @@ class TestCompile:
             assert "ML_init_runtime" in fh.read()
         assert "wrote" in capsys.readouterr().out
 
+    def test_report_names_every_rewrite_that_fired(self, tmp_path, capsys):
+        path = tmp_path / "rewrites.m"
+        path.write_text("A = rand(8, 8); r = rand(8, 1);\ns = r' * r;\n"
+                        "B = circshift(A, [1, 0]);\n"
+                        "C = circshift(B, [0, 1]);\nt = sum(sum(C));\n")
+        target = str(tmp_path / "out.py")
+        assert main(["compile", str(path), "--emit", "python",
+                     "-o", target]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {target} (pass 6: 1 transpose_matmul, 2 const_args, "
+            f"1 reduce2)\n")
+        assert main(["compile", str(path), "--no-peephole",
+                     "-o", target]) == 0
+        assert capsys.readouterr().out \
+            == f"wrote {target} (pass 6: no rewrites)\n"
+        # the same counts under the pass table of --trace-summary, also
+        # when the passes did not run (a cached program carries them)
+        for _ in range(2):
+            assert main(["run", str(path), "-n", "2",
+                         "--trace-summary"]) == 0
+            assert "\npass 6 rewrites: 1 transpose_matmul, 2 const_args, " \
+                "1 reduce2\n" in capsys.readouterr().err
+
     def test_compile_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.m"
         bad.write_text("x = [1, 2\n")

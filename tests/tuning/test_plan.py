@@ -12,7 +12,7 @@ from repro.compiler import (
 )
 from repro.mpi.machine import MEIKO_CS2
 from repro.runtime.distribution import configure_map_cache, map_cache_stats
-from repro.tuning import DEFAULT_PLAN, Plan
+from repro.tuning import DEFAULT_PLAN, FUSION_REWRITES, Plan
 
 LOOP_SRC = """\
 n = 24;
@@ -71,8 +71,11 @@ def test_plan_validation():
         Plan(licm="sometimes")
     with pytest.raises(ValueError):
         Plan(guard="nobody")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate fusion rewrite 'cse'"):
         Plan(fusion=("cse", "cse"))
+    with pytest.raises(ValueError, match="unknown fusion rewrite 'csee'; "
+                                         "choose from .*'batch_reduce'"):
+        Plan(fusion=("csee",))
     with pytest.raises(ValueError):
         Plan(gather_algo="quantum")
     with pytest.raises(ValueError):
@@ -148,6 +151,8 @@ def _workspace(plan, nprocs=4):
     Plan(ew_split=True),
     Plan(fusion=()),
     Plan(fusion=("cse",)),
+    Plan(fusion=FUSION_REWRITES),
+    Plan(fusion=tuple(reversed(FUSION_REWRITES))),
     Plan(scheme="cyclic"),
     Plan(gather_algo="doubling", allreduce_algo="halving"),
 ], ids=lambda p: p.summary())

@@ -301,6 +301,55 @@ def test_plan_axes_prune_on_probe_counts():
     assert "dist" not in axes and "gather_algo" not in axes
 
 
+FUSION_SRC = """\
+A = rand(12, 12); x = rand(12, 1); y = rand(12, 1);
+g = A' * x;
+B = circshift(A, [1, 0]);
+t = sum(sum(B));
+a = mean(x);
+b = mean(y);
+"""
+
+
+def test_fusion_axis_is_derived_from_the_rewrite_registry():
+    """For every rewrite that fired, the schedule without it; for every
+    rewrite the default leaves out, the schedule with it — if it would
+    fire; and pass 6 off."""
+    program = compile_source(FUSION_SRC)
+    assert program.peephole_stats.fired() == {
+        "transpose_matmul": 1, "const_args": 1, "reduce2": 1}
+    default = DEFAULT_PLAN.fusion
+    assert plan_axes(program, None, nprocs=1)["fusion"] == [
+        {"fusion": tuple(r for r in default if r != "transpose_matmul")},
+        {"fusion": tuple(r for r in default if r != "const_args")},
+        {"fusion": tuple(r for r in default if r != "reduce2")},
+        {"fusion": (*default, "batch_reduce")},
+        {"fusion": ()},
+    ]
+    # nothing fires, nothing would: no axis
+    assert "fusion" not in plan_axes(compile_source("x = 1 + 2;"), None,
+                                     nprocs=1)
+    # only a rewrite outside the default would: that one candidate
+    lone = compile_source("x = rand(9, 1); y = rand(9, 1);\n"
+                          "a = max(x);\nb = max(y);")
+    assert plan_axes(lone, None, nprocs=1)["fusion"] == [
+        {"fusion": (*default, "batch_reduce")}]
+    # ... and probing for it left the program's IR alone
+    assert "reduce_batch" not in lone.ir_dump()
+
+
+def test_search_finds_the_rewrite_the_default_plan_leaves_out():
+    """Three adjacent means (nbody's lines 17-19): two of the three
+    allreduces go, and the tuner says so."""
+    src = ("n = 400; x = rand(n, 1); y = rand(n, 1); z = rand(n, 1);\n"
+           "for s = 1:4\n cx = mean(x);\n cy = mean(y);\n cz = mean(z);\n"
+           " x = x + cx; y = y + cy; z = z + cz;\nend\n")
+    result = tune_program(src, nprocs=16, budget=16)
+    assert "batch_reduce" in result.best.plan.fusion
+    assert result.best.valid and result.improvement > 0.3
+    assert "batch_reduce" in result.report()
+
+
 def test_alignment_classes_group_interacting_names():
     program = compile_source(MATVEC_SRC)
     classes = alignment_classes(program.ir)
