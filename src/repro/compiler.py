@@ -145,6 +145,12 @@ class CompiledProgram:
         self.ensure_front_end()
         return pretty_ir(self.ir)
 
+    def rewrite_summary(self) -> str:
+        """What passes 6 and 6b did to the program, for the CLI reports:
+        ``"1 transpose_matmul, 1 cse; 6b hoisted 2"``."""
+        return (f"{self.peephole_stats.summary()}; "
+                f"6b hoisted {self.licm_stats.hoisted}")
+
     # ------------------------------------------------------------------ #
 
     def _load_module(self) -> _types.ModuleType:

@@ -19,12 +19,10 @@ from .nodes import (
     ColonSub,
     Const,
     IndexAssign,
-    IRFor,
-    IRIf,
     IRProgram,
-    IRWhile,
     SetElement,
     Var,
+    walk_blocks,
 )
 
 
@@ -43,31 +41,21 @@ class _UnitGuard:
             return vtype is not None and vtype.rank is Rank.SCALAR
         return self.temp_scalar.get(op, False)
 
-    def run(self, block: list) -> None:
-        for i, stmt in enumerate(block):
-            dest = getattr(stmt, "dest", None)
-            vtype = getattr(stmt, "vtype", None)
-            if dest is not None and vtype is not None:
-                self.temp_scalar[dest] = vtype.rank is Rank.SCALAR
-            if isinstance(stmt, IndexAssign):
-                subs_ok = (len(stmt.subs) in (1, 2)
-                           and all(self._is_scalar(s) for s in stmt.subs))
-                if subs_ok and self._is_scalar(stmt.rhs):
-                    guarded = SetElement(var=stmt.var, subs=stmt.subs,
-                                         rhs=stmt.rhs, guarded=True)
-                    guarded.line = stmt.line
-                    block[i] = guarded
-            elif isinstance(stmt, IRIf):
-                for cond_stmts, _cond, branch in stmt.branches:
-                    self.run(cond_stmts)
-                    self.run(branch)
-                self.run(stmt.orelse)
-            elif isinstance(stmt, IRFor):
-                self.run(stmt.iter_stmts)
-                self.run(stmt.body)
-            elif isinstance(stmt, IRWhile):
-                self.run(stmt.cond_stmts)
-                self.run(stmt.body)
+    def run(self, body: list) -> None:
+        for block in walk_blocks(body):
+            for i, stmt in enumerate(block):
+                if stmt.vtype is not None:
+                    scalar = stmt.vtype.rank is Rank.SCALAR
+                    for dest in stmt.defs():
+                        self.temp_scalar[dest] = scalar
+                elif stmt.__class__ is IndexAssign:
+                    subs_ok = (len(stmt.subs) in (1, 2)
+                               and all(self._is_scalar(s) for s in stmt.subs))
+                    if subs_ok and self._is_scalar(stmt.rhs):
+                        guarded = SetElement(var=stmt.var, subs=stmt.subs,
+                                             rhs=stmt.rhs, guarded=True)
+                        guarded.line = stmt.line
+                        block[i] = guarded
 
 
 #: recognized guard placements (an autotuner plan knob)
@@ -88,7 +76,6 @@ def guard_program(ir: IRProgram, placement: str = "owner") -> IRProgram:
                          f"choose from {PLACEMENTS}")
     if placement == "replicated":
         return ir
-    _UnitGuard(ir.var_types).run(ir.body)
-    for func in ir.functions.values():
-        _UnitGuard(func.var_types).run(func.body)
+    for unit in ir.units():
+        _UnitGuard(unit.var_types).run(unit.body)
     return ir

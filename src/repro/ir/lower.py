@@ -75,17 +75,8 @@ def _stamp_block(stmts: list[IRStmt], line: int) -> None:
     for s in stmts:
         if s.line == 0:
             s.line = line
-        if isinstance(s, IRIf):
-            for cond_stmts, _cond, branch in s.branches:
-                _stamp_block(cond_stmts, s.line)
-                _stamp_block(branch, s.line)
-            _stamp_block(s.orelse, s.line)
-        elif isinstance(s, IRFor):
-            _stamp_block(s.iter_stmts, s.line)
-            _stamp_block(s.body, s.line)
-        elif isinstance(s, IRWhile):
-            _stamp_block(s.cond_stmts, s.line)
-            _stamp_block(s.body, s.line)
+        for nested in s.blocks():
+            _stamp_block(nested, s.line)
 
 
 def _matrix_consts(ut: UnitTypes) -> dict[str, tuple]:
@@ -536,31 +527,9 @@ def lower_program(program: ResolvedProgram, types: ProgramTypes,
 
 
 def _max_temp_index(ir: IRProgram) -> int:
-    top = 0
-
-    def scan(op):
-        nonlocal top
-        if isinstance(op, Temp):
-            top = max(top, op.index)
-        elif isinstance(op, EwNode):
-            for arg in op.args:
-                scan(arg)
-        elif isinstance(op, list):
-            for item in op:
-                scan(item)
-
-    for block in ir.walk():
-        for stmt in block:
-            scan(getattr(stmt, "dest", None))
-            for extra in getattr(stmt, "extra_dests", []) or []:
-                scan(extra)
-            for dest in getattr(stmt, "dests", []) or []:
-                scan(dest)
-            scan(getattr(stmt, "expr", None))
-            for attr in ("args", "subs"):
-                scan(getattr(stmt, attr, None))
-            scan(getattr(stmt, "rhs", None))
-    return top
+    return max((op.index for block in ir.walk() for stmt in block
+                for op in (*stmt.defs(), *stmt.uses())
+                if op.__class__ is Temp), default=0)
 
 
 def _split_tree(node: EwExpr, counter: list[int], line: int,

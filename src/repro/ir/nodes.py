@@ -172,6 +172,26 @@ class IRStmt:
     #: A plain class attribute, not a dataclass field: a defaulted field
     #: here would force defaults onto every subclass's leading fields.
     line = 0
+    #: type of what the statement assigns (``None``: the kind carries none)
+    vtype = None
+
+    # What a pass may ask of any statement — the one answer per kind,
+    # overridden next to the fields it reads.  Each returns a sequence
+    # the caller must not mutate.
+
+    def defs(self):
+        """The operands this statement itself assigns (not its nested
+        blocks'), once per assignment."""
+        return ()
+
+    def uses(self):
+        """The operands this statement itself reads, constants and ``:``
+        subscripts included."""
+        return ()
+
+    def blocks(self):
+        """The statement lists nested under it, in execution order."""
+        return ()
 
 
 @dataclass
@@ -202,6 +222,22 @@ class RTCall(IRStmt):
             lhs = f"[{outs}] = "
         return f"{lhs}ML_{self.op}({self.args!r})"
 
+    def defs(self):
+        outs = (self.dest, *self.extra_dests)
+        return outs if self.dest is not None else outs[1:]
+
+    def uses(self):
+        flat = []
+        for arg in self.args:
+            if arg.__class__ is not list:
+                flat.append(arg)
+            elif arg and arg[0].__class__ is list:  # an immediate's rows
+                for row in arg:
+                    flat += row
+            else:                                   # a row of a literal
+                flat += arg
+        return flat
+
 
 @dataclass
 class Elementwise(IRStmt):
@@ -214,6 +250,12 @@ class Elementwise(IRStmt):
     def __repr__(self) -> str:
         return f"{self.dest!r} = ew {self.expr!r}"
 
+    def defs(self):
+        return (self.dest,)
+
+    def uses(self):
+        return ew_operands(self.expr)
+
 
 @dataclass
 class Copy(IRStmt):
@@ -223,6 +265,12 @@ class Copy(IRStmt):
 
     def __repr__(self) -> str:
         return f"{self.dest!r} = {self.src!r}"
+
+    def defs(self):
+        return (self.dest,)
+
+    def uses(self):
+        return (self.src,)
 
 
 @dataclass
@@ -238,6 +286,12 @@ class SetElement(IRStmt):
         subs = ", ".join(repr(s) for s in self.subs)
         return f"{self.var!r}({subs}) = {self.rhs!r} [guarded]"
 
+    def defs(self):
+        return (self.var,)
+
+    def uses(self):     # a store keeps the elements it does not write
+        return (*self.subs, self.rhs, self.var)
+
 
 @dataclass
 class IndexAssign(IRStmt):
@@ -250,6 +304,12 @@ class IndexAssign(IRStmt):
     def __repr__(self) -> str:
         subs = ", ".join(repr(s) for s in self.subs)
         return f"{self.var!r}({subs}) = {self.rhs!r}"
+
+    def defs(self):
+        return (self.var,)
+
+    def uses(self):     # a store keeps the elements it does not write
+        return (*self.subs, self.rhs, self.var)
 
 
 @dataclass
@@ -264,6 +324,12 @@ class CallUser(IRStmt):
         outs = ", ".join(repr(d) for d in self.dests)
         return f"[{outs}] = {self.func}({self.args!r})"
 
+    def defs(self):
+        return (*self.dests,)
+
+    def uses(self):
+        return (*self.args,)
+
 
 @dataclass
 class Display(IRStmt):
@@ -271,6 +337,9 @@ class Display(IRStmt):
 
     name: str
     value: Operand
+
+    def uses(self):
+        return (self.value,)
 
 
 @dataclass
@@ -281,6 +350,16 @@ class IRIf(IRStmt):
     branches: list[tuple[list[IRStmt], Operand, list[IRStmt]]] = \
         field(default_factory=list)
     orelse: list[IRStmt] = field(default_factory=list)
+
+    def uses(self):
+        return [cond for _stmts, cond, _branch in self.branches]
+
+    def blocks(self):
+        nested = []
+        for cond_stmts, _cond, branch in self.branches:
+            nested += (cond_stmts, branch)
+        nested.append(self.orelse)
+        return nested
 
 
 @dataclass
@@ -293,12 +372,29 @@ class IRFor(IRStmt):
     iter_operand: Optional[Operand] = None
     body: list[IRStmt] = field(default_factory=list)
 
+    def defs(self):
+        return (self.var,)
+
+    def uses(self):
+        if self.range_triple is not None:
+            return self.range_triple
+        return (self.iter_operand,)
+
+    def blocks(self):
+        return (self.iter_stmts, self.body)
+
 
 @dataclass
 class IRWhile(IRStmt):
     cond_stmts: list[IRStmt] = field(default_factory=list)
     cond: Operand = None  # type: ignore[assignment]
     body: list[IRStmt] = field(default_factory=list)
+
+    def uses(self):
+        return (self.cond,)
+
+    def blocks(self):
+        return (self.cond_stmts, self.body)
 
 
 @dataclass
@@ -328,23 +424,29 @@ class IRGlobal(IRStmt):
 
 def walk_blocks(body: list[IRStmt]):
     """Iterate every statement list of one unit: ``body`` and the blocks
-    nested in it (for passes)."""
+    nested in it, a block before the blocks under it (for passes)."""
     stack = [body]
     while stack:
         block = stack.pop()
         yield block
         for stmt in block:
-            if isinstance(stmt, IRIf):
-                for cond_stmts, _cond, branch in stmt.branches:
-                    stack.append(cond_stmts)
-                    stack.append(branch)
-                stack.append(stmt.orelse)
-            elif isinstance(stmt, IRFor):
-                stack.append(stmt.iter_stmts)
-                stack.append(stmt.body)
-            elif isinstance(stmt, IRWhile):
-                stack.append(stmt.cond_stmts)
-                stack.append(stmt.body)
+            nested = stmt.blocks()
+            if nested:
+                stack += nested
+
+
+def defs_under(body: list[IRStmt]) -> list[Operand]:
+    """Every operand assigned by a statement of ``body`` or of a block
+    nested in it, once per assignment."""
+    return [dest for block in walk_blocks(body) for stmt in block
+            for dest in stmt.defs()]
+
+
+def read_under(body: list[IRStmt], operand: Operand) -> bool:
+    """Does a statement of ``body``, or of a block nested in it, read
+    ``operand``?"""
+    return any(operand in stmt.uses()
+               for block in walk_blocks(body) for stmt in block)
 
 
 @dataclass

@@ -43,24 +43,15 @@ from typing import Callable, NamedTuple
 
 from ..analysis.lattice import Rank
 from .nodes import (
-    CallUser,
     Const,
     Copy,
-    Elementwise,
-    IndexAssign,
-    IRFor,
-    IRIf,
     IRProgram,
-    IRWhile,
     RTCall,
-    SetElement,
     Temp,
     Var,
-    ew_operands,
+    read_under,
     walk_blocks,
 )
-
-_CONTROL = (IRIf, IRFor, IRWhile)
 
 
 def _builtins(*names: str) -> tuple[str, ...]:
@@ -70,66 +61,6 @@ def _builtins(*names: str) -> tuple[str, ...]:
 # -------------------------------------------------------------------------- #
 # shared helpers
 # -------------------------------------------------------------------------- #
-
-
-def _operands_of(stmt) -> list:
-    if isinstance(stmt, RTCall):
-        flat = []
-        for arg in stmt.args:
-            if isinstance(arg, list):
-                for row in arg:
-                    flat.extend(row if isinstance(row, list) else [row])
-            else:
-                flat.append(arg)
-        return flat
-    if isinstance(stmt, Elementwise):
-        return ew_operands(stmt.expr)
-    if isinstance(stmt, Copy):
-        return [stmt.src]
-    if isinstance(stmt, (SetElement, IndexAssign)):
-        return [*stmt.subs, stmt.rhs, stmt.var]
-    return []
-
-
-def _uses_in_block(block: list, temp: Temp, start: int) -> int:
-    return _uses_anywhere(block[start:], temp)
-
-
-def _uses_anywhere(block: list, temp: Temp) -> int:
-    count = 0
-    for stmt in block:
-        count += sum(1 for op in _operands_of(stmt) if op == temp)
-        for nested in _nested_blocks(stmt):
-            count += _uses_anywhere(nested, temp)
-    return count
-
-
-def _nested_blocks(stmt):
-    if isinstance(stmt, IRIf):
-        for cond_stmts, _cond, branch in stmt.branches:
-            yield cond_stmts
-            yield branch
-        yield stmt.orelse
-    elif isinstance(stmt, IRFor):
-        yield stmt.iter_stmts
-        yield stmt.body
-    elif isinstance(stmt, IRWhile):
-        yield stmt.cond_stmts
-        yield stmt.body
-
-
-def _defined(stmt) -> tuple:
-    """The operands a straight-line statement assigns."""
-    kind = stmt.__class__
-    if kind is RTCall:
-        return (stmt.dest, *stmt.extra_dests)
-    if kind is Elementwise or kind is Copy:
-        return (stmt.dest,)
-    if kind is SetElement or kind is IndexAssign:
-        return (stmt.var,)
-    if kind is CallUser:
-        return tuple(stmt.dests)
-    return ()
 
 
 def _replace(block: list, start: int, count: int, call: RTCall,
@@ -157,7 +88,7 @@ def _fuse_transpose_matmul(block: list, i: int, unit) -> int:
             and second.__class__ is RTCall and second.op == "matmul"
             and second.args[0] == first.dest
             and second.args[1] != first.dest
-            and _uses_in_block(block, first.dest, i + 2) == 0):
+            and not read_under(block[i + 2:], first.dest)):
         return -1
     return _replace(block, i, 2, RTCall(
         dest=second.dest,
@@ -177,7 +108,7 @@ def _local_cse(block: list, i: int, unit) -> int:
     names = None
     for j in range(i - 1, -1, -1):
         prev = block[j]
-        if prev.__class__ in _CONTROL:
+        if prev.blocks():
             return -1
         if (prev.__class__ is RTCall and prev.op == stmt.op
                 and prev.dest.__class__ is Temp and prev.args == stmt.args):
@@ -187,7 +118,7 @@ def _local_cse(block: list, i: int, unit) -> int:
             return i + 1
         if names is None:
             names = {op.name for op in stmt.args if op.__class__ is Var}
-        for dest in _defined(prev):
+        for dest in prev.defs():
             if dest.__class__ is Var and dest.name in names:
                 return -1
     return -1
@@ -220,7 +151,7 @@ def _const_args(block: list, i: int, unit) -> int:
                 continue
             immediate = [[Const(complex(v)) for v in row] for row in rows]
         elif arg.__class__ is Temp and i and _is_literal(block[i - 1], arg) \
-                and _uses_in_block(block, arg, i + 1) == 0:
+                and not read_under(block[i + 1:], arg):
             # written in the call: pass 4 put the literal right before it
             immediate = block[i - 1].args
             inline = True
@@ -258,7 +189,7 @@ def _reduce2(block: list, i: int, unit) -> int:
     if not (first.dest.__class__ is Temp and _single(first)
             and _single(second) and second.op == first.op
             and second.args[0] == first.dest
-            and _uses_in_block(block, first.dest, i + 2) == 0):
+            and not read_under(block[i + 2:], first.dest)):
         return -1
     return _replace(block, i, 2, RTCall(
         dest=second.dest, op="reduce2:" + first.op[len("builtin:"):],

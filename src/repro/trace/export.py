@@ -115,9 +115,10 @@ def pass_report(pass_timings: list[tuple[str, float]],
     the pass table below it is empty — the zero-recompile criterion of
     docs/SERVICE.md, made visible.
 
-    ``rewrites`` is the program's :class:`repro.ir.peephole.PeepholeStats`:
-    which pass-6 rewrites fired, and how often (a cached program carries
-    them, so the line survives an empty pass table)."""
+    ``rewrites`` is the program's ``rewrite_summary()``: which pass-6
+    rewrites fired, how often, and how many statements pass 6b hoisted
+    (a cached program carries the counts, so the line survives an empty
+    pass table)."""
     total = sum(seconds for _name, seconds in pass_timings) or 1e-30
     out = []
     if cache is not None:
@@ -130,7 +131,7 @@ def pass_report(pass_timings: list[tuple[str, float]],
     out.append("-" * 31)
     out.append(f"{'total':<12s} {total * 1e3:10.3f} {100.0:5.1f}%")
     if rewrites is not None:
-        out.append(f"pass 6 rewrites: {rewrites.summary()}")
+        out.append(f"pass 6 rewrites: {rewrites}")
     if native is not None:
         out.append("")
         out.append(f"native kernel tier (mode {native.get('mode', 'auto')})")

@@ -32,16 +32,12 @@ from typing import Iterable, Optional
 
 from ..analysis.lattice import Rank
 from ..ir.nodes import (
-    CallUser,
-    Copy,
     Elementwise,
     EwNode,
     IndexAssign,
     IRProgram,
-    RTCall,
     SetElement,
     Var,
-    ew_operands,
 )
 from ..ir.peephole import peephole_program
 from .plan import DEFAULT_PLAN, FUSION_REWRITES, Plan
@@ -64,52 +60,14 @@ def _distributed_names(ir: IRProgram) -> set[str]:
     return names
 
 
-def _stmt_var_groups(stmt) -> Iterable[list[str]]:
-    """Name groups that one statement forces into the same class."""
-    group: list[str] = []
-    if isinstance(stmt, Elementwise):
-        if isinstance(stmt.dest, Var):
-            group.append(stmt.dest.name)
-        for op in ew_operands(stmt.expr):
-            if isinstance(op, Var):
-                group.append(op.name)
-    elif isinstance(stmt, Copy):
-        for op in (stmt.dest, stmt.src):
-            if isinstance(op, Var):
-                group.append(op.name)
-    elif isinstance(stmt, RTCall):
-        # conservative: a run-time call ties its (matrix) operands and
-        # destination together — coarser than strictly necessary, but a
-        # class that is too big only shrinks the search space, never
-        # produces an unsound plan
-        if isinstance(stmt.dest, Var):
-            group.append(stmt.dest.name)
-        for arg in stmt.args:
-            items = arg if isinstance(arg, list) else [arg]
-            for item in items:
-                subs = item if isinstance(item, list) else [item]
-                for sub in subs:
-                    if isinstance(sub, Var):
-                        group.append(sub.name)
-    elif isinstance(stmt, (SetElement, IndexAssign)):
-        group.append(stmt.var.name)
-        if isinstance(stmt.rhs, Var):
-            group.append(stmt.rhs.name)
-    elif isinstance(stmt, CallUser):
-        for d in stmt.dests:
-            if isinstance(d, Var):
-                group.append(d.name)
-        for a in stmt.args:
-            if isinstance(a, Var):
-                group.append(a.name)
-    if group:
-        yield group
-
-
 def alignment_classes(ir: IRProgram) -> list[tuple[str, ...]]:
     """Partition the distributed script variables into classes that must
     share a distribution scheme (union-find over statement co-occurrence).
-    Returned largest-first, names sorted within each class."""
+    Returned largest-first, names sorted within each class.
+
+    A statement ties what it assigns to everything it reads — coarser
+    than strictly necessary, but a class that is too big only shrinks
+    the search space, never produces an unsound plan."""
     dist = _distributed_names(ir)
     parent: dict[str, str] = {name: name for name in dist}
 
@@ -126,10 +84,10 @@ def alignment_classes(ir: IRProgram) -> list[tuple[str, ...]]:
 
     for block in ir.walk():
         for stmt in block:
-            for group in _stmt_var_groups(stmt):
-                members = [n for n in group if n in dist]
-                for other in members[1:]:
-                    union(members[0], other)
+            members = [op.name for op in (*stmt.defs(), *stmt.uses())
+                       if op.__class__ is Var and op.name in dist]
+            for other in members[1:]:
+                union(members[0], other)
     classes: dict[str, set[str]] = {}
     for name in dist:
         classes.setdefault(find(name), set()).add(name)

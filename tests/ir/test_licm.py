@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_source
+from repro.interp.interpreter import run_source
 from repro.ir.nodes import IRFor, IRWhile, RTCall
 from repro.tuning import Plan
 
@@ -168,3 +170,123 @@ end
         assert (with_licm.spmd.collective_counts.get("bcast", 0)
                 < without.spmd.collective_counts.get("bcast", 0))
         assert with_licm.elapsed < without.elapsed
+
+
+# ---------------------------------------------------------------------- #
+# the exactly-once rule: a name the loop assigns a second time (a store
+# into it, the loop variable), or assigns where a `break`/`continue` may
+# skip the assignment, is not invariant
+# ---------------------------------------------------------------------- #
+
+STORE_BODY = "x = zeros(1, 4); x(k) = k; disp(sum(x));"
+
+#: key -> (the name, the script, its M-files)
+REDEFINED = {
+    "scalar_store": ("x", f"for k = 1:3, {STORE_BODY} end", {}),
+    "store_into_transpose": (
+        "B", "A = eye(3); for k = 1:3, B = A'; B(k, 1) = 7; "
+        "disp(sum(sum(B))); end", {}),
+    "loop_variable": (
+        "k", "v = ones(1, 4); for k = 1:3, k = length(v); disp(k); end", {}),
+    "slice_store": (
+        "x", "for k = 1:3, x = zeros(1, 4); x(1:2) = k; disp(sum(x)); end",
+        {}),
+    "in_user_function": (
+        "x", "fill(3);",
+        {"fill": f"function fill(n)\nfor k = 1:3, {STORE_BODY} end\n"}),
+    "store_in_nested_block": (
+        "x", "for k = 1:3, x = zeros(1, 4); if k > 1, x(k) = k; end; "
+        "disp(sum(x)); end", {}),
+    "after_break": (
+        "x", "x = 5; for k = 1:3, if k == 1, break; end; x = zeros(1, 2); "
+        "end; disp(x)", {}),
+    "after_continue": (
+        "x", "x = 5; A = eye(2); for k = 1:3, if k < 5, continue; end; "
+        "x = A'; end; disp(x)", {}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REDEFINED))
+def test_redefined_name_stays_in_the_loop(key, run_interp):
+    from repro.frontend.mfile import DictProvider
+
+    name, source, mfiles = REDEFINED[key]
+    provider = DictProvider(mfiles)
+    program = compile_source(source, provider=provider)
+    loop = next(stmt for block in program.ir.walk() for stmt in block
+                if isinstance(stmt, IRFor))
+    assert any(dest.name == name
+               for stmt in loop.body for dest in stmt.defs())
+    expected = "".join(run_interp(source, provider=provider).output)
+    for backend in ("fused", "lockstep"):
+        for p in (1, 4):
+            assert program.run(nprocs=p, backend=backend).output \
+                == expected, (backend, p)
+
+
+def test_invariant_product_still_hoists():
+    """The positive control (``benchmarks/test_ablation_licm.py``'s
+    loop): both products and the broadcast leave, as before."""
+    prog = compile_source("""
+n = 12;
+A = rand(n, n) / n;
+B = rand(n, n) / n;
+g = rand(n, 1);
+x = zeros(n, 1);
+w = rand(8, 8);
+for s = 1:40
+    C = A * B;
+    x = 0.9 * x + C * g + w(3, 3);
+end
+""")
+    assert prog.licm_stats.hoisted == 3
+    assert loop_body_ops(prog) == []
+
+
+# ---------------------------------------------------------------------- #
+# generated loop bodies: whatever a body assigns, stores into, reads
+# first or may skip, hoisting must not change what the program prints
+# ---------------------------------------------------------------------- #
+
+PRELUDE = ("A = [1, 2, 3; 4, 5, 6; 7, 8, 10]; B = A + 1; v = [1, 2, 3];\n"
+           "x = v; y = 2 * v; M = A; N = B; s = 0; t = 1;\n")
+EPILOGUE = ("disp(sum(x)); disp(sum(y)); disp(sum(sum(M))); "
+            "disp(sum(sum(N))); disp(s); disp(t);\n")
+
+#: one statement each; ``{x}`` a vector name, ``{M}`` a matrix name,
+#: ``{s}`` a scalar name.  The first rows are calls pass 6b may hoist.
+TEMPLATES = (
+    "{x} = zeros(1, 3);", "{x} = cumsum(v);", "{M} = A';", "{M} = A * B;",
+    "{M} = eye(3);", "{s} = length(v);", "{s} = sum(v);", "{s} = A(2, 3);",
+    "{x} = v + k;", "{x} = {x} + 1;", "{s} = {s} + k;", "{M} = {M}';",
+    "{x}(k) = k;", "{x}(1:2) = k;", "{x}(k) = {s};", "{M}(k, 1) = 7;",
+    "{M}(1, 1:2) = k;", "k = length(v);",
+    "disp(sum({x}));", "disp(sum(sum({M})));", "disp({s});", "disp(k);",
+    "if k == 2, break; end", "if k == 2, continue; end",
+)
+WRAPPERS = ("{}", "{}", "if k > 1, {} end", "for j = 1:2, {} end")
+
+
+@st.composite
+def loop_programs(draw):
+    body = []
+    for _ in range(draw(st.integers(1, 5))):
+        stmt = draw(st.sampled_from(TEMPLATES)).format(
+            x=draw(st.sampled_from("xy")), M=draw(st.sampled_from("MN")),
+            s=draw(st.sampled_from("st")))
+        body.append(draw(st.sampled_from(WRAPPERS)).format(stmt))
+    return (PRELUDE + "for k = 1:3\n    " + "\n    ".join(body)
+            + "\nend\n" + EPILOGUE)
+
+
+def check_hoisting_changes_no_output(source):
+    expected = "".join(run_source(source).output)
+    for plan in (Plan(licm="aggressive"), NO_LICM):
+        assert compile_source(source, plan=plan).run(nprocs=2).output \
+            == expected, plan.licm
+
+
+@given(loop_programs())
+@settings(max_examples=40, deadline=None)
+def test_generated_loop_bodies_print_what_the_interpreter_prints(source):
+    check_hoisting_changes_no_output(source)

@@ -9,16 +9,30 @@ from repro.frontend.parser import parse_script
 from repro.ir.guard import guard_program
 from repro.ir.lower import lower_program
 from repro.ir.nodes import (
+    CallUser,
+    ColonSub,
     Const,
     Copy,
+    Display,
     Elementwise,
+    EwNode,
     IndexAssign,
+    IRBreak,
+    IRContinue,
     IRFor,
+    IRGlobal,
     IRIf,
+    IRReturn,
+    IRStmt,
     IRWhile,
     RTCall,
     SetElement,
+    Temp,
+    Var,
+    defs_under,
     ew_op_count,
+    read_under,
+    walk_blocks,
 )
 from repro.ir.peephole import DEFAULT_SCHEDULE, REWRITES, peephole_program
 
@@ -458,6 +472,113 @@ class TestBatchReduce:
             "x = rand(9, 1); y = rand(9, 1);\na = sum(x);\nx = sum(y);",
             "batch_reduce")
         assert fired == 1
+
+
+# ---------------------------------------------------------------------- #
+# one answer per statement kind: defs / uses / blocks
+# ---------------------------------------------------------------------- #
+
+a, b, c, k = Var("a"), Var("b"), Var("c"), Var("k")
+t1, t2, t3 = Temp(1), Temp(2), Temp(3)
+one, two = Const(1.0), Const(2.0)
+_then, _else, _cond, _body, _iter = ([Copy(a, b)], [Copy(b, a)],
+                                     [Copy(t1, a)], [Copy(c, k)],
+                                     [Copy(t2, b)])
+
+#: (statement, what it assigns, what it reads, the blocks under it)
+ANSWERS = [
+    (RTCall(dest=t1, op="matmul", args=[a, b]), [t1], [a, b], []),
+    (RTCall(dest=a, op="literal", args=[[one, b], [t1, two]]),
+     [a], [one, b, t1, two], []),
+    (RTCall(dest=a, op="builtin:circshift", args=[b, [[one, two]]]),
+     [a], [b, one, two], []),
+    (RTCall(dest=a, op="reduce_batch:sum", args=[b, c], nargout=2,
+            extra_dests=[t1]), [a, t1], [b, c], []),
+    (RTCall(dest=None, op="builtin:disp", args=[a]), [], [a], []),
+    (Elementwise(dest=a, expr=EwNode("+", (b, EwNode("u-", (t1,)), one))),
+     [a], [b, t1, one], []),
+    (Copy(dest=a, src=t1), [a], [t1], []),
+    (SetElement(var=a, subs=[k, one], rhs=t1), [a], [k, one, t1, a], []),
+    (IndexAssign(var=a, subs=[ColonSub(), t2], rhs=b),
+     [a], [ColonSub(), t2, b, a], []),
+    (CallUser(dests=[a, t1], func="f", args=[b, two]), [a, t1], [b, two], []),
+    (Display(name="a", value=a), [], [a], []),
+    (IRIf(branches=[(_cond, t1, _then), ([], b, [])], orelse=_else),
+     [], [t1, b], [_cond, _then, [], [], _else]),
+    (IRFor(var=k, range_triple=(one, one, t3), body=_body),
+     [k], [one, one, t3], [[], _body]),
+    (IRFor(var=k, iter_stmts=_iter, iter_operand=t2, body=_body),
+     [k], [t2], [_iter, _body]),
+    (IRWhile(cond_stmts=_cond, cond=t1, body=_body),
+     [], [t1], [_cond, _body]),
+    (IRBreak(), [], [], []),
+    (IRContinue(), [], [], []),
+    (IRReturn(), [], [], []),
+    (IRGlobal(names=["a"]), [], [], []),
+]
+
+
+class TestAccessors:
+    def test_every_kind_is_pinned(self):
+        """A new statement kind has to say what it assigns, reads and
+        nests (and be added to the table above) before this passes."""
+        assert {type(stmt) for stmt, *_ in ANSWERS} \
+            == set(IRStmt.__subclasses__())
+        for kind in IRStmt.__subclasses__():
+            assert not kind.__subclasses__()    # the enumeration is flat
+
+    @pytest.mark.parametrize("stmt,defs,uses,blocks", ANSWERS,
+                             ids=lambda v: type(v).__name__
+                             if isinstance(v, IRStmt) else "")
+    def test_answers(self, stmt, defs, uses, blocks):
+        assert list(stmt.defs()) == defs
+        assert list(stmt.uses()) == uses
+        nested = list(stmt.blocks())
+        assert len(nested) == len(blocks)
+        # the very lists: a pass edits the program through them
+        for got, want in zip(nested, blocks):
+            assert got == want and (not want or got is want)
+
+    def test_derived_helpers(self):
+        loop = IRFor(var=k, range_triple=(one, one, t3), body=[
+            Copy(a, b), IRIf(branches=[([Copy(t1, c)], t1, [Copy(a, t1)])])])
+        assert [len(block) for block in walk_blocks([loop])] \
+            == [1, 2, 0, 1, 1, 0]   # a block, then the blocks under it
+        assert sorted(map(repr, defs_under([loop]))) \
+            == ["ML_tmp1", "a", "a", "k"]
+        assert read_under([loop], c) and read_under([loop], t3)
+        assert not read_under([loop], a) and not read_under(loop.body, t3)
+
+    def test_walk_yields_the_blocks_it_always_did(self):
+        """``ir.walk()`` (``benchmarks/e2e/layers.py`` counts statements
+        through it) against the per-kind walk it replaced."""
+        from repro.compiler import compile_source
+        from tests.corpus import shipped_programs
+
+        def reference(body):
+            stack = [body]
+            while stack:
+                block = stack.pop()
+                yield block
+                for stmt in block:
+                    if isinstance(stmt, IRIf):
+                        for cond_stmts, _c, branch in stmt.branches:
+                            stack += [cond_stmts, branch]
+                        stack.append(stmt.orelse)
+                    elif isinstance(stmt, IRFor):
+                        stack += [stmt.iter_stmts, stmt.body]
+                    elif isinstance(stmt, IRWhile):
+                        stack += [stmt.cond_stmts, stmt.body]
+
+        programs = shipped_programs()
+        assert len(programs) == 20
+        for label, (source, mfiles) in programs.items():
+            ir = compile_source(source, DictProvider(mfiles)).ir
+            got = list(ir.walk())
+            want = [block for unit in ir.units()
+                    for block in reference(unit.body)]
+            assert len(got) == len(want), label
+            assert all(g is w for g, w in zip(got, want)), label
 
 
 def test_pretty_ir_is_textual():

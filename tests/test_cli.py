@@ -59,18 +59,35 @@ class TestCompile:
                      "-o", target]) == 0
         assert capsys.readouterr().out == (
             f"wrote {target} (pass 6: 1 transpose_matmul, 2 const_args, "
-            f"1 reduce2)\n")
+            f"1 reduce2; 6b hoisted 0)\n")
         assert main(["compile", str(path), "--no-peephole",
                      "-o", target]) == 0
         assert capsys.readouterr().out \
-            == f"wrote {target} (pass 6: no rewrites)\n"
+            == f"wrote {target} (pass 6: no rewrites; 6b hoisted 0)\n"
         # the same counts under the pass table of --trace-summary, also
         # when the passes did not run (a cached program carries them)
         for _ in range(2):
             assert main(["run", str(path), "-n", "2",
                          "--trace-summary"]) == 0
             assert "\npass 6 rewrites: 1 transpose_matmul, 2 const_args, " \
-                "1 reduce2\n" in capsys.readouterr().err
+                "1 reduce2; 6b hoisted 0\n" in capsys.readouterr().err
+
+    def test_report_counts_what_pass_6b_hoisted(self, tmp_path, capsys):
+        """Cold compile and cache hit alike: a hoist shows without
+        reading the IR."""
+        path = tmp_path / "hoist.m"
+        path.write_text("d = rand(4, 4); t = 0;\n"
+                        "for s = 1:10, t = t + d(1, 2); end\n")
+        target = str(tmp_path / "out.py")
+        assert main(["compile", str(path), "--emit", "python",
+                     "-o", target]) == 0
+        assert capsys.readouterr().out \
+            == f"wrote {target} (pass 6: no rewrites; 6b hoisted 1)\n"
+        for _ in range(2):
+            assert main(["run", str(path), "-n", "2",
+                         "--trace-summary"]) == 0
+            assert "\npass 6 rewrites: no rewrites; 6b hoisted 1\n" \
+                in capsys.readouterr().err
 
     def test_compile_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.m"
