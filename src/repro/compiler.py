@@ -262,7 +262,9 @@ class CompiledProgram:
         if spmd.backend == "fused":
             # one pass stood in for all ranks: its (rank-0-modeled) peak
             # applies to every rank's local share estimate
-            peaks.update({r: peaks.get(0, 0) for r in range(nprocs)})
+            peak_local_bytes = [peaks.get(0, 0)] * nprocs
+        else:
+            peak_local_bytes = [peaks.get(r, 0) for r in range(nprocs)]
         workspace = spmd.results[0] or {}
         # drop never-assigned variables for a clean workspace view
         workspace = {k: v for k, v in workspace.items() if v is not None}
@@ -273,8 +275,7 @@ class CompiledProgram:
             native_report["mode"] = config.native
         return RunResult(workspace=workspace, output="".join(output),
                          elapsed=spmd.elapsed, spmd=spmd,
-                         peak_local_bytes=[peaks.get(r, 0)
-                                           for r in range(nprocs)],
+                         peak_local_bytes=peak_local_bytes,
                          native=native_report)
 
 

@@ -92,18 +92,21 @@ OPS: dict[str, EwOp] = {
     "u-": EwOp(1, "neg", "(-{0})"),
     "u+": EwOp(1, "pos", "({0})"),
     # comparisons / logicals produce 0.0/1.0 doubles (NaN compares false,
-    # NaN != 0 is true so NaN is truthy — both match numpy)
+    # NaN != 0 is true so NaN is truthy — both match numpy).  The
+    # logicals combine their two tests with a bitwise ``&``/``|``: both
+    # operands are plain values, and a short-circuit ``&&`` is a branch
+    # that keeps the loop scalar
     "==": EwOp(2, "eq", "(({0} == {1}) ? 1.0 : 0.0)"),
     "~=": EwOp(2, "ne", "(({0} != {1}) ? 1.0 : 0.0)"),
     "<": EwOp(2, "lt", "(({0} < {1}) ? 1.0 : 0.0)"),
     ">": EwOp(2, "gt", "(({0} > {1}) ? 1.0 : 0.0)"),
     "<=": EwOp(2, "le", "(({0} <= {1}) ? 1.0 : 0.0)"),
     ">=": EwOp(2, "ge", "(({0} >= {1}) ? 1.0 : 0.0)"),
-    "&": EwOp(2, "land", "((({0} != 0.0) && ({1} != 0.0)) ? 1.0 : 0.0)"),
-    "|": EwOp(2, "lor", "((({0} != 0.0) || ({1} != 0.0)) ? 1.0 : 0.0)"),
+    "&": EwOp(2, "land", "((({0} != 0.0) & ({1} != 0.0)) ? 1.0 : 0.0)"),
+    "|": EwOp(2, "lor", "((({0} != 0.0) | ({1} != 0.0)) ? 1.0 : 0.0)"),
     # scalar-only; eager (see README)
-    "&&": EwOp(2, "land", "((({0} != 0.0) && ({1} != 0.0)) ? 1.0 : 0.0)"),
-    "||": EwOp(2, "lor", "((({0} != 0.0) || ({1} != 0.0)) ? 1.0 : 0.0)"),
+    "&&": EwOp(2, "land", "((({0} != 0.0) & ({1} != 0.0)) ? 1.0 : 0.0)"),
+    "||": EwOp(2, "lor", "((({0} != 0.0) | ({1} != 0.0)) ? 1.0 : 0.0)"),
     "u~": EwOp(1, "lnot", "(({0} == 0.0) ? 1.0 : 0.0)"),
     # exact libm subset (IEEE-mandated or pure FP classification)
     "fn:sqrt": EwOp(1, "sqrt", "sqrt({0})", guard="({0} < 0.0)"),
@@ -158,24 +161,27 @@ OPS: dict[str, EwOp] = {
                   "fmod({0}, {1})) : copysign(0.0, {1}))",
         kind=PROBED, domain="pairs"),
     # numpy maximum/minimum propagate NaN and return the *second* operand
-    # on ties (0.0 vs -0.0).  The inner ternary is exactly x86
-    # maxsd/minsd semantics (second operand on false, NaN compares
-    # false), so gcc emits the branchless SIMD form; only the rare
-    # NaN-in-first-operand blend can branch, and it predicts perfectly
-    # on real data — the naive short-circuit form mispredicts on every
-    # crossing of the threshold and runs ~4x slower
+    # on ties (0.0 vs -0.0): the first operand where it compares greater
+    # (less) or is NaN, else the second — a NaN second operand compares
+    # false and is returned.  Both tests are computed for every element
+    # and feed one select, which gcc turns into compare + blend lanes;
+    # a NaN test that guards the comparison (``x != x ? x : ...``) is a
+    # branch around it, and that loop stays scalar
     "fn:maximum": EwOp(
-        2, "maximum", "(({0} != {0}) ? {0} : (({0} > {1}) ? {0} : {1}))",
+        2, "maximum", "((({0} > {1}) | ({0} != {0})) ? {0} : {1})",
         kind=PROBED, domain="pairs"),
     "fn:minimum": EwOp(
-        2, "minimum", "(({0} != {0}) ? {0} : (({0} < {1}) ? {0} : {1}))",
+        2, "minimum", "((({0} < {1}) | ({0} != {0})) ? {0} : {1})",
         kind=PROBED, domain="pairs"),
     # general a .^ b through libm pow (numpy's pow SIMD kernel usually
     # diverges, so this rarely survives the probe; the constant-exponent
     # rewrites below are the ones that matter).  The native tier takes
     # the builtin only: the operator's exponent is part of the spec, and
-    # one no rewrite covers is refused there before any probe
+    # one no rewrite covers is refused there before any probe.  The
+    # guard is ``K.pow_``'s promotion test: a negative base with a
+    # fractional (or NaN) exponent is complex
     "fn:power": EwOp(2, "power", "pow({0}, {1})", kind=PROBED,
+                     guard="(({0} < 0.0) & ({1} != floor({1})))",
                      domain="pow_pairs"),
     ".^": EwOp(2, "pow_", "pow({0}, {1})", kind=PROBED, domain="pow_pairs"),
     # ``a .^ c`` for these constants ``c``: numpy evaluates

@@ -226,9 +226,18 @@ class FusedComm:
         self.advance(dt)
 
     def overhead(self, calls: int = 1) -> None:
-        if self._trace is not None:
-            self._trace.batch_calls(self.line, calls)
-        self.advance(calls * self.machine.cpu.call_overhead)
+        # :meth:`advance` by ``calls`` call overheads, inline: every op
+        # charges one, so the frame it would cost is measurable
+        dt = calls * self.machine.cpu.call_overhead
+        if dt < 0:
+            raise FusionDivergence("cannot advance the clock backwards")
+        trace = self._trace
+        if trace is None:
+            self.world.clocks += dt
+            return
+        trace.batch_calls(self.line, calls)
+        self.world.clocks += dt
+        trace.batch_charge(self.line, dt)
 
     def trace_suspend(self):
         """Pause recording (instrumentation-only work); returns a token
@@ -293,7 +302,8 @@ class FusedComm:
             # collective boundary
             raise w.aborted
         pre = w.clocks.copy()
-        tnew = float(pre.max()) + cost
+        # the ufunc's reduce, not ndarray.max: that is two frames more
+        tnew = float(np.maximum.reduce(pre)) + cost
         w.clocks[:] = tnew
         w.collectives += 1
         w.rank_collectives += 1
@@ -372,15 +382,15 @@ class FusedComm:
             for column in (dests, sources, inject, ptime):
                 column.setflags(write=False)
             _remember(self._ring_memo, key, (dests, sources, inject, ptime))
-        arrivals = np.empty(p, dtype=np.float64)
-        arrivals[dests] = pre + ptime
-        w.clocks[:] = pre + inject
+        # rank r's boundary reaches dests[r]: rank j's is sources[j]'s
+        arrivals = (pre + ptime)[sources]
+        me = pre + inject
+        w.clocks[:] = me
         w.rank_messages += 1
         w.rank_bytes += nbytes
         if self._trace is not None:
-            self._trace.batch_send(self.line, pre, w.clocks - pre,
+            self._trace.batch_send(self.line, pre, me - pre,
                                    dests, 0, nbytes)
-        me = w.clocks.copy()
         np.maximum(me, arrivals, out=w.clocks)
         if self._trace is not None:
             self._trace.batch_recv(self.line, me,

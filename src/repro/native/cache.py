@@ -3,9 +3,10 @@
 Layout: ``k_<hash>.c`` / ``k_<hash>.so`` / ``k_<hash>.sha256`` per
 kernel under the cache root (``$REPRO_KERNEL_CACHE`` or
 ``~/.cache/repro-kernels``).  The hash covers op tree + slot signature +
-codegen ABI version, so a cache directory can be shared freely across
-runs, processes, containers and repo checkouts — a warm cache compiles
-nothing.
+codegen ABI version + the build (:func:`build_identity`: the flag tuple
+and the compiler), so a cache directory can be shared freely across
+runs, processes, containers, repo checkouts and toolchains — a warm
+cache compiles nothing, and never loads a kernel built another way.
 
 Each builder compiles in a private scratch directory and publishes the
 finished bytes with :func:`~repro.atomicio.atomic_write_bytes`, so
@@ -28,9 +29,40 @@ from ..atomicio import atomic_write_bytes
 
 ENV_CACHE_DIR = "REPRO_KERNEL_CACHE"
 
+#: every kernel's compiler flags.  Strict IEEE semantics: no fast-math
+#: value rewrites, and ``-ffp-contract=off`` so the compiler cannot fuse
+#: ``a*b + c`` into an FMA — either would break bit-identity with the
+#: numpy path.  ``-fno-math-errno`` never changes a computed value, it
+#: only skips the errno bookkeeping, which is what lets ``sqrt`` inline
+#: to a bare ``sqrtsd``.  ``-ftree-vectorize`` with the *dynamic* cost
+#: model (``-O2`` alone uses gcc 12's "very cheap" one, which vectorized
+#: none of the benchmark programs' kernels) turns the loop into SSE2
+#: lanes: each lane is the same IEEE operation as the scalar code, and
+#: without contraction or reassociation the bits cannot change
+#: (docs/NATIVE.md, "What the loops compile to").
+BUILD_FLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math",
+               "-ffp-contract=off", "-fno-math-errno", "-ftree-vectorize",
+               "-fvect-cost-model=dynamic")
+
 
 class KernelCompileError(Exception):
     """The host compiler rejected a generated kernel."""
+
+
+def build_identity(cc: str, flags: tuple[str, ...] = BUILD_FLAGS) -> str:
+    """What a kernel's bytes depend on besides its source: the exact
+    flag tuple and the compiler — its resolved path and what it says its
+    version is (a wrapper script or an upgrade in place changes the
+    latter).  Part of every kernel key, so a cache shared between
+    toolchains never ``dlopen``s a binary built another way."""
+    try:
+        proc = subprocess.run([cc, "--version"], capture_output=True,
+                              text=True, timeout=30)
+        version = f"{proc.returncode}:{proc.stdout}"
+    except (OSError, subprocess.SubprocessError) as exc:
+        version = f"unrunnable: {exc}"
+    text = "\0".join((os.path.realpath(cc), version, *flags))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def default_cache_dir() -> Path:
@@ -66,27 +98,16 @@ class KernelCache:
             return None
         return path if actual == recorded else None
 
-    def build(self, key: str, source: str, cc: str,
-              extra_flags: tuple[str, ...] = ()) -> Path:
-        """Compile ``source`` and publish it under ``key`` atomically.
-
-        The flags pin strict IEEE semantics: no fast-math value
-        rewrites, and ``-ffp-contract=off`` so the compiler cannot fuse
-        ``a*b + c`` into an FMA — either would break bit-identity with
-        the numpy path.  ``-fno-math-errno`` is the one liberty taken:
-        it never changes a computed value, only skips the errno
-        bookkeeping, which is what lets ``sqrt`` inline to a bare
-        ``sqrtsd`` instead of a guarded libm call.
-        """
+    def build(self, key: str, source: str, cc: str) -> Path:
+        """Compile ``source`` with :data:`BUILD_FLAGS` and publish it
+        under ``key`` atomically."""
         self.root.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=self.root,
                                          prefix=f"k_{key}.") as scratch:
             src = Path(scratch) / f"k_{key}.c"
             out = Path(scratch) / f"k_{key}.so"
             src.write_text(source)
-            cmd = [cc, "-O2", "-fPIC", "-shared",
-                   "-fno-fast-math", "-ffp-contract=off", "-fno-math-errno",
-                   *extra_flags, str(src), "-o", str(out), "-lm"]
+            cmd = [cc, *BUILD_FLAGS, str(src), "-o", str(out), "-lm"]
             try:
                 proc = subprocess.run(cmd, capture_output=True, text=True,
                                       timeout=60)

@@ -22,17 +22,19 @@ from ..ewops import UnsupportedSpecError, c_literal, spec_to_c
 #: bump whenever generated code or the calling convention changes — the
 #: version participates in the content hash, so stale on-disk kernels
 #: from older ABIs are never dlopen'ed
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 
-def spec_key(spec, sig: str) -> str:
+def spec_key(spec, sig: str, build: str) -> str:
     """Content hash identifying one compiled kernel.
 
-    Covers the canonical op tree, the slot signature, and the codegen
-    ABI version; dtype and shape-class are implied (float64, flat
-    C-contiguous) because the signature gate admits nothing else.
+    Covers the canonical op tree, the slot signature, the codegen ABI
+    version and ``build`` (the engine's
+    :func:`~repro.native.cache.build_identity`: flags and compiler);
+    dtype and shape-class are implied (float64, flat C-contiguous)
+    because the signature gate admits nothing else.
     """
-    text = f"repro-native:{ABI_VERSION}:{sig}:{spec!r}"
+    text = f"repro-native:{ABI_VERSION}:{build}:{sig}:{spec!r}"
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 

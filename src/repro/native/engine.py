@@ -29,6 +29,7 @@ C loop only touches its own buffers).
 
 from __future__ import annotations
 
+import itertools
 import os
 import shutil
 import sysconfig
@@ -38,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from ..ewops import OPS, PROBED, reference, single_op_spec
-from .cache import KernelCache, KernelCompileError
+from .cache import KernelCache, KernelCompileError, build_identity
 from .codegen import (UnsupportedSpecError, cdef_signature, generate_source,
                       spec_key)
 
@@ -62,25 +63,33 @@ STAT_FIELDS = (
 
 
 class NativeStats:
-    """Thread-safe counters for the tier's pass-report section."""
+    """Thread-safe counters for the tier's pass-report section.
+
+    The warm-call hot path takes no lock: a call served by a resident
+    kernel — one ``mem_hits`` and one ``native_calls`` — is one
+    ``next(stats.warm)``, a single atomic C call.  :meth:`snapshot`
+    reads that counter by drawing from it as well and subtracts its own
+    draws.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._counts = dict.fromkeys(STAT_FIELDS, 0)
+        self.warm = itertools.count()
+        self._warm_reads = 0
 
     def bump(self, field: str, by: int = 1) -> None:
         with self._lock:
             self._counts[field] += by
 
-    def bump_pair(self, first: str, second: str) -> None:
-        """Two counters, one lock acquisition (the warm-call hot path)."""
-        with self._lock:
-            self._counts[first] += 1
-            self._counts[second] += 1
-
     def snapshot(self) -> dict[str, int]:
         with self._lock:
-            return dict(self._counts)
+            warm = next(self.warm) - self._warm_reads
+            self._warm_reads += 1
+            counts = dict(self._counts)
+        counts["mem_hits"] += warm
+        counts["native_calls"] += warm
+        return counts
 
 
 class _Kernel:
@@ -204,8 +213,13 @@ class NativeEngine:
         self.cache = KernelCache(cache_dir)
         self.cc = find_compiler(cc)
         self.verify_calls = verify_calls
+        #: :func:`~repro.native.cache.build_identity` of this engine's
+        #: compiler and flags, part of every kernel key (set by the
+        #: toolchain probe, once per engine)
+        self.build: Optional[str] = None
         self._ffi = None
         self._dparr = None  # cached ffi.typeof("double[]")
+        self._from_buffer = None  # cffi's C-level from_buffer
         self._kernels: dict[str, object] = {}
         #: per-call-site memo: id(spec) -> (spec, {sig: _Kernel|_UNSUPPORTED}).
         #: The emitter materializes each call site's spec as a code-object
@@ -246,6 +260,7 @@ class NativeEngine:
         except ImportError:
             self.unavailable_reason = "cffi is not installed"
             return False
+        self.build = build_identity(self.cc)
         try:
             source, _ = generate_source(("+", "@0", 1.0), "a", "k_trial")
             self.cache.build("trial", source, self.cc)
@@ -259,25 +274,72 @@ class NativeEngine:
             from cffi import FFI
             self._ffi = FFI()
             self._dparr = self._ffi.typeof("double[]")
+            # ``FFI.from_buffer`` is a Python wrapper (a frame and an
+            # isinstance per buffer) around this
+            self._from_buffer = self._ffi._backend.from_buffer
         return self._ffi
+
+    def key(self, spec, sig: str) -> str:
+        """The cache key of ``spec``'s kernel for slot signature ``sig``,
+        as this engine builds it (an available engine only)."""
+        return spec_key(spec, sig, self.build)
+
+    def loaded_keys(self) -> list[str]:
+        """The keys of every kernel this engine has loaded, built or
+        from disk (their C text is ``cache.source_path(key)``)."""
+        return [key for key, kern in self._kernels.items()
+                if kern is not _UNSUPPORTED]
 
     # ---------------------------------------------------------------- #
     # the hot path
     # ---------------------------------------------------------------- #
 
-    def run(self, spec, args, reference=None) -> Optional[np.ndarray]:
+    def run(self, spec, args, reference=None,
+            spare=None) -> Optional[np.ndarray]:
         """Execute ``spec`` over ``args`` natively, or return ``None``.
 
         ``args`` is the positional operand list the numpy lambda would
         receive (float64 arrays and scalars).  ``reference`` is that
-        lambda, used only for first-call verification.  A ``None``
-        return means "use the numpy path" — never an error.
+        lambda, used only for first-call verification.  ``spare`` is
+        where the output buffer comes from: the result geometry's
+        :class:`~repro.runtime.distribution.FreeList` (the fused run
+        time's recycled buffers) or ``None`` for a fresh ``np.empty``.
+        A ``None`` return means "use the numpy path" — never an error.
+
+        The signature gate, inline (the hot path pays no frame for it):
+        arrays must be float64, C-contiguous, and share one shape;
+        complex anywhere means the numpy path (the output dtype would
+        differ).  ``ew`` hands over Python floats and whole arrays,
+        which pass as they are; whatever else can stand for one C
+        ``double`` is demoted to it.
         """
-        prep = self._prepare_args(spec, args)
-        if prep is None:
+        sig = ""
+        shape = None
+        call_values = args
+        for index, a in enumerate(args):
+            kind = a.__class__
+            if kind is float:
+                sig += "s"
+            elif kind is np.ndarray and a.size != 1:
+                if (a.dtype != _FLOAT64 or not a.flags.c_contiguous
+                        or (shape is not None and a.shape != shape)):
+                    shape = None
+                    break
+                shape = a.shape
+                sig += "a"
+            else:
+                demoted = _as_double(a)
+                if demoted is None:
+                    shape = None
+                    break
+                if call_values is args:
+                    call_values = list(args)
+                call_values[index] = demoted
+                sig += "s"
+        if shape is None or spec.__class__ is not tuple:
+            # refused, or a pure-scalar chain (never reaches the tier)
             self.stats.bump("signature_fallbacks")
             return None
-        sig, shape, call_values = prep
         ent = self._fast.get(id(spec))
         if ent is not None and ent[0] is spec:
             kern = ent[1].get(sig)
@@ -296,15 +358,15 @@ class NativeEngine:
             return None
         else:
             warm = True
-        out = np.empty(shape, dtype=np.float64)
-        ffi = self._ffi
+        out = np.empty(shape, dtype=np.float64) if spare is None \
+            else spare.take(shape)
         dparr = self._dparr
-        from_buffer = ffi.from_buffer
+        from_buffer = self._from_buffer
         cargs = [
-            from_buffer(dparr, v) if v.__class__ is np.ndarray else v
+            from_buffer(dparr, v, False) if v.__class__ is np.ndarray else v
             for v in call_values
         ]
-        rc = kern.cfun(out.size, from_buffer(dparr, out), *cargs)
+        rc = kern.cfun(out.size, from_buffer(dparr, out, False), *cargs)
         if rc != 0:
             self.stats.bump("guard_fallbacks")
             return None
@@ -320,55 +382,19 @@ class NativeEngine:
                 return None
             kern.verified += 1
         if warm:
-            self.stats.bump_pair("mem_hits", "native_calls")
+            next(self.stats.warm)
         else:
             self.stats.bump("native_calls")
         return out
-
-    def _prepare_args(self, spec, args):
-        """Gate the operand list.
-
-        Returns ``(sig, shape, call_values)`` or ``None``.  Arrays must
-        be float64, C-contiguous, and share one shape; complex anywhere
-        means the numpy path (output dtype would differ).  ``ew`` hands
-        over Python floats and whole arrays, which pass as they are;
-        whatever else can stand for one C ``double`` is demoted to it.
-        """
-        if spec.__class__ is not tuple:
-            return None
-        sig = ""
-        shape = None
-        values = args
-        for index, a in enumerate(args):
-            kind = a.__class__
-            if kind is float:
-                sig += "s"
-            elif kind is np.ndarray and a.size != 1:
-                if a.dtype != _FLOAT64 or not a.flags.c_contiguous:
-                    return None
-                if shape is None:
-                    shape = a.shape
-                elif a.shape != shape:
-                    return None
-                sig += "a"
-            else:
-                demoted = _as_double(a)
-                if demoted is None:
-                    return None
-                if values is args:
-                    values = list(args)
-                values[index] = demoted
-                sig += "s"
-        if shape is None:
-            return None  # pure-scalar chains never reach the tier
-        return sig, shape, values
 
     # ---------------------------------------------------------------- #
     # kernel construction
     # ---------------------------------------------------------------- #
 
     def _kernel_for(self, spec, sig: str) -> Optional[_Kernel]:
-        key = spec_key(spec, sig)
+        if not self.available:
+            return None
+        key = self.key(spec, sig)
         kern = self._kernels.get(key)
         if kern is not None:
             if kern is _UNSUPPORTED:
@@ -466,7 +492,7 @@ class NativeEngine:
         samples = probe_samples(info.domain)[:info.arity]
         spec = single_op_spec(op)
         sig = "a" * info.arity
-        key = spec_key(spec, sig)
+        key = self.key(spec, sig)
         kern = self._kernels.get(key)
         if kern is None or kern is _UNSUPPORTED:
             kern = self._build_kernel(spec, sig, key, gate_probes=False)

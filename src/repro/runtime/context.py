@@ -236,9 +236,14 @@ class RuntimeContext:
         return full
 
     def to_interp_value(self, value: RValue):
-        """Replicated plain value (for oracles/tests): gathers if needed."""
+        """Replicated plain value (for oracles/tests): gathers if needed.
+
+        Every caller only reads the result or keeps it (the final
+        workspace, ``save``), so a fused descriptor hands over its own
+        array, uncopied: descriptors never write into a shared array,
+        and a held reference keeps it off the free lists."""
         if isinstance(value, DMatrix):
-            return V.simplify(self.gather_full(value))
+            return V.simplify(self.gather_full(value, copy=False))
         if isinstance(value, PerRankScalar):
             return value.values[0]  # what rank 0 holds under lockstep
         return value
@@ -634,7 +639,7 @@ class RuntimeContext:
         # rank's block
         out = None
         if spec is not None and self.native is not None:
-            out = self.native.run(spec, args, fn)
+            out = self.native.run(spec, args, fn, template.spare)
         if out is None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = np.asarray(fn(*args))

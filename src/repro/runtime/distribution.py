@@ -12,6 +12,7 @@ benchmark.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -188,6 +189,133 @@ class RankLoads(tuple):
             return scaled
 
 
+#: the free lists of every geometry together take a buffer while they
+#: hold less than this many bytes, and none larger: a few
+#: ``image_filter``-sized (512 KB) buffers or one of ``cg``'s 2 MB
+#: matrices (so they never hold twice this).  1 MB was measured too
+#: small for the benchmark suite
+SPARE_BYTES = 2 << 20
+
+#: a free list nothing took from for this many takes (of any list)
+#: releases its buffers at the next :func:`sweep` — long enough for a
+#: program that runs again after a few others to find its buffers
+SWEEP_TAKES = 4096
+
+
+class SpareBudget:
+    """What the free lists of every geometry share, behind one lock:
+    the bytes they hold, the takes left before the next :func:`sweep`
+    may run, and (by ``id``) every list that has held a buffer.  The
+    lock is re-entrant: a descriptor's ``__del__`` may give a buffer
+    back while its thread is sweeping."""
+
+    __slots__ = ("lock", "held", "until_sweep", "lists")
+
+    def __init__(self):
+        self.lock = threading.RLock()
+        self.held = 0
+        self.until_sweep = 0
+        self.lists: dict[int, FreeList] = {}
+
+
+class FreeList(list):
+    """Recycled full-array buffers of one geometry (``Geometry.spare``).
+
+    A fused op output that dies as the sole owner of a C-contiguous
+    float64 buffer — no view, no other descriptor, no gather cache, no
+    workspace value, no live cffi buffer refers to it, which its
+    reference count proves (:meth:`FusedDMatrix.__del__
+    <repro.runtime.matrix.FusedDMatrix.__del__>`) — goes to
+    :meth:`give`; native kernel outputs and shift rotations :meth:`take`
+    from the list before calling ``np.empty``.  Keeping those pages
+    mapped is the point: when 512 KB outputs die, glibc trims the heap
+    top and the next output faults every page back in.
+
+    ``room`` is how many more buffers the list accepts.  Every take
+    adds one — a hit frees a place, a miss says this geometry wants one
+    buffer more than it kept — so a list holds at most what its takers
+    have asked for, and a geometry nothing takes from (a sum's operand,
+    an initial ``ones``) never holds buffers at all.  ``used`` says a
+    take happened since the last :func:`sweep`, which is how buffers a
+    program left behind make way for the next program's.  Every change
+    holds :data:`SPARES`' lock, so concurrent server sessions never
+    receive one buffer twice or miscount the budget.
+    """
+
+    __slots__ = ("room", "used", "nbytes", "listed")
+
+    def __init__(self):
+        super().__init__()
+        self.room = 0
+        self.used = self.listed = False
+        self.nbytes = 0         # what this list holds
+
+    def take(self, shape: tuple) -> np.ndarray:
+        """A float64 buffer of ``shape`` (uninitialised): a recycled
+        one when there is one, else a fresh ``np.empty``."""
+        spares = SPARES
+        with spares.lock:
+            self.room += 1
+            self.used = True
+            spares.until_sweep -= 1
+            if self:
+                buf = self.pop()
+                self.nbytes -= buf.nbytes
+                spares.held -= buf.nbytes
+                if buf.shape == shape:
+                    return buf
+        return np.empty(shape)
+
+    def give(self, buf: np.ndarray) -> None:
+        """Keep ``buf`` — its caller's proven sole owner — if this list
+        has room and the lists hold less than :data:`SPARE_BYTES` (after
+        a sweep, when other lists hold some of that)."""
+        nbytes = buf.nbytes
+        if not 0 < nbytes <= SPARE_BYTES:
+            return
+        spares = SPARES
+        with spares.lock:
+            if self.room <= 0:
+                return
+            if (spares.held >= SPARE_BYTES and spares.held > self.nbytes
+                    and spares.until_sweep <= 0):
+                sweep()
+            if spares.held < SPARE_BYTES:
+                if not self.listed:
+                    spares.lists[id(self)] = self
+                    self.listed = True
+                self.append(buf)
+                self.room -= 1
+                self.nbytes += nbytes
+                spares.held += nbytes
+
+    def release(self) -> None:
+        """Hand every buffer back to the allocator."""
+        with SPARES.lock:
+            SPARES.held -= self.nbytes
+            self.nbytes = 0
+            self.clear()
+
+
+#: the one budget of every free list in the process
+SPARES = SpareBudget()
+
+
+def sweep(everything: bool = False) -> None:
+    """Second chance for the free lists, run when they are full and
+    another list holds buffers, at most once per :data:`SWEEP_TAKES`
+    takes: a list nothing took from since the previous sweep releases
+    its buffers, the others are marked unused.  ``everything`` releases
+    them all."""
+    with SPARES.lock:
+        SPARES.until_sweep = SWEEP_TAKES
+        for spare in list(SPARES.lists.values()):
+            if spare.used and not everything:
+                spare.used = False
+            else:
+                spare.release()
+
+
 class Geometry:
     """Everything derivable from ``(rows, cols, nprocs, scheme)``.
 
@@ -200,8 +328,9 @@ class Geometry:
     computed once per geometry instead of once per operation.
 
     Invariant: every attribute and every method result is a pure
-    function of the four constructor values.  Cached ndarrays are
-    read-only.
+    function of the four constructor values — except ``spare``, the
+    :class:`FreeList` of recycled buffers of this shape.  Cached
+    ndarrays are read-only.
 
     Matrices are distributed by rows, vectors by linear elements;
     ``slices[r]`` indexes the distributed axis (a ``slice`` for block
@@ -221,10 +350,13 @@ class Geometry:
 
     __slots__ = ("rows", "cols", "nprocs", "scheme", "shape", "numel",
                  "is_vector", "width", "map", "counts", "starts", "slices",
-                 "local_shapes", "max_count", "_indices",
+                 "local_shapes", "max_count", "spare", "_indices",
                  "_overlaps", "_runs", "_run_indices")
 
     def __init__(self, rows: int, cols: int, nprocs: int, scheme: str):
+        #: recycled buffers of this shape (the one mutable slot: what it
+        #: holds is never part of any result)
+        self.spare = FreeList()
         self.rows = rows = int(rows)
         self.cols = cols = int(cols)
         self.nprocs = nprocs
@@ -266,6 +398,16 @@ class Geometry:
             runs.insert(0, (0, longer, items + 1, slice(0, split)))
         self._runs = tuple(runs)
         self._run_indices = None
+
+    def __del__(self):
+        # a geometry the cache evicted takes its spare buffers along
+        if self.spare.listed:
+            try:
+                with SPARES.lock:
+                    self.spare.release()
+                    del SPARES.lists[id(self.spare)]
+            except (AttributeError, TypeError):
+                pass    # interpreter exit: this module is torn down
 
     def global_indices(self, rank: int) -> np.ndarray:
         """Read-only global row (linear, for vectors) indices of

@@ -29,6 +29,7 @@ stay forked (docs/INTERNALS.md lists them) read those.
 
 from __future__ import annotations
 
+import sys
 from typing import Union
 
 import numpy as np
@@ -52,7 +53,7 @@ class DMatrix:
 
     __slots__ = ("geom", "rows", "cols", "shape", "numel", "is_vector",
                  "scheme", "dtype", "held", "load", "rank", "replica",
-                 "_tracker", "_charged")
+                 "spare", "_tracker", "_charged")
 
     def __init__(self, geom: Geometry, dtype, local: np.ndarray, rank: int):
         self.geom = geom
@@ -71,6 +72,9 @@ class DMatrix:
         #: because DMatrix values are immutable — every update builds a
         #: new descriptor.
         self.replica = None
+        #: where an output of this descriptor's shape takes its buffer
+        #: from: one rank's block is always a fresh array
+        self.spare = None
         expected = geom.local_shapes[rank]
         if local.shape != expected:
             raise DistributionError(
@@ -214,6 +218,8 @@ class FusedDMatrix(DMatrix):
         self.held = full
         self.load = geom.counts
         self.replica = None
+        #: the geometry's recycled buffers (distribution.FreeList)
+        self.spare = geom.spare
         # the tracker models ONE rank's footprint; rank 0 holds the
         # largest block under both distribution schemes
         self._tracker = tracker = ACTIVE.tracker
@@ -222,6 +228,29 @@ class FusedDMatrix(DMatrix):
             tracker.current = current = tracker.current + nbytes
             if current > tracker.peak:
                 tracker.peak = current
+
+    def __del__(self, _refs=sys.getrefcount, _float64=np.dtype(np.float64)):
+        try:
+            tracker = self._tracker
+        except AttributeError:      # the constructor raised: never charged
+            return
+        if tracker is not None:
+            tracker.current -= self._charged
+        # recycle the buffer onto the geometry's free list if that has
+        # room and this descriptor is provably the buffer's only owner:
+        # three references are the slot, ``full`` and getrefcount's
+        # argument — any view, other descriptor, gather cache, workspace
+        # value or cffi buffer makes more
+        spare = self.spare
+        if spare.room > 0:
+            full = self.held
+            if (_refs(full) == 3 and full.base is None
+                    and full.dtype is _float64 and full.flags.c_contiguous
+                    and full.flags.writeable):
+                try:
+                    spare.give(full)
+                except TypeError:
+                    pass    # interpreter exit: the pool's module is gone
 
     # -- per-rank accessors: no single rank exists here ----------------- #
 

@@ -72,12 +72,28 @@ def _shift_amounts(rt, shift: RValue) -> tuple[int, int | None]:
         "circshift: shift must be a scalar or a two-element vector")
 
 
-def _rotated(array: np.ndarray, k: int, axis: int = 0) -> np.ndarray:
-    """``np.roll(array, k, axis)`` as the two slices it is made of and
-    one copy (a sixth of ``np.roll``'s cost on a stencil-sized vector)."""
-    k %= array.shape[axis]
-    return np.concatenate((array[-k:], array[:-k]) if axis == 0 else
-                          (array[:, -k:], array[:, :-k]), axis=axis)
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _rotated(mat: DMatrix, k: int, axis: int) -> DMatrix:
+    """``np.roll`` of what ``mat`` holds by ``k`` along ``axis``, as the
+    two slice copies it is made of (a sixth of ``np.roll``'s cost on a
+    stencil-sized vector) — into a recycled buffer when ``mat`` has
+    them (``mat.spare``: a fused descriptor) and holds float64."""
+    held = mat.held
+    n = held.shape[axis]
+    k %= n
+    spare = mat.spare
+    out = spare.take(held.shape) \
+        if spare is not None and held.dtype is _FLOAT64 \
+        else np.empty(held.shape, held.dtype)
+    if axis == 0:
+        out[:k] = held[n - k:]
+        out[k:] = held[:n - k]
+    else:
+        out[:, :k] = held[:, n - k:]
+        out[:, k:] = held[:, :n - k]
+    return mat.like(out)
 
 
 def circshift(rt, value: RValue, shift: RValue) -> RValue:
@@ -121,7 +137,7 @@ def _circshift2(rt, value: DMatrix, kr: int, kc: int) -> RValue:
     if kc:
         rt.comm.overhead()
         rt.comm.compute_own(mem=value.load)
-        value = value.like(_rotated(value.held, kc, axis=1))
+        value = _rotated(value, kc, 1)
     if value.rows == 0 or kr % value.rows == 0:
         if kc:
             return value
@@ -145,13 +161,13 @@ def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
     if k == 0:
         rt.comm.overhead()
         return vec.like(vec.held.copy())
-    min_count = vec.geom.map.min_count()
+    min_count = vec.geom.map.base       # a block map's smallest block
     if 0 < k <= min_count and rt.size > 1:
         return _circshift_ring(rt, vec, k)
     if 0 < (n - k) <= min_count and rt.size > 1:
         # a large positive shift is a small negative one
         return _circshift_ring(rt, vec, k - n)
-    if isinstance(vec, FusedDMatrix):
+    if vec.__class__ is FusedDMatrix:
         return _circshift_alltoall_fused(rt, vec, k)
     # Pack one (indices, values) array pair per destination rank — no
     # per-element Python: owners() is pure arithmetic, a stable argsort
@@ -188,7 +204,7 @@ def _circshift_alltoall_fused(rt, vec: FusedDMatrix, k: int) -> DMatrix:
     rt.comm.overhead()
     rt.comm.compute_ranks(mem=vec.load)
     rt.comm.charge_alltoall(per)
-    return vec.like(_rotated(vec.base(), k).reshape(vec.shape))
+    return _rotated(vec, k, 1 if vec.rows == 1 else 0)
 
 
 def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
@@ -198,14 +214,15 @@ def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
     next rank's front (and symmetrically for k < 0) — two messages per
     step of a stencil instead of an alltoall.
     """
-    if isinstance(vec, FusedDMatrix):
+    if vec.__class__ is FusedDMatrix:
         # P simultaneous boundary sendrecvs, |k| elements (rows) each;
-        # movement itself is one rotation of the full array
+        # movement itself is one rotation of the full array (along the
+        # distributed axis: a row vector's columns, else the rows)
         nbytes = abs(k) * vec.geom.width * vec.full.itemsize
         rt.comm.ring_exchange(nbytes, forward=k > 0)
         rt.comm.overhead()
         rt.comm.compute_ranks(mem=vec.load)
-        return vec.like(_rotated(vec.base(), k).reshape(vec.shape))
+        return _rotated(vec, k, 1 if vec.rows == 1 else 0)
     local = vec.local
     p = rt.size
     if k > 0:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.native import NativeEngine, find_compiler, spec_key
+from repro.native.cache import BUILD_FLAGS, build_identity
 from repro.native.codegen import UnsupportedSpecError, generate_source
 from repro.ewops import reference
 
@@ -195,7 +196,7 @@ def test_damaged_disk_entry_recompiles_once_then_hits(engine, tmp_path,
     fell back to numpy forever; under ``require`` it failed forever)."""
     a = _arr(1.0, 2.0, 3.0)
     want = run_ref(engine, CHAIN, [a, a])
-    damage(engine.cache, spec_key(CHAIN, "aa"))
+    damage(engine.cache, engine.key(CHAIN, "aa"))
 
     healer = NativeEngine(cache_dir=str(tmp_path / "kernels"))
     np.testing.assert_array_equal(run_ref(healer, CHAIN, [a, a]), want)
@@ -222,7 +223,7 @@ def test_same_key_build_race_publishes_one_loadable_kernel(engine, tmp_path):
 
     from repro.native.cache import KernelCache
 
-    key = spec_key(CHAIN, "aa")
+    key = engine.key(CHAIN, "aa")
     source, _ = generate_source(CHAIN, "aa", f"k_{key}")
     cache = KernelCache(tmp_path / "raced")
     nthreads = 8
@@ -261,8 +262,57 @@ def test_cache_key_separates_spec_and_signature(engine):
     assert run_ref(engine, CHAIN, [a, a]) is not None       # sig "aa"
     assert run_ref(engine, CHAIN, [a, 5.0]) is not None     # sig "as"
     assert engine.stats.snapshot()["compiles"] == 2
-    assert spec_key(CHAIN, "aa") != spec_key(CHAIN, "as")
-    assert spec_key(CHAIN, "aa") != spec_key(("+", "@0", "@1"), "aa")
+    assert engine.key(CHAIN, "aa") != engine.key(CHAIN, "as")
+    assert engine.key(CHAIN, "aa") != engine.key(("+", "@0", "@1"), "aa")
+
+
+def _script_cc(path, cc, version):
+    """A compiler that is not ``cc``: a script that says ``version`` when
+    asked and otherwise runs ``cc``."""
+    path.write_text(f'#!/bin/sh\nif [ "$1" = --version ]; then echo {version};'
+                    f' exit 0; fi\nexec {cc} "$@"\n')
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_cache_key_covers_the_build(engine, tmp_path):
+    """The key names the build, not only the source: other flags,
+    another compiler, or the same path after an upgrade give another
+    key — and the same build the same key, in any engine."""
+    same = build_identity(engine.cc)
+    assert same == build_identity(engine.cc, BUILD_FLAGS) == engine.build
+    for flags in (BUILD_FLAGS[:-2], BUILD_FLAGS + ("-O3",),
+                  tuple(reversed(BUILD_FLAGS))):
+        assert build_identity(engine.cc, flags) != same
+        assert spec_key(CHAIN, "aa", build_identity(engine.cc, flags)) \
+            != engine.key(CHAIN, "aa")
+    other = _script_cc(tmp_path / "other-cc", engine.cc, "other 1.0")
+    assert build_identity(other) != same
+    before = build_identity(other)
+    _script_cc(tmp_path / "other-cc", engine.cc, "other 2.0")
+    assert build_identity(other) != before
+
+    twin = NativeEngine(cache_dir=str(tmp_path / "kernels"))
+    assert twin.available and twin.key(CHAIN, "aa") == engine.key(CHAIN, "aa")
+    stranger = NativeEngine(cache_dir=str(tmp_path / "kernels"), cc=other)
+    assert stranger.available
+    assert stranger.key(CHAIN, "aa") != engine.key(CHAIN, "aa")
+
+
+def test_shared_cache_never_loads_another_builds_kernel(engine, tmp_path):
+    """Two toolchains on one cache directory: each compiles its own
+    kernel once, neither ``dlopen``s the other's."""
+    a = _arr(1.0, 2.0, 3.0)
+    assert run_ref(engine, CHAIN, [a, a]) is not None
+    other = _script_cc(tmp_path / "other-cc", engine.cc, "other 1.0")
+    stranger = NativeEngine(cache_dir=str(tmp_path / "kernels"), cc=other)
+    assert run_ref(stranger, CHAIN, [a, a]) is not None
+    stats = stranger.stats.snapshot()
+    assert (stats["compiles"], stats["disk_hits"]) == (1, 0)
+    again = NativeEngine(cache_dir=str(tmp_path / "kernels"), cc=other)
+    assert run_ref(again, CHAIN, [a, a]) is not None
+    stats = again.stats.snapshot()
+    assert (stats["compiles"], stats["disk_hits"]) == (0, 1)
 
 
 # ---------------------------------------------------------------------- #
