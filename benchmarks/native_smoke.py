@@ -13,7 +13,9 @@ and forced on (twice, to exercise the warm path), and checks:
   kernel is already resident;
 * the benchmark-sized image filter (n=256, 16 steps) takes at most
   :data:`MAX_FAULTS_PER_PASS` minor page faults per warm pass — recycled
-  op outputs keep their pages mapped (docs/NATIVE.md).
+  op outputs keep their pages mapped (docs/NATIVE.md) — and at most
+  :data:`MAX_CALLS_PER_PASS` native calls: each step's ten elementwise
+  statements are one group kernel (pass 6's ``ew_group``).
 
 It also counts how many of the kernels the runs loaded gcc reports as
 vectorized (``-fopt-info-vec-optimized`` over each kernel's C text with
@@ -41,19 +43,24 @@ from repro.native.cache import BUILD_FLAGS
 #: the gate on the benchmark image filter's minor page faults per pass
 #: (about 112 with recycled op outputs, 3 296 without)
 MAX_FAULTS_PER_PASS = 500
+#: the gate on its native calls per pass (16 with its steps grouped,
+#: 160 without)
+MAX_CALLS_PER_PASS = 32
 
 
-def faults_per_pass(program, passes=20):
-    """Minor page faults of one warm fused ``native=require`` run."""
+def per_pass(program, passes=20):
+    """Minor page faults and native calls of one warm fused
+    ``native=require`` run."""
     for _ in range(3):
         program.run(nprocs=4, machine=MEIKO_CS2, backend="fused",
                     native="require")
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    calls = 0
     for _ in range(passes):
-        program.run(nprocs=4, machine=MEIKO_CS2, backend="fused",
-                    native="require")
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            - before) / passes
+        calls += program.run(nprocs=4, machine=MEIKO_CS2, backend="fused",
+                             native="require").native["native_calls"]
+    return ((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            / passes, calls / passes)
 
 
 def vectorized_kernels(engine):
@@ -91,7 +98,7 @@ def main() -> int:
     warm_s, warm = timed("require")
 
     bench = image_filter(n=256, steps=16)
-    faults = faults_per_pass(
+    faults, calls_per_pass = per_pass(
         OtterCompiler().compile(bench.source, name=bench.key))
     vectorized, kernels = vectorized_kernels(get_engine())
 
@@ -110,6 +117,9 @@ def main() -> int:
     if faults > MAX_FAULTS_PER_PASS:
         failures.append(f"image filter took {faults:.0f} minor page faults "
                         f"per pass (gate: {MAX_FAULTS_PER_PASS})")
+    if calls_per_pass > MAX_CALLS_PER_PASS:
+        failures.append(f"image filter made {calls_per_pass:.0f} native "
+                        f"calls per pass (gate: {MAX_CALLS_PER_PASS})")
 
     calls = warm.native["native_calls"]
     hits = warm.native["mem_hits"]
@@ -134,8 +144,9 @@ def main() -> int:
         f"**{off.elapsed == warm.elapsed}**",
         "",
         f"kernels gcc vectorized: {shown};"
-        f" image filter (n=256, 16 steps) minor page faults per pass:"
-        f" **{faults:.0f}** (gate {MAX_FAULTS_PER_PASS})",
+        f" image filter (n=256, 16 steps) per pass: minor page faults"
+        f" **{faults:.0f}** (gate {MAX_FAULTS_PER_PASS}), native calls"
+        f" **{calls_per_pass:.0f}** (gate {MAX_CALLS_PER_PASS})",
     ]
     report = "\n".join(rows) + "\n"
     print(report)
@@ -151,6 +162,7 @@ def main() -> int:
             "kernels": kernels,
             "vectorized_kernels": vectorized,
             "faults_per_pass": faults,
+            "native_calls_per_pass": calls_per_pass,
             "kernel_cache": os.environ.get("REPRO_KERNEL_CACHE", ""),
         }, fh, indent=2)
         fh.write("\n")

@@ -109,3 +109,45 @@ def test_ablation_collective_rewrites(benchmark, rewrite):
         "on_collectives": on.spmd.collectives,
         "off_collectives": off.spmd.collectives,
     })
+
+
+def test_ablation_ew_group(benchmark):
+    """``ew_group`` on vs off (the rest of the registry on either way) on
+    the image filter at 4 CPUs, fused with the native tier: the ten
+    elementwise statements of a step are one kernel call instead of ten
+    — 160 → 16 calls a run — and the modeled time does not move."""
+    from repro.native import resolve_native
+
+    if resolve_native("auto") is None:
+        pytest.skip("native tier unavailable")
+    source = (PROGRAMS / "image_filter.m").read_text(encoding="utf-8")
+
+    def measure():
+        runs = {}
+        for label, fusion in (
+                ("on", FUSION_REWRITES),
+                ("off", tuple(r for r in FUSION_REWRITES
+                              if r != "ew_group"))):
+            plan = Plan(fusion=fusion)
+            runs[label] = compile_source(
+                source, name="image_filter", plan=plan).run(
+                nprocs=4, machine=MEIKO_CS2, backend="fused", native="auto",
+                plan=plan)
+        return runs
+
+    runs = benchmark.pedantic(measure, rounds=1, iterations=1)
+    on, off = runs["on"], runs["off"]
+    print(f"\nAblation (ew_group, image_filter @ 4 x {MEIKO_CS2.name}): "
+          f"{on.native['native_calls']} native calls vs "
+          f"{off.native['native_calls']} without, "
+          f"{on.elapsed * 1e3:.3f} ms modeled both")
+    assert (on.native["native_calls"], off.native["native_calls"]) \
+        == (16, 160)
+    assert on.elapsed == off.elapsed and on.output == off.output
+    benchmark.extra_info.update({
+        "program": "image_filter", "nprocs": 4,
+        "on_native_calls": on.native["native_calls"],
+        "off_native_calls": off.native["native_calls"],
+        "modeled_ms": round(on.elapsed * 1e3, 6),
+    })
+

@@ -30,6 +30,7 @@ from ..ir.nodes import (
     Copy,
     Display,
     Elementwise,
+    EwGroup,
     IndexAssign,
     IRBreak,
     IRContinue,
@@ -49,6 +50,7 @@ from ..ir.nodes import (
     Var,
     defs_under,
     ew_spec,
+    group_spec,
     walk_blocks,
 )
 
@@ -63,6 +65,11 @@ _HEADER = """\
 
 def _is_scalar_type(vtype: VarType | None) -> bool:
     return vtype is not None and vtype.rank is Rank.SCALAR
+
+
+def _ew_members(group: EwGroup) -> int:
+    """How many members of a group are loops of their own outside it."""
+    return sum(stmt.__class__ is Elementwise for stmt in group.members)
 
 
 class CEmitter:
@@ -186,9 +193,11 @@ class CEmitter:
         names = {dest.name: self._type_of(dest) for dest in defs_under(body)}
         for name in sorted(set(names) - set(skip_decls)):
             self._line(self._c_decl(name, names[name]))
-        # one counter per fused loop over local elements
+        # one counter per fused loop over local elements (a group has
+        # its members' counters: see _emit_group)
         loops = sum(stmt.__class__ is Elementwise
                     and not _is_scalar_type(stmt.vtype)
+                    or stmt.__class__ is EwGroup and not _ew_members(stmt)
                     for block in walk_blocks(body) for stmt in block)
         for k in range(loops):
             self._line(f"int ML_i{k};")
@@ -251,6 +260,8 @@ class CEmitter:
     def _emit_stmt(self, stmt: IRStmt) -> None:
         if isinstance(stmt, Elementwise):
             self._emit_elementwise(stmt)
+        elif isinstance(stmt, EwGroup):
+            self._emit_group(stmt)
         elif isinstance(stmt, Copy):
             if self._is_scalar(stmt.dest) or self._is_scalar(stmt.src):
                 self._line(f"{self._c_op(stmt.dest)} = {self._c_op(stmt.src)};")
@@ -316,6 +327,31 @@ class CEmitter:
         self._indent += 1
         self._line(f"{dest}->realbase[{loop}] = "
                    f"{self._expr(spec, operands, loop)};")
+        self._indent -= 1
+        self._line("}")
+
+    def _emit_group(self, group: EwGroup) -> None:
+        """The one loop a group runs as: every member's result shaped
+        before it, then each member's statement in the loop body, in
+        order — the native kernel's loop, which keeps a value a later
+        member reads in a register instead of reading it back."""
+        members, _operands = group_spec(group)
+        first = self._c_op(group.members[0].dest)
+        for stmt, (_spec, reads, _slots, _) in zip(group.members, members):
+            template = next((op for op in reads if not self._is_scalar(op)),
+                            group.members[0].dest)
+            self._line(f"ML_init_like(&{self._c_op(stmt.dest)}, "
+                       f"{self._c_op(template)});")
+        # the counter of its first loop: the others' stay unused, so the
+        # loops after a group keep their numbers
+        loop = f"ML_i{self._loop_counter}"
+        self._loop_counter += max(_ew_members(group), 1)
+        self._line(f"for ({loop} = ML_local_els({first})-1; {loop} >= 0; "
+                   f"{loop}--) {{")
+        self._indent += 1
+        for stmt, (spec, reads, _slots, _) in zip(group.members, members):
+            self._line(f"{self._c_op(stmt.dest)}->realbase[{loop}] = "
+                       f"{self._expr(spec, reads, loop)};")
         self._indent -= 1
         self._line("}")
 

@@ -22,6 +22,7 @@ from ..ir.nodes import (
     Copy,
     Display,
     Elementwise,
+    EwGroup,
     IndexAssign,
     IRBreak,
     IRContinue,
@@ -39,6 +40,7 @@ from ..ir.nodes import (
     Var,
     ew_op_count,
     ew_spec,
+    group_spec,
     walk_blocks,
 )
 from .names import func_name, operand_py, var_name
@@ -66,6 +68,8 @@ class PyEmitter:
         #: charge back to the originating MATLAB statement; with tracing
         #: off they cost one attribute store.
         self._mark: int | None = None
+        #: what a group member's assignment tries before its own call
+        self._head = ""
 
     # ------------------------------------------------------------------ #
 
@@ -183,15 +187,10 @@ class PyEmitter:
 
     def _dispatch_stmt(self, stmt: IRStmt) -> None:
         if isinstance(stmt, Elementwise):
-            # the fused kernel as a lambda and, for the native tier
-            # (which compiles the whole chain into one C loop), as the
-            # same tree's spec; a bare operand copy has no tree
             spec, operands = ew_spec(stmt.expr)
-            args = "".join([f", {self._op(o)}" for o in operands])
-            tail = f", spec={py_literal(spec)}" \
-                if spec.__class__ is tuple else ""
-            self._line(f"{self._dest(stmt.dest)} = rt.ew({spec_to_py(spec)}, "
-                       f"{max(ew_op_count(stmt.expr), 1)}{args}{tail})")
+            self._emit_ew(stmt, spec, operands, py_literal(spec)
+                          if spec.__class__ is tuple else None,
+                          max(ew_op_count(stmt.expr), 1))
         elif isinstance(stmt, Copy):
             self._line(f"{self._dest(stmt.dest)} = {self._op(stmt.src)}")
         elif isinstance(stmt, RTCall):
@@ -222,6 +221,8 @@ class PyEmitter:
                     self._line(f"{self._dest(dest)} = _r[{i}]")
         elif isinstance(stmt, Display):
             self._line(f"rt.display({stmt.name!r}, {self._op(stmt.value)})")
+        elif isinstance(stmt, EwGroup):
+            self._emit_group(stmt)
         elif isinstance(stmt, IRIf):
             self._emit_if(stmt)
         elif isinstance(stmt, IRFor):
@@ -243,6 +244,55 @@ class PyEmitter:
         else:
             raise CodegenError(f"cannot emit {type(stmt).__name__}")
 
+    def _emit_ew(self, stmt: Elementwise, spec, operands: list,
+                 text: str | None, nops: int) -> None:
+        """The fused kernel as a lambda and, for the native tier (which
+        compiles the whole chain into one C loop), as the same tree's
+        spec (``text``); a bare operand copy has no tree."""
+        args = "".join([f", {self._op(o)}" for o in operands])
+        tail = f", spec={text}" if text is not None else ""
+        self._line(f"{self._dest(stmt.dest)} = {self._head}rt.ew("
+                   f"{spec_to_py(spec)}, {nops}{args}{tail})")
+
+    def _emit_group(self, group: EwGroup) -> None:
+        """``_gs``, the group spec, and ``_g``, the group's outputs from
+        one native kernel — asked for only where ``rt.grouped`` says one
+        can run — then each member's own statement, which takes its
+        value from ``_g`` or, without one, computes it just as it would
+        outside a group."""
+        members, operands = group_spec(group)
+        gspec = ", ".join([f"({py_literal(spec)}, {slots!r})"
+                           for spec, _, slots, _ in members])
+        ops = ", ".join([self._op(o) for o in operands])
+        if len(operands) == 1:
+            ops += ","
+        # an output may go into the old value's array when no member
+        # reads that value (and it is not a global's, which another
+        # frame may hold)
+        olds = ", ".join([
+            self._op(stmt.dest) if fresh and not (
+                stmt.dest.__class__ is Var and stmt.dest.name in self._globals)
+            else "None"
+            for stmt, (_, _, _, fresh) in zip(group.members, members)])
+        self._line(f"_gs = ({gspec})")
+        self._line(f"_g = rt.grouped and rt.ew_group(_gs, ({ops}), "
+                   f"({olds}))")
+        for k, (stmt, (spec, reads, _, _)) in enumerate(zip(group.members,
+                                                            members)):
+            line = stmt.line
+            if line and line != self._mark:
+                self._line(f"_c.line = {line}")
+                self._mark = line
+            if stmt.__class__ is Elementwise:
+                nops = max(ew_op_count(stmt.expr), 1)
+                self._head = f"_g.result({nops}) if _g else "
+                # the member's spec is the group spec's: one literal
+                self._emit_ew(stmt, spec, reads, f"_gs[{k}][0]", nops)
+            else:
+                self._head = "_g.result(1) if _g else "
+                self._emit_rtcall(stmt)
+        self._head = ""
+
     #: ops that allocate a fresh distributed array — the emitter names the
     #: destination just before the call so per-array distribution plans
     #: (rt.dist_plan) can choose the scheme at the creation site
@@ -263,7 +313,7 @@ class PyEmitter:
             if dest is None:
                 self._line(expr)
             else:
-                self._line(f"{dest} = {expr}")
+                self._line(f"{dest} = {self._head}{expr}")
 
         if op == "matmul":
             assign(f"rt.matmul({self._op(stmt.args[0])}, "

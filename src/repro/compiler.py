@@ -5,7 +5,9 @@
 3. type/rank/shape inference on SSA form (``repro.analysis.infer``)
 4. expression rewriting to statement-level IR (``repro.ir.lower``)
 5. guarding of scalar element stores (``repro.ir.guard``)
-6. peephole optimization of run-time-call sequences (``repro.ir.peephole``)
+6. peephole optimization of run-time-call sequences (``repro.ir.peephole``;
+   its ``ew_group`` rewrite runs after the loop-invariant code motion of
+   ``repro.ir.licm``)
 7. code emission — SPMD Python (executable, :mod:`repro.codegen.py_emitter`)
    and SPMD C with ML_* run-time calls (:mod:`repro.codegen.c_emitter`)
 
@@ -326,6 +328,8 @@ class OtterCompiler:
                       ir, schedule=plan.fusion)
         licm_stats = timed("licm", licm_program,                  # pass 6b
                            ir, policy=plan.licm)
+        timed("group", peephole_program, ir, schedule=plan.fusion, # 6c
+              after_licm=True, stats=stats)
         from .codegen.py_emitter import emit_python               # pass 7
 
         py_source = timed("emit", emit_python, ir)

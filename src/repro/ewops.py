@@ -35,8 +35,9 @@ column comes in two classes:
 
 Ops whose MATLAB semantics promote to complex (``sqrt``/``log`` of
 negatives) carry a *guard*: a C condition evaluated per element that
-aborts the kernel (return 1) so the caller re-runs the chain through
-numpy, which performs the promotion.
+makes the kernel return 1 (a flag the loop accumulates, so it stays a
+vector loop) and the caller re-runs the chain through numpy, which
+performs the promotion.
 """
 
 from __future__ import annotations

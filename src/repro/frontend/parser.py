@@ -190,7 +190,11 @@ class Parser:
                     break
             self._close()
             self.expect(T.RPAREN)
-        body = self._stmt_list(stop={T.FUNCTION, T.EOF})
+        # the body ends at the next function, the end of the file, or
+        # the ``end`` that closes the function (an ``end`` that closes a
+        # block is consumed by that block's own parser)
+        body = self._stmt_list(stop={T.FUNCTION, T.EOF, T.END})
+        self.accept(T.END)
         return A.FunctionDef(loc=loc, name=name, params=params, returns=returns, body=body)
 
     # ------------------------------------------------------------------ #

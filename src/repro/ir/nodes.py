@@ -114,10 +114,14 @@ def ew_op_count(expr: EwExpr) -> int:
     """Number of *per-element* arithmetic operations in a fused tree (for
     the cost model's fused-loop charge).  Scalar-result subtrees are
     loop-invariant and count as zero."""
-    if isinstance(expr, EwNode):
-        own = 0 if expr.scalar else 1
-        return own + sum(ew_op_count(a) for a in expr.args)
-    return 0
+    count = 0
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is EwNode:
+            count += not node.scalar
+            stack += node.args
+    return count
 
 
 def ew_operands(expr: EwExpr) -> list[Operand]:
@@ -194,6 +198,10 @@ class IRStmt:
         return ()
 
 
+#: the ``blocks`` of every kind that nests none
+_NO_BLOCKS = IRStmt.blocks
+
+
 @dataclass
 class RTCall(IRStmt):
     """``dest = ML_<op>(args...)`` — a run-time library call.
@@ -255,6 +263,69 @@ class Elementwise(IRStmt):
 
     def uses(self):
         return ew_operands(self.expr)
+
+
+@dataclass
+class EwGroup(IRStmt):
+    """A run of adjacent elementwise statements over one shape (pass 6's
+    ``ew_group``, after LICM): one owner-computes loop with an output
+    per member.  ``members`` are :class:`Elementwise` statements and
+    two-argument ``builtin:min``/``builtin:max`` calls, in order; each
+    is still emitted — charged, traced and allocated — as its own
+    statement, so the group itself assigns and reads nothing: its one
+    nested block is the members, which answer for themselves."""
+
+    members: list[IRStmt] = field(default_factory=list)
+
+    def __repr__(self) -> str:
+        return f"group[{len(self.members)}]"
+
+    def blocks(self):
+        return (self.members,)
+
+
+#: a group member's builtin -> the elementwise op it applies
+GROUP_BUILTINS = {"builtin:min": "fn:minimum", "builtin:max": "fn:maximum"}
+
+
+def group_spec(group: EwGroup) -> tuple[list[tuple], list[Operand]]:
+    """Each member of a group as ``(spec, reads, slots, fresh)``, and
+    the group's operand list.
+
+    ``spec, reads`` is the member's own :func:`ew_spec`; ``slots`` says
+    where each of its ``"@N"`` operands comes from: an ``int``, the
+    index of a group operand (a value from before the group), or
+    ``"#K"``, the value member ``K`` computed (the latest earlier member
+    that assigns it).  A group kernel's spec (:mod:`repro.ewops`) is the
+    tuple of the members' ``(spec, slots)``.  ``fresh`` says that no
+    member reads the value the member's destination holds before the
+    group — the member assigns it first, and no member before it reads
+    it."""
+    operands: list[Operand] = []
+    #: a variable's name or a temporary's number (a reads list holds
+    #: only those, and the keys hash without a frame) -> its slot
+    index: dict[object, object] = {}
+    members = []
+    k = 0
+    for stmt in group.members:
+        expr = stmt.expr if stmt.__class__ is Elementwise \
+            else EwNode(GROUP_BUILTINS[stmt.op], tuple(stmt.args))
+        spec, reads = ew_spec(expr)
+        slots = []
+        for op in reads:
+            key = op.name if op.__class__ is Var else op.index
+            if key in index:
+                slots.append(index[key])
+            else:
+                index[key] = len(operands)
+                slots.append(len(operands))
+                operands.append(op)
+        dest = stmt.dest
+        key = dest.name if dest.__class__ is Var else dest.index
+        members.append((spec, reads, tuple(slots), key not in index))
+        index[key] = f"#{k}"
+        k += 1
+    return members, operands
 
 
 @dataclass
@@ -422,17 +493,20 @@ class IRGlobal(IRStmt):
 # --------------------------------------------------------------------------
 
 
-def walk_blocks(body: list[IRStmt]):
+def walk_blocks(body: list[IRStmt], skip: type | None = None):
     """Iterate every statement list of one unit: ``body`` and the blocks
-    nested in it, a block before the blocks under it (for passes)."""
+    nested in it, a block before the blocks under it (for passes) —
+    except the blocks of a ``skip`` statement (a pass that rewrites runs
+    of statements leaves an :class:`EwGroup`'s members alone).  Only a
+    kind that overrides :meth:`IRStmt.blocks` is asked for its blocks."""
     stack = [body]
     while stack:
         block = stack.pop()
         yield block
         for stmt in block:
-            nested = stmt.blocks()
-            if nested:
-                stack += nested
+            kind = stmt.__class__
+            if kind.blocks is not _NO_BLOCKS and kind is not skip:
+                stack += stmt.blocks()
 
 
 def defs_under(body: list[IRStmt]) -> list[Operand]:

@@ -30,9 +30,20 @@ CLI reports and :class:`PeepholeStats` all read:
     A run of adjacent, independent ``dest_j = op(arg_j)`` with one
     ``op`` of ``sum``/``mean``/``max``/``min``/``prod`` becomes one
     ``reduce_batch:op`` call: k partials, one k-element allreduce.
+``ew_group``
+    A maximal run of two or more adjacent elementwise statements —
+    :class:`Elementwise` and two-argument ``min``/``max`` — whose
+    results are matrices of one shape pass 3 knows becomes one
+    :class:`EwGroup`: one native loop with an output per member, where
+    a later member reads an earlier one's value from a register.  Every
+    member is still emitted, charged, traced and allocated as its own
+    statement, so the rewrite moves host time only, never the modeled
+    clock.  It runs after pass 6b (``after_licm``): a group is never
+    hoisted, and a ``min``/``max`` LICM would hoist must not hide in one.
 
-A block is swept once: a statement's ``op`` selects the rewrites that
-start there (their ``ops`` column), tried in schedule order.
+A block is swept once: a statement's ``op`` (``"ew"`` for an
+:class:`Elementwise`) selects the rewrites that start there (their
+``ops`` column), tried in schedule order.
 """
 
 from __future__ import annotations
@@ -41,10 +52,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from ..analysis.lattice import Rank
+from ..analysis.lattice import BaseType, Rank
 from .nodes import (
+    GROUP_BUILTINS,
     Const,
     Copy,
+    Elementwise,
+    EwGroup,
+    EwNode,
     IRProgram,
     RTCall,
     Temp,
@@ -223,10 +238,65 @@ def _scalar_reduction(stmt) -> bool:
     return _single(stmt) and stmt.vtype.rank is not Rank.MATRIX
 
 
+#: the element types a native loop computes in (a double per element)
+_REAL = (BaseType.INTEGER, BaseType.REAL)
+
+
+def _group_shape(stmt):
+    """The shape a statement gives a group member, or ``None`` if it
+    cannot be one: a matrix result of a static shape and a real type,
+    from an elementwise tree or a two-argument ``min``/``max``."""
+    if stmt.__class__ is Elementwise:
+        if stmt.expr.__class__ is not EwNode:
+            return None
+    elif not (stmt.__class__ is RTCall and stmt.op in GROUP_BUILTINS
+              and len(stmt.args) == 2 and stmt.nargout == 1
+              and not stmt.extra_dests and stmt.dest is not None
+              and all(a.__class__ is not list for a in stmt.args)):
+        return None
+    vtype = stmt.vtype
+    shape = vtype.shape
+    if (vtype.rank is Rank.MATRIX and vtype.base in _REAL
+            and shape.rows is not None and shape.cols is not None):
+        return shape
+    return None
+
+
+def _ew_group(block: list, i: int, unit) -> int:
+    end, n = i + 1, len(block)
+    if end == n:
+        return -1
+    second = block[end]     # no second member: not worth a closer look
+    if not (second.__class__ is Elementwise or second.__class__ is RTCall
+            and second.op in GROUP_BUILTINS):
+        return -1
+    shape = _group_shape(block[i])
+    if shape is None:
+        return -1
+    while end < n:
+        other = _group_shape(block[end])
+        if other is None or (other.rows, other.cols) != (shape.rows,
+                                                         shape.cols):
+            break
+        end += 1
+    if end - i < 2:
+        return -1
+    group = EwGroup(members=block[i:end])
+    group.line = block[i].line
+    block[i:end] = [group]
+    return i + 1
+
+
 class Rewrite(NamedTuple):
-    #: the ops of the statement a match starts at
+    #: the ops of the statement a match starts at (``"ew"``: an
+    #: :class:`Elementwise`)
     ops: tuple[str, ...]
     apply: Callable[[list, int, object], int]
+    #: may the rewrite change the modeled clock?  (The tuner's
+    #: ``fusion`` axis offers only the rewrites that may.)
+    modeled: bool = True
+    #: does it run after pass 6b instead of with the rest of pass 6?
+    after_licm: bool = False
 
 
 #: name -> rewrite, in the default schedule's order (fusing first
@@ -240,6 +310,8 @@ REWRITES: dict[str, Rewrite] = {
                        _reduce2),
     "batch_reduce": Rewrite(_builtins("sum", "mean", "max", "min", "prod"),
                             _batch_reduce),
+    "ew_group": Rewrite(("ew", *GROUP_BUILTINS), _ew_group, modeled=False,
+                        after_licm=True),
 }
 
 #: the schedule of a plan that does not name one
@@ -291,39 +363,49 @@ class PeepholeStats:
 
 
 @functools.lru_cache(maxsize=64)
-def _triggers(schedule: tuple[str, ...]) -> dict[str, tuple]:
-    """op -> the ``(name, apply)`` of the scheduled rewrites that start
-    at a statement with that op, in schedule order."""
+def _triggers(schedule: tuple[str, ...],
+              after_licm: bool) -> dict[str, tuple]:
+    """op -> the ``(name, apply)`` of the scheduled rewrites of one
+    phase that start at a statement with that op, in schedule order."""
     table: dict[str, tuple] = {}
     for name in check_schedule(schedule):
-        for op in REWRITES[name].ops:
-            table[op] = table.get(op, ()) + ((name, REWRITES[name].apply),)
+        row = REWRITES[name]
+        if row.after_licm is after_licm:
+            for op in row.ops:
+                table[op] = table.get(op, ()) + ((name, row.apply),)
     return table
 
 
 def peephole_program(ir: IRProgram, enabled: bool = True,
-                     schedule: tuple[str, ...] | None = None) -> PeepholeStats:
+                     schedule: tuple[str, ...] | None = None,
+                     after_licm: bool = False,
+                     stats: PeepholeStats | None = None) -> PeepholeStats:
     """Run pass 6 in place; returns rewrite statistics.
 
     ``schedule`` is an ordered subset of :data:`REWRITES` (an autotuner
     plan knob); ``None`` means :data:`DEFAULT_SCHEDULE`, ``()`` disables
-    the pass just like ``enabled=False``."""
-    stats = PeepholeStats()
+    the pass just like ``enabled=False``.  The compiler calls it twice:
+    before pass 6b, and with ``after_licm`` for the rows that run after
+    it, counting into the first call's ``stats``."""
+    if stats is None:
+        stats = PeepholeStats()
     if not enabled:
         return stats
     triggers = _triggers(DEFAULT_SCHEDULE if schedule is None
-                         else tuple(schedule))
+                         else tuple(schedule), after_licm)
     if not triggers:
         return stats
     counts = stats.counts
     for unit in ir.units():
-        for block in walk_blocks(unit.body):
+        for block in walk_blocks(unit.body, skip=EwGroup):
             i, n = 0, len(block)
             while i < n:
                 stmt = block[i]
                 i += 1
-                if stmt.__class__ is RTCall and stmt.op in triggers:
-                    for name, apply in triggers[stmt.op]:
+                op = stmt.op if stmt.__class__ is RTCall else \
+                    "ew" if stmt.__class__ is Elementwise else None
+                if op in triggers:
+                    for name, apply in triggers[op]:
                         resume = apply(block, i - 1, unit)
                         if resume >= 0:
                             counts[name] += 1

@@ -7,6 +7,7 @@ from .nodes import (
     Copy,
     Display,
     Elementwise,
+    EwGroup,
     IndexAssign,
     IRBreak,
     IRContinue,
@@ -55,6 +56,11 @@ def _fmt_stmt(stmt: IRStmt, indent: int, out: list[str]) -> None:
             _fmt_stmt(s, indent + 1, out)
         out.append(f"{pad}  cond {stmt.cond!r}")
         for s in stmt.body:
+            _fmt_stmt(s, indent + 1, out)
+        out.append(f"{pad}end")
+    elif isinstance(stmt, EwGroup):
+        out.append(f"{pad}group:")
+        for s in stmt.members:
             _fmt_stmt(s, indent + 1, out)
         out.append(f"{pad}end")
     elif isinstance(stmt, IRBreak):

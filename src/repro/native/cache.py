@@ -39,10 +39,14 @@ ENV_CACHE_DIR = "REPRO_KERNEL_CACHE"
 #: none of the benchmark programs' kernels) turns the loop into SSE2
 #: lanes: each lane is the same IEEE operation as the scalar code, and
 #: without contraction or reassociation the bits cannot change
-#: (docs/NATIVE.md, "What the loops compile to").
+#: (docs/NATIVE.md, "What the loops compile to").  ``-fno-trapping-math``
+#: says a floating-point operation raises no trap (none is ever enabled
+#: here), so gcc may compute a ``?:`` select's both arms in lanes —
+#: without it the multi-output loop of a group stays scalar ("control
+#: flow in loop"); the IEEE results are the same.
 BUILD_FLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math",
-               "-ffp-contract=off", "-fno-math-errno", "-ftree-vectorize",
-               "-fvect-cost-model=dynamic")
+               "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math",
+               "-ftree-vectorize", "-fvect-cost-model=dynamic")
 
 
 class KernelCompileError(Exception):

@@ -1,11 +1,13 @@
 """The native kernel engine: compile, cache, verify, execute, fall back.
 
-``NativeEngine.run(spec, args, reference)`` is the single entry point
-``RuntimeContext.ew`` calls.  It either returns the computed float64
-array — bitwise identical to what the numpy lambda would produce — or
-``None``, in which case the caller runs the numpy path.  Every reason
-for returning ``None`` is counted in :class:`NativeStats` so the pass
-report and CI can show exactly where the tier engaged.
+``NativeEngine.run(spec, args, reference)`` is the entry point
+``RuntimeContext.ew`` calls, and ``run_group`` the one
+``RuntimeContext.ew_group`` calls for a group of statements (one
+kernel, an output per member).  Each either returns the computed
+float64 arrays — bitwise identical to what the numpy lambdas would
+produce — or ``None``, in which case the caller runs the numpy path.
+Every reason for returning ``None`` is counted in :class:`NativeStats`
+so the pass report and CI can show exactly where the tier engaged.
 
 Correctness layers (all per-kernel, all automatic):
 
@@ -15,7 +17,7 @@ Correctness layers (all per-kernel, all automatic):
 2. *Op admission*: PROBED ops run a one-time in-process differential
    probe against the numpy reference (see ``repro.ewops``) before any
    kernel using them compiles.
-3. *Semantic guards*: kernels abort (rc=1) on inputs whose MATLAB
+3. *Semantic guards*: kernels return 1 after inputs whose MATLAB
    semantics need complex promotion; the call falls back.
 4. *First-call verification*: each kernel's first result is compared
    bitwise against the reference lambda; any mismatch blacklists the
@@ -41,7 +43,7 @@ import numpy as np
 from ..ewops import OPS, PROBED, reference, single_op_spec
 from .cache import KernelCache, KernelCompileError, build_identity
 from .codegen import (UnsupportedSpecError, cdef_signature, generate_source,
-                      spec_key)
+                      members, spec_key)
 
 ENV_CC = "REPRO_NATIVE_CC"
 
@@ -203,8 +205,28 @@ def probe_samples(domain: str):
     return [base]
 
 
+def group_reference(gspec, args) -> list[np.ndarray]:
+    """What the members of a group spec compute through numpy, one after
+    the other, as each member's ``rt.ew`` would: its lambda over the
+    group's ``args`` and the earlier members' values, the result made
+    an array of floats."""
+    values: list[np.ndarray] = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for spec, slots in gspec:
+            out = np.asarray(reference(spec)(*[
+                values[int(slot[1:])] if slot.__class__ is str
+                else args[slot] for slot in slots]))
+            if out.dtype.kind not in "fc":
+                out = out.astype(float)
+            values.append(out)
+    return values
+
+
 class NativeEngine:
     """Process-wide JIT tier for fused elementwise chains."""
+
+    #: the C ``double`` an operand stands for, or ``None``
+    as_double = staticmethod(_as_double)
 
     def __init__(self, cache_dir: Optional[str] = None,
                  cc: Optional[str] = None, verify_calls: int = 1):
@@ -341,16 +363,10 @@ class NativeEngine:
             self.stats.bump("signature_fallbacks")
             return None
         ent = self._fast.get(id(spec))
-        if ent is not None and ent[0] is spec:
-            kern = ent[1].get(sig)
-        else:
-            ent = kern = None
+        kern = ent[1].get(sig) if ent is not None and ent[0] is spec \
+            else None
         if kern is None:
-            kern = self._kernel_for(spec, sig)
-            if ent is None:
-                ent = (spec, {})
-                self._fast[id(spec)] = ent
-            ent[1][sig] = kern if kern is not None else _UNSUPPORTED
+            kern = self._remember(spec, sig)
             if kern is None:
                 return None
             warm = False
@@ -387,9 +403,75 @@ class NativeEngine:
             self.stats.bump("native_calls")
         return out
 
+    def run_group(self, gspec, sig: str, args, values, shape, bufs,
+                  spare) -> Optional[list]:
+        """Execute a group kernel (:mod:`~repro.native.codegen`'s group
+        spec) in one call, or return ``None``: the members' outputs, in
+        member order, each bitwise what the member's ``rt.ew`` would
+        compute.
+
+        The caller has gated the operands: ``sig`` is their signature,
+        ``args`` what ``rt.ew`` would hand the members' lambdas (the
+        first-call reference) and ``values`` the same as C takes them
+        (float64 arrays of ``shape``, Python floats).  ``bufs`` has one
+        entry per member: an array the member's output may be written
+        into, or ``None`` for a buffer from ``spare`` — taken only once
+        the kernel is known, so a refused group holds nothing.  On
+        ``None`` the caller runs each member as it would without the
+        group; the arrays of ``bufs`` may hold garbage then.
+        """
+        ent = self._fast.get(id(gspec))
+        kern = ent[1].get(sig) if ent is not None and ent[0] is gspec \
+            else None
+        if kern is None:
+            kern = self._remember(gspec, sig)
+            if kern is None:
+                return None
+            warm = False
+        elif kern is _UNSUPPORTED or kern.blacklisted:
+            return None
+        else:
+            warm = True
+        outs = [spare.take(shape) if buf is None else buf for buf in bufs]
+        dparr = self._dparr
+        from_buffer = self._from_buffer
+        cargs = [from_buffer(dparr, v, False) for v in outs]
+        cargs += [
+            from_buffer(dparr, v, False) if v.__class__ is np.ndarray else v
+            for v in values
+        ]
+        rc = kern.cfun(outs[0].size, *cargs)
+        if rc != 0:
+            self.stats.bump("guard_fallbacks")
+            return None
+        if kern.verified < self.verify_calls:
+            refs = group_reference(gspec, args)
+            if any(ref.dtype != np.float64 or ref.shape != out.shape
+                   or ref.tobytes() != out.tobytes()
+                   for ref, out in zip(refs, outs)):
+                kern.blacklisted = True
+                self.stats.bump("verify_rejects")
+                return None
+            kern.verified += 1
+        if warm:
+            next(self.stats.warm)
+        else:
+            self.stats.bump("native_calls")
+        return outs
+
     # ---------------------------------------------------------------- #
     # kernel construction
     # ---------------------------------------------------------------- #
+
+    def _remember(self, spec, sig: str) -> Optional[_Kernel]:
+        """The kernel of a call site's ``spec`` for ``sig`` (``None``:
+        numpy), found or built, and remembered in the site's memo."""
+        kern = self._kernel_for(spec, sig)
+        ent = self._fast.get(id(spec))
+        if ent is None or ent[0] is not spec:
+            ent = self._fast[id(spec)] = (spec, {})
+        ent[1][sig] = kern if kern is not None else _UNSUPPORTED
+        return kern
 
     def _kernel_for(self, spec, sig: str) -> Optional[_Kernel]:
         if not self.available:
@@ -449,7 +531,7 @@ class NativeEngine:
             self.stats.bump("compiles")
         ffi = self._get_ffi()
         try:
-            ffi.cdef(cdef_signature(sig, name))
+            ffi.cdef(cdef_signature(sig, name, len(members(spec))))
             lib = ffi.dlopen(str(path))
             cfun = getattr(lib, name)
         except Exception:
@@ -477,6 +559,11 @@ class NativeEngine:
         finally:
             self._probing.discard(op)
         self._op_admission[op] = verdict
+        if not verdict:
+            # the probe's kernel is the single-op spec's own: a chain or a
+            # group probing the op first must not leave it to run later
+            self._kernels[self.key(single_op_spec(op),
+                                   "a" * info.arity)] = _UNSUPPORTED
         return verdict
 
     def _probe_op(self, op: str) -> bool:

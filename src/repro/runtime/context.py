@@ -33,6 +33,9 @@ from .memory import MemoryTracker, current_tracker, install_tracker
 
 COLON = V.COLON
 
+_FLOAT64 = np.dtype(np.float64)
+_refs = sys.getrefcount
+
 
 class RuntimeContext:
     """Per-rank handle to the distributed run-time library."""
@@ -50,6 +53,10 @@ class RuntimeContext:
         #: under the ``fused`` backend one pass carries all ranks; rank 0
         #: stands in wherever a single identity is needed (I/O coordination)
         self.fused = fused = bool(getattr(comm, "is_fused", False))
+        #: does a group of elementwise statements try its one native
+        #: kernel (``ew_group``)?  The emitted code tests it first, so a
+        #: group costs no call where it cannot: lockstep, native off
+        self.grouped = fused and native is not None
         self.rank = 0 if fused else comm.rank
         #: the descriptor class that goes with this communicator
         self.descriptor = FusedDMatrix if fused else DMatrix
@@ -483,9 +490,14 @@ class RuntimeContext:
         if isinstance(value, complex) and not np.iscomplexobj(full):
             return self.index_assign(mat, subs, rhs)
         # mat's threshold is 4, not 3: set_element's own frame holds an
-        # extra reference while delegating here
-        if (reuse and mat.replica is None and full.base is None
-                and full.flags.owndata and full.flags.writeable
+        # extra reference while delegating here; the buffer's memory is
+        # its own as FusedDMatrix.__del__ tells (distribution.fresh's
+        # buffers are views of a base only they refer to)
+        base = full.base
+        if (reuse and mat.replica is None
+                and (full.flags.owndata if base is None else
+                     _refs(base) == 3 and base.__class__ is np.ndarray)
+                and full.flags.writeable
                 and sys.getrefcount(mat) <= 4
                 and sys.getrefcount(full) <= 3):
             new_full = full
@@ -649,6 +661,80 @@ class RuntimeContext:
         load = template.load
         self.comm.compute_own(elems=load * nops, mem=load)
         return template.like(out)
+
+    def ew_group(self, gspec, operands: tuple, olds: tuple):
+        """Run a group of elementwise statements (pass 6's ``ew_group``)
+        as one native kernel, or return ``None``.
+
+        ``gspec`` is the group's kernel spec, ``operands`` the values
+        it reads from before the group and ``olds``, per member, the
+        value its destination holds now when no member reads that value
+        (else ``None``).  The result hands each member's statement its
+        output, in order, through :meth:`Group.result`, which charges
+        exactly what ``ew`` would; on ``None`` every member runs through
+        ``ew`` as if there were no group.  The operands must be what
+        the kernel takes as they are: Python floats, values that stand
+        for one real ``double``, and float64 C-contiguous matrices of
+        one geometry.
+
+        An output is written into the array of a member's old value when
+        that descriptor is provably its sole owner — the reference
+        counts of :meth:`FusedDMatrix.__del__`'s recycling rule, plus
+        the ``olds`` entry and the loop variable here — so a group holds
+        no more full-size buffers than its statements one at a time.
+        """
+        native = self.native
+        geom = None
+        sig = ""
+        # what the lambdas take (a matrix's array), and what C takes
+        args = values = list(operands)
+        k = 0
+        for op in operands:
+            kind = op.__class__
+            if kind is FusedDMatrix:
+                if geom is None:
+                    geom = op.geom
+                elif op.geom is not geom:
+                    break
+                held = op.held
+                if held.dtype != _FLOAT64 or not held.flags.c_contiguous:
+                    break
+                args[k] = values[k] = held
+                sig += "a"
+            elif kind is float:
+                sig += "s"
+            else:
+                demoted = native.as_double(op)
+                if demoted is None:
+                    break
+                if values is args:
+                    values = args[:]
+                values[k] = demoted
+                sig += "s"
+            k += 1
+        else:
+            if geom is not None:
+                bufs = [None] * len(olds)
+                k = 0
+                for old in olds:
+                    if (old.__class__ is FusedDMatrix and old.geom is geom
+                            and _refs(old) == 4):
+                        held = old.held
+                        base = held.base
+                        if (_refs(held) == 3 and (
+                                base is None or _refs(base) == 3
+                                and base.__class__ is np.ndarray)
+                                and held.dtype == _FLOAT64
+                                and held.flags.c_contiguous
+                                and held.flags.writeable):
+                            bufs[k] = held
+                    k += 1
+                outs = native.run_group(gspec, sig, args, values, geom.shape,
+                                        bufs, geom.spare)
+                return None if outs is None else \
+                    Group(outs, geom, self.comm)
+        native.stats.bump("signature_fallbacks")
+        return None
 
     # ------------------------------------------------------------------ #
     # truthiness / control flow support
@@ -847,6 +933,34 @@ for _module, _names in (
 # -------------------------------------------------------------------------- #
 # codegen support methods (used by emitted Python programs)
 # -------------------------------------------------------------------------- #
+
+
+class Group:
+    """The outputs of one ``ew_group`` kernel call, handed to the
+    members' statements in order."""
+
+    __slots__ = ("outs", "next", "geom", "load", "comm")
+
+    def __init__(self, outs: list, geom, comm):
+        self.outs = outs
+        self.next = 0
+        self.geom = geom
+        self.load = geom.counts
+        self.comm = comm
+
+    def result(self, nops: int) -> FusedDMatrix:
+        """The next member's value, charged as ``ew`` charges a loop of
+        ``nops`` operations per element.  The group lets go of the array
+        as it hands it out, so the descriptor is its one owner."""
+        k = self.next
+        out = self.outs[k]
+        self.outs[k] = None
+        self.next = k + 1
+        comm = self.comm
+        comm.overhead()
+        load = self.load
+        comm.compute_own(elems=load * nops, mem=load)
+        return FusedDMatrix(self.geom, _FLOAT64, out)
 
 
 def _codegen_support(cls):

@@ -240,11 +240,16 @@ class FusedDMatrix(DMatrix):
         # room and this descriptor is provably the buffer's only owner:
         # three references are the slot, ``full`` and getrefcount's
         # argument — any view, other descriptor, gather cache, workspace
-        # value or cffi buffer makes more
+        # value or cffi buffer makes more.  Its memory is its own when it
+        # has no base, or a base array only it refers to (three references:
+        # its ``base`` slot, ``base`` and getrefcount's argument) — how
+        # distribution.fresh places a buffer in a page
         spare = self.spare
         if spare.room > 0:
             full = self.held
-            if (_refs(full) == 3 and full.base is None
+            base = full.base
+            if (_refs(full) == 3 and (base is None or _refs(base) == 3
+                                      and base.__class__ is np.ndarray)
                     and full.dtype is _float64 and full.flags.c_contiguous
                     and full.flags.writeable):
                 try:

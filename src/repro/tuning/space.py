@@ -39,7 +39,7 @@ from ..ir.nodes import (
     SetElement,
     Var,
 )
-from ..ir.peephole import peephole_program
+from ..ir.peephole import REWRITES, peephole_program
 from .plan import DEFAULT_PLAN, FUSION_REWRITES, Plan
 
 #: per-class distribution flips explored (largest classes first)
@@ -141,13 +141,17 @@ def plan_axes(program, probe_counts: Optional[dict] = None,
 
     # pass 6: the schedule without each rewrite that fired, the schedule
     # with each rewrite the default leaves out (where it would fire on
-    # what the default's rewrites left), and the pass off entirely
+    # what the default's rewrites left), and the pass off entirely — of
+    # the rewrites that can move the modeled clock the search ranks
+    # plans by (``ew_group`` moves host time only)
     schedule = DEFAULT_PLAN.fusion
-    fired = program.peephole_stats.fired()
+    fired = [name for name in program.peephole_stats.fired()
+             if REWRITES[name].modeled]
     fusion = [{"fusion": tuple(r for r in schedule if r != name)}
               for name in fired]
     fusion += [{"fusion": (*schedule, name)}
                for name in FUSION_REWRITES if name not in schedule
+               and REWRITES[name].modeled
                and peephole_program(copy.deepcopy(ir),
                                     schedule=(name,)).counts[name]]
     if fired:

@@ -59,12 +59,10 @@ int main(int argc, char *argv[])
         ML_tmp12 = ML_dot(p, Ap);
         alpha = (rsold / ML_tmp12);
         ML_init_like(&x, x);
+        ML_init_like(&r, r);
         for (ML_i2 = ML_local_els(x)-1; ML_i2 >= 0; ML_i2--) {
             x->realbase[ML_i2] = (x->realbase[ML_i2] + (alpha * p->realbase[ML_i2]));
-        }
-        ML_init_like(&r, r);
-        for (ML_i3 = ML_local_els(r)-1; ML_i3 >= 0; ML_i3--) {
-            r->realbase[ML_i3] = (r->realbase[ML_i3] - (alpha * Ap->realbase[ML_i3]));
+            r->realbase[ML_i2] = (r->realbase[ML_i2] - (alpha * Ap->realbase[ML_i2]));
         }
         rsnew = ML_dot(r, r);
         ML_init_like(&p, r);

@@ -15,6 +15,7 @@ from repro.ir.nodes import (
     Copy,
     Display,
     Elementwise,
+    EwGroup,
     EwNode,
     IndexAssign,
     IRBreak,
@@ -277,15 +278,22 @@ def rewritten(src, name, **kwargs):
 class TestRegistry:
     def test_default_schedule_is_the_registry_minus_what_bends_a_figure(self):
         assert tuple(REWRITES) == ("transpose_matmul", "cse", "const_args",
-                                   "reduce2", "batch_reduce")
-        assert DEFAULT_SCHEDULE == tuple(REWRITES)[:4]
+                                   "reduce2", "batch_reduce", "ew_group")
+        assert DEFAULT_SCHEDULE == tuple(
+            name for name in REWRITES if name != "batch_reduce")
+        # the one rewrite that cannot move the modeled clock, and runs
+        # after pass 6b
+        assert [name for name, row in REWRITES.items()
+                if not row.modeled] == ["ew_group"]
+        assert [name for name, row in REWRITES.items()
+                if row.after_licm] == ["ew_group"]
 
     def test_stats_count_by_name_and_keep_the_old_views(self):
         _, stats = lower("r = ones(8, 1);\ns = r' * r;\nt = sum(sum(r * r'));",
                          peephole=True)
         assert stats.counts == {"transpose_matmul": 1, "cse": 0,
                                 "const_args": 0, "reduce2": 1,
-                                "batch_reduce": 0}
+                                "batch_reduce": 0, "ew_group": 0}
         assert stats.fired() == {"transpose_matmul": 1, "reduce2": 1}
         assert (stats.transpose_fused, stats.cse_removed) == (1, 0)
         assert stats.summary() == "1 transpose_matmul, 1 reduce2"
@@ -484,6 +492,8 @@ one, two = Const(1.0), Const(2.0)
 _then, _else, _cond, _body, _iter = ([Copy(a, b)], [Copy(b, a)],
                                      [Copy(t1, a)], [Copy(c, k)],
                                      [Copy(t2, b)])
+_members = [Elementwise(dest=a, expr=EwNode("+", (b, one))),
+            RTCall(dest=c, op="builtin:min", args=[a, two])]
 
 #: (statement, what it assigns, what it reads, the blocks under it)
 ANSWERS = [
@@ -515,6 +525,8 @@ ANSWERS = [
     (IRContinue(), [], [], []),
     (IRReturn(), [], [], []),
     (IRGlobal(names=["a"]), [], [], []),
+    # a group assigns and reads nothing itself: its members do
+    (EwGroup(members=_members), [], [], [_members]),
 ]
 
 
@@ -569,6 +581,8 @@ class TestAccessors:
                         stack += [stmt.iter_stmts, stmt.body]
                     elif isinstance(stmt, IRWhile):
                         stack += [stmt.cond_stmts, stmt.body]
+                    elif isinstance(stmt, EwGroup):
+                        stack.append(stmt.members)
 
         programs = shipped_programs()
         assert len(programs) == 20

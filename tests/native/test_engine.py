@@ -334,3 +334,17 @@ def test_no_reference_means_no_native_until_verified(engine):
     a = _arr(1.0, 2.0)
     assert engine.run(CHAIN, [a, a], None) is None
     assert run_ref(engine, CHAIN, [a, a]) is not None
+
+
+def test_a_failed_probe_leaves_no_kernel_to_run(engine, monkeypatch):
+    """A chain (or a group) that uses ``exp`` probes it first; when the
+    probe fails, the single-op kernel it compiled must not serve a later
+    lone ``exp`` — that one falls back too, with nothing to reject."""
+    probe = engine._probe_op
+    monkeypatch.setattr(engine, "_probe_op",
+                        lambda op: probe(op) and op != "fn:exp")
+    a = _arr(0.5, 1.5)
+    assert run_ref(engine, ("+", ("fn:exp", "@0"), 1.0), [a]) is None
+    assert run_ref(engine, ("fn:exp", "@0"), [a]) is None
+    stats = engine.stats.snapshot()
+    assert (stats["verify_rejects"], stats["native_calls"]) == (0, 0)

@@ -1,0 +1,312 @@
+"""Pass 6's ``ew_group``: a run of elementwise statements is one native
+loop, and nothing else about the program changes.
+
+Generated runs of 2–12 statements — members that read earlier members,
+``x = x + 1``, a variable assigned twice, dead temporaries, scalars mixed
+into array arithmetic, a ``sqrt`` of negatives in the middle member,
+shapes that split the run and a distribution that splits its operands,
+over random values and over the probe's special values — each compiled
+with and without the rewrite, at P ∈ {1, 2, 3, 4, 7, 16} × {block,
+cyclic} × {fused native auto, fused native off, lockstep}: output,
+workspace bytes, per-rank clocks, message counts, canonical trace and
+``peak_local_bytes`` are the same.  On the fused native runs each group
+that ran is one native call in place of its members' calls, and a
+kernel fails its first-call verification only over a NaN: gcc may fold
+``fabs(x * x)`` to ``x * x``, which keeps a NaN's sign bit, and NaN
+bits are outside the tier's contract (docs/NATIVE.md) — the reject is
+what keeps them out of the results.
+"""
+
+import hashlib
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.compiler import compile_source
+from repro.ir.nodes import EwGroup
+from repro.mpi import MEIKO_CS2
+from repro.native import get_engine
+from repro.native.engine import group_reference, probe_samples
+from repro.trace import canonical_events
+from repro.tuning import DEFAULT_PLAN, Plan
+
+WITHOUT = tuple(name for name in DEFAULT_PLAN.fusion if name != "ew_group")
+MODES = (("fused", "auto"), ("fused", "off"), ("lockstep", "off"))
+
+
+def _literal(values) -> str:
+    def one(v):
+        if np.isnan(v):
+            return "nan"
+        if np.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return "-0" if v == 0 and np.signbit(v) else repr(float(v))
+    return "[" + ", ".join(one(v) for v in values) + "]"
+
+
+#: the probe's special values (zeros of both signs, infinities, NaN,
+#: the extremes, denormals, ...) and a few of its random ones
+SPECIALS = probe_samples("all")[0][-30:]
+
+_FNS = ("sqrt", "abs")
+_OPS = ("+", "-", ".*", "./", ">")
+
+
+@st.composite
+def programs(draw):
+    """A script: inputs ``a``, ``b`` of one shape, a scalar ``s``, a
+    matrix ``m`` of another shape, then the run."""
+    specials = draw(st.booleans())
+    if specials:
+        rows, cols = 1, len(SPECIALS)
+        inputs = (f"a = {_literal(SPECIALS)};\n"
+                  f"b = {_literal(np.roll(SPECIALS, 7))};\n")
+    else:
+        rows = draw(st.integers(1, 9))
+        cols = draw(st.integers(2, 9))
+        inputs = f"a = rand({rows}, {cols});\nb = rand({rows}, {cols});\n"
+    head = (f"rand('seed', {draw(st.integers(0, 99))});\ns = 0.75;\n"
+            f"m = rand({rows}, {cols + 1});\n{inputs}")
+    size = draw(st.integers(2, 12))
+    middle = size // 2 if draw(st.integers(0, 2)) == 0 else -1
+    names = ["a", "b"]          # arrays a member may read
+    lines = []
+    for k in range(size):
+        if k == middle:
+            lines.append(f"r{k} = sqrt(a - 0.5);")
+            names.append(f"r{k}")
+            continue
+        kind = draw(st.sampled_from(
+            ["binary"] * 4 + ["scalar", "fn", "minmax"] * 2
+            + ["nested", "self", "redefine", "other_shape", "scalar_only"]))
+        x = draw(st.sampled_from(names))
+        y = draw(st.sampled_from(names))
+        op = draw(st.sampled_from(_OPS))
+        dest = f"t{k}"
+        if kind == "binary":
+            expr = f"{x} {op} {y}"
+        elif kind == "scalar":
+            expr = draw(st.sampled_from(
+                [f"s {op} {x}", f"{x} {op} s", f"2 .* {x} + s"]))
+        elif kind == "fn":         # (a guard that fires is the middle's)
+            expr = f"{draw(st.sampled_from(_FNS))}(abs({x} {op} {y}))"
+        elif kind == "minmax":
+            other = draw(st.sampled_from([y, "s", "0.5"]))
+            expr = f"{draw(st.sampled_from(['min', 'max']))}({x}, {other})"
+        elif kind == "nested":     # min's value is a dead temporary
+            expr = f"max(min({x}, 1), {y})"
+        elif kind == "self":       # x = x + 1
+            dest, expr = x, f"{x} + 1"
+        elif kind == "redefine":   # a name the run already assigned
+            dest, expr = draw(st.sampled_from(names)), f"{x} .* {y}"
+        elif kind == "other_shape":     # splits the run
+            dest, expr = f"w{k}", "m .* 2"
+        else:                      # a scalar statement splits it too
+            dest, expr = f"q{k}", "s * 2"
+        lines.append(f"{dest} = {expr};")
+        if kind not in ("other_shape", "scalar_only") and dest not in names:
+            names.append(dest)
+    tail = "fprintf('%d %d\\n', numel(a), numel(m));\n"
+    return head + "\n".join(lines) + "\n" + tail
+
+
+def _observed(result):
+    spmd = result.spmd
+    return (result.output, tuple(t.hex() for t in spmd.times),
+            spmd.messages_sent, spmd.bytes_sent, spmd.collectives,
+            sorted(spmd.collective_counts.items()),
+            hashlib.sha256(canonical_events(result.trace).encode())
+            .hexdigest(),
+            {name: (np.asarray(value).dtype.str,
+                    np.asarray(value).tobytes())
+             for name, value in result.workspace.items()},
+            tuple(result.peak_local_bytes), spmd.backend)
+
+
+def _nan(*arrays) -> bool:
+    return any(np.isnan(np.asarray(a, dtype=complex)).any() for a in arrays)
+
+
+@contextmanager
+def group_calls():
+    """The member counts of the group kernels that ran (a list), and
+    for each kernel a first-call verification rejected, whether its
+    numpy values hold a NaN (``ran.nan_rejects``)."""
+    engine = get_engine()
+    ran = Calls()
+    run_group, run = engine.run_group, engine.run
+
+    def rejected(call):
+        before = engine.stats.snapshot()["verify_rejects"]
+        value = call()
+        return value, engine.stats.snapshot()["verify_rejects"] > before
+
+    def grouped(gspec, sig, args, *rest):
+        outs, reject = rejected(lambda: run_group(gspec, sig, args, *rest))
+        if outs is not None:
+            ran.append(len(gspec))
+        if reject:
+            ran.nan_rejects.append(_nan(*group_reference(gspec, args)))
+        return outs
+
+    def single(spec, args, reference=None, spare=None):
+        out, reject = rejected(lambda: run(spec, args, reference, spare))
+        if reject:
+            with np.errstate(all="ignore"):
+                ran.nan_rejects.append(_nan(reference(*args)))
+        return out
+
+    engine.run_group, engine.run = grouped, single
+    try:
+        yield ran
+    finally:
+        del engine.run_group, engine.run
+
+
+class Calls(list):
+    def __init__(self):
+        super().__init__()
+        self.nan_rejects = []
+
+
+def _run(program, plan, nprocs, backend, native):
+    with group_calls() as ran:
+        result = program.run(nprocs=nprocs, machine=MEIKO_CS2,
+                             backend=backend, native=native, plan=plan,
+                             trace=True)
+    return result, ran
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow
+@settings(max_examples=30, deadline=None)
+@given(programs(), st.sampled_from([1, 2, 3, 4, 7, 16]),
+       st.sampled_from(["block", "cyclic"]), st.booleans())
+def test_a_group_changes_nothing_but_the_native_calls(source, nprocs, scheme,
+                                                      split):
+    other = "cyclic" if scheme == "block" else "block"
+    dist = (("a", other),) if split else ()
+    grouped = Plan(scheme=scheme, dist=dist)
+    plain = Plan(scheme=scheme, dist=dist, fusion=WITHOUT)
+    program = compile_source(source, plan=grouped)
+    baseline = compile_source(source, plan=plain)
+    assert program.peephole_stats.counts["ew_group"] == sum(
+        isinstance(stmt, EwGroup) for block in program.ir.walk()
+        for stmt in block)
+    for backend, native in MODES:
+        got, ran = _run(program, grouped, nprocs, backend, native)
+        want, none = _run(baseline, plain, nprocs, backend, native)
+        assert _observed(got) == _observed(want), (backend, native)
+        assert not none
+        if (backend, native) != ("fused", "auto") or got.native is None:
+            assert not ran      # ``rt.grouped`` kept the call away
+            continue
+        assert all(ran.nan_rejects) and all(none.nan_rejects)
+        if not (ran.nan_rejects or none.nan_rejects):
+            # one native call per group run, where its members made one
+            # each
+            assert got.native["native_calls"] == \
+                want.native["native_calls"] - sum(n - 1 for n in ran)
+
+
+IMAGE_STEP = """
+rand('seed', 3);
+img = rand(24, 20);
+tau = 0.08;
+for k = 1:3
+    north = circshift(img, [-1, 0]);
+    south = circshift(img, [1, 0]);
+    blur = (north + south) ./ 4 + img ./ 2;
+    mag = sqrt((south - north) .* (south - north));
+    edges = mag > tau;
+    img = max(min(edges .* blur + (1 - edges) .* img, 1), 0);
+end
+"""
+
+
+def _group_count(program):
+    return sum(isinstance(stmt, EwGroup) for block in program.ir.walk()
+               for stmt in block)
+
+
+def test_every_step_is_one_native_call():
+    program = compile_source(IMAGE_STEP)
+    assert _group_count(program) == 1
+    with group_calls() as ran:
+        result = program.run(nprocs=4, backend="fused", native="auto")
+    if result.native is None:
+        pytest.skip("native tier unavailable")
+    assert ran == [6, 6, 6]
+    assert result.native["native_calls"] == 3
+
+
+def test_a_guard_that_fires_runs_every_member_through_ew():
+    """``sqrt`` of a negative in the middle member: the kernel's flag
+    says so at the end, and every member runs as it would alone — the
+    complex value included."""
+    source = ("rand('seed', 4);\na = rand(5, 6) - 0.5;\nb = a + 1;\n"
+              "c = sqrt(a);\nd = c .* 2;\n")
+    program = compile_source(source)
+    baseline = compile_source(source, plan=Plan(fusion=WITHOUT))
+    assert _group_count(program) == 1
+    got, ran = _run(program, None, 4, "fused", "auto")
+    want, _ = _run(baseline, Plan(fusion=WITHOUT), 4, "fused", "auto")
+    assert ran == []
+    assert np.iscomplexobj(got.workspace["d"])
+    assert _observed(got) == _observed(want)
+
+
+def test_a_rank_varying_operand_leaves_the_fused_run_as_before():
+    """``toc`` differs per rank: mixed into array arithmetic it ends the
+    fused run, which re-runs on lockstep — the group refused it, and the
+    member's own ``ew`` raised as it would have alone."""
+    source = ("tic;\nx = ones(6, 4);\ny = x + 1;\nt = toc;\n"
+              "z = y .* t;\nw = z + x;\n")
+    runs = []
+    for plan in (None, Plan(fusion=WITHOUT)):
+        program = compile_source(source, plan=plan)
+        runs.append(program.run(nprocs=4, backend="fused", native="auto",
+                                trace=True))
+    assert [run.spmd.backend for run in runs] == ["lockstep", "lockstep"]
+    assert _observed(runs[0]) == _observed(runs[1])
+
+
+def test_an_output_is_written_into_the_dying_value_it_replaces():
+    """From the second step on, every member but the one whose old value
+    a member reads (``img``) writes into its destination's old array —
+    so a group holds no more buffers than its statements did."""
+    engine = get_engine()
+    program = compile_source(IMAGE_STEP)
+    reused = []
+    run_group = engine.run_group
+
+    def spying(gspec, sig, args, values, shape, bufs, spare):
+        reused.append(sum(buf is not None for buf in bufs))
+        return run_group(gspec, sig, args, values, shape, bufs, spare)
+
+    engine.run_group = spying
+    try:
+        result = program.run(nprocs=4, backend="fused", native="auto")
+    finally:
+        del engine.run_group
+    if result.native is None:
+        pytest.skip("native tier unavailable")
+    # members: blur, mag, edges, two temporaries (the second, min's,
+    # dead after the group) and img, whose old value blur reads
+    assert reused == [0, 5, 5]
+
+
+def test_an_aliased_old_value_is_never_written_into():
+    """``keep = blur`` holds the descriptor ``blur`` is about to lose:
+    its array must come through the group untouched."""
+    source = ("rand('seed', 6);\nx = rand(8, 8);\nblur = x .* 2;\n"
+              "for k = 1:3\n    keep = blur;\n    blur = x + k;\n"
+              "    y = blur .* 3;\nend\n")
+    program = compile_source(source)
+    assert _group_count(program) == 1
+    result = program.run(nprocs=4, backend="fused", native="auto")
+    oracle = program.run(nprocs=4, backend="lockstep", native="off")
+    for name in ("keep", "blur", "y"):
+        assert np.asarray(result.workspace[name]).tobytes() == \
+            np.asarray(oracle.workspace[name]).tobytes(), name

@@ -142,6 +142,57 @@ def test_a_referenced_buffer_is_never_handed_out(kind):
     assert fused(body, cache_gathers=kind == "gather-cache")
 
 
+#: a shape at least ``distribution.SPREAD_BYTES`` large: its fresh
+#: buffers are views of an allocation only they refer to
+PLACED = (96, 96)
+
+
+def test_large_fresh_buffers_start_at_spread_page_offsets():
+    placed = [FreeList(PLACED[0] * PLACED[1]).take(PLACED)
+              for _ in range(16)]
+    offsets = {buf.ctypes.data % distribution.PAGE for buf in placed}
+    assert len(offsets) == 16 and all(off % 64 == 0 for off in offsets)
+    assert all(buf.base is not None and buf.flags.c_contiguous
+               for buf in placed)
+    assert FreeList(40 * 24).take((40, 24)).base is None
+
+
+def test_a_placed_buffer_is_recycled_and_a_view_of_it_is_not():
+    """A placed buffer's sole owner recycles it; a view of it refers to
+    its base, not to it, and still keeps it off the list."""
+    def body(rt):
+        a = shifted(rt, rt.rand(*map(float, PLACED)))
+        assert a.held.base is not None
+        kept = wanted(rt, a)
+        geom, address = a.geom, a.held.ctypes.data
+        del a
+        assert in_pool(geom, address)
+        b = shifted(rt, rt.rand(*map(float, PLACED)))
+        view, address = b.held[3:-3], b.held.ctypes.data
+        want = view.copy()
+        del b, kept
+        assert not in_pool(geom, address)
+        addresses = churn(rt, *PLACED)
+        assert address not in addresses
+        assert len(set(addresses)) < len(addresses)
+        np.testing.assert_array_equal(view, want)
+        return True
+
+    assert fused(body)
+
+
+def test_a_store_into_a_placed_buffer_goes_in_place_unless_viewed():
+    def body(rt):
+        x = shifted(rt, rt.rand(*map(float, PLACED)))
+        x = rt.set_element(x, [1.0, 1.0], 7.0, reuse=True)
+        view = x.held[:2]
+        x = rt.set_element(x, [1.0, 1.0], 8.0, reuse=True)
+        assert view[0, 0] == 7.0 and x.held[0, 0] == 8.0
+        return rt.set_element_copies
+
+    assert fused(body) == 1
+
+
 _STENCIL = """
 rand('seed', 5);
 u = rand(24, 16);
@@ -238,6 +289,30 @@ def test_a_guard_fallback_after_taking_a_buffer_returns_numpys_result(
         want = K.sqrt(a.held)
         assert np.iscomplexobj(root.held)
         assert root.held.tobytes() == want.tobytes()
+        return True
+
+    assert fused(body, native=engine)
+
+
+@needs_cc
+def test_a_group_never_writes_into_a_viewed_placed_buffer(engine):
+    """``rt.ew_group`` writes an output into a dying old value's array
+    only when that descriptor owns it alone: a view of a placed buffer
+    (which refers to its base) keeps the group off it, a sole owner's
+    array is taken."""
+    gspec = ((("+", "@0", 1.0), (0,)), ((".*", "@0", 2.0), ("#0",)))
+
+    def body(rt):
+        a = rt.rand(*map(float, PLACED))
+        old = shifted(rt, a)
+        assert old.held.base is not None
+        view, want = old.held[:2], old.held[:2].copy()
+        group = rt.ew_group(gspec, (a,), (None, old))
+        assert group is not None and group.outs[1] is not old.held
+        np.testing.assert_array_equal(view, want)
+        del view
+        group = rt.ew_group(gspec, (a,), (None, old))
+        assert group.outs[1] is old.held
         return True
 
     assert fused(body, native=engine)

@@ -27,7 +27,7 @@ from repro.trace import canonical_events
 from repro.tuning.plan import DEFAULT_PLAN, Plan
 
 PASS_NAMES = ["parse", "resolve", "infer", "lower", "guard", "peephole",
-              "licm", "emit"]
+              "licm", "group", "emit"]
 
 SRC = "x = ones(4, 4) * 2;\ndisp(sum(sum(x)));\n"
 SRC_WS = "% a comment\nx   = ones(4,4)*2 ;\n\n\ndisp( sum(sum(x)) );  % more\n"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler import clear_compile_cache, compile_source
 from repro.tuning import (
     DEFAULT_PLAN,
+    Plan,
     alignment_classes,
     clear_eval_memo,
     enumerate_plans,
@@ -336,6 +337,29 @@ def test_fusion_axis_is_derived_from_the_rewrite_registry():
         {"fusion": (*default, "batch_reduce")}]
     # ... and probing for it left the program's IR alone
     assert "reduce_batch" not in lone.ir_dump()
+
+
+def test_ew_group_adds_no_candidate():
+    """``ew_group`` cannot move the modeled clock the search ranks plans
+    by: where it fires, the plan space is the one of the same program
+    compiled without it — no fusion candidate drops it, none adds it."""
+    from repro.bench.workloads import image_filter
+
+    source = image_filter(n=32, steps=2).source
+    grouped = compile_source(source)
+    plain = compile_source(source, plan=Plan(fusion=tuple(
+        r for r in DEFAULT_PLAN.fusion if r != "ew_group")))
+    assert grouped.peephole_stats.fired()["ew_group"] == 1
+    assert "ew_group" not in plain.peephole_stats.fired()
+    for nprocs in (1, 4):
+        axes = plan_axes(grouped, None, nprocs=nprocs)
+        assert axes == plan_axes(plain, None, nprocs=nprocs)
+        assert all("ew_group" in ov["fusion"] for ov in axes["fusion"]
+                   if ov["fusion"])
+        assert len(enumerate_plans(grouped, None, nprocs=nprocs,
+                                   budget=10 ** 4)) \
+            == len(enumerate_plans(plain, None, nprocs=nprocs,
+                                   budget=10 ** 4))
 
 
 def test_search_finds_the_rewrite_the_default_plan_leaves_out():
