@@ -42,12 +42,7 @@ from ..runconfig import BACKENDS, ON_FAULT_POLICIES
 from .executor import SpmdResult, run_spmd
 from .faults import FaultPlan, FaultRule, load_plan
 from .fused import FusedComm, PerRankScalar
-from .recovery import (
-    Checkpoint,
-    CheckpointStore,
-    RecoveryPolicy,
-    RecoveryReport,
-)
+from .recovery import RecoveryReport
 from .machine import (
     CpuModel,
     FATTREE_CLUSTER,
@@ -73,7 +68,7 @@ __all__ = [
     "FaultPlan", "FaultRule", "load_plan",
     "MpiTimeoutError", "SpmdWatchdogError", "MpiCorruptionError",
     "RankCrashedError", "MpiRetryExhaustedError",
-    "RecoveryPolicy", "RecoveryReport", "Checkpoint", "CheckpointStore",
+    "RecoveryReport",
     "ON_FAULT_POLICIES",
     "CpuModel", "Link", "MachineModel", "MACHINES",
     "MEIKO_CS2", "SUN_ENTERPRISE", "SPARC20_CLUSTER",

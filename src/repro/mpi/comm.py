@@ -34,7 +34,7 @@ from ..errors import MpiCorruptionError, MpiError, MpiRetryExhaustedError, \
 from .datatypes import sizeof
 from .faults import FaultState, payload_checksum
 from .machine import MachineModel
-from .recovery import retry_backoff
+from .recovery import MAX_RETRIES, RTO_FACTOR, retry_backoff
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -260,14 +260,8 @@ class World:
         self.rank_collectives += 1
         if op is not None:
             self._count(op)
-        recovery = self.recovery
-        if (recovery is not None and recovery.policy.checkpoint_every
-                and self.collectives
-                % recovery.policy.checkpoint_every == 0):
-            # collective boundaries are the only instants where every
-            # rank's position is known (all contributions are in), so
-            # they are where snapshots are consistent
-            recovery.store.take(self, tnew, recovery.attempt)
+        if self.recovery is not None:
+            self.recovery.at_collective(self, tnew)
 
     def sync(self, rank: int, contribution: Any,
              combine: Callable[[list, float], tuple[Any, float]],
@@ -487,8 +481,7 @@ class Comm:
         if faults is not None:
             faults.check_crash(self.rank, "send", world.clocks[self.rank])
             recovery = world.recovery
-            retrying = (recovery is not None
-                        and recovery.policy.retries_enabled)
+            retrying = recovery is not None
             attempt = 0
             penalty = 0.0
             while True:
@@ -497,11 +490,11 @@ class Comm:
                     world.clocks[self.rank] + penalty, obj)
                 if not retrying or (fate.deliver and not fate.corrupted):
                     break
-                if attempt >= recovery.policy.max_retries:
+                if attempt >= MAX_RETRIES:
                     raise MpiRetryExhaustedError(
                         f"rank {self.rank} -> rank {dest} (tag {tag}, "
                         f"{nbytes} B): retry budget exhausted after "
-                        f"{recovery.policy.max_retries} re-sends — "
+                        f"{MAX_RETRIES} re-sends — "
                         f"every attempt was "
                         f"{'corrupted' if fate.deliver else 'dropped'}")
                 # the simulated transport notices the failure — ack
@@ -551,7 +544,7 @@ class Comm:
 
         Returns the virtual seconds between the failed attempt and the
         re-send: the transport's detection latency (an ack timeout of
-        ``rto_factor`` link latencies for a drop; a full payload
+        ``RTO_FACTOR`` link latencies for a drop; a full payload
         crossing plus a NACK hop for corruption — the mangled bytes
         *did* travel) plus seeded exponential backoff.  The failed
         attempt's wire traffic is charged to the per-rank accounting
@@ -565,7 +558,7 @@ class Comm:
                 + link.latency
             why = "corrupt"
         else:               # dropped: the sender's ack timer fired
-            detect = recovery.policy.rto_factor * link.latency
+            detect = RTO_FACTOR * link.latency
             why = "drop"
         backoff = retry_backoff(faults.plan.seed, rank,
                                 recovery.next_retry_seq(rank), attempt,

@@ -56,7 +56,7 @@ from .comm import Comm, World, _Abort
 from .faults import FaultPlan, FaultState
 from .fused import FusedComm
 from .machine import MachineModel
-from .recovery import ActiveRecovery, RecoveryPolicy, RecoveryReport
+from .recovery import ActiveRecovery, RecoveryReport
 from .scheduler import DeadlockError, LockstepScheduler
 
 #: after an abort, give wedged carrier threads this long to unwind
@@ -307,14 +307,12 @@ def run_spmd(nprocs: int, machine: MachineModel,
                             for name in RunConfig._fields if name in kwargs})
     backend, watchdog, tracing = config.backend, config.watchdog, config.trace
     plan: Optional[FaultPlan] = config.fault_plan
-    policy = RecoveryPolicy(config.on_fault, config.max_restarts,
-                            config.checkpoint_every)
 
     def new_recovery() -> Optional[ActiveRecovery]:
         # without a plan there is nothing injectable to heal — the
         # policy stays inert and healthy runs pay nothing
-        if policy.active and plan is not None:
-            return ActiveRecovery(policy, nprocs, seed=plan.seed)
+        if config.on_fault != "abort" and plan is not None:
+            return ActiveRecovery(config, nprocs)
         return None
 
     recovery = new_recovery()
@@ -386,14 +384,13 @@ def run_spmd(nprocs: int, machine: MachineModel,
         # unconsumed-message anomaly, which only chaos can produce) —
         # a user program bug always surfaces
         degraded_ok = (exc is not None and recovery is not None
-                       and policy.degrade
+                       and config.on_fault == "degrade"
                        and (anomaly is not None
                             or _recoverable(exc, plan)))
         if exc is None or degraded_ok:
             may_restart = (exc is not None and recovery is not None
-                           and policy.restarts_enabled
-                           and _recoverable(exc, plan)
-                           and recovery.attempt < policy.max_restarts)
+                           and recovery.may_restart
+                           and _recoverable(exc, plan))
             if not may_restart:
                 report = None
                 if recovery is not None:
@@ -429,8 +426,7 @@ def run_spmd(nprocs: int, machine: MachineModel,
         # the attempt failed: heal if the policy and budgets allow
         if recovery is not None and _recoverable(exc, plan):
             recovery.finish_attempt(world, "failed", exc)
-            if (policy.restarts_enabled
-                    and recovery.attempt < policy.max_restarts):
+            if recovery.may_restart:
                 recovery.plan_restart(world, machine, exc)
                 if on_fused_fallback is not None:
                     on_fused_fallback()  # discard partial side effects

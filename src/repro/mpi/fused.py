@@ -160,9 +160,8 @@ class FusedComm:
                  fault_plan=None, trace=None, recovery=None):
         if fault_plan is not None and fault_plan.has_faults:
             # fault schedules are per-rank by construction; a single
-            # fused pass cannot honor them — checkpoint state (if any)
-            # and fall back to lockstep, which heals under the same
-            # recovery policy
+            # fused pass cannot honor them — fall back to lockstep,
+            # which heals under the same recovery policy
             raise FusionDivergence(
                 "fault injection is rank-dependent; chaos runs fall "
                 "back to lockstep")
@@ -308,13 +307,8 @@ class FusedComm:
         w.collectives += 1
         w.rank_collectives += 1
         w._count(op)
-        recovery = w.recovery
-        if (recovery is not None and recovery.policy.checkpoint_every
-                and w.collectives
-                % recovery.policy.checkpoint_every == 0):
-            # the fused backend's single fused state snapshots at the
-            # same cadence and boundaries as the per-rank backends
-            recovery.store.take(w, tnew, recovery.attempt)
+        if w.recovery is not None:
+            w.recovery.at_collective(w, tnew)
         if self._trace is not None:
             self._trace.batch_collective(op, self.line, pre, tnew, nbytes)
 

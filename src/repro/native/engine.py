@@ -60,7 +60,8 @@ STAT_FIELDS = (
     "unsupported_specs",  # specs outside the compilable subset
     "probe_rejects",      # specs refused because a PROBED op failed
     "signature_fallbacks",  # calls with non-float64/complex/strided args
-    "compile_failures",   # cc rejected a kernel (spec blacklisted)
+    "compile_failures",   # cc rejected a kernel or the cache could not
+                          # publish it (spec blacklisted)
 )
 
 
@@ -525,7 +526,10 @@ class NativeEngine:
                 self.stats.bump("disk_rejects")
             try:
                 path = self.cache.build(key, source, self.cc)
-            except KernelCompileError:
+            except (KernelCompileError, OSError):
+                # a cache that cannot publish (ENOSPC, made read-only or
+                # removed mid-run) fails closed, like a compiler error:
+                # this kernel stays on the numpy path
                 self.stats.bump("compile_failures")
                 return None
             self.stats.bump("compiles")

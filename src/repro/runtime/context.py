@@ -81,7 +81,6 @@ class RuntimeContext:
         self.stores = stores
         self._out = out or (lambda text: None)
         self.rng = np.random.default_rng(seed)
-        self._seed = seed
         self.saved: dict[str, object] = {}
         self.globals: dict[str, object] = {}
         self.tic_time = 0.0
@@ -89,32 +88,12 @@ class RuntimeContext:
         #: (the aliased slow path; the emitted ``reuse=True`` stores write
         #: in place when the descriptor is uniquely owned)
         self.set_element_copies = 0
-        # per-rank local-memory high-water mark (paper Section 7 claim)
+        # per-rank local-memory high-water mark (paper Section 7 claim),
+        # installed last: a constructor that raises before this line
+        # leaves no thread-local tracker behind to charge later
+        # allocations on this thread
         self.memory = MemoryTracker()
         install_tracker(self.memory)
-        try:
-            recovery = getattr(getattr(comm, "world", None), "recovery",
-                               None)
-            if recovery is not None:
-                recovery.store.register_payload(self.rank,
-                                                self._checkpoint_payload)
-        except BaseException:
-            # construction failed *after* the tracker went live; the
-            # caller never received a context to close(), so release the
-            # thread-local tracker here or it would keep charging every
-            # later allocation on this thread (the PR 4 leak, one layer
-            # earlier)
-            self.close()
-            raise
-
-    def _checkpoint_payload(self) -> dict:
-        """Per-rank state the world's accounting cannot see, captured
-        into each :class:`~repro.mpi.recovery.Checkpoint`.  Restart is
-        replay-based (frame locals are unreachable), so this exists for
-        the record — on-disk checkpoints stay inspectable."""
-        return {"seed": self._seed,
-                "rng": self.rng.bit_generator.state,
-                "peak_local_bytes": self.memory.peak}
 
     def close(self) -> None:
         """Uninstall this context's thread-local memory tracker.

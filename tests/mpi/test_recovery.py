@@ -16,9 +16,9 @@ No test here may rely on host waits longer than 30 s; the watchdog
 tests use ~1 s budgets.
 """
 
-import pickle
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -32,11 +32,9 @@ from repro.errors import (
     SpmdWatchdogError,
 )
 from repro.mpi import MEIKO_CS2, run_spmd
-from repro.mpi.recovery import (
-    CheckpointStore,
-    RecoveryPolicy,
-    retry_backoff,
-)
+from repro.mpi.comm import World
+from repro.mpi.recovery import ActiveRecovery, retry_backoff
+from repro.runconfig import RunConfig, resolve
 from repro.trace import canonical_events
 
 BACKENDS = ["lockstep", "fused"]
@@ -77,33 +75,35 @@ def _clocks(result):
 
 class TestPolicy:
     # where on_fault / max_restarts / checkpoint_every come from
-    # (keyword, environment, default): tests/test_runconfig.py
+    # (keyword, environment, default) and how a bad value is rejected:
+    # tests/test_runconfig.py.  The recovery ledger reads them off the
+    # resolved RunConfig.
 
     def test_default_is_abort_and_inactive(self):
-        policy = RecoveryPolicy()
-        assert policy.on_fault == "abort"
-        assert not policy.active
-        assert not policy.restarts_enabled and not policy.degrade
+        assert RunConfig().on_fault == "abort"
+        # abort builds no ledger, even under a fault plan
+        res = run_spmd(2, MEIKO_CS2, ring, fault_plan="seed=1; timeout=5")
+        assert res.recovery is None
 
     def test_restart_policy_is_active(self):
-        policy = RecoveryPolicy("restart", 5, 3)
-        assert (policy.on_fault, policy.max_restarts,
-                policy.checkpoint_every) == ("restart", 5, 3)
-        assert policy.active and policy.restarts_enabled
+        rec = ActiveRecovery(resolve(on_fault="restart", max_restarts=5,
+                                     checkpoint_every=3), 4)
+        assert rec.report.on_fault == "restart" and rec.may_restart
+        rec.attempt = 5
+        assert not rec.may_restart          # the budget is spent
+        assert not ActiveRecovery(resolve(on_fault="retry"), 4).may_restart
 
     def test_unknown_policy_is_actionable(self):
         with pytest.raises(MpiError, match="unknown on_fault.*abort"):
-            RecoveryPolicy(on_fault="panic")
+            resolve(on_fault="panic")
 
     @pytest.mark.parametrize("kwargs,match", [
         (dict(on_fault="retry", max_restarts=-1), "max_restarts"),
         (dict(on_fault="retry", checkpoint_every=0), "checkpoint_every"),
-        (dict(on_fault="retry", max_retries=-2), "max_retries"),
-        (dict(on_fault="retry", rto_factor=0.0), "rto_factor"),
     ])
     def test_rejects_bad_knobs(self, kwargs, match):
         with pytest.raises(MpiError, match=match):
-            RecoveryPolicy(**kwargs)
+            run_spmd(2, MEIKO_CS2, ring, **kwargs)
 
     def test_run_spmd_rejects_unknown_policy_eagerly(self):
         with pytest.raises(MpiError, match="unknown on_fault"):
@@ -288,70 +288,52 @@ class TestDegrade:
 
 
 # ------------------------------------------------------------------------- #
-# checkpoint store
+# checkpoints: the numbers restart reads
 # ------------------------------------------------------------------------- #
 
 
+def _ledger(every=1, nprocs=2):
+    rec = ActiveRecovery(resolve(on_fault="restart", checkpoint_every=every),
+                         nprocs)
+    return rec, World(nprocs, MEIKO_CS2, recovery=rec)
+
+
+def inflight(comm):
+    """Rank 0's message is still queued when the first allreduce
+    completes: the checkpoint there must price it."""
+    if comm.rank == 0:
+        comm.send(np.arange(16.0), dest=1, tag=7)
+    total = comm.allreduce(float(comm.rank))
+    if comm.rank == 1:
+        total += float(comm.recv(source=0, tag=7).sum())
+    return comm.allreduce(total)
+
+
 class TestCheckpointStore:
-    def _world(self):
-        from repro.mpi.comm import World
-
-        return World(2, MEIKO_CS2)
-
-    def test_take_snapshots_accounting_and_payloads(self):
-        store = CheckpointStore()
-        store.register_payload(0, lambda: {"rng": 42})
-        world = self._world()
-        world.clocks[:] = [1.0, 2.0]
-        ck = store.take(world, vtime=2.0, attempt=0)
-        assert ck.index == 0 and ck.attempt == 0
-        assert ck.vtime_rel == 2.0
-        assert ck.clocks.tolist() == [1.0, 2.0]
-        assert ck.payloads == {0: {"rng": 42}}
-        # snapshots are copies, not views
-        world.clocks[:] = 9.0
-        assert ck.clocks.tolist() == [1.0, 2.0]
-
-    def test_failing_payload_provider_never_kills_the_run(self):
-        store = CheckpointStore()
-        store.register_payload(0, lambda: 1 / 0)
-        ck = store.take(self._world(), vtime=0.0, attempt=0)
-        assert ck.payloads == {0: None}
+    def test_cadence_and_image_size(self):
+        rec, world = _ledger(every=2)
+        world.collectives = 1
+        rec.at_collective(world, 1.0)
+        assert rec.last is None and rec.checkpoints == 0
+        world.collectives = 2
+        world.mailboxes[(0, 1, 7)] = deque([(b"x" * 128, 0.5, 128, None)])
+        rec.at_collective(world, 1.5)
+        # five per-rank accounting arrays (8 bytes a rank) + the bytes
+        # queued in flight
+        assert rec.last == (0, 0, 2, 1.5, 5 * 8 * 2 + 128)
+        assert rec.checkpoints == 1
 
     def test_last_for_attempt_ignores_stale_attempts(self):
-        store = CheckpointStore()
-        world = self._world()
-        store.take(world, vtime=1.0, attempt=0)
-        assert store.last_for_attempt(1) is None
-        ck = store.take(world, vtime=2.0, attempt=1)
-        assert store.last_for_attempt(1) is ck
-        assert store.last is ck
-
-    def test_on_disk_checkpoints_are_inspectable(self, tmp_path):
-        store = CheckpointStore(directory=str(tmp_path))
-        store.take(self._world(), vtime=1.5, attempt=0)
-        path = tmp_path / "ckpt-000.pkl"
-        assert path.exists()
-        with open(path, "rb") as fh:
-            ck = pickle.load(fh)
-        assert ck.vtime == 1.5
-
-    def test_runtime_context_contributes_rng_state(self):
-        from repro.mpi.comm import Comm, World
-        from repro.mpi.recovery import ActiveRecovery
-        from repro.runtime.context import RuntimeContext
-
-        rec = ActiveRecovery(
-            RecoveryPolicy(on_fault="restart", checkpoint_every=1), 2)
-        world = World(2, MEIKO_CS2, recovery=rec)
-        rt = RuntimeContext(Comm(world, 0), seed=7)
-        try:
-            ck = rec.store.take(world, vtime=0.0, attempt=0)
-        finally:
-            rt.close()
-        payload = ck.payloads[0]
-        assert payload["seed"] == 7
-        assert "bit_generator" in payload["rng"]
+        rec, world = _ledger()
+        world.collectives = 1
+        rec.at_collective(world, 1.0)
+        assert rec.last.attempt == 0
+        rec.plan_restart(world, MEIKO_CS2, RankCrashedError("boom"))
+        # attempt 1 has reached no checkpoint yet: no credit to claim
+        assert rec.attempt == 1 and rec.last is None
+        rec.at_collective(world, 2.0)
+        assert (rec.last.index, rec.last.attempt) == (1, 1)
+        assert rec.checkpoints == 2
 
     def test_compiled_program_checkpoints_and_reports(self):
         from repro.compiler import compile_source
@@ -364,6 +346,43 @@ class TestCheckpointStore:
         # zero faults: nothing healed, but checkpoints were taken
         assert not res.recovery.healed
         assert res.recovery.checkpoints > 0
+
+    #: nprocs -> (rollback credit, restart overhead, event log), pinned
+    #: exactly: a checkpoint that mispriced its image would move them
+    PRICED = {
+        2: (0.00020035333333333333, 0.00040416000000000003, [
+            "rollback to checkpoint 0 (collective 1, vtime_rel="
+            "0.000200353333) after RankCrashedError",
+            "restart attempt 1 base=0.00040416 overhead=0.00040416"]),
+        4: (0.00036070666666666667, 0.00081152, [
+            "rollback to checkpoint 0 (collective 1, vtime_rel="
+            "0.000360706667) after RankCrashedError",
+            "restart attempt 1 base=0.00081152 overhead=0.00081152"]),
+        7: (0.0005210600000000001, 0.0012244800000000002, [
+            "rollback to checkpoint 0 (collective 1, vtime_rel="
+            "0.00052106) after RankCrashedError",
+            "restart attempt 1 base=0.00122448 overhead=0.00122448"]),
+    }
+
+    @pytest.mark.parametrize("nprocs", sorted(PRICED))
+    def test_restart_prices_the_in_flight_image(self, nprocs):
+        res = run_spmd(nprocs, MEIKO_CS2, inflight, backend="lockstep",
+                       fault_plan=f"seed=5; crash rank={nprocs - 1} "
+                                  f"op=allreduce step=2",
+                       on_fault="restart", checkpoint_every=1, trace=True,
+                       watchdog=20.0)
+        credit, overhead, events = self.PRICED[nprocs]
+        rollback, restart = res.trace.recovery_events()
+        assert rollback.args["credit"] == credit
+        # the rebroadcast image: five accounting arrays + 128 queued bytes
+        assert restart.args["overhead"] == overhead == (
+            2.0 * MEIKO_CS2.collective_time("barrier", 0, nprocs)
+            + MEIKO_CS2.collective_time("bcast", 5 * 8 * nprocs + 128,
+                                        nprocs))
+        assert res.recovery.events == events
+        assert res.recovery.summary() == (
+            "on_fault=restart attempts=2 retries=0 restarts=1 "
+            "checkpoints=3 outcome=completed")
 
 
 # ------------------------------------------------------------------------- #

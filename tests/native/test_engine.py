@@ -257,6 +257,42 @@ def test_same_key_build_race_publishes_one_loadable_kernel(engine, tmp_path):
     assert (stats["disk_hits"], stats["compiles"]) == (1, 0)
 
 
+def test_unpublishable_cache_falls_back_to_numpy(tmp_path, monkeypatch):
+    """A cache that stops accepting writes after the toolchain probe
+    (ENOSPC, made read-only, removed mid-run) fails each kernel closed:
+    the program completes on the numpy path with the same bits, even
+    under ``require``, which only gates on the probe."""
+    import errno
+
+    from repro.bench.workloads import image_filter
+    from repro.compiler import compile_source
+    from repro.mpi import MEIKO_CS2
+    from repro.native import ENV_CACHE_DIR, get_engine, reset_engines
+    import repro.native.cache as cache_mod
+
+    program = compile_source(image_filter(n=24, steps=2).source,
+                             name="imgf")
+    off = program.run(nprocs=4, machine=MEIKO_CS2, native="off")
+    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "kernels"))
+    reset_engines()
+    try:
+        assert get_engine().available          # the probe published fine
+
+        def full_disk(path, data):
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+
+        monkeypatch.setattr(cache_mod, "atomic_write_bytes", full_disk)
+        on = program.run(nprocs=4, machine=MEIKO_CS2, native="require")
+    finally:
+        reset_engines()
+    assert on.output == off.output and on.elapsed == off.elapsed
+    for name in off.workspace:
+        assert np.asarray(on.workspace[name]).tobytes() == \
+            np.asarray(off.workspace[name]).tobytes()
+    assert on.native["compile_failures"] > 0
+    assert (on.native["compiles"], on.native["native_calls"]) == (0, 0)
+
+
 def test_cache_key_separates_spec_and_signature(engine):
     a = _arr(1.0, 2.0)
     assert run_ref(engine, CHAIN, [a, a]) is not None       # sig "aa"

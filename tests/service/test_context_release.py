@@ -1,12 +1,12 @@
 """Regression: the thread-local memory tracker must be released on
-every failure path — a constructor that dies after installing it, and a
-failing inline (nprocs==1 / fused) run.
+every failure path — a constructor that dies part-way, and a failing
+inline (nprocs==1 / fused) run.
 
-The leak mode: ``RuntimeContext.__init__`` installs the tracker, then
-registers its checkpoint payload with the world's recovery store; if
-that registration raises, the caller never receives a context to
-``close()``, so the tracker silently keeps charging every allocation on
-the thread for the rest of the process.
+The leak mode: a tracker installed by a ``RuntimeContext.__init__`` that
+then raises is never uninstalled (the caller never receives a context
+to ``close()``), so it silently keeps charging every allocation on the
+thread for the rest of the process.  The constructor therefore installs
+the tracker as its final statement.
 """
 
 import pytest
@@ -18,43 +18,27 @@ from repro.runtime.context import RuntimeContext
 from repro.runtime.memory import current_tracker
 
 
-class _ExplodingStore:
-    def register_payload(self, rank, payload):
-        raise RuntimeError("recovery store rejected the registration")
-
-
-class _Recovery:
-    store = _ExplodingStore()
-
-
-class _World:
-    recovery = _Recovery()
-
-
 class _Comm:
     """Just enough comm surface for the constructor to run."""
 
     rank = 0
     size = 1
     is_fused = False
-    world = _World()
 
 
 def test_constructor_failure_releases_the_tracker():
+    class _SizelessComm:
+        rank = 0
+        is_fused = False
+
     assert current_tracker() is None
-    with pytest.raises(RuntimeError):
-        RuntimeContext(_Comm())
+    with pytest.raises(AttributeError, match="size"):
+        RuntimeContext(_SizelessComm())
     assert current_tracker() is None
 
 
 def test_successful_construction_keeps_tracker_until_close():
-    class _QuietWorld:
-        recovery = None
-
-    class _QuietComm(_Comm):
-        world = _QuietWorld()
-
-    rt = RuntimeContext(_QuietComm())
+    rt = RuntimeContext(_Comm())
     assert current_tracker() is rt.memory
     rt.close()
     assert current_tracker() is None
@@ -74,14 +58,8 @@ def test_failing_inline_run_releases_the_tracker(backend):
 
 
 def test_close_is_idempotent_and_scoped():
-    class _QuietWorld:
-        recovery = None
-
-    class _QuietComm(_Comm):
-        world = _QuietWorld()
-
-    first = RuntimeContext(_QuietComm())
-    second = RuntimeContext(_QuietComm())
+    first = RuntimeContext(_Comm())
+    second = RuntimeContext(_Comm())
     # `second` owns the slot now; closing `first` must not clobber it
     first.close()
     assert current_tracker() is second.memory
