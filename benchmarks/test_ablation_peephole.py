@@ -111,23 +111,65 @@ def test_ablation_collective_rewrites(benchmark, rewrite):
     })
 
 
+def _image_filter_counts(fusion, nprocs=4):
+    """One fused native run of the image filter under ``fusion``: the
+    result, each group kernel's output count (``None``: every member),
+    and the shifted arrays made — by ``circshift``'s rotations or by a
+    halo tap's full kernel."""
+    from repro.native import get_engine
+    from repro.runtime import context, structural
+
+    source = (PROGRAMS / "image_filter.m").read_text(encoding="utf-8")
+    plan = Plan(fusion=fusion)
+    program = compile_source(source, name="image_filter", plan=plan)
+    engine = get_engine()
+    outs, shifted = [], []
+    run_group, rotated, tap = engine.run_group, structural._rotated, \
+        context.Group.tap
+
+    def counting(gspec, sig, args, values, shape, bufs, spare, out=None,
+                 shifts=()):
+        outs.append(None if out is None else len(out))
+        return run_group(gspec, sig, args, values, shape, bufs, spare, out,
+                         shifts)
+
+    def tapped(group):
+        value = tap(group)
+        if value.held.strides[0]:       # an array, not the zero view
+            shifted.append(value)
+        return value
+
+    engine.run_group = counting
+    structural._rotated = lambda *a: shifted.append(a) or rotated(*a)
+    context.Group.tap = tapped
+    try:
+        result = program.run(nprocs=nprocs, machine=MEIKO_CS2,
+                             backend="fused", native="auto", plan=plan,
+                             trace=True)
+    finally:
+        del engine.run_group
+        structural._rotated, context.Group.tap = rotated, tap
+    return result, outs, len(shifted)
+
+
 def test_ablation_ew_group(benchmark):
-    """``ew_group`` on vs off (the rest of the registry on either way) on
-    the image filter at 4 CPUs, fused with the native tier: the ten
-    elementwise statements of a step are one kernel call instead of ten
-    — 160 → 16 calls a run — and the modeled time does not move."""
+    """``ew_group`` on vs off (``halo`` and ``lean``, which would take
+    its place, off either way) on the image filter at 4 CPUs, fused
+    with the native tier: the ten elementwise statements of a step are
+    one kernel call instead of ten — 160 → 16 calls a run — and the
+    modeled time does not move."""
     from repro.native import resolve_native
 
     if resolve_native("auto") is None:
         pytest.skip("native tier unavailable")
+    plain = tuple(r for r in FUSION_REWRITES if r not in ("halo", "lean"))
     source = (PROGRAMS / "image_filter.m").read_text(encoding="utf-8")
 
     def measure():
         runs = {}
         for label, fusion in (
-                ("on", FUSION_REWRITES),
-                ("off", tuple(r for r in FUSION_REWRITES
-                              if r != "ew_group"))):
+                ("on", plain),
+                ("off", tuple(r for r in plain if r != "ew_group"))):
             plan = Plan(fusion=fusion)
             runs[label] = compile_source(
                 source, name="image_filter", plan=plan).run(
@@ -151,3 +193,52 @@ def test_ablation_ew_group(benchmark):
         "modeled_ms": round(on.elapsed * 1e3, 6),
     })
 
+
+#: row -> per run of the image filter at 4 CPUs, with the whole registry
+#: and without the row: the group calls' output counts and the shifted
+#: arrays made
+HOST_ROWS = {
+    # the shifts are taps: no rotation, and the last step's full kernel
+    # writes the four shifted arrays the workspace keeps
+    "halo": (([1] * 15 + [13], 4), ([1] * 15 + [9], 64)),
+    # steps before the last write ``img`` alone
+    "lean": (([1] * 15 + [13], 4), ([None] * 16, 64)),
+}
+
+
+@pytest.mark.parametrize("row", sorted(HOST_ROWS))
+def test_ablation_host_rows(benchmark, row):
+    """``halo`` and ``lean`` each on vs off (the rest of the registry on
+    either way) on the image filter at 4 CPUs, fused with the native
+    tier: 16 group calls a run either way, fewer arrays written and no
+    rotation with the row, and the same output, modeled clock and
+    trace."""
+    from repro.native import resolve_native
+    from repro.trace import canonical_events
+
+    if resolve_native("auto") is None:
+        pytest.skip("native tier unavailable")
+
+    def measure():
+        return {label: _image_filter_counts(fusion) for label, fusion in (
+            ("on", FUSION_REWRITES),
+            ("off", tuple(r for r in FUSION_REWRITES if r != row)))}
+
+    runs = benchmark.pedantic(measure, rounds=1, iterations=1)
+    (on, on_outs, on_shifted), (off, off_outs, off_shifted) = \
+        runs["on"], runs["off"]
+    print(f"\nAblation ({row}, image_filter @ 4 x {MEIKO_CS2.name}): "
+          f"group outputs {on_outs} vs {off_outs} without, shifted arrays "
+          f"{on_shifted} vs {off_shifted}, {on.elapsed * 1e3:.3f} ms "
+          f"modeled both")
+    assert ((on_outs, on_shifted), (off_outs, off_shifted)) == HOST_ROWS[row]
+    assert on.elapsed == off.elapsed and on.output == off.output
+    assert on.spmd.times == off.spmd.times
+    assert canonical_events(on.trace) == canonical_events(off.trace)
+    benchmark.extra_info.update({
+        "program": "image_filter", "nprocs": 4, "row": row,
+        "on_arrays_written": sum(n or 14 for n in on_outs),
+        "off_arrays_written": sum(n or 14 for n in off_outs),
+        "on_shifted": on_shifted, "off_shifted": off_shifted,
+        "modeled_ms": round(on.elapsed * 1e3, 6),
+    })

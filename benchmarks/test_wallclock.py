@@ -480,7 +480,9 @@ def _count_sizeof_walks(n, monkeypatch):
         # a shift of n/2 exceeds every block: forced alltoall fallback
         rt.circshift(v, float(n // 2))
 
-    run_spmd(4, MEIKO_CS2, fn)
+    # the per-rank Comm packs the payloads (the fused run charges sizes
+    # it computes, and never walks one)
+    run_spmd(4, MEIKO_CS2, fn, backend="lockstep")
     return calls["n"]
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ..analysis.lattice import BaseType, Rank, VarType
 from ..errors import CodegenError
-from ..ewops import CONSTANTS, c_literal, spec_to_c
+from ..ewops import CONSTANTS, TAP, c_literal, spec_to_c
 from ..ir.nodes import (
     CallUser,
     ColonSub,
@@ -336,8 +336,16 @@ class CEmitter:
         order — the native kernel's loop, which keeps a value a later
         member reads in a register instead of reading it back."""
         members, _operands = group_spec(group)
-        first = self._c_op(group.members[0].dest)
-        for stmt, (_spec, reads, _slots, _) in zip(group.members, members):
+        # a halo tap is the library's shift here: the loop reads its value
+        taps = [stmt for stmt, (spec, *_) in zip(group.members, members)
+                if spec[0] == TAP]
+        for stmt in taps:
+            self._emit_rtcall(stmt)
+        members = [(stmt, member) for stmt, member in zip(group.members,
+                                                          members)
+                   if member[0][0] != TAP]
+        first = self._c_op(members[0][0].dest)
+        for stmt, (_spec, reads, _slots, _) in members:
             template = next((op for op in reads if not self._is_scalar(op)),
                             group.members[0].dest)
             self._line(f"ML_init_like(&{self._c_op(stmt.dest)}, "
@@ -349,7 +357,7 @@ class CEmitter:
         self._line(f"for ({loop} = ML_local_els({first})-1; {loop} >= 0; "
                    f"{loop}--) {{")
         self._indent += 1
-        for stmt, (spec, reads, _slots, _) in zip(group.members, members):
+        for stmt, (spec, reads, _slots, _) in members:
             self._line(f"{self._c_op(stmt.dest)}->realbase[{loop}] = "
                        f"{self._expr(spec, reads, loop)};")
         self._indent -= 1

@@ -17,6 +17,10 @@ from __future__ import annotations
 from ..errors import NESTED_TOO_DEEPLY, CodegenError
 from ..ewops import py_literal, spec_to_py
 from ..ir.nodes import (
+    DEAD,
+    GROUP_BUILTINS,
+    LAST,
+    LIVE,
     CallUser,
     ColonSub,
     Copy,
@@ -70,6 +74,10 @@ class PyEmitter:
         self._mark: int | None = None
         #: what a group member's assignment tries before its own call
         self._head = ""
+        #: the name of the flag the loop whose body is being emitted
+        #: sets on its last iteration (``None``: it sets none)
+        self._last: str | None = None
+        self._loops = 0
 
     # ------------------------------------------------------------------ #
 
@@ -254,29 +262,50 @@ class PyEmitter:
         self._line(f"{self._dest(stmt.dest)} = {self._head}rt.ew("
                    f"{spec_to_py(spec)}, {nops}{args}{tail})")
 
+    def _live(self, group: EwGroup) -> list | None:
+        """The group's ``live`` marks as the emitted code honours them:
+        a global's value is always an array (another frame may read
+        it), and a member needs one on every iteration outside a loop
+        that says which is its last."""
+        if group.live is None:
+            return None
+        return [LIVE if (mark == LAST and self._last is None)
+                or (mark != LIVE and stmt.dest.__class__ is Var
+                    and stmt.dest.name in self._globals) else mark
+                for stmt, mark in zip(group.members, group.live)]
+
     def _emit_group(self, group: EwGroup) -> None:
         """``_gs``, the group spec, and ``_g``, the group's outputs from
         one native kernel — asked for only where ``rt.grouped`` says one
         can run — then each member's own statement, which takes its
         value from ``_g`` or, without one, computes it just as it would
-        outside a group."""
+        outside a group.  The members that get an array are every one
+        not marked :data:`DEAD`, and before a loop's last iteration only
+        the :data:`LIVE` ones."""
         members, operands = group_spec(group)
         gspec = ", ".join([f"({py_literal(spec)}, {slots!r})"
                            for spec, _, slots, _ in members])
         ops = ", ".join([self._op(o) for o in operands])
         if len(operands) == 1:
             ops += ","
+        live = self._live(group) or [LIVE] * len(members)
         # an output may go into the old value's array when no member
         # reads that value (and it is not a global's, which another
         # frame may hold)
         olds = ", ".join([
-            self._op(stmt.dest) if fresh and not (
+            self._op(stmt.dest) if fresh and mark != DEAD and not (
                 stmt.dest.__class__ is Var and stmt.dest.name in self._globals)
             else "None"
-            for stmt, (_, _, _, fresh) in zip(group.members, members)])
+            for stmt, (_, _, _, fresh), mark in zip(group.members, members,
+                                                     live)])
+        full = tuple([k for k, mark in enumerate(live) if mark != DEAD])
+        lean = tuple([k for k, mark in enumerate(live) if mark == LIVE])
+        outs = "" if len(lean) == len(live) else f", ({lean!r}, {full!r})"
+        if lean != full:
+            outs += f", {self._last}"
         self._line(f"_gs = ({gspec})")
         self._line(f"_g = rt.grouped and rt.ew_group(_gs, ({ops}), "
-                   f"({olds}))")
+                   f"({olds}){outs})")
         for k, (stmt, (spec, reads, _, _)) in enumerate(zip(group.members,
                                                             members)):
             line = stmt.line
@@ -289,7 +318,8 @@ class PyEmitter:
                 # the member's spec is the group spec's: one literal
                 self._emit_ew(stmt, spec, reads, f"_gs[{k}][0]", nops)
             else:
-                self._head = "_g.result(1) if _g else "
+                self._head = "_g.result(1) if _g else " \
+                    if stmt.op in GROUP_BUILTINS else "_g.tap() if _g else "
                 self._emit_rtcall(stmt)
         self._head = ""
 
@@ -405,10 +435,23 @@ class PyEmitter:
         for s in stmt.iter_stmts:
             self._emit_stmt(s)
         var = self._dest(stmt.var)
+        outer = self._last
+        self._last = None
         if stmt.range_triple is not None:
             start, step, stop = stmt.range_triple
-            self._line(f"for {var} in rt.loop_range({self._op(start)}, "
-                       f"{self._op(step)}, {self._op(stop)}):")
+            head = f"rt.loop_range({self._op(start)}, {self._op(step)}, " \
+                   f"{self._op(stop)}"
+            self._last = f"_l{self._loops}"     # (``_live`` keeps LAST)
+            for s in stmt.body:
+                if s.__class__ is EwGroup and s.live is not None \
+                        and LAST in self._live(s):
+                    # its groups compute less before the last iteration
+                    self._loops += 1
+                    self._line(f"for {self._last}, {var} in {head}, True):")
+                    break
+            else:
+                self._last = None
+                self._line(f"for {var} in {head}):")
         else:
             self._line(f"for {var} in rt.loop_values("
                        f"{self._op(stmt.iter_operand)}):")
@@ -420,6 +463,7 @@ class PyEmitter:
         else:
             self._line("pass")
         self._indent -= 1
+        self._last = outer
 
     def _emit_while(self, stmt: IRWhile) -> None:
         self._line("while True:")

@@ -195,6 +195,23 @@ OPS: dict[str, EwOp] = {
     "pow:-1": EwOp(1, "pow_", "(1.0 / {0})", kind=PROBED),
 }
 
+#: the op of a group member that rotates a group operand — pass 6's
+#: halo tap, ``("tap", "@0", kr, kc)`` for ``circshift(a, [kr kc])``
+#: (``kc`` ``None``: ``circshift(a, kr)``).  The run time resolves the
+#: shift to a rotation ``(ur, uc)`` of the array's rows and columns
+#: (``repro.runtime.structural.shift_plan``); numpy spells it
+#: :func:`rotated`, C a row pointer and a column offset per tap, both
+#: wrapped around (``native/codegen.py``)
+TAP = "tap"
+
+
+def rotated(held, ur: int, uc: int):
+    """A tap's value through numpy: ``held`` rotated by ``ur`` rows and
+    ``uc`` columns, as ``circshift``'s copies move it."""
+    import numpy as np
+    return np.roll(held, (ur, uc), axis=(0, 1))
+
+
 #: constant exponent -> the pseudo-op ``a .^ c`` is rendered as in C
 POW_CONST_REWRITES: dict[float, str] = {
     float(op[4:]): op for op in OPS if op.startswith("pow:")}

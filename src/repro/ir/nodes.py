@@ -17,6 +17,7 @@ from typing import Optional, Union
 
 from ..analysis.lattice import UNKNOWN, VarType
 from ..errors import CodegenError
+from ..ewops import TAP
 
 # --------------------------------------------------------------------------
 # operands
@@ -125,12 +126,16 @@ def ew_op_count(expr: EwExpr) -> int:
 
 
 def ew_operands(expr: EwExpr) -> list[Operand]:
-    if isinstance(expr, EwNode):
-        out: list[Operand] = []
-        for a in expr.args:
-            out.extend(ew_operands(a))
-        return out
-    return [expr]
+    """The leaves of a tree, left to right."""
+    if expr.__class__ is not EwNode:
+        return [expr]
+    out: list[Operand] = []
+    for arg in expr.args:
+        if arg.__class__ is EwNode:
+            out += ew_operands(arg)
+        else:
+            out += (arg,)
+    return out
 
 
 def ew_spec(expr: EwExpr) -> tuple[object, list[Operand]]:
@@ -276,6 +281,10 @@ class EwGroup(IRStmt):
     nested block is the members, which answer for themselves."""
 
     members: list[IRStmt] = field(default_factory=list)
+    #: per member, when its value needs an array (pass 6's ``lean``):
+    #: :data:`LIVE` always, :data:`LAST` on a loop's last iteration
+    #: only, :data:`DEAD` never — ``None``: every member, always
+    live: Optional[tuple[int, ...]] = None
 
     def __repr__(self) -> str:
         return f"group[{len(self.members)}]"
@@ -284,8 +293,37 @@ class EwGroup(IRStmt):
         return (self.members,)
 
 
+#: a group member's :attr:`EwGroup.live` entries
+DEAD, LAST, LIVE = 0, 1, 2
+
 #: a group member's builtin -> the elementwise op it applies
 GROUP_BUILTINS = {"builtin:min": "fn:minimum", "builtin:max": "fn:maximum"}
+
+
+def tap_shift(stmt) -> Optional[tuple[int, Optional[int]]]:
+    """The shift of a ``circshift`` by a constant a group may take as a
+    *halo tap* (pass 6's ``halo``): ``(kr, kc)`` of an immediate
+    ``[kr kc]``, ``(k, None)`` of a scalar ``k`` — or ``None``.  Only a
+    shift the run time would take qualifies (whole numbers), so a
+    refusal keeps its time and place."""
+    if not (stmt.__class__ is RTCall and stmt.op == "builtin:circshift"
+            and len(stmt.args) == 2 and stmt.nargout == 1
+            and not stmt.extra_dests and stmt.dest is not None):
+        return None
+    src, shift = stmt.args
+    if src.__class__ is not Var and src.__class__ is not Temp:
+        return None
+    if shift.__class__ is list:        # an immediate [kr kc]
+        values = [complex(cell.value) for row in shift for cell in row]
+    elif shift.__class__ is Const:
+        values = [complex(shift.value)]
+    else:
+        return None
+    for v in values:
+        if v.imag != 0 or v.real % 1 != 0:
+            return None
+    return (int(values[0].real),
+            int(values[1].real) if len(values) == 2 else None)
 
 
 def group_spec(group: EwGroup) -> tuple[list[tuple], list[Operand]]:
@@ -300,7 +338,8 @@ def group_spec(group: EwGroup) -> tuple[list[tuple], list[Operand]]:
     tuple of the members' ``(spec, slots)``.  ``fresh`` says that no
     member reads the value the member's destination holds before the
     group — the member assigns it first, and no member before it reads
-    it."""
+    it.  A halo tap's spec is ``("tap", "@0", kr, kc)`` (its
+    :func:`tap_shift`) over the one group operand it rotates."""
     operands: list[Operand] = []
     #: a variable's name or a temporary's number (a reads list holds
     #: only those, and the keys hash without a frame) -> its slot
@@ -308,9 +347,13 @@ def group_spec(group: EwGroup) -> tuple[list[tuple], list[Operand]]:
     members = []
     k = 0
     for stmt in group.members:
-        expr = stmt.expr if stmt.__class__ is Elementwise \
-            else EwNode(GROUP_BUILTINS[stmt.op], tuple(stmt.args))
-        spec, reads = ew_spec(expr)
+        if stmt.__class__ is Elementwise:
+            spec, reads = ew_spec(stmt.expr)
+        elif stmt.op in GROUP_BUILTINS:
+            spec, reads = ew_spec(EwNode(GROUP_BUILTINS[stmt.op],
+                                         tuple(stmt.args)))
+        else:
+            spec, reads = (TAP, "@0", *tap_shift(stmt)), stmt.args[:1]
         slots = []
         for op in reads:
             key = op.name if op.__class__ is Var else op.index

@@ -40,10 +40,29 @@ CLI reports and :class:`PeepholeStats` all read:
     statement, so the rewrite moves host time only, never the modeled
     clock.  It runs after pass 6b (``after_licm``): a group is never
     hoisted, and a ``min``/``max`` LICM would hoist must not hide in one.
+``halo``
+    A run that starts at a ``circshift`` by a constant (after
+    ``const_args``) of an array of the run's shape is a group too, the
+    shifts its *halo taps* (:func:`~repro.ir.nodes.tap_shift`): the
+    kernel reads the shifted array's elements in place, and no rotated
+    copy is made.  A tap's source is a value from before the group.
+    The tap's statement is charged and traced as the ``circshift`` it
+    is; where that would gather, the run time refuses the group.
+``lean``
+    In a group that is an unconditional statement of a range ``for``
+    loop's body, a member whose destination no statement of the body
+    reads gets an array on the last iteration only — only the last
+    iteration's value is ever observed — and a temporary only the group
+    reads, or a value a later member overwrites, none at all
+    (:attr:`EwGroup.live <repro.ir.nodes.EwGroup.live>`).  Every member
+    is still charged, traced and bound to a descriptor.
 
-A block is swept once: a statement's ``op`` (``"ew"`` for an
-:class:`Elementwise`) selects the rewrites that start there (their
-``ops`` column), tried in schedule order.
+``halo``, ``ew_group`` and ``lean`` move host time only (``modeled``
+false) and run after pass 6b.  A block is swept once — after pass 6b a
+block after the blocks under it, so ``lean`` finds a loop body's groups
+made: a statement's ``op`` (``"ew"`` for an :class:`Elementwise`,
+``"for"`` for an :class:`IRFor`) selects the rewrites that start there
+(their ``ops`` column), tried in schedule order.
 """
 
 from __future__ import annotations
@@ -54,17 +73,26 @@ from typing import Callable, NamedTuple
 
 from ..analysis.lattice import BaseType, Rank
 from .nodes import (
+    DEAD,
     GROUP_BUILTINS,
+    LAST,
+    LIVE,
     Const,
     Copy,
     Elementwise,
     EwGroup,
     EwNode,
+    IRBreak,
+    IRContinue,
+    IRFor,
     IRProgram,
+    IRReturn,
+    IRStmt,
     RTCall,
     Temp,
     Var,
     read_under,
+    tap_shift,
     walk_blocks,
 )
 
@@ -242,17 +270,19 @@ def _scalar_reduction(stmt) -> bool:
 _REAL = (BaseType.INTEGER, BaseType.REAL)
 
 
-def _group_shape(stmt):
+def _group_shape(stmt, taps: bool = False):
     """The shape a statement gives a group member, or ``None`` if it
     cannot be one: a matrix result of a static shape and a real type,
-    from an elementwise tree or a two-argument ``min``/``max``."""
+    from an elementwise tree or a two-argument ``min``/``max`` — or,
+    with ``taps``, a ``circshift`` by a constant (a halo tap)."""
     if stmt.__class__ is Elementwise:
         if stmt.expr.__class__ is not EwNode:
             return None
     elif not (stmt.__class__ is RTCall and stmt.op in GROUP_BUILTINS
               and len(stmt.args) == 2 and stmt.nargout == 1
               and not stmt.extra_dests and stmt.dest is not None
-              and all(a.__class__ is not list for a in stmt.args)):
+              and all(a.__class__ is not list for a in stmt.args)) \
+            and not (taps and tap_shift(stmt) is not None):
         return None
     vtype = stmt.vtype
     shape = vtype.shape
@@ -262,29 +292,120 @@ def _group_shape(stmt):
     return None
 
 
-def _ew_group(block: list, i: int, unit) -> int:
+def _ew_group(block: list, i: int, unit, taps: bool = False) -> int:
+    """A maximal run of group members of one shape — with ``taps``
+    (``halo``), one that starts at a ``circshift`` by a constant: its
+    taps read an array from before the group (no member assigned it
+    yet), and at least one member computes."""
     end, n = i + 1, len(block)
     if end == n:
         return -1
-    second = block[end]     # no second member: not worth a closer look
-    if not (second.__class__ is Elementwise or second.__class__ is RTCall
-            and second.op in GROUP_BUILTINS):
-        return -1
-    shape = _group_shape(block[i])
+    if not taps:
+        second = block[end]     # no second member: not worth a closer look
+        if not (second.__class__ is Elementwise
+                or second.__class__ is RTCall
+                and second.op in GROUP_BUILTINS):
+            return -1
+    shape = _group_shape(block[i], taps)
     if shape is None:
         return -1
+    assigned = {block[i].dest} if taps else None
+    computes = not taps
     while end < n:
-        other = _group_shape(block[end])
+        stmt = block[end]
+        other = _group_shape(stmt, taps)
         if other is None or (other.rows, other.cols) != (shape.rows,
                                                          shape.cols):
             break
+        if taps:
+            if stmt.__class__ is RTCall and stmt.op not in GROUP_BUILTINS:
+                if stmt.args[0] in assigned:
+                    break
+            else:
+                computes = True
+            assigned.add(stmt.dest)
         end += 1
-    if end - i < 2:
+    if not computes or end - i < 2:
         return -1
     group = EwGroup(members=block[i:end])
     group.line = block[i].line
     block[i:end] = [group]
     return i + 1
+
+
+#: what ends a loop's iteration early, or reads the whole workspace
+_EXITS = (IRBreak, IRContinue, IRReturn)
+_WORKSPACE = frozenset(_builtins("save", "load"))
+
+
+def _lean(block: list, i: int, unit) -> int:
+    """Mark the members of the groups of a ``for`` body whose values no
+    later iteration reads: only the last iteration's are observed.
+
+    A group qualifies as an unconditional statement of the body of a
+    range loop with no ``break``, ``continue`` or ``return`` and no
+    workspace I/O.  Its member is :data:`LIVE` when a statement of the
+    body, or of a block nested in it (a group's members included),
+    reads the destination — before the group (the next iteration sees
+    it), after it, or as a group's value from before the group —
+    and otherwise :data:`LAST`, or :data:`DEAD` for a temporary (no
+    statement of another block reads one: pass 4's temporaries die
+    with their statement).  A member whose destination a later member
+    assigns again is :data:`DEAD` too."""
+    loop = block[i]
+    body = loop.body
+    if loop.range_triple is None:
+        return -1
+    for top in body:
+        if top.__class__ is EwGroup:
+            break
+    else:
+        return -1
+    #: what a statement of the body reads — a group, what it reads from
+    #: before it — by a variable's name or a temporary's number (the
+    #: keys hash without a frame)
+    read = set()
+    #: per group, its members' destinations, keyed as ``read`` is
+    dests = {}
+    for top in body:
+        if top.__class__ is EwGroup:
+            keys = dests[id(top)] = [
+                stmt.dest.name if stmt.dest.__class__ is Var
+                else stmt.dest.index for stmt in top.members]
+            # the first member that assigns each: a member before it
+            # reads the value from before the group
+            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            for k, stmt in enumerate(top.members):
+                read.update([
+                    key for op in stmt.uses()
+                    if op.__class__ is Var or op.__class__ is Temp
+                    for key in [op.name if op.__class__ is Var else op.index]
+                    if key not in first or first[key] >= k])
+            continue
+        # (a group nested under ``top`` reads through its members)
+        for nested in ([top],) if top.__class__.blocks is IRStmt.blocks \
+                else walk_blocks([top]):
+            for stmt in nested:
+                kind = stmt.__class__
+                if kind in _EXITS or kind is RTCall and stmt.op in _WORKSPACE:
+                    return -1
+                read.update([op.name if op.__class__ is Var else op.index
+                             for op in stmt.uses()
+                             if op.__class__ is Var or op.__class__ is Temp])
+    marked = False
+    for group in body:
+        if group.__class__ is not EwGroup:
+            continue
+        keys = dests[id(group)]
+        last = {key: k for k, key in enumerate(keys)}
+        live = tuple([
+            DEAD if last[key] != k else LIVE if key in read
+            else DEAD if key.__class__ is int else LAST
+            for k, key in enumerate(keys)])
+        if min(live) < LIVE:
+            group.live = live
+            marked = True
+    return i + 1 if marked else -1
 
 
 class Rewrite(NamedTuple):
@@ -310,8 +431,12 @@ REWRITES: dict[str, Rewrite] = {
                        _reduce2),
     "batch_reduce": Rewrite(_builtins("sum", "mean", "max", "min", "prod"),
                             _batch_reduce),
+    "halo": Rewrite(("builtin:circshift",),
+                    functools.partial(_ew_group, taps=True), modeled=False,
+                    after_licm=True),
     "ew_group": Rewrite(("ew", *GROUP_BUILTINS), _ew_group, modeled=False,
                         after_licm=True),
+    "lean": Rewrite(("for",), _lean, modeled=False, after_licm=True),
 }
 
 #: the schedule of a plan that does not name one
@@ -397,13 +522,21 @@ def peephole_program(ir: IRProgram, enabled: bool = True,
         return stats
     counts = stats.counts
     for unit in ir.units():
-        for block in walk_blocks(unit.body, skip=EwGroup):
+        blocks = walk_blocks(unit.body, skip=EwGroup)
+        if after_licm:
+            # a block after the blocks under it: ``lean`` sees the groups
+            # of the loop bodies it looks at (its rows rewrite within one
+            # block, never nest one)
+            blocks = reversed(list(blocks))
+        for block in blocks:
             i, n = 0, len(block)
             while i < n:
                 stmt = block[i]
                 i += 1
-                op = stmt.op if stmt.__class__ is RTCall else \
-                    "ew" if stmt.__class__ is Elementwise else None
+                kind = stmt.__class__
+                op = stmt.op if kind is RTCall else "ew" \
+                    if kind is Elementwise else "for" if kind is IRFor \
+                    else None
                 if op in triggers:
                     for name, apply in triggers[op]:
                         resume = apply(block, i - 1, unit)

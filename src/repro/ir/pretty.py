@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from .nodes import (
+    LAST,
+    LIVE,
     CallUser,
     Copy,
     Display,
@@ -60,8 +62,11 @@ def _fmt_stmt(stmt: IRStmt, indent: int, out: list[str]) -> None:
         out.append(f"{pad}end")
     elif isinstance(stmt, EwGroup):
         out.append(f"{pad}group:")
-        for s in stmt.members:
+        for k, s in enumerate(stmt.members):
             _fmt_stmt(s, indent + 1, out)
+            if stmt.live is not None and stmt.live[k] != LIVE:
+                out[-1] += "  [last iteration]" if stmt.live[k] == LAST \
+                    else "  [no array]"
         out.append(f"{pad}end")
     elif isinstance(stmt, IRBreak):
         out.append(f"{pad}break")

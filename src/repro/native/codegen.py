@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 
-from ..ewops import UnsupportedSpecError, c_literal, spec_to_c
+from ..ewops import TAP, UnsupportedSpecError, c_literal, spec_to_c
 
 #: bump whenever generated code or the calling convention changes — the
 #: version participates in the content hash, so stale on-disk kernels
@@ -39,21 +39,43 @@ def members(spec) -> tuple:
     return spec if spec[0].__class__ is tuple else ((spec, None),)
 
 
-def spec_key(spec, sig: str, build: str) -> str:
+def spec_key(spec, sig: str, build: str, outs=None) -> str:
     """Content hash identifying one compiled kernel.
 
     Covers the canonical op tree, the slot signature, the codegen ABI
-    version and ``build`` (the engine's
-    :func:`~repro.native.cache.build_identity`: flags and compiler);
-    dtype and shape-class are implied (float64, flat C-contiguous)
-    because the signature gate admits nothing else.
+    version, ``build`` (the engine's
+    :func:`~repro.native.cache.build_identity`: flags and compiler) and
+    a group's ``outs`` variant (:func:`generate_source`); dtype and
+    shape-class are implied (float64, C-contiguous) because the
+    signature gate admits nothing else.
     """
-    text = f"repro-native:{ABI_VERSION}:{build}:{sig}:{spec!r}"
+    variant = "" if outs is None else f"{outs!r}:"
+    text = f"repro-native:{ABI_VERSION}:{build}:{sig}:{variant}{spec!r}"
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
-def generate_source(spec, sig: str, name: str) -> tuple[str, set[str]]:
+def tap_count(spec) -> int:
+    """How many halo taps a spec's group has (a plain spec: none)."""
+    return sum(tree[0] == TAP for tree, _ in members(spec))
+
+
+def generate_source(spec, sig: str, name: str,
+                    outs=None) -> tuple[str, set[str]]:
     """Render the kernel C source of a spec or a group spec.
+
+    ``outs`` names the members that get an output array, in member
+    order (``None``: every member) — a *variant* of the group's kernel:
+    a member left out stays in registers, and gcc drops what only it
+    needed (its guard, if any, still flags).
+
+    A group with halo taps (``("tap", "@0", kr, kc)`` members) is a
+    loop over the rows of the arrays and, in each row, over column
+    segments: a tap reads its source's row ``r - ur`` and column ``j -
+    uc`` with both wrapped around (``circshift``'s rotation, which the
+    caller passes as ``ur``/``uc`` per tap after the operands), so the
+    wrap moves only at a segment boundary and each segment's inner loop
+    reads through one offset per tap — a vector loop.  With no column
+    shift the rows are one row.
 
     Returns ``(source, ops_used)`` where ``ops_used`` is the set of op
     registry keys the kernel depends on (the engine gates PROBED ops on
@@ -71,6 +93,12 @@ def generate_source(spec, sig: str, name: str) -> tuple[str, set[str]]:
     guarded = False
     #: each member's value, as C names it (an array's: every member's is)
     values: list[str] = []
+    #: per tap, the group operand it rotates
+    taps: list[int] = []
+    group = members(spec)
+    outs = range(len(group)) if outs is None else outs
+    #: the index of an element in the output arrays and the operands
+    at = "o + j" if tap_count(spec) else "i"
 
     def bind(op, row, args) -> str:
         nonlocal guarded
@@ -79,13 +107,12 @@ def generate_source(spec, sig: str, name: str) -> tuple[str, set[str]]:
         ops_used.add(op)
         if row.guard is not None:
             guarded = True
-            body.append(f"        bad = {row.guard.format(*args)} "
-                        f"? 1.0 : bad;")
+            body.append(f"bad = {row.guard.format(*args)} ? 1.0 : bad;")
         tmp = f"t{next(temps)}"
-        body.append(f"        double {tmp} = {row.c.format(*args)};")
+        body.append(f"double {tmp} = {row.c.format(*args)};")
         return tmp
 
-    for k, (tree, slots) in enumerate(members(spec)):
+    for k, (tree, slots) in enumerate(group):
         if not isinstance(tree, tuple):
             raise UnsupportedSpecError("member is not an op tree")
         reads_array = False
@@ -111,39 +138,81 @@ def generate_source(spec, sig: str, name: str) -> tuple[str, set[str]]:
                 raise UnsupportedSpecError(f"slot {node!r} out of range")
             if sig[slot] == "a":
                 reads_array = True
-                return f"a{slot}[i]"
+                return f"a{slot}[{at}]"
             return f"s{slot}"
 
-        values.append(spec_to_c(tree, leaf, bind))
+        if tree[0] == TAP:
+            # its one slot: an array operand of the group
+            slot = slots[0] if slots is not None and slots else None
+            if slot.__class__ is not int or not 0 <= slot < len(sig) \
+                    or sig[slot] != "a":
+                raise UnsupportedSpecError("a tap reads a group operand")
+            reads_array = True
+            t = len(taps)
+            taps.append(slot)
+            value = f"t{next(temps)}"
+            body.append(f"double {value} = p{t}[j + d{t}];")
+        else:
+            value = spec_to_c(tree, leaf, bind)
+        values.append(value)
         if not reads_array:
             # its value is one scalar: ``rt.ew`` would not return an array
             raise UnsupportedSpecError(f"member {k} reads no array")
-        body.append(f"        out{k}[i] = {values[-1]};")
-    outs = "".join(f", double *restrict out{k}" for k in range(len(values)))
+        if k in outs:
+            body.append(f"out{k}[{at}] = {value};")
     params = "".join(
         f", const double *restrict a{i}" if kind == "a" else f", double s{i}"
         for i, kind in enumerate(sig))
+    params = "".join(f", double *restrict out{k}" for k in outs) + params
+    head = ["#include <math.h>", ""]
+    flag = ["    double bad = 0.0;"] if guarded else []
+    tail = ["    return bad != 0.0;" if guarded else "    return 0;", "}", ""]
+    if not taps:
+        return "\n".join([
+            *head, f"int {name}(long n{params})", "{", "    long i;", *flag,
+            "    for (i = 0; i < n; i++) {",
+            *[f"        {line}" for line in body], "    }", *tail]), ops_used
+    shifts = "".join(f", long ur{t}, long uc{t}" for t in range(len(taps)))
+    flat = " && ".join(f"uc{t} == 0" for t in range(len(taps)))
     lines = [
-        "#include <math.h>",
-        "",
-        f"int {name}(long n{outs}{params})",
-        "{",
-        "    long i;",
-        *(["    double bad = 0.0;"] if guarded else []),
-        "    for (i = 0; i < n; i++) {",
-        *body,
+        *head, f"int {name}(long rows, long cols{params}{shifts})", "{",
+        "    long r, o, lo, hi, j;", *flag,
+        f"    if ({flat}) {{",
+        "        /* no column shift: the rows are one row */",
+        *[f"        uc{t} = ur{t} * cols;" for t in range(len(taps))],
+        *[f"        ur{t} = 0;" for t in range(len(taps))],
+        "        cols *= rows;",
+        "        rows = 1;",
         "    }",
-        "    return bad != 0.0;" if guarded else "    return 0;",
-        "}",
-        "",
-    ]
+        "    for (r = 0; r < rows; r++) {",
+        "        o = r * cols;",
+        *[f"        const double *restrict p{t} = a{slot} + (r >= ur{t} ? "
+          f"r - ur{t} : r - ur{t} + rows) * cols;"
+          for t, slot in enumerate(taps)],
+        "        for (lo = 0; lo < cols; lo = hi) {",
+        "            hi = cols;",
+        *[f"            if (uc{t} > lo && uc{t} < hi) hi = uc{t};"
+          for t in range(len(taps))],
+        *[f"            long d{t} = lo >= uc{t} ? -uc{t} : cols - uc{t};"
+          for t in range(len(taps))],
+        "            for (j = lo; j < hi; j++) {",
+        *[f"                {line}" for line in body],
+        "            }",
+        "        }",
+        "    }",
+        *tail]
     return "\n".join(lines), ops_used
 
 
-def cdef_signature(sig: str, name: str, nout: int = 1) -> str:
-    """The cffi ``cdef`` declaration matching :func:`generate_source`."""
+def cdef_signature(sig: str, name: str, nout: int = 1,
+                   ntaps: int = 0) -> str:
+    """The cffi ``cdef`` declaration matching :func:`generate_source`
+    (``nout`` output arrays, ``ntaps`` halo taps)."""
     outs = "".join(f", double *out{k}" for k in range(nout))
     params = "".join(
         f", const double *a{i}" if kind == "a" else f", double s{i}"
         for i, kind in enumerate(sig))
-    return f"int {name}(long n{outs}{params});"
+    if not ntaps:
+        return f"int {name}(long n{outs}{params});"
+    shifts = "".join(f", long ur{t}, long uc{t}" for t in range(ntaps))
+    return f"int {name}(long rows, long cols{outs}{params}{shifts});"

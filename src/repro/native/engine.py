@@ -40,10 +40,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..ewops import OPS, PROBED, reference, single_op_spec
+from ..ewops import OPS, PROBED, TAP, reference, rotated, single_op_spec
 from .cache import KernelCache, KernelCompileError, build_identity
 from .codegen import (UnsupportedSpecError, cdef_signature, generate_source,
-                      members, spec_key)
+                      members, spec_key, tap_count)
 
 ENV_CC = "REPRO_NATIVE_CC"
 
@@ -106,6 +106,9 @@ class _Kernel:
         self.verified = 0
         self.blacklisted = False
 
+
+#: the toolchain probe's kernel
+_TRIAL = ("+", "@0", 1.0)
 
 #: sentinel: spec permanently numpy-only for this process
 _UNSUPPORTED = object()
@@ -206,14 +209,20 @@ def probe_samples(domain: str):
     return [base]
 
 
-def group_reference(gspec, args) -> list[np.ndarray]:
+def group_reference(gspec, args, shifts=()) -> list[np.ndarray]:
     """What the members of a group spec compute through numpy, one after
     the other, as each member's ``rt.ew`` would: its lambda over the
     group's ``args`` and the earlier members' values, the result made
-    an array of floats."""
+    an array of floats — a halo tap's, its operand :func:`rotated` by
+    its pair of ``shifts`` (``ur, uc`` per tap, in member order)."""
     values: list[np.ndarray] = []
+    shifts = iter(shifts)
     with np.errstate(divide="ignore", invalid="ignore"):
         for spec, slots in gspec:
+            if spec[0] == TAP:
+                values.append(rotated(args[slots[0]], next(shifts),
+                                      next(shifts)))
+                continue
             out = np.asarray(reference(spec)(*[
                 values[int(slot[1:])] if slot.__class__ is str
                 else args[slot] for slot in slots]))
@@ -276,6 +285,8 @@ class NativeEngine:
             return self._toolchain
 
     def _probe_toolchain(self) -> bool:
+        """Can this engine build and publish a kernel?  Asked once: the
+        trial kernel is looked up before it is compiled."""
         if self.cc is None:
             return False
         try:
@@ -284,9 +295,13 @@ class NativeEngine:
             self.unavailable_reason = "cffi is not installed"
             return False
         self.build = build_identity(self.cc)
+        # the trial is a kernel like any other, keyed by this build: a
+        # warm cache compiles nothing, and another compiler misses it
+        key = self.key(_TRIAL, "a")
         try:
-            source, _ = generate_source(("+", "@0", 1.0), "a", "k_trial")
-            self.cache.build("trial", source, self.cc)
+            if self.cache.lookup(key) is None:
+                source, _ = generate_source(_TRIAL, "a", f"k_{key}")
+                self.cache.build(key, source, self.cc)
         except (KernelCompileError, OSError) as exc:
             self.unavailable_reason = f"toolchain probe failed: {exc}"
             return False
@@ -405,7 +420,7 @@ class NativeEngine:
         return out
 
     def run_group(self, gspec, sig: str, args, values, shape, bufs,
-                  spare) -> Optional[list]:
+                  spare, outs=None, shifts=()) -> Optional[list]:
         """Execute a group kernel (:mod:`~repro.native.codegen`'s group
         spec) in one call, or return ``None``: the members' outputs, in
         member order, each bitwise what the member's ``rt.ew`` would
@@ -417,15 +432,19 @@ class NativeEngine:
         (float64 arrays of ``shape``, Python floats).  ``bufs`` has one
         entry per member: an array the member's output may be written
         into, or ``None`` for a buffer from ``spare`` — taken only once
-        the kernel is known, so a refused group holds nothing.  On
-        ``None`` the caller runs each member as it would without the
+        the kernel is known, so a refused group holds nothing.
+        ``outs`` (``None``: all) are the members that get an array —
+        the kernel's variant; the others' entries are ``None``.
+        ``shifts`` are the halo taps' rotations, ``ur, uc`` per tap.
+        On ``None`` the caller runs each member as it would without the
         group; the arrays of ``bufs`` may hold garbage then.
         """
+        memo = sig if outs is None else (sig, outs)
         ent = self._fast.get(id(gspec))
-        kern = ent[1].get(sig) if ent is not None and ent[0] is gspec \
+        kern = ent[1].get(memo) if ent is not None and ent[0] is gspec \
             else None
         if kern is None:
-            kern = self._remember(gspec, sig)
+            kern = self._remember(gspec, sig, outs)
             if kern is None:
                 return None
             warm = False
@@ -433,23 +452,30 @@ class NativeEngine:
             return None
         else:
             warm = True
-        outs = [spare.take(shape) if buf is None else buf for buf in bufs]
         dparr = self._dparr
         from_buffer = self._from_buffer
-        cargs = [from_buffer(dparr, v, False) for v in outs]
+        if outs is None:
+            outs = range(len(bufs))
+        res = [None] * len(bufs)
+        for k in outs:
+            buf = bufs[k]
+            res[k] = spare.take(shape) if buf is None else buf
+        cargs = [from_buffer(dparr, res[k], False) for k in outs]
         cargs += [
             from_buffer(dparr, v, False) if v.__class__ is np.ndarray else v
             for v in values
         ]
-        rc = kern.cfun(outs[0].size, *cargs)
+        rc = kern.cfun(*shape, *cargs, *shifts) if shifts \
+            else kern.cfun(shape[0] * shape[1], *cargs)
         if rc != 0:
             self.stats.bump("guard_fallbacks")
             return None
         if kern.verified < self.verify_calls:
-            refs = group_reference(gspec, args)
-            if any(ref.dtype != np.float64 or ref.shape != out.shape
-                   or ref.tobytes() != out.tobytes()
-                   for ref, out in zip(refs, outs)):
+            refs = group_reference(gspec, args, shifts)
+            if any(out is not None and (
+                    ref.dtype != np.float64 or ref.shape != out.shape
+                    or ref.tobytes() != out.tobytes())
+                   for ref, out in zip(refs, res)):
                 kern.blacklisted = True
                 self.stats.bump("verify_rejects")
                 return None
@@ -458,26 +484,28 @@ class NativeEngine:
             next(self.stats.warm)
         else:
             self.stats.bump("native_calls")
-        return outs
+        return res
 
     # ---------------------------------------------------------------- #
     # kernel construction
     # ---------------------------------------------------------------- #
 
-    def _remember(self, spec, sig: str) -> Optional[_Kernel]:
-        """The kernel of a call site's ``spec`` for ``sig`` (``None``:
-        numpy), found or built, and remembered in the site's memo."""
-        kern = self._kernel_for(spec, sig)
+    def _remember(self, spec, sig: str, outs=None) -> Optional[_Kernel]:
+        """The kernel of a call site's ``spec`` for ``sig`` (and a
+        group's ``outs`` variant; ``None``: numpy), found or built, and
+        remembered in the site's memo."""
+        kern = self._kernel_for(spec, sig, outs)
         ent = self._fast.get(id(spec))
         if ent is None or ent[0] is not spec:
             ent = self._fast[id(spec)] = (spec, {})
-        ent[1][sig] = kern if kern is not None else _UNSUPPORTED
+        ent[1][sig if outs is None else (sig, outs)] = \
+            kern if kern is not None else _UNSUPPORTED
         return kern
 
-    def _kernel_for(self, spec, sig: str) -> Optional[_Kernel]:
+    def _kernel_for(self, spec, sig: str, outs=None) -> Optional[_Kernel]:
         if not self.available:
             return None
-        key = self.key(spec, sig)
+        key = spec_key(spec, sig, self.build, outs)
         kern = self._kernels.get(key)
         if kern is not None:
             if kern is _UNSUPPORTED:
@@ -491,18 +519,19 @@ class NativeEngine:
                     return None
                 self.stats.bump("mem_hits")
                 return None if kern.blacklisted else kern
-            kern = self._build_kernel(spec, sig, key, gate_probes=True)
+            kern = self._build_kernel(spec, sig, key, gate_probes=True,
+                                      outs=outs)
             self._kernels[key] = kern if kern is not None else _UNSUPPORTED
             return kern
 
-    def _build_kernel(self, spec, sig: str, key: str,
-                      gate_probes: bool) -> Optional[_Kernel]:
+    def _build_kernel(self, spec, sig: str, key: str, gate_probes: bool,
+                      outs=None) -> Optional[_Kernel]:
         """Compile-or-load one kernel.  Caller holds the lock."""
         if not self.available:
             return None
         name = f"k_{key}"
         try:
-            source, ops_used = generate_source(spec, sig, name)
+            source, ops_used = generate_source(spec, sig, name, outs)
         except UnsupportedSpecError:
             self.stats.bump("unsupported_specs")
             return None
@@ -535,7 +564,9 @@ class NativeEngine:
             self.stats.bump("compiles")
         ffi = self._get_ffi()
         try:
-            ffi.cdef(cdef_signature(sig, name, len(members(spec))))
+            ffi.cdef(cdef_signature(
+                sig, name, len(members(spec) if outs is None else outs),
+                tap_count(spec)))
             lib = ffi.dlopen(str(path))
             cfun = getattr(lib, name)
         except Exception:

@@ -19,15 +19,18 @@ communication implicitly via the collectives used.
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import FusionDivergence, MatlabRuntimeError
+from ..ewops import TAP
 from ..interp import values as V
 from ..mpi.comm import LAND, Comm
 from ..mpi.fused import PerRankScalar
+from .distribution import owns_memory
 from .matrix import DMatrix, FusedDMatrix, RValue
 from .memory import MemoryTracker, current_tracker, install_tracker
 
@@ -469,13 +472,8 @@ class RuntimeContext:
         if isinstance(value, complex) and not np.iscomplexobj(full):
             return self.index_assign(mat, subs, rhs)
         # mat's threshold is 4, not 3: set_element's own frame holds an
-        # extra reference while delegating here; the buffer's memory is
-        # its own as FusedDMatrix.__del__ tells (distribution.fresh's
-        # buffers are views of a base only they refer to)
-        base = full.base
-        if (reuse and mat.replica is None
-                and (full.flags.owndata if base is None else
-                     _refs(base) == 3 and base.__class__ is np.ndarray)
+        # extra reference while delegating here
+        if (reuse and mat.replica is None and owns_memory(full)
                 and full.flags.writeable
                 and sys.getrefcount(mat) <= 4
                 and sys.getrefcount(full) <= 3):
@@ -641,20 +639,29 @@ class RuntimeContext:
         self.comm.compute_own(elems=load * nops, mem=load)
         return template.like(out)
 
-    def ew_group(self, gspec, operands: tuple, olds: tuple):
+    def ew_group(self, gspec, operands: tuple, olds: tuple, live=None,
+                 last: bool = True):
         """Run a group of elementwise statements (pass 6's ``ew_group``)
         as one native kernel, or return ``None``.
 
         ``gspec`` is the group's kernel spec, ``operands`` the values
         it reads from before the group and ``olds``, per member, the
         value its destination holds now when no member reads that value
-        (else ``None``).  The result hands each member's statement its
-        output, in order, through :meth:`Group.result`, which charges
-        exactly what ``ew`` would; on ``None`` every member runs through
-        ``ew`` as if there were no group.  The operands must be what
-        the kernel takes as they are: Python floats, values that stand
-        for one real ``double``, and float64 C-contiguous matrices of
-        one geometry.
+        (else ``None``).  ``live`` (``None``: every member, always) is
+        pass 6's ``lean`` pair of the members that get an array before
+        a loop's ``last`` iteration and on it: the kernel writes only
+        those of this iteration, the others stay in registers and their
+        statements' values are :func:`_nothing` — no statement reads
+        one before it is assigned again.  The result hands each
+        member's statement its output, in order, through
+        :meth:`Group.result` (a halo tap's: :meth:`Group.tap`), which
+        charges exactly what ``ew`` (a tap's ``circshift``) would; on
+        ``None`` every member runs through its own statement as if there
+        were no group — as it does when a tap's shift would gather
+        (:func:`~repro.runtime.structural.shift_plan`).  The operands
+        must be what the kernel takes as they are: Python floats, values
+        that stand for one real ``double``, and float64 C-contiguous
+        matrices of one geometry.
 
         An output is written into the array of a member's old value when
         that descriptor is provably its sole owner — the reference
@@ -693,25 +700,40 @@ class RuntimeContext:
             k += 1
         else:
             if geom is not None:
+                shifts, plans = [], None
+                k = 0
+                for spec, slots in gspec:
+                    if spec[0] == TAP:
+                        plan = _structural.shift_plan(
+                            operands[slots[0]], spec[2], spec[3]) \
+                            if sig[slots[0]] == "a" else None
+                        if plan is None:
+                            native.stats.bump("signature_fallbacks")
+                            return None
+                        if plans is None:
+                            plans = [None] * len(gspec)
+                        plans[k] = plan
+                        shifts += plan[:2]
+                    k += 1
                 bufs = [None] * len(olds)
                 k = 0
                 for old in olds:
                     if (old.__class__ is FusedDMatrix and old.geom is geom
                             and _refs(old) == 4):
                         held = old.held
-                        base = held.base
-                        if (_refs(held) == 3 and (
-                                base is None or _refs(base) == 3
-                                and base.__class__ is np.ndarray)
+                        if (_refs(held) == 3 and owns_memory(held)
                                 and held.dtype == _FLOAT64
                                 and held.flags.c_contiguous
                                 and held.flags.writeable):
                             bufs[k] = held
                     k += 1
-                outs = native.run_group(gspec, sig, args, values, geom.shape,
-                                        bufs, geom.spare)
-                return None if outs is None else \
-                    Group(outs, geom, self.comm)
+                outs = None if live is None else live[last]
+                res = native.run_group(gspec, sig, args, values, geom.shape,
+                                       bufs, geom.spare, outs, shifts)
+                return None if res is None else \
+                    Group(res, geom, self.comm, plans,
+                          None if outs is None and plans is None
+                          else _nothing(geom.shape))
         native.stats.bump("signature_fallbacks")
         return None
 
@@ -914,31 +936,63 @@ for _module, _names in (
 # -------------------------------------------------------------------------- #
 
 
+@functools.lru_cache(maxsize=64)
+def _nothing(shape: tuple) -> np.ndarray:
+    """The one read-only zero-stride array of ``shape``: what a group
+    member's descriptor holds when no statement reads its value.  The
+    descriptor charges the memory tracker like any other; the recycling
+    rule never takes a read-only array."""
+    view = np.lib.stride_tricks.as_strided(np.zeros(1), shape, (0, 0))
+    view.flags.writeable = False
+    return view
+
+
 class Group:
     """The outputs of one ``ew_group`` kernel call, handed to the
     members' statements in order."""
 
-    __slots__ = ("outs", "next", "geom", "load", "comm")
+    __slots__ = ("outs", "next", "geom", "load", "comm", "plans", "none")
 
-    def __init__(self, outs: list, geom, comm):
+    def __init__(self, outs: list, geom, comm, plans=None, none=None):
         self.outs = outs
         self.next = 0
         self.geom = geom
         self.load = geom.counts
         self.comm = comm
+        #: per member, a halo tap's :func:`~repro.runtime.structural.
+        #: shift_plan` (``None``: the group has no taps)
+        self.plans = plans
+        #: what a member without an array holds (:func:`_nothing`)
+        self.none = none
+
+    def _take(self):
+        k = self.next
+        out = self.outs[k]
+        self.outs[k] = None
+        self.next = k + 1
+        return k, self.none if out is None else out
 
     def result(self, nops: int) -> FusedDMatrix:
         """The next member's value, charged as ``ew`` charges a loop of
         ``nops`` operations per element.  The group lets go of the array
         as it hands it out, so the descriptor is its one owner."""
-        k = self.next
-        out = self.outs[k]
-        self.outs[k] = None
-        self.next = k + 1
+        _, out = self._take()
         comm = self.comm
         comm.overhead()
         load = self.load
         comm.compute_own(elems=load * nops, mem=load)
+        return FusedDMatrix(self.geom, _FLOAT64, out)
+
+    def tap(self) -> FusedDMatrix:
+        """The next member's value, a halo tap's: charged as its
+        ``circshift`` charges the same shift — whose column step, when
+        a row step follows, leaves a descriptor alive until the second
+        one is made."""
+        k, out = self._take()
+        plan = self.plans[k]
+        _structural.charge_shift(self.comm, self.load, plan)
+        _step = FusedDMatrix(self.geom, _FLOAT64, self.none) \
+            if plan[2] and plan[3] is not None else None
         return FusedDMatrix(self.geom, _FLOAT64, out)
 
 
@@ -946,9 +1000,12 @@ def _codegen_support(cls):
     import numpy as _np
     from ..interp import values as _V
 
-    def loop_range(self, start, step, stop):
+    def loop_range(self, start, step, stop, last=False):
         """Replicated loop values for ``for i = a:s:b`` — no vector is
-        materialized, exactly like the compiled C loop."""
+        materialized, exactly like the compiled C loop.  With ``last``,
+        each value comes as ``(is this the last iteration?, value)``,
+        for a loop whose groups compute less before then (pass 6's
+        ``lean``)."""
         sv = float(_np.real(self.scalar(start, "for")))
         pv = float(_np.real(self.scalar(step, "for")))
         ev = float(_np.real(self.scalar(stop, "for")))
@@ -957,7 +1014,7 @@ def _codegen_support(cls):
         n = int(_np.floor((ev - sv) / pv * (1 + _np.finfo(float).eps * 4)
                           + 1e-10)) + 1
         for k in range(max(n, 0)):
-            yield sv + pv * k
+            yield (k == n - 1, sv + pv * k) if last else sv + pv * k
 
     def end_extent(self, value, axis, nargs):
         """Value of ``end`` inside a subscript (local metadata, no comm)."""

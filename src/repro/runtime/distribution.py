@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -202,19 +203,33 @@ SPARE_BYTES = 2 << 20
 #: program that runs again after a few others to find its buffers
 SWEEP_TAKES = 4096
 
+#: the most bytes the free lists together keep in the allocations they
+#: placed buffers in (:meth:`FreeList.fresh`), and the largest one they
+#: keep: a larger one is rare, and keeping it costs more than the faults
+#: it saves (``cg``'s one 2 MB matrix a run raised ``suite_fused_p16``'s
+#: peak RSS by 2 MB and its time by nothing)
+PLACED_BYTES = 32 << 20
+PLACED_MAX = 1 << 20
+
+_refs = sys.getrefcount
+
 
 class SpareBudget:
     """What the free lists of every geometry share, behind one lock:
-    the bytes they hold, the takes left before the next :func:`sweep`
-    may run, and (by ``id``) every list that has held a buffer.  The
-    lock is re-entrant: a descriptor's ``__del__`` may give a buffer
+    the bytes they hold, the bytes of the allocations they keep to place
+    buffers in again (and the ``id`` of each, for :func:`owns_memory`),
+    the takes left before the next :func:`sweep` may run, and (by
+    ``id``) every list that has held a buffer or kept an allocation.
+    The lock is re-entrant: a descriptor's ``__del__`` may give a buffer
     back while its thread is sweeping."""
 
-    __slots__ = ("lock", "held", "until_sweep", "lists")
+    __slots__ = ("lock", "held", "placed", "kept", "until_sweep", "lists")
 
     def __init__(self):
         self.lock = threading.RLock()
         self.held = 0
+        self.placed = 0
+        self.kept: set[int] = set()
         self.until_sweep = 0
         self.lists: dict[int, FreeList] = {}
 
@@ -243,20 +258,21 @@ class FreeList(list):
     receive one buffer twice or miscount the budget.
     """
 
-    __slots__ = ("room", "used", "nbytes", "listed", "alloc")
+    __slots__ = ("room", "used", "nbytes", "listed", "placed")
 
     def __init__(self, numel: int = 0):
         super().__init__()
         self.room = 0
         self.used = self.listed = False
         self.nbytes = 0         # what this list holds
-        #: what a miss allocates with: :func:`fresh` for buffers of at
-        #: least :data:`SPREAD_BYTES`, else ``np.empty``
-        self.alloc = fresh if numel * 8 >= SPREAD_BYTES else np.empty
+        #: the allocations :meth:`fresh` placed buffers in and keeps
+        #: (``None``: a buffer below :data:`SPREAD_BYTES` is an
+        #: ``np.empty`` of its own)
+        self.placed = [] if numel * 8 >= SPREAD_BYTES else None
 
     def take(self, shape: tuple) -> np.ndarray:
         """A float64 buffer of ``shape`` (uninitialised): a recycled
-        one when there is one, else a new one from :attr:`alloc`."""
+        one when there is one, else a new one (:meth:`fresh`)."""
         spares = SPARES
         with spares.lock:
             self.room += 1
@@ -268,7 +284,60 @@ class FreeList(list):
                 spares.held -= buf.nbytes
                 if buf.shape == shape:
                     return buf
-        return self.alloc(shape)
+            if self.placed is not None:
+                return self.fresh(shape)
+        return np.empty(shape)
+
+    def fresh(self, shape: tuple) -> np.ndarray:
+        """A new float64 buffer of ``shape`` (uninitialised) that starts
+        at an offset within a page of its own: how a list of buffers of
+        at least :data:`SPREAD_BYTES` allocates.
+
+        glibc places consecutive large allocations 16 bytes apart modulo
+        a page, so the arrays one native loop reads and writes start
+        within a few hundred bytes of each other there.  A load whose
+        low 12 address bits match an earlier store still in flight waits
+        for that store ("4K aliasing").  Measured on image_filter's group
+        kernel (5 inputs, 10 outputs; gcc 12.2, x86-64), min µs a call
+        with glibc's offsets against spread ones: 384 → 282 at 65 536
+        elements, 53.5 → 35.5 at 8 192, 17.6 → 17.9 at 4 000 (no gain
+        below 64 KB).  So the buffer is a view of its own allocation,
+        one page longer, starting at slot ``39 k mod 64`` of the page for
+        the ``k``-th one: a step near 64/φ, which spreads any run of
+        consecutive buffers over the page.
+
+        The list keeps the allocation (if at most :data:`PLACED_MAX`, up
+        to :data:`PLACED_BYTES` for all lists) and places a buffer in it
+        again once no view of it lives, which its reference count tells:
+        the buffers a run leaves in its workspace die with the result,
+        past the free lists, and glibc would trim them off the heap top,
+        so the next run's buffers would fault every page back in.  A
+        :func:`sweep` releases the allocations of a list nothing took
+        from, as it releases its buffers."""
+        n = 1
+        for extent in shape:
+            n *= extent
+        size = n + PAGE // 8
+        spares = SPARES
+        with spares.lock:
+            for raw in self.placed:
+                if _refs(raw) == 3 and raw.size == size:
+                    break       # (the list, ``raw`` and the argument)
+            else:
+                raw = np.empty(size)
+                nbytes = raw.nbytes
+                if nbytes <= PLACED_MAX:
+                    if (spares.placed + nbytes > PLACED_BYTES
+                            and spares.until_sweep <= 0):
+                        sweep()
+                    if spares.placed + nbytes <= PLACED_BYTES:
+                        self._list()
+                        self.placed.append(raw)
+                        spares.placed += nbytes
+                        spares.kept.add(id(raw))
+            start = (next(_SLOTS) * 39 % 64 * 64
+                     - raw.__array_interface__["data"][0]) % PAGE // 8
+            return raw[start:start + n].reshape(shape)
 
     def give(self, buf: np.ndarray) -> None:
         """Keep ``buf`` — its caller's proven sole owner — if this list
@@ -285,59 +354,60 @@ class FreeList(list):
                     and spares.until_sweep <= 0):
                 sweep()
             if spares.held < SPARE_BYTES:
-                if not self.listed:
-                    spares.lists[id(self)] = self
-                    self.listed = True
+                self._list()
                 self.append(buf)
                 self.room -= 1
                 self.nbytes += nbytes
                 spares.held += nbytes
 
+    def _list(self) -> None:
+        """Put this list where :func:`sweep` finds it (holding the
+        lock)."""
+        if not self.listed:
+            SPARES.lists[id(self)] = self
+            self.listed = True
+
     def release(self) -> None:
-        """Hand every buffer back to the allocator."""
-        with SPARES.lock:
-            SPARES.held -= self.nbytes
+        """Hand every buffer and every kept allocation back to the
+        allocator (a buffer placed in one that is still in use keeps it
+        alive, as its own memory)."""
+        spares = SPARES
+        with spares.lock:
+            spares.held -= self.nbytes
             self.nbytes = 0
             self.clear()
+            placed = self.placed
+            if placed:
+                for raw in placed:
+                    spares.kept.discard(id(raw))
+                    spares.placed -= raw.nbytes
+                placed.clear()
 
 
 #: the one budget of every free list in the process
 SPARES = SpareBudget()
 
 PAGE = 4096
-#: the smallest buffer a free list allocates with :func:`fresh`
+#: the smallest buffer a free list allocates with :meth:`FreeList.fresh`
 SPREAD_BYTES = 64 << 10
 #: which 64-byte slot of a page the next placed buffer starts at
 _SLOTS = itertools.count()
 
 
-def fresh(shape: tuple) -> np.ndarray:
-    """A new float64 buffer of ``shape`` (uninitialised) that starts at
-    an offset within a page of its own: how a :class:`FreeList` of
-    buffers of at least :data:`SPREAD_BYTES` allocates.
-
-    glibc places consecutive large allocations 16 bytes apart modulo a
-    page, so the arrays one native loop reads and writes start within a
-    few hundred bytes of each other there.  A load whose low 12 address
-    bits match an earlier store still in flight waits for that store
-    ("4K aliasing").  Measured on image_filter's group kernel (5 inputs,
-    10 outputs; gcc 12.2, x86-64), min µs a call with glibc's offsets
-    against spread ones: 384 → 282 at 65 536 elements, 53.5 → 35.5 at
-    8 192, 17.6 → 17.9 at 4 000 (no gain below 64 KB).  So the buffer
-    is a view of its own allocation, one page longer, starting at slot
-    ``39 k mod 64`` of the page for the ``k``-th one: a step
-    near 64/φ, which spreads any run of consecutive buffers over the
-    page.  The view's base is referenced by the view alone, which the
+def owns_memory(full: np.ndarray) -> bool:
+    """Is ``full``'s memory its own: no base, or a base array only
+    ``full`` refers to — and, for an allocation a free list keeps
+    (:meth:`FreeList.fresh`), that list?  The one answer of the
     sole-owner tests (:meth:`FusedDMatrix.__del__
-    <repro.runtime.matrix.FusedDMatrix.__del__>`) accept as well as a
-    ``base`` of ``None``."""
-    n = 1
-    for extent in shape:
-        n *= extent
-    raw = np.empty(n + PAGE // 8)
-    start = (next(_SLOTS) * 39 % 64 * 64
-             - raw.__array_interface__["data"][0]) % PAGE // 8
-    return raw[start:start + n].reshape(shape)
+    <repro.runtime.matrix.FusedDMatrix.__del__>`, fused ``set_element``,
+    ``ew_group``'s old values); the caller holds no reference to the
+    base.  (Three references to a base are its array's ``base`` slot,
+    ``base`` here and getrefcount's argument.)"""
+    base = full.base
+    if base is None:
+        return full.flags.owndata
+    return base.__class__ is np.ndarray and \
+        _refs(base) == 3 + (id(base) in SPARES.kept)
 
 
 def sweep(everything: bool = False) -> None:

@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from ..errors import DistributionError, FusionDivergence
-from .distribution import Geometry, get_geometry
+from .distribution import Geometry, get_geometry, owns_memory
 from .memory import ACTIVE
 
 Scalar = Union[float, complex]
@@ -240,16 +240,12 @@ class FusedDMatrix(DMatrix):
         # room and this descriptor is provably the buffer's only owner:
         # three references are the slot, ``full`` and getrefcount's
         # argument — any view, other descriptor, gather cache, workspace
-        # value or cffi buffer makes more.  Its memory is its own when it
-        # has no base, or a base array only it refers to (three references:
-        # its ``base`` slot, ``base`` and getrefcount's argument) — how
-        # distribution.fresh places a buffer in a page
+        # value or cffi buffer makes more — and its memory must be its
+        # own (distribution.owns_memory)
         spare = self.spare
         if spare.room > 0:
             full = self.held
-            base = full.base
-            if (_refs(full) == 3 and (base is None or _refs(base) == 3
-                                      and base.__class__ is np.ndarray)
+            if (_refs(full) == 3 and owns_memory(full)
                     and full.dtype is _float64 and full.flags.c_contiguous
                     and full.flags.writeable):
                 try:

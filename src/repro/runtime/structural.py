@@ -96,6 +96,86 @@ def _rotated(mat: DMatrix, k: int, axis: int) -> DMatrix:
     return mat.like(out)
 
 
+#: a shift step that moves nothing: a whole turn, still a fresh copy
+COPY = ("copy",)
+
+
+def shift_plan(value: FusedDMatrix, kr: int, kc: int | None):
+    """How ``circshift(value, [kr kc])`` (``kc`` ``None``:
+    ``circshift(value, kr)``) moves a fused array when it gathers
+    nothing: ``(ur, uc, col, row)``, the rotation of what ``value``
+    holds along its rows and columns (``0 <= ur < rows``, ``0 <= uc <
+    cols``), whether a column step runs and the step along the
+    distributed axis — ``None``, :data:`COPY`, ``("ring", nbytes,
+    forward)`` or ``("alltoall", piece)``.  ``None`` for the gathering
+    paths: cyclic maps, a matrix with fewer rows than ranks, an empty
+    array.
+
+    The one answer both readers take: :func:`circshift`'s fused arm and
+    a group's halo tap (:meth:`Group.tap
+    <repro.runtime.context.Group.tap>`), which charges
+    :func:`charge_shift` of it for the shift it does not make."""
+    geom = value.geom
+    rows, cols = geom.shape
+    col = 0
+    if kc is not None:
+        if geom.is_vector:
+            # one non-singleton dimension: the scalar shift along it
+            kr = kc if rows == 1 else kr
+        else:
+            col = kc % cols if cols else 0
+            if rows == 0 or kr % rows == 0:
+                return (0, col, True, None) if col else (0, 0, False, COPY)
+    if geom.scheme != "block" or not (geom.is_vector
+                                      or rows >= geom.nprocs):
+        return None
+    amap = geom.map
+    n = amap.n
+    if n == 0:
+        return None
+    k = kr % n
+    if k == 0:
+        row = COPY
+    elif geom.nprocs > 1 and (k <= amap.base or n - k <= amap.base):
+        # |k| up to the smallest block: one ring boundary exchange (a
+        # large positive shift is a small negative one)
+        signed = k if k <= amap.base else k - n
+        row = ("ring", abs(signed) * geom.width * value.held.itemsize,
+               signed > 0)
+    else:
+        # the largest piece is a (dest-indices int64, values) tuple, as
+        # the lockstep path packs it
+        c0 = geom.shift_overlap(k)
+        row = ("alltoall",
+               c0 * 8 + c0 * geom.width * value.held.itemsize + 8)
+    if rows == 1:
+        return (0, k, bool(col), row)
+    return (k, col, bool(col), row)
+
+
+def charge_shift(comm, load, plan) -> None:
+    """Everything :func:`circshift` charges for a :func:`shift_plan`,
+    in its order: the column step is a local pass, the distributed one
+    a ring exchange, an alltoall or (a whole turn) the overhead alone."""
+    _, _, col, row = plan
+    if col:
+        comm.overhead()
+        comm.compute_own(mem=load)
+    if row is None:
+        return
+    kind = row[0]
+    if kind == "ring":
+        comm.ring_exchange(row[1], forward=row[2])
+        comm.overhead()
+        comm.compute_ranks(mem=load)
+    elif kind == "alltoall":
+        comm.overhead()
+        comm.compute_ranks(mem=load)
+        comm.charge_alltoall(row[1])
+    else:
+        comm.overhead()
+
+
 def circshift(rt, value: RValue, shift: RValue) -> RValue:
     kr, kc = _shift_amounts(rt, shift)
     if not isinstance(value, DMatrix):
@@ -105,6 +185,21 @@ def circshift(rt, value: RValue, shift: RValue) -> RValue:
             return V.simplify(np.roll(arr, (kr, kc), axis=(0, 1)))
         axis = 1 if arr.shape[0] == 1 else 0
         return V.simplify(np.roll(arr, kr, axis=axis))
+    if value.__class__ is FusedDMatrix:
+        # P boundary exchanges (or one alltoall), charged in closed
+        # form; the movement is one rotation of the full array per step
+        plan = shift_plan(value, kr, kc)
+        if plan is not None:
+            charge_shift(rt.comm, value.load, plan)
+            ur, uc, col, row = plan
+            if col:
+                value = _rotated(value, uc, 1)
+            if row is None:
+                return value
+            if row is COPY:
+                return value.like(value.held.copy())
+            return _rotated(value, uc, 1) if value.rows == 1 \
+                else _rotated(value, ur, 0)
     if kc is not None:
         return _circshift2(rt, value, kr, kc)
     if (value.is_vector or value.rows >= rt.size) \
@@ -149,7 +244,8 @@ def _circshift2(rt, value: DMatrix, kr: int, kc: int) -> RValue:
 def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
     """Shift along the distributed axis of a block-distributed array:
     the elements of a vector, the rows of a matrix (``vec.geom.width``
-    elements each).
+    elements each) — one rank's block (the fused arm is
+    :func:`shift_plan`'s).
 
     Small shifts (|k| up to the smallest block) are a single ring
     boundary exchange — the stencil-friendly fast path.  Larger shifts
@@ -167,8 +263,6 @@ def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
     if 0 < (n - k) <= min_count and rt.size > 1:
         # a large positive shift is a small negative one
         return _circshift_ring(rt, vec, k - n)
-    if vec.__class__ is FusedDMatrix:
-        return _circshift_alltoall_fused(rt, vec, k)
     # Pack one (indices, values) array pair per destination rank — no
     # per-element Python: owners() is pure arithmetic, a stable argsort
     # groups elements (rows) by destination, and each piece is a
@@ -193,20 +287,6 @@ def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
     return vec.like(new_local)
 
 
-def _circshift_alltoall_fused(rt, vec: FusedDMatrix, k: int) -> DMatrix:
-    """Fused large-shift path: the data movement is one rotation of the
-    full array; the alltoall is charged with the lockstep payload size
-    (each source's piece-to-rank-0, the row comm.alltoall prices)."""
-    # the largest piece is a (dest-indices int64, values) tuple, as the
-    # lockstep path packs it
-    c0 = vec.geom.shift_overlap(k)
-    per = c0 * 8 + c0 * vec.geom.width * vec.full.itemsize + 8
-    rt.comm.overhead()
-    rt.comm.compute_ranks(mem=vec.load)
-    rt.comm.charge_alltoall(per)
-    return _rotated(vec, k, 1 if vec.rows == 1 else 0)
-
-
 def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
     """Shift by |k| <= min block: one sendrecv with the ring neighbour.
 
@@ -214,15 +294,6 @@ def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
     next rank's front (and symmetrically for k < 0) — two messages per
     step of a stencil instead of an alltoall.
     """
-    if vec.__class__ is FusedDMatrix:
-        # P simultaneous boundary sendrecvs, |k| elements (rows) each;
-        # movement itself is one rotation of the full array (along the
-        # distributed axis: a row vector's columns, else the rows)
-        nbytes = abs(k) * vec.geom.width * vec.full.itemsize
-        rt.comm.ring_exchange(nbytes, forward=k > 0)
-        rt.comm.overhead()
-        rt.comm.compute_ranks(mem=vec.load)
-        return _rotated(vec, k, 1 if vec.rows == 1 else 0)
     local = vec.local
     p = rt.size
     if k > 0:

@@ -161,6 +161,40 @@ def test_warm_disk_cache_zero_recompiles(engine, tmp_path):
     assert stats["disk_hits"] == 1
 
 
+def test_a_warm_cache_answers_the_toolchain_probe(engine, tmp_path,
+                                                 monkeypatch):
+    """The probe's trial kernel is a cached kernel of this build: a
+    second engine on the same directory compiles nothing to learn that
+    the tier works."""
+    from repro.native.cache import KernelCache
+
+    builds = []
+    build = KernelCache.build
+    monkeypatch.setattr(KernelCache, "build",
+                        lambda self, *a: builds.append(a) or build(self, *a))
+    warm = NativeEngine(cache_dir=str(tmp_path / "kernels"))
+    assert warm.available and warm.build == engine.build
+    assert builds == [] and warm.stats.snapshot()["compiles"] == 0
+
+
+def test_a_compiler_that_fails_still_fails_the_warm_probe(engine, tmp_path,
+                                                         monkeypatch):
+    """Another compiler is another build: its trial kernel is not the
+    one on disk, so a compiler that cannot build one still makes the
+    tier unavailable — and ``require`` raise."""
+    from repro.native import ENV_CACHE_DIR, ENV_CC, NativeUnavailableError, \
+        reset_engines, resolve_native
+
+    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "kernels"))
+    monkeypatch.setenv(ENV_CC, "/bin/false")
+    reset_engines()
+    try:
+        with pytest.raises(NativeUnavailableError, match="probe failed"):
+            resolve_native("require")
+    finally:
+        reset_engines()
+
+
 def _replace(path, data):
     # a new inode, like any publisher's os.replace: the first engine
     # still has the old file mapped, and scribbling on a dlopen'ed

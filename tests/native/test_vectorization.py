@@ -108,8 +108,11 @@ def test_image_filters_group_kernel_vectorizes(tmp_path):
     from repro.bench.workloads import image_filter
     from repro.compiler import compile_source
     from repro.ir.nodes import EwGroup, group_spec
+    from repro.tuning import DEFAULT_PLAN, Plan
 
-    ir = compile_source(image_filter(n=32, steps=1).source).ir
+    ir = compile_source(image_filter(n=32, steps=1).source, plan=Plan(
+        fusion=tuple(name for name in DEFAULT_PLAN.fusion
+                     if name not in ("halo", "lean")))).ir
     groups = [stmt for block in ir.walk() for stmt in block
               if isinstance(stmt, EwGroup)]
     assert [len(group.members) for group in groups] == [10]
@@ -120,5 +123,33 @@ def test_image_filters_group_kernel_vectorizes(tmp_path):
     source, _ = generate_source(
         tuple((spec, slots) for spec, _, slots, _ in members), sig, "k")
     assert source.count("out") == 2 * 10 and "bad = " in source
+    info = _opt_info(tmp_path, source)
+    assert "loop vectorized" in info, f"{source}\n{info}"
+
+
+@pytest.mark.parametrize("variant", ["lean", "full"])
+def test_image_filters_tap_kernels_vectorize(tmp_path, variant):
+    """With its four shifts as halo taps the step's group reads ``img``
+    once: the kernel of a step before the last writes ``img`` alone (the
+    *lean* variant), the last step's every member but the temporaries
+    — and each segment of a row is a vector loop either way."""
+    from repro.bench.workloads import image_filter
+    from repro.compiler import compile_source
+    from repro.ir.nodes import LIVE, EwGroup, group_spec
+
+    ir = compile_source(image_filter(n=32, steps=2).source).ir
+    groups = [stmt for block in ir.walk() for stmt in block
+              if isinstance(stmt, EwGroup)]
+    assert [len(group.members) for group in groups] == [14]
+    members, operands = group_spec(groups[0])
+    assert [op.name for op in operands] == ["img", "tau"]
+    outs = tuple(k for k, mark in enumerate(groups[0].live)
+                 if mark == LIVE or variant == "full" and mark)
+    assert len(outs) == {"lean": 1, "full": 13}[variant]
+    source, _ = generate_source(
+        tuple((spec, slots) for spec, _, slots, _ in members), "as", "k",
+        outs)
+    assert source.count("out") == 2 * len(outs)
+    assert source.count("p0[j + d0]") == 1 and "long ur3, long uc3" in source
     info = _opt_info(tmp_path, source)
     assert "loop vectorized" in info, f"{source}\n{info}"

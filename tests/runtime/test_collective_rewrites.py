@@ -363,7 +363,7 @@ def test_shipped_programs_print_and_hold_what_they_always_did(label):
 
 def test_default_plan_runs_the_rewrites_that_bend_no_figure():
     assert DEFAULT_PLAN.fusion == ("transpose_matmul", "cse", "const_args",
-                                   "reduce2", "ew_group")
+                                   "reduce2", "halo", "ew_group", "lean")
     assert set(FUSION_REWRITES) - set(DEFAULT_PLAN.fusion) \
         == {"batch_reduce"}
 

@@ -33,6 +33,10 @@ from repro.trace import canonical_events
 from repro.tuning import DEFAULT_PLAN, Plan
 
 WITHOUT = tuple(name for name in DEFAULT_PLAN.fusion if name != "ew_group")
+#: the group of ``ew_group`` alone: no halo taps, every member an array
+#: on every iteration
+GROUP_ONLY = tuple(name for name in DEFAULT_PLAN.fusion
+                   if name not in ("halo", "lean"))
 MODES = (("fused", "auto"), ("fused", "off"), ("lockstep", "off"))
 
 
@@ -231,7 +235,7 @@ def _group_count(program):
 
 
 def test_every_step_is_one_native_call():
-    program = compile_source(IMAGE_STEP)
+    program = compile_source(IMAGE_STEP, plan=Plan(fusion=GROUP_ONLY))
     assert _group_count(program) == 1
     with group_calls() as ran:
         result = program.run(nprocs=4, backend="fused", native="auto")
@@ -277,13 +281,13 @@ def test_an_output_is_written_into_the_dying_value_it_replaces():
     a member reads (``img``) writes into its destination's old array —
     so a group holds no more buffers than its statements did."""
     engine = get_engine()
-    program = compile_source(IMAGE_STEP)
+    program = compile_source(IMAGE_STEP, plan=Plan(fusion=GROUP_ONLY))
     reused = []
     run_group = engine.run_group
 
-    def spying(gspec, sig, args, values, shape, bufs, spare):
+    def spying(gspec, sig, args, values, shape, bufs, *rest):
         reused.append(sum(buf is not None for buf in bufs))
-        return run_group(gspec, sig, args, values, shape, bufs, spare)
+        return run_group(gspec, sig, args, values, shape, bufs, *rest)
 
     engine.run_group = spying
     try:
@@ -310,3 +314,221 @@ def test_an_aliased_old_value_is_never_written_into():
     for name in ("keep", "blur", "y"):
         assert np.asarray(result.workspace[name]).tobytes() == \
             np.asarray(oracle.workspace[name]).tobytes(), name
+
+
+# ---------------------------------------------------------------------- #
+# halo taps and lean iterations
+# ---------------------------------------------------------------------- #
+
+#: the plan without the two rows that change a group's members and arrays
+PLAIN_GROUPS = tuple(name for name in DEFAULT_PLAN.fusion
+                     if name not in ("halo", "lean"))
+
+
+@st.composite
+def loop_programs(draw):
+    """A ``for`` loop over arrays of one shape (a matrix, a row or a
+    column vector) whose body mixes ``circshift`` by constants — rows,
+    columns, both, a scalar, now and then one past a block — with
+    elementwise and ``min``/``max`` statements; some members are read
+    after the run in the body, one before it (the next iteration sees
+    it), some by a group under an ``if`` or an inner ``for``, and some
+    only after the loop."""
+    shape = draw(st.sampled_from(["matrix", "row", "column"]))
+    rows = 1 if shape == "row" else draw(st.integers(2, 9))
+    cols = 1 if shape == "column" else draw(st.integers(2, 9))
+    steps = draw(st.integers(1, 4))
+    head = (f"rand('seed', {draw(st.integers(0, 99))});\n"
+            f"a = rand({rows}, {cols});\nb = rand({rows}, {cols});\n"
+            f"s = 0.75;\nq = 0;\ne0 = a;\nc = a;\n")
+    shift = st.integers(-2, 2) | st.sampled_from([7, -9, 13])
+    size = draw(st.integers(2, 9))
+    names = ["a", "b"]          # arrays a member may read
+    exposed = draw(st.booleans())
+    body = ["    u = e0 .* 0.5;"] if exposed else []
+    for k in range(size):
+        kind = draw(st.sampled_from(
+            ["tap"] * 4 + ["binary"] * 3
+            + ["minmax", "self", "reduce", "nested"]))
+        x = draw(st.sampled_from(names))
+        y = draw(st.sampled_from(names))
+        dest = f"t{k}"
+        if kind == "tap":
+            form = draw(st.sampled_from(["rows", "cols", "both", "scalar"]))
+            dr, dc = draw(shift), draw(shift)
+            amount = {"rows": f"[{dr}, 0]", "cols": f"[0, {dc}]",
+                      "both": f"[{dr}, {dc}]", "scalar": f"{dr}"}[form]
+            # (a source from before the loop: a tap never reads a
+            # member's value)
+            expr = f"circshift({draw(st.sampled_from(['a', 'b']))}, {amount})"
+        elif kind == "binary":
+            op = draw(st.sampled_from(_OPS))
+            expr = f"{x} {op} {y}"
+        elif kind == "minmax":
+            expr = f"max(min({x}, 1), {y})"
+        elif kind == "self":        # the next iteration reads it
+            dest, expr = "b", f"{x} .* 0.25 + b .* 0.5"
+        elif kind == "reduce":     # read after the run, in the body
+            body.append(f"    q = q + sum(sum({x}));")
+            continue
+        else:       # the newest member, read by a nested block's group
+            head_line = draw(st.sampled_from(
+                ["if k > 1", "if k < 3", "for j = 1:2"]))
+            body += [f"    {head_line}",
+                     f"        c = c .* 0.5 + {names[-1]};",
+                     f"        c = c - {y} .* 0.25;", "    end"]
+            continue
+        body.append(f"    {dest} = {expr};")
+        if dest not in names:
+            names.append(dest)
+    if exposed:
+        body.append(f"    e0 = {names[-1]} + 1;")
+    # (``a`` changes on every iteration: no tap of it is invariant)
+    body.append(f"    a = a .* 0.5 + {names[-1]} .* 0.25;")
+    tail = "fprintf('%.17g\\n', q);\n"
+    return (head + f"for k = 1:{steps}\n" + "\n".join(body) + "\nend\n"
+            + tail)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=12, deadline=None)
+@given(loop_programs(), st.sampled_from([1, 2, 3, 4, 7, 16]),
+       st.sampled_from(["block", "cyclic"]))
+def test_halo_taps_and_lean_iterations_change_nothing_observed(
+        source, nprocs, scheme):
+    plan = Plan(scheme=scheme)
+    plain = Plan(scheme=scheme, fusion=PLAIN_GROUPS)
+    program = compile_source(source, plan=plan)
+    baseline = compile_source(source, plan=plain)
+    for backend, native in MODES:
+        got, _ = _run(program, plan, nprocs, backend, native)
+        want, _ = _run(baseline, plain, nprocs, backend, native)
+        assert _observed(got) == _observed(want), (backend, native)
+
+
+def _one_group(program):
+    groups = [stmt for block in program.ir.walk() for stmt in block
+              if isinstance(stmt, EwGroup)]
+    assert len(groups) == 1
+    return groups[0]
+
+
+def test_an_image_step_reads_its_image_once_and_writes_it_once():
+    """The filter step's shifts are taps of its one group, every member
+    but ``img`` an array only on the last iteration and the temporaries
+    on none: each step is one native call, the last one the full
+    kernel, and no shift runs on its own."""
+    from repro.runtime import structural
+
+    program = compile_source(IMAGE_STEP)
+    group = _one_group(program)
+    assert len(group.members) == 8
+    # north, south, blur, mag, edges; the blend and min's temporaries; img
+    assert group.live == (1,) * 5 + (0, 0, 2)
+    engine = get_engine()
+    calls, rotations = [], []
+    run_group, rotated = engine.run_group, structural._rotated
+
+    def spying(gspec, sig, args, values, shape, bufs, spare, outs=None,
+               shifts=()):
+        calls.append((outs, len(shifts)))
+        return run_group(gspec, sig, args, values, shape, bufs, spare,
+                         outs, shifts)
+
+    engine.run_group = spying
+    structural._rotated = lambda *a: rotations.append(a) or rotated(*a)
+    try:
+        result = program.run(nprocs=4, backend="fused", native="auto")
+    finally:
+        del engine.run_group
+        structural._rotated = rotated
+    if result.native is None:
+        pytest.skip("native tier unavailable")
+    assert calls == [((7,), 4)] * 2 + [((0, 1, 2, 3, 4, 7), 4)]
+    assert rotations == []
+    oracle = program.run(nprocs=4, backend="lockstep", native="off")
+    for name, value in oracle.workspace.items():
+        assert np.asarray(result.workspace[name]).tobytes() == \
+            np.asarray(value).tobytes(), name
+
+
+def test_a_shift_that_would_gather_refuses_the_group():
+    """Under a cyclic map a row shift gathers: the group steps aside and
+    every member runs as its own statement, the shift included."""
+    program = compile_source(IMAGE_STEP, plan=Plan(scheme="cyclic"))
+    with group_calls() as ran:
+        result = program.run(nprocs=4, backend="fused", native="auto",
+                             plan=Plan(scheme="cyclic"))
+    assert ran == []
+    oracle = program.run(nprocs=4, backend="lockstep", native="off",
+                         plan=Plan(scheme="cyclic"))
+    assert result.output == oracle.output
+    assert [t.hex() for t in result.spmd.times] == \
+        [t.hex() for t in oracle.spmd.times]
+
+
+@pytest.mark.parametrize("body, live", [
+    # read after the group in the body: live on every iteration
+    ("    n = circshift(x, 1);\n    y = n + x;\n    z = sum(sum(n));\n",
+     (2, 1)),
+    # read before the group (the next iteration): live too
+    ("    w = sum(sum(y));\n    n = circshift(x, 1);\n    y = n + x;\n",
+     (1, 2)),
+    # assigned twice in the group: the first value has no array
+    ("    n = circshift(x, 1);\n    y = n + x;\n    y = y .* n;\n",
+     (1, 0, 1)),
+])
+def test_what_a_later_statement_reads_keeps_its_array(body, live):
+    """(``x`` changes on every iteration, so nothing is hoisted.)"""
+    source = ("x = ones(6, 4);\ny = x;\nfor k = 1:3\n    x = x .* 0.5;\n"
+              + body + "end\n")
+    assert _one_group(compile_source(source)).live == live
+
+
+@pytest.mark.parametrize("nest", [
+    ("if k > 1", ""), ("for j = 1:2", ""), ("while c(1) < 0", "c = c + 1;"),
+])
+def test_what_a_nested_group_reads_keeps_its_array(nest):
+    """A group under an ``if`` or an inner loop reads the top-level
+    group's ``y`` through its members: ``y`` is an array on every
+    iteration, and the loop computes what it computed without ``lean``."""
+    head, extra = nest
+    source = ("x = ones(6, 4);\nc = zeros(6, 4);\nfor k = 1:3\n"
+              "    x = x .* 0.5;\n    y = x + 1;\n"
+              f"    {head}\n        {extra}\n        c = c + y;\n"
+              "        d = c .* 2;\n    end\nend\n")
+    program = compile_source(source)
+    groups = [stmt for stmt in program.ir.body[-1].body
+              if isinstance(stmt, EwGroup)]
+    assert len(groups) == 1 and groups[0].live is None
+    plain = Plan(fusion=PLAIN_GROUPS)
+    baseline = compile_source(source, plan=plain)
+    for backend, native in MODES:
+        got, _ = _run(program, DEFAULT_PLAN, 4, backend, native)
+        want, _ = _run(baseline, plain, 4, backend, native)
+        assert _observed(got) == _observed(want), (backend, native)
+
+
+@pytest.mark.parametrize("exit", ["break", "continue", "return"])
+def test_a_loop_that_can_end_early_is_never_lean(exit):
+    source = ("x = ones(6, 4);\nfor k = 1:3\n    x = x .* 0.5;\n"
+              "    n = circshift(x, 1);\n    y = n + x;\n"
+              f"    if k > 1\n        {exit};\n    end\nend\n")
+    assert _one_group(compile_source(source)).live is None
+
+
+def test_a_tap_of_both_dimensions_holds_what_circshift_held():
+    """``circshift(x, [1 2])`` makes its column step's array before its
+    row step's: the tap's statement holds one for as long, so the peak
+    of the step it tops is the same."""
+    source = ("x = ones(8, 6);\nfor k = 1:3\n    n = circshift(x, [1, 2]);\n"
+              "    y = n + x;\n    x = y .* 0.5;\nend\n")
+    plain = Plan(fusion=PLAIN_GROUPS)
+    got = compile_source(source).run(nprocs=4, backend="fused",
+                                     native="auto")
+    want = compile_source(source, plan=plain).run(
+        nprocs=4, backend="fused", native="auto", plan=plain)
+    assert _one_group(compile_source(source)).members[0].op == \
+        "builtin:circshift"
+    assert got.peak_local_bytes == want.peak_local_bytes
+    assert got.workspace.keys() == want.workspace.keys()

@@ -41,7 +41,7 @@ def empty_free_lists():
     """Every test starts with nothing on any free list (whatever the
     tests before it left there)."""
     sweep(everything=True)
-    assert SPARES.held == 0
+    assert SPARES.held == SPARES.placed == 0
 
 
 def fused(body, native=None, cache_gathers=False):
@@ -155,6 +155,35 @@ def test_large_fresh_buffers_start_at_spread_page_offsets():
     assert all(buf.base is not None and buf.flags.c_contiguous
                for buf in placed)
     assert FreeList(40 * 24).take((40, 24)).base is None
+
+
+def test_a_placed_allocation_is_placed_again_once_no_view_lives():
+    """A free list keeps the allocations it places buffers in (a run's
+    last buffers die with its result, past the free lists, and glibc
+    would trim them off the heap top): one is placed again once no view
+    of it lives, never while one does — and a sweep releases them as it
+    releases the list's buffers."""
+    spare = FreeList(PLACED[0] * PLACED[1])
+    first = spare.take(PLACED)
+    kept = first[2:5]
+    del first
+    second = spare.take(PLACED)
+    assert not np.shares_memory(second, kept)
+    del second
+    table = len(spare.placed)
+    assert SPARES.placed == sum(raw.nbytes for raw in spare.placed)
+    for _ in range(2 * table + 2):
+        again = spare.take(PLACED)
+        assert id(again.base) in SPARES.kept
+        assert not np.shares_memory(again, kept)
+        del again
+    assert len(spare.placed) == table
+    sweep()                     # taken from: kept
+    assert len(spare.placed) == table
+    sweep()                     # not taken from since: released
+    assert spare.placed == [] and SPARES.placed == 0 and not SPARES.kept
+    kept[:] = 1.0               # the view still owns its memory
+    assert (kept == 1.0).all()
 
 
 def test_a_placed_buffer_is_recycled_and_a_view_of_it_is_not():
