@@ -19,7 +19,8 @@ and forced on (twice, to exercise the warm path), and checks:
 
 It also counts how many of the kernels the runs loaded gcc reports as
 vectorized (``-fopt-info-vec-optimized`` over each kernel's C text with
-the tier's own flags; reported, not gated — other compilers say "n/a").
+the flags the engine built it with, ``engine.flags``; reported, not
+gated — other compilers say "n/a").
 
 Writes a hit-rate table to ``native_report.md`` (appended to
 ``$GITHUB_STEP_SUMMARY`` by the workflow) plus ``native_report.json``
@@ -38,7 +39,6 @@ from repro.bench.workloads import image_filter
 from repro.compiler import OtterCompiler
 from repro.mpi import MEIKO_CS2
 from repro.native import get_engine
-from repro.native.cache import BUILD_FLAGS
 
 #: the gate on the benchmark image filter's minor page faults per pass
 #: (about 112 with recycled op outputs, 3 296 without)
@@ -75,7 +75,7 @@ def vectorized_kernels(engine):
     with tempfile.TemporaryDirectory() as scratch:
         for key in keys:
             proc = subprocess.run(
-                [engine.cc, *BUILD_FLAGS, "-fopt-info-vec-optimized",
+                [engine.cc, *engine.flags, "-fopt-info-vec-optimized",
                  str(engine.cache.source_path(key)), "-o",
                  os.path.join(scratch, "k.so"), "-lm"],
                 capture_output=True, text=True)
@@ -143,7 +143,7 @@ def main() -> int:
         f" virtual clock identical off/on: "
         f"**{off.elapsed == warm.elapsed}**",
         "",
-        f"kernels gcc vectorized: {shown};"
+        f"kernels gcc vectorized ({warm.native['isa']} build): {shown};"
         f" image filter (n=256, 16 steps) per pass: minor page faults"
         f" **{faults:.0f}** (gate {MAX_FAULTS_PER_PASS}), native calls"
         f" **{calls_per_pass:.0f}** (gate {MAX_CALLS_PER_PASS})",

@@ -58,8 +58,9 @@ class RunResult:
     #: the plan-search report when the run was autotuned (``tune=True``)
     tune: Optional[Any] = None
     #: native-kernel-tier activity during this run (counter deltas from
-    #: repro.native.NativeStats plus the resolved mode), or ``None``
-    #: when the tier was off/unavailable
+    #: repro.native.NativeStats plus the resolved mode and the engine's
+    #: ``isa``: the build its kernels ran as), or ``None`` when the tier
+    #: was off/unavailable
     native: Optional[dict] = None
 
     @property
@@ -275,6 +276,7 @@ class CompiledProgram:
             after = engine.stats.snapshot()
             native_report = {k: after[k] - stats_before[k] for k in after}
             native_report["mode"] = config.native
+            native_report["isa"] = engine.isa
         return RunResult(workspace=workspace, output="".join(output),
                          elapsed=spmd.elapsed, spmd=spmd,
                          peak_local_bytes=peak_local_bytes,

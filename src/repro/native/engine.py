@@ -9,6 +9,12 @@ produce — or ``None``, in which case the caller runs the numpy path.
 Every reason for returning ``None`` is counted in :class:`NativeStats`
 so the pass report and CI can show exactly where the tier engaged.
 
+Kernels are built for the CPU the engine runs on: the baseline
+``BUILD_FLAGS``, plus ``ISA_FLAGS`` (x86-64-v3: AVX2 lanes) when a CPU
+probe, asked once per engine, says the host runs them.  ``flags`` and
+``isa`` say which; the choice is part of every kernel key
+(docs/NATIVE.md §2, §4).
+
 Correctness layers (all per-kernel, all automatic):
 
 1. *Signature gate*: only float64 C-contiguous arrays of one shape plus
@@ -31,6 +37,7 @@ C loop only touches its own buffers).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import shutil
@@ -41,7 +48,8 @@ from typing import Optional
 import numpy as np
 
 from ..ewops import OPS, PROBED, TAP, reference, rotated, single_op_spec
-from .cache import KernelCache, KernelCompileError, build_identity
+from .cache import (BUILD_FLAGS, ISA_FLAGS, KernelCache, KernelCompileError,
+                    build_identity, compiler_version)
 from .codegen import (UnsupportedSpecError, cdef_signature, generate_source,
                       members, spec_key, tap_count)
 
@@ -109,6 +117,21 @@ class _Kernel:
 
 #: the toolchain probe's kernel
 _TRIAL = ("+", "@0", 1.0)
+
+#: the CPU probe: built with the baseline flags, so every x86-64 runs
+#: it, and 1 when this one also runs x86-64-v3 code (gcc 12 is the first
+#: to know the psABI level names; every other compiler answers 0)
+_ISA_PROBE = """int repro_isa_v3(void)
+{
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \\
+    && __GNUC__ >= 12
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("x86-64-v3") != 0;
+#else
+    return 0;
+#endif
+}
+"""
 
 #: sentinel: spec permanently numpy-only for this process
 _UNSUPPORTED = object()
@@ -245,9 +268,14 @@ class NativeEngine:
         self.cache = KernelCache(cache_dir)
         self.cc = find_compiler(cc)
         self.verify_calls = verify_calls
-        #: :func:`~repro.native.cache.build_identity` of this engine's
-        #: compiler and flags, part of every kernel key (set by the
-        #: toolchain probe, once per engine)
+        #: the flags every kernel is built with: the baseline
+        #: :data:`~repro.native.cache.BUILD_FLAGS`, plus ``ISA_FLAGS``
+        #: when the CPU runs them (``isa`` names which), and their
+        #: :func:`~repro.native.cache.build_identity` with this engine's
+        #: compiler, part of every kernel key (all set by the toolchain
+        #: probe, once per engine)
+        self.flags: Optional[tuple[str, ...]] = None
+        self.isa: Optional[str] = None
         self.build: Optional[str] = None
         self._ffi = None
         self._dparr = None  # cached ffi.typeof("double[]")
@@ -285,8 +313,9 @@ class NativeEngine:
             return self._toolchain
 
     def _probe_toolchain(self) -> bool:
-        """Can this engine build and publish a kernel?  Asked once: the
-        trial kernel is looked up before it is compiled."""
+        """Which flags does this engine build with, and can it build and
+        publish a kernel with them?  Asked once: the CPU probe and the
+        trial kernel are looked up before they are compiled."""
         if self.cc is None:
             return False
         try:
@@ -294,18 +323,43 @@ class NativeEngine:
         except ImportError:
             self.unavailable_reason = "cffi is not installed"
             return False
-        self.build = build_identity(self.cc)
+        version = compiler_version(self.cc)
+        v3 = self._probe_isa(build_identity(self.cc, BUILD_FLAGS,
+                                            version)) == 1
+        self.flags = BUILD_FLAGS + ISA_FLAGS if v3 else BUILD_FLAGS
+        self.isa = "x86-64-v3" if v3 else "baseline"
+        self.build = build_identity(self.cc, self.flags, version)
         # the trial is a kernel like any other, keyed by this build: a
-        # warm cache compiles nothing, and another compiler misses it
+        # warm cache compiles nothing, and another compiler or another
+        # CPU level misses it
         key = self.key(_TRIAL, "a")
         try:
             if self.cache.lookup(key) is None:
                 source, _ = generate_source(_TRIAL, "a", f"k_{key}")
-                self.cache.build(key, source, self.cc)
+                self.cache.build(key, source, self.cc, self.flags)
         except (KernelCompileError, OSError) as exc:
             self.unavailable_reason = f"toolchain probe failed: {exc}"
             return False
         return True
+
+    def _probe_isa(self, baseline: str) -> int:
+        """What the CPU probe returns on this host (1: x86-64-v3).  It is
+        built with ``BUILD_FLAGS`` and cached under a key over their
+        build identity (``baseline``) and its own text — a warm cache
+        compiles nothing, and no kernel's key can answer it.  A probe
+        that cannot be built or loaded answers 0."""
+        key = hashlib.sha256(f"repro-isa-probe:{baseline}:{_ISA_PROBE}"
+                             .encode()).hexdigest()[:20]
+        try:
+            path = self.cache.lookup(key)
+            if path is None:
+                path = self.cache.build(key, _ISA_PROBE, self.cc,
+                                        BUILD_FLAGS)
+            ffi = self._get_ffi()
+            ffi.cdef("int repro_isa_v3(void);")
+            return ffi.dlopen(str(path)).repro_isa_v3()
+        except (KernelCompileError, OSError):   # dlopen's too
+            return 0
 
     def _get_ffi(self):
         if self._ffi is None:
@@ -554,7 +608,7 @@ class NativeEngine:
                 # dlopen'ed — rebuilt and republished over it instead
                 self.stats.bump("disk_rejects")
             try:
-                path = self.cache.build(key, source, self.cc)
+                path = self.cache.build(key, source, self.cc, self.flags)
             except (KernelCompileError, OSError):
                 # a cache that cannot publish (ENOSPC, made read-only or
                 # removed mid-run) fails closed, like a compiler error:

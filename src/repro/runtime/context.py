@@ -891,20 +891,21 @@ class RuntimeContext:
             np.savetxt(buf, np.atleast_2d(arr), fmt="%.17g")
         return buf.getvalue()
 
+    def _clock(self):
+        """What ``tic``/``toc`` read: this rank's time, or under fusion
+        every rank's (a list)."""
+        return self.comm.clock_snapshot() if self.fused else self.comm.time
+
     def tic(self) -> None:
-        if self.fused:
-            self.tic_time = self.comm.clock_snapshot()  # per-rank vector
-        else:
-            self.tic_time = self.comm.time
+        self.tic_time = self._clock()
 
     def toc(self):
-        if self.fused:
-            now = self.comm.clock_snapshot()
-            base = self.tic_time if isinstance(self.tic_time, list) \
-                else [self.tic_time] * self.size
-            return PerRankScalar(
-                [n - b for n, b in zip(now, base)]).collapse()
-        return float(self.comm.time - self.tic_time)
+        now = self._clock()
+        if not isinstance(now, list):
+            return float(now - self.tic_time)
+        base = self.tic_time if isinstance(self.tic_time, list) \
+            else [self.tic_time] * self.size
+        return PerRankScalar([n - b for n, b in zip(now, base)]).collapse()
 
 
 # -------------------------------------------------------------------------- #

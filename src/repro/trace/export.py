@@ -134,7 +134,8 @@ def pass_report(pass_timings: list[tuple[str, float]],
         out.append(f"pass 6 rewrites: {rewrites}")
     if native is not None:
         out.append("")
-        out.append(f"native kernel tier (mode {native.get('mode', 'auto')})")
+        out.append(f"native kernel tier (mode {native.get('mode', 'auto')}"
+                   f", {native['isa']} build)")
         out.append("-" * 31)
         out.append(f"{'native calls':<18s} {native['native_calls']:>8d}")
         out.append(f"{'kernels loaded':<18s} {native['kernels']:>8d}")

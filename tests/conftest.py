@@ -56,3 +56,22 @@ def assert_matches_oracle(run_interp, run_compiled):
         return oracle_ws
 
     return _check
+
+
+@pytest.fixture(params=["detected", "baseline"])
+def native_build(request, monkeypatch):
+    """The process-wide native engine for one test: as this host's CPU
+    probe chose its flags, or with the baseline flags a CPU without
+    x86-64-v3 gets (the probe answers 0) — so an AVX2 host still runs
+    the SSE2 kernels every other x86-64 host runs."""
+    from repro.native import NativeEngine, get_engine, reset_engines
+
+    if request.param == "baseline":
+        monkeypatch.setattr(NativeEngine, "_probe_isa",
+                            lambda self, baseline: 0)
+        reset_engines()
+        request.addfinalizer(reset_engines)
+    engine = get_engine()
+    if request.param == "baseline" and engine.available:
+        assert engine.isa == "baseline"
+    return engine

@@ -13,7 +13,7 @@ match exactly.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.ewops import EXACT, OPS, reference, single_op_spec, spec_to_c
 from repro.native import generate_source, get_engine
@@ -91,12 +91,12 @@ def _bits_match(out, ref):
     return bool(np.all(nan_both | same))
 
 
-def _check(spec, args):
+def _check(spec, args, engine=engine):
     with np.errstate(all="ignore"):     # the samples overflow on purpose
-        _check_quietly(spec, args)
+        _check_quietly(spec, args, engine)
 
 
-def _check_quietly(spec, args):
+def _check_quietly(spec, args, engine):
     ref_fn = reference(spec)
     try:
         ref = np.asarray(ref_fn(*args))
@@ -125,14 +125,20 @@ def _check_quietly(spec, args):
 _SIGNED_ZEROS = np.array([1.0, -0.0, 3.0, 0.0])
 
 
-@settings(max_examples=120, deadline=None)
+#: the engine is the same for every example of a test
+_ONE_ENGINE = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=_ONE_ENGINE)
 @given(spec=spec_trees(SAFE_OPS), args=operand_lists())
 @example(spec=("fn:sign", "@0"), args=[_SIGNED_ZEROS, 0.0, 0.0])
 @example(spec=("./", 1.0, ("fn:sign", "@0")), args=[_SIGNED_ZEROS, 0.0, 0.0])
 @example(spec=("fn:sign", (".*", "@0", "@1")),
          args=[_SIGNED_ZEROS, -1.0, 0.0])
-def test_exact_chains_never_diverge(spec, args):
-    _check(spec, args)
+def test_exact_chains_never_diverge(native_build, spec, args):
+    """Under the flags this host's kernels are built with, and the
+    baseline flags (``native_build``)."""
+    _check(spec, args, native_build)
 
 
 def test_sign_of_negative_zero_after_verification():
@@ -181,12 +187,14 @@ def test_every_safe_op_engages():
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
-def test_c_column_has_the_bits_of_the_numpy_column(op):
+def test_c_column_has_the_bits_of_the_numpy_column(native_build, op):
     """One row, both columns, over the probe's samples: the C template
     — the text ``c_emitter`` lists, compiled here through the renderer
-    it calls — against the kernel the emitted lambda names.  An
-    ``exact`` row must run natively and agree bit for bit; a ``probed``
-    row must agree whenever this host's probe admitted it."""
+    it calls — against the kernel the emitted lambda names, under both
+    builds (``native_build``).  An ``exact`` row must run natively and
+    agree bit for bit; a ``probed`` row must agree whenever this host's
+    probe admitted it."""
+    engine = native_build
     row = OPS[op]
     spec = single_op_spec(op)
     domain = "pairs" if (row.arity, row.domain) == (2, "all") else row.domain

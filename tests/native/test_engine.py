@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.native import NativeEngine, find_compiler, spec_key
-from repro.native.cache import BUILD_FLAGS, build_identity
+from repro.native.cache import BUILD_FLAGS, ISA_FLAGS, build_identity
 from repro.native.codegen import UnsupportedSpecError, generate_source
 from repro.ewops import reference
 
@@ -166,12 +166,7 @@ def test_a_warm_cache_answers_the_toolchain_probe(engine, tmp_path,
     """The probe's trial kernel is a cached kernel of this build: a
     second engine on the same directory compiles nothing to learn that
     the tier works."""
-    from repro.native.cache import KernelCache
-
-    builds = []
-    build = KernelCache.build
-    monkeypatch.setattr(KernelCache, "build",
-                        lambda self, *a: builds.append(a) or build(self, *a))
+    builds = _builds(monkeypatch)
     warm = NativeEngine(cache_dir=str(tmp_path / "kernels"))
     assert warm.available and warm.build == engine.build
     assert builds == [] and warm.stats.snapshot()["compiles"] == 0
@@ -267,7 +262,7 @@ def test_same_key_build_race_publishes_one_loadable_kernel(engine, tmp_path):
     def builder():
         barrier.wait()
         try:
-            cache.build(key, source, engine.cc)
+            cache.build(key, source, engine.cc, engine.flags)
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -327,6 +322,159 @@ def test_unpublishable_cache_falls_back_to_numpy(tmp_path, monkeypatch):
     assert (on.native["compiles"], on.native["native_calls"]) == (0, 0)
 
 
+# ---------------------------------------------------------------------- #
+# the CPU probe: which flags the kernels are built with
+# ---------------------------------------------------------------------- #
+
+
+def _baseline(monkeypatch):
+    """Engines built from now on answer 0 to the CPU probe: the flags of
+    a host without x86-64-v3."""
+    monkeypatch.setattr(NativeEngine, "_probe_isa", lambda self, base: 0)
+
+
+def _builds(monkeypatch):
+    """Every ``(source, flags)`` the kernel cache compiles from now on."""
+    from repro.native.cache import KernelCache
+
+    builds = []
+    build = KernelCache.build
+    monkeypatch.setattr(
+        KernelCache, "build", lambda self, key, source, cc, flags:
+        builds.append((source, flags)) or build(self, key, source, cc, flags))
+    return builds
+
+
+def test_the_engine_builds_with_the_flags_it_names(engine, tmp_path,
+                                                   monkeypatch):
+    assert engine.flags in (BUILD_FLAGS, BUILD_FLAGS + ISA_FLAGS)
+    assert engine.isa == ("baseline" if engine.flags == BUILD_FLAGS
+                          else "x86-64-v3")
+    builds = _builds(monkeypatch)
+    assert run_ref(engine, CHAIN, [_arr(1.0, 2.0), _arr(3.0, 4.0)]) \
+        is not None
+    assert [flags for _, flags in builds] == [engine.flags]
+
+
+def test_a_cpu_without_v3_builds_every_kernel_as_before(tmp_path,
+                                                       monkeypatch):
+    """A probe that answers 0 leaves the baseline flags, and every key
+    is the one the engine computed before it probed the CPU: a cache
+    such a host filled earlier stays warm."""
+    _baseline(monkeypatch)
+    builds = _builds(monkeypatch)
+    eng = NativeEngine(cache_dir=str(tmp_path / "kernels"))
+    assert eng.available and eng.isa == "baseline"
+    assert eng.flags == BUILD_FLAGS
+    assert eng.build == build_identity(eng.cc)
+    assert eng.key(CHAIN, "aa") == spec_key(CHAIN, "aa",
+                                            build_identity(eng.cc))
+    assert run_ref(eng, CHAIN, [_arr(1.0, 2.0), _arr(3.0, 4.0)]) is not None
+    assert {flags for _, flags in builds} == {BUILD_FLAGS}
+
+
+def test_a_probe_that_cannot_build_leaves_the_baseline(tmp_path,
+                                                      monkeypatch):
+    """The probe failing is a no, not a broken tier."""
+    from repro.native import engine as engine_mod
+    from repro.native.cache import KernelCache, KernelCompileError
+
+    build = KernelCache.build
+
+    def refusing(self, key, source, cc, flags):
+        if source == engine_mod._ISA_PROBE:
+            raise KernelCompileError("no __builtin_cpu_supports here")
+        return build(self, key, source, cc, flags)
+
+    monkeypatch.setattr(KernelCache, "build", refusing)
+    eng = NativeEngine(cache_dir=str(tmp_path / "kernels"))
+    assert eng.available and eng.flags == BUILD_FLAGS
+
+
+def test_the_cpu_probe_is_cached_under_its_own_text(engine, tmp_path,
+                                                   monkeypatch):
+    """A warm cache answers the probe without a compile; another probe
+    text is another key, so no entry written by older code — kernels
+    included — can answer it."""
+    from repro.native import engine as engine_mod
+
+    builds = _builds(monkeypatch)
+    assert NativeEngine(cache_dir=str(tmp_path / "kernels")).available
+    assert builds == []
+    monkeypatch.setattr(engine_mod, "_ISA_PROBE",
+                        engine_mod._ISA_PROBE + "/* v2 */\n")
+    assert NativeEngine(cache_dir=str(tmp_path / "kernels")).available
+    assert builds == [(engine_mod._ISA_PROBE, BUILD_FLAGS)]
+
+
+def test_the_probe_agrees_with_the_cpu(engine):
+    """x86-64-v3 is AVX, AVX2, BMI1/2, F16C, FMA, LZCNT and MOVBE on top
+    of v2; Linux lists them all (LZCNT as ``abm``).  Only where the
+    probe's ``#if`` lets gcc ask the CPU: x86-64, gcc 12 or later."""
+    import re
+    import subprocess
+
+    macros = subprocess.run([engine.cc, "-dM", "-E", "-"], input="",
+                            text=True, capture_output=True).stdout
+    gnuc = re.search(r"#define __GNUC__ (\d+)", macros)
+    if ("__x86_64__" not in macros or "__clang__" in macros
+            or gnuc is None or int(gnuc.group(1)) < 12):
+        pytest.skip("the probe asks the CPU only on x86-64 with gcc >= 12")
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = next(set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags"))
+    except (OSError, StopIteration):
+        pytest.skip("no /proc/cpuinfo flags line")
+    v3 = {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe"}
+    assert (engine.isa == "x86-64-v3") == (v3 <= flags)
+
+
+def test_a_v3_and_a_baseline_engine_share_a_cache_and_no_kernel(
+        tmp_path, monkeypatch):
+    """On one cache directory the two builds get disjoint keys: the
+    baseline engine compiles every kernel it runs, loading none of the
+    v3 engine's — and the image filter's output, workspace and clocks
+    are byte for byte the same under both."""
+    from repro.bench.workloads import image_filter
+    from repro.compiler import compile_source
+    from repro.mpi import MEIKO_CS2
+    from repro.native import ENV_CACHE_DIR, get_engine, reset_engines
+
+    program = compile_source(image_filter(n=40, steps=3).source)
+
+    def run():
+        engine = get_engine()
+        result = program.run(nprocs=4, machine=MEIKO_CS2, backend="fused",
+                             native="require")
+        return engine, result
+
+    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "kernels"))
+    reset_engines()
+    try:
+        wide, got = run()
+        if wide.isa != "x86-64-v3":
+            pytest.skip("the host does not run x86-64-v3")
+        reset_engines()
+        _baseline(monkeypatch)
+        narrow, want = run()
+    finally:
+        reset_engines()
+    assert narrow.isa == "baseline"
+    assert wide.loaded_keys() and narrow.loaded_keys()
+    assert not set(wide.loaded_keys()) & set(narrow.loaded_keys())
+    assert want.native["disk_hits"] == 0
+    assert want.native["compiles"] == want.native["kernels"]
+    assert got.native["native_calls"] == want.native["native_calls"] > 0
+    assert got.output == want.output
+    assert [t.hex() for t in got.spmd.times] == \
+        [t.hex() for t in want.spmd.times]
+    assert got.workspace.keys() == want.workspace.keys()
+    for name, value in want.workspace.items():
+        assert np.asarray(got.workspace[name]).tobytes() == \
+            np.asarray(value).tobytes(), name
+
+
 def test_cache_key_separates_spec_and_signature(engine):
     a = _arr(1.0, 2.0)
     assert run_ref(engine, CHAIN, [a, a]) is not None       # sig "aa"
@@ -349,15 +497,15 @@ def test_cache_key_covers_the_build(engine, tmp_path):
     """The key names the build, not only the source: other flags,
     another compiler, or the same path after an upgrade give another
     key — and the same build the same key, in any engine."""
-    same = build_identity(engine.cc)
-    assert same == build_identity(engine.cc, BUILD_FLAGS) == engine.build
-    for flags in (BUILD_FLAGS[:-2], BUILD_FLAGS + ("-O3",),
-                  tuple(reversed(BUILD_FLAGS))):
+    same = build_identity(engine.cc, engine.flags)
+    assert same == engine.build
+    for flags in (engine.flags[:-2], engine.flags + ("-O3",),
+                  tuple(reversed(engine.flags))):
         assert build_identity(engine.cc, flags) != same
         assert spec_key(CHAIN, "aa", build_identity(engine.cc, flags)) \
             != engine.key(CHAIN, "aa")
     other = _script_cc(tmp_path / "other-cc", engine.cc, "other 1.0")
-    assert build_identity(other) != same
+    assert build_identity(other, engine.flags) != same
     before = build_identity(other)
     _script_cc(tmp_path / "other-cc", engine.cc, "other 2.0")
     assert build_identity(other) != before

@@ -2,27 +2,31 @@
 
 Every :data:`repro.ewops.OPS` row the tier compiles is built as its
 single-op kernel — one array operand (``a``), or for a binary row two
-arrays (``aa``) and an array and a scalar (``as``) — with the engine's
-own :data:`~repro.native.cache.BUILD_FLAGS` plus gcc's
-``-fopt-info-vec-optimized``, which names the loops it turned into SIMD
-lanes.  Every row not listed below as scalar by design must vectorize
-(or, for a plain copy or fill, become one ``memcpy``/``memset``).  gcc
-only: other compilers report differently, so the test skips there.
+arrays (``aa``) and an array and a scalar (``as``) — to assembly, with
+the flags the engine builds with (``engine.flags``: the baseline
+:data:`~repro.native.cache.BUILD_FLAGS`, plus ``-march=x86-64-v3`` on a
+host that runs it) plus gcc's ``-fopt-info-vec-optimized``, which names
+the loops it turned into SIMD lanes.  Every row not listed below as
+scalar by design must vectorize (or, for a plain copy or fill, become
+one ``memcpy``/``memset``), and no kernel may hold an FMA instruction:
+x86-64-v3 has them, ``-ffp-contract=off`` keeps them out.  gcc only:
+other compilers report differently, so the test skips there.
 """
 
+import re
 import subprocess
 
 import pytest
 
 from repro.ewops import OPS, UnsupportedSpecError, single_op_spec
-from repro.native import find_compiler
-from repro.native.cache import BUILD_FLAGS
+from repro.native import get_engine
 from repro.native.codegen import generate_source
 
 _LIBM = "a libm call per element: glibc's vector variants are not the " \
         "scalar function's bits"
 _ROUNDING = "libm rounding: baseline x86-64 (SSE2) has no packed " \
-            "floor/ceil/trunc (SSE4.1's roundpd)"
+            "floor/ceil/trunc (SSE4.1's roundpd, which x86-64-v3 has: " \
+            "there these rows vectorize)"
 
 #: rows whose loop stays scalar on purpose, and why (a guard is not a
 #: reason: it folds into a flag, and ``sqrt`` of one array vectorizes)
@@ -51,10 +55,15 @@ def _is_gcc(cc):
     return "Free Software Foundation" in out and "clang" not in out
 
 
-CC = find_compiler()
+ENGINE = get_engine()
+V3 = ENGINE.available and ENGINE.isa == "x86-64-v3"
 
 pytestmark = pytest.mark.skipif(
-    CC is None or not _is_gcc(CC), reason="needs gcc's -fopt-info")
+    not ENGINE.available or not _is_gcc(ENGINE.cc),
+    reason="needs the native tier, built by gcc (-fopt-info)")
+
+#: an FMA instruction (``vfmadd231pd``, ``vfnmsub132sd``, ...)
+FMA = re.compile(r"\bvfn?m(add|sub)")
 
 
 def _compiled_rows():
@@ -70,14 +79,18 @@ def _compiled_rows():
 
 
 def _opt_info(tmp_path, source):
+    """What gcc says it vectorized in ``source``, compiled as the engine
+    compiles it; fails on an FMA in the assembly."""
     src = tmp_path / "k.c"
     src.write_text(source)
     proc = subprocess.run(
-        [CC, *BUILD_FLAGS, "-fopt-info-vec-optimized",
-         "-fopt-info-loop-optimized", str(src), "-o",
-         str(tmp_path / "k.so"), "-lm"],
+        [ENGINE.cc, *ENGINE.flags, "-fopt-info-vec-optimized",
+         "-fopt-info-loop-optimized", "-S", str(src), "-o",
+         str(tmp_path / "k.s")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    fma = FMA.search((tmp_path / "k.s").read_text())
+    assert fma is None, f"{fma.group(0)} in\n{source}"
     return proc.stderr
 
 
@@ -85,7 +98,8 @@ def _opt_info(tmp_path, source):
 def test_every_row_vectorizes_unless_scalar_by_design(tmp_path, op, sig,
                                                       source):
     info = _opt_info(tmp_path, source)
-    if op in SCALAR_BY_DESIGN:
+    if op in SCALAR_BY_DESIGN and not (
+            V3 and SCALAR_BY_DESIGN[op] is _ROUNDING):
         return
     if op in LIBRARY_CALL:
         assert "library calls" in info, info
@@ -100,11 +114,10 @@ def test_the_tables_name_real_rows():
     assert not set(SCALAR_BY_DESIGN) & LIBRARY_CALL
 
 
-def test_image_filters_group_kernel_vectorizes(tmp_path):
-    """The step of the image filter (``blur`` ... ``max``) is one group
-    of ten members: its one loop — ten outputs, the ``sqrt`` guard in a
-    flag, the NaN-aware ``min``/``max`` selects — is a vector loop
-    under the engine's own flags."""
+def _group_kernel():
+    """The C text of the image filter's step as ``ew_group`` alone makes
+    it: one group of ten members (``blur`` ... ``max``) over the four
+    shifted images, ``img`` and ``tau``."""
     from repro.bench.workloads import image_filter
     from repro.compiler import compile_source
     from repro.ir.nodes import EwGroup, group_spec
@@ -123,16 +136,13 @@ def test_image_filters_group_kernel_vectorizes(tmp_path):
     source, _ = generate_source(
         tuple((spec, slots) for spec, _, slots, _ in members), sig, "k")
     assert source.count("out") == 2 * 10 and "bad = " in source
-    info = _opt_info(tmp_path, source)
-    assert "loop vectorized" in info, f"{source}\n{info}"
+    return source
 
 
-@pytest.mark.parametrize("variant", ["lean", "full"])
-def test_image_filters_tap_kernels_vectorize(tmp_path, variant):
-    """With its four shifts as halo taps the step's group reads ``img``
-    once: the kernel of a step before the last writes ``img`` alone (the
-    *lean* variant), the last step's every member but the temporaries
-    — and each segment of a row is a vector loop either way."""
+def _tap_kernel(variant):
+    """The C text of the image filter's step with its four shifts as
+    halo taps: the ``lean`` variant of a step before the last, or the
+    ``full`` one of the last."""
     from repro.bench.workloads import image_filter
     from repro.compiler import compile_source
     from repro.ir.nodes import LIVE, EwGroup, group_spec
@@ -151,5 +161,34 @@ def test_image_filters_tap_kernels_vectorize(tmp_path, variant):
         outs)
     assert source.count("out") == 2 * len(outs)
     assert source.count("p0[j + d0]") == 1 and "long ur3, long uc3" in source
+    return source
+
+
+def test_image_filters_group_kernel_vectorizes(tmp_path):
+    """The group's one loop — ten outputs, the ``sqrt`` guard in a
+    flag, the NaN-aware ``min``/``max`` selects — is a vector loop
+    under the engine's own flags."""
+    source = _group_kernel()
     info = _opt_info(tmp_path, source)
     assert "loop vectorized" in info, f"{source}\n{info}"
+
+
+@pytest.mark.parametrize("variant", ["lean", "full"])
+def test_image_filters_tap_kernels_vectorize(tmp_path, variant):
+    """With its four shifts as halo taps the step's group reads ``img``
+    once: the kernel of a step before the last writes ``img`` alone (the
+    *lean* variant), the last step's every member but the temporaries
+    — and each segment of a row is a vector loop either way."""
+    source = _tap_kernel(variant)
+    info = _opt_info(tmp_path, source)
+    assert "loop vectorized" in info, f"{source}\n{info}"
+
+
+@pytest.mark.skipif(not V3, reason="the host does not run x86-64-v3")
+@pytest.mark.parametrize("variant", ["group", "lean", "full"])
+def test_image_filters_kernels_take_avx2_lanes(tmp_path, variant):
+    """Where the CPU runs x86-64-v3, the engine builds for it: the step
+    kernels' vector loops are four doubles wide."""
+    source = _group_kernel() if variant == "group" else _tap_kernel(variant)
+    info = _opt_info(tmp_path, source)
+    assert "using 32 byte vectors" in info, f"{source}\n{info}"

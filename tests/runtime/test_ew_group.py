@@ -22,7 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.compiler import compile_source
 from repro.ir.nodes import EwGroup
@@ -184,11 +184,14 @@ def _run(program, plan, nprocs, backend, native):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(programs(), st.sampled_from([1, 2, 3, 4, 7, 16]),
        st.sampled_from(["block", "cyclic"]), st.booleans())
-def test_a_group_changes_nothing_but_the_native_calls(source, nprocs, scheme,
-                                                      split):
+def test_a_group_changes_nothing_but_the_native_calls(native_build, source,
+                                                      nprocs, scheme, split):
+    """Under the flags this host's kernels are built with, and the
+    baseline flags (``native_build``: the engine ``auto`` resolves to)."""
     other = "cyclic" if scheme == "block" else "block"
     dist = (("a", other),) if split else ()
     grouped = Plan(scheme=scheme, dist=dist)
