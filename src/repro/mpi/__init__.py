@@ -1,34 +1,22 @@
 """Simulated MPI substrate: communicator, machine models, SPMD executor.
 
 Real data exchange, virtual time — see :mod:`repro.mpi.comm` for the
-design.  The public surface mirrors mpi4py's lowercase API.
+design.  The communicator speaks what the generated code and the
+run-time library need: exact-match ``send``/``recv``, ``sendrecv`` and
+six collectives.
 """
 
 from .comm import (
-    ANY_SOURCE,
-    ANY_TAG,
     Comm,
     LAND,
     LOR,
     MAX,
     MIN,
     PROD,
-    Request,
-    Status,
     SUM,
     World,
 )
-from .datatypes import (
-    BYTE,
-    CHAR,
-    DOUBLE,
-    DOUBLE_COMPLEX,
-    Datatype,
-    FLOAT,
-    INT,
-    LONG,
-    sizeof,
-)
+from .datatypes import sizeof
 from ..errors import (
     FusionDivergence,
     MpiCorruptionError,
@@ -58,10 +46,8 @@ from .machine import (
 from .scheduler import DeadlockError, LockstepScheduler
 
 __all__ = [
-    "ANY_SOURCE", "ANY_TAG", "Comm", "World", "Request", "Status",
-    "SUM", "PROD", "MAX", "MIN", "LAND", "LOR",
-    "Datatype", "DOUBLE", "FLOAT", "INT", "LONG", "CHAR",
-    "DOUBLE_COMPLEX", "BYTE", "sizeof",
+    "Comm", "World",
+    "SUM", "PROD", "MAX", "MIN", "LAND", "LOR", "sizeof",
     "SpmdResult", "run_spmd", "BACKENDS",
     "LockstepScheduler", "DeadlockError", "MpiError",
     "FusedComm", "PerRankScalar", "FusionDivergence",

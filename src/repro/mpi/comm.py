@@ -18,7 +18,10 @@ condvar broadcasts, no timeout polling, and runs are bit-deterministic.
 (The ``fused`` backend, :mod:`repro.mpi.fused`, reuses :class:`World`
 as its clock/statistics container and runs no carrier threads at all.)
 
-The API mirrors mpi4py's lowercase (pickle-object) methods.
+The surface is what the generated code and the run-time library speak:
+blocking ``send``/``recv`` matched exactly on ``(source, tag)``,
+``sendrecv`` for neighbour shifts, and the collectives ``barrier``,
+``bcast``, ``allreduce``, ``allgather``, ``alltoall`` and ``exscan``.
 """
 
 from __future__ import annotations
@@ -35,23 +38,6 @@ from .datatypes import sizeof
 from .faults import FaultState, payload_checksum
 from .machine import MachineModel
 from .recovery import MAX_RETRIES, RTO_FACTOR, retry_backoff
-
-ANY_SOURCE = -1
-ANY_TAG = -1
-
-#: sentinel for "no matching message yet" from a nonblocking probe
-_NOT_READY = object()
-
-
-class Status:
-    """Receive status: who sent, with what tag, how many bytes."""
-
-    __slots__ = ("source", "tag", "nbytes")
-
-    def __init__(self, source: int = -1, tag: int = -1, nbytes: int = 0):
-        self.source = source
-        self.tag = tag
-        self.nbytes = nbytes
 
 
 # -- reduction operators ---------------------------------------------------
@@ -175,9 +161,6 @@ class World:
         # carried with the message so receive-side accounting never
         # re-walks payloads; checksum is None unless faults are active
         self.mailboxes: dict[tuple[int, int, int], deque] = {}
-        # rank -> (source, tag) pattern it is parked on, so a send
-        # unparks exactly the matching rank
-        self._recv_waiting: dict[int, tuple[int, int]] = {}
         self.aborted: Optional[BaseException] = None
         # collective rendezvous state
         self._slots: list[Any] = [None] * nprocs
@@ -307,50 +290,8 @@ class World:
         return self._coll_result
 
 
-class Request:
-    """Handle for a nonblocking operation.
-
-    ``wait()`` blocks until completion.  ``test()`` mirrors MPI_Test:
-    it *attempts* completion via the nonblocking ``poll_fn`` (returning
-    ``_NOT_READY`` when the operation cannot finish yet) instead of
-    only reporting whether ``wait()`` already ran.
-    """
-
-    def __init__(self, wait_fn: Callable[[], Any],
-                 poll_fn: Optional[Callable[[], Any]] = None):
-        self._wait_fn = wait_fn
-        self._poll_fn = poll_fn
-        self._done = False
-        self._value: Any = None
-
-    @classmethod
-    def completed(cls, value: Any = None) -> "Request":
-        """An already-finished request (buffered sends complete at post)."""
-        request = cls(lambda: value)
-        request._done = True
-        request._value = value
-        return request
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._wait_fn()
-            self._done = True
-        return self._value
-
-    def test(self) -> bool:
-        """Try to complete without blocking; True once complete."""
-        if self._done:
-            return True
-        if self._poll_fn is not None:
-            value = self._poll_fn()
-            if value is not _NOT_READY:
-                self._value = value
-                self._done = True
-        return self._done
-
-
 class Comm:
-    """One rank's view of the communicator (mpi4py-style lowercase API)."""
+    """One rank's view of the communicator."""
 
     def __init__(self, world: World, rank: int):
         self.world = world
@@ -425,45 +366,28 @@ class Comm:
 
     # -- point-to-point -------------------------------------------------- #
 
-    def _check_dest(self, dest: int) -> None:
-        if not (0 <= dest < self.size):
-            raise MpiError(f"invalid destination rank {dest}")
+    def _check_rank(self, rank: int, what: str) -> None:
+        if not (0 <= rank < self.size):
+            raise MpiError(f"invalid {what} rank {rank}")
 
-    def _check_source(self, source: int) -> None:
-        if source != ANY_SOURCE and not (0 <= source < self.size):
-            raise MpiError(
-                f"invalid source rank {source} (use ANY_SOURCE for a "
-                f"wildcard)")
-
-    def _check_tag(self, tag: int, wildcard_ok: bool = False) -> None:
-        """Reject negative tags: they collide with the ``ANY_TAG`` /
-        ``ANY_SOURCE`` sentinels (-1) and would match the wrong
-        message."""
-        if wildcard_ok and tag == ANY_TAG:
-            return
+    def _check_tag(self, tag: int) -> None:
+        """Tags are nonnegative integers, as in MPI."""
         if not isinstance(tag, (int, np.integer)) or isinstance(tag, bool) \
                 or tag < 0:
             raise MpiError(
-                f"invalid tag {tag!r}: tags must be nonnegative integers "
-                f"(negative values collide with the ANY_TAG sentinel)")
+                f"invalid tag {tag!r}: tags must be nonnegative integers")
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_dest(dest)
+        self._check_rank(dest, "destination")
         self._check_tag(tag)
         nbytes = sizeof(obj)
         world = self.world
         world._check_abort()
-        delivered = self._post_message(obj, dest, tag, nbytes)
-        # unpark the receiver iff it is parked on a matching pattern
+        # unpark the receiver iff it is parked on exactly this message
         # (a send to self never finds the sender parked)
-        if not delivered:
-            return
-        waiting = world._recv_waiting.get(dest)
-        if waiting is not None:
-            wsource, wtag = waiting
-            if (wsource in (ANY_SOURCE, self.rank)
-                    and wtag in (ANY_TAG, tag)):
-                world.scheduler.unblock(dest)
+        if self._post_message(obj, dest, tag, nbytes) and \
+                world.scheduler.reason[dest] == ("recv", self.rank, tag):
+            world.scheduler.unblock(dest)
 
     def _post_message(self, obj: Any, dest: int, tag: int,
                       nbytes: int) -> bool:
@@ -578,104 +502,51 @@ class Comm:
                          attempt=attempt + 1, cost=cost, bytes=nbytes)
         return cost
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             status: Optional[Status] = None) -> Any:
-        self._check_source(source)
-        self._check_tag(tag, wildcard_ok=True)
+    def recv(self, source: int, tag: int = 0) -> Any:
+        """Take the oldest message from ``source`` with ``tag``, parking
+        until one is posted; verify its integrity and charge the receive
+        clock (raising if the virtual wait exceeded the plan's timeout —
+        the rank would have given up before the data came)."""
+        self._check_rank(source, "source")
+        self._check_tag(tag)
         world = self.world
         if world.faults is not None:
             world.faults.check_crash(self.rank, "recv",
                                      world.clocks[self.rank])
-        scheduler = world.scheduler
+        key = (source, self.rank, tag)
         while True:
             world._check_abort()
-            key = self._find_message(source, tag)
-            if key is not None:
-                return self._take_message(key, status)
-            world._recv_waiting[self.rank] = (source, tag)
-            scheduler.block(self.rank, ("recv", source, tag))
-            world._recv_waiting.pop(self.rank, None)
-
-    def _take_message(self, key: tuple[int, int, int],
-                      status: Optional[Status]) -> Any:
-        """Dequeue a matched message, verify integrity, and charge the
-        receive clock (raising if the virtual wait exceeded the plan's
-        timeout — the rank would have given up before the data came)."""
-        world = self.world
-        obj, arrival, nbytes, checksum = world.mailboxes[key].popleft()
-        if not world.mailboxes[key]:
+            queue = world.mailboxes.get(key)
+            if queue:
+                break
+            world.scheduler.block(self.rank, ("recv", source, tag))
+        obj, arrival, nbytes, checksum = queue.popleft()
+        if not queue:
             del world.mailboxes[key]
         me = world.clocks[self.rank]
         world._check_virtual_timeout(
-            self.rank, arrival - me,
-            f"recv(source={key[0]}, tag={key[2]})")
+            self.rank, arrival - me, f"recv(source={source}, tag={tag})")
         if checksum is not None and payload_checksum(obj) != checksum:
             raise MpiCorruptionError(
-                f"message from rank {key[0]} to rank {key[1]} "
-                f"(tag {key[2]}, {nbytes} B) failed its integrity check: "
+                f"message from rank {source} to rank {self.rank} "
+                f"(tag {tag}, {nbytes} B) failed its integrity check: "
                 f"payload corrupted in transit")
         world.clocks[self.rank] = max(me, arrival)
         if self._rec is not None:
             self._rec.recv(self.line, me, max(0.0, arrival - me),
-                           key[0], key[2], nbytes)
-        if status is not None:
-            status.source, status.tag = key[0], key[2]
-            status.nbytes = nbytes
+                           source, tag, nbytes)
         return obj
 
-    def _try_recv(self, source: int, tag: int,
-                  status: Optional[Status] = None) -> Any:
-        """Nonblocking receive attempt: the matched payload, or
-        ``_NOT_READY``.  A miss rotates the baton once so
-        ``while not request.test()`` polling loops cannot starve the
-        sender, then re-probes."""
-        world = self.world
-        world._check_abort()
-        key = self._find_message(source, tag)
-        if key is None:
-            world.scheduler.yield_now(self.rank)
-            world._check_abort()
-            key = self._find_message(source, tag)
-        if key is None:
-            return _NOT_READY
-        return self._take_message(key, status)
-
-    def _find_message(self, source: int, tag: int):
-        for key in self.world.mailboxes:
-            src, dst, mtag = key
-            if dst != self.rank:
-                continue
-            if source != ANY_SOURCE and src != source:
-                continue
-            if tag != ANY_TAG and mtag != tag:
-                continue
-            if self.world.mailboxes[key]:
-                return key
-        return None
-
-    def sendrecv(self, obj: Any, dest: int, sendtag: int = 0,
-                 source: int = ANY_SOURCE, recvtag: int = ANY_TAG) -> Any:
-        self._check_dest(dest)
-        self._check_tag(sendtag)
-        self._check_source(source)
-        self._check_tag(recvtag, wildcard_ok=True)
-        if dest == self.rank and (source in (ANY_SOURCE, self.rank)):
+    def sendrecv(self, obj: Any, dest: int, *, source: int,
+                 sendtag: int = 0, recvtag: int = 0) -> Any:
+        # validate the receive half before the send half posts
+        self._check_rank(source, "source")
+        self._check_tag(recvtag)
+        if dest == self.rank == source:
+            self._check_tag(sendtag)
             return obj  # self-exchange: no wire traffic
-        request = self.isend(obj, dest, sendtag)
-        received = self.recv(source, recvtag)
-        request.wait()
-        return received
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)  # buffered: completes immediately
-        return Request.completed()
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        # validate at post time (like MPI_Irecv), not first wait()/test()
-        self._check_source(source)
-        self._check_tag(tag, wildcard_ok=True)
-        return Request(wait_fn=lambda: self.recv(source, tag),
-                       poll_fn=lambda: self._try_recv(source, tag))
+        self.send(obj, dest, sendtag)
+        return self.recv(source, recvtag)
 
     # -- collectives ------------------------------------------------------ #
 
@@ -713,18 +584,11 @@ class Comm:
                                combine, op="bcast",
                                rec=self._rec, line=self.line)
 
-    def reduce(self, obj: Any, op: Callable = SUM, root: int = 0) -> Any:
-        result = self._reduce_impl(obj, op, "reduce")
-        return result if self.rank == root else None
-
     def allreduce(self, obj: Any, op: Callable = SUM) -> Any:
-        return self._reduce_impl(obj, op, "allreduce")
-
-    def _reduce_impl(self, obj: Any, op: Callable, kind: str) -> Any:
         if self.size == 1:
-            self.world._count(kind)
+            self.world._count("allreduce")
             if self._rec is not None:
-                self._rec.collective(kind, self.line,
+                self._rec.collective("allreduce", self.line,
                                      self.world.clocks[self.rank], 0.0,
                                      sizeof(obj))
             return obj
@@ -738,29 +602,14 @@ class Comm:
                 acc = op(acc, item)
             nbytes = max(sizeof(s) for s in slots)
             world._coll_nbytes = nbytes
-            cost = machine.collective_time(kind, nbytes, size)
+            cost = machine.collective_time("allreduce", nbytes, size)
             # reduction arithmetic itself: log2(P) combining steps
             elems = nbytes / 8.0
             cost += int(np.ceil(np.log2(size))) * elems * machine.cpu.elem_time
             return acc, tmax + cost
 
-        return self.world.sync(self.rank, obj, combine, op=kind,
+        return self.world.sync(self.rank, obj, combine, op="allreduce",
                                rec=self._rec, line=self.line)
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[list]:
-        machine = self.machine
-        size = self.size
-        world = self.world
-
-        def combine(slots, tmax):
-            nbytes = max(sizeof(s) for s in slots)
-            world._coll_nbytes = nbytes
-            cost = machine.collective_time("gather", nbytes, size)
-            return list(slots), tmax + cost
-
-        result = self.world.sync(self.rank, obj, combine, op="gather",
-                                 rec=self._rec, line=self.line)
-        return result if self.rank == root else None
 
     def allgather(self, obj: Any) -> list:
         machine = self.machine
@@ -775,27 +624,6 @@ class Comm:
 
         return self.world.sync(self.rank, obj, combine, op="allgather",
                                rec=self._rec, line=self.line)
-
-    def scatter(self, objs: Optional[list], root: int = 0) -> Any:
-        machine = self.machine
-        size = self.size
-        world = self.world
-        if self.rank == root:
-            if objs is None or len(objs) != size:
-                raise MpiError("scatter: root must supply one item per rank")
-
-        def combine(slots, tmax):
-            items = slots[root]
-            per = sizeof(items[0]) if items else 0
-            world._coll_nbytes = per
-            cost = machine.collective_time("scatter", per, size)
-            return items, tmax + cost
-
-        items = self.world.sync(self.rank,
-                                objs if self.rank == root else None,
-                                combine, op="scatter",
-                                rec=self._rec, line=self.line)
-        return items[self.rank]
 
     def alltoall(self, objs: list) -> list:
         if len(objs) != self.size:
@@ -816,18 +644,10 @@ class Comm:
                                  rec=self._rec, line=self.line)
         return result[self.rank]
 
-    def scan(self, obj: Any, op: Callable = SUM) -> Any:
-        """Inclusive prefix reduction."""
-        return self._prefixes(obj, op)[self.rank]
-
     def exscan(self, obj: Any, op: Callable = SUM) -> Any:
         """Exclusive prefix reduction: the fold of the lower ranks'
-        contributions (``None`` on rank 0, like mpi4py).  Same
-        rendezvous, price and ``scan`` tally as :meth:`scan`."""
-        prefixes = self._prefixes(obj, op)
-        return prefixes[self.rank - 1] if self.rank else None
-
-    def _prefixes(self, obj: Any, op: Callable) -> list:
+        contributions (``None`` on rank 0).  Tallied as ``scan``, priced
+        as an allreduce of the largest contribution."""
         machine = self.machine
         size = self.size
         world = self.world
@@ -843,5 +663,6 @@ class Comm:
             cost = machine.collective_time("allreduce", nbytes, size)
             return prefixes, tmax + cost
 
-        return self.world.sync(self.rank, obj, combine, op="scan",
-                               rec=self._rec, line=self.line)
+        prefixes = self.world.sync(self.rank, obj, combine, op="scan",
+                                   rec=self._rec, line=self.line)
+        return prefixes[self.rank - 1] if self.rank else None

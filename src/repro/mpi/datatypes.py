@@ -1,29 +1,8 @@
-"""MPI datatypes (sizes drive the communication cost model)."""
+"""Message sizes (they drive the communication cost model)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Datatype:
-    name: str
-    size: int  # bytes per element
-    np_dtype: object
-
-    def __repr__(self) -> str:
-        return f"MPI.{self.name}"
-
-
-DOUBLE = Datatype("DOUBLE", 8, np.float64)
-FLOAT = Datatype("FLOAT", 4, np.float32)
-INT = Datatype("INT", 4, np.int32)
-LONG = Datatype("LONG", 8, np.int64)
-CHAR = Datatype("CHAR", 1, np.int8)
-DOUBLE_COMPLEX = Datatype("DOUBLE_COMPLEX", 16, np.complex128)
-BYTE = Datatype("BYTE", 1, np.uint8)
 
 
 def sizeof(obj) -> int:

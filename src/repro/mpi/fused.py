@@ -18,8 +18,8 @@ but each op charges **exactly** what the lockstep backend would charge:
   (``ring_exchange`` mirrors P simultaneous ``sendrecv`` calls);
 * ``collectives`` / ``collective_counts`` via the ``charge_*`` helpers,
   which replicate the lockstep cost formulas byte for byte — including
-  the ``size == 1`` shortcut of bcast/reduce/allreduce that tallies the
-  op without a rendezvous.
+  the ``size == 1`` shortcut of bcast/allreduce that tallies the op
+  without a rendezvous.
 
 The collective cost formulas in :mod:`repro.mpi.comm` are symmetric
 functions of the per-rank contributions (max of ``sizeof``), so the
@@ -326,17 +326,18 @@ class FusedComm:
         self._sync_cost("bcast", self.machine.collective_time(
             "bcast", nbytes, self.size), nbytes)
 
-    def charge_reduce(self, nbytes: int, kind: str = "allreduce") -> None:
+    def charge_reduce(self, nbytes: int) -> None:
         if self.size == 1:
-            self.world._count(kind)
+            self.world._count("allreduce")
             if self._trace is not None:
                 self._trace.recorders[0].collective(
-                    kind, self.line, self.world.clocks[0], 0.0, nbytes)
+                    "allreduce", self.line, self.world.clocks[0], 0.0,
+                    nbytes)
             return
-        cost = self.machine.collective_time(kind, nbytes, self.size)
+        cost = self.machine.collective_time("allreduce", nbytes, self.size)
         cost += int(np.ceil(np.log2(self.size))) * (nbytes / 8.0) \
             * self.machine.cpu.elem_time
-        self._sync_cost(kind, cost, nbytes)
+        self._sync_cost("allreduce", cost, nbytes)
 
     def charge_allgather(self, nbytes: int) -> None:
         self._sync_cost("allgather", self.machine.collective_time(
@@ -347,7 +348,7 @@ class FusedComm:
             "alltoall", per_nbytes, self.size), per_nbytes)
 
     def charge_scan(self, nbytes: int) -> None:
-        # comm.scan tallies as "scan" but costs like an allreduce
+        # comm.exscan tallies as "scan" but costs like an allreduce
         self._sync_cost("scan", self.machine.collective_time(
             "allreduce", nbytes, self.size), nbytes)
 
@@ -474,23 +475,8 @@ class FusedComm:
     def sendrecv(self, *args, **kwargs):
         self._diverge("point-to-point sendrecv")
 
-    def isend(self, *args, **kwargs):
-        self._diverge("nonblocking send")
-
-    def irecv(self, *args, **kwargs):
-        self._diverge("nonblocking recv")
-
-    def reduce(self, *args, **kwargs):
-        self._diverge("rooted reduce")  # result differs per rank
-
-    def gather(self, *args, **kwargs):
-        self._diverge("rooted gather")
-
-    def scatter(self, *args, **kwargs):
-        self._diverge("scatter")  # each rank receives a different item
-
     def alltoall(self, *args, **kwargs):
         self._diverge("raw alltoall")  # each rank receives a different row
 
-    def scan(self, *args, **kwargs):
-        self._diverge("raw scan")  # prefix results differ per rank
+    def exscan(self, *args, **kwargs):
+        self._diverge("raw exscan")  # prefix results differ per rank

@@ -73,7 +73,7 @@ class DeadlockError(MpiError):
 
 def find_wait_cycle(edges: dict) -> list:
     """Ranks on the first cycle of a wait graph (``waiter -> waited-on``
-    single-successor edges; wildcard waits simply have no edge).  Empty
+    single-successor edges: a parked recv names its one source).  Empty
     list when every chain dead-ends.  Deterministic: chains are chased
     from the lowest-numbered waiter up."""
     visited: set = set()
@@ -112,9 +112,10 @@ class LockstepScheduler:
         for baton in self._batons:
             baton.acquire()
         self._state = [READY] * nprocs
-        # why a rank is blocked: any object; str()-ed lazily, only when
-        # a deadlock report is built (no formatting on the park path)
-        self._reason: list[Any] = [None] * nprocs
+        #: why each rank is blocked (None when it is not): any object;
+        #: str()-ed lazily, only when a deadlock report is built.  A
+        #: send reads its receiver's entry to unpark an exact match.
+        self.reason: list[Any] = [None] * nprocs
         self._run_queue: deque[int] = deque(range(nprocs))
         self._current: Optional[int] = None
         self._aborted = False
@@ -150,7 +151,7 @@ class LockstepScheduler:
         baton on."""
         with self._lock:
             self._state[rank] = DONE
-            self._reason[rank] = None
+            self.reason[rank] = None
             if self._current == rank:
                 self._current = None
             self._dispatch_locked()
@@ -179,7 +180,7 @@ class LockstepScheduler:
             if self._aborted:
                 return
             self._state[rank] = BLOCKED
-            self._reason[rank] = reason
+            self.reason[rank] = reason
             if self.trace is not None:
                 self.trace.sched_note(
                     rank, reason[0] if isinstance(reason, tuple)
@@ -194,23 +195,8 @@ class LockstepScheduler:
         with self._lock:
             if self._state[rank] == BLOCKED:
                 self._state[rank] = READY
-                self._reason[rank] = None
+                self.reason[rank] = None
                 self._run_queue.append(rank)
-
-    def yield_now(self, rank: int) -> None:
-        """Rotate the baton without blocking: give every other runnable
-        rank a turn, then resume.  Keeps ``Request.test()`` polling
-        loops live — a spinning rank would otherwise starve the peer
-        whose send it is polling for."""
-        with self._lock:
-            if self._aborted or not self._run_queue:
-                return  # nothing else can run; keep the baton
-            self._state[rank] = READY
-            self._run_queue.append(rank)
-            if self._current == rank:
-                self._current = None
-            self._dispatch_locked()
-        self._wait_for_baton(rank)
 
     # -- internals ------------------------------------------------------ #
 
@@ -264,7 +250,7 @@ class LockstepScheduler:
                 state = self._state[rank]
                 if state == BLOCKED:
                     lines.append(f"rank {rank}: blocked in "
-                                 f"{_format_reason(self._reason[rank])}")
+                                 f"{_format_reason(self.reason[rank])}")
                 else:
                     lines.append(f"rank {rank}: {state}")
             return header + "\n  ".join(lines)
@@ -281,9 +267,8 @@ class LockstepScheduler:
             if state != BLOCKED:
                 continue
             blocked.append(rank)
-            reason = self._reason[rank]
-            if (isinstance(reason, tuple) and reason[0] == "recv"
-                    and reason[1] >= 0):
+            reason = self.reason[rank]
+            if isinstance(reason, tuple) and reason[0] == "recv":
                 edges[rank] = reason[1]
         lines = []
         cycle = find_wait_cycle(edges)
@@ -295,7 +280,7 @@ class LockstepScheduler:
         shown = rest[:WAIT_REPORT_LIMIT]
         for rank in cycle + shown:
             lines.append(f"rank {rank}: blocked in "
-                         f"{_format_reason(self._reason[rank])}")
+                         f"{_format_reason(self.reason[rank])}")
         if len(rest) > len(shown):
             lines.append(f"... and {len(rest) - len(shown)} more "
                          f"blocked ranks")

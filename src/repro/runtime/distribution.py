@@ -12,7 +12,6 @@ benchmark.
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -608,42 +607,12 @@ def rank_axis(parts: list[np.ndarray]) -> np.ndarray:
 
 
 # SPMD programs construct the same few geometries thousands of times
-# (every DMatrix carries one), so the instances are shared process-wide.
-# The cache size is configurable (REPRO_MAP_CACHE_SIZE or
-# ``configure_map_cache``): a multi-thousand-candidate autotuning search
-# sweeps many geometries and must not thrash a small LRU.
+# (every DMatrix carries one), so the instances are shared process-wide:
+# ``get_geometry(rows, cols, nprocs, scheme)`` is the one LRU of them
+# (``cache_info()`` / ``cache_clear()``).  It is sized so that a
+# multi-thousand-candidate autotuning search, which sweeps many
+# geometries, does not thrash it.
 
-DEFAULT_MAP_CACHE_SIZE = 65536
+MAP_CACHE_SIZE = 65536
 
-
-def _env_cache_size() -> int:
-    raw = os.environ.get("REPRO_MAP_CACHE_SIZE", "")
-    try:
-        size = int(raw)
-        return size if size > 0 else DEFAULT_MAP_CACHE_SIZE
-    except ValueError:
-        return DEFAULT_MAP_CACHE_SIZE
-
-
-def configure_map_cache(maxsize: int | None = None) -> int:
-    """(Re)build the geometry cache with ``maxsize`` entries (default:
-    REPRO_MAP_CACHE_SIZE or 65536).  Returns the size in effect.
-    Existing cached entries are discarded."""
-    global _geometry_cache
-    size = maxsize if maxsize and maxsize > 0 else _env_cache_size()
-    _geometry_cache = lru_cache(maxsize=size)(Geometry)
-    return size
-
-
-def map_cache_stats() -> dict:
-    """Hit/miss counters of the geometry cache (what the autotuner
-    asserts on to prove the search isn't thrashing it)."""
-    return _geometry_cache.cache_info()._asdict()
-
-
-configure_map_cache()
-
-
-def get_geometry(rows: int, cols: int, nprocs: int, scheme: str) -> Geometry:
-    """The shared :class:`Geometry` for these four values."""
-    return _geometry_cache(rows, cols, nprocs, scheme)
+get_geometry = lru_cache(maxsize=MAP_CACHE_SIZE)(Geometry)

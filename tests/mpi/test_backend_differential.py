@@ -11,7 +11,7 @@ permuted (reversed, rotated, seed-shuffled: a deterministic stand-in for
 match bit-for-bit.
 
 The generated programs are deterministic by construction: point-to-point
-uses explicit (source, tag) pairs (no multi-sender ANY_SOURCE races) and
+uses explicit (source, tag) pairs (a receive has no wildcard to race) and
 collective cost formulas charge the symmetric ``max`` of the per-slot
 ``sizeof`` contributions, so no rank's wire size is privileged.
 
@@ -99,7 +99,7 @@ def _make_program(ops):
             elif kind == "allgather":
                 acc = float(sum(comm.allgather(acc)))
             elif kind == "scan":
-                acc = float(comm.scan(acc))
+                acc += comm.exscan(acc) or 0.0
         return acc
     return prog
 
@@ -170,7 +170,7 @@ def test_lockstep_is_schedule_independent(program, order, seed):
     """Whichever rank runs first, the simulated machine does the same
     thing: results, per-rank clocks, message/byte/collective counts and
     the canonical trace are functions of the program alone (the
-    generated programs use explicit sources, never ``ANY_SOURCE``)."""
+    generated programs, like every receive, name their source)."""
     nprocs, ops = program
     prog = _make_program(ops)
     default = run_spmd(nprocs, MEIKO_CS2, prog, backend="lockstep",
@@ -486,14 +486,11 @@ def test_backends_identical_on_mixed_fixed_program():
             comm.compute(flops=50 * (comm.rank + 1), mem=local.size)
             total = comm.allreduce(float(local.sum()))
             local = local + comm.bcast(total, root=step % comm.size)
-            request = comm.irecv(source=left, tag=100 + step)
             comm.send(float(local[0]), dest=right, tag=100 + step)
-            while not request.test():
-                pass
-            local[0] = request.wait()
-        parts = comm.allgather(float(local.sum()))
+            local[0] = comm.recv(source=left, tag=100 + step)
+        total = sum(comm.allgather(float(local.sum())))
         comm.barrier()
-        return comm.scan(sum(parts))
+        return total + (comm.exscan(total) or 0.0)
 
     lockstep = run_spmd(4, MEIKO_CS2, prog, backend="lockstep",
                         trace=True)

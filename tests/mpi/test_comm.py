@@ -92,15 +92,16 @@ class TestPointToPoint:
         with pytest.raises(MpiError):
             spmd(2, prog)
 
-    def test_irecv_wait(self):
+    def test_recv_parks_until_the_matching_send(self):
+        # rank 0 runs first and finds no message: it parks, and rank 1's
+        # send hands it the baton back
         def prog(comm):
-            if comm.rank == 0:
-                comm.send(7, dest=1)
+            if comm.rank == 1:
+                comm.send(7, dest=0)
                 return None
-            req = comm.irecv(source=0)
-            return req.wait()
+            return comm.recv(source=1)
 
-        assert spmd(2, prog).results[1] == 7
+        assert spmd(2, prog).results[0] == 7
 
 
 class TestCollectives:
@@ -129,14 +130,6 @@ class TestCollectives:
         res = spmd(4, prog)
         assert all(r == expected for r in res.results)
 
-    def test_reduce_only_root_gets_value(self):
-        def prog(comm):
-            return comm.reduce(1.0, op=SUM, root=0)
-
-        res = spmd(4, prog)
-        assert res.results[0] == 4.0
-        assert all(r is None for r in res.results[1:])
-
     def test_allreduce_arrays(self):
         def prog(comm):
             return comm.allreduce(np.full(3, float(comm.rank)))
@@ -151,23 +144,6 @@ class TestCollectives:
         res = spmd(5, prog)
         assert res.results[3] == [0, 2, 4, 6, 8]
 
-    def test_gather(self):
-        def prog(comm):
-            return comm.gather(chr(ord("a") + comm.rank), root=1)
-
-        res = spmd(3, prog)
-        assert res.results[1] == ["a", "b", "c"]
-        assert res.results[0] is None
-
-    def test_scatter(self):
-        def prog(comm):
-            items = [i * i for i in range(comm.size)] \
-                if comm.rank == 0 else None
-            return comm.scatter(items, root=0)
-
-        res = spmd(4, prog)
-        assert res.results == [0, 1, 4, 9]
-
     def test_alltoall(self):
         def prog(comm):
             return comm.alltoall(
@@ -175,13 +151,6 @@ class TestCollectives:
 
         res = spmd(3, prog)
         assert res.results[1] == ["0->1", "1->1", "2->1"]
-
-    def test_scan_inclusive(self):
-        def prog(comm):
-            return comm.scan(float(comm.rank + 1), op=SUM)
-
-        res = spmd(4, prog)
-        assert res.results == [1.0, 3.0, 6.0, 10.0]
 
     def test_barrier_synchronizes_clocks(self):
         def prog(comm):

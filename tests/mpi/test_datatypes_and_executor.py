@@ -1,10 +1,10 @@
-"""Datatype sizing and SPMD-executor behaviour tests."""
+"""Message sizing and SPMD-executor behaviour tests."""
 
 import numpy as np
 import pytest
 
 from repro.errors import MpiError
-from repro.mpi.datatypes import DOUBLE, DOUBLE_COMPLEX, INT, sizeof
+from repro.mpi.datatypes import sizeof
 from repro.mpi.executor import run_spmd
 from repro.mpi.machine import MEIKO_CS2
 
@@ -44,11 +44,6 @@ class TestSizeof:
         idx = np.arange(100, dtype=np.int64)
         vals = np.ones(100)
         assert sizeof((idx, vals)) == idx.nbytes + vals.nbytes + 8
-
-    def test_datatype_metadata(self):
-        assert DOUBLE.size == 8 and INT.size == 4
-        assert DOUBLE_COMPLEX.size == 16
-        assert repr(DOUBLE) == "MPI.DOUBLE"
 
 
 class TestExecutor:

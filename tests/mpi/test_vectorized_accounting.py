@@ -42,7 +42,7 @@ from repro.mpi import (
 )
 from repro.mpi.comm import LAND, LOR, MAX, MIN, PROD, SUM
 from repro.mpi.fused import FusedComm
-from repro.runtime.distribution import configure_map_cache
+from repro.runtime.distribution import get_geometry
 from repro.trace import WorldTrace, canonical_events
 
 NPROCS = (1, 2, 4, 7, 16)
@@ -129,18 +129,18 @@ class ScalarReference:
         self._sync_cost("bcast", self.machine.collective_time(
             "bcast", nbytes, self.size), nbytes)
 
-    def charge_reduce(self, nbytes, kind="allreduce"):
+    def charge_reduce(self, nbytes):
         if self.size == 1:
-            self.collective_counts[kind] = \
-                self.collective_counts.get(kind, 0) + 1
+            self.collective_counts["allreduce"] = \
+                self.collective_counts.get("allreduce", 0) + 1
             if self._recs is not None:
-                self._recs[0].collective(kind, self.line,
+                self._recs[0].collective("allreduce", self.line,
                                          self.clocks[0], 0.0, nbytes)
             return
-        cost = self.machine.collective_time(kind, nbytes, self.size)
+        cost = self.machine.collective_time("allreduce", nbytes, self.size)
         cost += int(np.ceil(np.log2(self.size))) * (nbytes / 8.0) \
             * self.machine.cpu.elem_time
-        self._sync_cost(kind, cost, nbytes)
+        self._sync_cost("allreduce", cost, nbytes)
 
     def charge_allgather(self, nbytes):
         self._sync_cost("allgather", self.machine.collective_time(
@@ -453,7 +453,7 @@ def test_memoized_charges_equal_lockstep_cold_and_warm(
         assert result.spmd.backend == backend
         return _accounting(result)
 
-    configure_map_cache()               # drop every interned geometry
+    get_geometry.cache_clear()          # drop every interned geometry
     cold = run("fused")
     warm = run("fused")
     assert cold == warm == run("lockstep")

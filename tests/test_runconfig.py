@@ -263,7 +263,7 @@ def test_config_and_knobs_together_is_a_caller_bug():
 
 #: read where their process-wide singletons are built, not run knobs
 DEPLOYMENT = {"REPRO_COMPILE_CACHE", "REPRO_KERNEL_CACHE",
-              "REPRO_NATIVE_CC", "REPRO_MAP_CACHE_SIZE"}
+              "REPRO_NATIVE_CC"}
 
 
 def test_every_repro_variable_is_a_table_row_and_documented():

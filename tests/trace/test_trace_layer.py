@@ -33,7 +33,8 @@ def _mixed_program(comm):
 
 
 def _rank_dependent_program(comm):
-    """Adds point-to-point, rooted collectives, scan (lockstep only)."""
+    """Adds point-to-point, a rooted bcast, exscan and alltoall
+    (lockstep only)."""
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
     comm.line = 2
@@ -44,14 +45,13 @@ def _rank_dependent_program(comm):
     comm.line = 4
     total = comm.allreduce(float(np.sum(got)))
     comm.line = 5
-    ranks = comm.gather(comm.rank, root=0)
+    ranks = comm.allgather(comm.rank)
     comm.line = 6
-    prefix = comm.scan(1.0)
+    prefix = comm.exscan(1.0)
     comm.line = 7
-    share = comm.scatter(list(range(comm.size)) if comm.rank == 0
-                         else None, root=0)
+    share = comm.bcast(comm.size - 1 if comm.rank == 1 else None, root=1)
     rows = comm.alltoall([float(comm.rank)] * comm.size)
-    return total + prefix + share + sum(rows) + (ranks[0] if ranks else 0)
+    return total + (prefix or 0.0) + share + sum(rows) + ranks[0]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -94,7 +94,7 @@ def test_canonical_trace_stable_across_runs():
         for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
     assert "mpi.send" in runs[0] and "mpi.recv" in runs[0]
-    assert "scatter" in runs[0] and "alltoall" in runs[0]
+    assert "scan" in runs[0] and "alltoall" in runs[0]
 
 
 def test_rank_dependent_trace_identical_lockstep_vs_fused_fallback():

@@ -70,7 +70,7 @@ def _make_program(ops):
             elif kind == "allgather":
                 acc = float(sum(comm.allgather(acc)))
             elif kind == "scan":
-                acc = float(comm.scan(acc))
+                acc += comm.exscan(acc) or 0.0
         return acc
     return prog
 

@@ -11,7 +11,7 @@ from repro.compiler import (
     compile_source,
 )
 from repro.mpi.machine import MEIKO_CS2
-from repro.runtime.distribution import configure_map_cache, map_cache_stats
+from repro.runtime.distribution import MAP_CACHE_SIZE, get_geometry
 from repro.tuning import DEFAULT_PLAN, FUSION_REWRITES, Plan
 
 LOOP_SRC = """\
@@ -192,29 +192,14 @@ def test_ew_split_produces_single_op_trees():
 
 
 def test_map_cache_configure_and_stats():
-    old = map_cache_stats()["maxsize"]
-    try:
-        size = configure_map_cache(512)
-        assert size == 512
-        assert map_cache_stats()["maxsize"] == 512
-        before = map_cache_stats()["misses"]
-        prog = compile_source("n = 32;\nv = rand(n, 1);\ns = sum(v);")
-        prog.run(nprocs=4, backend="fused", tune=False)
-        prog.run(nprocs=4, backend="fused", tune=False)
-        stats = map_cache_stats()
-        assert stats["misses"] > before     # first run populated
-        assert stats["hits"] > 0            # second run reused geometry
-        # one cache: the interned geometry owns every derived table
-        assert set(stats) == {"hits", "misses", "maxsize", "currsize"}
-    finally:
-        configure_map_cache(old)
-
-
-def test_map_cache_env_override(monkeypatch):
-    from repro.runtime import distribution
-    monkeypatch.setenv("REPRO_MAP_CACHE_SIZE", "128")
-    old = map_cache_stats()["maxsize"]
-    try:
-        assert distribution.configure_map_cache() == 128
-    finally:
-        configure_map_cache(old)
+    get_geometry.cache_clear()
+    prog = compile_source("n = 32;\nv = rand(n, 1);\ns = sum(v);")
+    prog.run(nprocs=4, backend="fused", tune=False)
+    first = get_geometry.cache_info()
+    prog.run(nprocs=4, backend="fused", tune=False)
+    second = get_geometry.cache_info()
+    assert first.maxsize == MAP_CACHE_SIZE == 65536
+    assert first.misses > 0                     # first run populated
+    assert second.misses == first.misses        # nothing evicted ...
+    assert second.hits > first.hits             # ... second run reused it
+    assert second.currsize == second.misses < MAP_CACHE_SIZE
