@@ -225,7 +225,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if result.native is not None:
             n = result.native
             print(f"[native] {n['isa']} build: "
-                  f"{n['native_calls']} native calls, "
+                  f"{n['native_calls']} native calls "
+                  f"({n['loop_iterations']} loop iterations batched), "
                   f"{n['kernels']} kernels "
                   f"({n['compiles']} compiled, {n['disk_hits']} disk, "
                   f"{n['mem_hits']} warm), "

@@ -274,6 +274,14 @@ class PyEmitter:
                     and stmt.dest.name in self._globals) else mark
                 for stmt, mark in zip(group.members, group.live)]
 
+    def _batched(self, group: EwGroup) -> bool:
+        """May the run time compute the iterations before the last of
+        the loop whose body is ``group`` in one call (pass 6's
+        ``loop_group``)?  Not when a member's value is a global's, which
+        needs an array on every iteration."""
+        return group.carry is not None and self._live(group) == \
+            list(group.live)
+
     def _emit_group(self, group: EwGroup) -> None:
         """``_gs``, the group spec, and ``_g``, the group's outputs from
         one native kernel — asked for only where ``rt.grouped`` says one
@@ -301,7 +309,9 @@ class PyEmitter:
         full = tuple([k for k, mark in enumerate(live) if mark != DEAD])
         lean = tuple([k for k, mark in enumerate(live) if mark == LIVE])
         outs = "" if len(lean) == len(live) else f", ({lean!r}, {full!r})"
-        if lean != full:
+        if self._batched(group):
+            outs += f", {self._last}, {group.carry!r}"
+        elif lean != full:
             outs += f", {self._last}"
         self._line(f"_gs = ({gspec})")
         self._line(f"_g = rt.grouped and rt.ew_group(_gs, ({ops}), "
@@ -443,11 +453,14 @@ class PyEmitter:
                    f"{self._op(stop)}"
             self._last = f"_l{self._loops}"     # (``_live`` keeps LAST)
             for s in stmt.body:
-                if s.__class__ is EwGroup and s.live is not None \
-                        and LAST in self._live(s):
+                if s.__class__ is EwGroup and s.live is not None:
+                    batch = self._batched(s)
+                    if not (batch or LAST in self._live(s)):
+                        continue
                     # its groups compute less before the last iteration
                     self._loops += 1
-                    self._line(f"for {self._last}, {var} in {head}, True):")
+                    self._line(f"for {self._last}, {var} in {head}, True"
+                               f"{', True' if batch else ''}):")
                     break
             else:
                 self._last = None

@@ -28,6 +28,8 @@ import types as _types
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import numpy as np
+
 from .analysis.infer import ProgramTypes, infer_types
 from .analysis.resolve import ResolvedProgram, resolve_program
 from .errors import NESTED_TOO_DEEPLY, CodegenError
@@ -235,7 +237,12 @@ class CompiledProgram:
                                 dist_plan=dist_plan, native=engine,
                                 stores=stores)
             try:
-                workspace = main(rt)
+                # what elementwise arithmetic makes of a zero divisor or
+                # an invalid operand is MATLAB's value, not a warning:
+                # one errstate for the rank's whole program (numpy keeps
+                # it per thread, so each rank enters its own)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    workspace = main(rt)
                 peaks[rt.rank] = rt.peak_local_bytes
                 clocks = comm.clock_snapshot()
                 token = comm.trace_suspend()

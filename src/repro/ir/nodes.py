@@ -285,6 +285,11 @@ class EwGroup(IRStmt):
     #: :data:`LIVE` always, :data:`LAST` on a loop's last iteration
     #: only, :data:`DEAD` never — ``None``: every member, always
     live: Optional[tuple[int, ...]] = None
+    #: in a loop whose body is this group (pass 6's ``loop_group``), per
+    #: :data:`LIVE` member in order, ``(operand, member)``: the index in
+    #: :func:`group_spec`'s operand list of the value the member's
+    #: output replaces on the next iteration — ``None``: not such a loop
+    carry: Optional[tuple[tuple[int, int], ...]] = None
 
     def __repr__(self) -> str:
         return f"group[{len(self.members)}]"

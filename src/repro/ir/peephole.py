@@ -56,13 +56,25 @@ CLI reports and :class:`PeepholeStats` all read:
     reads, or a value a later member overwrites, none at all
     (:attr:`EwGroup.live <repro.ir.nodes.EwGroup.live>`).  Every member
     is still charged, traced and bound to a descriptor.
+``loop_group``
+    A range ``for`` loop whose body is one group ``lean`` marked and
+    nothing else, whose loop variable no member reads or assigns, gets
+    its group's *carried* values (:attr:`EwGroup.carry
+    <repro.ir.nodes.EwGroup.carry>`): each :data:`LIVE` member's
+    destination is a value the group reads from before it, so the next
+    iteration reads what this one wrote, and every other operand is
+    loop-invariant.  The run time may then compute the iterations
+    before the last in one native call, replaying their charges
+    (docs/NATIVE.md, "A loop of groups is one call").
 
-``halo``, ``ew_group`` and ``lean`` move host time only (``modeled``
-false) and run after pass 6b.  A block is swept once — after pass 6b a
-block after the blocks under it, so ``lean`` finds a loop body's groups
-made: a statement's ``op`` (``"ew"`` for an :class:`Elementwise`,
-``"for"`` for an :class:`IRFor`) selects the rewrites that start there
-(their ``ops`` column), tried in schedule order.
+``halo``, ``ew_group``, ``lean`` and ``loop_group`` move host time only
+(``modeled`` false) and run after pass 6b.  A block is swept once —
+after pass 6b a block after the blocks under it, so ``lean`` finds a
+loop body's groups made: a statement's ``op`` (``"ew"`` for an
+:class:`Elementwise`, ``"for"`` for an :class:`IRFor`) selects the
+rewrites that start there (their ``ops`` column), tried in schedule
+order until one replaces the statement — one that only marks it (it is
+still in its place) lets the next row look at it too.
 """
 
 from __future__ import annotations
@@ -91,6 +103,7 @@ from .nodes import (
     RTCall,
     Temp,
     Var,
+    group_spec,
     read_under,
     tap_shift,
     walk_blocks,
@@ -408,6 +421,40 @@ def _lean(block: list, i: int, unit) -> int:
     return i + 1 if marked else -1
 
 
+def _loop_group(block: list, i: int, unit) -> int:
+    """Mark the group of a range loop whose body is that group alone,
+    ``lean`` marked, with the operands each :data:`LIVE` member carries
+    to the next iteration (:attr:`EwGroup.carry`)."""
+    loop = block[i]
+    body = loop.body
+    if not (loop.range_triple is not None and len(body) == 1
+            and body[0].__class__ is EwGroup and body[0].live is not None):
+        return -1
+    group = body[0]
+    # what the group reads from before it, keyed as ``group_spec`` keys
+    # it: a member that reads the loop variable reads one of these, or
+    # what a member assigned it
+    keys = [op.name if op.__class__ is Var else op.index
+            for op in group_spec(group)[1]]
+    var = loop.var.name
+    if var in keys:
+        return -1
+    carry = []
+    for k, (stmt, mark) in enumerate(zip(group.members, group.live)):
+        dest = stmt.dest
+        key = dest.name if dest.__class__ is Var else dest.index
+        if key == var:
+            return -1
+        if mark == LIVE:
+            if key not in keys:
+                return -1
+            carry.append((keys.index(key), k))
+    if not carry:
+        return -1
+    group.carry = tuple(carry)
+    return i + 1
+
+
 class Rewrite(NamedTuple):
     #: the ops of the statement a match starts at (``"ew"``: an
     #: :class:`Elementwise`)
@@ -437,6 +484,8 @@ REWRITES: dict[str, Rewrite] = {
     "ew_group": Rewrite(("ew", *GROUP_BUILTINS), _ew_group, modeled=False,
                         after_licm=True),
     "lean": Rewrite(("for",), _lean, modeled=False, after_licm=True),
+    "loop_group": Rewrite(("for",), _loop_group, modeled=False,
+                          after_licm=True),
 }
 
 #: the schedule of a plan that does not name one
@@ -543,5 +592,6 @@ def peephole_program(ir: IRProgram, enabled: bool = True,
                         if resume >= 0:
                             counts[name] += 1
                             i, n = resume, len(block)
-                            break
+                            if block[i - 1] is not stmt:
+                                break
     return stats

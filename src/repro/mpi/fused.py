@@ -238,6 +238,11 @@ class FusedComm:
         self.world.clocks += dt
         trace.batch_charge(self.line, dt)
 
+    @property
+    def tracing(self) -> bool:
+        """Is a trace recording what this communicator charges?"""
+        return self._trace is not None
+
     def trace_suspend(self):
         """Pause recording (instrumentation-only work); returns a token
         for :meth:`trace_resume`."""

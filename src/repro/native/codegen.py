@@ -39,17 +39,19 @@ def members(spec) -> tuple:
     return spec if spec[0].__class__ is tuple else ((spec, None),)
 
 
-def spec_key(spec, sig: str, build: str, outs=None) -> str:
+def spec_key(spec, sig: str, build: str, outs=None, carry=None) -> str:
     """Content hash identifying one compiled kernel.
 
     Covers the canonical op tree, the slot signature, the codegen ABI
     version, ``build`` (the engine's
     :func:`~repro.native.cache.build_identity`: flags and compiler) and
-    a group's ``outs`` variant (:func:`generate_source`); dtype and
-    shape-class are implied (float64, C-contiguous) because the
-    signature gate admits nothing else.
+    a group's ``outs`` or ``carry`` variant (:func:`generate_source`);
+    dtype and shape-class are implied (float64, C-contiguous) because
+    the signature gate admits nothing else.
     """
     variant = "" if outs is None else f"{outs!r}:"
+    if carry is not None:
+        variant = f"count:{carry!r}:"
     text = f"repro-native:{ABI_VERSION}:{build}:{sig}:{variant}{spec!r}"
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
@@ -59,14 +61,22 @@ def tap_count(spec) -> int:
     return sum(tree[0] == TAP for tree, _ in members(spec))
 
 
-def generate_source(spec, sig: str, name: str,
-                    outs=None) -> tuple[str, set[str]]:
+def generate_source(spec, sig: str, name: str, outs=None,
+                    carry=None) -> tuple[str, set[str]]:
     """Render the kernel C source of a spec or a group spec.
 
     ``outs`` names the members that get an output array, in member
     order (``None``: every member) — a *variant* of the group's kernel:
     a member left out stays in registers, and gcc drops what only it
     needed (its guard, if any, still flags).
+
+    ``carry`` makes the *count* variant of a loop whose body is the
+    group (pass 6's ``loop_group``): ``(operand, member)`` pairs, in
+    member order, the members the outputs.  Its first argument is a
+    count of iterations, and each member gets two output arrays it
+    writes in turn; after an iteration the operand reads the array the
+    member just wrote, so the operand's own array is never written.  A
+    guard returns 1 at the end of the iteration it fired in.
 
     A group with halo taps (``("tap", "@0", kr, kc)`` members) is a
     loop over the rows of the arrays and, in each row, over column
@@ -85,6 +95,15 @@ def generate_source(spec, sig: str, name: str,
     compilable subset — the caller records the spec as permanently
     numpy-only.
     """
+    if carry is not None:
+        return _count_source(spec, sig, name, carry)
+    return _step_source(spec, sig, name, outs, "")
+
+
+def _step_source(spec, sig: str, name: str, outs,
+                 storage: str) -> tuple[str, set[str]]:
+    """:func:`generate_source`'s one pass over the arrays, its function
+    declared with ``storage`` (``"static "`` inside a count variant)."""
     if not isinstance(spec, tuple) or not spec:
         raise UnsupportedSpecError("spec is not an op tree")
     body: list[str] = []
@@ -169,13 +188,15 @@ def generate_source(spec, sig: str, name: str,
     tail = ["    return bad != 0.0;" if guarded else "    return 0;", "}", ""]
     if not taps:
         return "\n".join([
-            *head, f"int {name}(long n{params})", "{", "    long i;", *flag,
+            *head, f"{storage}int {name}(long n{params})", "{", "    long i;",
+            *flag,
             "    for (i = 0; i < n; i++) {",
             *[f"        {line}" for line in body], "    }", *tail]), ops_used
     shifts = "".join(f", long ur{t}, long uc{t}" for t in range(len(taps)))
     flat = " && ".join(f"uc{t} == 0" for t in range(len(taps)))
     lines = [
-        *head, f"int {name}(long rows, long cols{params}{shifts})", "{",
+        *head, f"{storage}int {name}(long rows, long cols{params}{shifts})",
+        "{",
         "    long r, o, lo, hi, j;", *flag,
         f"    if ({flat}) {{",
         "        /* no column shift: the rows are one row */",
@@ -204,15 +225,58 @@ def generate_source(spec, sig: str, name: str,
     return "\n".join(lines), ops_used
 
 
-def cdef_signature(sig: str, name: str, nout: int = 1,
-                   ntaps: int = 0) -> str:
-    """The cffi ``cdef`` declaration matching :func:`generate_source`
-    (``nout`` output arrays, ``ntaps`` halo taps)."""
-    outs = "".join(f", double *out{k}" for k in range(nout))
+def _count_source(spec, sig: str, name: str,
+                  carry) -> tuple[str, set[str]]:
+    """The count variant: the lean step as a static function, called
+    once per iteration by a loop that swaps each carried operand for
+    the array its member wrote."""
+    outs = tuple([k for _, k in carry])
+    for slot, k in carry:
+        if not 0 <= slot < len(sig) or sig[slot] != "a" \
+                or not 0 <= k < len(members(spec)):
+            raise UnsupportedSpecError("a carried value is an array")
+    step, ops_used = _step_source(spec, sig, f"{name}_step", outs,
+                                  "static ")
+    ntaps = tap_count(spec)
+    extent = ("rows", "cols") if ntaps else ("n",)
+    pair = "".join(f", double *out{k}_0, double *out{k}_1" for k in outs)
     params = "".join(
         f", const double *a{i}" if kind == "a" else f", double s{i}"
         for i, kind in enumerate(sig))
-    if not ntaps:
-        return f"int {name}(long n{outs}{params});"
     shifts = "".join(f", long ur{t}, long uc{t}" for t in range(ntaps))
-    return f"int {name}(long rows, long cols{outs}{params}{shifts});"
+    args = ", ".join([*extent, *[f"d{k}" for k in outs],
+                      *[f"{kind}{i}" for i, kind in enumerate(sig)],
+                      *[f"u{axis}{t}" for t in range(ntaps)
+                        for axis in "rc"]])
+    lines = [
+        step,
+        f"int {name}(long count, long {', long '.join(extent)}"
+        f"{pair}{params}{shifts})",
+        "{",
+        "    long it;",
+        "    for (it = 0; it < count; it++) {",
+        *[f"        double *d{k} = it & 1 ? out{k}_1 : out{k}_0;"
+          for k in outs],
+        f"        if ({name}_step({args})) return 1;",
+        *[f"        a{slot} = d{k};" for slot, k in carry],
+        "    }",
+        "    return 0;",
+        "}",
+        ""]
+    return "\n".join(lines), ops_used
+
+
+def cdef_signature(sig: str, name: str, nout: int = 1,
+                   ntaps: int = 0, counted: bool = False) -> str:
+    """The cffi ``cdef`` declaration matching :func:`generate_source`
+    (``nout`` output arrays, ``ntaps`` halo taps; ``counted``: a count
+    variant, whose ``nout`` outputs are pairs)."""
+    outs = "".join(f", double *out{k}" for k in range(nout * (1 + counted)))
+    params = "".join(
+        f", const double *a{i}" if kind == "a" else f", double s{i}"
+        for i, kind in enumerate(sig))
+    count = "long count, " if counted else ""
+    if not ntaps:
+        return f"int {name}({count}long n{outs}{params});"
+    shifts = "".join(f", long ur{t}, long uc{t}" for t in range(ntaps))
+    return f"int {name}({count}long rows, long cols{outs}{params}{shifts});"

@@ -70,6 +70,7 @@ STAT_FIELDS = (
     "signature_fallbacks",  # calls with non-float64/complex/strided args
     "compile_failures",   # cc rejected a kernel or the cache could not
                           # publish it (spec blacklisted)
+    "loop_iterations",    # loop iterations count variants ran
 )
 
 
@@ -540,26 +541,106 @@ class NativeEngine:
             self.stats.bump("native_calls")
         return res
 
+    def run_loop(self, gspec, sig: str, args, values, shape, spare,
+                 carry, shifts, count: int) -> Optional[list]:
+        """Execute ``count`` iterations of a loop whose body is the
+        group in one call of its count variant (:func:`~repro.native.
+        codegen.generate_source`'s ``carry``), or return ``None``: per
+        member, the last iteration's output for a carried member and
+        ``None`` for the others — bitwise what ``count`` calls of the
+        lean kernel would leave, each iteration reading the carried
+        values the one before wrote.
+
+        ``sig``, ``args``, ``values`` and ``shifts`` are
+        :meth:`run_group`'s, for the first iteration.  Each carried
+        member writes two buffers from ``spare`` in turn; the one that
+        does not hold the result goes back.  The operands' own arrays
+        are never written, so on ``None`` — a guard fired in any
+        iteration, or the first call's check against ``count`` steps of
+        :func:`group_reference` failed — the caller runs the first
+        iteration as it would without the loop's batch.
+        """
+        memo = (sig, carry)
+        ent = self._fast.get(id(gspec))
+        kern = ent[1].get(memo) if ent is not None and ent[0] is gspec \
+            else None
+        if kern is None:
+            kern = self._remember(gspec, sig, carry=carry)
+            if kern is None:
+                return None
+            warm = False
+        elif kern is _UNSUPPORTED or kern.blacklisted:
+            return None
+        else:
+            warm = True
+        dparr = self._dparr
+        from_buffer = self._from_buffer
+        pairs = [(spare.take(shape), spare.take(shape)) for _ in carry]
+        cargs = [from_buffer(dparr, buf, False)
+                 for pair in pairs for buf in pair]
+        cargs += [
+            from_buffer(dparr, v, False) if v.__class__ is np.ndarray else v
+            for v in values
+        ]
+        rc = kern.cfun(count, *shape, *cargs, *shifts) if shifts \
+            else kern.cfun(count, shape[0] * shape[1], *cargs)
+        del cargs
+        if rc != 0:
+            for pair in pairs:
+                spare.give(pair[0])
+                spare.give(pair[1])
+            self.stats.bump("guard_fallbacks")
+            return None
+        res = [None] * len(gspec)
+        for (_, k), pair in zip(carry, pairs):
+            res[k] = pair[(count - 1) & 1]
+            spare.give(pair[count & 1])
+        if kern.verified < self.verify_calls:
+            step = list(args)
+            for _ in range(count):
+                refs = group_reference(gspec, step, shifts)
+                for slot, k in carry:
+                    step[slot] = refs[k]
+            if any(step[slot].dtype != np.float64
+                   or step[slot].tobytes() != res[k].tobytes()
+                   for slot, k in carry):
+                kern.blacklisted = True
+                self.stats.bump("verify_rejects")
+                for _, k in carry:
+                    spare.give(res[k])
+                return None
+            kern.verified += 1
+        if warm:
+            next(self.stats.warm)
+        else:
+            self.stats.bump("native_calls")
+        self.stats.bump("loop_iterations", count)
+        return res
+
     # ---------------------------------------------------------------- #
     # kernel construction
     # ---------------------------------------------------------------- #
 
-    def _remember(self, spec, sig: str, outs=None) -> Optional[_Kernel]:
+    def _remember(self, spec, sig: str, outs=None,
+                  carry=None) -> Optional[_Kernel]:
         """The kernel of a call site's ``spec`` for ``sig`` (and a
-        group's ``outs`` variant; ``None``: numpy), found or built, and
-        remembered in the site's memo."""
-        kern = self._kernel_for(spec, sig, outs)
+        group's ``outs`` or ``carry`` variant; ``None``: numpy), found
+        or built, and remembered in the site's memo."""
+        kern = self._kernel_for(spec, sig, outs, carry)
         ent = self._fast.get(id(spec))
         if ent is None or ent[0] is not spec:
             ent = self._fast[id(spec)] = (spec, {})
-        ent[1][sig if outs is None else (sig, outs)] = \
-            kern if kern is not None else _UNSUPPORTED
+        memo = sig if outs is None else (sig, outs)
+        if carry is not None:
+            memo = (sig, carry)
+        ent[1][memo] = kern if kern is not None else _UNSUPPORTED
         return kern
 
-    def _kernel_for(self, spec, sig: str, outs=None) -> Optional[_Kernel]:
+    def _kernel_for(self, spec, sig: str, outs=None,
+                    carry=None) -> Optional[_Kernel]:
         if not self.available:
             return None
-        key = spec_key(spec, sig, self.build, outs)
+        key = spec_key(spec, sig, self.build, outs, carry)
         kern = self._kernels.get(key)
         if kern is not None:
             if kern is _UNSUPPORTED:
@@ -574,18 +655,20 @@ class NativeEngine:
                 self.stats.bump("mem_hits")
                 return None if kern.blacklisted else kern
             kern = self._build_kernel(spec, sig, key, gate_probes=True,
-                                      outs=outs)
+                                      outs=outs, carry=carry)
             self._kernels[key] = kern if kern is not None else _UNSUPPORTED
             return kern
 
     def _build_kernel(self, spec, sig: str, key: str, gate_probes: bool,
-                      outs=None) -> Optional[_Kernel]:
+                      outs=None, carry=None) -> Optional[_Kernel]:
         """Compile-or-load one kernel.  Caller holds the lock."""
         if not self.available:
             return None
         name = f"k_{key}"
+        if carry is not None:
+            outs = tuple([k for _, k in carry])
         try:
-            source, ops_used = generate_source(spec, sig, name, outs)
+            source, ops_used = generate_source(spec, sig, name, outs, carry)
         except UnsupportedSpecError:
             self.stats.bump("unsupported_specs")
             return None
@@ -620,7 +703,7 @@ class NativeEngine:
         try:
             ffi.cdef(cdef_signature(
                 sig, name, len(members(spec) if outs is None else outs),
-                tap_count(spec)))
+                tap_count(spec), carry is not None))
             lib = ffi.dlopen(str(path))
             cfun = getattr(lib, name)
         except Exception:

@@ -630,8 +630,8 @@ class RuntimeContext:
         if spec is not None and self.native is not None:
             out = self.native.run(spec, args, fn, template.spare)
         if out is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.asarray(fn(*args))
+            # (under the rank program's errstate: repro.compiler)
+            out = np.asarray(fn(*args))
         if out.dtype.kind not in "fc":
             out = out.astype(float)
         self.comm.overhead()
@@ -640,7 +640,7 @@ class RuntimeContext:
         return template.like(out)
 
     def ew_group(self, gspec, operands: tuple, olds: tuple, live=None,
-                 last: bool = True):
+                 last=True, carry=None):
         """Run a group of elementwise statements (pass 6's ``ew_group``)
         as one native kernel, or return ``None``.
 
@@ -668,6 +668,14 @@ class RuntimeContext:
         counts of :meth:`FusedDMatrix.__del__`'s recycling rule, plus
         the ``olds`` entry and the loop variable here — so a group holds
         no more full-size buffers than its statements one at a time.
+
+        In a loop whose body is the group (pass 6's ``loop_group``),
+        ``carry`` pairs each :data:`~repro.ir.nodes.LIVE` member with
+        the operand its output replaces on the next iteration, and on
+        the loop's first iteration ``last`` is the loop's
+        :class:`LoopBatch`: the iterations before the last then run in
+        one native call, and the result is a :class:`LoopGroup` — or,
+        if that call is refused, this iteration runs as any other.
         """
         native = self.native
         geom = None
@@ -715,6 +723,19 @@ class RuntimeContext:
                         plans[k] = plan
                         shifts += plan[:2]
                     k += 1
+                if last.__class__ is LoopBatch:
+                    # every carried value an array the output replaces
+                    for slot, _ in carry:
+                        if sig[slot] != "a":
+                            break
+                    else:
+                        res = native.run_loop(gspec, sig, args, values,
+                                              geom.shape, geom.spare, carry,
+                                              shifts, last.count)
+                        if res is not None:
+                            return LoopGroup(res, geom, self.comm, plans,
+                                             _nothing(geom.shape), last)
+                    last = False
                 bufs = [None] * len(olds)
                 k = 0
                 for old in olds:
@@ -997,16 +1018,87 @@ class Group:
         return FusedDMatrix(self.geom, _FLOAT64, out)
 
 
+class LoopBatch:
+    """The first iteration of a loop whose body is one group (pass 6's
+    ``loop_group``), as :meth:`loop_range` hands it to ``ew_group``:
+    ``count`` iterations come before the last, and ``taken`` says they
+    ran in one call, so the loop goes on at its last iteration."""
+
+    __slots__ = ("count", "taken")
+
+    def __init__(self, count: int):
+        self.count = count
+        self.taken = False
+
+
+class _Recording:
+    """A communicator that makes each call it is asked for, and keeps it
+    as ``(method, args, kwargs)`` to be made again."""
+
+    def __init__(self, comm):
+        self.comm = comm
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.comm, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((method, args, kwargs))
+            return method(*args, **kwargs)
+        # (the next lookup of ``name`` finds it without this frame)
+        setattr(self, name, call)
+        return call
+
+
+class LoopGroup(Group):
+    """A :class:`Group` whose kernel ran ``batch.count`` iterations of
+    its loop: it hands out the first iteration's values — a carried
+    member's is the last of those iterations' — and charges them as
+    that iteration would, recording each charge.  After the last
+    member it makes the recorded calls again for every other iteration
+    of the batch, in order, through the same methods: the clocks and
+    tallies are those of the iterations one by one."""
+
+    __slots__ = ("batch", "members")
+
+    def __init__(self, outs: list, geom, comm, plans, none, batch):
+        super().__init__(outs, geom, _Recording(comm), plans, none)
+        self.batch = batch
+        self.members = len(outs)
+
+    def result(self, nops: int) -> FusedDMatrix:
+        value = Group.result(self, nops)
+        if self.next == self.members:
+            self._replay()
+        return value
+
+    def tap(self) -> FusedDMatrix:
+        value = Group.tap(self)
+        if self.next == self.members:
+            self._replay()
+        return value
+
+    def _replay(self) -> None:
+        calls = self.comm.calls
+        for _ in range(self.batch.count - 1):
+            for method, args, kwargs in calls:
+                method(*args, **kwargs)
+        self.batch.taken = True
+
+
 def _codegen_support(cls):
     import numpy as _np
     from ..interp import values as _V
 
-    def loop_range(self, start, step, stop, last=False):
+    def loop_range(self, start, step, stop, last=False, batch=False):
         """Replicated loop values for ``for i = a:s:b`` — no vector is
         materialized, exactly like the compiled C loop.  With ``last``,
         each value comes as ``(is this the last iteration?, value)``,
         for a loop whose groups compute less before then (pass 6's
-        ``lean``)."""
+        ``lean``).  With ``batch`` too (pass 6's ``loop_group``), the
+        first of three or more iterations comes as ``(LoopBatch,
+        value)`` where a group may run natively and untraced; once its
+        group took the batch, the next value is the last iteration's."""
         sv = float(_np.real(self.scalar(start, "for")))
         pv = float(_np.real(self.scalar(step, "for")))
         ev = float(_np.real(self.scalar(stop, "for")))
@@ -1014,7 +1106,12 @@ def _codegen_support(cls):
             raise MatlabRuntimeError("for: range step must be nonzero")
         n = int(_np.floor((ev - sv) / pv * (1 + _np.finfo(float).eps * 4)
                           + 1e-10)) + 1
-        for k in range(max(n, 0)):
+        first = 0
+        if batch and n >= 3 and self.grouped and not self.comm.tracing:
+            hop = LoopBatch(n - 1)
+            yield hop, sv
+            first = n - 1 if hop.taken else 1
+        for k in range(first, max(n, 0)):
             yield (k == n - 1, sv + pv * k) if last else sv + pv * k
 
     def end_extent(self, value, axis, nargs):

@@ -138,6 +138,8 @@ def pass_report(pass_timings: list[tuple[str, float]],
                    f", {native['isa']} build)")
         out.append("-" * 31)
         out.append(f"{'native calls':<18s} {native['native_calls']:>8d}")
+        out.append(f"{'  loop iterations':<18s} "
+                   f"{native['loop_iterations']:>8d}")
         out.append(f"{'kernels loaded':<18s} {native['kernels']:>8d}")
         out.append(f"{'  compiled':<18s} {native['compiles']:>8d}")
         out.append(f"{'  disk cache hits':<18s} {native['disk_hits']:>8d}")

@@ -279,15 +279,17 @@ class TestRegistry:
     def test_default_schedule_is_the_registry_minus_what_bends_a_figure(self):
         assert tuple(REWRITES) == ("transpose_matmul", "cse", "const_args",
                                    "reduce2", "batch_reduce", "halo",
-                                   "ew_group", "lean")
+                                   "ew_group", "lean", "loop_group")
         assert DEFAULT_SCHEDULE == tuple(
             name for name in REWRITES if name != "batch_reduce")
         # the rewrites that cannot move the modeled clock, and run after
         # pass 6b
         assert [name for name, row in REWRITES.items()
-                if not row.modeled] == ["halo", "ew_group", "lean"]
+                if not row.modeled] == ["halo", "ew_group", "lean",
+                                        "loop_group"]
         assert [name for name, row in REWRITES.items()
-                if row.after_licm] == ["halo", "ew_group", "lean"]
+                if row.after_licm] == ["halo", "ew_group", "lean",
+                                       "loop_group"]
 
     def test_stats_count_by_name_and_keep_the_old_views(self):
         _, stats = lower("r = ones(8, 1);\ns = r' * r;\nt = sum(sum(r * r'));",
@@ -295,7 +297,8 @@ class TestRegistry:
         assert stats.counts == {"transpose_matmul": 1, "cse": 0,
                                 "const_args": 0, "reduce2": 1,
                                 "batch_reduce": 0, "halo": 0,
-                                "ew_group": 0, "lean": 0}
+                                "ew_group": 0, "lean": 0,
+                                "loop_group": 0}
         assert stats.fired() == {"transpose_matmul": 1, "reduce2": 1}
         assert (stats.transpose_fused, stats.cse_removed) == (1, 0)
         assert stats.summary() == "1 transpose_matmul, 1 reduce2"

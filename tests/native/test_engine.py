@@ -566,3 +566,52 @@ def test_a_failed_probe_leaves_no_kernel_to_run(engine, monkeypatch):
     assert run_ref(engine, ("fn:exp", "@0"), [a]) is None
     stats = engine.stats.snapshot()
     assert (stats["verify_rejects"], stats["native_calls"]) == (0, 0)
+
+
+# ---------------------------------------------------------------------- #
+# a loop's count variant
+# ---------------------------------------------------------------------- #
+
+#: a loop body of two members: ``y = sqrt(x)`` (guarded) and ``x = x - 1``,
+#: which carries ``x`` (operand 0) to the next iteration
+LOOP = ((("fn:sqrt", "@0"), (0,)), (("-", "@0", 1.0), (0,)))
+CARRY = ((0, 1),)
+
+
+def _run_loop(engine, x, count):
+    from repro.runtime.distribution import FreeList
+
+    return engine.run_loop(LOOP, "a", [x], [x], x.shape, FreeList(x.size),
+                           CARRY, (), count)
+
+
+def test_a_count_variant_runs_the_iterations_and_leaves_its_input(engine):
+    x = np.full((2, 3), 5.0)
+    res = _run_loop(engine, x, 3)
+    assert res[0] is None       # only the carried member has an array
+    assert res[1].tobytes() == np.full((2, 3), 2.0).tobytes()
+    assert x.tobytes() == np.full((2, 3), 5.0).tobytes()
+    stats = engine.stats.snapshot()
+    assert (stats["native_calls"], stats["loop_iterations"]) == (1, 3)
+
+
+def test_a_guard_in_any_iteration_refuses_the_count_variant(engine):
+    """``sqrt(x)`` of 2, 1, 0 passes; the fourth iteration's −1 fires."""
+    assert _run_loop(engine, np.full((2, 3), 2.0), 3) is not None
+    assert _run_loop(engine, np.full((2, 3), 2.0), 4) is None
+    stats = engine.stats.snapshot()
+    assert (stats["guard_fallbacks"], stats["loop_iterations"]) == (1, 3)
+
+
+def test_a_count_variant_is_checked_against_the_steps(engine, monkeypatch):
+    import repro.native.engine as engine_module
+
+    reference = engine_module.group_reference
+    monkeypatch.setattr(engine_module, "group_reference",
+                        lambda *a: [v + 1.0 for v in reference(*a)])
+    assert _run_loop(engine, np.full((2, 3), 5.0), 2) is None
+    monkeypatch.setattr(engine_module, "group_reference", reference)
+    # permanently numpy-only
+    assert _run_loop(engine, np.full((2, 3), 5.0), 2) is None
+    stats = engine.stats.snapshot()
+    assert (stats["verify_rejects"], stats["native_calls"]) == (1, 0)

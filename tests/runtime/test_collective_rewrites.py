@@ -363,7 +363,8 @@ def test_shipped_programs_print_and_hold_what_they_always_did(label):
 
 def test_default_plan_runs_the_rewrites_that_bend_no_figure():
     assert DEFAULT_PLAN.fusion == ("transpose_matmul", "cse", "const_args",
-                                   "reduce2", "halo", "ew_group", "lean")
+                                   "reduce2", "halo", "ew_group", "lean",
+                                   "loop_group")
     assert set(FUSION_REWRITES) - set(DEFAULT_PLAN.fusion) \
         == {"batch_reduce"}
 

@@ -15,6 +15,12 @@ kernel fails its first-call verification only over a NaN: gcc may fold
 ``fabs(x * x)`` to ``x * x``, which keeps a NaN's sign bit, and NaN
 bits are outside the tier's contract (docs/NATIVE.md) — the reject is
 what keeps them out of the results.
+
+Loops whose body is one group (``loop_group``) run with and without
+the row, traced and untraced: the same observables, the iterations
+before the last in one native call where it fires — also when a guard
+fires inside that call — and a replay of the charges out of order is
+caught.
 """
 
 import hashlib
@@ -121,6 +127,7 @@ def _observed(result):
     return (result.output, tuple(t.hex() for t in spmd.times),
             spmd.messages_sent, spmd.bytes_sent, spmd.collectives,
             sorted(spmd.collective_counts.items()),
+            None if result.trace is None else
             hashlib.sha256(canonical_events(result.trace).encode())
             .hexdigest(),
             {name: (np.asarray(value).dtype.str,
@@ -326,33 +333,39 @@ def test_an_aliased_old_value_is_never_written_into():
 #: the plan without the two rows that change a group's members and arrays
 PLAIN_GROUPS = tuple(name for name in DEFAULT_PLAN.fusion
                      if name not in ("halo", "lean"))
+#: the plan whose loops run every iteration through its own group call
+UNBATCHED = tuple(name for name in DEFAULT_PLAN.fusion
+                  if name != "loop_group")
 
 
 @st.composite
-def loop_programs(draw):
+def loop_programs(draw, alone=False):
     """A ``for`` loop over arrays of one shape (a matrix, a row or a
     column vector) whose body mixes ``circshift`` by constants — rows,
     columns, both, a scalar, now and then one past a block — with
     elementwise and ``min``/``max`` statements; some members are read
     after the run in the body, one before it (the next iteration sees
     it), some by a group under an ``if`` or an inner ``for``, and some
-    only after the loop."""
+    only after the loop.  With ``alone``, the body is shifts and
+    elementwise statements only — often one group, which is all the
+    loop does — and the loop runs 1, 2, 3 or 16 times."""
     shape = draw(st.sampled_from(["matrix", "row", "column"]))
     rows = 1 if shape == "row" else draw(st.integers(2, 9))
     cols = 1 if shape == "column" else draw(st.integers(2, 9))
-    steps = draw(st.integers(1, 4))
+    steps = draw(st.sampled_from([1, 2, 3, 16]) if alone
+                 else st.integers(1, 4))
     head = (f"rand('seed', {draw(st.integers(0, 99))});\n"
             f"a = rand({rows}, {cols});\nb = rand({rows}, {cols});\n"
             f"s = 0.75;\nq = 0;\ne0 = a;\nc = a;\n")
     shift = st.integers(-2, 2) | st.sampled_from([7, -9, 13])
     size = draw(st.integers(2, 9))
     names = ["a", "b"]          # arrays a member may read
-    exposed = draw(st.booleans())
+    exposed = not alone and draw(st.booleans())
     body = ["    u = e0 .* 0.5;"] if exposed else []
     for k in range(size):
         kind = draw(st.sampled_from(
-            ["tap"] * 4 + ["binary"] * 3
-            + ["minmax", "self", "reduce", "nested"]))
+            ["tap"] * 4 + ["binary"] * 3 + ["minmax", "self"]
+            + ([] if alone else ["reduce", "nested"])))
         x = draw(st.sampled_from(names))
         y = draw(st.sampled_from(names))
         dest = f"t{k}"
@@ -409,6 +422,37 @@ def test_halo_taps_and_lean_iterations_change_nothing_observed(
         assert _observed(got) == _observed(want), (backend, native)
 
 
+def _same_with_and_without_batches(source, nprocs, scheme):
+    """Every observable of ``source`` is the same with ``loop_group``
+    and without, on every backend."""
+    plan = Plan(scheme=scheme)
+    unbatched = Plan(scheme=scheme, fusion=UNBATCHED)
+    program = compile_source(source, plan=plan)
+    baseline = compile_source(source, plan=unbatched)
+    for backend, native in MODES:
+        for trace in (False, True):
+            got = program.run(nprocs=nprocs, machine=MEIKO_CS2,
+                              backend=backend, native=native, plan=plan,
+                              trace=trace)
+            want = baseline.run(nprocs=nprocs, machine=MEIKO_CS2,
+                                backend=backend, native=native,
+                                plan=unbatched, trace=trace)
+            assert _observed(got) == _observed(want), (backend, native,
+                                                       trace)
+            if got.native is not None:
+                assert got.native["native_calls"] <= \
+                    want.native["native_calls"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=12, deadline=None)
+@given(loop_programs(alone=True), st.sampled_from([1, 2, 3, 4, 7, 16]),
+       st.sampled_from(["block", "cyclic"]))
+def test_a_loop_of_one_group_changes_nothing_observed(source, nprocs,
+                                                      scheme):
+    _same_with_and_without_batches(source, nprocs, scheme)
+
+
 def _one_group(program):
     groups = [stmt for block in program.ir.walk() for stmt in block
               if isinstance(stmt, EwGroup)]
@@ -420,10 +464,11 @@ def test_an_image_step_reads_its_image_once_and_writes_it_once():
     """The filter step's shifts are taps of its one group, every member
     but ``img`` an array only on the last iteration and the temporaries
     on none: each step is one native call, the last one the full
-    kernel, and no shift runs on its own."""
+    kernel, and no shift runs on its own.  (Without ``loop_group``,
+    which would run the steps before the last in one call.)"""
     from repro.runtime import structural
 
-    program = compile_source(IMAGE_STEP)
+    program = compile_source(IMAGE_STEP, plan=Plan(fusion=UNBATCHED))
     group = _one_group(program)
     assert len(group.members) == 8
     # north, south, blur, mag, edges; the blend and min's temporaries; img
@@ -535,3 +580,141 @@ def test_a_tap_of_both_dimensions_holds_what_circshift_held():
         "builtin:circshift"
     assert got.peak_local_bytes == want.peak_local_bytes
     assert got.workspace.keys() == want.workspace.keys()
+
+
+# ---------------------------------------------------------------------- #
+# a loop of one group is one native call (``loop_group``)
+# ---------------------------------------------------------------------- #
+
+def _image_loop(steps: int, rows: int = 24) -> str:
+    return IMAGE_STEP.replace("for k = 1:3", f"for k = 1:{steps}") \
+        .replace("rand(24, 20)", f"rand({rows}, 20)")
+
+
+def test_a_loop_of_one_group_is_marked_with_what_it_carries():
+    program = compile_source(_image_loop(16))
+    group = _one_group(program)
+    # ``img`` (the group's operand 0) is what the last member carries
+    assert group.carry == ((0, 7),)
+    assert program.peephole_stats.counts["loop_group"] == 1
+    assert "1 loop_group" in program.rewrite_summary()
+    source = program.python_source
+    assert source.count("rt.loop_range(") == 1
+    assert source.count("_g.result(") == 6      # one copy of the body
+
+
+@pytest.mark.parametrize("body", [
+    # the group reads the loop variable
+    "    x = x .* 0.5 + k;\n    y = circshift(x, 1) + x;\n",
+    # a second statement
+    "    n = circshift(x, 1);\n    x = n .* 0.5 + x;\n"
+    "    q = sum(sum(x));\n",
+    # the group assigns the loop variable
+    "    n = circshift(x, 1);\n    k = n .* 0.5 + x;\n    x = k .* 2;\n",
+])
+def test_a_loop_that_does_more_than_its_group_is_not_marked(body):
+    source = "x = ones(6, 4);\nq = 0;\nfor k = 1:5\n" + body + "end\n"
+    program = compile_source(source)
+    assert _one_group(program).carry is None
+    assert program.peephole_stats.counts["loop_group"] == 0
+    assert ", True, True)" not in program.python_source
+
+
+@pytest.mark.parametrize("steps, calls, batched", [
+    (1, 1, 0), (2, 2, 0), (3, 2, 2), (16, 2, 15)])
+def test_the_iterations_before_the_last_are_one_native_call(steps, calls,
+                                                             batched):
+    """k ∈ {1, 2, 3, 16}: from three iterations on, the ones before the
+    last run in one call of the count variant, and the last as before."""
+    source = _image_loop(steps)
+    program = compile_source(source)
+    result = program.run(nprocs=4, backend="fused", native="auto")
+    if result.native is None:
+        pytest.skip("native tier unavailable")
+    assert result.native["native_calls"] == calls
+    assert result.native["loop_iterations"] == batched
+    for scheme in ("block", "cyclic"):
+        _same_with_and_without_batches(source, 4, scheme)
+
+
+#: the guard fires first on iteration 4 of 8: ``x - 3.5`` is 2.5, 1.5
+#: and 0.5 on the three before it
+GUARDED_LOOP = """
+x = ones(6, 4) .* 6;
+for k = 1:8
+    y = sqrt(x - 3.5);
+    x = x - 1;
+end
+"""
+
+
+def test_a_guard_that_fires_in_the_batch_runs_every_iteration_as_before():
+    program = compile_source(GUARDED_LOOP)
+    assert _one_group(program).carry is not None
+    result = program.run(nprocs=4, backend="fused", native="auto")
+    if result.native is None:
+        pytest.skip("native tier unavailable")
+    assert result.native["loop_iterations"] == 0
+    assert result.native["guard_fallbacks"] >= 2   # the batch, iteration 4
+    assert np.iscomplexobj(result.workspace["y"])
+    for scheme in ("block", "cyclic"):
+        _same_with_and_without_batches(GUARDED_LOOP, 4, scheme)
+
+
+def test_a_traced_loop_runs_every_iteration_through_its_group():
+    """Canonical events are per statement: with a trace on, every
+    iteration is its own group call, and the trace is the one without
+    ``loop_group``."""
+    source = _image_loop(16)
+    program = compile_source(source)
+    with group_calls() as ran:
+        got = program.run(nprocs=4, backend="fused", native="auto",
+                          trace=True)
+    if got.native is None:
+        pytest.skip("native tier unavailable")
+    assert got.native["loop_iterations"] == 0
+    assert ran == [8] * 16
+    want = compile_source(source, plan=Plan(fusion=UNBATCHED)).run(
+        nprocs=4, backend="fused", native="auto", trace=True)
+    assert _observed(got) == _observed(want)
+
+
+@pytest.fixture
+def charges_out_of_order(monkeypatch):
+    """A mutant of the replay: the recorded charges, made again in the
+    reverse order."""
+    from repro.runtime.context import LoopGroup
+
+    def replay(self):
+        for _ in range(self.batch.count - 1):
+            for method, args, kwargs in reversed(self.comm.calls):
+                method(*args, **kwargs)
+        self.batch.taken = True
+
+    monkeypatch.setattr(LoopGroup, "_replay", replay)
+
+
+def test_charges_replayed_out_of_order_are_caught(charges_out_of_order):
+    """(26 rows on 4 ranks: blocks of 7 and 6 rows, so the order of a
+    ring exchange and a compute charge shows in the clocks.)"""
+    if get_engine().cc is None:
+        pytest.skip("native tier unavailable")
+    with pytest.raises(AssertionError):
+        _same_with_and_without_batches(_image_loop(16, rows=26), 4, "block")
+
+
+@pytest.mark.parametrize("name, most, batched", [
+    ("e2e/image_filter", 2, 15), ("e2e/heat", 5, 49)])
+def test_a_benchmark_stencil_makes_a_few_native_calls(name, most, batched):
+    """``image_filter``'s 16 steps and ``heat``'s 50: one call for the
+    steps before the last, one for the last (and ``heat``'s three
+    elementwise statements outside its loop)."""
+    from tests.corpus import shipped_programs
+
+    source, _ = shipped_programs()[name]
+    result = compile_source(source).run(nprocs=4, backend="fused",
+                                        native="auto")
+    if result.native is None:
+        pytest.skip("native tier unavailable")
+    assert result.native["native_calls"] <= most
+    assert result.native["loop_iterations"] == batched

@@ -153,6 +153,8 @@ def _workspace(plan, nprocs=4):
     Plan(fusion=("cse",)),
     Plan(fusion=FUSION_REWRITES),
     Plan(fusion=tuple(reversed(FUSION_REWRITES))),
+    # the rewrites before loop_group reversed, loop_group still last
+    Plan(fusion=tuple(reversed(FUSION_REWRITES[:-1])) + FUSION_REWRITES[-1:]),
     Plan(scheme="cyclic"),
     Plan(gather_algo="doubling", allreduce_algo="halving"),
 ], ids=lambda p: p.summary())
