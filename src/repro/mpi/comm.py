@@ -298,6 +298,9 @@ class Comm:
         self.rank = rank
         self.size = world.nprocs
         self.machine = world.machine
+        #: the bus slowdown of memory-bound work at this run's ``size``
+        #: (:meth:`MachineModel.memory_scale`, fixed for the run)
+        self._scale = world.machine.memory_scale(world.nprocs)
         #: current MATLAB source line (generated code stores line markers
         #: here; plain attribute, so the disabled-tracing cost is one
         #: store per marked statement)
@@ -322,8 +325,11 @@ class Comm:
 
     def compute(self, flops: int = 0, elems: int = 0, mem: int = 0) -> None:
         """Charge local computation to this rank's clock."""
-        dt = self.machine.compute_time(
-            flops=flops, elems=elems, mem=mem, active_cpus=self.size)
+        cpu = self.machine.cpu
+        scale = self._scale
+        # MachineModel.compute_time's terms, in its order
+        dt = (flops * cpu.flop_time + elems * cpu.elem_time * scale
+              + mem * cpu.mem_time * scale)
         if self._rec is not None and dt > 0.0:
             self._rec.compute(self.line, self.world.clocks[self.rank], dt)
         self.advance(dt)
@@ -338,6 +344,35 @@ class Comm:
         if self._rec is not None:
             self._rec.calls(self.line, calls)
         self.advance(calls * self.machine.cpu.call_overhead)
+
+    def charge(self, flops: int = 0, elems: int = 0, mem: int = 0) -> None:
+        """One run-time-library call and its local work: exactly
+        ``overhead()`` then ``compute_own(flops, elems, mem)`` — the
+        same two clock additions and trace hooks, in the same order —
+        in one frame."""
+        clocks = self.world.clocks
+        rank = self.rank
+        rec = self._rec
+        line = self.line
+        cpu = self.machine.cpu
+        dt = cpu.call_overhead
+        if rec is not None:
+            rec.calls(line, 1)
+        if dt < 0:
+            raise MpiError("cannot advance the clock backwards")
+        clocks[rank] += dt
+        if rec is not None:
+            rec.charge(line, dt)
+        scale = self._scale
+        dt = (flops * cpu.flop_time + elems * cpu.elem_time * scale
+              + mem * cpu.mem_time * scale)
+        if dt < 0:
+            raise MpiError("cannot advance the clock backwards")
+        if rec is not None and dt > 0.0:
+            rec.compute(line, clocks[rank], dt)
+        clocks[rank] += dt
+        if rec is not None:
+            rec.charge(line, dt)
 
     def clock_snapshot(self):
         """Opaque snapshot of this rank's clock (see ``clock_restore``)."""
@@ -380,6 +415,10 @@ class Comm:
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_rank(dest, "destination")
         self._check_tag(tag)
+        self._send(obj, dest, tag)
+
+    def _send(self, obj: Any, dest: int, tag: int) -> None:
+        """:meth:`send` past its argument checks."""
         nbytes = sizeof(obj)
         world = self.world
         world._check_abort()
@@ -436,11 +475,13 @@ class Comm:
             extra_delay = fate.extra_delay + penalty
             delivered = fate.deliver
         t_send = world.clocks[self.rank]
-        arrival = t_send + self.machine.p2p_time(self.rank, dest, nbytes) \
+        # the link's p2p_time (its shared-medium division needs
+        # concurrent transfers; one message has none)
+        link = self.machine.link_between(self.rank, dest)
+        arrival = t_send + (link.latency + nbytes / link.bandwidth) \
             + extra_delay
         # buffered send: sender is occupied for the injection overhead
-        world.clocks[self.rank] = t_send + \
-            self.machine.link_between(self.rank, dest).latency * 0.5
+        world.clocks[self.rank] = t_send + link.latency * 0.5
         world.rank_messages[self.rank] += 1
         world.rank_bytes[self.rank] += nbytes
         if rec is not None:
@@ -509,6 +550,10 @@ class Comm:
         the rank would have given up before the data came)."""
         self._check_rank(source, "source")
         self._check_tag(tag)
+        return self._recv(source, tag)
+
+    def _recv(self, source: int, tag: int) -> Any:
+        """:meth:`recv` past its argument checks."""
         world = self.world
         if world.faults is not None:
             world.faults.check_crash(self.rank, "recv",
@@ -539,14 +584,16 @@ class Comm:
 
     def sendrecv(self, obj: Any, dest: int, *, source: int,
                  sendtag: int = 0, recvtag: int = 0) -> Any:
-        # validate the receive half before the send half posts
+        # validate both halves, the receive half first, before the
+        # send half posts
         self._check_rank(source, "source")
         self._check_tag(recvtag)
+        self._check_rank(dest, "destination")
+        self._check_tag(sendtag)
         if dest == self.rank == source:
-            self._check_tag(sendtag)
             return obj  # self-exchange: no wire traffic
-        self.send(obj, dest, sendtag)
-        return self.recv(source, recvtag)
+        self._send(obj, dest, sendtag)
+        return self._recv(source, recvtag)
 
     # -- collectives ------------------------------------------------------ #
 

@@ -148,7 +148,8 @@ class FusedComm:
 
     Exposes the subset of the :class:`~repro.mpi.comm.Comm` surface that
     rank-agnostic runtime code needs (``size``, ``machine``, replicated
-    ``compute``/``overhead``/``advance``, and the replicated collectives
+    ``compute``/``overhead``/``advance``, ``charge``/``compute_own`` of
+    per-rank loads, and the replicated collectives
     ``barrier``/``bcast``/``allreduce``/``allgather``), plus the fused
     accounting helpers.  Everything rank-dependent raises
     :class:`FusionDivergence`.
@@ -178,14 +179,16 @@ class FusedComm:
         # (op, size, type, value) -> fold result; replicated reductions
         # recur with identical inputs, so each distinct fold runs once
         self._fold_memo: dict = {}
-        # the charge memo.  Per-rank cost vectors are pure functions of
-        # their operands and (machine, size), both fixed for this run:
-        # (flops, elems, mem) -> compute_time_vec(...), and
-        # (nbytes, forward) -> ring_exchange's four per-rank columns.
-        # Keys are the operand tuples themselves (the geometry tables),
+        # the charge memos.  Costs are pure functions of their operands
+        # and (machine, size), both fixed for this run:
+        # (flops, elems, mem) -> compute_time_vec(...),
+        # (nbytes, forward) -> ring_exchange's four per-rank columns, and
+        # (op, nbytes) -> a collective's price (:meth:`_price`).  Keys
+        # are the operand tuples themselves (the geometry tables),
         # values are read-only and bit-equal to an uncached evaluation.
         self._compute_memo: dict = {}
         self._ring_memo: dict = {}
+        self._collective_memo: dict = {}
 
     # -- identity --------------------------------------------------------- #
 
@@ -287,6 +290,35 @@ class FusedComm:
     #: the per-rank sequence
     compute_own = compute_ranks
 
+    def charge(self, flops: Optional[Sequence[int]] = None,
+               elems: Optional[Sequence[int]] = None,
+               mem: Optional[Sequence[int]] = None) -> None:
+        """:meth:`Comm.charge`: exactly ``overhead()`` then
+        ``compute_ranks(flops, elems, mem)`` — the same clock additions
+        and trace hooks, in the same order — in one frame."""
+        clocks = self.world.clocks
+        trace = self._trace
+        line = self.line
+        dt = self.machine.cpu.call_overhead
+        if dt < 0:
+            raise FusionDivergence("cannot advance the clock backwards")
+        if trace is not None:
+            trace.batch_calls(line, 1)
+        clocks += dt
+        if trace is not None:
+            trace.batch_charge(line, dt)
+        key = (flops, elems, mem)
+        try:
+            dts = self._compute_memo[key]
+        except KeyError:
+            dts = _remember(self._compute_memo, key,
+                            self._rank_costs(flops, elems, mem))
+        except TypeError:
+            dts = self._rank_costs(flops, elems, mem)
+        if trace is not None:
+            trace.batch_rank_compute(line, clocks, dts)
+        clocks += dts
+
     def _rank_costs(self, flops, elems, mem) -> np.ndarray:
         dts = np.asarray(self.machine.compute_time_vec(
             flops=flops, elems=elems, mem=mem, active_cpus=self.size))
@@ -295,16 +327,22 @@ class FusedComm:
 
     # -- collective accounting -------------------------------------------- #
 
-    def _sync_cost(self, op: str, cost: float, nbytes: int = 0) -> None:
-        """One rendezvous: all clocks meet at max + cost (exactly what
-        ``World._run_combine`` + the per-rank ``max`` does), and the
-        collective tallies advance."""
+    def _sync_cost(self, op: str, nbytes: int = 0) -> None:
+        """One rendezvous: all clocks meet at max + the price of ``op``
+        moving ``nbytes`` (exactly what ``World._run_combine`` + the
+        per-rank ``max`` does), and the collective tallies advance."""
         w = self.world
         if w.aborted is not None:
             # the single fused pass has no blocked ranks to unwind, so
             # the watchdog's abort is observed here, at the next
             # collective boundary
             raise w.aborted
+        key = (op, nbytes)
+        try:
+            cost = self._collective_memo[key]
+        except KeyError:
+            cost = _remember(self._collective_memo, key,
+                             self._price(op, nbytes))
         pre = w.clocks.copy()
         # the ufunc's reduce, not ndarray.max: that is two frames more
         tnew = float(np.maximum.reduce(pre)) + cost
@@ -317,9 +355,22 @@ class FusedComm:
         if self._trace is not None:
             self._trace.batch_collective(op, self.line, pre, tnew, nbytes)
 
+    def _price(self, op: str, nbytes: int) -> float:
+        """What the lockstep collective tallied as ``op`` costs: its
+        ``collective_time``, and for ``allreduce`` also the log2(P)
+        combining steps' arithmetic (``scan`` is priced as an allreduce
+        without them, as ``Comm.exscan`` is)."""
+        machine = self.machine
+        if op == "scan":
+            return machine.collective_time("allreduce", nbytes, self.size)
+        cost = machine.collective_time(op, nbytes, self.size)
+        if op == "allreduce":
+            cost += int(np.ceil(np.log2(self.size))) * (nbytes / 8.0) \
+                * machine.cpu.elem_time
+        return cost
+
     def charge_barrier(self) -> None:
-        self._sync_cost("barrier", self.machine.collective_time(
-            "barrier", 0, self.size))
+        self._sync_cost("barrier")
 
     def charge_bcast(self, nbytes: int) -> None:
         if self.size == 1:
@@ -328,8 +379,7 @@ class FusedComm:
                 self._trace.recorders[0].collective(
                     "bcast", self.line, self.world.clocks[0], 0.0, nbytes)
             return
-        self._sync_cost("bcast", self.machine.collective_time(
-            "bcast", nbytes, self.size), nbytes)
+        self._sync_cost("bcast", nbytes)
 
     def charge_reduce(self, nbytes: int) -> None:
         if self.size == 1:
@@ -339,23 +389,17 @@ class FusedComm:
                     "allreduce", self.line, self.world.clocks[0], 0.0,
                     nbytes)
             return
-        cost = self.machine.collective_time("allreduce", nbytes, self.size)
-        cost += int(np.ceil(np.log2(self.size))) * (nbytes / 8.0) \
-            * self.machine.cpu.elem_time
-        self._sync_cost("allreduce", cost, nbytes)
+        self._sync_cost("allreduce", nbytes)
 
     def charge_allgather(self, nbytes: int) -> None:
-        self._sync_cost("allgather", self.machine.collective_time(
-            "allgather", nbytes, self.size), nbytes)
+        self._sync_cost("allgather", nbytes)
 
     def charge_alltoall(self, per_nbytes: int) -> None:
-        self._sync_cost("alltoall", self.machine.collective_time(
-            "alltoall", per_nbytes, self.size), per_nbytes)
+        self._sync_cost("alltoall", per_nbytes)
 
     def charge_scan(self, nbytes: int) -> None:
         # comm.exscan tallies as "scan" but costs like an allreduce
-        self._sync_cost("scan", self.machine.collective_time(
-            "allreduce", nbytes, self.size), nbytes)
+        self._sync_cost("scan", nbytes)
 
     def ring_exchange(self, nbytes: int, forward: bool) -> None:
         """Accounting for P simultaneous ``sendrecv`` calls with the ring

@@ -254,8 +254,7 @@ class RuntimeContext:
                               if rows * cols else np.zeros((rows, cols)))
         mat = self.descriptor.from_full(full, self.size, self.rank,
                                         self._creation_scheme())
-        self.comm.overhead()
-        self.comm.compute_own(mem=mat.load)
+        self.comm.charge(mem=mat.load)
         return mat
 
     def _creation_scheme(self) -> str:
@@ -441,8 +440,7 @@ class RuntimeContext:
             if mat.owns(i, j):
                 idx = mat.local_element_index(i, j)
                 new_local[idx] = value
-            self.comm.overhead()
-            self.comm.compute(mem=mat.load)
+            self.comm.charge(mem=mat.load)
             if new_local is local:
                 return mat
             return mat.like(new_local)
@@ -483,8 +481,7 @@ class RuntimeContext:
             new_full = full.copy()
         r_, c_ = (i % mat.rows, i // mat.rows) if j is None else (i, j)
         new_full[r_, c_] = value
-        self.comm.overhead()
-        self.comm.compute_ranks(mem=mat.load)
+        self.comm.charge(mem=mat.load)
         if new_full is full:
             return mat
         return mat.like(new_full)
@@ -634,9 +631,8 @@ class RuntimeContext:
             out = np.asarray(fn(*args))
         if out.dtype.kind not in "fc":
             out = out.astype(float)
-        self.comm.overhead()
         load = template.load
-        self.comm.compute_own(elems=load * nops, mem=load)
+        self.comm.charge(elems=load * nops, mem=load)
         return template.like(out)
 
     def ew_group(self, gspec, operands: tuple, olds: tuple, live=None,
@@ -770,8 +766,7 @@ class RuntimeContext:
             # every held element nonzero, on every rank
             held = value.held
             ok = bool(np.all(held != 0)) if held.size else True
-            self.comm.overhead()
-            self.comm.compute_own(elems=value.load)
+            self.comm.charge(elems=value.load)
             combined = self.comm.allreduce(float(ok), op=LAND)
             return bool(combined) and value.numel > 0
         return V.truthy(value)
@@ -999,10 +994,8 @@ class Group:
         ``nops`` operations per element.  The group lets go of the array
         as it hands it out, so the descriptor is its one owner."""
         _, out = self._take()
-        comm = self.comm
-        comm.overhead()
         load = self.load
-        comm.compute_own(elems=load * nops, mem=load)
+        self.comm.charge(elems=load * nops, mem=load)
         return FusedDMatrix(self.geom, _FLOAT64, out)
 
     def tap(self) -> FusedDMatrix:

@@ -66,16 +66,14 @@ def _vector_dot(rt, a: DMatrix, b: DMatrix, conj: bool = False) -> RValue:
             else:
                 parts.append((ra[:, None, :] @ rb[:, :, None])[:, 0, 0])
         parts = rank_axis(parts)
-        rt.comm.overhead()
-        rt.comm.compute_ranks(flops=a.load * 2)
+        rt.comm.charge(flops=a.load * 2)
         rt.comm.charge_reduce(parts.itemsize)
         return fold_ranks(SUM, parts)
     av, bv = a.local, b.local
     if av.shape != bv.shape:  # the caller has realigned the schemes
         raise MatlabRuntimeError("dot: inconsistent distributions")
     partial = np.dot(av.conj() if conj else av, bv)
-    rt.comm.overhead()
-    rt.comm.compute(flops=2 * av.size)
+    rt.comm.charge(flops=2 * av.size)
     return rt.comm.allreduce(
         complex(partial) if np.iscomplexobj(av) or np.iscomplexobj(bv)
         else float(partial))
@@ -131,8 +129,7 @@ def outer(rt, a: RValue, b: RValue) -> RValue:
         # (elementwise products: the outer of everything is every rank's
         # outer, stacked), and each costs one pass over them
         out = a.like(np.outer(a.held, b_full), shape=(m, n))
-        rt.comm.overhead()
-        rt.comm.compute_own(flops=out.load, mem=out.load)
+        rt.comm.charge(flops=out.load, mem=out.load)
         return out
     full = np.outer(_as_full(rt, a).reshape(-1), b_full)
     rt.comm.compute(flops=full.size, mem=full.size)
@@ -144,15 +141,13 @@ def matvec(rt, a: RValue, x: RValue) -> RValue:
     if isinstance(a, FusedDMatrix) and not a.is_vector:
         x_full = _as_full(rt, x).reshape(-1)
         y = a.geom.unstacked([run @ x_full for run in a.stacked()])
-        rt.comm.overhead()
-        rt.comm.compute_ranks(flops=a.load * 2)
+        rt.comm.charge(flops=a.load * 2)
         return FusedDMatrix(get_geometry(a.rows, 1, rt.size, a.scheme),
                             y.dtype, y.reshape(-1, 1))
     if isinstance(a, DMatrix) and not a.is_vector:
         x_full = _as_full(rt, x).reshape(-1)
         y_local = a.local @ x_full
-        rt.comm.overhead()
-        rt.comm.compute(flops=2 * a.local.size)
+        rt.comm.charge(flops=2 * a.local.size)
         m = a.rows
         if m == 1:
             return V.simplify(np.asarray(y_local).reshape(1, 1)) \
@@ -177,16 +172,14 @@ def vecmat(rt, x: RValue, a: RValue) -> RValue:
             parts = rank_axis([
                 (rx[:, None, :] @ ra)[:, 0, :]
                 for rx, ra in zip(a.geom.stacked(x_full), a.stacked())])
-            rt.comm.overhead()
-            rt.comm.compute_ranks(flops=a.load * 2)
+            rt.comm.charge(flops=a.load * 2)
             rt.comm.charge_reduce(parts[0].nbytes)
             total = fold_ranks(SUM, parts)
         else:
             rows = a.global_row_indices()
             partial = x_full[rows] @ a.local if a.local.size else \
                 np.zeros(a.cols, dtype=a.local.dtype)
-            rt.comm.overhead()
-            rt.comm.compute(flops=2 * a.local.size)
+            rt.comm.charge(flops=2 * a.local.size)
             total = rt.comm.allreduce(np.asarray(partial))
         result = np.asarray(total).reshape(1, -1)
         return rt.distribute_full(result) if result.size > 1 \
@@ -202,15 +195,13 @@ def _matmat(rt, a: RValue, b: RValue) -> RValue:
     if isinstance(a, FusedDMatrix) and not a.is_vector:
         full = a.geom.unstacked([run @ b_full for run in a.stacked()])
         n = b_full.shape[1]
-        rt.comm.overhead()
-        rt.comm.compute_ranks(flops=a.load * (2 * n))
+        rt.comm.charge(flops=a.load * (2 * n))
         return FusedDMatrix(get_geometry(a.rows, n, rt.size, a.scheme),
                             full.dtype, full)
     if isinstance(a, DMatrix) and not a.is_vector:
         local = a.local @ b_full
-        rt.comm.overhead()
-        rt.comm.compute(flops=2 * a.local.shape[0] * a.local.shape[1]
-                        * b_full.shape[1])
+        rt.comm.charge(flops=2 * a.local.shape[0] * a.local.shape[1]
+                       * b_full.shape[1])
         return DMatrix(
             get_geometry(a.rows, b_full.shape[1], rt.size, a.scheme),
             local.dtype, local, rt.rank)
@@ -257,8 +248,7 @@ def solve(rt, a: RValue, b: RValue, left: bool = True) -> RValue:
                              a_full.conj().T if np.iscomplexobj(a_full)
                              else a_full.T)
         result = xt.conj().T if np.iscomplexobj(xt) else xt.T
-    rt.comm.overhead()
-    rt.comm.compute(flops=2 * n ** 3 // 3 + 2 * n ** 2 * nrhs)
+    rt.comm.charge(flops=2 * n ** 3 // 3 + 2 * n ** 2 * nrhs)
     return rt.distribute_full(result) if result.size > 1 \
         else V.simplify(result)
 
@@ -335,16 +325,14 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
         if isinstance(a, FusedDMatrix):
             parts = rank_axis(_transposed_products(
                 a, b.stacked(), conjugate))
-            rt.comm.overhead()
-            rt.comm.compute_ranks(flops=a.load * (2 * b.cols))
+            rt.comm.charge(flops=a.load * (2 * b.cols))
             rt.comm.charge_reduce(parts[0].nbytes)
             return rt.distribute_full(fold_ranks(SUM, parts))
         al = a.local.conj().T if conjugate and np.iscomplexobj(a.local) \
             else a.local.T
         partial = al @ b.local
-        rt.comm.overhead()
         # 2 * k_local * m * n flops per rank
-        rt.comm.compute(flops=2 * a.local.shape[0] * a.cols * b.cols)
+        rt.comm.charge(flops=2 * a.local.shape[0] * a.cols * b.cols)
         total = rt.comm.allreduce(np.ascontiguousarray(partial))
         return rt.distribute_full(np.asarray(total))
     # matrix' * vector: partial products over row blocks + one small
@@ -354,16 +342,14 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
             parts = rank_axis(_transposed_products(
                 a, [rb[:, :, None] for rb in b.stacked()],
                 conjugate))[:, :, 0]
-            rt.comm.overhead()
-            rt.comm.compute_ranks(flops=a.load * 2)
+            rt.comm.charge(flops=a.load * 2)
             rt.comm.charge_reduce(parts[0].nbytes)
             total = fold_ranks(SUM, parts)
         else:
             al = a.local.conj() if conjugate and np.iscomplexobj(a.local) \
                 else a.local
             partial = al.T @ b.local if al.size else np.zeros(a.cols)
-            rt.comm.overhead()
-            rt.comm.compute(flops=2 * a.local.size)
+            rt.comm.charge(flops=2 * a.local.size)
             total = np.asarray(rt.comm.allreduce(np.asarray(partial)))
         if total.size == 1:
             return V.simplify(total.reshape(1, 1))

@@ -81,8 +81,7 @@ def _reduced(rt, mat: DMatrix, local_fn, combine_op, identity):
     partials — a vector's total (a Python number) or, column by column,
     a matrix's (a ``cols``-long array)."""
     parts = _rank_partials(mat, local_fn, identity)
-    rt.comm.overhead()
-    rt.comm.compute_own(elems=mat.load)
+    rt.comm.charge(elems=mat.load)
     return _allreduce(rt, parts, combine_op)
 
 
@@ -152,8 +151,7 @@ def _row_reduce(rt, mat: DMatrix, local_fn):
     held = mat.held
     part = local_fn(held, axis=1) if held.size \
         else np.zeros(0, dtype=held.dtype)
-    rt.comm.overhead()
-    rt.comm.compute_own(elems=mat.load)
+    rt.comm.charge(elems=mat.load)
     return mat.like(part, shape=(mat.rows, 1))
 
 
@@ -303,8 +301,7 @@ def find(rt, value: RValue) -> RValue:
         axes = (1,) if value.is_vector else (1, 2)
         most = max(int(np.count_nonzero(run, axis=axes).max())
                    for run in value.stacked())
-        rt.comm.overhead()
-        rt.comm.compute_ranks(elems=value.load)
+        rt.comm.charge(elems=value.load)
         rt.comm.charge_allgather(most * 8)
         all_hits = np.flatnonzero(
             value.full.reshape(-1, order="F") != 0) + 1.0
@@ -317,8 +314,7 @@ def find(rt, value: RValue) -> RValue:
             rows_g = value.global_row_indices()
             li, lj = np.nonzero(value.local)
             local_hits = (lj * value.rows + rows_g[li]) + 1.0
-        rt.comm.overhead()
-        rt.comm.compute(elems=value.load)
+        rt.comm.charge(elems=value.load)
         pieces = rt.comm.allgather(np.asarray(local_hits, dtype=float))
         all_hits = np.sort(np.concatenate(pieces)) if pieces else np.zeros(0)
     if all_hits.size == 0:
@@ -376,8 +372,7 @@ def minmax_with_index(rt, name: str, value: RValue) -> tuple:
                 candidates += zip(run[at].real.tolist(), table[at].tolist())
             else:
                 candidates += [nothing] * len(run)
-        rt.comm.overhead()
-        rt.comm.compute_ranks(elems=value.load)
+        rt.comm.charge(elems=value.load)
         rt.comm.charge_reduce(24)  # sizeof((float, int)) on every rank
         best = functools.reduce(pick, candidates)
     else:
@@ -388,8 +383,7 @@ def minmax_with_index(rt, name: str, value: RValue) -> tuple:
                          int(value.global_row_indices()[li]))
         else:
             candidate = nothing
-        rt.comm.overhead()
-        rt.comm.compute(elems=value.load)
+        rt.comm.charge(elems=value.load)
         best = rt.comm.allreduce(candidate, op=pick)
     return best[0], float(best[1] + 1)
 
@@ -471,14 +465,12 @@ def trapz(rt, x: RValue | None, y: RValue) -> RValue:
             # then every rank sums its block of the products
             weighted = _trapz_weights(np.arange(n), n, x_full) * y.base()
             parts = _partials(y.geom.stacked(weighted), np.add.reduce, 0.0)
-            rt.comm.overhead()
-            rt.comm.compute_ranks(elems=y.load * 2)
+            rt.comm.charge(elems=y.load * 2)
             rt.comm.charge_reduce(parts.itemsize)
             return fold_ranks(mpi_ops.SUM, parts)
         part = np.add.reduce(
             _trapz_weights(y.global_row_indices(), n, x_full) * y.local)
-        rt.comm.overhead()
-        rt.comm.compute(elems=y.load * 2)
+        rt.comm.charge(elems=y.load * 2)
         return rt.comm.allreduce(part.item())
     ya = V.as_matrix(y).reshape(-1)
     xa = None if x is None else V.as_matrix(x).reshape(-1)
@@ -505,16 +497,14 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
         parts = rank_axis([
             (rw[:, None, :] @ (rz.real @ wc)[:, :, None])[:, 0, 0]
             for rw, rz in zip(z.geom.stacked(wr), z.stacked())])
-        rt.comm.overhead()
-        rt.comm.compute_ranks(elems=z.load * 3)
+        rt.comm.charge(elems=z.load * 3)
         rt.comm.charge_reduce(8)
         return float(fold_ranks(mpi_ops.SUM, parts) * dxv * dyv)
     if isinstance(z, DMatrix) and not z.is_vector:
         gidx = z.global_row_indices()
         wr = np.where((gidx == 0) | (gidx == rows - 1), 0.5, 1.0)
         part = float(wr @ (z.local.real @ wc)) if z.local.size else 0.0
-        rt.comm.overhead()
-        rt.comm.compute(elems=z.load * 3)
+        rt.comm.charge(elems=z.load * 3)
         return float(rt.comm.allreduce(part) * dxv * dyv)
     full = rt.gather_full(z) if isinstance(z, DMatrix) else V.as_matrix(z)
     wr = np.ones(rows)
@@ -554,8 +544,7 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
                 scan[:, -1] if scan.shape[1] else
                 np.full(len(scan), identity, dtype=scan.dtype)
                 for scan in scanned]).tolist()
-            rt.comm.overhead()
-            rt.comm.compute_ranks(elems=geom.counts)
+            rt.comm.charge(elems=geom.counts)
             rt.comm.charge_scan(value.full.itemsize)
             # every rank above 0 combines the fold, in rank order, of the
             # totals below it into its scan: exscan's combine closure on
@@ -574,8 +563,7 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
         local = value.local
         scanned = np_fn(local) if local.size else local
         total = scanned[-1].item() if local.size else identity
-        rt.comm.overhead()
-        rt.comm.compute(elems=value.load)
+        rt.comm.charge(elems=value.load)
         exclusive = rt.comm.exscan(total, op=op)
         out = scanned if exclusive is None or not local.size \
             else op(scanned, exclusive)

@@ -159,18 +159,15 @@ def charge_shift(comm, load, plan) -> None:
     a ring exchange, an alltoall or (a whole turn) the overhead alone."""
     _, _, col, row = plan
     if col:
-        comm.overhead()
-        comm.compute_own(mem=load)
+        comm.charge(mem=load)
     if row is None:
         return
     kind = row[0]
     if kind == "ring":
         comm.ring_exchange(row[1], forward=row[2])
-        comm.overhead()
-        comm.compute_ranks(mem=load)
+        comm.charge(mem=load)
     elif kind == "alltoall":
-        comm.overhead()
-        comm.compute_ranks(mem=load)
+        comm.charge(mem=load)
         comm.charge_alltoall(row[1])
     else:
         comm.overhead()
@@ -230,8 +227,7 @@ def _circshift2(rt, value: DMatrix, kr: int, kc: int) -> RValue:
     if value.cols == 0 or kc % value.cols == 0:
         kc = 0
     if kc:
-        rt.comm.overhead()
-        rt.comm.compute_own(mem=value.load)
+        rt.comm.charge(mem=value.load)
         value = _rotated(value, kc, 1)
     if value.rows == 0 or kr % value.rows == 0:
         if kc:
@@ -278,8 +274,7 @@ def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
     outgoing = [(sorted_dest[offsets[r]:offsets[r + 1]],
                  sorted_vals[offsets[r]:offsets[r + 1]])
                 for r in range(rt.size)]
-    rt.comm.overhead()
-    rt.comm.compute(mem=vec.load)
+    rt.comm.charge(mem=vec.load)
     incoming = rt.comm.alltoall(outgoing)
     new_local = np.empty_like(vec.local)
     for piece_dest, piece_vals in incoming:
@@ -311,8 +306,7 @@ def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
         received = rt.comm.sendrecv(boundary, dest=dest, source=source)
         new_local = np.concatenate([local[kk:], received]) \
             if local.size else local.copy()
-    rt.comm.overhead()
-    rt.comm.compute(mem=vec.load)
+    rt.comm.charge(mem=vec.load)
     return vec.like(np.asarray(new_local, dtype=vec.local.dtype))
 
 
@@ -331,8 +325,7 @@ def flip(rt, value: RValue, axis: int) -> RValue:
         return rt.distribute_full(np.ascontiguousarray(out))
     if axis == 1:
         # column flip is local for row-distributed matrices
-        rt.comm.overhead()
-        rt.comm.compute_own(mem=value.load)
+        rt.comm.charge(mem=value.load)
         return value.like(np.ascontiguousarray(np.flip(value.held, axis=1)))
     full = rt.gather_full(value)
     rt.comm.compute(mem=full.size)
@@ -356,8 +349,7 @@ def triangle(rt, value: RValue, k: RValue, lower: bool) -> RValue:
         mask = cols[None, :] <= gidx[:, None] + kv
     else:
         mask = cols[None, :] >= gidx[:, None] + kv
-    rt.comm.overhead()
-    rt.comm.compute_own(elems=value.load)
+    rt.comm.charge(elems=value.load)
     held = value.held
     return value.like(np.where(mask, held, 0.0).astype(held.dtype))
 
@@ -404,9 +396,8 @@ def _sample_sort(rt, vec: DMatrix) -> DMatrix:
     p = rt.size
     local = np.sort(np.real(vec.local).astype(float))
     n_local = local.size
-    rt.comm.overhead()
-    rt.comm.compute(elems=n_local * max(int(np.log2(n_local))
-                                        if n_local > 1 else 1, 1))
+    rt.comm.charge(elems=n_local * max(int(np.log2(n_local))
+                                       if n_local > 1 else 1, 1))
     # sample p-1 local splitters (or fewer when the block is small)
     if n_local:
         picks = np.linspace(0, n_local - 1, p + 1)[1:-1]
@@ -451,8 +442,7 @@ def _sample_sort_fused(rt, vec: FusedDMatrix) -> DMatrix:
         return n * max(int(np.log2(n)) if n > 1 else 1, 1)
 
     locals_ = [np.sort(np.real(blk).astype(float)) for blk in vec.blocks()]
-    rt.comm.overhead()
-    rt.comm.compute_ranks(elems=[sort_cost(lv.size) for lv in locals_])
+    rt.comm.charge(elems=[sort_cost(lv.size) for lv in locals_])
     # splitter sampling (replicated arithmetic on every rank)
     sample_lists = []
     for lv in locals_:

@@ -152,3 +152,27 @@ class TestArgumentValidation:
 
         with pytest.raises(MpiError, match="invalid tag"):
             run_spmd(2, MEIKO_CS2, prog)
+
+    def test_sendrecv_checks_its_destination_before_posting(self):
+        """A bad ``dest`` beside a good, non-self ``source`` is refused
+        before the send half posts: no mailbox entry, no message
+        counted, no clock moved."""
+        from repro.mpi import MpiError
+        from repro.mpi.comm import Comm, World
+
+        world = World(2, MEIKO_CS2)
+        comm = Comm(world, 0)
+        before = world.clocks.copy()
+        with pytest.raises(MpiError, match="invalid destination"):
+            comm.sendrecv(np.ones(4), dest=5, source=1)
+        assert world.mailboxes == {}
+        assert world.rank_messages.tolist() == [0, 0]
+        assert world.rank_bytes.tolist() == [0, 0]
+        assert world.clocks.tobytes() == before.tobytes()
+
+        def prog(comm):
+            comm.sendrecv(1, dest=comm.size + comm.rank,
+                          source=(comm.rank + 1) % comm.size)
+
+        with pytest.raises(MpiError, match="invalid destination"):
+            run_spmd(2, MEIKO_CS2, prog)

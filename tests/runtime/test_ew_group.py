@@ -718,3 +718,33 @@ def test_a_benchmark_stencil_makes_a_few_native_calls(name, most, batched):
         pytest.skip("native tier unavailable")
     assert result.native["native_calls"] <= most
     assert result.native["loop_iterations"] == batched
+
+
+def test_a_loop_group_records_one_charge_per_member(monkeypatch):
+    """What ``image_filter``'s batch replays per iteration: one
+    ``charge`` for each of its 14 members and its two halo taps' ring
+    exchanges — no ``overhead`` / ``compute_ranks`` pairs, so the
+    replay is 16 calls an iteration."""
+    from repro.runtime.context import LoopGroup
+    from tests.corpus import shipped_programs
+
+    recorded = []
+    replay = LoopGroup._replay
+
+    def spy(self):
+        recorded.append((self.members,
+                         [method.__name__ for method, _, _ in
+                          self.comm.calls]))
+        replay(self)
+
+    monkeypatch.setattr(LoopGroup, "_replay", spy)
+    source, _ = shipped_programs()["e2e/image_filter"]
+    result = compile_source(source).run(nprocs=4, backend="fused",
+                                        native="auto")
+    if result.native is None:
+        pytest.skip("native tier unavailable")
+    [(members, names)] = recorded
+    assert members == 14
+    assert names.count("charge") == members
+    assert names.count("ring_exchange") == 2
+    assert len(names) == 16
