@@ -44,7 +44,7 @@ from .ir.pretty import pretty_ir
 from .mpi.executor import SpmdResult, run_spmd
 from .mpi.machine import MEIKO_CS2, MachineModel
 from .runconfig import RunConfig, resolve
-from .runtime.context import RuntimeContext
+from .runtime.context import RuntimeContext, replicate_workspace
 
 
 @dataclass
@@ -244,18 +244,7 @@ class CompiledProgram:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     workspace = main(rt)
                 peaks[rt.rank] = rt.peak_local_bytes
-                clocks = comm.clock_snapshot()
-                token = comm.trace_suspend()
-                # Replicate the final workspace (gathers run on every
-                # rank, in the same deterministic order) so callers see
-                # plain values.  This is *instrumentation* — roll its
-                # cost back off the virtual clock (and keep it out of
-                # the trace) so `elapsed` measures only the program.
-                replicated = {name: rt.to_interp_value(value)
-                              for name, value in workspace.items()}
-                comm.clock_restore(clocks)
-                comm.trace_resume(token)
-                return replicated
+                return workspace
             finally:
                 # crucial for the nprocs==1 / fused inline paths, which
                 # run on the caller's thread: don't leak the tracker
@@ -275,9 +264,13 @@ class CompiledProgram:
             peak_local_bytes = [peaks.get(0, 0)] * nprocs
         else:
             peak_local_bytes = [peaks.get(r, 0) for r in range(nprocs)]
-        workspace = spmd.results[0] or {}
-        # drop never-assigned variables for a clean workspace view
-        workspace = {k: v for k, v in workspace.items() if v is not None}
+        workspace = replicate_workspace(spmd.results,
+                                        spmd.backend == "fused")
+        # the raw descriptors end here: every finished rank's result is
+        # the one replicated workspace
+        spmd.results = [workspace if raw is not None else None
+                        for raw in spmd.results]
+        workspace = workspace or {}
         native_report = None
         if engine is not None:
             after = engine.stats.snapshot()

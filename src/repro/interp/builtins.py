@@ -9,6 +9,9 @@ A test asserts this table covers exactly the names registered in
 
 from __future__ import annotations
 
+import functools
+import re
+
 import numpy as np
 
 from ..errors import MatlabRuntimeError
@@ -523,81 +526,88 @@ def _fprintf(ctx, args, nargout):
     fmt = args[0]
     if not isinstance(fmt, str):
         raise MatlabRuntimeError("fprintf: first argument must be a format")
+    ctx.write(sprintf_cycle(fmt, printf_values(args[1:])))
+    return None
+
+
+def printf_values(args) -> list:
+    """``fprintf``/``sprintf`` operands as one list: a string is one
+    value, a matrix its elements in column-major order."""
     values: list = []
-    for a in args[1:]:
+    for a in args:
         if isinstance(a, str):
             values.append(a)
         else:
             values.extend(as_matrix(a).reshape(-1, order="F").tolist())
-    ctx.write(sprintf_cycle(fmt, values))
-    return None
+    return values
 
 
 def sprintf_cycle(fmt: str, values: list) -> str:
     """MATLAB fprintf semantics: the format is reapplied until the
-    argument list is exhausted."""
-    text = fmt.replace("\\n", "\n").replace("\\t", "\t")
-    specs = _count_specs(text)
-    if specs == 0 or not values:
+    argument list is exhausted (a short last round reads zeros)."""
+    text, count, pieces = compile_format(fmt)
+    if count == 0 or not values:
         return text
-    out = []
-    i = 0
-    while i < len(values):
-        chunk = values[i:i + specs]
-        if len(chunk) < specs:
-            chunk = chunk + [0.0] * (specs - len(chunk))
-        out.append(_apply_format(text, chunk))
-        i += specs
-    return "".join(out)
-
-
-def _count_specs(fmt: str) -> int:
-    count = 0
-    i = 0
-    while i < len(fmt):
-        if fmt[i] == "%" and i + 1 < len(fmt):
-            if fmt[i + 1] == "%":
-                i += 2
+    out: list[str] = []
+    for start in range(0, len(values), count):
+        chunk = values[start:start + count]
+        vi = 0
+        for piece in pieces:
+            if piece.__class__ is str:
+                out.append(piece)
                 continue
-            count += 1
-        i += 1
-    return count
-
-
-def _apply_format(fmt: str, values: list) -> str:
-    converted = []
-    vi = 0
-    i = 0
-    out = []
-    while i < len(fmt):
-        ch = fmt[i]
-        if ch != "%":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 < len(fmt) and fmt[i + 1] == "%":
-            out.append("%")
-            i += 2
-            continue
-        j = i + 1
-        while j < len(fmt) and fmt[j] not in "diufgGeEsx":
-            j += 1
-        if j >= len(fmt):
-            out.append(fmt[i:])
-            break
-        spec = fmt[i:j + 1]
-        conv = fmt[j]
-        value = values[vi] if vi < len(values) else 0.0
-        vi += 1
-        if conv in "diux":
-            out.append(spec.replace("u", "d") % int(round(float(
-                np.real(value)))))
-        elif conv == "s":
-            out.append(spec % str(value))
-        else:
-            out.append(spec % float(np.real(value)))
-        i = j + 1
+            spec, kind = piece
+            value = chunk[vi] if vi < len(chunk) else 0.0
+            vi += 1
+            if kind == "d":
+                out.append(spec % int(round(float(np.real(value)))))
+            elif kind == "s":
+                out.append(spec % str(value))
+            else:
+                out.append(spec % float(np.real(value)))
     return "".join(out)
+
+
+#: one token of a format: ``%%``, a conversion (a ``%``, anything but a
+#: conversion letter, the letter), or an unterminated ``%`` and the rest
+_FORMAT_TOKEN = re.compile(
+    r"(?P<pct>%%)|(?P<spec>%[^diufgGeEsx]*[diufgGeEsx])|%.*", re.S)
+
+
+@functools.lru_cache(maxsize=256)
+def compile_format(fmt: str) -> tuple:
+    """A format scanned once: ``(text, count, pieces)`` — the format with
+    its ``\\n`` / ``\\t`` escapes applied, the values one application
+    consumes (each ``%`` with a character after it, ``%%`` read as one
+    literal from the left), and its literal strings and ``(spec, kind)``
+    conversions in order, ``kind`` one of ``"d"`` (``diux``), ``"s"``,
+    ``"f"``."""
+    text = fmt.replace("\\n", "\n").replace("\\t", "\t")
+    count = sum(c != "%" for c in re.findall(r"%(.)", text, re.S))
+    pieces: list = []
+    literal = ""
+    pos = 0
+    for token in _FORMAT_TOKEN.finditer(text):
+        literal += text[pos:token.start()]
+        pos = token.end()
+        if token.lastgroup == "pct":
+            literal += "%"
+        elif token.lastgroup is None:   # unterminated: the rest, as is
+            literal += token.group()
+        else:
+            if literal:
+                pieces.append(literal)
+                literal = ""
+            spec = token.group()
+            conv = spec[-1]
+            if conv in "diux":
+                pieces.append((spec.replace("u", "d"), "d"))
+            else:
+                pieces.append((spec, "s" if conv == "s" else "f"))
+    literal += text[pos:]
+    if literal:
+        pieces.append(literal)
+    return text, count, tuple(pieces)
 
 
 @_register("error")
@@ -670,13 +680,7 @@ def _sprintf(ctx, args, nargout):
     fmt = args[0]
     if not isinstance(fmt, str):
         raise MatlabRuntimeError("sprintf: first argument must be a format")
-    values: list = []
-    for a in args[1:]:
-        if isinstance(a, str):
-            values.append(a)
-        else:
-            values.extend(as_matrix(a).reshape(-1, order="F").tolist())
-    return sprintf_cycle(fmt, values)
+    return sprintf_cycle(fmt, printf_values(args[1:]))
 
 
 def format_number(value, precision=5) -> str:

@@ -374,25 +374,7 @@ class Comm:
         if rec is not None:
             rec.charge(line, dt)
 
-    def clock_snapshot(self):
-        """Opaque snapshot of this rank's clock (see ``clock_restore``)."""
-        return self.world.clocks[self.rank]
-
-    def clock_restore(self, snapshot) -> None:
-        """Roll the clock back to a snapshot (instrumentation support)."""
-        self.world.clocks[self.rank] = snapshot
-
     # -- tracing -------------------------------------------------------- #
-
-    def trace_suspend(self):
-        """Detach this rank's recorder (for instrumentation-only work
-        whose clock cost is rolled back, e.g. final-workspace gathers);
-        returns a token for :meth:`trace_resume`."""
-        rec, self._rec = self._rec, None
-        return rec
-
-    def trace_resume(self, token) -> None:
-        self._rec = token
 
     def trace_io(self, nbytes: int) -> None:
         """Record a program-output event (rank 0 writes on every backend)."""

@@ -205,10 +205,8 @@ class FusedComm:
         raise FusionDivergence("per-rank clock read outside tic/toc")
 
     def clock_snapshot(self) -> list:
+        """Every rank's clock, for ``tic``/``toc``."""
         return self.world.clocks.tolist()
-
-    def clock_restore(self, snapshot) -> None:
-        self.world.clocks[:] = snapshot
 
     # -- replicated virtual time ------------------------------------------ #
 
@@ -245,16 +243,6 @@ class FusedComm:
     def tracing(self) -> bool:
         """Is a trace recording what this communicator charges?"""
         return self._trace is not None
-
-    def trace_suspend(self):
-        """Pause recording (instrumentation-only work); returns a token
-        for :meth:`trace_resume`."""
-        token = self._trace
-        self._trace = None
-        return token
-
-    def trace_resume(self, token) -> None:
-        self._trace = token
 
     def trace_io(self, nbytes: int) -> None:
         if self._trace is not None:

@@ -113,20 +113,13 @@ def _det(rt, a, n):
 
 
 def _sprintf(rt, a, n):
-    from ..interp.builtins import sprintf_cycle
+    from ..interp.builtins import printf_values, sprintf_cycle
 
     if not isinstance(a[0], str):
         raise MatlabRuntimeError(
             "sprintf: first argument must be a format")
-    values: list = []
-    for arg in a[1:]:
-        rep = rt.to_interp_value(arg)
-        if isinstance(rep, str):
-            values.append(rep)
-        else:
-            values.extend(V.as_matrix(rep).reshape(-1, order="F")
-                          .tolist())
-    return sprintf_cycle(a[0], values)
+    return sprintf_cycle(a[0], printf_values(
+        [rt.to_interp_value(arg) for arg in a[1:]]))
 
 
 def _via_interpreter(name: str):

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import FusionDivergence, MatlabRuntimeError
+from ..errors import FusionDivergence, MatlabRuntimeError, MpiError
 from ..ewops import TAP
 from ..interp import values as V
 from ..mpi.comm import LAND, Comm
@@ -225,12 +225,13 @@ class RuntimeContext:
         return full
 
     def to_interp_value(self, value: RValue):
-        """Replicated plain value (for oracles/tests): gathers if needed.
+        """Replicated plain value (I/O, ``save``, builtins the
+        interpreter implements): gathers if needed.
 
-        Every caller only reads the result or keeps it (the final
-        workspace, ``save``), so a fused descriptor hands over its own
-        array, uncopied: descriptors never write into a shared array,
-        and a held reference keeps it off the free lists."""
+        Every caller only reads the result or keeps it, so a fused
+        descriptor hands over its own array, uncopied: descriptors never
+        write into a shared array, and a held reference keeps it off the
+        free lists."""
         if isinstance(value, DMatrix):
             return V.simplify(self.gather_full(value, copy=False))
         if isinstance(value, PerRankScalar):
@@ -800,28 +801,27 @@ class RuntimeContext:
     # I/O (coordinated by rank 0) — ML_print_matrix and friends
     # ------------------------------------------------------------------ #
 
+    # every rank gathers the operands; rank 0, the one that writes, makes
+    # the text (a formatting error is still the lowest failing rank's)
+
     def display(self, name: str, value: RValue) -> None:
         rep = self.to_interp_value(value)
-        self.write(V.display(name, rep))
+        if self.rank == 0:
+            self.write(V.display(name, rep))
 
     def disp(self, value: RValue) -> None:
         rep = self.to_interp_value(value)
-        self.write(V.format_value(rep) + "\n")
+        if self.rank == 0:
+            self.write(V.format_value(rep) + "\n")
 
     def fprintf(self, fmt: RValue, *args: RValue) -> None:
-        from ..interp.builtins import sprintf_cycle
+        from ..interp.builtins import printf_values, sprintf_cycle
 
         if not isinstance(fmt, str):
             raise MatlabRuntimeError("fprintf: first argument must be a format")
-        values: list = []
-        for a in args:
-            rep = self.to_interp_value(a)
-            if isinstance(rep, str):
-                values.append(rep)
-            else:
-                values.extend(V.as_matrix(rep).reshape(-1, order="F")
-                              .tolist())
-        self.write(sprintf_cycle(fmt, values))
+        reps = [self.to_interp_value(a) for a in args]
+        if self.rank == 0:
+            self.write(sprintf_cycle(fmt, printf_values(reps)))
 
     def error(self, fmt: RValue, *args: RValue) -> None:
         from ..interp.builtins import sprintf_cycle
@@ -922,6 +922,45 @@ class RuntimeContext:
         base = self.tic_time if isinstance(self.tic_time, list) \
             else [self.tic_time] * self.size
         return PerRankScalar([n - b for n, b in zip(now, base)]).collapse()
+
+
+def replicate_workspace(results: list, fused: bool) -> Optional[dict]:
+    """Rank 0's final workspace as plain values, built once on the host
+    from the raw workspace each rank's program returned (in rank order;
+    under ``fused`` one pass stood in for every rank): a distributed
+    value is assembled from the ranks' blocks as a gather would end (a
+    fused one hands over its full array, uncopied, as
+    :meth:`RuntimeContext.to_interp_value` does), a rank-varying scalar
+    is rank 0's, and never-assigned variables are dropped.  No
+    collective, clock or trace sees it.  ``None`` when rank 0 did not
+    finish, or a peer's block is missing (a degraded run)."""
+    workspace = results[0]
+    if workspace is None:
+        return None
+    distributed = {name for name, value in workspace.items()
+                   if isinstance(value, DMatrix)}
+    for rank, peer in enumerate(() if fused else results[1:], 1):
+        if peer is None:
+            if distributed:
+                return None
+            continue
+        theirs = {name for name, value in peer.items()
+                  if isinstance(value, DMatrix)}
+        if theirs != distributed:
+            raise MpiError(
+                f"final workspace: rank {rank} and rank 0 disagree on "
+                f"whether {min(theirs ^ distributed)!r} is distributed")
+    replicated = {}
+    for name, value in workspace.items():
+        if name in distributed:
+            value = V.simplify(value.full if fused else value.assemble(
+                [peer[name].held for peer in results]))
+        elif isinstance(value, PerRankScalar):
+            value = value.values[0]   # what rank 0 holds under lockstep
+        elif value is None:
+            continue
+        replicated[name] = value
+    return replicated
 
 
 # -------------------------------------------------------------------------- #

@@ -118,25 +118,6 @@ def test_trace_env_enables_recording(monkeypatch):
     assert result.trace.meta["backend"] in BACKENDS
 
 
-def test_suspension_hides_instrumentation(monkeypatch):
-    def prog(comm):
-        comm.line = 2
-        comm.compute(flops=100)
-        token = comm.trace_suspend()
-        comm.allreduce(1.0)       # "instrumentation" work
-        comm.trace_resume(token)
-        comm.line = 3
-        comm.barrier()
-        return 0.0
-
-    result = run_spmd(2, MEIKO_CS2, prog, backend="lockstep", trace=True)
-    text = canonical_events(result.trace)
-    assert "allreduce" not in text
-    assert "barrier" in text
-    # the suspended collective still counted in world accounting
-    assert result.collective_counts.get("allreduce") == 1
-
-
 def test_fault_events_flow_into_trace():
     def prog(comm):
         comm.line = 2
