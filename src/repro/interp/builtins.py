@@ -276,6 +276,10 @@ def _minmax(np_red, np_arg, np_ew):
             return _ew_binary(np_ew)(ctx, args, nargout)
         arr = as_matrix(args[0])
         ctx.meter.charge_elementwise(arr.size)
+        if arr.size == 0:
+            # the extremum of nothing, and its index, are nothing
+            return (np.zeros((0, 0)),) * 2 if nargout >= 2 \
+                else np.zeros((0, 0))
         if arr.shape[0] == 1 or arr.shape[1] == 1:
             flat = arr.reshape(-1)
             val = simplify(np_red(flat))

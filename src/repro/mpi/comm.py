@@ -316,6 +316,12 @@ class Comm:
     def time(self) -> float:
         return self.world.clocks[self.rank]
 
+    def clock_snapshot(self) -> float:
+        """What ``tic``/``toc`` read: this rank's clock (a
+        :class:`~repro.mpi.fused.FusedComm`'s is every rank's, a
+        list)."""
+        return self.world.clocks[self.rank]
+
     def advance(self, dt: float) -> None:
         if dt < 0:
             raise MpiError("cannot advance the clock backwards")
@@ -639,6 +645,16 @@ class Comm:
 
         return self.world.sync(self.rank, obj, combine, op="allreduce",
                                rec=self._rec, line=self.line)
+
+    def fold(self, parts: np.ndarray, op: Callable = SUM) -> Any:
+        """The total of every rank's partial, combined in rank order —
+        ``parts`` has the rank axis first, here one row, this rank's:
+        its allreduce (a Python number for a scalar partial).  What an
+        op body written once for both communicators calls
+        (:meth:`FusedComm.fold <repro.mpi.fused.FusedComm.fold>` folds
+        all P rows)."""
+        return self.allreduce(parts[0] if parts.ndim > 1 else parts.item(),
+                              op)
 
     def allgather(self, obj: Any) -> list:
         machine = self.machine

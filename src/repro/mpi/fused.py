@@ -446,6 +446,13 @@ class FusedComm:
         self.charge_reduce(datatypes.sizeof(obj))
         return acc
 
+    def fold(self, parts: np.ndarray, op: Callable = SUM) -> Any:
+        """:meth:`Comm.fold <repro.mpi.comm.Comm.fold>` of all P ranks'
+        partials (rank axis first): the allreduce's price for one row,
+        then :func:`fold_ranks`."""
+        self.charge_reduce(parts[0].nbytes)
+        return fold_ranks(op, parts)
+
     def _fold_identical(self, op: Callable, obj: Any) -> Any:
         """``op`` folded over P identical contributions, bit-identical to
         the lockstep rank-order loop ``acc = op(acc, obj)`` × (P-1) but

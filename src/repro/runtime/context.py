@@ -907,16 +907,12 @@ class RuntimeContext:
             np.savetxt(buf, np.atleast_2d(arr), fmt="%.17g")
         return buf.getvalue()
 
-    def _clock(self):
-        """What ``tic``/``toc`` read: this rank's time, or under fusion
-        every rank's (a list)."""
-        return self.comm.clock_snapshot() if self.fused else self.comm.time
-
     def tic(self) -> None:
-        self.tic_time = self._clock()
+        # this rank's clock, or under fusion every rank's (a list)
+        self.tic_time = self.comm.clock_snapshot()
 
     def toc(self):
-        now = self._clock()
+        now = self.comm.clock_snapshot()
         if not isinstance(now, list):
             return float(now - self.tic_time)
         base = self.tic_time if isinstance(self.tic_time, list) \

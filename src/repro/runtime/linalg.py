@@ -29,9 +29,8 @@ import numpy as np
 from ..errors import MatlabRuntimeError
 from ..interp import values as V
 from ..mpi.comm import SUM
-from ..mpi.fused import fold_ranks
-from .distribution import get_geometry, rank_axis
-from .matrix import DMatrix, FusedDMatrix, RValue
+from .distribution import rank_axis
+from .matrix import DMatrix, RValue
 
 
 def _as_full(rt, value: RValue) -> np.ndarray:
@@ -39,44 +38,34 @@ def _as_full(rt, value: RValue) -> np.ndarray:
         else V.as_matrix(value)
 
 
-# The fused paths below compute every rank's local kernel with one
-# numpy call per run of ``FusedDMatrix.stacked`` — a batched ``matmul``
-# runs the same BLAS routine on each item that the lockstep arm runs on
-# that rank's block — and fold the partials in rank order, the order
-# ``Comm``'s combine uses, so both the numerical results and the charged
-# costs are bit-identical to the lockstep backend.  Each form is pinned
-# by tests/runtime/test_batched_partials.py; multiplying the *whole*
-# matrix in one gemv/gemm is not among them (docs/SCALING.md).
+# Each op below is one body over ``stacked()``, which both descriptors
+# answer: every rank the descriptor stands for, one ``(ranks, items per
+# rank, ...)`` array per run — a lockstep rank's block as a run of one,
+# all ranks' blocks under fusion.  A batched ``matmul`` runs on each
+# item the same BLAS routine a rank runs on its block, and ``comm.fold``
+# combines the partials in rank order (an allreduce of one rank's, the
+# fold of all ranks'), so results and charges are the same on both
+# backends.  Each batched form is pinned against the per-rank call by
+# tests/runtime/test_batched_partials.py; multiplying the *whole* matrix
+# in one gemv/gemm is not among them (docs/SCALING.md).
 
 
 def _vector_dot(rt, a: DMatrix, b: DMatrix, conj: bool = False) -> RValue:
     """ML_dot of two vectors distributed alike (``conj``: of ``a``'s
     conjugate): ``np.dot`` of each rank's blocks, then an allreduce."""
-    if isinstance(a, FusedDMatrix):
-        parts = []
-        for ra, rb in zip(a.stacked(), b.stacked()):
-            if conj:
-                ra = ra.conj()
-            if ra.shape[1] == 1:
-                # np.dot multiplies one-element vectors as scalars, which
-                # no batched call reproduces (-0.0 * x stays -0.0; matmul
-                # adds it to 0.0): vectors this short keep the rank's call
-                parts.append(np.array([np.dot(x, y)
-                                       for x, y in zip(ra, rb)]))
-            else:
-                parts.append((ra[:, None, :] @ rb[:, :, None])[:, 0, 0])
-        parts = rank_axis(parts)
-        rt.comm.charge(flops=a.load * 2)
-        rt.comm.charge_reduce(parts.itemsize)
-        return fold_ranks(SUM, parts)
-    av, bv = a.local, b.local
-    if av.shape != bv.shape:  # the caller has realigned the schemes
-        raise MatlabRuntimeError("dot: inconsistent distributions")
-    partial = np.dot(av.conj() if conj else av, bv)
-    rt.comm.charge(flops=2 * av.size)
-    return rt.comm.allreduce(
-        complex(partial) if np.iscomplexobj(av) or np.iscomplexobj(bv)
-        else float(partial))
+    parts = []
+    for ra, rb in zip(a.stacked(), b.stacked()):
+        if conj:
+            ra = ra.conj()
+        if ra.shape[1] == 1:
+            # np.dot multiplies one-element vectors as scalars, which
+            # no batched call reproduces (-0.0 * x stays -0.0; matmul
+            # adds it to 0.0): vectors this short keep the rank's call
+            parts.append(np.array([np.dot(x, y) for x, y in zip(ra, rb)]))
+        else:
+            parts.append((ra[:, None, :] @ rb[:, :, None])[:, 0, 0])
+    rt.comm.charge(flops=a.load * 2)
+    return rt.comm.fold(rank_axis(parts), SUM)
 
 
 def matmul(rt, a: RValue, b: RValue) -> RValue:
@@ -137,26 +126,14 @@ def outer(rt, a: RValue, b: RValue) -> RValue:
 
 
 def matvec(rt, a: RValue, x: RValue) -> RValue:
-    """(m x k) * (k x 1): ML_matrix_vector_multiply."""
-    if isinstance(a, FusedDMatrix) and not a.is_vector:
-        x_full = _as_full(rt, x).reshape(-1)
-        y = a.geom.unstacked([run @ x_full for run in a.stacked()])
-        rt.comm.charge(flops=a.load * 2)
-        return FusedDMatrix(get_geometry(a.rows, 1, rt.size, a.scheme),
-                            y.dtype, y.reshape(-1, 1))
+    """(m x k) * (k x 1): ML_matrix_vector_multiply — allgather the
+    vector, multiply each rank's rows; the rows of A coincide with the
+    elements of y under A's own scheme, so y inherits it."""
     if isinstance(a, DMatrix) and not a.is_vector:
         x_full = _as_full(rt, x).reshape(-1)
-        y_local = a.local @ x_full
-        rt.comm.charge(flops=2 * a.local.size)
-        m = a.rows
-        if m == 1:
-            return V.simplify(np.asarray(y_local).reshape(1, 1)) \
-                if y_local.size == 1 else rt.distribute_full(
-                    np.asarray(y_local).reshape(1, -1))
-        # row blocks/cycles of A coincide with the element partition of y
-        # under A's own scheme, so y inherits it
-        return DMatrix(get_geometry(m, 1, rt.size, a.scheme),
-                       y_local.dtype, np.asarray(y_local), rt.rank)
+        y = a.unstacked([run @ x_full for run in a.stacked()], 1)
+        rt.comm.charge(flops=a.load * 2)
+        return y
     full = _as_full(rt, a) @ _as_full(rt, x)
     rt.comm.compute(flops=2 * _as_full(rt, a).size)
     return rt.distribute_full(full) if full.size > 1 else V.simplify(full)
@@ -165,23 +142,13 @@ def matvec(rt, a: RValue, x: RValue) -> RValue:
 def vecmat(rt, x: RValue, a: RValue) -> RValue:
     """(1 x k) * (k x n): partial products over row blocks + allreduce."""
     if isinstance(a, DMatrix) and not a.is_vector:
-        x_full = _as_full(rt, x).reshape(-1)
-        if isinstance(a, FusedDMatrix):
-            # each rank: its elements of x times its rows of a (ranks
-            # that hold nothing get matmul's zeros)
-            parts = rank_axis([
-                (rx[:, None, :] @ ra)[:, 0, :]
-                for rx, ra in zip(a.geom.stacked(x_full), a.stacked())])
-            rt.comm.charge(flops=a.load * 2)
-            rt.comm.charge_reduce(parts[0].nbytes)
-            total = fold_ranks(SUM, parts)
-        else:
-            rows = a.global_row_indices()
-            partial = x_full[rows] @ a.local if a.local.size else \
-                np.zeros(a.cols, dtype=a.local.dtype)
-            rt.comm.charge(flops=2 * a.local.size)
-            total = rt.comm.allreduce(np.asarray(partial))
-        result = np.asarray(total).reshape(1, -1)
+        # each rank: its elements of x times its rows of a (ranks that
+        # hold nothing get matmul's zeros)
+        parts = rank_axis([
+            (rx[:, None, :] @ ra)[:, 0, :] for rx, ra in
+            zip(a.stacked(_as_full(rt, x).reshape(-1)), a.stacked())])
+        rt.comm.charge(flops=a.load * 2)
+        result = np.asarray(rt.comm.fold(parts, SUM)).reshape(1, -1)
         return rt.distribute_full(result) if result.size > 1 \
             else V.simplify(result)
     full = _as_full(rt, x) @ _as_full(rt, a)
@@ -192,19 +159,11 @@ def vecmat(rt, x: RValue, a: RValue) -> RValue:
 def _matmat(rt, a: RValue, b: RValue) -> RValue:
     """(m x k) * (k x n): allgather B, multiply local row block of A."""
     b_full = _as_full(rt, b)
-    if isinstance(a, FusedDMatrix) and not a.is_vector:
-        full = a.geom.unstacked([run @ b_full for run in a.stacked()])
-        n = b_full.shape[1]
-        rt.comm.charge(flops=a.load * (2 * n))
-        return FusedDMatrix(get_geometry(a.rows, n, rt.size, a.scheme),
-                            full.dtype, full)
     if isinstance(a, DMatrix) and not a.is_vector:
-        local = a.local @ b_full
-        rt.comm.charge(flops=2 * a.local.shape[0] * a.local.shape[1]
-                       * b_full.shape[1])
-        return DMatrix(
-            get_geometry(a.rows, b_full.shape[1], rt.size, a.scheme),
-            local.dtype, local, rt.rank)
+        n = b_full.shape[1]
+        out = a.unstacked([run @ b_full for run in a.stacked()], n)
+        rt.comm.charge(flops=a.load * (2 * n))
+        return out
     a_full = _as_full(rt, a)
     rt.comm.compute(flops=2 * a_full.shape[0] * a_full.shape[1]
                     * b_full.shape[1] // max(rt.size, 1))
@@ -280,13 +239,13 @@ def matrix_power(rt, a: RValue, k: RValue) -> RValue:
     return result
 
 
-def _transposed_products(a: FusedDMatrix, b_runs: list[np.ndarray],
-                         conjugate: bool) -> list[np.ndarray]:
-    """Per run, every rank's ``A_p' @ B_p`` (ranks first; matmul's
-    zeros for a rank that holds nothing)."""
-    conj = conjugate and a.full.dtype.kind == "c"
-    return [(ra.conj() if conj else ra).transpose(0, 2, 1) @ rb
-            for ra, rb in zip(a.stacked(), b_runs)]
+def _transposed_products(a: DMatrix, b_runs: list[np.ndarray],
+                         conjugate: bool) -> np.ndarray:
+    """Every rank's ``A_p' @ B_p``, rank axis first (matmul's zeros for
+    a rank that holds nothing)."""
+    conj = conjugate and a.dtype.kind == "c"
+    return rank_axis([(ra.conj() if conj else ra).transpose(0, 2, 1) @ rb
+                      for ra, rb in zip(a.stacked(), b_runs)])
 
 
 def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
@@ -322,35 +281,16 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
         gather_bytes = (a.rows * a.cols + b.rows * b.cols) * 8 // rt.size
         if result_bytes > 2 * gather_bytes and rt.size > 1:
             return matmul(rt, transpose(rt, a, conjugate), b)
-        if isinstance(a, FusedDMatrix):
-            parts = rank_axis(_transposed_products(
-                a, b.stacked(), conjugate))
-            rt.comm.charge(flops=a.load * (2 * b.cols))
-            rt.comm.charge_reduce(parts[0].nbytes)
-            return rt.distribute_full(fold_ranks(SUM, parts))
-        al = a.local.conj().T if conjugate and np.iscomplexobj(a.local) \
-            else a.local.T
-        partial = al @ b.local
-        # 2 * k_local * m * n flops per rank
-        rt.comm.charge(flops=2 * a.local.shape[0] * a.cols * b.cols)
-        total = rt.comm.allreduce(np.ascontiguousarray(partial))
-        return rt.distribute_full(np.asarray(total))
+        parts = _transposed_products(a, b.stacked(), conjugate)
+        rt.comm.charge(flops=a.load * (2 * b.cols))
+        return rt.distribute_full(rt.comm.fold(parts, SUM))
     # matrix' * vector: partial products over row blocks + one small
     # allreduce — no transpose materialization, no matrix gather
     if both and not a.is_vector and b.cols == 1:
-        if isinstance(a, FusedDMatrix):
-            parts = rank_axis(_transposed_products(
-                a, [rb[:, :, None] for rb in b.stacked()],
-                conjugate))[:, :, 0]
-            rt.comm.charge(flops=a.load * 2)
-            rt.comm.charge_reduce(parts[0].nbytes)
-            total = fold_ranks(SUM, parts)
-        else:
-            al = a.local.conj() if conjugate and np.iscomplexobj(a.local) \
-                else a.local
-            partial = al.T @ b.local if al.size else np.zeros(a.cols)
-            rt.comm.charge(flops=2 * a.local.size)
-            total = np.asarray(rt.comm.allreduce(np.asarray(partial)))
+        parts = _transposed_products(
+            a, [rb[:, :, None] for rb in b.stacked()], conjugate)[:, :, 0]
+        rt.comm.charge(flops=a.load * 2)
+        total = np.asarray(rt.comm.fold(parts, SUM))
         if total.size == 1:
             return V.simplify(total.reshape(1, 1))
         return rt.distribute_full(total.reshape(-1, 1))

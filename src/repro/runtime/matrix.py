@@ -15,16 +15,22 @@ compiler replicates scalar variables.
 
 The descriptor hides "how many elements live here and where": an op
 whose kernel runs on *the array this descriptor holds* is written once,
-against three names :class:`DMatrix` (one rank's block) and
+against names :class:`DMatrix` (one rank's block) and
 :class:`FusedDMatrix` (every rank's, as the full array) both answer —
 ``held`` (the block / the full array; a vector's block is 1-D), ``load``
-(what ``comm.compute_own`` charges for a pass over it: the ``int`` size
-of the real block / the geometry's per-rank
+(what ``comm.charge`` bills each rank for a pass over it: the ``int``
+size of the real block / the geometry's per-rank
 :class:`~repro.runtime.distribution.RankLoads`, two independent
-derivations, which keeps lockstep an oracle for the fused clocks) and
-``like(data, shape=None)``.  ``local`` and ``full`` are the same slot
-under the name that says which descriptor an arm expects; the ops that
-stay forked (docs/INTERNALS.md lists them) read those.
+derivations, which keeps lockstep an oracle for the fused clocks),
+``like(data, shape=None)``, and ``stacked()`` — what the ranks hold,
+rank axis first, one ``(ranks, items per rank, ...)`` array per run of
+equally loaded ranks: one rank's block as a run of one, or every
+rank's — with its inverse ``unstacked(runs, cols)``.  A body that
+computes its partials over ``stacked()`` and combines them with
+``comm.fold`` is the same code on both backends.  ``local`` and
+``full`` are the same slot as ``held`` under the name that says which
+descriptor an arm expects; the ops that stay forked (docs/INTERNALS.md
+lists them) read those.
 """
 
 from __future__ import annotations
@@ -170,6 +176,24 @@ class DMatrix:
             geom = get_geometry(*shape, geom.nprocs, geom.scheme)
         return DMatrix(geom, data.dtype, data, self.rank)
 
+    def stacked(self, base: np.ndarray | None = None) -> list[np.ndarray]:
+        """What the ranks this descriptor stands for hold, rank axis
+        first: one ``(ranks, items per rank, ...)`` array per run of
+        equally loaded ranks — here one rank's block, a run of one.
+        ``base`` (an array along the distributed axis, a vector's
+        weights or a matrix's row labels) is cut as the held items
+        are."""
+        return [(self.held if base is None
+                 else base[self.geom.slices[self.rank]])[None]]
+
+    def unstacked(self, runs: list[np.ndarray], cols: int) -> "DMatrix":
+        """Inverse of :meth:`stacked` for a per-rank result with one
+        item per held row: the ``rows x cols`` matrix (a column for
+        ``cols == 1``) distributed as this one's rows are."""
+        return DMatrix(get_geometry(self.rows, cols, self.geom.nprocs,
+                                    self.scheme),
+                       runs[0].dtype, runs[0][0], self.rank)
+
     def __repr__(self) -> str:
         return (f"DMatrix({self.rows}x{self.cols} {self.dtype}, "
                 f"rank {self.rank}/{self.geom.nprocs}, "
@@ -276,13 +300,23 @@ class FusedDMatrix(DMatrix):
         return self.full.reshape(-1, order="F") if self.is_vector \
             else self.full
 
-    def stacked(self) -> list[np.ndarray]:
-        """Every rank's local block as one ``(ranks, items per rank,
-        ...)`` array per run of equally loaded ranks — how an op body
-        sees the ranks (:meth:`Geometry.stacked` of :meth:`base`, spelt
-        out: every reduction starts here)."""
-        return self.geom.stacked(self.full.reshape(-1, order="F")
-                                 if self.is_vector else self.full)
+    def stacked(self, base: np.ndarray | None = None) -> list[np.ndarray]:
+        """Every rank's local block (or ``base``'s items, cut the same
+        way) as one ``(ranks, items per rank, ...)`` array per run of
+        equally loaded ranks: :meth:`Geometry.stacked` of :meth:`base`,
+        spelt out."""
+        if base is None:
+            base = self.held.reshape(-1, order="F") if self.is_vector \
+                else self.held
+        return self.geom.stacked(base)
+
+    def unstacked(self, runs: list[np.ndarray],
+                  cols: int) -> "FusedDMatrix":
+        full = self.geom.unstacked(runs)
+        if full.ndim == 1:      # a column's elements
+            full = full.reshape(-1, 1)
+        return FusedDMatrix(get_geometry(self.rows, cols, self.geom.nprocs,
+                                         self.scheme), full.dtype, full)
 
     def blocks(self) -> list[np.ndarray]:
         """Every rank's local block, in rank order (views of the full

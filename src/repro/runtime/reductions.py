@@ -6,14 +6,17 @@ column-wise reduction is a local partial per rank plus one allreduce of a
 ``cols``-length vector; vector reductions are a local partial plus a
 scalar allreduce.
 
-The fused arms compute every rank's partial with one numpy call per run
-of :meth:`FusedDMatrix.stacked` — never one per rank — and combine them
-with :func:`~repro.mpi.fused.fold_ranks`.  Only forms that are
-bit-identical to the per-rank call of the lockstep arm next to them are
-used (the same pairwise routine per contiguous row, the same BLAS
-routine per item of a batched matmul); each is pinned by
+Each of these is one body for both backends: the partials are computed
+over the operand's ``stacked()`` runs — one rank's block on lockstep,
+every rank's under fusion, never one numpy call per rank — and
+``comm.fold`` combines them in rank order (an allreduce of this rank's
+partial, or :func:`~repro.mpi.fused.fold_ranks` of all of them).  Only
+batched forms that are bit-identical to the per-rank call are used (the
+same pairwise routine per contiguous row, the same BLAS routine per item
+of a batched matmul); each is pinned by
 tests/runtime/test_batched_partials.py and docs/SCALING.md lists the
-ones that failed.  The charges are the lockstep arm's, per rank.
+ones that failed.  ``find``, ``[m, k] = max(v)`` and the scans keep a
+per-rank arm: there the messages differ, not the arithmetic.
 """
 
 from __future__ import annotations
@@ -37,34 +40,12 @@ def _partials(runs: list[np.ndarray], local_fn, identity) -> np.ndarray:
     """``local_fn`` down every rank's block of the stacked ``runs``,
     rank axis first; a rank that holds nothing contributes
     ``identity``."""
+    if len(runs) == 1 and runs[0].shape[1]:
+        return local_fn(runs[0], axis=1)    # one run, nobody empty
     return rank_axis([
         local_fn(run, axis=1) if run.shape[1] else
         np.full(run.shape[:1] + run.shape[2:], identity, dtype=run.dtype)
         for run in runs])
-
-
-def _rank_partials(mat: DMatrix, local_fn, identity):
-    """``local_fn`` over what each rank holds of ``mat`` — a vector's
-    elements, a matrix's rows, column by column; a rank that holds
-    nothing contributes ``identity``.  One rank's arm answers its own
-    partial (a Python number for a vector), the fused arm every rank's,
-    rank axis first."""
-    if isinstance(mat, FusedDMatrix):
-        return _partials(mat.stacked(), local_fn, identity)
-    local = mat.local
-    part = local_fn(local) if local.size else np.full(
-        local.shape[1:], identity,
-        dtype=complex if np.iscomplexobj(local) else float)
-    return part if part.ndim else part.item()
-
-
-def _allreduce(rt, parts, combine_op):
-    """:func:`_rank_partials`' result, combined over the ranks in rank
-    order (the allreduce of one rank's, the fold of all ranks')."""
-    if rt.fused:
-        rt.comm.charge_reduce(parts[0].nbytes)
-        return fold_ranks(combine_op, parts)
-    return rt.comm.allreduce(parts, op=combine_op)
 
 
 def _replicated_scalar(total):
@@ -80,9 +61,9 @@ def _reduced(rt, mat: DMatrix, local_fn, combine_op, identity):
     library call, a pass over the local elements, one allreduce of the
     partials — a vector's total (a Python number) or, column by column,
     a matrix's (a ``cols``-long array)."""
-    parts = _rank_partials(mat, local_fn, identity)
+    parts = _partials(mat.stacked(), local_fn, identity)
     rt.comm.charge(elems=mat.load)
-    return _allreduce(rt, parts, combine_op)
+    return rt.comm.fold(parts, combine_op)
 
 
 def _column_reduce(rt, mat: DMatrix, local_fn, combine_op, identity):
@@ -112,8 +93,10 @@ def reduce_op(rt, name: str, value: RValue,
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
         if arr.size == 0:
-            return 0.0 if name == "sum" else \
-                (1.0 if name == "prod" else 0.0)
+            # the sum of nothing is 0 and its product 1; its extremum is
+            # nothing, as MATLAB's of a 0-by-0 operand
+            return 0.0 if name == "sum" else 1.0 if name == "prod" \
+                else np.zeros((0, 0))
         fn = _REDUCERS[name][0]
         rt.comm.compute(elems=arr.size)
         if dim is not None:
@@ -189,13 +172,12 @@ def reduce_batch(rt, name: str, values: list) -> tuple:
         return tuple([rt.call_builtin(name, [v]) for v in values])
     local_fn, combine, identity = _REDUCERS["sum" if name == "mean"
                                             else name]
-    # (vectors,) from one rank, (ranks, vectors) from all of them
-    parts = np.array([_rank_partials(v, local_fn, identity)
-                      for v in values]).T
+    parts = np.array([_partials(v.stacked(), local_fn, identity)
+                      for v in values]).T       # (ranks, vectors)
     rt.comm.overhead()
     for v in values:
         rt.comm.compute_own(elems=v.load)
-    totals = _allreduce(rt, parts, combine).tolist()
+    totals = rt.comm.fold(parts, combine).tolist()
     if name == "mean":
         totals = [V.simplify(np.asarray(total) / v.numel)
                   for total, v in zip(totals, values)]
@@ -335,6 +317,8 @@ def _nonzero(rt, value: RValue) -> RValue:
 
 
 def all_any(rt, name: str, value: RValue) -> RValue:
+    if not isinstance(value, DMatrix) and V.as_matrix(value).size == 0:
+        return 0.0      # the interpreter's answer for any empty operand
     return reduce_op(rt, _TESTS[name], _nonzero(rt, value))
 
 
@@ -342,8 +326,9 @@ def minmax_with_index(rt, name: str, value: RValue) -> tuple:
     """[m, k] = max(v): value and 1-based index of the extremum."""
     pick_max = name == "max"
     if not isinstance(value, DMatrix):
-        arr = V.as_matrix(value)
-        flat = arr.reshape(-1, order="F")
+        flat = V.as_matrix(value).reshape(-1, order="F")
+        if not flat.size:
+            return np.zeros((0, 0)), np.zeros((0, 0))
         idx = int(np.argmax(flat) if pick_max else np.argmin(flat))
         return V.simplify(flat[idx]), float(idx + 1)
     if not value.is_vector:
@@ -460,18 +445,14 @@ def trapz(rt, x: RValue | None, y: RValue) -> RValue:
         x_full = None if x is None else (
             rt.gather_full(x) if isinstance(x, DMatrix)
             else V.as_matrix(x)).reshape(-1)
-        if isinstance(y, FusedDMatrix):
-            # the weights multiply elementwise (position-independent),
-            # then every rank sums its block of the products
-            weighted = _trapz_weights(np.arange(n), n, x_full) * y.base()
-            parts = _partials(y.geom.stacked(weighted), np.add.reduce, 0.0)
-            rt.comm.charge(elems=y.load * 2)
-            rt.comm.charge_reduce(parts.itemsize)
-            return fold_ranks(mpi_ops.SUM, parts)
-        part = np.add.reduce(
-            _trapz_weights(y.global_row_indices(), n, x_full) * y.local)
+        # the weights multiply elementwise (position-independent), then
+        # every rank sums its block of the products
+        weights = _trapz_weights(np.arange(n), n, x_full)
+        parts = _partials([w * run for w, run in
+                           zip(y.stacked(weights), y.stacked())],
+                          np.add.reduce, 0.0)
         rt.comm.charge(elems=y.load * 2)
-        return rt.comm.allreduce(part.item())
+        return rt.comm.fold(parts, mpi_ops.SUM)
     ya = V.as_matrix(y).reshape(-1)
     xa = None if x is None else V.as_matrix(x).reshape(-1)
     rt.comm.compute(elems=ya.size * 2)
@@ -488,27 +469,16 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
     rows, cols = shape
     if rows < 2 or cols < 2:
         return 0.0
-    wc = np.ones(cols)
-    wc[0] = wc[-1] = 0.5
-    if isinstance(z, FusedDMatrix) and not z.is_vector:
-        wr = np.ones(rows)
-        wr[0] = wr[-1] = 0.5
+    wr, wc = np.ones(rows), np.ones(cols)
+    wr[0] = wr[-1] = wc[0] = wc[-1] = 0.5
+    if isinstance(z, DMatrix):
         # per rank: its rows' weights . (its rows . the column weights)
         parts = rank_axis([
             (rw[:, None, :] @ (rz.real @ wc)[:, :, None])[:, 0, 0]
-            for rw, rz in zip(z.geom.stacked(wr), z.stacked())])
+            for rw, rz in zip(z.stacked(wr), z.stacked())])
         rt.comm.charge(elems=z.load * 3)
-        rt.comm.charge_reduce(8)
-        return float(fold_ranks(mpi_ops.SUM, parts) * dxv * dyv)
-    if isinstance(z, DMatrix) and not z.is_vector:
-        gidx = z.global_row_indices()
-        wr = np.where((gidx == 0) | (gidx == rows - 1), 0.5, 1.0)
-        part = float(wr @ (z.local.real @ wc)) if z.local.size else 0.0
-        rt.comm.charge(elems=z.load * 3)
-        return float(rt.comm.allreduce(part) * dxv * dyv)
-    full = rt.gather_full(z) if isinstance(z, DMatrix) else V.as_matrix(z)
-    wr = np.ones(rows)
-    wr[0] = wr[-1] = 0.5
+        return float(rt.comm.fold(parts, mpi_ops.SUM) * dxv * dyv)
+    full = V.as_matrix(z)
     rt.comm.compute(elems=full.size * 3)
     return float(wr @ (full.real @ wc) * dxv * dyv)
 

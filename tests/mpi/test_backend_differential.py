@@ -287,6 +287,11 @@ rs = sum(A, 2); rp = prod(A, 2); rz = sum(A + 1i * f, 2); o = v * w;
 vt = v'; wt = w.'; zc = (v + 1i * w')';
 q = circshift(A, [0, 1]); q0 = circshift(A, [0, 0]); v0 = circshift(v, 0);
 e = A .* 2 + f ./ 3 - 1;
+mv = A * [1; 2; 3]; wa = w * A; ab = A * L; dv = w * v; vv = v' * v;
+zv = v + 1i * w'; cz = zc * zc'; zz = zv' * zv; atb = A' * f; atv = A' * v;
+t1 = trapz(v); t2 = trapz(v .* 2, v); t3 = trapz2(A);
+sv = sum(v); sw = max(w); sc = sum(A); mc = max(A); nc = min(A + 1i * f);
+[mm, kk] = max(v); [mn, kn] = min(w);
 if A
   k = 1;
 else
@@ -305,10 +310,12 @@ end
 def test_one_body_ops_charge_each_rank_its_own_load(nprocs, scheme):
     """The bodies that exist once (creation, literals, ``ew``, truth
     tests, column shifts and flips, triangles, row reductions, outer
-    products, vector transposes) charge a lockstep rank the size of its
-    real block and a fused rank its ``geom.counts`` entry: the clocks,
-    counts, traces and values must agree — ranks holding nothing
-    (``n < nprocs``) and unevenly loaded ones included."""
+    products, vector transposes, the products and dots, ``A' * B`` and
+    ``A' * v``, ``trapz``/``trapz2``, vector and column reductions)
+    charge a lockstep rank the size of its real block and a fused rank
+    its ``geom.counts`` entry: the clocks, counts, traces and values
+    must agree — ranks holding nothing (``n < nprocs``) and unevenly
+    loaded ones included."""
     from repro.tuning import Plan
 
     for n in (2, 5, 16):

@@ -1,13 +1,15 @@
 """Bit-equality of the batched partial kernels with the per-rank loops.
 
-A fused op may compute all ranks' partials with one numpy call per
-*run* of ``Geometry.stacked`` only in a form that is bit-identical to
-the per-rank call it replaces — the lockstep backend still makes that
-call on each rank's own block, and fused == lockstep is exact.  Every
-form the runtime uses is pinned here against the loop over
-``geom.slices``; a form that cannot pass stays per-rank and is listed
-in docs/SCALING.md.  The folds that combine the partials are pinned
-against the rank-order Python loop of ``Comm``'s reduction.
+An op body computes its partials with one numpy call per *run* of
+``stacked()`` — every rank's block under fusion, one rank's block as a
+run of one on lockstep — only in a form that is bit-identical to the
+per-rank call on that rank's own block.  Both backends run the same
+body, so fused == lockstep no longer checks that arithmetic: this file
+does.  Every form the runtime uses is pinned here against the loop over
+``geom.slices`` (P = 1 and runs of one rank included); a form that
+cannot pass stays per-rank and is listed in docs/SCALING.md.  The folds
+that combine the partials are pinned against the rank-order Python loop
+of ``Comm``'s reduction.
 """
 
 import functools
@@ -19,6 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.mpi import comm as mpi_ops
 from repro.mpi.fused import fold_ranks
 from repro.runtime.distribution import get_geometry
+from repro.runtime.matrix import DMatrix, FusedDMatrix
 from repro.runtime.reductions import _REDUCERS, _SCANS
 
 RANKS = (1, 2, 3, 7, 16, 33)
@@ -120,6 +123,34 @@ def test_stacked_is_the_blocks_and_unstacked_inverts_it(case):
     for rank, table in enumerate(
             row for table in geom.run_indices() for row in table):
         assert np.array_equal(table, geom.global_indices(rank))
+
+
+@forms
+@given(case=cases(matrix=True), matrix=st.booleans())
+def test_a_ranks_stacked_is_its_row_of_the_fused_runs(case, matrix):
+    """What makes one body serve both backends: a lockstep rank's
+    ``stacked()`` (of its block, or of an array along the distributed
+    axis) is its own row of the fused descriptor's runs, as a run of
+    one rank, and ``unstacked`` puts a per-row result back."""
+    geom, values = case
+    if not matrix:
+        geom = get_geometry(1, geom.numel, geom.nprocs, geom.scheme)
+    full = values(geom.rows, geom.cols)
+    labels = np.arange(geom.map.n)
+    fused = FusedDMatrix(geom, full.dtype, full)
+    rows = [row for run in fused.stacked() for row in run]
+    tables = [row for run in fused.stacked(labels) for row in run]
+    for rank in range(geom.nprocs):
+        mine = DMatrix.from_full(full, geom.nprocs, rank, geom.scheme)
+        [run], [table] = mine.stacked(), mine.stacked(labels)
+        assert run.shape == (1,) + rows[rank].shape
+        assert bits(run[0]) == bits(rows[rank])
+        assert table[0].tolist() == tables[rank].tolist() \
+            == geom.global_indices(rank).tolist()
+        if matrix and geom.rows > 1 and geom.cols > 1:
+            column = mine.unstacked([run[:, :, 0]], 1)
+            assert column.shape == (geom.rows, 1)
+            assert bits(column.held) == bits(run[0][:, 0])
 
 
 def test_cached_index_tables_are_read_only():

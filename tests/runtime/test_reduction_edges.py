@@ -114,3 +114,36 @@ class TestMixedReductions:
         got = np.asarray(run_op(fn, p=4)).reshape(-1)
         np.testing.assert_allclose(
             got, np.trapezoid(oracle((9, 3)), axis=0))
+
+
+_EMPTY_EXTREMA = """
+x = max([]); y = min(zeros(0, 3)); z = max(zeros(3, 0));
+u = min(zeros(1, 0)); t = max(max([]));
+[m, k] = max([]); [m2, k2] = min(zeros(0, 3));
+a = all([]); b = any(zeros(0, 2)); s = sum(zeros(0, 3));
+disp(size(x)); disp(size(y)); disp(size(k)); disp(size(m2)); disp(a); disp(s)
+"""
+
+
+@pytest.mark.parametrize("nprocs", [1, 4])
+def test_empty_extrema_are_empty_everywhere(nprocs):
+    """``max``/``min`` of an empty operand, and both outputs of
+    ``[m, k] = max([])``, are ``[]`` on the interpreter and on both
+    backends — never a numpy or MPI error.  ``all``/``any``/``sum`` of
+    one keep the answer all three already gave."""
+    from repro.compiler import compile_source
+    from repro.interp.interpreter import run_source
+
+    def observed(output, workspace):
+        return "".join(output), {
+            name: (np.asarray(value).shape, np.asarray(value).tobytes())
+            for name, value in workspace.items()}
+
+    want = run_source(_EMPTY_EXTREMA)
+    want = observed(want.output, want.workspace)
+    assert want[1]["x"][0] == want[1]["k"][0] == (0, 0)
+    prog = compile_source(_EMPTY_EXTREMA)
+    for backend in ("lockstep", "fused"):
+        got = prog.run(nprocs=nprocs, backend=backend)
+        assert got.spmd.backend == backend
+        assert observed([got.output], got.workspace) == want, backend
