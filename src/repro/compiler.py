@@ -186,7 +186,7 @@ class CompiledProgram:
         resolved here, once, against the environment.
 
         ``plan`` applies a :class:`repro.tuning.Plan`'s *runtime* knobs
-        (distribution, collective algorithms, gather caching) — the
+        (distribution, collective algorithms and their topology) — the
         compile-side knobs must have been applied at ``compile`` time
         (see :func:`compile_cached`).  With ``tune`` on, the plan space
         is searched first and the winner runs here instead.
@@ -215,11 +215,10 @@ class CompiledProgram:
             return result
 
         plan = plan if plan is not None else self.plan
-        scheme, cache_gathers, dist_plan = "block", False, None
+        scheme, dist_plan = "block", None
         if plan is not None:
             machine = plan.apply_machine(machine or MEIKO_CS2)
-            scheme, cache_gathers = plan.scheme, plan.cache_gathers
-            dist_plan = dict(plan.dist)
+            scheme, dist_plan = plan.scheme, dict(plan.dist)
 
         machine = machine or MEIKO_CS2
         main = self._load_module().main
@@ -233,7 +232,6 @@ class CompiledProgram:
         def rank_main(comm):
             rt = RuntimeContext(comm, out=output.append, seed=seed,
                                 scheme=scheme, provider=provider,
-                                cache_gathers=cache_gathers,
                                 dist_plan=dist_plan, native=engine,
                                 stores=stores)
             try:
@@ -294,8 +292,8 @@ class OtterCompiler:
     """Front door: compile MATLAB source through all seven passes.
 
     ``plan`` (a :class:`repro.tuning.Plan`) selects the compile-side
-    knobs: peephole fusion schedule, LICM policy, guard placement, and
-    elementwise splitting.  ``None`` is :data:`repro.tuning.DEFAULT_PLAN`.
+    knobs: the peephole fusion schedule and the LICM policy.  ``None`` is
+    :data:`repro.tuning.DEFAULT_PLAN`.
     """
 
     def __init__(self, provider: MFileProvider | None = None, plan=None):
@@ -322,10 +320,8 @@ class OtterCompiler:
         resolved = timed("resolve", resolve_program,              # pass 2
                          script, self.provider)
         types = timed("infer", infer_types, resolved)             # pass 3
-        ir = timed("lower", lower_program, resolved, types,       # pass 4
-                   ew_split=plan.ew_split)
-        timed("guard", guard_program, ir,                         # pass 5
-              placement=plan.guard)
+        ir = timed("lower", lower_program, resolved, types)       # pass 4
+        timed("guard", guard_program, ir)                         # pass 5
         stats = timed("peephole", peephole_program,               # pass 6
                       ir, schedule=plan.fusion)
         licm_stats = timed("licm", licm_program,                  # pass 6b

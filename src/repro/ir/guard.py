@@ -10,6 +10,9 @@ rewrites the qualifying ones (scalar subscripts, scalar right-hand side)
 into the guarded :class:`SetElement` form that both backends emit as an
 ``ML_owner`` conditional.  Stores that might grow the matrix need no
 special treatment here — the run-time store falls back dynamically.
+Every other store (a range, a matrix right-hand side) stays an
+``IndexAssign`` and runs through the run-time ``index_assign``: gather,
+store, redistribute.
 """
 
 from __future__ import annotations
@@ -58,24 +61,10 @@ class _UnitGuard:
                         block[i] = guarded
 
 
-#: recognized guard placements (an autotuner plan knob)
-PLACEMENTS = ("owner", "replicated")
-
-
-def guard_program(ir: IRProgram, placement: str = "owner") -> IRProgram:
-    """Run pass 5 in place (and return the program for chaining).
-
-    ``placement="owner"`` (default) rewrites qualifying stores into the
-    paper's owner-computes ``SetElement`` guard.  ``"replicated"`` skips
-    the rewrite entirely: element stores stay :class:`IndexAssign` and
-    execute through the run-time's gather-based replicated path — the
-    pre-pass-5 compiler, exposed so the autotuner can measure the guard's
-    value instead of trusting it."""
-    if placement not in PLACEMENTS:
-        raise ValueError(f"unknown guard placement {placement!r}; "
-                         f"choose from {PLACEMENTS}")
-    if placement == "replicated":
-        return ir
+def guard_program(ir: IRProgram) -> IRProgram:
+    """Run pass 5 in place (and return the program for chaining): every
+    qualifying store becomes the paper's owner-computes ``SetElement``
+    guard."""
     for unit in ir.units():
         _UnitGuard(unit.var_types).run(unit.body)
     return ir

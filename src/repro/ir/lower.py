@@ -504,70 +504,10 @@ class Lowerer:
             return temp
         raise LoweringError(f"unresolved apply {expr.name!r}", expr.loc)
 
-def lower_program(program: ResolvedProgram, types: ProgramTypes,
-                  ew_split: bool = False) -> IRProgram:
-    """Run pass 4.
 
-    ``ew_split=True`` re-splits the fused elementwise trees into
-    single-operator statements (one temp, one run-time call per operator)
-    — the pre-fusion compiler the paper improves on, exposed as an
-    autotuner ablation knob."""
+def lower_program(program: ResolvedProgram, types: ProgramTypes) -> IRProgram:
+    """Run pass 4."""
     try:
-        ir = Lowerer(program, types).lower()
-        if ew_split:
-            _split_elementwise(ir)
+        return Lowerer(program, types).lower()
     except RecursionError:
         raise LoweringError(NESTED_TOO_DEEPLY) from None
-    return ir
-
-
-# -------------------------------------------------------------------------- #
-# elementwise-tree splitting (the ew_split plan knob)
-# -------------------------------------------------------------------------- #
-
-
-def _max_temp_index(ir: IRProgram) -> int:
-    return max((op.index for block in ir.walk() for stmt in block
-                for op in (*stmt.defs(), *stmt.uses())
-                if op.__class__ is Temp), default=0)
-
-
-def _split_tree(node: EwExpr, counter: list[int], line: int,
-                pre: list[IRStmt]):
-    """Flatten ``node`` bottom-up: nested EwNodes become their own
-    single-operator Elementwise statements writing fresh temps."""
-    if not isinstance(node, EwNode):
-        return node
-    flat_args = []
-    for arg in node.args:
-        if isinstance(arg, EwNode):
-            inner = _split_tree(arg, counter, line, pre)
-            counter[0] += 1
-            temp = Temp(counter[0])
-            vtype = scalar(BaseType.REAL) if arg.scalar else UNKNOWN
-            stmt = Elementwise(dest=temp, expr=inner, vtype=vtype)
-            stmt.line = line
-            pre.append(stmt)
-            flat_args.append(temp)
-        else:
-            flat_args.append(arg)
-    return EwNode(op=node.op, args=tuple(flat_args), scalar=node.scalar)
-
-
-def _split_elementwise(ir: IRProgram) -> None:
-    counter = [_max_temp_index(ir)]
-    for block in ir.walk():
-        i = 0
-        while i < len(block):
-            stmt = block[i]
-            if (isinstance(stmt, Elementwise)
-                    and isinstance(stmt.expr, EwNode)
-                    and any(isinstance(a, EwNode) for a in stmt.expr.args)):
-                pre: list[IRStmt] = []
-                top = _split_tree(stmt.expr, counter, stmt.line, pre)
-                final = Elementwise(dest=stmt.dest, expr=top,
-                                    vtype=stmt.vtype)
-                final.line = stmt.line
-                block[i:i + 1] = pre + [final]
-                i += len(pre)
-            i += 1

@@ -45,8 +45,7 @@ class RuntimeContext:
 
     def __init__(self, comm: Comm, out: Optional[Callable[[str], None]] = None,
                  seed: int = 0, scheme: str = "block", provider=None,
-                 cache_gathers: bool = False, dist_plan=None, native=None,
-                 stores=None):
+                 dist_plan=None, native=None, stores=None):
         self.comm = comm
         #: native kernel engine (repro.native.NativeEngine) or None —
         #: when set, ``ew`` calls that carry an op-tree spec execute as
@@ -72,12 +71,6 @@ class RuntimeContext:
         self.dist_plan: dict[str, str] = dict(dist_plan) if dist_plan else {}
         self.dest_hint: Optional[str] = None
         self.provider = provider
-        #: replicate-on-first-use: memoize gathered full arrays on the
-        #: (immutable) DMatrix so repeated gathers of the same value cost
-        #: one allgather.  Off by default — the paper's run-time library
-        #: re-gathers, and the figure calibration assumes that; the
-        #: ablation benchmark measures the difference.
-        self.cache_gathers = cache_gathers
         #: URL-schema datastore registry for load/save targets like
         #: ``mem://...`` (None: the process-wide default manager,
         #: resolved lazily — see repro.service.stores)
@@ -189,21 +182,18 @@ class RuntimeContext:
 
     def gather_full(self, value: RValue, copy: bool = True) -> np.ndarray:
         """Assemble the full array on every rank (ML-level allgather),
-        charging the allgather and one pass over the result.
+        charging the allgather and one pass over the result — every
+        time: the paper's run-time library re-gathers an operand each
+        time it needs one, and the figure calibration assumes that.
 
-        With ``cache_gathers`` the result is memoized on the descriptor
-        (safe: descriptors are immutable) and later gathers cost one
-        call overhead.  ``copy=False`` is an opt-in for callers that
-        only *read* the result (transpose, circshift, ... — anything
-        that derives a fresh array from it); it skips the defensive copy
-        of an already-replicated fused array.  Charges are identical
-        either way.
+        ``copy=False`` is an opt-in for callers that only *read* the
+        result (transpose, circshift, ... — anything that derives a
+        fresh array from it); it skips the defensive copy of an
+        already-replicated fused array.  Charges are identical either
+        way.
         """
         if not isinstance(value, DMatrix):
             return V.as_matrix(value)
-        if self.cache_gathers and value.replica is not None:
-            self.comm.overhead()
-            return value.replica
         if isinstance(value, FusedDMatrix):
             # the full array is already in hand; charge exactly what the
             # lockstep allgather would (max per-rank block, symmetric)
@@ -214,14 +204,10 @@ class RuntimeContext:
             # not to
             full = np.array(value.full) if copy else value.full
             self.comm.compute(mem=value.numel)
-            if self.cache_gathers:
-                value.replica = full
             return full
         self.comm.overhead()
         full = value.assemble(self.comm.allgather(value.local))
         self.comm.compute(mem=value.numel)
-        if self.cache_gathers:
-            value.replica = full
         return full
 
     def to_interp_value(self, value: RValue):
@@ -430,7 +416,7 @@ class RuntimeContext:
             # In-place fast path: safe only when nothing else can observe
             # this descriptor or its buffer (refcounts: caller's variable
             # + our argument binding + getrefcount's own temp = 3).
-            if (reuse and mat.replica is None and local.base is None
+            if (reuse and local.base is None
                     and local.flags.owndata and local.flags.writeable
                     and sys.getrefcount(mat) <= 3
                     and sys.getrefcount(local) <= 3):
@@ -472,7 +458,7 @@ class RuntimeContext:
             return self.index_assign(mat, subs, rhs)
         # mat's threshold is 4, not 3: set_element's own frame holds an
         # extra reference while delegating here
-        if (reuse and mat.replica is None and owns_memory(full)
+        if (reuse and owns_memory(full)
                 and full.flags.writeable
                 and sys.getrefcount(mat) <= 4
                 and sys.getrefcount(full) <= 3):

@@ -237,7 +237,7 @@ class FreeList(list):
     """Recycled full-array buffers of one geometry (``Geometry.spare``).
 
     A fused op output that dies as the sole owner of a C-contiguous
-    float64 buffer — no view, no other descriptor, no gather cache, no
+    float64 buffer — no view, no other descriptor, no uncopied gather, no
     workspace value, no live cffi buffer refers to it, which its
     reference count proves (:meth:`FusedDMatrix.__del__
     <repro.runtime.matrix.FusedDMatrix.__del__>`) — goes to

@@ -58,8 +58,8 @@ class DMatrix:
     """
 
     __slots__ = ("geom", "rows", "cols", "shape", "numel", "is_vector",
-                 "scheme", "dtype", "held", "load", "rank", "replica",
-                 "spare", "_tracker", "_charged")
+                 "scheme", "dtype", "held", "load", "rank", "spare",
+                 "_tracker", "_charged")
 
     def __init__(self, geom: Geometry, dtype, local: np.ndarray, rank: int):
         self.geom = geom
@@ -73,11 +73,6 @@ class DMatrix:
         self.rank = rank
         self.held = local
         self.load = local.size
-        #: memoized full array (the replicate-on-first-use cache; None
-        #: until the first gather when the cache is enabled).  Sound
-        #: because DMatrix values are immutable — every update builds a
-        #: new descriptor.
-        self.replica = None
         #: where an output of this descriptor's shape takes its buffer
         #: from: one rank's block is always a fresh array
         self.spare = None
@@ -241,7 +236,6 @@ class FusedDMatrix(DMatrix):
                 f"full array shape {full.shape} != ({self.rows}, {self.cols})")
         self.held = full
         self.load = geom.counts
-        self.replica = None
         #: the geometry's recycled buffers (distribution.FreeList)
         self.spare = geom.spare
         # the tracker models ONE rank's footprint; rank 0 holds the
@@ -263,9 +257,9 @@ class FusedDMatrix(DMatrix):
         # recycle the buffer onto the geometry's free list if that has
         # room and this descriptor is provably the buffer's only owner:
         # three references are the slot, ``full`` and getrefcount's
-        # argument — any view, other descriptor, gather cache, workspace
-        # value or cffi buffer makes more — and its memory must be its
-        # own (distribution.owns_memory)
+        # argument — any view, other descriptor, uncopied gather,
+        # workspace value or cffi buffer makes more — and its memory
+        # must be its own (distribution.owns_memory)
         spare = self.spare
         if spare.room > 0:
             full = self.held

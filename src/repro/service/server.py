@@ -21,10 +21,10 @@ Protocol (newline-delimited JSON; see docs/SERVICE.md):
     and the compiler passes executed *for this request* (``[]`` warm).
     Only the plan's compile-side fields key the program.
 ``{"op": "run", ... compile fields ..., [nprocs, machine, seed,
-   scheme, cache_gathers, backend, native, watchdog, trace]}``
+   scheme, backend, native, watchdog, trace]}``
     Compile-or-fetch then execute under the request's run
-    configuration and full plan (``scheme``/``cache_gathers`` override
-    the plan's fields of the same name); streams back output, modeled
+    configuration and full plan (``scheme`` overrides the plan's field
+    of the same name); streams back output, modeled
     elapsed/per-rank clocks, communication counters, the JSON-encoded
     final workspace, and (``trace: true``) the canonical trace SHA.
 ``{"op": "trace", ...}``
@@ -34,6 +34,10 @@ Protocol (newline-delimited JSON; see docs/SERVICE.md):
     Cache statistics and server counters.
 ``{"op": "shutdown"}``
     Stop accepting sessions and unblock ``serve_forever``.
+
+A compile, run or trace request takes the fields above and no others
+(a compile request may carry the run fields, which it ignores): any
+other top-level field is a ``ConfigError`` naming it.
 
 Every request is answered — errors come back structured
 (``{"ok": false, "error": <type>, "message": ...}``) and the session
@@ -71,18 +75,33 @@ _REQUEST_KNOBS = ("backend", "native", "watchdog", "trace")
 _NPROCS, _SEED = integer(1), integer(0)
 _MACHINE = choice("machine", tuple(sorted(MACHINES)))
 
+#: every top-level field a compile, run or trace request may carry
+#: (docs/SERVICE.md)
+_REQUEST_FIELDS = frozenset({"op", "source", "name", "plan", "mfiles",
+                             "nprocs", "machine", "seed", "scheme",
+                             *_REQUEST_KNOBS})
+
+
+def _check_fields(request: dict) -> None:
+    """Refuse a field no op reads: dropped silently, a misspelt
+    ``nproc`` would run at the default."""
+    unknown = sorted(set(request) - _REQUEST_FIELDS)
+    if unknown:
+        raise ConfigError(
+            f"{unknown[0]}=: not a {request['op']} request field "
+            f"(expected {', '.join(sorted(_REQUEST_FIELDS - {'op'}))})")
+
 
 def _request_plan(request: dict):
-    """The request's plan: its ``plan`` object with the ``scheme`` and
-    ``cache_gathers`` fields laid over it (``None``: the default)."""
+    """The request's plan: its ``plan`` object with the ``scheme``
+    field laid over it (``None``: the default)."""
     try:
         plan = plan_from_dict(request.get("plan"))
-        over = {field: request[field]
-                for field in ("scheme", "cache_gathers") if field in request}
-        if over:
+        if "scheme" in request:
             from ..tuning.plan import DEFAULT_PLAN
 
-            plan = dataclasses.replace(plan or DEFAULT_PLAN, **over)
+            plan = dataclasses.replace(plan or DEFAULT_PLAN,
+                                       scheme=request["scheme"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"plan=: {exc}") from None
     return plan
@@ -258,6 +277,8 @@ class ServiceServer:
         if op == "ping":
             return {"ok": True, "op": "ping", "pong": True,
                     "session": session_id, "protocol": PROTOCOL_VERSION}
+        if op in ("compile", "run", "trace"):
+            _check_fields(request)
         if op == "compile":
             return self._compile(request, session_id)[0]
         if op == "run":

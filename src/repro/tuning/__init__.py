@@ -1,8 +1,8 @@
 """Plan autotuning: virtual-clock-guided search over optimization plans.
 
 The paper's compiler commits to one optimization plan — row-block
-distribution, a fixed peephole schedule, aggressive LICM, owner-computes
-guards.  This package makes the plan a first-class value
+distribution, a fixed peephole schedule, aggressive LICM, ring gathers
+and tree allreduces.  This package makes the plan a first-class value
 (:class:`~repro.tuning.plan.Plan`), enumerates a pruned neighborhood of
 the default (:mod:`~repro.tuning.space`), and costs each candidate by
 running it on the fused backend with the final virtual clock as the
@@ -19,7 +19,6 @@ from .plan import (
     DEFAULT_PLAN,
     FUSION_REWRITES,
     GATHER_ALGOS,
-    GUARD_PLACEMENTS,
     LICM_POLICIES,
     SCHEMES,
     Plan,
@@ -33,7 +32,6 @@ __all__ = [
     "DEFAULT_PLAN",
     "FUSION_REWRITES",
     "GATHER_ALGOS",
-    "GUARD_PLACEMENTS",
     "LICM_POLICIES",
     "Plan",
     "SCHEMES",

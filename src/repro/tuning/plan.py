@@ -1,9 +1,12 @@
 """Optimization plans: every compiler/runtime knob as one value object.
 
 A :class:`Plan` bundles the choices the paper's compiler hard-codes —
-row-block distribution, one peephole fusion order, one LICM policy,
-owner-computes guards — plus the collective-algorithm selection of the
-machine model, into a single frozen, hashable description.  The default
+row-block distribution, one peephole fusion order, one LICM policy —
+plus the collective-algorithm selection of the machine model, into a
+single frozen, hashable description.  What the paper fixes and nothing
+measured ever picks otherwise — pass 4's fused elementwise trees, pass
+5's owner-computes guards, a run-time library that re-gathers an
+operand each time it needs one — is not a knob.  The default
 plan reproduces the shipped compiler's behavior bit-for-bit (the golden
 traces pin this); the autotuner searches the neighborhood.
 
@@ -25,14 +28,6 @@ Knob reference:
 ``licm``
     Pass 6b policy: ``off`` | ``safe`` (only always-safe ops) |
     ``aggressive`` (speculative hoisting, the shipped default).
-``guard``
-    Guarded-assignment placement: ``owner`` (pass 5 owner-computes
-    SetElement, the shipped default) | ``replicated`` (skip pass 5;
-    element stores go through the gather-based replicated path).
-``ew_split``
-    When True, pass 4's fused elementwise trees are split back into
-    single-operator statements (the pre-fusion compiler) — an ablation
-    axis the tuner can measure but should never pick.
 ``gather_algo`` / ``allreduce_algo``
     Collective algorithms on the machine model (see
     :class:`repro.mpi.machine.MachineModel`).
@@ -43,8 +38,6 @@ Knob reference:
     collectives over the inter-node link).  Only meaningful on
     hierarchical machines; the axis is offered only when the probe
     world actually spans nodes.
-``cache_gathers``
-    Reuse gathered replicas of unmodified distributed values.
 """
 
 from __future__ import annotations
@@ -61,14 +54,13 @@ SCHEMES = ("block", "cyclic")
 #: every pass-6 rewrite, by registry name (the ``fusion`` axis' values)
 FUSION_REWRITES = tuple(REWRITES)
 LICM_POLICIES = ("off", "safe", "aggressive")
-GUARD_PLACEMENTS = ("owner", "replicated")
 GATHER_ALGOS = ("ring", "doubling")
 ALLREDUCE_ALGOS = ("tree", "halving")
 HIERARCHIES = ("auto", "flat")
 
 #: the fields a compiler pass reads; every other field is applied by
 #: ``CompiledProgram.run`` and must never key a compiled artifact
-COMPILE_FIELDS = ("fusion", "licm", "guard", "ew_split")
+COMPILE_FIELDS = ("fusion", "licm")
 
 
 @dataclass(frozen=True)
@@ -79,12 +71,9 @@ class Plan:
     dist: tuple[tuple[str, str], ...] = ()
     fusion: tuple[str, ...] = DEFAULT_SCHEDULE
     licm: str = "aggressive"
-    guard: str = "owner"
-    ew_split: bool = False
     gather_algo: str = "ring"
     allreduce_algo: str = "tree"
     hierarchy: str = "auto"
-    cache_gathers: bool = False
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -100,9 +89,6 @@ class Plan:
         if self.licm not in LICM_POLICIES:
             raise ValueError(f"licm must be one of {LICM_POLICIES} "
                              f"(got {self.licm!r})")
-        if self.guard not in GUARD_PLACEMENTS:
-            raise ValueError(f"guard must be one of {GUARD_PLACEMENTS} "
-                             f"(got {self.guard!r})")
         if self.gather_algo not in GATHER_ALGOS:
             raise ValueError(f"gather_algo must be one of {GATHER_ALGOS} "
                              f"(got {self.gather_algo!r})")

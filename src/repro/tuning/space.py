@@ -8,8 +8,7 @@ sources of evidence:
 * **compile-time stats** from the default-plan compilation: a pass-6
   rewrite that never fired has nothing to gain (or lose) from being
   dropped from the peephole schedule; a program with zero hoists doesn't
-  need the LICM axis; a program with no guarded stores doesn't need the
-  guard axis.
+  need the LICM axis.
 * **a probe run** (the default plan on the fused backend): collective
   counts tell us whether the gather/allreduce algorithm axes can matter
   at this ``nprocs``.
@@ -31,14 +30,7 @@ import itertools
 from typing import Iterable, Optional
 
 from ..analysis.lattice import Rank
-from ..ir.nodes import (
-    Elementwise,
-    EwNode,
-    IndexAssign,
-    IRProgram,
-    SetElement,
-    Var,
-)
+from ..ir.nodes import IRProgram, Var
 from ..ir.peephole import REWRITES, peephole_program
 from .plan import DEFAULT_PLAN, FUSION_REWRITES, Plan
 
@@ -100,24 +92,6 @@ def alignment_classes(ir: IRProgram) -> list[tuple[str, ...]]:
 # -------------------------------------------------------------------------- #
 
 
-def _has_nested_ew(ir: IRProgram) -> bool:
-    for block in ir.walk():
-        for stmt in block:
-            if (isinstance(stmt, Elementwise)
-                    and isinstance(stmt.expr, EwNode)
-                    and any(isinstance(a, EwNode) for a in stmt.expr.args)):
-                return True
-    return False
-
-
-def _has_element_stores(ir: IRProgram) -> bool:
-    for block in ir.walk():
-        for stmt in block:
-            if isinstance(stmt, (SetElement, IndexAssign)):
-                return True
-    return False
-
-
 def plan_axes(program, probe_counts: Optional[dict] = None,
               nprocs: int = 1, machine=None) -> dict[str, list[dict]]:
     """The prunable axes for ``program`` (compiled under the default
@@ -162,12 +136,6 @@ def plan_axes(program, probe_counts: Optional[dict] = None,
     if program.licm_stats.hoisted > 0:
         axes["licm"] = [{"licm": "safe"}, {"licm": "off"}]
 
-    if _has_element_stores(ir):
-        axes["guard"] = [{"guard": "replicated"}]
-
-    if _has_nested_ew(ir):
-        axes["ew_split"] = [{"ew_split": True}]
-
     if nprocs > 1:
         dist: list[dict] = [{"scheme": "cyclic"}]
         for cls in alignment_classes(ir)[:MAX_DIST_CLASSES]:
@@ -187,7 +155,6 @@ def plan_axes(program, probe_counts: Optional[dict] = None,
                              "bcast", "reduce", "alltoall", "barrier",
                              "scan")):
             axes["hierarchy"] = [{"hierarchy": "flat"}]
-        axes["cache_gathers"] = [{"cache_gathers": True}]
 
     return axes
 

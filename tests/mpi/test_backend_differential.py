@@ -352,11 +352,8 @@ def plans(draw):
         dist=dist,
         fusion=fusion,
         licm=draw(st.sampled_from(["off", "safe", "aggressive"])),
-        guard=draw(st.sampled_from(["owner", "replicated"])),
-        ew_split=draw(st.booleans()),
         gather_algo=draw(st.sampled_from(["ring", "doubling"])),
         allreduce_algo=draw(st.sampled_from(["tree", "halving"])),
-        cache_gathers=draw(st.booleans()),
     )
 
 
@@ -383,6 +380,46 @@ def test_any_plan_is_backend_invariant(program, plan):
         assert out == out_ref, backend
         assert obs == obs_ref, backend
         assert ws == ws_ref, backend
+
+
+@pytest.mark.parametrize("scheme", ["block", "cyclic"])
+@pytest.mark.parametrize("nprocs", [1, 3, 4])
+def test_unguarded_element_store_is_backend_invariant(nprocs, scheme):
+    """A store pass 5 leaves unguarded runs through the run-time
+    ``index_assign``: gather the matrix, store, redistribute.  The plan
+    differential above no longer reaches that path (pass 5 guards every
+    store its programs make), so it is pinned here on both
+    communicators: same values, clocks and communication accounting."""
+    from repro.runtime.context import RuntimeContext
+
+    def main(comm):
+        rt = RuntimeContext(comm, seed=3, scheme=scheme)
+        try:
+            v = rt.rand(7.0, 1.0)
+            a = rt.rand(5.0, 4.0)
+            stored = (rt.index_assign(v, [3.0], 2.5),
+                      rt.index_assign(a, [2.0, 4.0], -1.0),
+                      rt.index_assign(a, [9.0], 0.5))
+            return [rt.to_interp_value(x) for x in (v, a, *stored)]
+        finally:
+            rt.close()
+
+    runs = [run_spmd(nprocs, MEIKO_CS2, main, backend=backend)
+            for backend in ("lockstep", "fused")]
+    assert runs[1].backend == "fused"
+    v, a, v_set, a_set, a_linear = runs[0].results[0]
+    want_v, want_a = v.copy(), a.copy()
+    want_v[2, 0] = 2.5
+    want_a[1, 3] = -1.0
+    np.testing.assert_array_equal(v_set, want_v)
+    np.testing.assert_array_equal(a_set, want_a)
+    want_a = a.copy()
+    want_a[3, 1] = 0.5                  # linear index 9, column-major
+    np.testing.assert_array_equal(a_linear, want_a)
+    lockstep, fused = (_observables(run) for run in runs)
+    assert [np.asarray(x).tobytes() for x in lockstep.pop("results")[0]] \
+        == [np.asarray(x).tobytes() for x in fused.pop("results")[0]]
+    assert lockstep == fused
 
 
 # -- the default configuration: fused runs, lockstep is the oracle --------- #

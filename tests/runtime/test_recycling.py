@@ -5,7 +5,7 @@ buffer to its geometry's free list, and the next native kernel output or
 shift rotation of that geometry is written into it.  The rule that makes
 this safe is the reference count: a buffer anything else still refers
 to — another variable bound to the same descriptor, a numpy view, a
-final-workspace value, the gather cache, a live cffi buffer, a
+final-workspace value, an uncopied gather, a live cffi buffer, a
 user-function frame — is never handed out.  Each kind is a test below,
 next to the positive control (a sole owner *is* recycled), the native
 fallbacks that discard a recycled buffer after taking it, concurrent
@@ -44,11 +44,10 @@ def empty_free_lists():
     assert SPARES.held == SPARES.placed == 0
 
 
-def fused(body, native=None, cache_gathers=False):
+def fused(body, native=None):
     """``body(rt)`` on a fused run of :data:`NPROCS` ranks."""
     def main(comm):
-        rt = RuntimeContext(comm, seed=1, native=native,
-                            cache_gathers=cache_gathers)
+        rt = RuntimeContext(comm, seed=1, native=native)
         try:
             return body(rt)
         finally:
@@ -101,7 +100,7 @@ def test_a_dead_sole_owner_is_recycled():
     assert fused(body)
 
 
-@pytest.mark.parametrize("kind", ["alias", "view", "cffi", "gather-cache"])
+@pytest.mark.parametrize("kind", ["alias", "view", "cffi", "gather"])
 def test_a_referenced_buffer_is_never_handed_out(kind):
     """The descriptor's buffer is still referenced when it dies: it must
     stay off the free list, and a churn of recycling ops of the same
@@ -139,7 +138,7 @@ def test_a_referenced_buffer_is_never_handed_out(kind):
         np.testing.assert_array_equal(read(), want)
         return True
 
-    assert fused(body, cache_gathers=kind == "gather-cache")
+    assert fused(body)
 
 
 #: a shape at least ``distribution.SPREAD_BYTES`` large: its fresh

@@ -51,7 +51,7 @@ def runtime_plan() -> Plan:
     compile-side one."""
     return Plan(scheme="cyclic", dist=(("A", "block"),),
                 gather_algo="doubling", allreduce_algo="halving",
-                hierarchy="flat", cache_gathers=True)
+                hierarchy="flat")
 
 
 @pytest.fixture(autouse=True)

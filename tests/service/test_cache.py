@@ -84,8 +84,7 @@ def test_key_differs_on_every_component():
         dict(base, plan=Plan(fusion=())),
         dict(base, plan=Plan(fusion=("cse",))),
         dict(base, plan=Plan(licm="safe")),
-        dict(base, plan=Plan(guard="replicated")),
-        dict(base, plan=Plan(ew_split=True)),
+        dict(base, plan=Plan(licm="off")),
     ]
     keys = [cache.key(SRC, **v) for v in variants] + [cache.key(SRC_B, **base)]
     for key in keys:
@@ -252,7 +251,7 @@ def test_run_time_plan_fields_never_stick_to_the_cached_program(
 def test_cached_program_carries_compile_side_plan_fields_only(plan_src):
     cache = CompileCache(disk_root=False)
     request = Plan(fusion=(), licm="safe", scheme="cyclic",
-                   gather_algo="doubling", cache_gathers=True)
+                   gather_algo="doubling", hierarchy="flat")
     program = cache.get_or_compile(plan_src, plan=request).program
     assert program.plan == Plan(fusion=(), licm="safe")
 

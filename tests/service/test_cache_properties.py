@@ -31,8 +31,8 @@ SOURCES = (
     "s = 0;\nfor i = 1:5\n  s = s + i;\nend\ndisp(s);\n",
     # transpose-matmul fusion + CSE
     "A = ones(6, 6);\nB = A' * A + A' * A;\ndisp(sum(sum(B)));\n",
-    # a loop invariant to hoist, an element store to guard, a nested
-    # elementwise tree to split
+    # a loop invariant to hoist, an element store, a nested
+    # elementwise tree
     "A = ones(6, 6);\nv = zeros(6, 1);\nfor i = 1:6\n  c = sum(sum(A));\n"
     "  v(i) = c * i;\nend\nw = sqrt(v) .* v + v ./ (v + 1);\ndisp(sum(w));\n",
 )
@@ -52,15 +52,12 @@ ALTERNATIVES = {
     "fusion": [(), ("cse",), ("transpose_matmul",),
                ("cse", "transpose_matmul")],
     "licm": ["off", "safe"],
-    "guard": ["replicated"],
-    "ew_split": [True],
     "gather_algo": ["doubling"],
     "allreduce_algo": ["halving"],
     "hierarchy": ["flat"],
-    "cache_gathers": [True],
 }
 RUN_TIME_FIELDS = ("scheme", "dist", "gather_algo", "allreduce_algo",
-                   "hierarchy", "cache_gathers")
+                   "hierarchy")
 
 
 def test_every_plan_field_is_classified_and_fully_enumerated():
@@ -69,7 +66,6 @@ def test_every_plan_field_is_classified_and_fully_enumerated():
     assert sorted(COMPILE_FIELDS + RUN_TIME_FIELDS) == sorted(names)
     for name, legal in (("scheme", plan_mod.SCHEMES),
                         ("licm", plan_mod.LICM_POLICIES),
-                        ("guard", plan_mod.GUARD_PLACEMENTS),
                         ("gather_algo", plan_mod.GATHER_ALGOS),
                         ("allreduce_algo", plan_mod.ALLREDUCE_ALGOS),
                         ("hierarchy", plan_mod.HIERARCHIES)):
@@ -107,18 +103,17 @@ components = st.fixed_dictionaries({
     "source": st.sampled_from(range(len(SOURCES))),
     "name": st.sampled_from(("script", "demo", "job")),
     "provider": st.sampled_from(range(len(PROVIDERS))),
-    "plan": st.sampled_from((None, "nofuse", "safe", "replicated", "split")),
+    "plan": st.sampled_from((None, "nofuse", "safe", "off", "cse")),
 })
 
 _PLANS = {"nofuse": Plan(fusion=()), "safe": Plan(licm="safe"),
-          "replicated": Plan(guard="replicated"),
-          "split": Plan(ew_split=True)}
+          "off": Plan(licm="off"), "cse": Plan(fusion=("cse",))}
 
 # run-time dressings of a request: none may move the key
 run_side = st.sampled_from((
     {}, {"scheme": "cyclic"}, {"gather_algo": "doubling"},
-    {"dist": (("x", "cyclic"),), "cache_gathers": True,
-     "allreduce_algo": "halving", "hierarchy": "flat"}))
+    {"dist": (("x", "cyclic"),), "allreduce_algo": "halving",
+     "hierarchy": "flat"}))
 
 
 def _request_plan(c: dict, dressing: dict):

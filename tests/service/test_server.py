@@ -237,11 +237,9 @@ def test_scheme_field_overrides_the_request_plan(plan_src):
     assert field["trace"]["sha"] == on_plan["trace"]["sha"] \
         != block["trace"]["sha"]
     assert field["key"] == on_plan["key"] == block["key"]
-    # without a plan, and for the other overriding field, too
+    # without a plan, too
     assert fresh_run(scheme="cyclic")["elapsed"] \
         == fresh_run(plan={"scheme": "cyclic"})["elapsed"]
-    assert fresh_run(cache_gathers=True)["elapsed"] \
-        == fresh_run(plan={"cache_gathers": True})["elapsed"]
 
 
 @pytest.mark.parametrize("fields,named", [
@@ -258,6 +256,11 @@ def test_scheme_field_overrides_the_request_plan(plan_src):
     (dict(plan={"licm": "sometimes"}), "licm"),
     (dict(plan=[1, 2]), "plan"),
     (dict(plan={"dist": 7}), "plan"),
+    # a misspelt nprocs must not run silently at P=1
+    (dict(nproc=4), "nproc"),
+    # a field of a deleted knob is refused, not dropped
+    (dict(cache_gathers=True), "cache_gathers"),
+    (dict(plan={"guard": "owner"}), "guard"),
 ])
 def test_bad_run_field_is_a_config_error_naming_it(server, client, fields,
                                                    named):
@@ -271,12 +274,24 @@ def test_bad_run_field_is_a_config_error_naming_it(server, client, fields,
     assert client.stats()["counters"]["errors"] == 1
 
 
-def test_fault_plan_is_not_a_request_field(client):
+def test_fault_plan_is_not_a_request_field(server, client):
     """It can name a file to read on the server: a remote request that
-    sends one runs fault-free."""
-    reply = client.run(SRC, nprocs=4,
-                       fault_plan="seed=7; crash rank=1 step=1")
-    assert reply["ok"] and reply["output"].strip() == "64"
+    sends one is refused before anything runs."""
+    with pytest.raises(ServiceError) as err:
+        client.run(SRC, nprocs=4, fault_plan="seed=7; crash rank=1 step=1")
+    assert err.value.kind == "ConfigError"
+    assert "fault_plan" in str(err.value)
+    assert server.cache.stats()["compiles"] == 0
+    assert client.run(SRC, nprocs=4)["output"].strip() == "64"
+
+
+@pytest.mark.parametrize("op", ["compile", "trace"])
+def test_every_request_op_refuses_an_unknown_field(server, client, op):
+    with pytest.raises(ServiceError) as err:
+        getattr(client, op)(SRC, nproc=4)
+    assert err.value.kind == "ConfigError"
+    assert "nproc" in str(err.value)
+    assert server.cache.stats()["compiles"] == 0
 
 
 # ---------------------------------------------------------------------- #

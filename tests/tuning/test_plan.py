@@ -51,8 +51,7 @@ def test_compile_key_ignores_runtime_knobs():
     """Plans differing only in runtime knobs share one compilation."""
     compile_only = Plan()
     runtime_only = Plan(scheme="cyclic", gather_algo="doubling",
-                        allreduce_algo="halving", cache_gathers=True,
-                        dist=(("v", "cyclic"),))
+                        allreduce_algo="halving", dist=(("v", "cyclic"),))
     assert compile_only.compile_key() == runtime_only.compile_key()
     assert Plan(licm="off").compile_key() != compile_only.compile_key()
 
@@ -70,7 +69,7 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         Plan(licm="sometimes")
     with pytest.raises(ValueError):
-        Plan(guard="nobody")
+        Plan(hierarchy="ring")
     with pytest.raises(ValueError, match="duplicate fusion rewrite 'cse'"):
         Plan(fusion=("cse", "cse"))
     with pytest.raises(ValueError, match="unknown fusion rewrite 'csee'; "
@@ -147,8 +146,6 @@ def _workspace(plan, nprocs=4):
 @pytest.mark.parametrize("plan", [
     Plan(licm="off"),
     Plan(licm="safe"),
-    Plan(guard="replicated"),
-    Plan(ew_split=True),
     Plan(fusion=()),
     Plan(fusion=("cse",)),
     Plan(fusion=FUSION_REWRITES),
@@ -174,20 +171,6 @@ def test_licm_policies_actually_differ():
     assert aggressive.licm_stats.hoisted >= off.licm_stats.hoisted
     safe = compile_source(LOOP_SRC, plan=Plan(licm="safe"))
     assert safe.licm_stats.hoisted <= aggressive.licm_stats.hoisted
-
-
-def test_ew_split_produces_single_op_trees():
-    src = "n = 8;\nu = rand(n, 1);\nw = u + 2 * u .* u - u / 3;\nt = sum(w);"
-    fused = compile_source(src)
-    split = compile_source(src, plan=Plan(ew_split=True))
-    assert split.python_source != fused.python_source
-    # split never emits a nested ew tree: every rt.ew call has depth 1
-    from repro.ir.nodes import Elementwise, EwNode
-    for block in split.ir.walk():
-        for stmt in block:
-            if isinstance(stmt, Elementwise) and isinstance(stmt.expr, EwNode):
-                assert not any(isinstance(a, EwNode)
-                               for a in stmt.expr.args), stmt
 
 
 # -- map-geometry cache --------------------------------------------------- #
