@@ -1,12 +1,16 @@
 """Elementwise kernels referenced by generated Python code.
 
-Generated fused loops are ``rt.ew(lambda _v0, _v1: K.add(...), ...)``;
+Generated fused loops are ``rt.ew(_ew0, ...)``, ``_ew0`` a lambda
+over these kernels that the program binds once (``add``, ``sub``,
+``mul`` and ``neg`` are one Python operator each: it spells them inline);
 every function here is polymorphic over numpy arrays *and* Python scalars
 (the replicated-scalar case) and reproduces MATLAB numeric semantics:
 division by zero yields Inf, negative bases with fractional exponents go
 complex, comparisons and logicals produce 0.0/1.0 doubles.  This module
 is the numpy column of :data:`repro.ewops.OPS`: each row names one
-attribute here.
+attribute here.  The caller holds numpy's ``divide="ignore",
+invalid="ignore"`` error state, so no kernel enters it per call: the
+rank program (:mod:`repro.compiler`) and the native tier's reference.
 """
 
 from __future__ import annotations
@@ -35,14 +39,12 @@ def mul(a, b):
 
 
 def div(a, b):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(a, b)
+    return np.divide(a, b)
 
 
 def ldiv(a, b):
     """a .\\ b (left elementwise division)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(b, a)
+    return np.divide(b, a)
 
 
 def _pow_needs_complex(aa, bb):
@@ -72,8 +74,7 @@ def pow_(a, b):
     if (not np.iscomplexobj(aa) and not np.iscomplexobj(bb)
             and _pow_needs_complex(aa, bb)):
         aa = aa.astype(complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return aa ** bb
+    return aa ** bb
 
 
 def neg(a):
@@ -85,6 +86,9 @@ def pos(a):
 
 
 def _realpart(x):
+    kind = x.__class__
+    if kind is float or (kind is np.ndarray and x.dtype.kind != "c"):
+        return x
     return np.real(x) if np.iscomplexobj(_num(x)) else x
 
 

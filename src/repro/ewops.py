@@ -73,6 +73,8 @@ class EwOp:
     guard: Optional[str] = None
     #: probe sample domain: "all" | "positive" | "pairs" | "pow_pairs"
     domain: str = "all"
+    #: the one Python operator the kernel is: :func:`spec_to_py` inlines it
+    py_op: Optional[str] = None
 
     @property
     def kernel(self) -> Callable:
@@ -85,12 +87,12 @@ class EwOp:
 #: the run time's ``maximum``/``minimum``) and the ``pow:<c>`` pseudo-ops
 OPS: dict[str, EwOp] = {
     # IEEE arithmetic: correctly rounded, always exact
-    "+": EwOp(2, "add", "({0} + {1})"),
-    "-": EwOp(2, "sub", "({0} - {1})"),
-    ".*": EwOp(2, "mul", "({0} * {1})"),
+    "+": EwOp(2, "add", "({0} + {1})", py_op="({0} + {1})"),
+    "-": EwOp(2, "sub", "({0} - {1})", py_op="({0} - {1})"),
+    ".*": EwOp(2, "mul", "({0} * {1})", py_op="({0} * {1})"),
     "./": EwOp(2, "div", "({0} / {1})"),
     ".\\": EwOp(2, "ldiv", "({1} / {0})"),
-    "u-": EwOp(1, "neg", "(-{0})"),
+    "u-": EwOp(1, "neg", "(-{0})", py_op="(-{0})"),
     "u+": EwOp(1, "pos", "({0})"),
     # comparisons / logicals produce 0.0/1.0 doubles (NaN compares false,
     # NaN != 0 is true so NaN is truthy — both match numpy).  The
@@ -295,18 +297,21 @@ def single_op_spec(op: str) -> tuple:
 
 
 def spec_to_py(spec) -> str:
-    """The ``lambda _v0, _v1, ...: K.<kernel>(...)`` text of a spec: what
-    the emitted program hands to ``rt.ew`` and, ``eval``'d, the numpy
-    reference of the native tier (:func:`reference`)."""
+    """The ``lambda _v0, _v1, ...: K.<kernel>(_v0 + ...)`` text of a
+    spec: what the emitted program hands to ``rt.ew`` and, ``eval``'d,
+    the numpy reference of the native tier (:func:`reference`)."""
     nslots = 0
 
     def walk(node) -> str:
         nonlocal nslots
         if node.__class__ is tuple:
-            args = ", ".join([walk(a) for a in node[1:]])
+            args = [walk(a) for a in node[1:]]
             if node[0].startswith("pow:"):  # the probes' single-op specs
-                return f"K.pow_({args}, {float(node[0][4:])!r})"
-            return f"K.{_row(node).py}({args})"
+                return f"K.pow_({args[0]}, {float(node[0][4:])!r})"
+            row = _row(node)
+            if row.py_op is not None:
+                return row.py_op.format(*args)
+            return f"K.{row.py}({', '.join(args)})"
         if node.__class__ is str:
             nslots = max(nslots, int(node[1:]) + 1)
             return "_v" + node[1:]

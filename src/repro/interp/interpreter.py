@@ -487,7 +487,8 @@ def apply_binop(op: str, lhs: Value, rhs: Value, meter=NULL_METER) -> Value:
         if not np.iscomplexobj(a) and not np.iscomplexobj(b):
             if np.any((a < 0) & (np.asarray(b) != np.floor(b))):
                 base = a.astype(complex)
-        return simplify(base ** b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return simplify(base ** b)
     if op == "*":
         if a.size == 1 or b.size == 1:
             meter.charge_elementwise(max(a.size, b.size))

@@ -213,12 +213,11 @@ class World:
 
     def _check_virtual_timeout(self, rank: int, waited: float,
                                what: str) -> None:
-        """Raise if a rank's simulated wait exceeded the plan's patience."""
-        timeout = self.virtual_timeout
-        if timeout is not None and waited > timeout:
+        """Raise if a rank's simulated wait exceeded the plan's timeout."""
+        if waited > self.virtual_timeout:
             raise MpiTimeoutError(
                 f"rank {rank} timed out in {what}: waited {waited:.9g}s "
-                f"virtual (timeout {timeout:.9g}s)")
+                f"virtual (timeout {self.virtual_timeout:.9g}s)")
 
     # ------------------------------------------------------------------ #
     # rendezvous: every rank calls sync(contribute, combine);
@@ -266,22 +265,23 @@ class World:
         if self.faults is not None:
             self.faults.check_crash(rank, op or "collective",
                                     self.clocks[rank])
-        self._check_abort()
+        if self.aborted is not None:
+            self._check_abort()
         self._slots[rank] = contribution
         self._arrived += 1
         if self._arrived < self.nprocs:
             # reason is a lazy record; only a deadlock report formats it
             self.scheduler.block(
                 rank, ("collective", op, self._arrived, self.nprocs))
-            self._check_abort()
+            if self.aborted is not None:
+                self._check_abort()
         else:
             self._run_combine(combine, op)
             self._slots = [None] * self.nprocs
-            for peer in range(self.nprocs):
-                if peer != rank:
-                    self.scheduler.unblock(peer)
-        self._check_virtual_timeout(
-            rank, self._coll_tmax - self.clocks[rank], op or "collective")
+            self.scheduler.unblock_all(rank)
+        if self.virtual_timeout is not None:
+            self._check_virtual_timeout(
+                rank, self._coll_tmax - self.clocks[rank], op or "collective")
         t0 = self.clocks[rank]
         self.clocks[rank] = max(t0, self._coll_time)
         if rec is not None:
@@ -309,6 +309,8 @@ class Comm:
         #: every hook below guards on this single cached reference
         self._rec = None if world.trace is None \
             else world.trace.recorders[rank]
+        #: (next rank, previous rank) around the ring: :meth:`ring_step`
+        self._ring = ((rank + 1) % self.size, (rank - 1) % self.size)
 
     # -- virtual time --------------------------------------------------- #
 
@@ -409,7 +411,8 @@ class Comm:
         """:meth:`send` past its argument checks."""
         nbytes = sizeof(obj)
         world = self.world
-        world._check_abort()
+        if world.aborted is not None:
+            world._check_abort()
         # unpark the receiver iff it is parked on exactly this message
         # (a send to self never finds the sender parked)
         if self._post_message(obj, dest, tag, nbytes) and \
@@ -548,7 +551,8 @@ class Comm:
                                      world.clocks[self.rank])
         key = (source, self.rank, tag)
         while True:
-            world._check_abort()
+            if world.aborted is not None:
+                world._check_abort()
             queue = world.mailboxes.get(key)
             if queue:
                 break
@@ -557,8 +561,9 @@ class Comm:
         if not queue:
             del world.mailboxes[key]
         me = world.clocks[self.rank]
-        world._check_virtual_timeout(
-            self.rank, arrival - me, f"recv(source={source}, tag={tag})")
+        if world.virtual_timeout is not None:
+            world._check_virtual_timeout(
+                self.rank, arrival - me, f"recv(source={source}, tag={tag})")
         if checksum is not None and payload_checksum(obj) != checksum:
             raise MpiCorruptionError(
                 f"message from rank {source} to rank {self.rank} "
@@ -582,6 +587,16 @@ class Comm:
             return obj  # self-exchange: no wire traffic
         self._send(obj, dest, sendtag)
         return self._recv(source, recvtag)
+
+    def ring_step(self, obj: Any, forward: bool) -> Any:
+        """The run time's ring shift (``P > 1``): :meth:`sendrecv` of
+        ``obj`` on tag 0 to the next rank (``forward``) or the previous
+        one, past the argument checks — its neighbours are valid by
+        construction.  Faults, retries, checksums, crash checks, the
+        virtual timeout and the trace hooks apply as to any message."""
+        dest, source = self._ring if forward else self._ring[::-1]
+        self._send(obj, dest, 0)
+        return self._recv(source, 0)
 
     # -- collectives ------------------------------------------------------ #
 

@@ -267,12 +267,16 @@ def _run_lockstep(nprocs: int, machine: MachineModel, fn: Callable,
                        for rank in range(nprocs)]
             for thread in threads:
                 thread.start()
-            # guaranteed teardown: joins are bounded once the world has
-            # aborted, so a truly wedged rank (e.g. an infinite compute
-            # loop the watchdog cannot interrupt) is abandoned as a
-            # daemon after a grace period instead of hanging the caller
+            # the last rank's finish (or an abort) releases `finished`,
+            # so healthy joins find exiting threads (a fixed call count);
+            # joins are bounded once the world has aborted, so a truly
+            # wedged rank (e.g. an infinite compute loop the watchdog
+            # cannot interrupt) is abandoned as a daemon after a grace
+            # period instead of hanging the caller
+            scheduler.finished.acquire()
             deadline: Optional[float] = None
             for thread in threads:
+                thread.join(timeout=0.1)
                 while thread.is_alive():
                     thread.join(timeout=0.1)
                     if world.aborted is None:

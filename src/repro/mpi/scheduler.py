@@ -132,6 +132,9 @@ class LockstepScheduler:
         #: optional :class:`~repro.trace.WorldTrace` receiving advisory
         #: park notes (host time only; never canonical trace content)
         self.trace: Optional[Any] = None
+        #: held until every rank is done or the world aborts
+        self.finished = threading.Lock()
+        self.finished.acquire()
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -198,6 +201,15 @@ class LockstepScheduler:
                 self.reason[rank] = None
                 self._run_queue.append(rank)
 
+    def unblock_all(self, rank: int) -> None:
+        """Mark every parked rank but ``rank`` runnable, in rank order."""
+        with self._lock:
+            for peer in range(self.nprocs):
+                if peer != rank and self._state[peer] == BLOCKED:
+                    self._state[peer] = READY
+                    self.reason[peer] = None
+                    self._run_queue.append(peer)
+
     # -- internals ------------------------------------------------------ #
 
     def _wait_for_baton(self, rank: int) -> None:
@@ -229,14 +241,16 @@ class LockstepScheduler:
             self._abort_locked()
             if self.on_deadlock is not None:
                 self.on_deadlock(error)
+        else:
+            self.finished.release()     # every rank is done
 
     def _abort_locked(self) -> None:
         if self._aborted:
             return
         self._aborted = True
-        for baton in self._batons:
-            # wake parked ranks; a rank that is running (baton already
-            # released, or never parked) makes this a double release
+        for baton in (*self._batons, self.finished):
+            # wake parked ranks and the executor (a running rank, or a
+            # finished run, makes this a double release)
             try:
                 baton.release()
             except RuntimeError:

@@ -136,7 +136,7 @@ def _via_interpreter(name: str):
     return handler
 
 
-_TABLE = {
+TABLE = {
     "zeros": lambda rt, a, n: rt.zeros(*a),
     "ones": lambda rt, a, n: rt.ones(*a),
     "eye": lambda rt, a, n: rt.eye(*a),
@@ -198,19 +198,19 @@ _TABLE = {
 }
 for _name, _sig in REGISTRY.items():
     if _sig.kind in ("elementwise", "ewbinary"):
-        _TABLE[_name] = _elementwise(f"fn:{_name}")
+        TABLE[_name] = _elementwise(f"fn:{_name}")
 for _name, (_value, _) in CONSTANTS.items():
-    _TABLE[_name] = lambda rt, a, n, value=_value: value
+    TABLE[_name] = lambda rt, a, n, value=_value: value
 
 #: names handled by this dispatcher (kept in sync with the signature
 #: registry by a test)
-SUPPORTED = frozenset(_TABLE)
+SUPPORTED = frozenset(TABLE)
 
 
 def call_builtin(rt, name: str, args: list[RValue], nargout: int = 1):
     """Invoke builtin ``name`` on the distributed runtime."""
     try:
-        handler = _TABLE[name]
+        handler = TABLE[name]
     except KeyError:
         raise MatlabRuntimeError(
             f"builtin {name!r} has no distributed implementation") from None

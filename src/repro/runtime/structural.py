@@ -254,11 +254,9 @@ def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
         rt.comm.overhead()
         return vec.like(vec.held.copy())
     min_count = vec.geom.map.base       # a block map's smallest block
-    if 0 < k <= min_count and rt.size > 1:
-        return _circshift_ring(rt, vec, k)
-    if 0 < (n - k) <= min_count and rt.size > 1:
-        # a large positive shift is a small negative one
-        return _circshift_ring(rt, vec, k - n)
+    if rt.size > 1 and (k <= min_count or n - k <= min_count):
+        # (a large positive shift is a small negative one)
+        return _circshift_ring(rt, vec, k if k <= min_count else k - n)
     # Pack one (indices, values) array pair per destination rank — no
     # per-element Python: owners() is pure arithmetic, a stable argsort
     # groups elements (rows) by destination, and each piece is a
@@ -283,29 +281,19 @@ def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
 
 
 def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
-    """Shift by |k| <= min block: one sendrecv with the ring neighbour.
-
-    Shifting right by k moves each rank's last k elements (rows) to the
-    next rank's front (and symmetrically for k < 0) — two messages per
-    step of a stencil instead of an alltoall.
-    """
+    """Shift by |k| <= min block: each rank's last k elements (rows) go
+    to the next rank's front (for k < 0, its first |k| to the previous
+    rank's back) in one ring step, instead of an alltoall."""
     local = vec.local
-    p = rt.size
-    if k > 0:
-        dest = (rt.rank + 1) % p
-        source = (rt.rank - 1) % p
-        boundary = np.ascontiguousarray(local[-k:])
-        received = rt.comm.sendrecv(boundary, dest=dest, source=source)
-        new_local = np.concatenate([received, local[:-k]]) \
-            if local.size else local.copy()
+    forward = k > 0
+    boundary = np.ascontiguousarray(local[-k:] if forward else local[:-k])
+    received = rt.comm.ring_step(boundary, forward)
+    if not local.size:
+        new_local = local.copy()
+    elif forward:
+        new_local = np.concatenate([received, local[:-k]])
     else:
-        kk = -k
-        dest = (rt.rank - 1) % p
-        source = (rt.rank + 1) % p
-        boundary = np.ascontiguousarray(local[:kk])
-        received = rt.comm.sendrecv(boundary, dest=dest, source=source)
-        new_local = np.concatenate([local[kk:], received]) \
-            if local.size else local.copy()
+        new_local = np.concatenate([local[-k:], received])
     rt.comm.charge(mem=vec.load)
     return vec.like(np.asarray(new_local, dtype=vec.local.dtype))
 

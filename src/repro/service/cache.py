@@ -70,7 +70,7 @@ ENV_COMPILE_CACHE = "REPRO_COMPILE_CACHE"
 
 #: bump when the cached-payload layout or the emitted-code ABI changes —
 #: stale major versions on disk are simply never looked up
-PAYLOAD_VERSION = 8
+PAYLOAD_VERSION = 9
 
 _OFF_VALUES = ("0", "off", "none", "disabled")
 

@@ -3,8 +3,15 @@ MATLAB numeric semantics."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.codegen import kernels as K
+from repro.ewops import OPS, single_op_spec, spec_to_py
+
+# the kernels' contract: the caller holds the rank program's errstate
+pytestmark = pytest.mark.usefixtures("kernel_errstate")
 
 
 class TestArithmetic:
@@ -144,3 +151,38 @@ class TestPowScanFastPath:
         # array-array mixed case still promotes exactly where needed
         out = K.pow_(np.array([-2.0, -2.0]), np.array([2.0, 2.5]))
         assert np.iscomplexobj(out)
+
+
+# ---------------------------------------------------------------------- #
+# the operators emitted code spells inline
+# ---------------------------------------------------------------------- #
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+_OPERANDS = st.one_of(
+    _FLOATS,
+    _COMPLEX,
+    hnp.arrays(np.float64, 3, elements=_FLOATS),
+    hnp.arrays(np.complex128, 3, elements=_COMPLEX),
+)
+
+
+def _bits(value):
+    """A value's type and exact bytes (NaN payloads and zero signs
+    included)."""
+    arr = np.asarray(value)
+    return type(value), arr.dtype.str, arr.shape, arr.tobytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(op=st.sampled_from(sorted(op for op, row in OPS.items() if row.py_op)),
+       a=_OPERANDS, b=_OPERANDS)
+def test_inline_operator_is_its_kernel_bit_for_bit(op, a, b):
+    text = spec_to_py(single_op_spec(op))
+    assert "K." not in text
+    inline = eval(text, {"K": K})
+    args = (a, b)[:OPS[op].arity]
+    with np.errstate(over="ignore"):
+        assert _bits(inline(*args)) == _bits(OPS[op].kernel(*args))

@@ -7,6 +7,15 @@ from repro.compiler import OtterCompiler, compile_source
 from repro.interp.interpreter import run_source
 
 
+@pytest.fixture
+def kernel_errstate():
+    """The floating-point state ``repro.codegen.kernels`` runs in: the
+    one the rank program holds (``repro.compiler``), under which a zero
+    divisor or an invalid operand gives Inf or NaN, never a warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        yield
+
+
 @pytest.fixture(scope="session")
 def compiler():
     return OtterCompiler()

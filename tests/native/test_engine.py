@@ -12,7 +12,9 @@ from repro.ewops import reference
 
 HAVE_CC = find_compiler() is not None
 
-pytestmark = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
+# the tests call the numpy reference directly, in the kernels' errstate
+pytestmark = [pytest.mark.skipif(not HAVE_CC, reason="no C compiler"),
+              pytest.mark.usefixtures("kernel_errstate")]
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ This corpus is the backbone of the reproduction's correctness story —
 each script exercises a different slice of the language/runtime.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,25 @@ def test_power_of_a_negative_base_on_both_backends(key, run_interp,
                 np.testing.assert_array_equal(
                     np.asarray(ws[name]), np.asarray(expected),
                     err_msg=f"{backend} P={p}: {name}")
+
+
+#: a zero divisor on distributed vectors gives MATLAB's Inf and NaN: the
+#: rank program holds the errstate the kernels leave to their caller
+DIVIDE_BY_ZERO = ("v = zeros(1, 8); a = 1 ./ v; b = v ./ v; c = v .\\ 1; "
+                  "d = v .^ (-1);\ndisp(a); disp(b); disp(c); disp(d);")
+
+
+def test_division_by_zero_on_distributed_vectors_warns_nothing(
+        run_interp, run_compiled):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = "".join(run_interp(DIVIDE_BY_ZERO).output)
+        assert "Inf" in want and "NaN" in want
+        for backend in ("lockstep", "fused"):
+            for p in (1, 4):
+                _, out = run_compiled(DIVIDE_BY_ZERO, nprocs=p,
+                                      backend=backend)
+                assert out == want, (backend, p)
 
 
 #: where the NaNs sit in the 16-element vector and the 8 x 6 matrix
