@@ -41,11 +41,12 @@ def _expr_uses(expr: A.Expr | None, uses: list[A.Node] | None = None) -> list[A.
 
 
 def _use_name(node: A.Node) -> str:
-    if isinstance(node, A.Ident):
+    kind = type(node)
+    if kind is A.Ident:
         return node.name
-    if isinstance(node, A.EndRef):
+    if kind is A.EndRef:
         return node.var
-    raise TypeError(type(node).__name__)
+    raise TypeError(kind.__name__)
 
 
 class Event:
@@ -69,49 +70,53 @@ class StmtEvent(Event):
 
     def uses(self) -> list[A.Node]:
         s = self.stmt
-        if isinstance(s, A.Assign):
+        kind = type(s)
+        if kind is A.Assign:
             nodes = _expr_uses(s.value)
-            if isinstance(s.target, A.IndexLValue):
+            if type(s.target) is A.IndexLValue:
                 for arg in s.target.args:
                     _expr_uses(arg, nodes)
             return nodes
-        if isinstance(s, A.MultiAssign):
+        if kind is A.MultiAssign:
             nodes = _expr_uses(s.call)
             for target in s.targets:
-                if isinstance(target, A.IndexLValue):
+                if type(target) is A.IndexLValue:
                     for arg in target.args:
                         _expr_uses(arg, nodes)
             return nodes
-        if isinstance(s, A.ExprStmt):
+        if kind is A.ExprStmt:
             return _expr_uses(s.value)
-        if isinstance(s, A.Global):
+        if kind is A.Global:
             return []
-        raise TypeError(f"not a simple statement: {type(s).__name__}")
+        raise TypeError(f"not a simple statement: {kind.__name__}")
 
     def implicit_uses(self) -> list[str]:
         s = self.stmt
+        kind = type(s)
         names: list[str] = []
-        if isinstance(s, A.Assign) and isinstance(s.target, A.IndexLValue):
-            names.append(s.target.name)
-        if isinstance(s, A.MultiAssign):
+        if kind is A.Assign:
+            if type(s.target) is A.IndexLValue:
+                names.append(s.target.name)
+        elif kind is A.MultiAssign:
             for target in s.targets:
-                if isinstance(target, A.IndexLValue):
+                if type(target) is A.IndexLValue:
                     names.append(target.name)
         return names
 
     def defs(self) -> list[str]:
         s = self.stmt
-        if isinstance(s, A.Assign):
+        kind = type(s)
+        if kind is A.Assign:
             return [s.target.name]
-        if isinstance(s, A.MultiAssign):
+        if kind is A.MultiAssign:
             return [t.name for t in s.targets]
-        if isinstance(s, A.ExprStmt):
+        if kind is A.ExprStmt:
             if _produces_value(s.value):
                 return ["ans"]
             return []
-        if isinstance(s, A.Global):
+        if kind is A.Global:
             return list(s.names)
-        raise TypeError(f"not a simple statement: {type(s).__name__}")
+        raise TypeError(f"not a simple statement: {kind.__name__}")
 
 
 @dataclass
@@ -138,7 +143,7 @@ class LoopIndexEvent(Event):
 
 def _produces_value(expr: A.Expr) -> bool:
     """False for calls to void builtins (disp, fprintf, ...)."""
-    if isinstance(expr, A.Apply) and expr.resolved == "builtin":
+    if type(expr) is A.Apply and expr.resolved == "builtin":
         from .builtin_sigs import get_sig
 
         sig = get_sig(expr.name)
@@ -255,30 +260,32 @@ class CFGBuilder:
             self._stmt(stmt)
 
     def _stmt(self, stmt: A.Stmt) -> None:
-        if isinstance(stmt, (A.Assign, A.MultiAssign, A.ExprStmt, A.Global)):
+        kind = type(stmt)
+        if kind is A.Assign or kind is A.ExprStmt or kind is A.MultiAssign \
+                or kind is A.Global:
             self._emit(StmtEvent(stmt))
-        elif isinstance(stmt, A.If):
+        elif kind is A.If:
             self._if(stmt)
-        elif isinstance(stmt, A.For):
+        elif kind is A.For:
             self._for(stmt)
-        elif isinstance(stmt, A.While):
+        elif kind is A.While:
             self._while(stmt)
-        elif isinstance(stmt, A.Switch):
+        elif kind is A.Switch:
             self._switch(stmt)
-        elif isinstance(stmt, A.Break):
+        elif kind is A.Break:
             if self._loops and self.current is not None:
                 self._loops[-1].break_sources.append(self.current)
             self.current = None
-        elif isinstance(stmt, A.Continue):
+        elif kind is A.Continue:
             if self._loops and self.current is not None:
                 self.cfg.add_edge(self.current, self._loops[-1].continue_target)
             self.current = None
-        elif isinstance(stmt, A.Return):
+        elif kind is A.Return:
             if self.current is not None:
                 self._return_sources.append(self.current)
             self.current = None
         else:
-            raise TypeError(f"unhandled statement {type(stmt).__name__}")
+            raise TypeError(f"unhandled statement {kind.__name__}")
 
     def _if(self, stmt: A.If) -> None:
         join_sources: list[int] = []

@@ -16,20 +16,29 @@ currently imply (not joined with its old type), so precision improves as
 constants become known; that is not monotone, so the sweep order is part of
 the semantics and is kept fixed.
 
-The sweeps are change-driven.  Every change of an SSA value's type or
-constant, or of a function's return types, is stamped with an epoch, every
-evaluation of a phi or event records which of those it read, and a sweep
-skips whatever was last evaluated after the last change of all its inputs:
-evaluating it again would compute the same outputs from the same inputs
-(and join the same argument types into the callee's parameter table, which
-changes nothing).  The sweep that confirms a fixpoint, and a global round
-over an unchanged unit, cost one stamp check per read.
+The sweeps are change-driven.  Every evaluation of a phi or event records
+what it read — SSA values' types and constants, a callee's return types —
+and every change of one of those marks the phis and events whose last
+evaluation read it as dirty (so does a change an evaluation makes to
+something it read itself: an indexed read joins every version, its own
+definition included).  A sweep walks the unit's precomputed
+reverse-postorder list of (phi or event, transfer function) pairs and
+evaluates only the dirty ones: a clean one would compute the same outputs
+from the same inputs (and join the same argument types into the callee's
+parameter table, which changes nothing).  These are exactly the
+evaluations, in the same order, of a sweep that visited every phi and
+event and evaluated those with an input changed since their last
+evaluation began; the sweep that confirms a fixpoint, and a global round
+over an unchanged unit, evaluate nothing.  Events dispatch once, when the
+list is built: each event class and statement class has its own transfer
+function.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 from ..errors import NESTED_TOO_DEEPLY, InferenceError
 from ..ewops import CONSTANTS, OPS
@@ -50,7 +59,7 @@ from .lattice import (
     scalar,
 )
 from .resolve import ResolvedProgram, ResolvedUnit
-from .ssa import SSAInfo, SSAValue, build_ssa
+from .ssa import Phi, SSAInfo, SSAValue, build_ssa
 
 
 def _same_const(a: object, b: object) -> bool:
@@ -151,12 +160,21 @@ class InferenceEngine:
         self._changed = False
         # Change-driven sweeps (module docstring).  All of it lives here,
         # not on UnitTypes, which cached programs retain.  An input is an
-        # SSA value or a callee's return-type list, keyed by id().
+        # SSA value or a callee's return-type list, keyed by id(); a phi
+        # or event is its slot, an index into the per-slot lists.
+        #: unit name -> its sweep: (slot, phi or event, transfer function)
+        self._order: dict[str, list[tuple[int, object, Callable]]] = {}
+        self._dirty: list[bool] = []        # slot -> evaluate next visit
+        self._evaluated: list[bool] = []    # slot -> evaluated before
+        #: input -> slots that read it.  What a phi or event reads is fixed
+        #: by SSA — the values its uses name, the versions an indexed read
+        #: joins, the callee's return list — not by the types it finds, so
+        #: its first evaluation registers it as their reader for good.
+        self._readers: defaultdict[int, set[int]] = defaultdict(set)
         self._epoch = 0
-        self._stamp: dict[int, int] = {}    # input -> epoch of its last change
-        # id(phi or event) -> (epoch its last evaluation began, inputs read)
-        self._evaluated: dict[int, tuple[int, list[int]]] = {}
-        self._reads: list[int] = []     # ... by the evaluation in progress
+        #: input -> epoch of its last change
+        self._stamp: defaultdict[int, int] = defaultdict(int)
+        self._reads: list[int] = []     # inputs of the evaluation in progress
 
     # ------------------------------------------------------------------ #
     # driver
@@ -168,7 +186,6 @@ class InferenceEngine:
         for name, unit in self.program.functions.items():
             self._unit_types[name] = self._make_unit_types(unit)
             func = unit.node
-            assert isinstance(func, A.FunctionDef)
             self._param_types.setdefault(name, [BOTTOM] * len(func.params))
             self._param_consts.setdefault(name, [None] * len(func.params))
             self._return_types.setdefault(name, [BOTTOM] * max(len(func.returns), 1))
@@ -196,9 +213,21 @@ class InferenceEngine:
 
     def _make_unit_types(self, unit: ResolvedUnit) -> UnitTypes:
         params: list[str] = []
-        if isinstance(unit.node, A.FunctionDef):
+        if type(unit.node) is A.FunctionDef:
             params = unit.node.params
         ssa = build_ssa(unit.body, params)
+        nodes: list = []
+        for block_id in ssa.dom.rpo:
+            nodes += ssa.phis.get(block_id, ())
+            nodes += ssa.cfg.blocks[block_id].events
+        first = len(self._dirty)
+        transfer = self._TRANSFER
+        self._order[unit.name] = [
+            (first + k, node, transfer[
+                type(node.stmt) if type(node) is StmtEvent else type(node)])
+            for k, node in enumerate(nodes)]
+        self._dirty += [True] * len(nodes)
+        self._evaluated += [False] * len(nodes)
         return UnitTypes(unit.name, ssa)
 
     def _finalize(self) -> None:
@@ -239,7 +268,7 @@ class InferenceEngine:
         ssa = ut.ssa
 
         # seed parameter types
-        if isinstance(unit.node, A.FunctionDef):
+        if type(unit.node) is A.FunctionDef:
             ptypes = self._param_types[unit.name]
             pconsts = self._param_consts[unit.name]
             for i, pname in enumerate(unit.node.params):
@@ -262,7 +291,7 @@ class InferenceEngine:
             raise InferenceError(f"inference diverged in unit {unit.name!r}")
 
         # publish this function's return types
-        if isinstance(unit.node, A.FunctionDef):
+        if type(unit.node) is A.FunctionDef:
             rets = self._return_types[unit.name]
             for i, rname in enumerate(unit.node.returns):
                 joined = BOTTOM
@@ -274,44 +303,40 @@ class InferenceEngine:
                     self._touch(rets)
 
     def _one_pass(self, unit: ResolvedUnit, ut: UnitTypes) -> None:
-        ssa = ut.ssa
-        for block_id in ssa.dom.rpo:
-            for phi in ssa.phis.get(block_id, []):
-                self._evaluate(self._infer_phi, ut, phi)
-            for event in ssa.cfg.blocks[block_id].events:
-                self._evaluate(self._infer_event, unit, ut, event)
-
-    def _evaluate(self, infer, *args) -> None:
-        """Run ``infer(*args)`` for the phi or event that is its last
-        argument, unless it would read exactly what it read last time."""
-        node = args[-1]
-        if self._is_clean(node):
-            return
-        self._reads = reads = []
-        began = self._epoch
-        infer(*args)
-        self._evaluated[id(node)] = (began, reads)
-
-    def _is_clean(self, node) -> bool:
-        """Has no input of ``node`` changed since its last evaluation
-        began?  (A change it made to a value it also reads — an indexed
-        read joins every version, its own definition included — is later
-        than that, so it counts.)"""
-        last = self._evaluated.get(id(node))
-        if last is None:
-            return False
-        began, reads = last
+        """One sweep: evaluate the dirty phis and events, in order."""
+        dirty = self._dirty
         stamp = self._stamp
-        for key in reads:
-            if stamp.get(key, 0) > began:
-                return False
-        return True
+        readers = self._readers
+        evaluated = self._evaluated
+        for slot, node, infer in self._order[unit.name]:
+            if not dirty[slot]:
+                continue
+            self._reads = reads = []
+            began = self._epoch
+            infer(self, unit, ut, node)
+            # dirty again only if it changed an input of its own (what it
+            # read earlier, or later, in this very evaluation)
+            again = False
+            if self._epoch != began:
+                for key in reads:
+                    if stamp[key] > began:
+                        again = True
+                        break
+            dirty[slot] = again
+            if not evaluated[slot]:
+                evaluated[slot] = True
+                for key in reads:
+                    readers[key] |= {slot}
 
     def _touch(self, changed) -> None:
-        """Stamp a change of an input: an SSA value's type or constant, or
-        a function's return types."""
+        """Note a change of an input — an SSA value's type or constant, or
+        a function's return types — and mark its readers dirty."""
+        key = id(changed)
         self._epoch += 1
-        self._stamp[id(changed)] = self._epoch
+        self._stamp[key] = self._epoch
+        dirty = self._dirty
+        for slot in self._readers[key]:
+            dirty[slot] = True
 
     def _read(self, ut: UnitTypes, value: SSAValue) -> VarType:
         """The type of ``value``, noted as an input (with its constant) of
@@ -319,7 +344,7 @@ class InferenceEngine:
         self._reads.append(id(value))
         return ut.types.get(value.vid, BOTTOM)
 
-    def _infer_phi(self, ut: UnitTypes, phi) -> None:
+    def _infer_phi(self, unit: ResolvedUnit, ut: UnitTypes, phi) -> None:
         joined = BOTTOM
         const_candidates: list[object] = []
         for value in phi.args.values():
@@ -358,49 +383,73 @@ class InferenceEngine:
     # events
     # ------------------------------------------------------------------ #
 
-    def _infer_event(self, unit: ResolvedUnit, ut: UnitTypes, event) -> None:
-        defs = ut.ssa.defs_of.get(id(event), [])
-        if isinstance(event, CondEvent):
-            self._type_expr(unit, ut, event.expr)
-            return
-        if isinstance(event, LoopIndexEvent):
-            it_type, _ = self._type_expr(unit, ut, event.stmt.iterable)
-            if defs:
-                self._set_type(ut, defs[0], self._loop_var_type(it_type))
-            return
-        assert isinstance(event, StmtEvent)
+    def _infer_cond(self, unit: ResolvedUnit, ut: UnitTypes,
+                    event: CondEvent) -> None:
+        self._type_expr(unit, ut, event.expr)
+
+    def _infer_loop_index(self, unit: ResolvedUnit, ut: UnitTypes,
+                          event: LoopIndexEvent) -> None:
+        it_type, _ = self._type_expr(unit, ut, event.stmt.iterable)
+        defs = ut.ssa.defs_of.get(id(event))
+        if defs:
+            self._set_type(ut, defs[0], self._loop_var_type(it_type))
+
+    def _infer_assign(self, unit: ResolvedUnit, ut: UnitTypes,
+                      event: StmtEvent) -> None:
         stmt = event.stmt
-        if isinstance(stmt, A.Assign):
-            rhs_type, rhs_const = self._type_expr(unit, ut, stmt.value)
-            if not defs:
-                return
-            self._set_type(ut, defs[0], self._stored_type(
-                unit, ut, event, stmt.target, rhs_type))
-            if isinstance(stmt.target, A.NameLValue):
-                self._set_const(ut, defs[0], rhs_const)
-        elif isinstance(stmt, A.MultiAssign):
-            out_types = self._call_types(
-                stmt.call,
-                [self._type_expr(unit, ut, a) for a in stmt.call.args],
-                nargout=len(stmt.targets))
-            for i, value in enumerate(defs):
-                produced = out_types[i] if i < len(out_types) else UNKNOWN
-                self._set_type(ut, value, self._stored_type(
-                    unit, ut, event, stmt.targets[i], produced))
-        elif isinstance(stmt, A.ExprStmt):
-            etype, econst = self._type_expr(unit, ut, stmt.value)
-            if defs:  # the implicit `ans`
-                self._set_type(ut, defs[0], etype)
-                self._set_const(ut, defs[0], econst)
-        elif isinstance(stmt, A.Global):
-            for value in defs:
-                self._set_type(ut, value, UNKNOWN)
+        rhs_type, rhs_const = self._type_expr(unit, ut, stmt.value)
+        defs = ut.ssa.defs_of.get(id(event))
+        if not defs:
+            return
+        self._set_type(ut, defs[0], self._stored_type(
+            unit, ut, event, stmt.target, rhs_type))
+        if type(stmt.target) is A.NameLValue:
+            self._set_const(ut, defs[0], rhs_const)
+
+    def _infer_multi_assign(self, unit: ResolvedUnit, ut: UnitTypes,
+                            event: StmtEvent) -> None:
+        stmt = event.stmt
+        out_types = self._call_types(
+            stmt.call,
+            [self._type_expr(unit, ut, a) for a in stmt.call.args],
+            nargout=len(stmt.targets))
+        for i, value in enumerate(ut.ssa.defs_of.get(id(event), ())):
+            produced = out_types[i] if i < len(out_types) else UNKNOWN
+            self._set_type(ut, value, self._stored_type(
+                unit, ut, event, stmt.targets[i], produced))
+
+    def _infer_expr_stmt(self, unit: ResolvedUnit, ut: UnitTypes,
+                         event: StmtEvent) -> None:
+        etype, econst = self._type_expr(unit, ut, event.stmt.value)
+        defs = ut.ssa.defs_of.get(id(event))
+        if defs:  # the implicit `ans`
+            self._set_type(ut, defs[0], etype)
+            self._set_const(ut, defs[0], econst)
+
+    def _infer_global(self, unit: ResolvedUnit, ut: UnitTypes,
+                      event: StmtEvent) -> None:
+        for value in ut.ssa.defs_of.get(id(event), ()):
+            self._set_type(ut, value, UNKNOWN)
+
+    #: the transfer function of a phi, of each event class and, for a
+    #: simple statement's event, of each statement class (plain
+    #: functions: bound methods in the sweep lists would make every
+    #: engine a reference cycle, left to the cyclic collector)
+    _TRANSFER: dict[type, Callable] = {
+        Phi: _infer_phi,
+        CondEvent: _infer_cond,
+        LoopIndexEvent: _infer_loop_index,
+        A.Assign: _infer_assign,
+        A.MultiAssign: _infer_multi_assign,
+        A.ExprStmt: _infer_expr_stmt,
+        A.Global: _infer_global,
+    }
 
     def _stored_type(self, unit: ResolvedUnit, ut: UnitTypes, event,
                      target: A.LValue, rhs_type: VarType) -> VarType:
         """Type of ``target``'s variable once ``rhs_type`` is assigned to
         it: an indexed target is a read-modify-write of the old version."""
-        if isinstance(target, A.NameLValue):
+        if type(target) is A.NameLValue:
             return rhs_type
         arg_info = [self._type_expr(unit, ut, a) for a in target.args]
         old = ut.ssa.implicit_use_of.get((id(event), target.name))
@@ -443,9 +492,9 @@ class InferenceEngine:
             dims = [None, None]
         if len(args) == 2:
             for axis, (arg, (atype, aconst)) in enumerate(zip(args, arg_info)):
-                if isinstance(arg, A.Colon):
+                if type(arg) is A.Colon:
                     continue  # ':' cannot grow the dimension
-                if isinstance(arg, A.EndRef):
+                if type(arg) is A.EndRef:
                     continue  # a(end) stays in bounds
                 if (aconst is not None and isinstance(aconst, (int, float))
                         and dims[axis] is not None
@@ -454,7 +503,8 @@ class InferenceEngine:
                 dims[axis] = None
         else:
             dims = [None, None] if old == BOTTOM else dims
-            if not (len(args) == 1 and isinstance(args[0], (A.Colon, A.EndRef))):
+            if not (len(args) == 1
+                    and (type(args[0]) is A.Colon or type(args[0]) is A.EndRef)):
                 # linear indexed store may grow a vector
                 arg, (atype, aconst) = args[0], arg_info[0]
                 in_bounds = (
@@ -644,7 +694,7 @@ class InferenceEngine:
             base = BaseType.UNKNOWN
         extents: list[Optional[int]] = []
         for axis, (arg, (atype, aconst)) in enumerate(zip(expr.args, arg_info)):
-            if isinstance(arg, A.Colon):
+            if type(arg) is A.Colon:
                 if len(expr.args) == 1:
                     n = base_type.shape.numel()
                     extents.append(n)
@@ -662,7 +712,7 @@ class InferenceEngine:
             atype = arg_info[0][0]
             if ext == 1:
                 return VarType(base, Rank.SCALAR, SCALAR_SHAPE), None
-            if isinstance(arg, A.Colon):
+            if type(arg) is A.Colon:
                 return VarType(base, Rank.MATRIX, Shape(ext, 1)), None
             if atype.is_matrix:
                 # result takes the subscript's orientation
@@ -706,11 +756,8 @@ class InferenceEngine:
                          arg_consts: list[object],
                          nargout: int) -> list[VarType]:
         name = call.name
-        func_unit = self.program.functions.get(name)
-        if func_unit is None:
+        if name not in self.program.functions:
             return [UNKNOWN] * max(nargout, 1)
-        func = func_unit.node
-        assert isinstance(func, A.FunctionDef)
         params = self._param_types[name]
         pconsts = self._param_consts[name]
         for i in range(min(len(arg_types), len(params))):
@@ -849,6 +896,8 @@ def _broadcast_shape(lt: VarType, rt: VarType, loc=None) -> Shape:
 
 
 def _fold_binop(op: str, lc: object, rc: object) -> object:
+    if lc is None or rc is None:    # the common case, without a call
+        return None
     if not isinstance(lc, (int, float, complex)) or \
             not isinstance(rc, (int, float, complex)):
         return None

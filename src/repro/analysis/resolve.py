@@ -81,28 +81,29 @@ class Resolver:
 
     def _collect_assigned(self, body: list[A.Stmt], symtab: SymbolTable) -> None:
         for stmt in body:
-            if isinstance(stmt, A.Assign):
+            kind = type(stmt)
+            if kind is A.Assign:
                 symtab.define(stmt.target.name, "variable")
-            elif isinstance(stmt, A.MultiAssign):
-                for target in stmt.targets:
-                    symtab.define(target.name, "variable")
-            elif isinstance(stmt, A.ExprStmt):
+            elif kind is A.ExprStmt:
                 if stmt.display:
                     symtab.define("ans", "variable")
-            elif isinstance(stmt, A.For):
+            elif kind is A.MultiAssign:
+                for target in stmt.targets:
+                    symtab.define(target.name, "variable")
+            elif kind is A.For:
                 symtab.define(stmt.var, "loopvar")
                 self._collect_assigned(stmt.body, symtab)
-            elif isinstance(stmt, A.While):
+            elif kind is A.While:
                 self._collect_assigned(stmt.body, symtab)
-            elif isinstance(stmt, A.If):
+            elif kind is A.If:
                 for _cond, branch in stmt.branches:
                     self._collect_assigned(branch, symtab)
                 self._collect_assigned(stmt.orelse, symtab)
-            elif isinstance(stmt, A.Switch):
+            elif kind is A.Switch:
                 for _values, branch in stmt.cases:
                     self._collect_assigned(branch, symtab)
                 self._collect_assigned(stmt.otherwise, symtab)
-            elif isinstance(stmt, A.Global):
+            elif kind is A.Global:
                 for name in stmt.names:
                     symtab.define(name, "global")
 
@@ -119,42 +120,48 @@ class Resolver:
     def _resolve_stmt(self, stmt: A.Stmt, symtab: SymbolTable,
                       program: ResolvedProgram,
                       siblings: dict[str, A.FunctionDef]) -> None:
-        rw = lambda e: self._resolve_expr(e, symtab, program, siblings)  # noqa: E731
-        if isinstance(stmt, A.Assign):
-            stmt.value = rw(stmt.value)
-            if isinstance(stmt.target, A.IndexLValue):
-                stmt.target.args = [rw(a) for a in stmt.target.args]
-                self._bind_end_refs(stmt.target.name, stmt.target.args)
-        elif isinstance(stmt, A.MultiAssign):
-            call = self._resolve_expr(stmt.call, symtab, program, siblings)
-            if not (isinstance(call, A.Apply)
+        kind = type(stmt)
+        rw = self._resolve_expr
+        if kind is A.Assign:
+            stmt.value = rw(stmt.value, symtab, program, siblings)
+            target = stmt.target
+            if type(target) is A.IndexLValue:
+                target.args = [rw(a, symtab, program, siblings)
+                               for a in target.args]
+                self._bind_end_refs(target.name, target.args)
+        elif kind is A.ExprStmt:
+            stmt.value = rw(stmt.value, symtab, program, siblings)
+        elif kind is A.MultiAssign:
+            call = rw(stmt.call, symtab, program, siblings)
+            if not (type(call) is A.Apply
                     and call.resolved in ("call", "builtin")):
                 raise ResolutionError(
                     "[..] = requires a function call on the right-hand side",
                     stmt.loc)
             stmt.call = call
             for target in stmt.targets:
-                if isinstance(target, A.IndexLValue):
-                    target.args = [rw(a) for a in target.args]
+                if type(target) is A.IndexLValue:
+                    target.args = [rw(a, symtab, program, siblings)
+                                   for a in target.args]
                     self._bind_end_refs(target.name, target.args)
-        elif isinstance(stmt, A.ExprStmt):
-            stmt.value = rw(stmt.value)
-        elif isinstance(stmt, A.If):
+        elif kind is A.If:
             stmt.branches = [
-                (rw(cond), branch) for cond, branch in stmt.branches
+                (rw(cond, symtab, program, siblings), branch)
+                for cond, branch in stmt.branches
             ]
             for _cond, branch in stmt.branches:
                 self._resolve_body(branch, symtab, program, siblings)
             self._resolve_body(stmt.orelse, symtab, program, siblings)
-        elif isinstance(stmt, A.For):
-            stmt.iterable = rw(stmt.iterable)
+        elif kind is A.For:
+            stmt.iterable = rw(stmt.iterable, symtab, program, siblings)
             self._resolve_body(stmt.body, symtab, program, siblings)
-        elif isinstance(stmt, A.While):
-            stmt.cond = rw(stmt.cond)
+        elif kind is A.While:
+            stmt.cond = rw(stmt.cond, symtab, program, siblings)
             self._resolve_body(stmt.body, symtab, program, siblings)
-        elif isinstance(stmt, A.Switch):
-            stmt.subject = rw(stmt.subject)
-            stmt.cases = [([rw(v) for v in values], branch)
+        elif kind is A.Switch:
+            stmt.subject = rw(stmt.subject, symtab, program, siblings)
+            stmt.cases = [([rw(v, symtab, program, siblings)
+                            for v in values], branch)
                           for values, branch in stmt.cases]
             for _values, branch in stmt.cases:
                 self._resolve_body(branch, symtab, program, siblings)
@@ -164,8 +171,12 @@ class Resolver:
     def _resolve_expr(self, expr: A.Expr, symtab: SymbolTable,
                       program: ResolvedProgram,
                       siblings: dict[str, A.FunctionDef]) -> A.Expr:
-        rw = lambda e: self._resolve_expr(e, symtab, program, siblings)  # noqa: E731
-        if isinstance(expr, A.Ident):
+        kind = type(expr)   # node classes are leaves: identity, not isinstance
+        if kind is A.Num or kind is A.Str or kind is A.Colon \
+                or kind is A.ImagNum or kind is A.EndRef:
+            return expr
+        rw = self._resolve_expr
+        if kind is A.Ident:
             name = expr.name
             if symtab.is_variable(name):
                 return expr
@@ -174,8 +185,8 @@ class Resolver:
             if is_builtin(name):
                 return A.Apply(loc=expr.loc, name=name, args=[], resolved="builtin")
             raise ResolutionError(f"undefined identifier {name!r}", expr.loc)
-        if isinstance(expr, A.Apply):
-            expr.args = [rw(a) for a in expr.args]
+        if kind is A.Apply:
+            expr.args = [rw(a, symtab, program, siblings) for a in expr.args]
             name = expr.name
             if symtab.is_variable(name):
                 expr.resolved = "index"
@@ -196,33 +207,29 @@ class Resolver:
                 raise ResolutionError(
                     f"undefined function or variable {name!r}", expr.loc)
             return expr
-        if isinstance(expr, A.BinOp):
-            expr.lhs = rw(expr.lhs)
-            expr.rhs = rw(expr.rhs)
+        if kind is A.BinOp:
+            expr.lhs = rw(expr.lhs, symtab, program, siblings)
+            expr.rhs = rw(expr.rhs, symtab, program, siblings)
             return expr
-        if isinstance(expr, A.UnaryOp):
-            expr.operand = rw(expr.operand)
+        if kind is A.UnaryOp or kind is A.Transpose:
+            expr.operand = rw(expr.operand, symtab, program, siblings)
             return expr
-        if isinstance(expr, A.Transpose):
-            expr.operand = rw(expr.operand)
-            return expr
-        if isinstance(expr, A.Range):
-            expr.start = rw(expr.start)
-            expr.stop = rw(expr.stop)
+        if kind is A.Range:
+            expr.start = rw(expr.start, symtab, program, siblings)
+            expr.stop = rw(expr.stop, symtab, program, siblings)
             if expr.step is not None:
-                expr.step = rw(expr.step)
+                expr.step = rw(expr.step, symtab, program, siblings)
             return expr
-        if isinstance(expr, A.MatrixLit):
-            expr.rows = [[rw(e) for e in row] for row in expr.rows]
+        if kind is A.MatrixLit:
+            expr.rows = [[rw(e, symtab, program, siblings) for e in row]
+                         for row in expr.rows]
             return expr
-        if isinstance(expr, (A.Num, A.ImagNum, A.Str, A.Colon, A.EndRef)):
-            return expr
-        raise ResolutionError(f"cannot resolve node {type(expr).__name__}",
+        raise ResolutionError(f"cannot resolve node {kind.__name__}",
                               expr.loc)
 
     def _check_no_colon(self, call: A.Apply) -> None:
         for arg in call.args:
-            if isinstance(arg, A.Colon):
+            if type(arg) is A.Colon:
                 raise ResolutionError(
                     f"':' subscript passed to function {call.name!r}", call.loc)
 
@@ -234,7 +241,7 @@ class Resolver:
         nargs = len(args)
         for axis, arg in enumerate(args):
             for node in A.walk(arg):
-                if isinstance(node, A.EndRef) and not node.var:
+                if type(node) is A.EndRef and not node.var:
                     node.var = var
                     node.axis = axis
                     node.nargs = nargs

@@ -15,24 +15,21 @@ def var_name(name: str) -> str:
     return f"v_{name}"
 
 
-def temp_name(temp: Temp) -> str:
-    return temp.name  # "ML_tmp<k>"
-
-
 def func_name(name: str) -> str:
     return f"fn_{name}"
 
 
 def operand_py(op: Operand, globals_: set[str] | None = None) -> str:
     """Python expression reading an operand."""
-    if isinstance(op, Var):
+    kind = type(op)     # operand classes are leaves: identity, not isinstance
+    if kind is Var:
         if globals_ and op.name in globals_:
             return f"rt.globals[{op.name!r}]"
         return var_name(op.name)
-    if isinstance(op, Temp):
-        return temp_name(op)
-    if isinstance(op, Const):
+    if kind is Temp:
+        return op.name
+    if kind is Const:
         return py_literal(op.value)
-    if isinstance(op, StrConst):
+    if kind is StrConst:
         return repr(op.value)
     raise TypeError(f"cannot emit operand {op!r}")

@@ -49,6 +49,8 @@ from ..ir.nodes import (
 )
 from .names import func_name, operand_py, var_name
 
+_JOINS = (IRIf, IRFor, IRWhile, CallUser)
+
 _HEADER = '''\
 """Generated by the Otter reproduction compiler. Do not edit."""
 import numpy as np
@@ -166,7 +168,7 @@ class PyEmitter:
     # ------------------------------------------------------------------ #
 
     def _op(self, op: Operand) -> str:
-        if isinstance(op, ColonSub):
+        if type(op) is ColonSub:
             return "COLON"
         return operand_py(op, self._globals)
 
@@ -182,7 +184,7 @@ class PyEmitter:
     # ------------------------------------------------------------------ #
 
     def _dest(self, op: Operand) -> str:
-        if isinstance(op, Var) and op.name in self._globals:
+        if type(op) is Var and op.name in self._globals:
             return f"rt.globals[{op.name!r}]"
         return self._op(op)
 
@@ -192,22 +194,23 @@ class PyEmitter:
             self._line(f"_c.line = {line}")
             self._mark = line
         self._dispatch_stmt(stmt)
-        if isinstance(stmt, (IRIf, IRFor, IRWhile, CallUser)):
+        if type(stmt) in _JOINS:
             # control flow joins (and callees, which re-mark _c.line for
             # their own statements) leave the dynamic marker unknown
             self._mark = None
 
     def _dispatch_stmt(self, stmt: IRStmt) -> None:
-        if isinstance(stmt, Elementwise):
+        kind = type(stmt)   # IR statement classes are leaves
+        if kind is Elementwise:
             spec, operands = ew_spec(stmt.expr)
             self._emit_ew(stmt, spec, operands, py_literal(spec)
                           if spec.__class__ is tuple else None,
                           max(ew_op_count(stmt.expr), 1))
-        elif isinstance(stmt, Copy):
+        elif kind is Copy:
             self._line(f"{self._dest(stmt.dest)} = {self._op(stmt.src)}")
-        elif isinstance(stmt, RTCall):
+        elif kind is RTCall:
             self._emit_rtcall(stmt)
-        elif isinstance(stmt, SetElement):
+        elif kind is SetElement:
             var = self._dest(stmt.var)
             subs = ", ".join(self._op(s) for s in stmt.subs)
             # reuse=True is sound here and only here: the store rebinds
@@ -215,12 +218,12 @@ class PyEmitter:
             # the runtime may write its local block in place when unaliased
             self._line(f"{var} = rt.set_element({var}, [{subs}], "
                        f"{self._op(stmt.rhs)}, reuse=True)")
-        elif isinstance(stmt, IndexAssign):
+        elif kind is IndexAssign:
             var = self._dest(stmt.var)
             subs = ", ".join(self._op(s) for s in stmt.subs)
             self._line(f"{var} = rt.index_assign({var}, [{subs}], "
                        f"{self._op(stmt.rhs)})")
-        elif isinstance(stmt, CallUser):
+        elif kind is CallUser:
             call = f"{func_name(stmt.func)}(rt" + \
                 "".join(f", {self._op(a)}" for a in stmt.args) + ")"
             if not stmt.dests:
@@ -231,30 +234,30 @@ class PyEmitter:
                 self._line(f"_r = {call}")
                 for i, dest in enumerate(stmt.dests):
                     self._line(f"{self._dest(dest)} = _r[{i}]")
-        elif isinstance(stmt, Display):
+        elif kind is Display:
             self._line(f"rt.display({stmt.name!r}, {self._op(stmt.value)})")
-        elif isinstance(stmt, EwGroup):
+        elif kind is EwGroup:
             self._emit_group(stmt)
-        elif isinstance(stmt, IRIf):
+        elif kind is IRIf:
             self._emit_if(stmt)
-        elif isinstance(stmt, IRFor):
+        elif kind is IRFor:
             self._emit_for(stmt)
-        elif isinstance(stmt, IRWhile):
+        elif kind is IRWhile:
             self._emit_while(stmt)
-        elif isinstance(stmt, IRBreak):
+        elif kind is IRBreak:
             self._line("break")
-        elif isinstance(stmt, IRContinue):
+        elif kind is IRContinue:
             self._line("continue")
-        elif isinstance(stmt, IRReturn):
+        elif kind is IRReturn:
             if self._current_returns is not None:
                 self._emit_return()
             else:
                 self._line("return {}")
-        elif isinstance(stmt, IRGlobal):
+        elif kind is IRGlobal:
             for name in stmt.names:
                 self._line(f"rt.globals.setdefault({name!r}, None)")
         else:
-            raise CodegenError(f"cannot emit {type(stmt).__name__}")
+            raise CodegenError(f"cannot emit {kind.__name__}")
 
     def _emit_ew(self, stmt: Elementwise, spec, operands: list,
                  text: str | None, nops: int) -> None:
@@ -351,7 +354,7 @@ class PyEmitter:
                     or (op.startswith("builtin:")
                         and op[len("builtin:"):] in self._CREATION_BUILTINS))
         if creation:
-            hint = stmt.dest.name if isinstance(stmt.dest, Var) else None
+            hint = stmt.dest.name if type(stmt.dest) is Var else None
             self._line(f"rt.dest_hint = {hint!r}")
 
         def assign(expr: str) -> None:

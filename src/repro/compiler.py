@@ -34,6 +34,7 @@ from .analysis.infer import ProgramTypes, infer_types
 from .analysis.resolve import ResolvedProgram, resolve_program
 from .errors import NESTED_TOO_DEEPLY, CodegenError
 from .frontend.mfile import EMPTY_PROVIDER, MFileProvider
+from .frontend.lexer import tokenize
 from .frontend.parser import parse_script
 from .ir.guard import guard_program
 from .ir.lower import lower_program
@@ -282,10 +283,12 @@ class CompiledProgram:
 
 
 def parse_timed(source: str, name: str = "script") -> tuple:
-    """Pass 1 with its host seconds: ``(Script, seconds)``."""
+    """Pass 1 with its host seconds and the tokens it parsed:
+    ``(Script, seconds, tokens)``."""
     t0 = time.perf_counter()
-    script = parse_script(source, name)
-    return script, time.perf_counter() - t0
+    tokens = tokenize(source, name)
+    script = parse_script(source, name, tokens)
+    return script, time.perf_counter() - t0, tokens
 
 
 class OtterCompiler:
@@ -304,10 +307,11 @@ class OtterCompiler:
                 parsed: Optional[tuple] = None) -> CompiledProgram:
         """``parsed`` is :func:`parse_timed`'s result for this very
         ``source`` and ``name`` when the caller already paid for pass 1
-        (the compile cache parses to canonicalise its key)."""
+        (the compile cache keys a program by the tokens it parsed)."""
         from .tuning.plan import DEFAULT_PLAN    # imports this module
 
-        script, parse_seconds = parsed or parse_timed(source, name)  # pass 1
+        script, parse_seconds, _tokens = \
+            parsed or parse_timed(source, name)                   # pass 1
         timings: list[tuple[str, float]] = [("parse", parse_seconds)]
         plan = self.plan if self.plan is not None else DEFAULT_PLAN
 
@@ -356,8 +360,8 @@ def compile_cached(source: str, provider: MFileProvider | None = None,
                    name: str = "script", plan=None) -> CompiledProgram:
     """:func:`compile_source` through the process-wide content-addressed
     :class:`repro.service.cache.CompileCache`: the same CompiledProgram
-    object back for the same (canonical source, name, provider,
-    compile-side plan knobs), so the autotuner's candidate sweep pays
+    object back for the same (source tokens and their lines, name,
+    provider, compile-side plan knobs), so the autotuner's candidate sweep pays
     the passes once per distinct lowering, not once per candidate.
 
     Safe to share: a CompiledProgram is immutable after compilation and

@@ -243,16 +243,20 @@ def py_literal(obj) -> str:
     literal), complex values with a zero imaginary part (a real
     constant) and one-element tuples.
     """
-    if obj.__class__ is tuple:
+    kind = obj.__class__    # the exact classes first; numpy's subclass them
+    if kind is tuple:
         inner = ", ".join([py_literal(x) for x in obj])
         return f"({inner},)" if len(obj) == 1 else f"({inner})"
-    if isinstance(obj, complex):
+    if kind is str:
+        return repr(obj)
+    if kind is complex or kind is not float and isinstance(obj, complex):
         if obj.imag != 0:
             if math.isfinite(obj.real) and math.isfinite(obj.imag):
                 return repr(obj)
             return f"complex({py_literal(obj.real)}, {py_literal(obj.imag)})"
         obj = obj.real
-    if isinstance(obj, float) and not math.isfinite(obj):
+    if (obj.__class__ is float or isinstance(obj, float)) \
+            and not math.isfinite(obj):
         return f"float({str(obj)!r})"
     return repr(obj)
 

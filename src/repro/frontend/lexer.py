@@ -22,6 +22,11 @@ The one context-sensitive rule lives outside it, in the loop: ``'`` is
 between or not — and a *string delimiter* otherwise.  Inside strings,
 ``''`` is an escaped quote.
 
+The compile cache keys a program by :func:`token_key`, what this scanner
+leaves of it: every token's text and line.  Blanks and comments are gone
+already, and white space never separates list elements, so two sources
+with equal keys parse to the same program with the same line numbers.
+
 Locations are arithmetic: the loop keeps the current line number and the
 offset where that line starts, and a token's column is its offset from
 there.  Anything the pattern cannot start a token with is a
@@ -30,6 +35,7 @@ there.  Anything the pattern cannot start a token with is a
 
 from __future__ import annotations
 
+import json
 import re
 
 from ..errors import LexError, SourceLocation
@@ -171,3 +177,20 @@ def tokenize(source: str, filename: str = "<script>") -> list[Token]:
             pos = rest.end()
         out.append(Token(kind, text, loc, value))
         prev_kind = kind
+
+
+def token_key(tokens: list[Token]) -> str:
+    """The text a token stream is cached under: each token's line and
+    text, as JSON, without the trailing NEWLINE tokens and the EOF.  An
+    imaginary literal's text lacks its suffix, so the key adds an ``i``
+    (``3i`` is not ``3``).  Equal keys parse to the same AST, line
+    numbers included; an edit within a line (blanks, a trailing comment)
+    or after the last token keeps the key, one that moves a token to
+    another line does not."""
+    end = len(tokens) - 1
+    while end and tokens[end - 1].kind is TokenKind.NEWLINE:
+        end -= 1
+    return json.dumps([
+        (t.loc.line, t.text + "i" if t.kind is TokenKind.IMAG_NUMBER
+         else t.text)
+        for t in tokens[:end]])

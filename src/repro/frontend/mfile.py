@@ -12,7 +12,14 @@ import os
 from typing import Mapping
 
 from . import ast_nodes as A
+from .lexer import token_key, tokenize
 from .parser import parse_function_file
+
+
+def _parse_mfile(source: str, filename: str) -> tuple[list[A.FunctionDef], str]:
+    """The functions of an M-file and its :func:`~.lexer.token_key`."""
+    tokens = tokenize(source, filename)
+    return parse_function_file(source, filename, tokens), token_key(tokens)
 
 
 class MFileProvider:
@@ -20,6 +27,12 @@ class MFileProvider:
 
     def lookup(self, name: str) -> list[A.FunctionDef] | None:
         raise NotImplementedError
+
+    def source_key(self, name: str) -> str | None:
+        """The :func:`~.lexer.token_key` of the file ``lookup(name)``
+        parsed (what the compile cache's disk tier checks a dependency
+        by), or None when this provider cannot say."""
+        return None
 
     def load_data_file(self, name: str):  # pragma: no cover - interface
         """Return the contents of a data file (for `load`), or None."""
@@ -34,6 +47,7 @@ class DictProvider(MFileProvider):
         self.sources = dict(sources or {})
         self.data_files = dict(data_files or {})
         self._cache: dict[str, list[A.FunctionDef]] = {}
+        self._keys: dict[str, str] = {}
 
     def lookup(self, name: str) -> list[A.FunctionDef] | None:
         if name in self._cache:
@@ -41,9 +55,13 @@ class DictProvider(MFileProvider):
         src = self.sources.get(name)
         if src is None:
             return None
-        funcs = parse_function_file(src, f"{name}.m")
+        funcs, self._keys[name] = _parse_mfile(src, f"{name}.m")
         self._cache[name] = funcs
         return funcs
+
+    def source_key(self, name: str) -> str | None:
+        self.lookup(name)
+        return self._keys.get(name)
 
     def load_data_file(self, name: str):
         return self.data_files.get(name)
@@ -55,6 +73,7 @@ class DirectoryProvider(MFileProvider):
     def __init__(self, paths: list[str]):
         self.paths = list(paths)
         self._cache: dict[str, list[A.FunctionDef] | None] = {}
+        self._keys: dict[str, str] = {}
 
     def lookup(self, name: str) -> list[A.FunctionDef] | None:
         if name in self._cache:
@@ -64,10 +83,15 @@ class DirectoryProvider(MFileProvider):
             candidate = os.path.join(directory, f"{name}.m")
             if os.path.isfile(candidate):
                 with open(candidate, "r", encoding="utf-8") as fh:
-                    result = parse_function_file(fh.read(), candidate)
+                    result, self._keys[name] = _parse_mfile(fh.read(),
+                                                            candidate)
                 break
         self._cache[name] = result
         return result
+
+    def source_key(self, name: str) -> str | None:
+        self.lookup(name)
+        return self._keys.get(name)
 
     def load_data_file(self, name: str):
         import numpy as np
@@ -93,6 +117,12 @@ class ChainProvider(MFileProvider):
             hit = provider.lookup(name)
             if hit is not None:
                 return hit
+        return None
+
+    def source_key(self, name: str) -> str | None:
+        for provider in self.providers:
+            if provider.lookup(name) is not None:
+                return provider.source_key(name)
         return None
 
     def load_data_file(self, name: str):

@@ -515,14 +515,24 @@ class Parser:
 # ---------------------------------------------------------------------- #
 
 
-def parse_script(source: str, name: str = "script") -> A.Script:
-    """Parse MATLAB script source text into a :class:`Script`."""
-    return Parser(tokenize(source, name), name).parse_script(name)
+def parse_script(source: str, name: str = "script",
+                 tokens: list[Token] | None = None) -> A.Script:
+    """Parse MATLAB script source text into a :class:`Script`.
+    ``tokens`` is ``tokenize(source, name)`` when the caller has scanned
+    it already (the compile cache keys the program by its tokens)."""
+    if tokens is None:
+        tokens = tokenize(source, name)
+    return Parser(tokens, name).parse_script(name)
 
 
-def parse_function_file(source: str, name: str = "<mfile>") -> list[A.FunctionDef]:
-    """Parse a function M-file into its function definitions."""
-    return Parser(tokenize(source, name), name).parse_function_file()
+def parse_function_file(source: str, name: str = "<mfile>",
+                        tokens: list[Token] | None = None
+                        ) -> list[A.FunctionDef]:
+    """Parse a function M-file into its function definitions
+    (``tokens``: as for :func:`parse_script`)."""
+    if tokens is None:
+        tokens = tokenize(source, name)
+    return Parser(tokens, name).parse_function_file()
 
 
 def parse_expression(source: str) -> A.Expr:

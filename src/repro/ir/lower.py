@@ -102,7 +102,6 @@ class Lowerer:
         ir.body = self._lower_body(script.body, self.types.script)
         for name, unit in self.program.functions.items():
             func = unit.node
-            assert isinstance(func, A.FunctionDef)
             ut = self.types.functions[name]
             ir.functions[name] = IRFunction(
                 name=name,
@@ -144,13 +143,14 @@ class Lowerer:
 
     def _lower_stmt(self, stmt: A.Stmt, ut: UnitTypes,
                     out: list[IRStmt]) -> None:
-        if isinstance(stmt, A.Assign):
+        kind = type(stmt)
+        if kind is A.Assign:
             self._lower_assign(stmt, ut, out)
-        elif isinstance(stmt, A.MultiAssign):
-            self._lower_multi_assign(stmt, ut, out)
-        elif isinstance(stmt, A.ExprStmt):
+        elif kind is A.ExprStmt:
             self._lower_expr_stmt(stmt, ut, out)
-        elif isinstance(stmt, A.If):
+        elif kind is A.MultiAssign:
+            self._lower_multi_assign(stmt, ut, out)
+        elif kind is A.If:
             branches = []
             for cond, body in stmt.branches:
                 cond_stmts: list[IRStmt] = []
@@ -161,36 +161,34 @@ class Lowerer:
                                  self._lower_body(body, ut)))
             out.append(IRIf(branches=branches,
                             orelse=self._lower_body(stmt.orelse, ut)))
-        elif isinstance(stmt, A.For):
+        elif kind is A.For:
             out.append(self._lower_for(stmt, ut))
-        elif isinstance(stmt, A.While):
+        elif kind is A.While:
             cond_stmts: list[IRStmt] = []
             cond_op = self._as_operand(stmt.cond, ut, cond_stmts)
             _stamp_block(cond_stmts, stmt.cond.loc.line or stmt.loc.line)
             out.append(IRWhile(cond_stmts=cond_stmts, cond=cond_op,
                                body=self._lower_body(stmt.body, ut)))
-        elif isinstance(stmt, A.Switch):
+        elif kind is A.Switch:
             self._lower_switch(stmt, ut, out)
-        elif isinstance(stmt, A.Break):
+        elif kind is A.Break:
             out.append(IRBreak())
-        elif isinstance(stmt, A.Continue):
+        elif kind is A.Continue:
             out.append(IRContinue())
-        elif isinstance(stmt, A.Return):
+        elif kind is A.Return:
             out.append(IRReturn())
-        elif isinstance(stmt, A.Global):
+        elif kind is A.Global:
             out.append(IRGlobal(names=list(stmt.names)))
         else:
-            raise LoweringError(f"cannot lower {type(stmt).__name__}",
-                                stmt.loc)
+            raise LoweringError(f"cannot lower {kind.__name__}", stmt.loc)
 
     def _lower_assign(self, stmt: A.Assign, ut: UnitTypes,
                       out: list[IRStmt]) -> None:
-        if isinstance(stmt.target, A.NameLValue):
+        if type(stmt.target) is A.NameLValue:
             dest = Var(stmt.target.name)
             self._lower_value_into(stmt.value, ut, dest, out)
         else:
             target = stmt.target
-            assert isinstance(target, A.IndexLValue)
             subs = [self._lower_subscript(arg, ut, out)
                     for arg in target.args]
             rhs = self._as_operand(stmt.value, ut, out)
@@ -218,10 +216,9 @@ class Lowerer:
             out.append(CallUser(dests=list(dests), func=call.name, args=args))
             result_ops = list(dests)
         for target, op in zip(stmt.targets, result_ops):
-            if isinstance(target, A.NameLValue):
+            if type(target) is A.NameLValue:
                 out.append(Copy(dest=Var(target.name), src=op))
             else:
-                assert isinstance(target, A.IndexLValue)
                 subs = [self._lower_subscript(a, ut, out)
                         for a in target.args]
                 out.append(IndexAssign(var=Var(target.name), subs=subs,
@@ -234,7 +231,8 @@ class Lowerer:
                          out: list[IRStmt]) -> None:
         value = stmt.value
         # void builtin calls (disp, fprintf, ...) have no result
-        if isinstance(value, A.Apply) and value.resolved == "builtin":
+        is_apply = type(value) is A.Apply
+        if is_apply and value.resolved == "builtin":
             sig = get_sig(value.name)
             if sig is not None and sig.nargout == 0:
                 args = [self._as_operand(a, ut, out) for a in value.args]
@@ -242,7 +240,7 @@ class Lowerer:
                                   args=args, nargout=0))
                 return
         # user functions with no return values are statements, not values
-        if isinstance(value, A.Apply) and value.resolved == "call":
+        if is_apply and value.resolved == "call":
             unit_ = self.program.functions.get(value.name)
             if unit_ is not None and not unit_.node.returns:
                 args = [self._as_operand(a, ut, out) for a in value.args]
@@ -256,7 +254,7 @@ class Lowerer:
     def _lower_for(self, stmt: A.For, ut: UnitTypes) -> IRFor:
         var = Var(stmt.var)
         body: list[IRStmt] = []
-        if isinstance(stmt.iterable, A.Range):
+        if type(stmt.iterable) is A.Range:
             pre: list[IRStmt] = []
             rng = stmt.iterable
             start = self._as_operand(rng.start, ut, pre)
@@ -307,14 +305,14 @@ class Lowerer:
         """Lower ``dest = expr`` choosing the best statement form."""
         tree = self._lower_expr(expr, ut, out)
         vtype = self._etype(ut, expr)
-        if isinstance(tree, Operand):
+        if type(tree) is not EwNode:
             # a bare operand: retarget the defining call when possible
-            if (out and isinstance(out[-1], (RTCall, Elementwise))
-                    and getattr(out[-1], "dest", None) == tree
-                    and isinstance(tree, Temp)):
-                out[-1].dest = dest
-                if isinstance(out[-1], (RTCall, Elementwise)):
-                    out[-1].vtype = vtype
+            last = out[-1] if out else None
+            if (type(tree) is Temp
+                    and (type(last) is RTCall or type(last) is Elementwise)
+                    and last.dest == tree):
+                last.dest = dest
+                last.vtype = vtype
             else:
                 out.append(Copy(dest=dest, src=tree, vtype=vtype))
         else:
@@ -323,7 +321,7 @@ class Lowerer:
     def _as_operand(self, expr: A.Expr, ut: UnitTypes,
                     out: list[IRStmt]) -> Operand:
         tree = self._lower_expr(expr, ut, out)
-        if isinstance(tree, Operand):
+        if type(tree) is not EwNode:
             return tree
         temp = self._temp()
         out.append(Elementwise(dest=temp, expr=tree,
@@ -332,7 +330,7 @@ class Lowerer:
 
     def _lower_subscript(self, arg: A.Expr, ut: UnitTypes,
                          out: list[IRStmt]) -> Operand:
-        if isinstance(arg, A.Colon):
+        if type(arg) is A.Colon:
             return ColonSub()
         return self._as_operand(arg, ut, out)
 
@@ -340,33 +338,36 @@ class Lowerer:
                     out: list[IRStmt]) -> EwExpr:
         """Lower an expression, returning either an Operand or a fused
         elementwise tree whose leaves are Operands."""
-        if isinstance(expr, A.Num):
-            return Const(complex(expr.value))
-        if isinstance(expr, A.ImagNum):
-            return Const(complex(0.0, expr.value))
-        if isinstance(expr, A.Str):
-            return StrConst(expr.value)
-        if isinstance(expr, A.Ident):
+        kind = type(expr)   # node classes are leaves: identity, not isinstance
+        if kind is A.Ident:
             return Var(expr.name)
-        if isinstance(expr, A.EndRef):
+        if kind is A.BinOp:
+            return self._lower_binop(expr, ut, out)
+        if kind is A.Apply:
+            return self._lower_apply(expr, ut, out)
+        if kind is A.Num:
+            return Const(complex(expr.value))
+        if kind is A.ImagNum:
+            return Const(complex(0.0, expr.value))
+        if kind is A.Str:
+            return StrConst(expr.value)
+        if kind is A.EndRef:
             temp = self._temp()
             out.append(RTCall(dest=temp, op="dim",
                               args=[Var(expr.var), Const(float(expr.axis)),
                                     Const(float(expr.nargs))],
                               vtype=scalar(BaseType.INTEGER)))
             return temp
-        if isinstance(expr, A.UnaryOp):
+        if kind is A.UnaryOp:
             inner = self._lower_expr(expr.operand, ut, out)
-            if isinstance(inner, Const) and expr.op != "~":
+            if type(inner) is Const and expr.op != "~":
                 # a signed literal, not an operation on one
                 return Const(-inner.value) if expr.op == "-" else inner
             op = {"-": "u-", "+": "u+", "~": "u~"}[expr.op]
             return EwNode(op, (inner,), scalar=self._is_scalar(ut, expr))
-        if isinstance(expr, A.BinOp):
-            return self._lower_binop(expr, ut, out)
-        if isinstance(expr, A.Transpose):
+        if kind is A.Transpose:
             return self._lower_transpose(expr, ut, out)
-        if isinstance(expr, A.Range):
+        if kind is A.Range:
             start = self._as_operand(expr.start, ut, out)
             step = self._as_operand(expr.step, ut, out) \
                 if expr.step is not None else Const(1.0)
@@ -376,18 +377,16 @@ class Lowerer:
                               args=[start, step, stop],
                               vtype=self._etype(ut, expr)))
             return temp
-        if isinstance(expr, A.MatrixLit):
+        if kind is A.MatrixLit:
             rows = [[self._as_operand(e, ut, out) for e in row]
                     for row in expr.rows]
             temp = self._temp()
             out.append(RTCall(dest=temp, op="literal", args=rows,
                               vtype=self._etype(ut, expr)))
             return temp
-        if isinstance(expr, A.Apply):
-            return self._lower_apply(expr, ut, out)
-        if isinstance(expr, A.Colon):
+        if kind is A.Colon:
             raise LoweringError("':' outside a subscript", expr.loc)
-        raise LoweringError(f"cannot lower {type(expr).__name__}", expr.loc)
+        raise LoweringError(f"cannot lower {kind.__name__}", expr.loc)
 
     def _lower_binop(self, expr: A.BinOp, ut: UnitTypes,
                      out: list[IRStmt]) -> EwExpr:
@@ -482,7 +481,7 @@ class Lowerer:
             # only at run time).
             op = "broadcast_element" if (
                 vtype.rank is Rank.SCALAR and len(subs) in (1, 2)
-                and not any(isinstance(s, ColonSub) for s in subs)) \
+                and not any(type(s) is ColonSub for s in subs)) \
                 else "index_read"
             out.append(RTCall(dest=temp, op=op,
                               args=[Var(expr.name), *subs], vtype=vtype))

@@ -6,9 +6,9 @@ compiler into a service:
 
 * :class:`~repro.service.cache.CompileCache` — a content-addressed
   compile cache (in-process LRU tier + shared on-disk tier) keyed by
-  sha256 of the *canonical* source plus everything else the compiler
-  reads (and nothing about how the program is run), so a warm ``run``
-  at any processor count performs zero compiler passes.
+  sha256 of the source's tokens and their lines plus everything else
+  the compiler reads (and nothing about how the program is run), so a
+  warm ``run`` at any processor count performs zero compiler passes.
 * :class:`~repro.service.stores.StoreManager` — a registry of
   URL-schema datastores (``file://``, ``mem://``, and whatever else is
   registered) that ``load``/``save`` resolve through, so the same

@@ -5,8 +5,11 @@ the compiler reads — nothing about how the program will be *run*, since
 one compiled SPMD program serves every processor count, machine,
 backend and kernel mode:
 
-* the **canonical source** — the parsed script unparsed back to a
-  normal form, so whitespace/comment-only edits hash identically;
+* the **source's tokens** — each token's text and line number as the
+  parser scanned them (:func:`repro.frontend.lexer.token_key`), so an
+  edit within a line (blanks, a trailing comment) or after the last
+  token hashes identically, and one that moves a token to another line
+  does not: the emitted code marks source lines (``_c.line = N``);
 * the script **name**;
 * the **provider fingerprint** — in-memory M-file mappings hash their
   sources, directory providers hash their search paths (plus a per-use
@@ -35,10 +38,11 @@ The one key names the entry in both tiers:
     payload whose sha256 digest, ``key`` or ``version`` does not check
     out is a miss that recompiles and republishes (its text is never
     executed), and M-file dependencies are validated against the
-    current provider (stale deps force a recompile).
+    current provider by the same line-aware token key (stale deps
+    force a recompile).
 
-A new source is parsed **once**: the script parsed to canonicalise the
-key is the one handed to the compiler.  Cache *hits* report
+A new source is parsed **once**: the tokens that key it are the ones
+the script handed to the compiler was parsed from.  Cache *hits* report
 ``passes == []`` — the acceptance criterion that a warm ``run`` performs
 zero compiler passes is asserted straight off the :class:`CacheOutcome`.
 """
@@ -58,13 +62,13 @@ from typing import Any, Optional
 
 from ..atomicio import atomic_write_bytes
 from ..compiler import CompiledProgram, OtterCompiler, parse_timed
+from ..frontend.lexer import token_key
 from ..frontend.mfile import (
     ChainProvider,
     DictProvider,
     DirectoryProvider,
     EMPTY_PROVIDER,
 )
-from ..frontend.unparse import unparse_function, unparse_script
 
 ENV_COMPILE_CACHE = "REPRO_COMPILE_CACHE"
 
@@ -91,23 +95,26 @@ def plan_from_dict(payload: Optional[dict]):
     return Plan(**payload)
 
 
-def _parse_canonical(source: str, name: str) -> tuple[str, Optional[tuple]]:
-    """``(canonical text, parse_timed result)`` of a script; a source
-    that does not parse is its own canonical text with no script (the
-    compile will raise the real diagnostic, and failures are never
-    cached)."""
+def _parse_keyed(source: str, name: str) -> tuple[str, Optional[tuple]]:
+    """``(key text, parse_timed result)`` of a script: the
+    :func:`~repro.frontend.lexer.token_key` of the tokens it was parsed
+    from.  A source that does not parse keys as itself, JSON-quoted (a
+    token key is a JSON list, so the two never meet), with no script:
+    the compile will raise the real diagnostic, and failures are never
+    cached."""
     try:
         parsed = parse_timed(source, name)
-        return unparse_script(parsed[0]), parsed
     except Exception:
-        return source, None
+        return json.dumps(source), None
+    return token_key(parsed[2]), parsed
 
 
 def canonical_source(source: str) -> str:
-    """Whitespace/comment-insensitive normal form of a MATLAB script:
-    parsed and unparsed, so two sources differing only in layout or
-    comments canonicalize identically."""
-    return _parse_canonical(source, "canon")[0]
+    """The text the compile cache keys a script's source by: its tokens
+    with their line numbers, so two sources that differ only in blanks
+    and comments within a line, or in trailing blank lines, have the
+    same canonical text."""
+    return _parse_keyed(source, "canon")[0]
 
 
 def _payload_digest(payload: dict) -> str:
@@ -142,14 +149,14 @@ def provider_fingerprint(provider) -> tuple[str, bool]:
 
 
 def _function_hash(provider, name: str) -> Optional[str]:
-    """Canonical content hash of one provider-resolved M-file function."""
+    """Content hash of the M-file a provider resolves ``name`` from: the
+    sha256 of its line-aware token key, as for the script, since the
+    emitted code marks the function's source lines too."""
     try:
-        funcs = provider.lookup(name) if provider is not None else None
+        text = provider.source_key(name) if provider is not None else None
     except Exception:
         return None
-    if not funcs:
-        return None
-    return _sha("\n".join(unparse_function(f) for f in funcs))
+    return None if text is None else _sha(text)
 
 
 def resolve_disk_root() -> Optional[Path]:
@@ -217,8 +224,9 @@ class CompileCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._inflight: dict[str, threading.Event] = {}
-        # raw-source sha -> canonical text: keeps the hit path parse-free
-        self._canon_memo: dict[str, str] = {}
+        # raw-source sha -> sha of its key text: keeps the hit path
+        # parse-free, and holds no source-sized string per entry
+        self._key_memo: dict[str, str] = {}
         self._stats = {"hits": 0, "misses": 0, "disk_hits": 0,
                        "disk_rejects": 0, "compiles": 0,
                        "evictions_lru": 0, "evictions_ttl": 0}
@@ -227,19 +235,20 @@ class CompileCache:
     # keys
     # ------------------------------------------------------------------ #
 
-    def _canonical(self, source: str,
-                   name: str = "canon") -> tuple[str, Optional[tuple]]:
-        """Canonical text of ``source``, plus the ``(Script, seconds)``
-        this call parsed to get it (``None`` on a memo hit)."""
+    def _source_digest(self, source: str,
+                       name: str = "canon") -> tuple[str, Optional[tuple]]:
+        """sha256 of ``source``'s key text, plus the :func:`parse_timed`
+        result this call parsed to get it (``None`` on a memo hit)."""
         raw_sha = _sha(source)
-        canon = self._canon_memo.get(raw_sha)
-        if canon is not None:
-            return canon, None
-        canon, parsed = _parse_canonical(source, name)
-        if len(self._canon_memo) >= 4 * self.max_entries:
-            self._canon_memo.clear()
-        self._canon_memo[raw_sha] = canon
-        return canon, parsed
+        digest = self._key_memo.get(raw_sha)
+        if digest is not None:
+            return digest, None
+        text, parsed = _parse_keyed(source, name)
+        digest = _sha(text)
+        if len(self._key_memo) >= 4 * self.max_entries:
+            self._key_memo.clear()
+        self._key_memo[raw_sha] = digest
+        return digest, parsed
 
     def key(self, source: str, *, name: str = "script", provider=None,
             plan=None) -> str:
@@ -247,7 +256,7 @@ class CompileCache:
         compile_plan = None if plan is None else plan.compile_side()
         return _sha(json.dumps([
             PAYLOAD_VERSION,
-            self._canonical(source)[0],
+            self._source_digest(source)[0],
             name,
             provider_fingerprint(provider)[0],
             None if compile_plan is None else compile_plan.compile_key(),
@@ -264,8 +273,8 @@ class CompileCache:
         carries only the plan's compile-side fields: pass the request
         plan to :meth:`~repro.compiler.CompiledProgram.run`."""
         # parse first, so a new source's one parse is the compiler's
-        # pass 1; key() then finds the canonical text memoised
-        _canon, parsed = self._canonical(source, name)
+        # pass 1; key() then finds the key text's digest memoised
+        _digest, parsed = self._source_digest(source, name)
         key = self.key(source, name=name, provider=provider, plan=plan)
         while True:
             with self._lock:
@@ -442,7 +451,7 @@ class CompileCache:
     def clear(self, disk: bool = False) -> None:
         with self._lock:
             self._entries.clear()
-            self._canon_memo.clear()
+            self._key_memo.clear()
             for stat in self._stats:
                 self._stats[stat] = 0
         if disk and self.disk_root is not None and self.disk_root.exists():

@@ -230,7 +230,7 @@ def tune_program(source: str, nprocs: int = 4,
                                      plan=DEFAULT_PLAN)
     # the axis pruning below reads the IR, which a disk-tier hit lacks
     default_program.ensure_front_end()
-    # after the compile, whose one parse also canonicalised the source
+    # after the compile, whose one parse also keyed the source
     program_key = get_compile_cache().key(source, name=name,
                                           provider=provider)
 

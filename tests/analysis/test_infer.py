@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.infer import InferenceEngine, _same_const, infer_types
 from repro.analysis.lattice import BaseType, Rank, Shape
 from repro.analysis.resolve import resolve_program
+from repro.analysis.ssa import Phi
 from repro.errors import InferenceError
 from repro.frontend import ast_nodes as A
 from repro.frontend.mfile import DictProvider
@@ -363,6 +364,8 @@ EQUIVALENCE_CASES = dict(shipped_programs(), **{
                " r = even(n - 1);\nend\n"}),
     "type_changing_loop_variable": (
         "x = 1; for k = 1:3, x = [x, k]; end; y = x';", {}),
+    "indexed_read_of_its_own_definition": (
+        "x = 1; x = [x(1), 2]; y = x(2);", {}),
     "growing_indexed_store": (
         "a = zeros(1, 3); a(2) = 1; for k = 1:5, a(k + 2) = k; end;"
         " b = a(2:end); b(1, 9) = 2i;", {}),
@@ -401,43 +404,138 @@ def snapshot(types, resolved):
     return out
 
 
-def outcome(src, mfiles):
+class EveryNodeEngine(InferenceEngine):
+    """Pass 3 without the change-driven skipping: every sweep evaluates
+    every phi and event, in the same order."""
+
+    def _one_pass(self, unit, ut):
+        for _slot, node, transfer in self._order[unit.name]:
+            self._reads = []
+            transfer(self, unit, ut, node)
+
+
+def outcome(src, mfiles, engine=InferenceEngine):
     resolved = resolve_program(parse_script(src), DictProvider(mfiles))
     try:
-        return snapshot(infer_types(resolved), resolved)
+        return snapshot(engine(resolved).run(), resolved)
     except InferenceError as err:
         return (err.message, repr(err.loc))
 
 
 @pytest.mark.parametrize("label", sorted(EQUIVALENCE_CASES))
-def test_skipping_clean_events_changes_nothing(label, monkeypatch):
+def test_skipping_clean_events_changes_nothing(label):
+    """Every SSA value's type and constant (and every other field) equal
+    those of a sweep that evaluates everything."""
     src, mfiles = EQUIVALENCE_CASES[label]
     skipping = outcome(src, mfiles)
-    monkeypatch.setattr(InferenceEngine, "_is_clean",
-                        lambda self, node: False)
-    assert outcome(src, mfiles) == skipping
+    assert outcome(src, mfiles, EveryNodeEngine) == skipping
     if "mismatch" in label:
         assert "must agree" in skipping[0]
     else:
         assert isinstance(skipping, dict)
 
 
+class StampCheckEngine(InferenceEngine):
+    """Pass 3 as a stamp check per phi and event on every sweep: evaluate
+    one never evaluated, or one that read an input changed since its
+    last evaluation began."""
+
+    def _one_pass(self, unit, ut):
+        last = self.__dict__.setdefault("_last", {})
+        for slot, node, transfer in self._order[unit.name]:
+            if slot in last:
+                began, reads = last[slot]
+                if all(self._stamp[key] <= began for key in reads):
+                    continue
+            self._reads = reads = []
+            began = self._epoch
+            transfer(self, unit, ut, node)
+            last[slot] = (began, reads)
+
+
+def evaluations(engine_class, src, mfiles):
+    """The phis and events ``engine_class`` evaluates, in order, as
+    (unit, position in the unit's sweep), up to an inference error; and
+    each reads the same inputs every time (the engine registers a
+    reader once)."""
+    log = []
+    reads = {}
+
+    def logged(transfer):
+        def log_and_run(engine, unit, ut, node):
+            log.append(id(node))
+            transfer(engine, unit, ut, node)
+            assert reads.setdefault(id(node), engine._reads) == engine._reads
+        return log_and_run
+
+    class Logged(engine_class):
+        _TRANSFER = {kind: logged(transfer)
+                     for kind, transfer in engine_class._TRANSFER.items()}
+
+    engine = Logged(resolve_program(parse_script(src), DictProvider(mfiles)))
+    try:
+        engine.run()
+    except InferenceError:
+        pass
+    position = {id(node): (name, k) for name, order in engine._order.items()
+                for k, (_slot, node, _transfer) in enumerate(order)}
+    return [position[node] for node in log]
+
+
+@pytest.mark.parametrize("label", sorted(EQUIVALENCE_CASES))
+def test_dirty_marking_evaluates_what_the_stamp_check_did(label):
+    """The same evaluations in the same order: replace-at-def is not
+    monotone, so the order is part of the answer."""
+    src, mfiles = EQUIVALENCE_CASES[label]
+    marked = evaluations(InferenceEngine, src, mfiles)
+    assert marked == evaluations(StampCheckEngine, src, mfiles)
+    assert marked
+
+
+def counting_engine(evaluated):
+    """An engine that appends each event it evaluates to ``evaluated``."""
+
+    def counted(transfer):
+        def count(engine, unit, ut, node):
+            evaluated.append(id(node))
+            return transfer(engine, unit, ut, node)
+        return count
+
+    class Counting(InferenceEngine):
+        _TRANSFER = {kind: transfer if kind is Phi else counted(transfer)
+                     for kind, transfer in InferenceEngine._TRANSFER.items()}
+    return Counting
+
+
 @pytest.mark.parametrize("label", sorted(
     label for label in EQUIVALENCE_CASES if label.startswith("e2e/")))
-def test_event_evaluation_budget(label, monkeypatch):
+def test_event_evaluation_budget(label):
     """Each SSA event is evaluated about once (1.09x over the seven
     benchmark programs; 4.1x when every sweep evaluated every event)."""
     evaluated = []
-    infer_event = InferenceEngine._infer_event
-
-    def counting(self, unit, ut, event):
-        evaluated.append(id(event))
-        return infer_event(self, unit, ut, event)
-
-    monkeypatch.setattr(InferenceEngine, "_infer_event", counting)
     src, mfiles = EQUIVALENCE_CASES[label]
-    assert isinstance(outcome(src, mfiles), dict)
+    assert isinstance(outcome(src, mfiles, counting_engine(evaluated)), dict)
     assert 0 < len(evaluated) <= 1.5 * len(set(evaluated))
+
+
+@pytest.mark.parametrize("label", sorted(
+    label for label in EQUIVALENCE_CASES if "mismatch" not in label))
+def test_a_sweep_over_an_unchanged_unit_evaluates_nothing(label):
+    src, mfiles = EQUIVALENCE_CASES[label]
+    engine = InferenceEngine(
+        resolve_program(parse_script(src), DictProvider(mfiles)))
+    types = engine.run()
+
+    def untouchable(engine, unit, ut, node):
+        raise AssertionError(f"{node!r} evaluated in a clean sweep")
+
+    units = engine.program.all_units()
+    for unit in units:
+        engine._order[unit.name] = [
+            (slot, node, untouchable)
+            for slot, node, _ in engine._order[unit.name]]
+    for unit in units:
+        engine._one_pass(unit, types.unit(unit.name))
 
 
 def test_bookkeeping_is_not_retained_on_unit_types():

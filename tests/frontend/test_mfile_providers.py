@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.frontend.lexer import token_key, tokenize
 from repro.frontend.mfile import (
     ChainProvider,
     DictProvider,
@@ -16,9 +17,12 @@ class TestDictProvider:
         first = p.lookup("f")
         assert first is not None and first[0].name == "f"
         assert p.lookup("f") is first  # cached
+        assert p.source_key("f") == token_key(
+            tokenize("function y = f(x)\ny = x;"))
 
     def test_missing_returns_none(self):
         assert DictProvider({}).lookup("nope") is None
+        assert DictProvider({}).source_key("nope") is None
 
     def test_data_files(self):
         data = np.ones((2, 2))
@@ -33,6 +37,9 @@ class TestDirectoryProvider:
         p = DirectoryProvider([str(tmp_path)])
         funcs = p.lookup("g")
         assert funcs is not None and funcs[0].name == "g"
+        assert p.source_key("g") == token_key(
+            tokenize("function y = g(x)\ny = x + 1;\n"))
+        assert p.source_key("absent") is None
 
     def test_first_directory_wins(self, tmp_path):
         d1 = tmp_path / "a"
@@ -80,6 +87,10 @@ class TestChainProvider:
         assert chain.lookup("f")[0].body[0].value.value == 1.0
         assert chain.lookup("g") is not None
         assert chain.lookup("h") is None
+        assert chain.source_key("f") == p1.source_key("f") \
+            != p2.source_key("f")
+        assert chain.source_key("g") == p2.source_key("g")
+        assert chain.source_key("h") is None
 
     def test_data_file_chain(self):
         chain = ChainProvider([

@@ -33,7 +33,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.compiler import compile_source
 from repro.ir.nodes import EwGroup
 from repro.mpi import MEIKO_CS2
-from repro.native import get_engine
+from repro.native import get_engine, reset_engines
 from repro.native.engine import group_reference, probe_samples
 from repro.trace import canonical_events
 from repro.tuning import DEFAULT_PLAN, Plan
@@ -199,6 +199,14 @@ def test_a_group_changes_nothing_but_the_native_calls(native_build, source,
                                                       nprocs, scheme, split):
     """Under the flags this host's kernels are built with, and the
     baseline flags (``native_build``: the engine ``auto`` resolves to)."""
+    check_group_runs(source, nprocs, scheme, split)
+
+
+def check_group_runs(source, nprocs, scheme, split):
+    """The example runs on an engine of its own: a kernel that an
+    earlier test or example blacklisted would make no native call among
+    the members and break the count below."""
+    reset_engines()
     other = "cyclic" if scheme == "block" else "block"
     dist = (("a", other),) if split else ()
     grouped = Plan(scheme=scheme, dist=dist)
@@ -222,6 +230,23 @@ def test_a_group_changes_nothing_but_the_native_calls(native_build, source,
             # each
             assert got.native["native_calls"] == \
                 want.native["native_calls"] - sum(n - 1 for n in ran)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow
+def test_a_kernel_blacklisted_before_the_example_moves_no_count():
+    """The NaN example after ``a .* b``'s kernel was blacklisted by an
+    earlier run in this process."""
+    engine = get_engine()
+    if not engine.available:
+        pytest.skip(engine.unavailable_reason)
+    engine._kernel_for((".*", "@0", "@1"), "aa").blacklisted = True
+    source = (f"rand('seed', 1);\ns = 0.75;\n"
+              f"m = rand(1, {len(SPECIALS) + 1});\n"
+              f"a = {_literal(SPECIALS)};\n"
+              f"b = {_literal(np.roll(SPECIALS, 7))};\n"
+              "t0 = a .* b;\nt1 = t0 + a;\nt2 = max(t1, b);\n"
+              "fprintf('%d %d\\n', numel(a), numel(m));\n")
+    check_group_runs(source, 4, "block", False)
 
 
 IMAGE_STEP = """

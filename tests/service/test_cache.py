@@ -11,11 +11,14 @@ trace SHA included, on all three SPMD backends.
 import hashlib
 import inspect
 import json
+import sys
 import threading
 
 import pytest
 
 import repro.compiler
+from repro.compiler import OtterCompiler
+from repro.frontend.lexer import token_key, tokenize
 from repro.frontend.mfile import DictProvider, DirectoryProvider
 from repro.mpi.machine import MEIKO_CS2
 from repro.service.cache import (
@@ -30,7 +33,11 @@ PASS_NAMES = ["parse", "resolve", "infer", "lower", "guard", "peephole",
               "licm", "group", "emit"]
 
 SRC = "x = ones(4, 4) * 2;\ndisp(sum(sum(x)));\n"
-SRC_WS = "% a comment\nx   = ones(4,4)*2 ;\n\n\ndisp( sum(sum(x)) );  % more\n"
+# the same tokens on the same lines: blanks, trailing comments and blank
+# lines after the last token move nothing the compiler reads
+SRC_WS = "x   = ones(4,4)*2 ;  % a comment\ndisp( sum(sum(x)) );  % more\n\n\n"
+# the same tokens two lines further down: the emitted code marks lines
+SRC_SHIFTED = "% a comment\n\n" + SRC
 SRC_B = "y = zeros(3, 3) + 5;\ndisp(sum(sum(y)));\n"
 SRC_C = "z = ones(2, 6);\ndisp(sum(sum(z')));\n"
 
@@ -52,19 +59,28 @@ def trace_sha(result) -> str:
 # ---------------------------------------------------------------------- #
 
 
-def test_canonical_source_collapses_layout_and_comments():
+def test_canonical_source_is_the_token_key():
+    assert canonical_source(SRC) == token_key(tokenize(SRC))
     assert canonical_source(SRC) == canonical_source(SRC_WS)
+    assert canonical_source(SRC) != canonical_source(SRC_SHIFTED)
     assert canonical_source(SRC) != canonical_source(SRC_B)
+    # an imaginary literal's text has no suffix; its key does
+    assert canonical_source("x = 3i;") != canonical_source("x = 3;")
 
 
-def test_canonical_source_of_unparsable_text_is_verbatim():
+def test_canonical_source_of_unparsable_text_is_quoted():
+    """Unparsable text keys as a JSON string, which no token key (a JSON
+    list) equals — not even that of a program whose key *is* the text."""
     broken = "for i = (((\n"
-    assert canonical_source(broken) == broken
+    assert canonical_source(broken) == json.dumps(broken)
+    lookalike = canonical_source("x")
+    assert canonical_source(lookalike) != lookalike
 
 
-def test_key_is_whitespace_insensitive():
+def test_key_ignores_layout_within_a_line_only():
     cache = CompileCache(disk_root=False)
     assert cache.key(SRC) == cache.key(SRC_WS)
+    assert cache.key(SRC) != cache.key(SRC_SHIFTED)
 
 
 def test_key_and_get_or_compile_take_only_what_the_compiler_reads():
@@ -179,9 +195,9 @@ def test_a_new_source_is_parsed_once_and_a_hit_never(monkeypatch):
     parsed = []
     real = repro.compiler.parse_script
 
-    def counting(source, name="script"):
+    def counting(source, name="script", tokens=None):
         parsed.append(source)
-        return real(source, name)
+        return real(source, name, tokens)
 
     monkeypatch.setattr(repro.compiler, "parse_script", counting)
     cache = CompileCache(disk_root=False)
@@ -194,6 +210,48 @@ def test_a_new_source_is_parsed_once_and_a_hit_never(monkeypatch):
     # a layout variant is new text: one parse for its key, then a hit
     assert cache.get_or_compile(COMM_SRC + "% note\n", name="job").hit
     assert len(parsed) == 2
+
+
+def test_a_cold_compile_never_unparses(monkeypatch, tmp_path):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the cache key unparsed the AST")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro"):
+            for name in ("unparse_script", "unparse_function"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    provider = DictProvider({"f": "function y = f(x)\ny = x + 1;\n"})
+    cache = CompileCache(disk_root=tmp_path)
+    cold = cache.get_or_compile("a = f(2);\ndisp(a);\n", provider=provider)
+    assert not cold.hit and "3" in cold.program.run().output
+    assert CompileCache(disk_root=tmp_path).get_or_compile(
+        "a = f(2);\ndisp(a);\n", provider=provider).tier == "disk"
+
+
+def line_markers(python_source):
+    return [line.strip() for line in python_source.splitlines()
+            if "_c.line = " in line]
+
+
+@pytest.mark.parametrize("variant, hit", [
+    ("% the same program, two lines down\n\n" + COMM_SRC, False),
+    (COMM_SRC.replace(";\n", ";   % note\n") + "\n\n", True),
+], ids=["line_shifted", "same_lines"])
+def test_a_layout_variant_runs_as_its_fresh_compile(variant, hit):
+    """Tokens moved two lines down are a miss, and the run traces the
+    lines a fresh compile traces, not those of the cached layout; an
+    edit within the lines is a hit, and traces the same lines."""
+    cache = CompileCache(disk_root=False)
+    first = cache.get_or_compile(COMM_SRC)
+    second = cache.get_or_compile(variant)
+    assert second.hit == hit == (second.program is first.program)
+    fresh = OtterCompiler().compile(variant)
+    assert second.program.python_source == fresh.python_source
+    run = dict(nprocs=4, machine=MEIKO_CS2, trace=True)
+    traced = trace_sha(second.program.run(**run))
+    assert traced == trace_sha(fresh.run(**run))
+    assert (traced == trace_sha(first.program.run(**run))) == hit
 
 
 def test_unparsable_source_raises_the_compile_diagnostic_uncached():
@@ -312,6 +370,44 @@ def test_disk_entry_with_stale_mfile_dep_recompiles(tmp_path):
     assert not warm.hit
     assert second.stats()["disk_hits"] == 0
     assert "28" in warm.program.run().output
+
+
+def test_disk_entry_of_a_line_shifted_mfile_recompiles(tmp_path):
+    """An M-file dependency keys by its tokens and their lines: a
+    comment line inserted above the body rejects the disk entry (the
+    emitted code marks the function's lines), a trailing comment on a
+    line does not."""
+    root = tmp_path / "programs"
+    mdir = tmp_path / "mfiles"
+    mdir.mkdir()
+    helper = mdir / "triple.m"
+    body = "function y = triple(x)\ny = x * 3;\n"
+    helper.write_text(body, encoding="utf-8")
+    src = "a = triple(7);\ndisp(a);\n"
+
+    def request():
+        """A fresh process: a new cache and provider over both dirs."""
+        cache = CompileCache(disk_root=root)
+        provider = DirectoryProvider([str(mdir)])
+        return cache.get_or_compile(src, provider=provider), cache
+
+    cold, _cache = request()
+    assert not cold.hit
+    helper.write_text("% helper\n" + body, encoding="utf-8")
+    shifted, cache = request()
+    assert not shifted.hit and cache.stats()["disk_hits"] == 0
+    fresh = OtterCompiler(DirectoryProvider([str(mdir)])).compile(src)
+    assert line_markers(shifted.program.python_source) == \
+        line_markers(fresh.python_source)
+    assert line_markers(shifted.program.python_source) != \
+        line_markers(cold.program.python_source)
+    assert "21" in shifted.program.run().output
+
+    helper.write_text("% helper\nfunction y = triple(x)  % times three\n"
+                      "y = x * 3;   \n\n", encoding="utf-8")
+    edited, cache = request()
+    assert edited.hit and edited.tier == "disk"
+    assert edited.program.python_source == shifted.program.python_source
 
 
 def test_disk_tier_is_opt_in(tmp_path, monkeypatch):

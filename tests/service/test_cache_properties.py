@@ -1,11 +1,12 @@
 """Property tests for the compile-cache key contract (docs/SERVICE.md).
 
 One key per compiled artifact: requests differing in anything a compiler
-pass reads (canonical source, name, provider content, a compile-side
-plan field) never share a key; requests differing only in layout,
-comments or a run-time plan field always do — same key, same program
-object, same emitted Python; an identical repeat is a hit that executes
-zero compiler passes and whose run is bit-identical to the cold one.
+pass reads (a source token or its line, name, provider content, a
+compile-side plan field) never share a key; requests differing only in
+layout within a line, trailing comments or a run-time plan field always
+do — same key, same program object, same emitted Python; an identical
+repeat is a hit that executes zero compiler passes and whose run is
+bit-identical to the cold one.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.workloads import all_workloads
+from repro.compiler import OtterCompiler
 from repro.frontend.mfile import DictProvider
 from repro.mpi.machine import MEIKO_CS2
 from repro.service.cache import CompileCache
@@ -137,24 +139,39 @@ def test_keys_collide_exactly_when_compile_components_agree(a, b, dress_a,
     assert (_key(cache, a, dress_a) == _key(cache, b, dress_b)) == (a == b)
 
 
-# whitespace/comment mutations that must not move the key
-def _mutate_layout(source: str, pad: int, comment: bool) -> str:
-    lines = source.rstrip("\n").split("\n")
-    mutated = []
-    for line in lines:
-        mutated.append(" " * pad + line.replace(" = ", "  =  "))
-        if comment:
-            mutated.append("% noise" + "!" * pad)
-    return "\n".join(mutated) + "\n" * (1 + pad)
+def _mutate_layout(source: str, pad: int, comment: bool, trailing: int,
+                   inserts: list) -> str:
+    """Blanks around ``=`` and before each line, a trailing comment on
+    each line, blank lines after the last one, and blank or comment
+    lines inserted before line ``k`` for each ``(k, text)`` of
+    ``inserts`` — those move every later token to another line."""
+    lines = [" " * pad + line.replace(" = ", "  =  ")
+             + ("   % noise" + "!" * pad if comment else "")
+             for line in source.rstrip("\n").split("\n")]
+    for k, text in sorted(inserts, reverse=True):
+        lines.insert(min(k, len(lines)), text)
+    return "\n".join(lines) + "\n" * (1 + trailing)
 
 
 @given(source=st.sampled_from(SOURCES), pad=st.integers(0, 6),
-       comment=st.booleans())
+       comment=st.booleans(), trailing=st.integers(0, 3),
+       inserts=st.lists(st.tuples(st.integers(0, 12),
+                                  st.sampled_from(("", "% noise", "  "))),
+                        max_size=2))
 @settings(max_examples=60, deadline=None)
-def test_layout_mutations_preserve_the_key(source, pad, comment):
+def test_layout_mutations_keep_the_key_iff_the_emitted_code(
+        source, pad, comment, trailing, inserts):
+    """Equal keys if and only if identical emitted Python: an edit
+    within a line or after the last token keeps both, one that moves a
+    token to another line changes both (the code marks source lines)."""
     cache = CompileCache(disk_root=False)
-    assert cache.key(source) == cache.key(_mutate_layout(source, pad,
-                                                         comment))
+    mutated = _mutate_layout(source, pad, comment, trailing, inserts)
+    same_key = cache.key(source) == cache.key(mutated)
+    emitted = [OtterCompiler().compile(text).python_source
+               for text in (source, mutated)]
+    assert same_key == (emitted[0] == emitted[1])
+    shifts = any(k < source.count("\n") for k, _text in inserts)
+    assert same_key == (not shifts)
     assert cache.key(source) == cache.key(source, plan=DEFAULT_PLAN)
 
 
