@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..datastore import StoreError, data_digest, load_data
 from ..errors import InferenceError
 from ..frontend import ast_nodes as A
 from ..frontend.mfile import MFileProvider
@@ -24,14 +25,13 @@ from .lattice import (
 )
 
 
-def classify_array(data: np.ndarray) -> VarType:
-    """Map a sample array to the paper's type/rank attributes."""
-    arr = np.asarray(data)
+def classify_array(arr: np.ndarray) -> VarType:
+    """Map a float or complex sample array (what
+    :func:`~repro.datastore.load_data` returns) to the paper's type/rank
+    attributes."""
     if np.iscomplexobj(arr):
         base = BaseType.COMPLEX
-    elif arr.dtype.kind in ("i", "u", "b"):
-        base = BaseType.INTEGER
-    elif arr.size and np.all(np.asarray(arr) == np.floor(arr)):
+    elif arr.size and np.all(arr == np.floor(arr)):
         base = BaseType.INTEGER
     else:
         base = BaseType.REAL
@@ -43,32 +43,25 @@ def classify_array(data: np.ndarray) -> VarType:
 
 
 def infer_load_type(call: A.Apply, arg_consts: list[object],
-                    provider: MFileProvider) -> VarType:
-    """Type a ``load('file')`` call from its sample data file."""
+                    provider: MFileProvider,
+                    loads: dict[str, tuple[VarType, str]]) -> VarType:
+    """Type a ``load('file')`` call from its sample data file: a store
+    URL's object is its own sample.  ``loads`` memoises each target's
+    type and :func:`~repro.datastore.data_digest` for the whole compile,
+    so the fixpoint reads a target once and the compile cache learns
+    what it was typed from."""
     if not call.args or not isinstance(arg_consts[0], str):
         raise InferenceError(
             "load requires a literal file name so the compiler can find "
             "a sample data file", call.loc)
     name = arg_consts[0]
-    sample = _load_sample(name, provider)
-    if sample is None:
-        raise InferenceError(
-            f"no sample data file for load({name!r}); the compiler needs "
-            "one to determine the variable's type and rank", call.loc)
-    return classify_array(np.asarray(sample))
-
-
-def _load_sample(name: str, provider: MFileProvider):
-    """Resolve a load target: URL-schema datastores (``mem://``,
-    ``file://``, ... — the hosted data is its own sample) first,
-    then the provider's sample files."""
-    from ..service.stores import StoreError, is_store_url
-
-    if is_store_url(name):
-        from ..service.stores import default_manager
-
+    if name not in loads:
         try:
-            return default_manager().load_matrix(name)
-        except StoreError:
-            return None
-    return provider.load_data_file(name)
+            sample = load_data(name, provider)
+        except StoreError as exc:
+            raise InferenceError(
+                f"no sample data file for load({name!r}) ({exc}); the "
+                "compiler needs one to determine the variable's type and "
+                "rank", call.loc) from None
+        loads[name] = (classify_array(sample), data_digest(sample))
+    return loads[name][0]

@@ -138,6 +138,9 @@ class ProgramTypes:
     # per-function: parameter types (join over call sites) and return types
     param_types: dict[str, list[VarType]] = field(default_factory=dict)
     return_types: dict[str, list[VarType]] = field(default_factory=dict)
+    #: each ``load`` target the program was typed from -> the
+    #: :func:`~repro.datastore.data_digest` of the data read
+    loads: dict[str, str] = field(default_factory=dict)
 
     def unit(self, name: str) -> UnitTypes:
         if name == self.script.name:
@@ -158,6 +161,8 @@ class InferenceEngine:
         self._param_consts: dict[str, list[object]] = {}
         self._return_types: dict[str, list[VarType]] = {}
         self._changed = False
+        #: load target -> (type, digest) of its sample, read once
+        self._loads: dict[str, tuple[VarType, str]] = {}
         # Change-driven sweeps (module docstring).  All of it lives here,
         # not on UnitTypes, which cached programs retain.  An input is an
         # SSA value or a callee's return-type list, keyed by id(); a phi
@@ -207,6 +212,8 @@ class InferenceEngine:
                        for n in self.program.functions},
             param_types=dict(self._param_types),
             return_types=dict(self._return_types),
+            loads={name: digest
+                   for name, (_t, digest) in self._loads.items()},
         )
         self.result = result
         return result
@@ -739,7 +746,7 @@ class InferenceEngine:
             assert sig is not None
             if call.name == "load":
                 vtype = infer_load_type(call, arg_consts,
-                                        self.program.provider)
+                                        self.program.provider, self._loads)
                 return [vtype]
             out = sig.rule(arg_types, arg_consts)
             if isinstance(out, tuple):

@@ -176,7 +176,7 @@ class CompiledProgram:
         return self._module
 
     def run(self, nprocs: int = 1, machine: MachineModel | None = None,
-            seed: int = 0, *, plan=None, stores=None,
+            seed: int = 0, *, plan=None,
             config: RunConfig | None = None, **knobs) -> RunResult:
         """Execute on ``nprocs`` simulated ranks of ``machine``.
 
@@ -191,10 +191,6 @@ class CompiledProgram:
         compile-side knobs must have been applied at ``compile`` time
         (see :func:`compile_cached`).  With ``tune`` on, the plan space
         is searched first and the winner runs here instead.
-
-        ``stores`` is a :class:`repro.service.StoreManager` for
-        URL-schema ``load``/``save`` targets; ``None`` uses the
-        process-wide default manager — see docs/SERVICE.md.
         """
         from .native import resolve_native
 
@@ -210,7 +206,7 @@ class CompiledProgram:
                                  provider=self.provider, seed=seed,
                                  name=self.name)
             result = tuned.best_program.run(
-                nprocs, machine, seed, plan=tuned.best.plan, stores=stores,
+                nprocs, machine, seed, plan=tuned.best.plan,
                 config=config._replace(tune=False))
             result.tune = tuned
             return result
@@ -233,8 +229,7 @@ class CompiledProgram:
         def rank_main(comm):
             rt = RuntimeContext(comm, out=output.append, seed=seed,
                                 scheme=scheme, provider=provider,
-                                dist_plan=dist_plan, native=engine,
-                                stores=stores)
+                                dist_plan=dist_plan, native=engine)
             try:
                 # what elementwise arithmetic makes of a zero divisor or
                 # an invalid operand is MATLAB's value, not a warning:

@@ -14,6 +14,7 @@ import re
 
 import numpy as np
 
+from .. import datastore
 from ..errors import MatlabRuntimeError
 from ..ewops import CONSTANTS
 from .values import (
@@ -627,25 +628,14 @@ def _error(ctx, args, nargout):
 
 @_register("load")
 def _load(ctx, args, nargout):
-    from ..service.stores import StoreError, is_store_url
-
     name = args[0]
     if not isinstance(name, str):
         raise MatlabRuntimeError("load: file name must be a string")
-    if is_store_url(name):
-        from ..service.stores import default_manager
-
-        try:
-            data = default_manager().load_matrix(name)
-        except StoreError as exc:
-            raise MatlabRuntimeError(f"load: {exc}") from exc
-    else:
-        data = ctx.provider.load_data_file(name)
-    if data is None:
-        raise MatlabRuntimeError(f"load: cannot find data file {name!r}")
-    arr = as_matrix(np.asarray(data, dtype=float)
-                    if not np.iscomplexobj(np.asarray(data))
-                    else np.asarray(data))
+    try:
+        data = datastore.load_data(name, ctx.provider)
+    except datastore.StoreError as exc:
+        raise MatlabRuntimeError(f"load: {exc}") from exc
+    arr = as_matrix(data)
     ctx.meter.charge_alloc(arr.size)
     return simplify(arr.copy())
 
@@ -730,7 +720,10 @@ def _save(ctx, args, nargout):
     name = args[0]
     if not isinstance(name, str):
         raise MatlabRuntimeError("save: file name must be a string")
-    ctx.saved[name] = args[1] if len(args) > 1 else dict(ctx.workspace)
+    try:
+        datastore.save(name, args[1:])
+    except datastore.StoreError as exc:
+        raise MatlabRuntimeError(f"save: {exc}") from exc
     return None
 
 

@@ -81,7 +81,6 @@ class Interpreter:
         self.workspace: dict[str, Value] = {}
         self.globals: dict[str, Value] = {}
         self._frame_globals: list[set[str]] = [set()]
-        self.saved: dict[str, object] = {}
         self._seed = seed
         self.rng = np.random.default_rng(seed)
         self.tic_time = 0.0

@@ -59,7 +59,7 @@ MESSAGE_KINDS = ("drop", "delay", "duplicate", "corrupt")
 #: all fault kinds
 KINDS = MESSAGE_KINDS + ("crash",)
 
-_KIND_ALIASES = {"dup": "duplicate", "bitflip": "corrupt", "flip": "corrupt"}
+_KIND_ALIASES = {"dup": "duplicate", "bitflip": "corrupt"}
 
 
 def _hash01(*parts: Any) -> float:
@@ -404,15 +404,15 @@ class FaultPlan:
                 key = key.lower()
                 if value in ("*", "any"):
                     continue
-                if key in ("rank", "src", "source"):
+                if key in ("rank", "src"):
                     fields["rank"] = _parse_scope(value, key)
-                elif key in ("dst", "dest"):
+                elif key == "dst":
                     fields["dest"] = _parse_scope(value, key)
                 elif key == "tag":
                     fields["tag"] = _parse_int(value, key)
                 elif key == "op":
                     fields["op"] = value
-                elif key in ("p", "prob", "probability"):
+                elif key == "p":
                     fields["probability"] = _parse_float(value, key)
                 elif key == "count":
                     fields["count"] = _parse_int(value, key)

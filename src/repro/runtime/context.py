@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .. import datastore
 from ..errors import FusionDivergence, MatlabRuntimeError, MpiError
 from ..ewops import TAP
 from ..interp import values as V
@@ -45,7 +46,7 @@ class RuntimeContext:
 
     def __init__(self, comm: Comm, out: Optional[Callable[[str], None]] = None,
                  seed: int = 0, scheme: str = "block", provider=None,
-                 dist_plan=None, native=None, stores=None):
+                 dist_plan=None, native=None):
         self.comm = comm
         #: native kernel engine (repro.native.NativeEngine) or None —
         #: when set, ``ew`` calls that carry an op-tree spec execute as
@@ -71,13 +72,8 @@ class RuntimeContext:
         self.dist_plan: dict[str, str] = dict(dist_plan) if dist_plan else {}
         self.dest_hint: Optional[str] = None
         self.provider = provider
-        #: URL-schema datastore registry for load/save targets like
-        #: ``mem://...`` (None: the process-wide default manager,
-        #: resolved lazily — see repro.service.stores)
-        self.stores = stores
         self._out = out or (lambda text: None)
         self.rng = np.random.default_rng(seed)
-        self.saved: dict[str, object] = {}
         self.globals: dict[str, object] = {}
         self.tic_time = 0.0
         #: diagnostic: defensive local-block copies taken by set_element
@@ -822,34 +818,14 @@ class RuntimeContext:
             msg = sprintf_cycle(msg, values)
         raise MatlabRuntimeError(msg)
 
-    def _store_manager(self):
-        """The URL datastore registry for this run (docs/SERVICE.md)."""
-        if self.stores is None:
-            from ..service.stores import default_manager
-
-            self.stores = default_manager()
-        return self.stores
-
     def load(self, name: RValue) -> RValue:
         if not isinstance(name, str):
             raise MatlabRuntimeError("load: file name must be a string")
-        from ..service.stores import StoreError, is_store_url
-
-        if is_store_url(name):
-            try:
-                data = self._store_manager().load_matrix(name)
-            except StoreError as exc:
-                raise MatlabRuntimeError(f"load: {exc}") from exc
-        else:
-            if self.provider is None:
-                raise MatlabRuntimeError("load: no data provider configured")
-            data = self.provider.load_data_file(name)
-            if data is None:
-                raise MatlabRuntimeError(
-                    f"load: cannot find data file {name!r}")
-        full = V.as_matrix(np.asarray(data, dtype=complex)
-                           if np.iscomplexobj(np.asarray(data))
-                           else np.asarray(data, dtype=float))
+        try:
+            data = datastore.load_data(name, self.provider)
+        except datastore.StoreError as exc:
+            raise MatlabRuntimeError(f"load: {exc}") from exc
+        full = V.as_matrix(data)
         # rank 0 reads the file and scatters row blocks; a store URL
         # charges exactly what the local-file path does, so the same
         # script traces bit-identically against hosted or sample data
@@ -861,37 +837,12 @@ class RuntimeContext:
     def save(self, name: RValue, *args: RValue) -> None:
         if not isinstance(name, str):
             raise MatlabRuntimeError("save: file name must be a string")
+        values = [self.to_interp_value(a) for a in args]
         if self.rank == 0:
-            values = [self.to_interp_value(a) for a in args]
-            from ..service.stores import StoreError, is_store_url
-
-            if is_store_url(name):
-                try:
-                    self._store_manager().put_text(
-                        name, self._render_saved(values))
-                except StoreError as exc:
-                    raise MatlabRuntimeError(f"save: {exc}") from exc
-            self.saved[name] = values
-        else:
-            for a in args:
-                if isinstance(a, DMatrix):
-                    self.to_interp_value(a)  # participate in the gather
-
-    @staticmethod
-    def _render_saved(values: list) -> str:
-        """Whitespace-text rendering of saved values (numpy.loadtxt
-        compatible, so a single saved matrix round-trips through
-        ``load``)."""
-        import io as _io
-
-        buf = _io.StringIO()
-        for rep in values:
-            arr = np.asarray(V.as_matrix(rep))
-            if np.iscomplexobj(arr):
-                raise MatlabRuntimeError(
-                    "save: complex values cannot be saved to a store URL")
-            np.savetxt(buf, np.atleast_2d(arr), fmt="%.17g")
-        return buf.getvalue()
+            try:
+                datastore.save(name, values)
+            except datastore.StoreError as exc:
+                raise MatlabRuntimeError(f"save: {exc}") from exc
 
     def tic(self) -> None:
         # this rank's clock, or under fusion every rank's (a list)

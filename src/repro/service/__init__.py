@@ -9,15 +9,12 @@ compiler into a service:
   sha256 of the source's tokens and their lines plus everything else
   the compiler reads (and nothing about how the program is run), so a
   warm ``run`` at any processor count performs zero compiler passes.
-* :class:`~repro.service.stores.StoreManager` — a registry of
-  URL-schema datastores (``file://``, ``mem://``, and whatever else is
-  registered) that ``load``/``save`` resolve through, so the same
-  script runs against hosted data.
 * :class:`~repro.service.server.ServiceServer` /
   :class:`~repro.service.client.ServiceClient` — a threaded socket
   server (``python -m repro.serve``) multiplexing concurrent sessions
   over the shared cache, streaming back run results and trace summaries
-  per request.
+  per request.  ``load``/``save`` URLs (``file://``, ``mem://``) name the
+  same objects in every session: :mod:`repro.datastore`.
 
 See docs/SERVICE.md for the cache key contract and the wire protocol.
 """
@@ -32,13 +29,6 @@ from .cache import (
 )
 from .client import ServiceClient, ServiceError
 from .server import ServiceServer
-from .stores import (
-    DataStore,
-    FileStore,
-    MemStore,
-    StoreManager,
-    default_manager,
-)
 
 __all__ = [
     "ENV_COMPILE_CACHE",
@@ -47,11 +37,6 @@ __all__ = [
     "canonical_source",
     "get_compile_cache",
     "set_compile_cache",
-    "DataStore",
-    "FileStore",
-    "MemStore",
-    "StoreManager",
-    "default_manager",
     "ServiceServer",
     "ServiceClient",
     "ServiceError",

@@ -12,8 +12,8 @@ backend and kernel mode:
   does not: the emitted code marks source lines (``_c.line = N``);
 * the script **name**;
 * the **provider fingerprint** — in-memory M-file mappings hash their
-  sources, directory providers hash their search paths (plus a per-use
-  dependency validator, below);
+  sources and data files, directory providers hash their search paths
+  (plus the dependency record, below);
 * the plan's **compile-side projection**
   (:meth:`repro.tuning.Plan.compile_key`; ``None`` keys as the default
   plan);
@@ -37,9 +37,17 @@ The one key names the entry in both tiers:
     Python without running any compiler pass.  The tier fails closed: a
     payload whose sha256 digest, ``key`` or ``version`` does not check
     out is a miss that recompiles and republishes (its text is never
-    executed), and M-file dependencies are validated against the
-    current provider by the same line-aware token key (stale deps
-    force a recompile).
+    executed).
+
+Both tiers apply one validity rule.  Every entry carries a
+**dependency record** of what the compile read that its key does not
+hash: under a provider that reads files (a
+:class:`~repro.frontend.mfile.DirectoryProvider`, or a chain holding
+one) each M-file function's line-aware token key and each ``load``
+data file's :func:`~repro.datastore.data_digest`, and under any
+provider each store URL's.  A hit rereads them through the request's
+provider and recompiles when one drifted.  A program whose record is
+empty (no M-file directory, no ``load``) pays nothing for it.
 
 A new source is parsed **once**: the tokens that key it are the ones
 the script handed to the compiler was parsed from.  Cache *hits* report
@@ -62,6 +70,7 @@ from typing import Any, Optional
 
 from ..atomicio import atomic_write_bytes
 from ..compiler import CompiledProgram, OtterCompiler, parse_timed
+from ..datastore import StoreError, data_digest, is_store_url, load_data
 from ..frontend.lexer import token_key
 from ..frontend.mfile import (
     ChainProvider,
@@ -74,7 +83,7 @@ ENV_COMPILE_CACHE = "REPRO_COMPILE_CACHE"
 
 #: bump when the cached-payload layout or the emitted-code ABI changes —
 #: stale major versions on disk are simply never looked up
-PAYLOAD_VERSION = 9
+PAYLOAD_VERSION = 10
 
 _OFF_VALUES = ("0", "off", "none", "disabled")
 
@@ -133,8 +142,9 @@ def provider_fingerprint(provider) -> tuple[str, bool]:
     if provider is None or provider is EMPTY_PROVIDER:
         return "builtin", True
     if isinstance(provider, DictProvider):
-        blob = json.dumps(sorted((name, src)
-                                 for name, src in provider.sources.items()))
+        blob = json.dumps([sorted(provider.sources.items()),
+                           sorted((name, data_digest(data)) for name, data
+                                  in provider.data_files.items())])
         return f"dict:{_sha(blob)}", True
     if isinstance(provider, DirectoryProvider):
         return f"dirs:{json.dumps(list(provider.paths))}", True
@@ -157,6 +167,45 @@ def _function_hash(provider, name: str) -> Optional[str]:
     except Exception:
         return None
     return None if text is None else _sha(text)
+
+
+def _data_hash(provider, target: str) -> Optional[str]:
+    try:
+        return data_digest(load_data(target, provider))
+    except StoreError:
+        return None
+
+
+def _reads_files(provider) -> bool:
+    """Does the provider serve content its fingerprint does not hash?"""
+    if isinstance(provider, DirectoryProvider):
+        return True
+    return isinstance(provider, ChainProvider) and any(
+        _reads_files(child) for child in provider.providers)
+
+
+def _dependency_record(program: CompiledProgram, provider) -> list:
+    """``[kind, name, digest]`` for each thing the compile read that the
+    key does not hash: ``"m"`` an M-file function, ``"d"`` a ``load``
+    target (its digest is of the data the typing pass read).  A digest
+    is ``None`` where the provider cannot say."""
+    files = _reads_files(provider)
+    record = [["m", fname, _function_hash(provider, fname)]
+              for fname in program.resolved.functions] if files else []
+    record += [["d", target, digest]
+               for target, digest in program.types.loads.items()
+               if files or is_store_url(target)]
+    return record
+
+
+def _record_holds(record: list, provider) -> bool:
+    """Does the request's provider still serve what the record read?"""
+    for kind, name, digest in record:
+        current = _function_hash(provider, name) if kind == "m" \
+            else _data_hash(provider, name)
+        if current != digest:
+            return False
+    return True
 
 
 def resolve_disk_root() -> Optional[Path]:
@@ -196,6 +245,7 @@ class _Entry:
     program: CompiledProgram
     stamp: float                   # last-access clock() reading
     tier: str                      # tier that satisfied the insert
+    record: list                   # _dependency_record(); [] checks nothing
 
 
 class CompileCache:
@@ -276,21 +326,31 @@ class CompileCache:
         # pass 1; key() then finds the key text's digest memoised
         _digest, parsed = self._source_digest(source, name)
         key = self.key(source, name=name, provider=provider, plan=plan)
+        checked = None      # an entry whose record held, outside the lock
         while True:
             with self._lock:
                 self._purge_expired_locked()
                 entry = self._entries.get(key)
-                if entry is not None:
+                if entry is not None and (not entry.record
+                                          or entry is checked):
                     entry.stamp = self.clock()
                     self._entries.move_to_end(key)
                     self._stats["hits"] += 1
                     return CacheOutcome(program=entry.program, key=key,
                                         hit=True, tier=entry.tier)
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    self._inflight[key] = threading.Event()
-                    break
-            waiter.wait()
+                if entry is None:
+                    waiter = self._inflight.get(key)
+                    if waiter is None:
+                        self._inflight[key] = threading.Event()
+                        break
+            if entry is None:
+                waiter.wait()
+            elif _record_holds(entry.record, provider):
+                checked = entry
+            else:
+                with self._lock:            # stale: drop it and rebuild
+                    if self._entries.get(key) is entry:
+                        del self._entries[key]
         try:
             outcome = self._build(key, source, parsed, name=name,
                                   provider=provider, plan=plan)
@@ -304,24 +364,26 @@ class CompileCache:
     def _build(self, key: str, source: str, parsed: Optional[tuple], *,
                name: str, provider, plan) -> CacheOutcome:
         disk_ok = provider_fingerprint(provider)[1]
-        program = self._disk_lookup(key, provider) if disk_ok else None
-        if program is not None:
+        found = self._disk_lookup(key, provider) if disk_ok else None
+        if found is not None:
+            program, record = found
             with self._lock:
                 self._stats["hits"] += 1
                 self._stats["disk_hits"] += 1
-                self._insert_locked(key, program, tier="disk")
+                self._insert_locked(key, program, "disk", record)
             return CacheOutcome(program=program, key=key, hit=True,
                                 tier="disk")
 
         compile_plan = None if plan is None else plan.compile_side()
         program = OtterCompiler(provider, plan=compile_plan).compile(
             source, name, parsed)
+        record = _dependency_record(program, provider)
         with self._lock:
             self._stats["misses"] += 1
             self._stats["compiles"] += 1
-            self._insert_locked(key, program, tier="memory")
+            self._insert_locked(key, program, "memory", record)
         if disk_ok:
-            self._disk_publish(key, program, provider)
+            self._disk_publish(key, program, record)
         return CacheOutcome(program=program, key=key, hit=False, tier=None,
                             passes=list(program.pass_timings))
 
@@ -330,9 +392,9 @@ class CompileCache:
     # ------------------------------------------------------------------ #
 
     def _insert_locked(self, key: str, program: CompiledProgram,
-                       tier: str) -> None:
+                       tier: str, record: list) -> None:
         self._entries[key] = _Entry(program=program, stamp=self.clock(),
-                                    tier=tier)
+                                    tier=tier, record=record)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -356,7 +418,8 @@ class CompileCache:
         return None if self.disk_root is None \
             else self.disk_root / f"p_{key}.json"
 
-    def _disk_lookup(self, key: str, provider) -> Optional[CompiledProgram]:
+    def _disk_lookup(self, key: str,
+                     provider) -> Optional[tuple[CompiledProgram, list]]:
         path = self._disk_path(key)
         if path is None or not path.exists():
             return None
@@ -370,10 +433,10 @@ class CompileCache:
                     or payload.get("key") != key
                     or payload.get("version") != PAYLOAD_VERSION):
                 raise ValueError("payload does not verify")
-            for fname, expected in payload["deps"].items():
-                if _function_hash(provider, fname) != expected:
-                    return None       # provider content drifted: stale
-            return self._rehydrate(payload, provider)
+            record = payload["record"]
+            if not _record_holds(record, provider):
+                return None           # provider content drifted: stale
+            return self._rehydrate(payload, provider), record
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             with self._lock:
                 self._stats["disk_rejects"] += 1
@@ -399,17 +462,10 @@ class CompileCache:
         )
 
     def _disk_publish(self, key: str, program: CompiledProgram,
-                      provider) -> None:
+                      record: list) -> None:
         path = self._disk_path(key)
-        if path is None:
-            return
-        deps: dict[str, str] = {}
-        if program.resolved is not None and provider is not None:
-            for fname in program.resolved.functions:
-                digest = _function_hash(provider, fname)
-                if digest is None:
-                    return            # unhashable dep: skip publication
-                deps[fname] = digest
+        if path is None or any(digest is None for *_, digest in record):
+            return                    # unhashable dep: skip publication
         payload = {
             "version": PAYLOAD_VERSION,
             "key": key,
@@ -419,7 +475,7 @@ class CompileCache:
             "peephole": dataclasses.asdict(program.peephole_stats),
             "licm": dataclasses.asdict(program.licm_stats),
             "plan": None if program.plan is None else program.plan.as_dict(),
-            "deps": deps,
+            "record": record,
             "created": time.time(),
         }
         payload["digest"] = _payload_digest(payload)

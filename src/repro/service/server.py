@@ -8,9 +8,8 @@ requesting the same program pay exactly one compile — while every run
 gets a fresh, isolated :class:`~repro.runtime.context.RuntimeContext`
 (own workspace, own seeded RNG, own memory tracker), so sessions can
 never observe each other's state.  Hosted data *is* deliberately
-shared: ``mem://``/``file://`` (and any registered scheme's) URLs
-resolve through one
-:class:`~repro.service.stores.StoreManager`.
+shared: ``mem://`` and ``file://`` URLs name the same objects for
+every session (:mod:`repro.datastore`).
 
 Protocol (newline-delimited JSON; see docs/SERVICE.md):
 
@@ -56,11 +55,11 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ..datastore import SCHEMES
 from ..errors import ConfigError, OtterError
 from ..mpi.machine import MACHINES
 from ..runconfig import choice, integer, resolve
 from .cache import CompileCache, plan_from_dict
-from .stores import StoreManager, default_manager
 from .transport import LoopbackTransport, ProtocolError, SocketTransport, \
     Transport, TransportClosed
 
@@ -133,10 +132,8 @@ class ServiceServer:
     """Threaded compile/run server multiplexing one shared cache."""
 
     def __init__(self, cache: Optional[CompileCache] = None,
-                 stores: Optional[StoreManager] = None,
                  host: str = "127.0.0.1", port: int = 0):
         self.cache = cache if cache is not None else CompileCache()
-        self.stores = stores if stores is not None else default_manager()
         self.host = host
         self.port = port
         self.address: Optional[tuple[str, int]] = None
@@ -335,8 +332,7 @@ class ServiceServer:
         machine = _MACHINE(request.get("machine") or "meiko", "machine=")
         compile_response, outcome, plan = self._compile(request, session_id)
         result = outcome.program.run(nprocs, MACHINES[machine], seed,
-                                     plan=plan, stores=self.stores,
-                                     config=config)
+                                     plan=plan, config=config)
         with self._lock:
             self.counters["runs"] += 1
         response = dict(compile_response)
@@ -384,4 +380,4 @@ class ServiceServer:
                 # thread-local memory tracker installed on the session
                 # thread (the PR 4 inline-run leak, service edition)
                 "tracker_installed": current_tracker() is not None,
-                "store_schemes": self.stores.schemes()}
+                "store_schemes": list(SCHEMES)}

@@ -1,15 +1,15 @@
 """Service-layer fixtures.
 
-Every test gets a private process-wide compile cache and store manager,
-so cache statistics and hosted ``mem://`` data never leak between tests
-(or into the rest of the suite, which shares the same process-global
-singletons through ``compile_cached``).
+Every test gets a private process-wide compile cache and an empty
+``mem://`` map, so cache statistics and hosted data never leak between
+tests (or into the rest of the suite, which shares the same
+process-global cache through ``compile_cached``).
 """
 
 import pytest
 
 from repro.service.cache import CompileCache, set_compile_cache
-from repro.service.stores import StoreManager, set_default_manager
+from repro import datastore
 from repro.tuning.plan import Plan
 
 
@@ -65,8 +65,7 @@ def fresh_cache():
 
 @pytest.fixture(autouse=True)
 def fresh_stores():
-    """Swap in a fresh default store manager for the test."""
-    manager = StoreManager()
-    previous = set_default_manager(manager)
-    yield manager
-    set_default_manager(previous)
+    """Start and leave the test with an empty ``mem://`` map."""
+    datastore._MEM.clear()
+    yield
+    datastore._MEM.clear()

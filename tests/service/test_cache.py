@@ -410,6 +410,101 @@ def test_disk_entry_of_a_line_shifted_mfile_recompiles(tmp_path):
     assert edited.program.python_source == shifted.program.python_source
 
 
+LOAD_SQUARE = "x = load('d.dat');\ny = x * x;\ndisp(y);\n"
+
+
+def _fresh_output(source, provider):
+    return OtterCompiler(provider).compile(source).run().output
+
+
+def _requests(tier, root):
+    """A request function per tier: the same memory cache every time,
+    or a new process (a new cache) over one disk root."""
+    if tier == "memory":
+        cache = CompileCache(disk_root=False)
+        return lambda src, provider=None: cache.get_or_compile(
+            src, provider=provider)
+    return lambda src, provider=None: CompileCache(
+        disk_root=root).get_or_compile(src, provider=provider)
+
+
+def test_memory_entry_with_stale_mfile_dep_recompiles(tmp_path):
+    """Both tiers apply one validity rule: a memory entry compiled
+    through a directory rechecks its M-files like a disk entry does."""
+    mdir = tmp_path / "mfiles"
+    mdir.mkdir()
+    helper = mdir / "triple.m"
+    helper.write_text("function y = triple(x)\ny = x * 3;\n",
+                      encoding="utf-8")
+    src = "a = triple(7); disp(a);"
+    cache = CompileCache(disk_root=False)
+
+    def request():
+        return cache.get_or_compile(
+            src, provider=DirectoryProvider([str(mdir)]))
+
+    assert request().program.run().output.split() == ["21"]
+    helper.write_text("function y = triple(x)\ny = x * 4;\n",
+                      encoding="utf-8")
+    stale = request()
+    assert not stale.hit and cache.stats()["compiles"] == 2
+    assert stale.program.run().output == _fresh_output(
+        src, DirectoryProvider([str(mdir)]))
+    assert stale.program.run().output.split() == ["28"]
+    again = request()
+    assert again.hit and again.tier == "memory"
+
+
+def test_dict_provider_data_files_key_the_program():
+    cache = CompileCache(disk_root=False)
+    scalar = DictProvider({}, data_files={"d.dat": [[2]]})
+    square = DictProvider({}, data_files={"d.dat": [[1, 2], [3, 4]]})
+    first = cache.get_or_compile(LOAD_SQUARE, provider=scalar)
+    second = cache.get_or_compile(LOAD_SQUARE, provider=square)
+    assert first.key != second.key and not second.hit
+    assert first.program.run().output.split() == ["4"]
+    assert second.program.run().output == _fresh_output(LOAD_SQUARE, square)
+    assert second.program.run().output.split() == ["7", "10", "15", "22"]
+
+
+@pytest.mark.parametrize("tier", ["memory", "disk"])
+def test_changed_hosted_object_recompiles(tier, tmp_path):
+    """A store URL is not in the key: the record holds the digest of the
+    object the compile typed from, and a hit rereads it."""
+    from repro import datastore
+
+    request = _requests(tier, tmp_path / "programs")
+    src = LOAD_SQUARE.replace("d.dat", "mem://d")
+    datastore.save("mem://d", [[[2.0]]])
+    assert request(src).program.run().output.split() == ["4"]
+    datastore.save("mem://d", [[[1.0, 2.0], [3.0, 4.0]]])
+    changed = request(src)
+    assert not changed.hit
+    assert changed.program.run().output == _fresh_output(src, None)
+    assert changed.program.run().output.split() == ["7", "10", "15", "22"]
+    again = request(src)
+    assert again.hit and again.tier == tier
+
+
+@pytest.mark.parametrize("tier", ["memory", "disk"])
+def test_directory_data_file_edited_in_place_recompiles(tier, tmp_path):
+    ddir = tmp_path / "data"
+    ddir.mkdir()
+    data = ddir / "d.dat"
+    request = _requests(tier, tmp_path / "programs")
+    data.write_text("2\n", encoding="utf-8")
+    first = request(LOAD_SQUARE, DirectoryProvider([str(ddir)]))
+    assert first.program.run().output.split() == ["4"]
+    data.write_text("1 2\n3 4\n", encoding="utf-8")
+    edited = request(LOAD_SQUARE, DirectoryProvider([str(ddir)]))
+    assert not edited.hit
+    assert edited.program.run().output == _fresh_output(
+        LOAD_SQUARE, DirectoryProvider([str(ddir)]))
+    assert edited.program.run().output.split() == ["7", "10", "15", "22"]
+    again = request(LOAD_SQUARE, DirectoryProvider([str(ddir)]))
+    assert again.hit and again.tier == tier
+
+
 def test_disk_tier_is_opt_in(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
     assert resolve_disk_root() is None

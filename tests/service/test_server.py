@@ -9,12 +9,8 @@ The TCP tests at the bottom cover the real socket path and shutdown.
 import numpy as np
 import pytest
 
-from repro.service import (
-    ServiceClient,
-    ServiceError,
-    ServiceServer,
-    default_manager,
-)
+from repro import datastore
+from repro.service import ServiceClient, ServiceError, ServiceServer
 from repro.service.cache import CompileCache
 
 SRC = "x = ones(8, 8);\ndisp(sum(sum(x)));\n"
@@ -139,8 +135,7 @@ def test_run_with_trace_flag_returns_the_sha(client):
 
 
 def test_hosted_data_is_shared_across_sessions(server):
-    default_manager().save_matrix("mem://srv/grid",
-                                  np.arange(16.0).reshape(4, 4))
+    datastore.save("mem://srv/grid", [np.arange(16.0).reshape(4, 4)])
     src = ("a = load('mem://srv/grid');\n"
            "save('mem://srv/out', a);\n"
            "disp(sum(sum(a)));\n")
@@ -148,7 +143,7 @@ def test_hosted_data_is_shared_across_sessions(server):
         assert one.run(src, nprocs=4)["output"].strip() == "120"
     with server.loopback() as two:
         assert two.run(src, nprocs=4)["cached"]
-    out = default_manager().load_matrix("mem://srv/out")
+    out = datastore.load_data("mem://srv/out", None)
     assert float(out.sum()) == 120.0
 
 
