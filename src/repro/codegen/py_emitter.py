@@ -74,7 +74,11 @@ class PyEmitter:
         #: let the trace layer attribute every communication/compute
         #: charge back to the originating MATLAB statement; with tracing
         #: off they cost one attribute store.
-        self._mark: int | None = None
+        self._mark: int | tuple | None = None
+        #: the M-file function being emitted (``None``: the script),
+        #: whose statements mark ``(name, line)``: its line numbers are
+        #: its own file's, which the script's must not absorb
+        self._unit: str | None = None
         #: what a group member's assignment tries before its own call
         self._head = ""
         #: the name of the flag the loop whose body is being emitted
@@ -119,6 +123,8 @@ class PyEmitter:
         self._line(f"def {func_name(func.name)}(rt{sep and ', '}{params}):")
         self._indent += 1
         self._line("_c = rt.comm")
+        # the call itself, on the caller's line (still marked)
+        self._line("_c.user_call()")
         self._mark = None
         prologue = sorted(assigned
                           - {var_name(p) for p in func.params}
@@ -126,8 +132,10 @@ class PyEmitter:
         for name in prologue:
             self._line(f"{name} = None")
         self._current_returns = list(func.returns)
+        self._unit = func.name
         for stmt in func.body:
             self._emit_stmt(stmt)
+        self._unit = None
         self._emit_return()
         self._current_returns = None
         self._indent -= 1
@@ -188,11 +196,19 @@ class PyEmitter:
             return f"rt.globals[{op.name!r}]"
         return self._op(op)
 
-    def _emit_stmt(self, stmt: IRStmt) -> None:
+    def _marker(self, stmt: IRStmt) -> None:
+        """Mark ``stmt``'s source line on ``_c.line`` unless it is
+        marked already."""
         line = stmt.line
-        if line and line != self._mark:
-            self._line(f"_c.line = {line}")
-            self._mark = line
+        if line:
+            if self._unit is not None:
+                line = (self._unit, line)
+            if line != self._mark:
+                self._line(f"_c.line = {line!r}")
+                self._mark = line
+
+    def _emit_stmt(self, stmt: IRStmt) -> None:
+        self._marker(stmt)
         self._dispatch_stmt(stmt)
         if type(stmt) in _JOINS:
             # control flow joins (and callees, which re-mark _c.line for
@@ -326,10 +342,7 @@ class PyEmitter:
                    f"({olds}){outs})")
         for k, (stmt, (spec, reads, _, _)) in enumerate(zip(group.members,
                                                             members)):
-            line = stmt.line
-            if line and line != self._mark:
-                self._line(f"_c.line = {line}")
-                self._mark = line
+            self._marker(stmt)
             if stmt.__class__ is Elementwise:
                 nops = max(ew_op_count(stmt.expr), 1)
                 self._head = f"_g.result({nops}) if _g else "

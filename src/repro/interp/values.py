@@ -158,8 +158,16 @@ def index_read(value: Value, subs: list) -> Value:
                 return simplify(picked.reshape(1, -1))
             return simplify(picked.reshape(-1, 1))
         return simplify(picked.reshape(sub_shape, order="F"))
+    return simplify(arr[np.ix_(*read_axes(arr.shape, subs))])
+
+
+def read_axes(shape: tuple[int, int], subs: list):
+    """The 0-based row and column index vectors of ``value(ri, ci)`` for
+    a ``value`` of ``shape``: the rows and columns the read takes, in
+    order, checked against the extents."""
     if len(subs) != 2:
         raise MatlabRuntimeError("only 1- and 2-D indexing is supported")
+    rows, cols = shape
     ri, ci = subs
     r_idx = (np.arange(rows, dtype=np.intp) if ri is COLON
              else _index_vector(ri, rows, "row index"))
@@ -167,7 +175,7 @@ def index_read(value: Value, subs: list) -> Value:
              else _index_vector(ci, cols, "column index"))
     if np.any(r_idx >= rows) or np.any(c_idx >= cols):
         raise MatlabRuntimeError("index exceeds matrix dimensions")
-    return simplify(arr[np.ix_(r_idx, c_idx)])
+    return r_idx, c_idx
 
 
 def index_assign(value: Value | None, subs: list, rhs: Value) -> Value:
@@ -222,36 +230,51 @@ def index_assign(value: Value | None, subs: list, rhs: Value) -> Value:
             raise MatlabRuntimeError("subscripted assignment dimension mismatch")
         return simplify(flat.reshape((rows, cols), order="F"))
 
+    r_idx, c_idx, (need_rows, need_cols) = assign_axes(base.shape, subs,
+                                                       rhs_arr.shape)
+    if need_rows > rows or need_cols > cols:
+        grown = np.zeros((need_rows, need_cols), dtype=base.dtype)
+        grown[:rows, :cols] = base
+        base = grown
+    base[np.ix_(r_idx, c_idx)] = assign_block(rhs_arr,
+                                              (r_idx.size, c_idx.size))
+    return simplify(base)
+
+
+def assign_axes(shape: tuple[int, int], subs: list,
+                rhs_shape: tuple[int, int]):
+    """The 0-based row and column index vectors of ``value(ri, ci) =
+    rhs`` for a ``value`` of ``shape`` and an ``rhs`` of ``rhs_shape``,
+    and the shape the store leaves (larger when it grows ``value``)."""
     if len(subs) != 2:
         raise MatlabRuntimeError("only 1- and 2-D indexing is supported")
+    rows, cols = shape
     ri, ci = subs
     r_idx = (np.arange(rows, dtype=np.intp) if ri is COLON
              else _index_vector(ri, rows, "row index"))
     c_idx = (np.arange(cols, dtype=np.intp) if ci is COLON
              else _index_vector(ci, cols, "column index"))
     if ri is COLON and rows == 0 and r_idx.size == 0:
-        r_idx = np.arange(shape_of(rhs)[0], dtype=np.intp)
+        r_idx = np.arange(rhs_shape[0], dtype=np.intp)
     if ci is COLON and cols == 0 and c_idx.size == 0:
-        c_idx = np.arange(shape_of(rhs)[1], dtype=np.intp)
+        c_idx = np.arange(rhs_shape[1], dtype=np.intp)
     need_rows = max(rows, int(r_idx.max()) + 1 if r_idx.size else rows)
     need_cols = max(cols, int(c_idx.max()) + 1 if c_idx.size else cols)
-    if need_rows > rows or need_cols > cols:
-        grown = np.zeros((need_rows, need_cols), dtype=base.dtype)
-        grown[:rows, :cols] = base
-        base = grown
-    block = rhs_arr
-    if block.size == 1:
-        base[np.ix_(r_idx, c_idx)] = block.reshape(-1)[0]
-    else:
-        expected = (r_idx.size, c_idx.size)
-        if block.shape != expected:
-            if block.size == expected[0] * expected[1]:
-                block = block.reshape(expected, order="F")
-            else:
-                raise MatlabRuntimeError(
-                    "subscripted assignment dimension mismatch")
-        base[np.ix_(r_idx, c_idx)] = block
-    return simplify(base)
+    return r_idx, c_idx, (need_rows, need_cols)
+
+
+def assign_block(rhs: np.ndarray, expected: tuple[int, int]):
+    """What a store into ``expected`` rows x columns writes: ``rhs``'s
+    one element, ``rhs`` itself, or ``rhs`` of as many elements
+    reshaped column-major."""
+    if rhs.size == 1:
+        return rhs.reshape(-1)[0]
+    if rhs.shape != expected:
+        if rhs.size != expected[0] * expected[1]:
+            raise MatlabRuntimeError(
+                "subscripted assignment dimension mismatch")
+        return rhs.reshape(expected, order="F")
+    return rhs
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,9 @@ into the guarded :class:`SetElement` form that both backends emit as an
 ``ML_owner`` conditional.  Stores that might grow the matrix need no
 special treatment here — the run-time store falls back dynamically.
 Every other store (a range, a matrix right-hand side) stays an
-``IndexAssign`` and runs through the run-time ``index_assign``: gather,
-store, redistribute.
+``IndexAssign`` and runs through the run-time ``index_assign``: one
+remap of the right-hand side into the matrix (a store that grows it:
+gather, store, redistribute).
 """
 
 from __future__ import annotations

@@ -86,6 +86,35 @@ LAND: Callable = _op_land
 LOR: Callable = _op_lor
 
 
+#: payload classes whose wire size the class alone decides
+_FIXED_SIZE = (float, int, complex, type(None))
+
+
+def _largest(slots: list) -> int:
+    """``max(sizeof(s) for s in slots)`` — what a collective's price
+    reads off the ranks' contributions — with one size computation when
+    every slot has the first one's class (and, for arrays, its shape
+    and dtype), as the contributions of one collective usually do; the
+    general fold otherwise."""
+    first = slots[0]
+    kind = first.__class__
+    if kind is np.ndarray:
+        shape, dtype = first.shape, first.dtype
+        for slot in slots:
+            if slot.__class__ is not np.ndarray or slot.shape != shape \
+                    or slot.dtype != dtype:
+                break
+        else:
+            return first.nbytes
+    elif kind in _FIXED_SIZE:
+        for slot in slots:
+            if slot.__class__ is not kind:
+                break
+        else:
+            return sizeof(first)
+    return max(sizeof(s) for s in slots)
+
+
 class _Abort(MpiError):
     """Raised inside blocked ranks when another rank fails."""
 
@@ -352,6 +381,13 @@ class Comm:
         if self._rec is not None:
             self._rec.calls(self.line, calls)
         self.advance(calls * self.machine.cpu.call_overhead)
+
+    def user_call(self) -> None:
+        """Tally a call of a user (M-file) function on the calling line:
+        one call in the trace's line profile and nothing on the clock
+        (the callee's statements charge their own work)."""
+        if self._rec is not None:
+            self._rec.calls(self.line, 1)
 
     def charge(self, flops: int = 0, elems: int = 0, mem: int = 0) -> None:
         """One run-time-library call and its local work: exactly
@@ -650,7 +686,7 @@ class Comm:
             acc = slots[0]
             for item in slots[1:]:
                 acc = op(acc, item)
-            nbytes = max(sizeof(s) for s in slots)
+            nbytes = _largest(slots)
             world._coll_nbytes = nbytes
             cost = machine.collective_time("allreduce", nbytes, size)
             # reduction arithmetic itself: log2(P) combining steps
@@ -677,7 +713,7 @@ class Comm:
         world = self.world
 
         def combine(slots, tmax):
-            nbytes = max(sizeof(s) for s in slots)
+            nbytes = _largest(slots)
             world._coll_nbytes = nbytes
             cost = machine.collective_time("allgather", nbytes, size)
             return list(slots), tmax + cost
@@ -704,6 +740,23 @@ class Comm:
                                  rec=self._rec, line=self.line)
         return result[self.rank]
 
+    def exchange(self, values: np.ndarray, dests: np.ndarray,
+                 largest: int) -> np.ndarray:
+        """The all-to-all of a remap: ``values`` are this rank's
+        outgoing values in position order, ``dests`` their destination
+        ranks (never this one: what stays is not sent); the result is
+        its incoming values, ordered by source, then position.  One
+        :meth:`alltoall` of the pieces, values only — each receiver
+        knows from the maps where its pieces go.  ``largest``, the most
+        values any rank sends to rank 0, is what the alltoall's price
+        reads off the pieces; :meth:`FusedComm.exchange
+        <repro.mpi.fused.FusedComm.exchange>` charges it in closed
+        form."""
+        ordered = values[np.argsort(dests, kind="stable")]
+        ends = np.cumsum(np.bincount(dests, minlength=self.size)).tolist()
+        return np.concatenate(self.alltoall(
+            [ordered[start:end] for start, end in zip([0] + ends, ends)]))
+
     def exscan(self, obj: Any, op: Callable = SUM) -> Any:
         """Exclusive prefix reduction: the fold of the lower ranks'
         contributions (``None`` on rank 0).  Tallied as ``scan``, priced
@@ -718,7 +771,7 @@ class Comm:
             for item in slots:
                 acc = item if acc is None else op(acc, item)
                 prefixes.append(acc)
-            nbytes = max(sizeof(s) for s in slots)
+            nbytes = _largest(slots)
             world._coll_nbytes = nbytes
             cost = machine.collective_time("allreduce", nbytes, size)
             return prefixes, tmax + cost

@@ -239,6 +239,12 @@ class FusedComm:
         self.world.clocks += dt
         trace.batch_charge(self.line, dt)
 
+    def user_call(self) -> None:
+        """:meth:`Comm.user_call <repro.mpi.comm.Comm.user_call>` on
+        every rank."""
+        if self._trace is not None:
+            self._trace.batch_calls(self.line, 1)
+
     @property
     def tracing(self) -> bool:
         """Is a trace recording what this communicator charges?"""
@@ -384,6 +390,16 @@ class FusedComm:
 
     def charge_alltoall(self, per_nbytes: int) -> None:
         self._sync_cost("alltoall", per_nbytes)
+
+    def exchange(self, values: np.ndarray, dests: np.ndarray,
+                 largest: int) -> np.ndarray:
+        """:meth:`Comm.exchange <repro.mpi.comm.Comm.exchange>` of every
+        rank's pieces.  A fused pass holds every element already, so
+        nothing is sent and nothing arrives.  Priced as the lockstep
+        alltoall of the same pieces: ``largest`` values (the most any
+        rank sends to rank 0) of ``values``' type."""
+        self.charge_alltoall(largest * values.itemsize)
+        return values[:0]
 
     def charge_scan(self, nbytes: int) -> None:
         # comm.exscan tallies as "scan" but costs like an allreduce

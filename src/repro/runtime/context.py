@@ -481,7 +481,8 @@ class RuntimeContext:
             return False
 
     # ------------------------------------------------------------------ #
-    # general indexing (gather-based; scalar fast paths above)
+    # general indexing: one remap (scalar fast paths above); a store that
+    # grows its matrix, or one into a replicated value, is gather-based
     # ------------------------------------------------------------------ #
 
     def _replicate_sub(self, sub):
@@ -501,10 +502,8 @@ class RuntimeContext:
                 j = None if len(subs) == 1 else \
                     int(float(np.real(V.as_matrix(subs[1]).reshape(-1)[0]))) - 1
                 return self.element(mat, i, j)
-            full = self.gather_full(mat)
-        else:
-            full = mat
-        result = V.index_read(full, list(subs))
+            return _remap.read(self, mat, subs)
+        result = V.index_read(mat, list(subs))
         self.comm.overhead()
         return self.distribute_full(V.as_matrix(result)) \
             if V.numel(result) > 1 else result
@@ -512,6 +511,10 @@ class RuntimeContext:
     def index_assign(self, mat: RValue | None, subs: Sequence,
                      rhs: RValue) -> RValue:
         subs = [self._replicate_sub(s) for s in subs]
+        if isinstance(mat, DMatrix) and not isinstance(rhs, str):
+            stored = _remap.assign(self, mat, subs, rhs)
+            if stored is not None:
+                return stored
         base = None
         if mat is not None:
             base = self.gather_full(mat) if isinstance(mat, DMatrix) \
@@ -902,6 +905,7 @@ def replicate_workspace(results: list, fused: bool) -> Optional[dict]:
 
 from . import builtins as _builtins  # noqa: E402
 from . import linalg as _linalg  # noqa: E402
+from . import remap as _remap  # noqa: E402
 from . import reductions as _reductions  # noqa: E402
 from . import structural as _structural  # noqa: E402
 

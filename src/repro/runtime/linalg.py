@@ -15,7 +15,8 @@ Algorithms (for the row-contiguous block distribution):
   ML_dot, the paper's peephole target for ``r' * r``.
 * ``outer`` (column x row): allgather the row vector, local outer product.
 * vector transpose is free (both orientations share the element-block
-  layout); matrix transpose is gather-based.
+  layout); matrix transpose is one ``remap`` (the corner turn): an
+  alltoall of the pieces whose row block changes rank, never a gather.
 * ``solve`` (``\\`` and ``/``): gathered and solved redundantly on every
   rank — the run-time library has no parallel factorization, and the
   cost model charges the full sequential flops, honestly showing no
@@ -31,6 +32,7 @@ from ..interp import values as V
 from ..mpi.comm import SUM
 from .distribution import rank_axis
 from .matrix import DMatrix, RValue
+from .remap import remap
 
 
 def _as_full(rt, value: RValue) -> np.ndarray:
@@ -183,10 +185,13 @@ def transpose(rt, a: RValue, conjugate: bool = True) -> RValue:
         rt.comm.overhead()
         return a.like(held.conj() if conjugate and np.iscomplexobj(held)
                       else held.copy(), shape=(a.cols, a.rows))
-    full = rt.gather_full(a, copy=False)  # read-only: copied just below
-    out = full.conj().T if conjugate else full.T
-    rt.comm.compute(mem=out.size)
-    return rt.distribute_full(np.ascontiguousarray(out))
+    # the corner turn: element (i, j) of the result is (j, i) of ``a``,
+    # and only the pieces whose row block changes rank move
+    out = remap(rt, a, np.arange(a.rows)[None, :], np.arange(a.cols)[:, None],
+                (a.cols, a.rows))
+    if conjugate and a.dtype.kind == "c":
+        return out.like(out.held.conj())
+    return out
 
 
 def solve(rt, a: RValue, b: RValue, left: bool = True) -> RValue:

@@ -25,7 +25,9 @@ derivations, which keeps lockstep an oracle for the fused clocks),
 ``like(data, shape=None)``, and ``stacked()`` — what the ranks hold,
 rank axis first, one ``(ranks, items per rank, ...)`` array per run of
 equally loaded ranks: one rank's block as a run of one, or every
-rank's — with its inverse ``unstacked(runs, cols)``.  A body that
+rank's (``stacked(base, geom)`` cuts an array of another geometry,
+a remap's target, the same way) — with its inverse
+``unstacked(runs, cols)`` (``unstacked(runs, geom=geom)``).  A body that
 computes its partials over ``stacked()`` and combines them with
 ``comm.fold`` is the same code on both backends.  ``local`` and
 ``full`` are the same slot as ``held`` under the name that says which
@@ -171,23 +173,29 @@ class DMatrix:
             geom = get_geometry(*shape, geom.nprocs, geom.scheme)
         return DMatrix(geom, data.dtype, data, self.rank)
 
-    def stacked(self, base: np.ndarray | None = None) -> list[np.ndarray]:
+    def stacked(self, base: np.ndarray | None = None,
+                geom: Geometry | None = None) -> list[np.ndarray]:
         """What the ranks this descriptor stands for hold, rank axis
         first: one ``(ranks, items per rank, ...)`` array per run of
         equally loaded ranks — here one rank's block, a run of one.
         ``base`` (an array along the distributed axis, a vector's
         weights or a matrix's row labels) is cut as the held items
-        are."""
-        return [(self.held if base is None
-                 else base[self.geom.slices[self.rank]])[None]]
+        are — or, given ``geom``, as these ranks hold ``geom``'s items
+        (a remap's target)."""
+        if base is None:
+            return [self.held[None]]
+        return [base[(geom or self.geom).slices[self.rank]][None]]
 
-    def unstacked(self, runs: list[np.ndarray], cols: int) -> "DMatrix":
-        """Inverse of :meth:`stacked` for a per-rank result with one
-        item per held row: the ``rows x cols`` matrix (a column for
-        ``cols == 1``) distributed as this one's rows are."""
-        return DMatrix(get_geometry(self.rows, cols, self.geom.nprocs,
-                                    self.scheme),
-                       runs[0].dtype, runs[0][0], self.rank)
+    def unstacked(self, runs: list[np.ndarray], cols: int = 0,
+                  geom: Geometry | None = None) -> "DMatrix":
+        """Inverse of :meth:`stacked`: a per-rank result with one item
+        per held row as the ``rows x cols`` matrix (a column for
+        ``cols == 1``) distributed as this one's rows are — or, given
+        ``geom``, the ``geom`` array these ranks' runs cut."""
+        if geom is None:
+            geom = get_geometry(self.rows, cols, self.geom.nprocs,
+                                self.scheme)
+        return DMatrix(geom, runs[0].dtype, runs[0][0], self.rank)
 
     def __repr__(self) -> str:
         return (f"DMatrix({self.rows}x{self.cols} {self.dtype}, "
@@ -294,23 +302,28 @@ class FusedDMatrix(DMatrix):
         return self.full.reshape(-1, order="F") if self.is_vector \
             else self.full
 
-    def stacked(self, base: np.ndarray | None = None) -> list[np.ndarray]:
+    def stacked(self, base: np.ndarray | None = None,
+                geom: Geometry | None = None) -> list[np.ndarray]:
         """Every rank's local block (or ``base``'s items, cut the same
-        way) as one ``(ranks, items per rank, ...)`` array per run of
-        equally loaded ranks: :meth:`Geometry.stacked` of :meth:`base`,
-        spelt out."""
+        way — or as every rank holds ``geom``'s items) as one ``(ranks,
+        items per rank, ...)`` array per run of equally loaded ranks:
+        :meth:`Geometry.stacked` of :meth:`base`, spelt out."""
         if base is None:
             base = self.held.reshape(-1, order="F") if self.is_vector \
                 else self.held
-        return self.geom.stacked(base)
+        return (geom or self.geom).stacked(base)
 
-    def unstacked(self, runs: list[np.ndarray],
-                  cols: int) -> "FusedDMatrix":
-        full = self.geom.unstacked(runs)
-        if full.ndim == 1:      # a column's elements
-            full = full.reshape(-1, 1)
-        return FusedDMatrix(get_geometry(self.rows, cols, self.geom.nprocs,
-                                         self.scheme), full.dtype, full)
+    def unstacked(self, runs: list[np.ndarray], cols: int = 0,
+                  geom: Geometry | None = None) -> "FusedDMatrix":
+        if geom is None:
+            full = self.geom.unstacked(runs)
+            geom = get_geometry(self.rows, cols, self.geom.nprocs,
+                                self.scheme)
+        else:
+            full = geom.unstacked(runs)
+        if full.ndim == 1:      # a vector's elements
+            full = full.reshape(geom.shape)
+        return FusedDMatrix(geom, full.dtype, full)
 
     def blocks(self) -> list[np.ndarray]:
         """Every rank's local block, in rank order (views of the full

@@ -1,8 +1,12 @@
 """Distributed structural operations: reshape, shifts, flips, triangles,
 diag, repmat, and a parallel sample sort.
 
-Triangle masking (`tril`/`triu`) is fully local — each rank knows the
-global row indices of its block.  ``circshift`` along the distributed
+``reshape``, ``repmat`` and ``flipud`` (and a vector's flips) are each
+one :func:`~repro.runtime.remap.remap`: only the pieces that change rank
+move, in one alltoall.  Triangle masking (`tril`/`triu`) and a matrix's
+``fliplr`` are fully local — each rank knows the global indices of its
+block.  ``diag``, ``sort``'s fallback and ``circshift``'s cyclic path
+gather the operand.  ``circshift`` along the distributed
 axis of a block-distributed array (a vector's elements, a matrix's rows)
 is a single ring boundary exchange for stencil-sized shifts (an alltoall
 of per-destination pieces for larger ones).  ``sort`` uses a parallel
@@ -18,6 +22,7 @@ import numpy as np
 from ..errors import MatlabRuntimeError
 from ..interp import values as V
 from .matrix import DMatrix, FusedDMatrix, RValue
+from .remap import remap
 
 # Fused-backend paths: same per-block kernels and the same charges as
 # lockstep (see linalg.py); communication becomes in-process permutation.
@@ -29,8 +34,12 @@ def reshape(rt, value: RValue, rows: RValue, cols: RValue) -> RValue:
     shape = rt.shape_of(value)
     if r * c != shape[0] * shape[1]:
         raise MatlabRuntimeError("reshape: element counts must match")
-    full = rt.gather_full(value) if isinstance(value, DMatrix) \
-        else V.as_matrix(value)
+    if isinstance(value, DMatrix):
+        # column-major order is kept: element e of the result is e of A
+        linear = np.arange(r)[:, None] + r * np.arange(c)
+        return remap(rt, value, linear % shape[0], linear // shape[0],
+                     (r, c))
+    full = V.as_matrix(value)
     rt.comm.compute(mem=full.size)
     out = full.reshape((r, c), order="F")
     return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
@@ -39,8 +48,12 @@ def reshape(rt, value: RValue, rows: RValue, cols: RValue) -> RValue:
 def repmat(rt, value: RValue, m: RValue, n: RValue) -> RValue:
     mv = rt.int_scalar(m, "repmat")
     nv = rt.int_scalar(n, "repmat")
-    full = rt.gather_full(value) if isinstance(value, DMatrix) \
-        else V.as_matrix(value)
+    if isinstance(value, DMatrix) and mv >= 0 and nv >= 0:
+        rows, cols = value.shape
+        return remap(rt, value, (np.arange(mv * rows) % rows)[:, None],
+                     (np.arange(nv * cols) % cols)[None, :],
+                     (mv * rows, nv * cols))
+    full = V.as_matrix(value)     # (np.tile refuses a negative count)
     out = np.tile(full, (mv, nv))
     rt.comm.compute(mem=out.size // max(rt.size, 1))
     return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
@@ -304,20 +317,17 @@ def flip(rt, value: RValue, axis: int) -> RValue:
         arr = V.as_matrix(value)
         rt.comm.compute(mem=arr.size)
         return V.simplify(np.flip(arr, axis=axis))
-    if value.is_vector:
-        # a flip is a permutation; reuse the gather-free shift machinery
-        # only when trivial, otherwise gather (vectors are cheap to gather)
-        full = rt.gather_full(value)
-        out = np.flip(full, axis=1 if value.rows == 1 else 0)
-        rt.comm.compute(mem=out.size)
-        return rt.distribute_full(np.ascontiguousarray(out))
-    if axis == 1:
+    if axis == 1 and not value.is_vector:
         # column flip is local for row-distributed matrices
         rt.comm.charge(mem=value.load)
         return value.like(np.ascontiguousarray(np.flip(value.held, axis=1)))
-    full = rt.gather_full(value)
-    rt.comm.compute(mem=full.size)
-    return rt.distribute_full(np.ascontiguousarray(np.flip(full, axis=0)))
+    # a permutation along the axis: the pieces that change rank move
+    rows, cols = (np.arange(n) for n in value.shape)
+    if axis == 0:
+        rows = rows[::-1]
+    else:
+        cols = cols[::-1]
+    return remap(rt, value, rows[:, None], cols[None, :], value.shape)
 
 
 def triangle(rt, value: RValue, k: RValue, lower: bool) -> RValue:
@@ -326,20 +336,20 @@ def triangle(rt, value: RValue, k: RValue, lower: bool) -> RValue:
         arr = V.as_matrix(value)
         rt.comm.compute(elems=arr.size)
         return V.simplify(np.tril(arr, kv) if lower else np.triu(arr, kv))
-    if value.is_vector:
-        full = rt.gather_full(value)
-        out = np.tril(full, kv) if lower else np.triu(full, kv)
-        return rt.distribute_full(out)
-    # local masking using global row indices — no communication
+    # local masking using the held items' global indices (a vector's
+    # elements, a matrix's rows) — no communication
     gidx = value.global_row_indices()
-    cols = np.arange(value.cols)
-    if lower:
-        mask = cols[None, :] <= gidx[:, None] + kv
+    if not value.is_vector:
+        row, col = gidx[:, None], np.arange(value.cols)[None, :]
+    elif value.rows == 1:
+        row, col = 0, gidx
     else:
-        mask = cols[None, :] >= gidx[:, None] + kv
+        row, col = gidx, 0
+    mask = col <= row + kv if lower else col >= row + kv
     rt.comm.charge(elems=value.load)
     held = value.held
-    return value.like(np.where(mask, held, 0.0).astype(held.dtype))
+    return value.like(np.where(mask.reshape(held.shape), held,
+                               0.0).astype(held.dtype))
 
 
 def diag(rt, value: RValue) -> RValue:

@@ -87,7 +87,9 @@ def render_source_profile(rows: Mapping[int, ProfileRow],
                           elapsed: Optional[float] = None) -> str:
     """ASCII per-line profile.  With ``source``, every script line is
     annotated; rows for lines outside the script (or line 0: substrate
-    work before any marked statement) are appended after the listing.
+    work before any marked statement) are appended after the listing,
+    and then the rows of M-file functions' lines — keyed ``(function,
+    line)`` — as ``name.m:N``.
 
     The output is byte-deterministic: times use fixed-point formatting
     of bit-identical floats, and ``elapsed`` (if given) is rendered with
@@ -103,12 +105,19 @@ def render_source_profile(rows: Mapping[int, ProfileRow],
                 out.append(_blank_row(str(lineno), text))
             else:
                 out.append(_format_row(str(lineno), row, total, text))
-    extra = sorted(line for line in rows if line not in seen)
+    # then the lines outside the listing: the script's own (line 0, or
+    # without a source), then each M-file function's, keyed (name, line)
+    extra = sorted(line for line in rows
+                   if line.__class__ is int and line not in seen)
     for lineno in extra:
         label = "-" if lineno == 0 else str(lineno)
         out.append(_format_row(label, rows[lineno], total,
                                "(no source line)" if lineno == 0
                                else filename))
+    for name, lineno in sorted(line for line in rows
+                               if line.__class__ is tuple):
+        out.append(_format_row(str(lineno), rows[name, lineno], total,
+                               f"{name}.m:{lineno}"))
     out.append(RULE)
     totals = ProfileRow(
         calls=sum(r.calls for r in rows.values()),

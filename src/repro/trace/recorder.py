@@ -63,8 +63,9 @@ class RankRecorder:
     Only the rank's own carrier thread appends (the same discipline
     :class:`~repro.mpi.faults.FaultState` uses), so no locking.  The
     per-line accumulator rows are ``[calls, msgs, bytes, colls,
-    vtime]`` keyed by source line; line 0 collects substrate work that
-    precedes any marked statement.
+    vtime]`` keyed by source line — the script's line number, or an
+    M-file function's ``(name, line)``; line 0 collects substrate work
+    that precedes any marked statement.
     """
 
     __slots__ = ("rank", "events", "lines", "_seq")

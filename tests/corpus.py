@@ -18,9 +18,41 @@ def _example(path):
     return module
 
 
+#: every op that is one ``remap`` — transposes, column, row and range
+#: reads and stores, flips, ``reshape``, ``repmat`` — a vector ``tril`` /
+#: ``triu``, and the slicing heat (docs/PERFORMANCE_MODEL.md §5), so
+#: that ``tools/identity_sweep.py`` covers indexing
+INDEXING = """\
+rand('seed', 11);
+A = rand(24, 10);
+B = A';
+S = (A + B') / 2;
+c = A(:, 3);
+r = A(7, :);
+R = A(5:20, 2:9);
+A(3:22, 4) = c(3:22) * 2;
+A(9, 2:6) = r(2:6) + 1;
+F = flipud(A) - 2 * fliplr(A);
+Q = reshape(A, 40, 6);
+M = repmat(Q(1:8, :), 2, 3);
+v = rand(1, 40);
+t = tril(v, 5) + triu(v', -3)';
+n = 60;
+a = 0.2;
+u = zeros(1, n);
+u(n / 2) = 1;
+for step = 1:20
+  u(2:n-1) = u(2:n-1) + a*(u(1:n-2) - 2*u(2:n-1) + u(3:n));
+end
+fprintf('%.6f %.6f %.6f\\n', sum(sum(S)), sum(c) + sum(r), sum(sum(R)));
+fprintf('%.6f %.6f %.6f\\n', sum(sum(F)), sum(sum(M)), sum(t));
+fprintf('%.6f %.6f\\n', sum(u), max(u));
+"""
+
+
 def shipped_programs():
     """``{label: (script source, {M-file name: source})}``."""
-    programs = {}
+    programs = {"tests/indexing": (INDEXING, {})}
     for scale in ("small", "paper"):
         for workload in all_workloads(scale):
             programs[f"bench/{workload.key}@{scale}"] = (workload.source, {})

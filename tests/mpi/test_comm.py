@@ -252,3 +252,22 @@ class TestFailures:
         assert res.messages_sent == 1
         assert res.bytes_sent == 800
         assert res.collectives == 1
+
+
+def test_one_size_prices_agreeing_slots_as_the_general_fold():
+    """``_largest`` answers ``max(sizeof(s) for s in slots)`` for every
+    mix of contributions a collective meets: one size computation when
+    the slots agree in class (and, for arrays, shape and dtype)."""
+    from repro.mpi.comm import _largest
+    from repro.mpi.datatypes import sizeof
+
+    cases = [
+        [1.0] * 4, [1.0, 2], [3, 4, 5], [1j, 2j], [None, None], [1j, 1.0],
+        [np.zeros(3)] * 3, [np.zeros(3), np.zeros(4)],
+        [np.zeros(3), np.zeros(3, dtype=complex)],
+        [np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(2), 1.0],
+        [(1.0, 2), (3.0, 4)], ["ab", "abc"], [True, 1.0],
+        [np.float64(1.0), 2.0], [np.zeros(0), np.zeros(2)],
+    ]
+    for slots in cases:
+        assert _largest(slots) == max(sizeof(s) for s in slots), slots

@@ -84,3 +84,36 @@ def test_compiled_report_shows_communication_columns():
                     if "circshift" in row)
     msgs = int(circ_row.split()[2])
     assert msgs > 0
+
+
+def test_mfile_lines_are_their_own_rows():
+    """A callee marks ``(function, line)``: its work is listed after the
+    script as ``name.m:N``, never on the script line of the same number
+    nor on the call site, which shows the call itself."""
+    from pathlib import Path
+
+    from repro.frontend.mfile import DictProvider
+
+    programs = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" \
+        / "programs"
+    source = (programs / "mfile_demo.m").read_text(encoding="utf-8")
+    provider = DictProvider({path.stem: path.read_text(encoding="utf-8")
+                             for path in (programs / "mfiles").glob("*.m")})
+    program = compile_source(source, provider=provider, name="mfile_demo")
+    reports = set()
+    for backend in ("lockstep", "fused"):
+        result = program.run(nprocs=16, machine=MEIKO_CS2, backend=backend,
+                             trace=True)
+        rows = result.trace.line_profile()
+        assert 2 not in rows                    # rand('seed', 5)
+        assert (rows[7].calls, rows[7].colls, rows[7].time) \
+            == (1, 0, 0.0)                      # rm = rowmean(A)
+        assert (rows["powmeth", 7].calls, rows["powmeth", 7].colls) \
+            == (40, 40)                         # lam = v' * w, 40 times
+        assert rows["rowmean", 2].colls == 1    # its one allgather
+        reports.add(render_source_profile(rows, source,
+                                          elapsed=result.elapsed))
+    (report,) = reports
+    listed = [row.split()[-1] for row in report.splitlines()
+              if row.split()[-1].endswith((".m:2", ".m:7"))]
+    assert listed == ["powmeth.m:2", "powmeth.m:7", "rowmean.m:2"]
