@@ -222,8 +222,11 @@ def _repmat_rule(args: Sequence[VarType], consts: Consts) -> VarType:
     a = args[0]
     m = _int_const(consts[1]) if len(consts) > 1 else None
     n = _int_const(consts[2]) if len(consts) > 2 else None
-    rows = a.shape.rows * m if (a.shape.rows is not None and m) else None
-    cols = a.shape.cols * n if (a.shape.cols is not None and n) else None
+    # a negative count tiles nothing, as a zero does
+    rows = a.shape.rows * max(m, 0) \
+        if (a.shape.rows is not None and m is not None) else None
+    cols = a.shape.cols * max(n, 0) \
+        if (a.shape.cols is not None and n is not None) else None
     return VarType(a.base, Rank.MATRIX, Shape(rows, cols))
 
 

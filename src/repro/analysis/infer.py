@@ -43,6 +43,7 @@ from typing import Callable, Optional
 from ..errors import NESTED_TOO_DEEPLY, InferenceError
 from ..ewops import CONSTANTS, OPS
 from ..frontend import ast_nodes as A
+from ..interp.values import range_length
 from .builtin_sigs import get_sig
 from .cfg import CondEvent, LoopIndexEvent, StmtEvent
 from .datafile import infer_load_type
@@ -121,12 +122,6 @@ class UnitTypes:
 
     def type_of_value(self, value: SSAValue) -> VarType:
         return self.types.get(value.vid, BOTTOM)
-
-    def type_of_use(self, node: A.Node) -> VarType:
-        value = self.ssa.use_of.get(id(node))
-        if value is None:
-            return UNKNOWN
-        return self.type_of_value(value)
 
 
 @dataclass
@@ -614,11 +609,10 @@ class InferenceEngine:
         length: Optional[int] = None
         if (isinstance(sc, (int, float)) and isinstance(ec, (int, float))
                 and isinstance(step_const, (int, float)) and step_const != 0):
-            raw = int((float(ec) - float(sc)) / float(step_const) + 1e-10) + 1
-            length = max(raw, 0)
+            length = range_length(float(sc), float(step_const), float(ec))
         shape = Shape(1, length)
         if length == 1:
-            return scalar(base), sc if length == 1 else None
+            return scalar(base), sc
         return VarType(base, Rank.MATRIX, shape), None
 
     def _matrix_lit_type(self, unit: ResolvedUnit, ut: UnitTypes,

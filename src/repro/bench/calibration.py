@@ -49,10 +49,3 @@ MEIKO16_ORDERING = ("closure", "cg", "nbody", "ocean")  # descending speedup
 #: the cluster claim: "relatively high latency and low bandwidth ... puts a
 #: severe damper on speedup achieved beyond four CPUs"
 CLUSTER_PLATEAU_FACTOR = 2.2   # speedup(16) < factor * speedup(4)
-
-#: the Meiko claim: "generally achieves greater speedup than the other two"
-MEIKO_WINS_AT = 16  # at the full machine size
-
-
-def check_meiko16(workload: str, speedup: float) -> bool:
-    return FIG_MEIKO16_BANDS[workload].holds(speedup)

@@ -108,12 +108,6 @@ class SpeedupFigure:
     def curve(self, machine_name: str) -> SpeedupCurve:
         return self.curves[machine_name]
 
-    def best_at(self, p: int) -> str:
-        """Machine with the highest speedup at ``p`` CPUs."""
-        candidates = {name: c.at(p) for name, c in self.curves.items()
-                      if p in c.nprocs}
-        return max(candidates, key=candidates.get)  # type: ignore[arg-type]
-
 
 _FIGURES = {
     3: "cg",

@@ -421,8 +421,9 @@ def _reshape(ctx, args, nargout):
 @_register("repmat")
 def _repmat(ctx, args, nargout):
     arr = as_matrix(args[0])
-    m = _scalar_int(args[1], "repmat")
-    n = _scalar_int(args[2], "repmat")
+    # a negative count tiles nothing, as a zero does
+    m = max(_scalar_int(args[1], "repmat"), 0)
+    n = max(_scalar_int(args[2], "repmat"), 0)
     ctx.meter.charge_alloc(arr.size * m * n)
     return simplify(np.tile(arr, (m, n)))
 

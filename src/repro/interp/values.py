@@ -75,10 +75,6 @@ def is_scalar(value: Value) -> bool:
     return np.asarray(value).size == 1
 
 
-def is_string(value: Value) -> bool:
-    return isinstance(value, str)
-
-
 def shape_of(value: Value) -> tuple[int, int]:
     if isinstance(value, str):
         return (1, len(value)) if value else (0, 0)
@@ -101,13 +97,23 @@ def truthy(value: Value) -> bool:
     return arr.size > 0 and bool(np.all(arr != 0))
 
 
+#: how far past its end a range's span may round and still count it
+_SPAN_SLACK = 1 + np.finfo(float).eps * 4
+
+
+def range_length(start: float, step: float, stop: float) -> int:
+    """How many elements ``start:step:stop`` has (inclusive,
+    fp-tolerant; 0 for an empty range; the step is nonzero)."""
+    n = int(np.floor((stop - start) / step * _SPAN_SLACK + 1e-10)) + 1
+    return n if n > 0 else 0
+
+
 def colon_range(start: float, step: float, stop: float) -> np.ndarray:
     """MATLAB ``start:step:stop`` as a row vector (inclusive, fp-tolerant)."""
     if step == 0:
         raise MatlabRuntimeError("range step must be nonzero")
-    span = (stop - start) / step
-    n = int(np.floor(span * (1 + np.finfo(float).eps * 4) + 1e-10)) + 1
-    if n <= 0:
+    n = range_length(start, step, stop)
+    if n == 0:
         return np.zeros((1, 0))
     return (start + step * np.arange(n, dtype=float)).reshape(1, -1)
 

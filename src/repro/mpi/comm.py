@@ -22,6 +22,10 @@ The surface is what the generated code and the run-time library speak:
 blocking ``send``/``recv`` matched exactly on ``(source, tag)``,
 ``sendrecv`` for neighbour shifts, and the collectives ``barrier``,
 ``bcast``, ``allreduce``, ``allgather``, ``alltoall`` and ``exscan``.
+An op body written once for both backends calls each collective
+through a form that takes one entry per rank it holds (``fold``,
+``combine``, ``collect``, ``exchange``, ``route``, ``prefixes``; here
+one rank's, under :class:`~repro.mpi.fused.FusedComm` all P).
 """
 
 from __future__ import annotations
@@ -376,6 +380,12 @@ class Comm:
     #: here, every rank's under :class:`~repro.mpi.fused.FusedComm`
     compute_own = compute
 
+    def own(self, loads: list) -> int:
+        """The load ``compute_own``/``charge`` bill, out of a list with
+        one entry per rank an op body holds — here one, this rank's
+        (the data-dependent loads a ``mat.load`` cannot name)."""
+        return loads[0]
+
     def overhead(self, calls: int = 1) -> None:
         """Charge run-time-library call overhead."""
         if self._rec is not None:
@@ -707,6 +717,14 @@ class Comm:
         return self.allreduce(parts[0] if parts.ndim > 1 else parts.item(),
                               op)
 
+    def combine(self, items: list, op: Callable) -> Any:
+        """``op`` — any two-argument Python function — folded over every
+        rank's item in rank order, from one item per rank held (here
+        this rank's): its allreduce.  What ``fold`` is for a partial no
+        array carries (:meth:`FusedComm.combine
+        <repro.mpi.fused.FusedComm.combine>` folds all P items)."""
+        return self.allreduce(items[0], op)
+
     def allgather(self, obj: Any) -> list:
         machine = self.machine
         size = self.size
@@ -720,6 +738,12 @@ class Comm:
 
         return self.world.sync(self.rank, obj, combine, op="allgather",
                                rec=self._rec, line=self.line)
+
+    def collect(self, pieces: list) -> list:
+        """Every rank's piece, in rank order, from one piece per rank
+        held (here this rank's): its allgather (:meth:`FusedComm.collect
+        <repro.mpi.fused.FusedComm.collect>` holds all P)."""
+        return self.allgather(pieces[0])
 
     def alltoall(self, objs: list) -> list:
         if len(objs) != self.size:
@@ -757,6 +781,13 @@ class Comm:
         return np.concatenate(self.alltoall(
             [ordered[start:end] for start, end in zip([0] + ends, ends)]))
 
+    def route(self, rows: list) -> list:
+        """Each held rank's incoming pieces, by source, from each held
+        rank's row of P outgoing pieces (here this rank's one row): its
+        alltoall (:meth:`FusedComm.route
+        <repro.mpi.fused.FusedComm.route>` transposes all P rows)."""
+        return [self.alltoall(rows[0])]
+
     def exscan(self, obj: Any, op: Callable = SUM) -> Any:
         """Exclusive prefix reduction: the fold of the lower ranks'
         contributions (``None`` on rank 0).  Tallied as ``scan``, priced
@@ -779,3 +810,10 @@ class Comm:
         prefixes = self.world.sync(self.rank, obj, combine, op="scan",
                                    rec=self._rec, line=self.line)
         return prefixes[self.rank - 1] if self.rank else None
+
+    def prefixes(self, items: list, op: Callable = SUM) -> list:
+        """Each held rank's exclusive prefix (``None`` on rank 0) from
+        one item per rank held (here this rank's): its exscan
+        (:meth:`FusedComm.prefixes
+        <repro.mpi.fused.FusedComm.prefixes>` folds all P items)."""
+        return [self.exscan(items[0], op)]

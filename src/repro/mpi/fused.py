@@ -35,6 +35,7 @@ catches it and re-runs the program under ``lockstep``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import Any, Callable, Optional, Sequence
@@ -284,6 +285,11 @@ class FusedComm:
     #: the per-rank sequence
     compute_own = compute_ranks
 
+    def own(self, loads: list) -> list:
+        """:meth:`Comm.own <repro.mpi.comm.Comm.own>`: every rank's
+        load is the list itself."""
+        return loads
+
     def charge(self, flops: Optional[Sequence[int]] = None,
                elems: Optional[Sequence[int]] = None,
                mem: Optional[Sequence[int]] = None) -> None:
@@ -401,9 +407,24 @@ class FusedComm:
         self.charge_alltoall(largest * values.itemsize)
         return values[:0]
 
+    def route(self, rows: list) -> list:
+        """:meth:`Comm.route <repro.mpi.comm.Comm.route>` of every
+        rank's row of P pieces: the rows transposed, priced as the
+        lockstep alltoall of them (its largest piece to rank 0)."""
+        self.charge_alltoall(max(datatypes.sizeof(row[0]) for row in rows))
+        return [list(incoming) for incoming in zip(*rows)]
+
     def charge_scan(self, nbytes: int) -> None:
         # comm.exscan tallies as "scan" but costs like an allreduce
         self._sync_cost("scan", nbytes)
+
+    def prefixes(self, items: list, op: Callable = SUM) -> list:
+        """:meth:`Comm.prefixes <repro.mpi.comm.Comm.prefixes>` of every
+        rank's item: the exscan's rank-order fold of the items below
+        each rank (``op`` on the items themselves, as the lockstep
+        combine runs it), priced as it is, by the largest item."""
+        self.charge_scan(max(map(datatypes.sizeof, items)))
+        return [None, *itertools.accumulate(items[:-1], op)]
 
     def ring_exchange(self, nbytes: int, forward: bool) -> None:
         """Accounting for P simultaneous ``sendrecv`` calls with the ring
@@ -469,6 +490,13 @@ class FusedComm:
         self.charge_reduce(parts[0].nbytes)
         return fold_ranks(op, parts)
 
+    def combine(self, items: list, op: Callable) -> Any:
+        """:meth:`Comm.combine <repro.mpi.comm.Comm.combine>` of every
+        rank's item: the allreduce's price for the largest, then ``op``
+        folded over them in rank order."""
+        self.charge_reduce(max(map(datatypes.sizeof, items)))
+        return functools.reduce(op, items)
+
     def _fold_identical(self, op: Callable, obj: Any) -> Any:
         """``op`` folded over P identical contributions, bit-identical to
         the lockstep rank-order loop ``acc = op(acc, obj)`` × (P-1) but
@@ -520,6 +548,13 @@ class FusedComm:
     def allgather(self, obj: Any) -> list:
         self.charge_allgather(datatypes.sizeof(obj))
         return [obj] * self.size
+
+    def collect(self, pieces: list) -> list:
+        """:meth:`Comm.collect <repro.mpi.comm.Comm.collect>` of every
+        rank's piece: nothing moves, the allgather of the largest is
+        charged."""
+        self.charge_allgather(max(map(datatypes.sizeof, pieces)))
+        return pieces
 
     # -- everything rank-dependent diverges -------------------------------- #
 

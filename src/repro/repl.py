@@ -27,43 +27,43 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .analysis.resolve import resolve_program
-from .errors import OtterError
+from .errors import LexError, OtterError
 from .frontend.mfile import EMPTY_PROVIDER, MFileProvider
+from .frontend.lexer import tokenize
 from .frontend.parser import parse_script
+from .frontend.tokens import TokenKind
 from .interp.costmodel import CostMeter
 from .interp.interpreter import Interpreter
 from .interp.profiler import LineProfiler
 from .mpi.machine import MEIKO_CS2
 
-_OPENERS = ("if", "for", "while", "switch", "function")
+_OPENERS = frozenset((TokenKind.IF, TokenKind.FOR, TokenKind.WHILE,
+                      TokenKind.SWITCH, TokenKind.FUNCTION))
+#: bracket tokens and how each changes the nesting: an ``end`` inside
+#: one is a subscript's (``a(end)``), not a block's
+_NESTING = {TokenKind.LPAREN: 1, TokenKind.LBRACKET: 1, TokenKind.LBRACE: 1,
+            TokenKind.RPAREN: -1, TokenKind.RBRACKET: -1,
+            TokenKind.RBRACE: -1}
 
 
 def _block_delta(line: str) -> int:
-    """Net block depth of one input line (crude but effective)."""
-    depth = 0
-    code = line.split("%", 1)[0]
-    in_str = False
-    tokens = []
-    word = ""
-    for ch in code:
-        if ch == "'":
-            in_str = not in_str
-        if in_str:
-            word = ""
-            continue
-        if ch.isalnum() or ch == "_":
-            word += ch
-        else:
-            if word:
-                tokens.append(word)
-            word = ""
-    if word:
-        tokens.append(word)
-    for tok in tokens:
-        if tok in _OPENERS:
-            depth += 1
-        elif tok == "end":
-            depth -= 1
+    """Net block depth of one input line: the block keywords the lexer
+    finds outside brackets, less the ``end``s there — strings, comments
+    and transposes are the lexer's to tell apart."""
+    try:
+        tokens = tokenize(line, "repl")
+    except LexError:
+        return 0        # the parser reports it when the input runs
+    depth = nesting = 0
+    for token in tokens:
+        kind = token.kind
+        if kind in _NESTING:
+            nesting += _NESTING[kind]
+        elif nesting <= 0:
+            if kind in _OPENERS:
+                depth += 1
+            elif kind is TokenKind.END:
+                depth -= 1
     return depth
 
 

@@ -120,10 +120,6 @@ class RuntimeContext:
         if isinstance(value, str):
             raise MatlabRuntimeError(f"{what}: expected a numeric value")
 
-    @staticmethod
-    def is_dist(value: RValue) -> bool:
-        return isinstance(value, DMatrix)
-
     def scalar(self, value: RValue, what: str = "value") -> Union[float, complex]:
         """Coerce to a replicated scalar (1x1 DMatrix is gathered)."""
         if isinstance(value, (int, float)):

@@ -212,7 +212,7 @@ class FusedDMatrix(DMatrix):
 
     Where :class:`DMatrix` stores one rank's local block, this stores the
     *full* array once — every rank's block is an implicit, deterministic
-    slice of it (``blocks()``), because the geometry is a pure function
+    slice of it (``stacked()``), because the geometry is a pure function
     of (rows, cols, nprocs, scheme).  Runtime ops with a fused path apply
     their kernel across the whole rank axis in one numpy call and charge
     each rank's virtual clock individually.
@@ -297,17 +297,13 @@ class FusedDMatrix(DMatrix):
 
     # -- the rank axis, made explicit ----------------------------------- #
 
-    def base(self) -> np.ndarray:
-        """The full array with the distributed axis first."""
-        return self.full.reshape(-1, order="F") if self.is_vector \
-            else self.full
-
     def stacked(self, base: np.ndarray | None = None,
                 geom: Geometry | None = None) -> list[np.ndarray]:
         """Every rank's local block (or ``base``'s items, cut the same
         way — or as every rank holds ``geom``'s items) as one ``(ranks,
         items per rank, ...)`` array per run of equally loaded ranks:
-        :meth:`Geometry.stacked` of :meth:`base`, spelt out."""
+        :meth:`Geometry.stacked` of the full array, distributed axis
+        first."""
         if base is None:
             base = self.held.reshape(-1, order="F") if self.is_vector \
                 else self.held
@@ -324,15 +320,6 @@ class FusedDMatrix(DMatrix):
         if full.ndim == 1:      # a vector's elements
             full = full.reshape(geom.shape)
         return FusedDMatrix(geom, full.dtype, full)
-
-    def blocks(self) -> list[np.ndarray]:
-        """Every rank's local block, in rank order (views of the full
-        array under the block distribution, fancy-index copies for
-        cyclic maps) — for the ops whose per-rank *output size* depends
-        on the data (the sample sort); everything else takes
-        :meth:`stacked`."""
-        base = self.base()
-        return [base[span] for span in self.geom.slices]
 
     @classmethod
     def from_full(cls, full: np.ndarray, nprocs: int, rank: int = 0,

@@ -15,15 +15,14 @@ batched forms that are bit-identical to the per-rank call are used (the
 same pairwise routine per contiguous row, the same BLAS routine per item
 of a batched matmul); each is pinned by
 tests/runtime/test_batched_partials.py and docs/SCALING.md lists the
-ones that failed.  ``find``, ``[m, k] = max(v)`` and the scans keep a
-per-rank arm: there the messages differ, not the arithmetic.
+ones that failed.  ``find``, ``[m, k] = max(v)`` and the scans are
+written the same way over their collectives: ``comm.collect`` of each
+held rank's hits, ``comm.combine`` of its ``(value, index)`` pair,
+``comm.prefixes`` of its block total — messages on lockstep, the same
+collective priced in closed form under fusion.
 """
 
 from __future__ import annotations
-
-import functools
-import itertools
-import operator
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from ..interp.values import np_trapz
 from ..mpi import comm as mpi_ops
 from ..mpi.fused import fold_ranks
 from .distribution import get_geometry, rank_axis
-from .matrix import DMatrix, FusedDMatrix, RValue
+from .matrix import DMatrix, RValue
 
 
 def _partials(runs: list[np.ndarray], local_fn, identity) -> np.ndarray:
@@ -276,29 +275,22 @@ def find(rt, value: RValue) -> RValue:
         out = idx.reshape(1, -1) if (arr.shape[0] == 1 and arr.shape[1] > 1) \
             else idx.reshape(-1, 1)
         return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
-    if isinstance(value, FusedDMatrix):
-        # the ranks' hit lists, allgathered and sorted, are the nonzeros
-        # of the whole array in column-major order; only the allgather's
-        # price needs the rank axis (the longest list)
-        axes = (1,) if value.is_vector else (1, 2)
-        most = max(int(np.count_nonzero(run, axis=axes).max())
-                   for run in value.stacked())
-        rt.comm.charge(elems=value.load)
-        rt.comm.charge_allgather(most * 8)
-        all_hits = np.flatnonzero(
-            value.full.reshape(-1, order="F") != 0) + 1.0
-    else:
+    # each held rank's hits as 1-based global linear indices; the ranks'
+    # lists, allgathered and sorted, are the nonzeros of the whole array
+    # in column-major order
+    pieces = []
+    for run, ids in zip(value.stacked(),
+                        value.stacked(np.arange(value.geom.map.n))):
         if value.is_vector:
-            gidx = value.global_row_indices()
-            local_hits = gidx[np.flatnonzero(value.local != 0)] + 1.0
+            rank, at = np.nonzero(run)
+            hits = ids[rank, at] + 1.0
         else:
-            # row-distributed: local (row, col) hits -> global linear indices
-            rows_g = value.global_row_indices()
-            li, lj = np.nonzero(value.local)
-            local_hits = (lj * value.rows + rows_g[li]) + 1.0
-        rt.comm.charge(elems=value.load)
-        pieces = rt.comm.allgather(np.asarray(local_hits, dtype=float))
-        all_hits = np.sort(np.concatenate(pieces)) if pieces else np.zeros(0)
+            rank, row, col = np.nonzero(run)
+            hits = col * value.rows + ids[rank, row] + 1.0
+        ends = np.cumsum(np.bincount(rank, minlength=len(run)))
+        pieces += np.split(hits, ends[:-1])
+    rt.comm.charge(elems=value.load)
+    all_hits = np.sort(np.concatenate(rt.comm.collect(pieces)))
     if all_hits.size == 0:
         return np.zeros((0, 0))
     out = all_hits.reshape(1, -1) \
@@ -349,27 +341,16 @@ def minmax_with_index(rt, name: str, value: RValue) -> tuple:
         return a if (a[0] > b[0]) == pick_max else b
 
     arg = np.argmax if pick_max else np.argmin
-    if isinstance(value, FusedDMatrix):
-        candidates = []
-        for run, table in zip(value.stacked(), value.geom.run_indices()):
-            if run.shape[1]:
-                at = (np.arange(len(run)), arg(run, axis=1))
-                candidates += zip(run[at].real.tolist(), table[at].tolist())
-            else:
-                candidates += [nothing] * len(run)
-        rt.comm.charge(elems=value.load)
-        rt.comm.charge_reduce(24)  # sizeof((float, int)) on every rank
-        best = functools.reduce(pick, candidates)
-    else:
-        local = value.local
-        if local.size:
-            li = int(arg(local))
-            candidate = (float(np.real(local[li])),
-                         int(value.global_row_indices()[li]))
+    candidates = []
+    for run, ids in zip(value.stacked(),
+                        value.stacked(np.arange(value.numel))):
+        if run.shape[1]:
+            at = (np.arange(len(run)), arg(run, axis=1))
+            candidates += zip(run[at].real.tolist(), ids[at].tolist())
         else:
-            candidate = nothing
-        rt.comm.charge(elems=value.load)
-        best = rt.comm.allreduce(candidate, op=pick)
+            candidates += [nothing] * len(run)
+    rt.comm.charge(elems=value.load)
+    best = rt.comm.combine(candidates, pick)
     return best[0], float(best[1] + 1)
 
 
@@ -483,17 +464,17 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
     return float(wr @ (full.real @ wc) * dxv * dyv)
 
 
-#: name -> (the scan's ufunc, the same operation on Python scalars, the
-#: combine op of the exclusive scan over the ranks' totals)
+#: name -> (the scan's ufunc, the combine op of the exclusive scan over
+#: the ranks' totals)
 _SCANS = {
-    "cumsum": (np.add, operator.add, mpi_ops.SUM),
-    "cumprod": (np.multiply, operator.mul, mpi_ops.PROD),
+    "cumsum": (np.add, mpi_ops.SUM),
+    "cumprod": (np.multiply, mpi_ops.PROD),
 }
 
 
 def cumulative(rt, name: str, value: RValue) -> RValue:
     """cumsum/cumprod via local scan + exclusive scan of block totals."""
-    ufunc, scalar_op, op = _SCANS[name]
+    ufunc, op = _SCANS[name]
     np_fn = ufunc.accumulate            # np.cumsum / np.cumprod, axis 0
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
@@ -507,37 +488,24 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
         # what a rank with no elements contributes (typed like the data,
         # so every rank's contribution has the same wire size)
         identity = value.dtype.type(name == "cumprod").item()
-        if isinstance(value, FusedDMatrix):
-            geom = value.geom
-            scanned = [np_fn(run, axis=1) for run in value.stacked()]
-            totals = rank_axis([
-                scan[:, -1] if scan.shape[1] else
-                np.full(len(scan), identity, dtype=scan.dtype)
-                for scan in scanned]).tolist()
-            rt.comm.charge(elems=geom.counts)
-            rt.comm.charge_scan(value.full.itemsize)
-            # every rank above 0 combines the fold, in rank order, of the
-            # totals below it into its scan: exscan's combine closure on
-            # the same Python scalars (never recovered by subtracting or
-            # dividing the rank's own total back out: inf - inf, x / 0)
-            below = np.array(list(itertools.accumulate(totals[:-1],
-                                                       scalar_op)),
-                             dtype=value.dtype)
-            flat = geom.unstacked(scanned)
-            rest = flat[geom.counts[0]:]
-            # not ``out=rest``: numpy's in-place loop rounds a complex
-            # product of ONE element differently from a rank's own
-            # ``scan * offset``
-            rest[...] = ufunc(rest, np.repeat(below, geom.counts[1:]))
-            return value.like(flat.reshape(value.shape, order="F"))
-        local = value.local
-        scanned = np_fn(local) if local.size else local
-        total = scanned[-1].item() if local.size else identity
+        scans = [np_fn(run, axis=1) for run in value.stacked()]
+        # the totals are Python scalars, folded in rank order by the
+        # exscan's own combine (never recovered by subtracting or
+        # dividing a rank's own total back out: inf - inf, x / 0)
+        totals = []
+        for scan in scans:
+            totals += scan[:, -1].tolist() if scan.shape[1] \
+                else [identity] * len(scan)
         rt.comm.charge(elems=value.load)
-        exclusive = rt.comm.exscan(total, op=op)
-        out = scanned if exclusive is None or not local.size \
-            else op(scanned, exclusive)
-        return value.like(np.asarray(out, dtype=value.local.dtype))
+        offsets = iter(rt.comm.prefixes(totals, op))
+        for scan in scans:
+            for row, offset in zip(scan, offsets):
+                if offset is not None and row.size:
+                    # not ``out=row``: numpy's in-place loop rounds a
+                    # complex product of ONE element differently from
+                    # the rank's own ``scan * offset``
+                    row[...] = op(row, offset)
+        return value.unstacked(scans, geom=value.geom)
     # matrix: per-column scans stay within row blocks only if P == 1;
     # gather-based general path
     full = rt.gather_full(value)

@@ -46,14 +46,15 @@ def reshape(rt, value: RValue, rows: RValue, cols: RValue) -> RValue:
 
 
 def repmat(rt, value: RValue, m: RValue, n: RValue) -> RValue:
-    mv = rt.int_scalar(m, "repmat")
-    nv = rt.int_scalar(n, "repmat")
-    if isinstance(value, DMatrix) and mv >= 0 and nv >= 0:
+    # a negative count tiles nothing, as a zero does
+    mv = max(rt.int_scalar(m, "repmat"), 0)
+    nv = max(rt.int_scalar(n, "repmat"), 0)
+    if isinstance(value, DMatrix):
         rows, cols = value.shape
         return remap(rt, value, (np.arange(mv * rows) % rows)[:, None],
                      (np.arange(nv * cols) % cols)[None, :],
                      (mv * rows, nv * cols))
-    full = V.as_matrix(value)     # (np.tile refuses a negative count)
+    full = V.as_matrix(value)
     out = np.tile(full, (mv, nv))
     rt.comm.compute(mem=out.size // max(rt.size, 1))
     return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
@@ -370,39 +371,40 @@ def diag(rt, value: RValue) -> RValue:
     return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
 
 
+def _sort_cost(n: int) -> int:
+    """What sorting ``n`` elements is charged, in elements."""
+    return n * max(int(np.log2(n)) if n > 1 else 1, 1)
+
+
 def sort(rt, value: RValue) -> RValue:
     """Ascending sort; vectors use a parallel sample sort."""
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
-        n = arr.size
-        rt.comm.compute(elems=n * max(int(np.log2(n)) if n > 1 else 1, 1))
+        rt.comm.compute(elems=_sort_cost(arr.size))
         axis = 1 if arr.shape[0] == 1 else 0
         return V.simplify(np.sort(arr, axis=axis))
     if value.is_vector and value.scheme == "block" and rt.size > 1:
         return _sample_sort(rt, value)
     full = rt.gather_full(value)
-    n = full.size
-    rt.comm.compute(elems=n * max(int(np.log2(n)) if n > 1 else 1, 1))
+    rt.comm.compute(elems=_sort_cost(full.size))
     axis = 1 if value.rows == 1 else 0
     return rt.distribute_full(np.sort(full, axis=axis))
 
 
 def _sample_sort(rt, vec: DMatrix) -> DMatrix:
-    """Classic sample sort returning the paper's block distribution."""
-    if isinstance(vec, FusedDMatrix):
-        return _sample_sort_fused(rt, vec)
+    """Classic sample sort returning the paper's block distribution,
+    over the blocks these ranks hold.  What each rank sorts, sends and
+    merges depends on the data, so its loads are listed per held rank
+    (``comm.own``) and its collectives take one item per held rank."""
     p = rt.size
-    local = np.sort(np.real(vec.local).astype(float))
-    n_local = local.size
-    rt.comm.charge(elems=n_local * max(int(np.log2(n_local))
-                                       if n_local > 1 else 1, 1))
-    # sample p-1 local splitters (or fewer when the block is small)
-    if n_local:
-        picks = np.linspace(0, n_local - 1, p + 1)[1:-1]
-        samples = local[picks.astype(int)]
-    else:
-        samples = np.zeros(0)
-    all_samples = np.concatenate(rt.comm.allgather(samples))
+    comm = rt.comm
+    blocks = [np.sort(np.real(block).astype(float))
+              for run in vec.stacked() for block in run]
+    comm.charge(elems=comm.own([_sort_cost(block.size) for block in blocks]))
+    # sample p-1 splitters from every block (or fewer when it is small)
+    samples = [block[np.linspace(0, block.size - 1, p + 1)[1:-1].astype(int)]
+               if block.size else np.zeros(0) for block in blocks]
+    all_samples = np.concatenate(comm.collect(samples))
     all_samples.sort()
     if all_samples.size >= p - 1 and p > 1:
         step = all_samples.size / p
@@ -410,71 +412,20 @@ def _sample_sort(rt, vec: DMatrix) -> DMatrix:
                                 .clip(0, all_samples.size - 1)]
     else:
         splitters = all_samples[:p - 1]
-    # partition local data by splitter buckets and exchange
-    bucket_ids = np.searchsorted(splitters, local, side="right") \
-        if splitters.size else np.zeros(n_local, dtype=int)
-    outgoing = [local[bucket_ids == b] for b in range(p)]
-    incoming = rt.comm.alltoall(outgoing)
-    merged = np.sort(np.concatenate(incoming)) if incoming else np.zeros(0)
-    rt.comm.compute(elems=merged.size * max(int(np.log2(merged.size))
-                                            if merged.size > 1 else 1, 1))
+    # partition every block by splitter buckets and exchange
+    outgoing = []
+    for block in blocks:
+        bucket_ids = np.searchsorted(splitters, block, side="right") \
+            if splitters.size else np.zeros(block.size, dtype=int)
+        outgoing.append([block[bucket_ids == b] for b in range(p)])
+    merged = [np.sort(np.concatenate(incoming))
+              for incoming in comm.route(outgoing)]
+    comm.compute_own(elems=comm.own([_sort_cost(m.size) for m in merged]))
     # rebalance to the canonical block distribution
-    counts = rt.comm.allgather(int(merged.size))
+    counts = comm.collect([int(m.size) for m in merged])
     offsets = np.cumsum([0] + counts)
     full = np.empty(vec.numel)
-    gathered = rt.comm.allgather(merged)
-    for r, part in enumerate(gathered):
-        full[offsets[r]:offsets[r + 1]] = part
-    out = full.reshape((vec.rows, vec.cols), order="F")
-    result = rt.distribute_full(out)
-    assert isinstance(result, DMatrix)
-    return result
-
-
-def _sample_sort_fused(rt, vec: FusedDMatrix) -> DMatrix:
-    """All ranks' sample sort in one pass, charge-for-charge identical to
-    the lockstep pipeline above."""
-    p = rt.size
-
-    def sort_cost(n):
-        return n * max(int(np.log2(n)) if n > 1 else 1, 1)
-
-    locals_ = [np.sort(np.real(blk).astype(float)) for blk in vec.blocks()]
-    rt.comm.charge(elems=[sort_cost(lv.size) for lv in locals_])
-    # splitter sampling (replicated arithmetic on every rank)
-    sample_lists = []
-    for lv in locals_:
-        if lv.size:
-            picks = np.linspace(0, lv.size - 1, p + 1)[1:-1]
-            sample_lists.append(lv[picks.astype(int)])
-        else:
-            sample_lists.append(np.zeros(0))
-    rt.comm.charge_allgather(max(s.nbytes for s in sample_lists))
-    all_samples = np.concatenate(sample_lists)
-    all_samples.sort()
-    if all_samples.size >= p - 1 and p > 1:
-        step = all_samples.size / p
-        splitters = all_samples[(np.arange(1, p) * step).astype(int)
-                                .clip(0, all_samples.size - 1)]
-    else:
-        splitters = all_samples[:p - 1]
-    # bucket exchange: each source's piece-to-rank-0 prices the alltoall
-    outgoing = []
-    for lv in locals_:
-        bucket_ids = np.searchsorted(splitters, lv, side="right") \
-            if splitters.size else np.zeros(lv.size, dtype=int)
-        outgoing.append([lv[bucket_ids == b] for b in range(p)])
-    rt.comm.charge_alltoall(max(row[0].nbytes for row in outgoing))
-    merged = [np.sort(np.concatenate([outgoing[src][dst]
-                                      for src in range(p)]))
-              for dst in range(p)]
-    rt.comm.compute_ranks(elems=[sort_cost(m.size) for m in merged])
-    # rebalance to the canonical block distribution
-    rt.comm.charge_allgather(8)  # the int block counts
-    offsets = np.cumsum([0] + [int(m.size) for m in merged])
-    full = np.empty(vec.numel)
-    rt.comm.charge_allgather(max(m.nbytes for m in merged))
-    for r, part in enumerate(merged):
+    for r, part in enumerate(comm.collect(merged)):
         full[offsets[r]:offsets[r + 1]] = part
     out = full.reshape((vec.rows, vec.cols), order="F")
     result = rt.distribute_full(out)

@@ -499,11 +499,6 @@ class CompileCache:
         with self._lock:
             return key in self._entries
 
-    def purge(self) -> None:
-        """Force a TTL sweep of the memory tier."""
-        with self._lock:
-            self._purge_expired_locked()
-
     def clear(self, disk: bool = False) -> None:
         with self._lock:
             self._entries.clear()

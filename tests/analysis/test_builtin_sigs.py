@@ -110,6 +110,11 @@ class TestQueryAndStructureRules:
                               scalar(), scalar()], [None, 2, 4])
         assert out.shape == Shape(4, 12)
 
+    def test_repmat_negative_count_is_empty(self):
+        out = rule("repmat", [matrix(BaseType.REAL, Shape(2, 3)),
+                              scalar(), scalar()], [None, -1, 2])
+        assert out.shape == Shape(0, 6)
+
     def test_diag_vector_to_matrix(self):
         out = rule("diag", [matrix(BaseType.REAL, Shape(5, 1))])
         assert out.shape == Shape(5, 5)

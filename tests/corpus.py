@@ -50,9 +50,41 @@ fprintf('%.6f %.6f\\n', sum(u), max(u));
 """
 
 
+#: the ops whose collectives take one item per held rank: the sample
+#: sort of a block vector (a cyclic one, under the cyclic map, and a
+#: matrix take the gather), NaNs, blocks left empty by more ranks than
+#: elements; ``find``, ``[m, k] = max/min`` with ties, real and complex
+#: ``cumsum``/``cumprod``
+SORTING = """\
+rand('seed', 5);
+v = rand(1, 45);
+w = rand(33, 1) - 0.5;
+w(7) = NaN;
+w(20) = NaN;
+A = rand(12, 5);
+s = sort(v);
+t = sort(w);
+S = sort(A);
+e = sort(rand(1, 3));
+u = sort(round(8 * v));
+i1 = find(v > 0.5);
+i2 = find(A > 0.7);
+[m1, k1] = max(w);
+[m2, k2] = min(round(4 * v));
+c1 = cumsum(v);
+c2 = cumprod(1 + w(1:6) / 4);
+z = cumprod(1 + (v(1:12) - 1i * v(45:-1:34)) / 8);
+fprintf('%.6f %.6f %.6f %.6f\\n', s(1), s(45), sum(s), t(31));
+fprintf('%.6f %.6f %.6f %d\\n', sum(sum(S)), sum(e), sum(u), numel(i1));
+fprintf('%d %d %d %.6f %d\\n', sum(i2), k1, k2, m1, isnan(t(33)));
+fprintf('%.6f %.6f %.6f %.6f\\n', c1(45), c2(6), real(z(12)), imag(z(12)));
+"""
+
+
 def shipped_programs():
     """``{label: (script source, {M-file name: source})}``."""
-    programs = {"tests/indexing": (INDEXING, {})}
+    programs = {"tests/indexing": (INDEXING, {}),
+                "tests/sorting": (SORTING, {})}
     for scale in ("small", "paper"):
         for workload in all_workloads(scale):
             programs[f"bench/{workload.key}@{scale}"] = (workload.source, {})

@@ -590,7 +590,7 @@ class TestAccessors:
                         stack.append(stmt.members)
 
         programs = shipped_programs()
-        assert len(programs) == 21
+        assert len(programs) == 22
         for label, (source, mfiles) in programs.items():
             ir = compile_source(source, DictProvider(mfiles)).ir
             got = list(ir.walk())

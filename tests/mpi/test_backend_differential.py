@@ -210,10 +210,20 @@ def matlab_programs(draw):
     return nprocs, src
 
 
+def _listed(value):
+    """``value`` as nested lists with each NaN as ``None``: NaN compares
+    unequal to itself, so a workspace that holds one would never
+    match."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "fc":
+        arr = np.where(np.isnan(arr), None, arr)
+    return arr.tolist()
+
+
 def _run_observables(result):
     spmd = result.spmd
     return result.output, _observables(spmd), {
-        k: np.asarray(val).tolist() for k, val in result.workspace.items()}
+        k: _listed(val) for k, val in result.workspace.items()}
 
 
 @settings(max_examples=20, deadline=None)

@@ -65,7 +65,8 @@ def cases(draw, matrix=False):
 
 
 def per_rank(geom, base):
-    """What ``FusedDMatrix.blocks()`` hands the per-rank loop."""
+    """Every rank's block, one slice per rank: the per-rank loop's
+    operands."""
     return [base[span] for span in geom.slices]
 
 

@@ -227,7 +227,8 @@ def test_descriptors_answer_held_load_like(shape, nprocs, scheme):
     assert fused.held is fused.full is full
     assert fused.load is geom.counts and sum(fused.load) == full.size
     column = (geom.map.n, 1)        # what a row reduction of it returns
-    for rank, block in enumerate(fused.blocks()):
+    blocks = [block for run in fused.stacked() for block in run]
+    for rank, block in enumerate(blocks):
         local = DMatrix.from_full(full, nprocs, rank, scheme)
         assert local.geom is geom
         assert local.held is local.local

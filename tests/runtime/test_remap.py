@@ -147,6 +147,19 @@ def test_reshape_and_repmat(shape, m, k, nprocs):
         nprocs)
 
 
+@pytest.mark.parametrize("nprocs", (1, 4))
+def test_repmat_with_a_negative_count_tiles_nothing(nprocs):
+    """MATLAB reads a negative count as 0: an empty result, in the
+    interpreter and in the compiled program, constant or computed."""
+    source = matrix_source(5, 3, False, [
+        "a = repmat([1, 2], -1, 2); b = repmat(A, 2, -3);",
+        "k = -2; c = repmat(A(:, 1), k, 3); d = repmat(A', 1, k);"])
+    oracle = run_source(source).workspace
+    assert [oracle[name].shape for name in "abcd"] == [
+        (0, 4), (10, 0), (0, 3), (3, 0)]
+    check_everywhere(source, nprocs)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 40), k=st.integers(-45, 45),
        nprocs=st.sampled_from(NPROCS))

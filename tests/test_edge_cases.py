@@ -4,6 +4,7 @@ subscripts, and numeric corner cases — interpreter and compiled."""
 import numpy as np
 import pytest
 
+from repro.compiler import compile_source
 from repro.errors import MatlabRuntimeError, MpiError
 from repro.interp.interpreter import run_source
 
@@ -19,6 +20,24 @@ class TestEmptyMatrices:
             "r = 5:1;\nn = numel(r);\ns = sum(r);", nprocs=(1, 2))
         assert ws["n"] == 0.0
         assert ws["s"] == 0.0  # sum of empty is 0
+
+    @pytest.mark.parametrize("backend", ["lockstep", "fused"])
+    def test_empty_constant_range_subscripts(self, backend):
+        """A constant range that counts down is empty, so the subscript
+        it is in reads an empty matrix, never a scalar."""
+        source = ("A = rand(3, 4);\ng = A(1:0, 2);\nh = A(2:1, 1:1);\n"
+                  "k = A(3, 5:4);\ndisp(size(g));\ndisp(size(h));\n"
+                  "disp(size(k));\n")
+        oracle = run_source(source)
+        program = compile_source(source)
+        for nprocs in (1, 4):
+            result = program.run(nprocs=nprocs, backend=backend)
+            assert result.output == "".join(oracle.output)
+            for name in "ghk":
+                got = np.asarray(result.workspace[name])
+                assert got.shape == oracle.workspace[name].shape, name
+        assert [oracle.workspace[name].shape for name in "ghk"] == [
+            (0, 1), (0, 1), (1, 0)]
 
     def test_empty_condition_is_false(self, assert_matches_oracle):
         ws = assert_matches_oracle("""

@@ -67,6 +67,21 @@ class TestMultiline:
         assert _block_delta("x = 'for ever'") == 0  # inside a string
         assert _block_delta("% for comment") == 0
 
+    def test_block_delta_reads_tokens(self):
+        """A transpose is not a string quote, a subscript's ``end``
+        closes no block, and a ``%`` inside a string is no comment."""
+        assert _block_delta("x = [1, 2]'; for i = 1:2") == 1
+        assert _block_delta("y = x'; z = y'; while 0") == 1
+        assert _block_delta("a(end) = a(end - 1) + numel(b{end});") == 0
+        assert _block_delta("s = '50%'; if 1") == 1
+        assert _block_delta("t = 'it''s end'; switch k") == 1
+
+    def test_block_after_a_transpose_runs_once_closed(self):
+        repl = drive(["x = [1, 2]'; for i = 1:2", "y(i) = x(end) * i;",
+                      "end"])
+        assert "expected" not in "".join(repl.output)
+        assert repl.workspace["y"].tolist() == [[2.0, 4.0]]
+
 
 class TestDirectives:
     def test_whos_lists_variables(self):
