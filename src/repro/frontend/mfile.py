@@ -9,6 +9,7 @@ in-memory mapping (tests, generated workloads) or from ``.m`` files on disk.
 from __future__ import annotations
 
 import os
+import stat
 from typing import Mapping
 
 from . import ast_nodes as A
@@ -68,30 +69,43 @@ class DictProvider(MFileProvider):
 
 
 class DirectoryProvider(MFileProvider):
-    """Serve ``name.m`` files from one or more directories, first hit wins."""
+    """Serve ``name.m`` files from one or more directories, first hit
+    wins.  A parse is kept with its file's ``(mtime_ns, size)`` and
+    reused while the file that wins still has them, so an M-file edited
+    mid-session (in the REPL) is parsed again and an unchanged one is
+    not.  (An edit that keeps the size within one tick of the file
+    system's clock goes unseen.)"""
 
     def __init__(self, paths: list[str]):
         self.paths = list(paths)
-        self._cache: dict[str, list[A.FunctionDef] | None] = {}
-        self._keys: dict[str, str] = {}
+        #: name -> (path, (mtime_ns, size), functions, token key)
+        self._cache: dict[str, tuple] = {}
+
+    def _parsed(self, name: str) -> tuple | None:
+        for directory in self.paths:
+            path = os.path.join(directory, f"{name}.m")
+            try:
+                st = os.stat(path)
+            except OSError:
+                continue
+            if not stat.S_ISREG(st.st_mode):
+                continue
+            stamp = (st.st_mtime_ns, st.st_size)
+            entry = self._cache.get(name)
+            if entry is None or entry[:2] != (path, stamp):
+                with open(path, "r", encoding="utf-8") as fh:
+                    entry = (path, stamp, *_parse_mfile(fh.read(), path))
+                self._cache[name] = entry
+            return entry
+        return None
 
     def lookup(self, name: str) -> list[A.FunctionDef] | None:
-        if name in self._cache:
-            return self._cache[name]
-        result = None
-        for directory in self.paths:
-            candidate = os.path.join(directory, f"{name}.m")
-            if os.path.isfile(candidate):
-                with open(candidate, "r", encoding="utf-8") as fh:
-                    result, self._keys[name] = _parse_mfile(fh.read(),
-                                                            candidate)
-                break
-        self._cache[name] = result
-        return result
+        entry = self._parsed(name)
+        return None if entry is None else entry[2]
 
     def source_key(self, name: str) -> str | None:
-        self.lookup(name)
-        return self._keys.get(name)
+        entry = self._parsed(name)
+        return None if entry is None else entry[3]
 
     def load_data_file(self, name: str):
         import numpy as np

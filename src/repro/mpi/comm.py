@@ -644,6 +644,19 @@ class Comm:
         self._send(obj, dest, 0)
         return self._recv(source, 0)
 
+    def ring_edge(self, held: np.ndarray, signed: int, nbytes: int) -> None:
+        """A ring shift's boundary exchange over ``held``, this rank's
+        block already rotated by the shift: its first ``signed`` items
+        (for ``signed < 0``, its last ``-signed``) are the ones that
+        wrapped around.  They go to the next rank (the previous one) by
+        :meth:`ring_step`, and the neighbour's land in their place.
+        ``nbytes``, the boundary's size, is what
+        :meth:`FusedComm.ring_edge <repro.mpi.fused.FusedComm.ring_edge>`
+        prices; here the message carries its own."""
+        forward = signed > 0
+        edge = held[:signed] if forward else held[held.shape[0] + signed:]
+        edge[...] = self.ring_step(edge.copy(), forward)
+
     # -- collectives ------------------------------------------------------ #
 
     def barrier(self) -> None:
@@ -787,6 +800,13 @@ class Comm:
         alltoall (:meth:`FusedComm.route
         <repro.mpi.fused.FusedComm.route>` transposes all P rows)."""
         return [self.alltoall(rows[0])]
+
+    def routed(self, rows: Callable[[], list], nbytes: int) -> list:
+        """:meth:`route` of the rows ``rows()`` makes: the pieces are
+        made only where they move.  ``nbytes``, the largest piece any
+        rank sends to rank 0, is what :meth:`FusedComm.routed
+        <repro.mpi.fused.FusedComm.routed>` prices."""
+        return self.route(rows())
 
     def exscan(self, obj: Any, op: Callable = SUM) -> Any:
         """Exclusive prefix reduction: the fold of the lower ranks'

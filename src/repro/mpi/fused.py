@@ -414,6 +414,14 @@ class FusedComm:
         self.charge_alltoall(max(datatypes.sizeof(row[0]) for row in rows))
         return [list(incoming) for incoming in zip(*rows)]
 
+    def routed(self, rows: Callable[[], list], nbytes: int) -> list:
+        """:meth:`Comm.routed <repro.mpi.comm.Comm.routed>` on every
+        rank: each holds what it would receive already, so no row is
+        made, nothing arrives and the alltoall of a largest piece of
+        ``nbytes`` is charged."""
+        self.charge_alltoall(nbytes)
+        return []
+
     def charge_scan(self, nbytes: int) -> None:
         # comm.exscan tallies as "scan" but costs like an allreduce
         self._sync_cost("scan", nbytes)
@@ -465,6 +473,13 @@ class FusedComm:
             self._trace.batch_recv(self.line, me,
                                    np.maximum(0.0, arrivals - me),
                                    sources, 0, nbytes)
+
+    def ring_edge(self, held: np.ndarray, signed: int, nbytes: int) -> None:
+        """:meth:`Comm.ring_edge <repro.mpi.comm.Comm.ring_edge>` on
+        every rank: the full array, rotated, holds every neighbour's
+        boundary where it lands already, so nothing moves and
+        :meth:`ring_exchange` prices the P messages of ``nbytes``."""
+        self.ring_exchange(nbytes, signed > 0)
 
     # -- replicated collectives ------------------------------------------- #
     # Unbranched (rank-agnostic) runtime code can only ever contribute a

@@ -90,7 +90,7 @@ def _isreal(rt, a, n):
     if isinstance(a[0], str):
         return 1.0
     if isinstance(a[0], DMatrix):
-        return 0.0 if np.iscomplexobj(a[0].local) else 1.0
+        return 0.0 if a[0].dtype.kind == "c" else 1.0
     return 0.0 if isinstance(a[0], complex) or \
         np.iscomplexobj(V.as_matrix(a[0])) else 1.0
 

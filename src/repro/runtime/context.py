@@ -191,14 +191,14 @@ class RuntimeContext:
             # lockstep allgather would (max per-rank block, symmetric)
             self.comm.overhead()
             self.comm.charge_allgather(
-                value.geom.max_count * value.full.itemsize)
+                value.geom.max_count * value.held.itemsize)
             # callers may scribble on the result unless they promised
             # not to
-            full = np.array(value.full) if copy else value.full
+            full = np.array(value.held) if copy else value.held
             self.comm.compute(mem=value.numel)
             return full
         self.comm.overhead()
-        full = value.assemble(self.comm.allgather(value.local))
+        full = value.assemble(self.comm.allgather(value.held))
         self.comm.compute(mem=value.numel)
         return full
 
@@ -328,7 +328,9 @@ class RuntimeContext:
         """ML_broadcast: the owner of element (i[, j]) broadcasts it.
 
         Subscripts are 0-based — the compiler has already decremented
-        them, exactly as the paper's emitted C does.
+        them, exactly as the paper's emitted C does.  The ranks that
+        hold the element read it (``held_index``); a fused broadcast
+        charges the owner's payload size, the one it is handed.
         """
         if not isinstance(mat, DMatrix):
             value = V.index_read(mat, [float(i + 1)] if j is None
@@ -337,26 +339,15 @@ class RuntimeContext:
         i = int(i)
         jj = None if j is None else int(j)
         self._bounds_check(mat, i, jj)
-        owner = mat.owner_of(i, jj)
-        if isinstance(mat, FusedDMatrix):
-            # read straight from the full array; the bcast charge is the
-            # owner's payload size, same as lockstep
-            r_, c_ = (i % mat.rows, i // mat.rows) if jj is None else (i, jj)
-            raw = mat.full[r_, c_]
-            payload = complex(raw) if np.iscomplexobj(mat.full) \
-                else float(raw)
-            self.comm.overhead()
-            return self.comm.bcast(payload, root=owner)
-        if mat.owns(i, jj):
-            idx = mat.local_element_index(i, jj)
-            raw = mat.local[idx]
-            payload = complex(raw) if np.iscomplexobj(mat.local) \
-                else float(raw)
-        else:
+        at = mat.held_index(i, jj)
+        if at is None:
             payload = None
+        else:
+            held = mat.held
+            payload = complex(held[at]) if held.dtype.kind == "c" \
+                else float(held[at])
         self.comm.overhead()
-        value = self.comm.bcast(payload, root=owner)
-        return value
+        return self.comm.bcast(payload, root=mat.owner_of(i, jj))
 
     def _bounds_check(self, mat: DMatrix, i: int, j: int | None) -> None:
         if j is None:
@@ -366,104 +357,60 @@ class RuntimeContext:
             if not (0 <= i < mat.rows and 0 <= j < mat.cols):
                 raise MatlabRuntimeError("index exceeds matrix dimensions")
 
-    def owner(self, mat: RValue, i, j=None) -> bool:
-        """ML_owner: does this rank store element (i[, j])?  0-based."""
-        if not isinstance(mat, DMatrix):
-            return True  # replicated
-        return mat.owns(int(i), None if j is None else int(j))
-
     def set_element(self, mat: RValue, subs: Sequence, rhs: RValue,
                     reuse: bool = False) -> RValue:
         """Guarded scalar store ``a(i, j) = rhs`` (pass 5's conditional):
-        only the owner writes; the updated matrix is returned.
+        only the ranks that hold the element write it (``held_index``),
+        every rank charges a pass over its block; the updated matrix is
+        returned.  A rank-varying ``rhs`` under fusion stores the
+        owner's value, as the owner alone would.
 
         ``reuse=True`` (emitted only for ``v = rt.set_element(v, ...)``
         rebinds, where the old descriptor dies on return) allows an
         in-place write when the descriptor and its storage are uniquely
-        owned — turning element-init loops from O(n²) copying into O(n).
-        Aliased descriptors still get the defensive copy (counted in
-        ``set_element_copies``).
+        owned (``mat.owns_memory``) — turning element-init loops from
+        O(n²) copying into O(n).  Aliased descriptors still get the
+        defensive copy (counted in ``set_element_copies``).
 
-        Falls back to the general indexed store for non-scalar subscripts
-        or stores that grow the matrix.
+        Falls back to the general indexed store for non-scalar subscripts,
+        stores that grow the matrix and a complex value into a real one.
         """
-        if isinstance(mat, FusedDMatrix):
-            return self._set_element_fused(mat, subs, rhs, reuse)
-        scalar_subs = all(
-            sub is not COLON and not isinstance(sub, DMatrix)
-            and not isinstance(sub, PerRankScalar)
-            and V.numel(sub) == 1 for sub in subs)
-        rhs_scalar = (not isinstance(rhs, DMatrix) and not isinstance(rhs, str)
-                      and not isinstance(rhs, PerRankScalar)
-                      and V.numel(rhs) == 1)
-        if (isinstance(mat, DMatrix) and scalar_subs and rhs_scalar
+        for sub in subs:
+            if isinstance(sub, PerRankScalar):
+                raise FusionDivergence("rank-varying subscript in a store")
+        if not (isinstance(mat, DMatrix)
+                and all(sub is not COLON and not isinstance(sub, DMatrix)
+                        and V.numel(sub) == 1 for sub in subs)
+                and (isinstance(rhs, PerRankScalar)
+                     or (not isinstance(rhs, (DMatrix, str))
+                         and V.numel(rhs) == 1))
                 and self._in_bounds(mat, subs)):
-            value = self.scalar(rhs)
-            local = mat.local
-            if isinstance(value, complex) and not np.iscomplexobj(local):
-                return self.index_assign(mat, subs, rhs)
-            i = int(float(np.real(self.scalar(subs[0])))) - 1
-            j = None if len(subs) == 1 else \
-                int(float(np.real(self.scalar(subs[1])))) - 1
-            # In-place fast path: safe only when nothing else can observe
-            # this descriptor or its buffer (refcounts: caller's variable
-            # + our argument binding + getrefcount's own temp = 3).
-            if (reuse and local.base is None
-                    and local.flags.owndata and local.flags.writeable
-                    and sys.getrefcount(mat) <= 3
-                    and sys.getrefcount(local) <= 3):
-                new_local = local
-            else:
-                self.set_element_copies += 1
-                new_local = local.copy()
-            if mat.owns(i, j):
-                idx = mat.local_element_index(i, j)
-                new_local[idx] = value
-            self.comm.charge(mem=mat.load)
-            if new_local is local:
-                return mat
-            return mat.like(new_local)
-        return self.index_assign(mat, subs, rhs)
-
-    def _set_element_fused(self, mat: FusedDMatrix, subs: Sequence,
-                           rhs: RValue, reuse: bool) -> RValue:
-        """Fused guarded store: one write into the full array; per-rank
-        virtual time charged exactly as P lockstep stores would be."""
-        if any(isinstance(sub, PerRankScalar) for sub in subs):
-            raise FusionDivergence("rank-varying subscript in a store")
-        scalar_subs = all(
-            sub is not COLON and not isinstance(sub, DMatrix)
-            and V.numel(sub) == 1 for sub in subs)
-        rhs_ok = (isinstance(rhs, PerRankScalar)
-                  or (not isinstance(rhs, DMatrix) and not isinstance(rhs, str)
-                      and V.numel(rhs) == 1))
-        if not (scalar_subs and rhs_ok and self._in_bounds(mat, subs)):
             return self.index_assign(mat, subs, rhs)
         i = int(float(np.real(self.scalar(subs[0])))) - 1
         j = None if len(subs) == 1 else \
             int(float(np.real(self.scalar(subs[1])))) - 1
-        owner = mat.owner_of(i, j)
-        value = rhs.values[owner] if isinstance(rhs, PerRankScalar) \
-            else self.scalar(rhs)
-        full = mat.full
-        if isinstance(value, complex) and not np.iscomplexobj(full):
+        value = rhs.values[mat.owner_of(i, j)] \
+            if isinstance(rhs, PerRankScalar) else self.scalar(rhs)
+        held = mat.held
+        if isinstance(value, complex) and held.dtype.kind != "c":
             return self.index_assign(mat, subs, rhs)
-        # mat's threshold is 4, not 3: set_element's own frame holds an
-        # extra reference while delegating here
-        if (reuse and owns_memory(full)
-                and full.flags.writeable
-                and sys.getrefcount(mat) <= 4
-                and sys.getrefcount(full) <= 3):
-            new_full = full
+        # In-place fast path: safe only when nothing else can observe
+        # this descriptor or its buffer (refcounts: caller's variable
+        # + our argument binding + getrefcount's own temp = 3).
+        if (reuse and mat.owns_memory(held) and held.flags.writeable
+                and sys.getrefcount(mat) <= 3
+                and sys.getrefcount(held) <= 3):
+            new_held = held
         else:
             self.set_element_copies += 1
-            new_full = full.copy()
-        r_, c_ = (i % mat.rows, i // mat.rows) if j is None else (i, j)
-        new_full[r_, c_] = value
+            new_held = held.copy()
+        at = mat.held_index(i, j)
+        if at is not None:
+            new_held[at] = value
         self.comm.charge(mem=mat.load)
-        if new_full is full:
+        if new_held is held:
             return mat
-        return mat.like(new_full)
+        return mat.like(new_held)
 
     def _in_bounds(self, mat: DMatrix, subs: Sequence) -> bool:
         try:
@@ -693,7 +640,7 @@ class RuntimeContext:
                         plan = _structural.shift_plan(
                             operands[slots[0]], spec[2], spec[3]) \
                             if sig[slots[0]] == "a" else None
-                        if plan is None:
+                        if plan is None or plan[3] is _structural.GATHER:
                             native.stats.bump("signature_fallbacks")
                             return None
                         if plans is None:
@@ -885,7 +832,7 @@ def replicate_workspace(results: list, fused: bool) -> Optional[dict]:
     replicated = {}
     for name, value in workspace.items():
         if name in distributed:
-            value = V.simplify(value.full if fused else value.assemble(
+            value = V.simplify(value.held if fused else value.assemble(
                 [peer[name].held for peer in results]))
         elif isinstance(value, PerRankScalar):
             value = value.values[0]   # what rank 0 holds under lockstep

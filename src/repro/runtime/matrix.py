@@ -29,10 +29,10 @@ rank's (``stacked(base, geom)`` cuts an array of another geometry,
 a remap's target, the same way) — with its inverse
 ``unstacked(runs, cols)`` (``unstacked(runs, geom=geom)``).  A body that
 computes its partials over ``stacked()`` and combines them with
-``comm.fold`` is the same code on both backends.  ``local`` and
-``full`` are the same slot as ``held`` under the name that says which
-descriptor an arm expects; the ops that stay forked (docs/INTERNALS.md
-lists them) read those.
+``comm.fold`` is the same code on both backends.  ``held_index(i, j)``
+— where an element is in ``held``, ``None`` when another rank holds
+it — and ``owns_memory(held)`` — may a store write into it in place —
+are all an element read or a guarded store asks of the descriptor.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from ..errors import DistributionError, FusionDivergence
+from ..errors import DistributionError
 from .distribution import Geometry, get_geometry, owns_memory
 from .memory import ACTIVE
 
@@ -120,17 +120,28 @@ class DMatrix:
             i, j = i % self.rows, i // self.rows
         return self.geom.map.owner(i)
 
-    def owns(self, i: int, j: int | None = None) -> bool:
-        return self.owner_of(i, j) == self.rank
-
-    def local_element_index(self, i: int, j: int | None = None):
-        """Local position of global element (i, j) on its owner."""
+    def held_index(self, i: int, j: int | None = None):
+        """Where element (i, j) — 0-based; j None = linear — is in
+        ``held``: its position in this rank's block, or ``None`` when
+        another rank owns it."""
+        amap = self.geom.map
         if self.is_vector:
-            linear = i if j is None else j * self.rows + i
-            return self.geom.map.local_index(linear)
+            linear = i if j is None else j * self.rows + i  # column-major
+            if amap.owner(linear) != self.rank:
+                return None
+            return amap.local_index(linear)
         if j is None:
             i, j = i % self.rows, i // self.rows
-        return (self.geom.map.local_index(i), j)
+        if amap.owner(i) != self.rank:
+            return None
+        return (amap.local_index(i), j)
+
+    #: may a store write into ``held`` in place (given no other
+    #: reference)?  One rank's block only when the memory is its own
+    #: array's: a view — of a remap's runs, say — is copied
+    @staticmethod
+    def owns_memory(held: np.ndarray) -> bool:
+        return held.base is None and held.flags.owndata
 
     # ------------------------------------------------------------------ #
     # conversion
@@ -200,11 +211,7 @@ class DMatrix:
     def __repr__(self) -> str:
         return (f"DMatrix({self.rows}x{self.cols} {self.dtype}, "
                 f"rank {self.rank}/{self.geom.nprocs}, "
-                f"local {self.local.shape})")
-
-
-#: one rank's arm says ``local`` (the slot itself: no frame)
-DMatrix.local = DMatrix.held
+                f"local {self.held.shape})")
 
 
 class FusedDMatrix(DMatrix):
@@ -213,21 +220,16 @@ class FusedDMatrix(DMatrix):
     Where :class:`DMatrix` stores one rank's local block, this stores the
     *full* array once — every rank's block is an implicit, deterministic
     slice of it (``stacked()``), because the geometry is a pure function
-    of (rows, cols, nprocs, scheme).  Runtime ops with a fused path apply
-    their kernel across the whole rank axis in one numpy call and charge
-    each rank's virtual clock individually.
-
-    Safety net: the per-rank accessors (``local``, ``owns``) raise
-    :class:`~repro.errors.FusionDivergence`, so any op *without* a fused
-    path aborts fusion and the executor transparently re-runs the
-    program under ``lockstep`` instead of silently computing one rank's
-    answer.
+    of (rows, cols, nprocs, scheme).  Runtime ops apply their kernel
+    across the whole rank axis in one numpy call and charge each rank's
+    virtual clock individually.
     """
 
     __slots__ = ()
 
-    #: the all-ranks arm says ``full`` (the slot itself: no frame)
-    full = DMatrix.held
+    #: a full array's memory is its own when a base only it refers to
+    #: is (the free lists' placed buffers)
+    owns_memory = staticmethod(owns_memory)
 
     def __init__(self, geom: Geometry, dtype, full: np.ndarray):
         self.geom = geom
@@ -279,18 +281,10 @@ class FusedDMatrix(DMatrix):
                 except TypeError:
                     pass    # interpreter exit: the pool's module is gone
 
-    # -- per-rank accessors: no single rank exists here ----------------- #
-
-    def _diverge(self, what: str):
-        raise FusionDivergence(
-            f"{what} has no fused path (rank-dependent state)")
-
-    @property
-    def local(self) -> np.ndarray:
-        self._diverge("per-rank local block access")
-
-    def owns(self, i: int, j: int | None = None) -> bool:
-        self._diverge("ownership test")
+    def held_index(self, i: int, j: int | None = None):
+        """Where element (i, j) is in the full array: every rank's
+        element is held."""
+        return (i % self.rows, i // self.rows) if j is None else (i, j)
 
     def global_row_indices(self) -> np.ndarray:
         return np.arange(self.geom.map.n)   # every rank's, in global order

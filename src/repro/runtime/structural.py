@@ -6,13 +6,15 @@ one :func:`~repro.runtime.remap.remap`: only the pieces that change rank
 move, in one alltoall.  Triangle masking (`tril`/`triu`) and a matrix's
 ``fliplr`` are fully local — each rank knows the global indices of its
 block.  ``diag``, ``sort``'s fallback and ``circshift``'s cyclic path
-gather the operand.  ``circshift`` along the distributed
-axis of a block-distributed array (a vector's elements, a matrix's rows)
-is a single ring boundary exchange for stencil-sized shifts (an alltoall
-of per-destination pieces for larger ones).  ``sort`` uses a parallel
-*sample sort* (an extension the
-paper lists as future work for the run-time library): local sort, sample,
-broadcast splitters, alltoall exchange, local merge.
+gather the operand.  ``circshift`` follows one plan on both backends
+(:func:`shift_plan`): along the distributed axis of a block-distributed
+array (a vector's elements, a matrix's rows) it rotates what each
+descriptor holds and is a single ring boundary exchange for
+stencil-sized shifts (an alltoall of per-destination pieces for larger
+ones), which the communicator moves or prices.  ``sort`` uses a
+parallel *sample sort* (an extension the paper lists as future work for
+the run-time library): local sort, sample, broadcast splitters,
+alltoall exchange, local merge.
 """
 
 from __future__ import annotations
@@ -21,11 +23,8 @@ import numpy as np
 
 from ..errors import MatlabRuntimeError
 from ..interp import values as V
-from .matrix import DMatrix, FusedDMatrix, RValue
+from .matrix import DMatrix, RValue
 from .remap import remap
-
-# Fused-backend paths: same per-block kernels and the same charges as
-# lockstep (see linalg.py); communication becomes in-process permutation.
 
 
 def reshape(rt, value: RValue, rows: RValue, cols: RValue) -> RValue:
@@ -96,7 +95,7 @@ def _rotated(mat: DMatrix, k: int, axis: int) -> DMatrix:
     them (``mat.spare``: a fused descriptor) and holds float64."""
     held = mat.held
     n = held.shape[axis]
-    k %= n
+    k = k % n if n else 0   # (a rank may hold none of the items)
     spare = mat.spare
     out = spare.take(held.shape) \
         if spare is not None and held.dtype is _FLOAT64 \
@@ -112,23 +111,27 @@ def _rotated(mat: DMatrix, k: int, axis: int) -> DMatrix:
 
 #: a shift step that moves nothing: a whole turn, still a fresh copy
 COPY = ("copy",)
+#: a shift step no neighbour can make: the array is gathered and rolled
+GATHER = ("gather",)
 
 
-def shift_plan(value: FusedDMatrix, kr: int, kc: int | None):
+def shift_plan(value: DMatrix, kr: int, kc: int | None):
     """How ``circshift(value, [kr kc])`` (``kc`` ``None``:
-    ``circshift(value, kr)``) moves a fused array when it gathers
-    nothing: ``(ur, uc, col, row)``, the rotation of what ``value``
-    holds along its rows and columns (``0 <= ur < rows``, ``0 <= uc <
-    cols``), whether a column step runs and the step along the
-    distributed axis — ``None``, :data:`COPY`, ``("ring", nbytes,
-    forward)`` or ``("alltoall", piece)``.  ``None`` for the gathering
-    paths: cyclic maps, a matrix with fewer rows than ranks, an empty
-    array.
+    ``circshift(value, kr)``) moves a distributed array: ``(ur, uc,
+    col, row)``, the rotation of the whole array along its rows and
+    columns (``0 <= ur < rows``, ``0 <= uc < cols``), whether a column
+    step runs and the step along the distributed axis — ``None``,
+    :data:`COPY`, ``("ring", nbytes, signed)`` (each rank's ``|signed|``
+    boundary items go to the next rank, or for ``signed < 0`` the
+    previous one), ``("alltoall", piece)`` (the largest piece, in bytes)
+    or :data:`GATHER` (cyclic maps, a matrix with fewer rows than
+    ranks).
 
-    The one answer both readers take: :func:`circshift`'s fused arm and
-    a group's halo tap (:meth:`Group.tap
-    <repro.runtime.context.Group.tap>`), which charges
-    :func:`charge_shift` of it for the shift it does not make."""
+    The one answer :func:`circshift` takes on both backends and a
+    group's halo tap (:meth:`Group.tap
+    <repro.runtime.context.Group.tap>`) takes where it does not gather:
+    the tap charges :func:`charge_shift` of it for the shift it does
+    not make."""
     geom = value.geom
     rows, cols = geom.shape
     col = 0
@@ -137,28 +140,29 @@ def shift_plan(value: FusedDMatrix, kr: int, kc: int | None):
             # one non-singleton dimension: the scalar shift along it
             kr = kc if rows == 1 else kr
         else:
-            col = kc % cols if cols else 0
-            if rows == 0 or kr % rows == 0:
+            # the columns never cross ranks under the row-contiguous
+            # distribution: every rank rolls its own rows' columns
+            col = kc % cols
+            if kr % rows == 0:
                 return (0, col, True, None) if col else (0, 0, False, COPY)
-    if geom.scheme != "block" or not (geom.is_vector
-                                      or rows >= geom.nprocs):
-        return None
     amap = geom.map
     n = amap.n
-    if n == 0:
-        return None
     k = kr % n
-    if k == 0:
+    if geom.scheme != "block" or not (geom.is_vector
+                                      or rows >= geom.nprocs):
+        # cyclic maps, and matrices with fewer rows than ranks (some
+        # blocks are empty, so no neighbour holds the boundary)
+        row = GATHER
+    elif k == 0:
         row = COPY
     elif geom.nprocs > 1 and (k <= amap.base or n - k <= amap.base):
         # |k| up to the smallest block: one ring boundary exchange (a
         # large positive shift is a small negative one)
-        signed = k if k <= amap.base else k - n
-        row = ("ring", abs(signed) * geom.width * value.held.itemsize,
-               signed > 0)
+        signed, m = (k, k) if k <= amap.base else (k - n, n - k)
+        row = ("ring", m * geom.width * value.held.itemsize, signed)
     else:
         # the largest piece is a (dest-indices int64, values) tuple, as
-        # the lockstep path packs it
+        # :func:`_outgoing` packs it
         c0 = geom.shift_overlap(k)
         row = ("alltoall",
                c0 * 8 + c0 * geom.width * value.held.itemsize + 8)
@@ -168,9 +172,11 @@ def shift_plan(value: FusedDMatrix, kr: int, kc: int | None):
 
 
 def charge_shift(comm, load, plan) -> None:
-    """Everything :func:`circshift` charges for a :func:`shift_plan`,
-    in its order: the column step is a local pass, the distributed one
-    a ring exchange, an alltoall or (a whole turn) the overhead alone."""
+    """Everything :func:`circshift` charges under fusion for a
+    :func:`shift_plan` that gathers nothing, in its order — what a halo
+    tap charges for the shift it does not make: the column step is a
+    local pass, the distributed one a ring exchange, an alltoall or (a
+    whole turn) the overhead alone."""
     _, _, col, row = plan
     if col:
         comm.charge(mem=load)
@@ -178,7 +184,7 @@ def charge_shift(comm, load, plan) -> None:
         return
     kind = row[0]
     if kind == "ring":
-        comm.ring_exchange(row[1], forward=row[2])
+        comm.ring_exchange(row[1], forward=row[2] > 0)
         comm.charge(mem=load)
     elif kind == "alltoall":
         comm.charge(mem=load)
@@ -188,6 +194,12 @@ def charge_shift(comm, load, plan) -> None:
 
 
 def circshift(rt, value: RValue, shift: RValue) -> RValue:
+    """MATLAB ``circshift``: :func:`shift_plan`'s steps, each a rotation
+    of what ``value`` holds.  The column step is local.  Along the
+    distributed axis, under fusion the rotation of the full array is the
+    answer and the communicator prices the messages; one rank's rotated
+    block is patched with what really arrives — the neighbour's edge
+    (``comm.ring_edge``) or every item (``comm.routed``)."""
     kr, kc = _shift_amounts(rt, shift)
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
@@ -196,120 +208,56 @@ def circshift(rt, value: RValue, shift: RValue) -> RValue:
             return V.simplify(np.roll(arr, (kr, kc), axis=(0, 1)))
         axis = 1 if arr.shape[0] == 1 else 0
         return V.simplify(np.roll(arr, kr, axis=axis))
-    if value.__class__ is FusedDMatrix:
-        # P boundary exchanges (or one alltoall), charged in closed
-        # form; the movement is one rotation of the full array per step
-        plan = shift_plan(value, kr, kc)
-        if plan is not None:
-            charge_shift(rt.comm, value.load, plan)
-            ur, uc, col, row = plan
-            if col:
-                value = _rotated(value, uc, 1)
-            if row is None:
-                return value
-            if row is COPY:
-                return value.like(value.held.copy())
-            return _rotated(value, uc, 1) if value.rows == 1 \
-                else _rotated(value, ur, 0)
-    if kc is not None:
-        return _circshift2(rt, value, kr, kc)
-    if (value.is_vector or value.rows >= rt.size) \
-            and value.scheme == "block":
-        return _circshift_block(rt, value, kr)
-    # cyclic maps, and matrices with fewer rows than ranks (some blocks
-    # are empty, so no neighbour holds the boundary)
-    full = rt.gather_full(value, copy=False)  # np.roll allocates fresh
-    axis = 1 if value.rows == 1 else 0
-    rt.comm.compute(mem=full.size)
-    return rt.distribute_full(np.roll(full, kr, axis=axis))
-
-
-def _circshift2(rt, value: DMatrix, kr: int, kc: int) -> RValue:
-    """``circshift(A, [kr kc])``: row component then column component.
-
-    A vector has one non-singleton dimension, so the matching component
-    routes through the scalar path.  For a matrix the *column* component
-    never crosses rank boundaries under the row-contiguous distribution
-    — every rank rolls its own rows locally, no communication — which
-    is what makes two-element ``circshift`` the stencil-friendly way to
-    reach horizontal neighbours (the scalar form would need a transpose
-    sandwich); the *row* component is the scalar path too: whole rows
-    move between ranks exactly as a vector's elements do."""
-    if value.is_vector:
-        k = kc if value.rows == 1 else kr
-        return circshift(rt, value, float(k))
-    if value.cols == 0 or kc % value.cols == 0:
-        kc = 0
-    if kc:
-        rt.comm.charge(mem=value.load)
-        value = _rotated(value, kc, 1)
-    if value.rows == 0 or kr % value.rows == 0:
-        if kc:
-            return value
-        rt.comm.overhead()  # pure no-op shift still returns a fresh copy
+    ur, uc, col, row = shift_plan(value, kr, kc)
+    comm = rt.comm
+    if col:
+        comm.charge(mem=value.load)
+        value = _rotated(value, uc, 1)
+    if row is None:
+        return value
+    kind = row[0]
+    # a row vector's items run along its row: the columns of a fused
+    # (1, n) array, one rank's 1-D block
+    axis = value.held.ndim - 1 if value.rows == 1 else 0
+    if kind == "ring":
+        signed = row[2]
+        out = _rotated(value, signed, axis)
+        comm.ring_edge(out.held, signed, row[1])
+        comm.charge(mem=value.load)
+        return out
+    k = uc if value.rows == 1 else ur
+    if kind == "alltoall":
+        out = _rotated(value, k, axis)
+        comm.charge(mem=value.load)
+        amap = value.geom.map
+        for pieces in comm.routed(lambda: [_outgoing(value, k)], row[1]):
+            held = out.held
+            for dest, items in pieces:
+                held[amap.local_indices(dest)] = items
+        return out
+    if row is COPY:
+        comm.overhead()  # a whole turn still returns a fresh copy
         return value.like(value.held.copy())
-    return circshift(rt, value, float(kr))
+    full = rt.gather_full(value, copy=False)  # np.roll allocates fresh
+    comm.compute(mem=full.size)
+    return rt.distribute_full(np.roll(full, k, axis=1 if value.rows == 1
+                                      else 0))
 
 
-def _circshift_block(rt, vec: DMatrix, k: int) -> DMatrix:
-    """Shift along the distributed axis of a block-distributed array:
-    the elements of a vector, the rows of a matrix (``vec.geom.width``
-    elements each) — one rank's block (the fused arm is
-    :func:`shift_plan`'s).
-
-    Small shifts (|k| up to the smallest block) are a single ring
-    boundary exchange — the stencil-friendly fast path.  Larger shifts
-    fall back to an alltoall of per-destination pieces."""
-    n = vec.geom.map.n
-    if n == 0:
-        return vec
-    k = k % n
-    if k == 0:
-        rt.comm.overhead()
-        return vec.like(vec.held.copy())
-    min_count = vec.geom.map.base       # a block map's smallest block
-    if rt.size > 1 and (k <= min_count or n - k <= min_count):
-        # (a large positive shift is a small negative one)
-        return _circshift_ring(rt, vec, k if k <= min_count else k - n)
-    # Pack one (indices, values) array pair per destination rank — no
-    # per-element Python: owners() is pure arithmetic, a stable argsort
-    # groups elements (rows) by destination, and each piece is a
-    # contiguous slice.  sizeof() is O(1) on these payloads.
-    gidx = vec.global_row_indices()
-    dest_global = (gidx + k) % n
-    owners = vec.geom.map.owners(dest_global)
+def _outgoing(value: DMatrix, k: int) -> list:
+    """One rank's block shifted by ``k`` along the distributed axis, as
+    its row of pieces for the alltoall: one (destination global indices,
+    items) pair per rank, in rank order.  No per-element Python:
+    ``owners()`` is arithmetic, a stable argsort groups the items by
+    destination, and each piece is a contiguous slice."""
+    amap = value.geom.map
+    dest = (value.global_row_indices() + k) % amap.n
+    owners = amap.owners(dest)
     order = np.argsort(owners, kind="stable")
-    sorted_dest = dest_global[order]
-    sorted_vals = vec.local[order]
-    counts = np.bincount(owners, minlength=rt.size)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    outgoing = [(sorted_dest[offsets[r]:offsets[r + 1]],
-                 sorted_vals[offsets[r]:offsets[r + 1]])
-                for r in range(rt.size)]
-    rt.comm.charge(mem=vec.load)
-    incoming = rt.comm.alltoall(outgoing)
-    new_local = np.empty_like(vec.local)
-    for piece_dest, piece_vals in incoming:
-        new_local[vec.geom.map.local_indices(piece_dest)] = piece_vals
-    return vec.like(new_local)
-
-
-def _circshift_ring(rt, vec: DMatrix, k: int) -> DMatrix:
-    """Shift by |k| <= min block: each rank's last k elements (rows) go
-    to the next rank's front (for k < 0, its first |k| to the previous
-    rank's back) in one ring step, instead of an alltoall."""
-    local = vec.local
-    forward = k > 0
-    boundary = np.ascontiguousarray(local[-k:] if forward else local[:-k])
-    received = rt.comm.ring_step(boundary, forward)
-    if not local.size:
-        new_local = local.copy()
-    elif forward:
-        new_local = np.concatenate([received, local[:-k]])
-    else:
-        new_local = np.concatenate([local[-k:], received])
-    rt.comm.charge(mem=vec.load)
-    return vec.like(np.asarray(new_local, dtype=vec.local.dtype))
+    dest, items = dest[order], value.held[order]
+    ends = np.cumsum(np.bincount(owners, minlength=amap.nprocs)).tolist()
+    return [(dest[start:end], items[start:end])
+            for start, end in zip([0] + ends, ends)]
 
 
 def flip(rt, value: RValue, axis: int) -> RValue:

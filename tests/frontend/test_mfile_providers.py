@@ -1,5 +1,7 @@
 """M-file provider tests (dict, directory, chain)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,21 @@ class TestDirectoryProvider:
         assign = funcs[0].body[0]
         assert isinstance(assign, A.Assign)
         assert assign.value.value == 1.0
+
+    def test_parses_again_only_when_the_file_changes(self, tmp_path):
+        path = tmp_path / "g.m"
+        path.write_text("function y = g(x)\ny = x + 1;\n")
+        p = DirectoryProvider([str(tmp_path)])
+        first = p.lookup("g")
+        assert p.lookup("g") is first
+        stamp = path.stat().st_mtime_ns
+        path.write_text("function y = g(x)\ny = x + 2;\n")
+        os.utime(path, ns=(stamp + 10**9, stamp + 10**9))
+        again = p.lookup("g")
+        assert again is not first and p.lookup("g") is again
+        assert again[0].body[0].value.rhs.value == 2.0
+        path.unlink()
+        assert p.lookup("g") is None and p.source_key("g") is None
 
     def test_missing_cached_as_none(self, tmp_path):
         p = DirectoryProvider([str(tmp_path)])

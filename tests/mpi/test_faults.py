@@ -264,6 +264,30 @@ class TestDelayFaults:
             base.times[1] + 0.30000000000000004)
 
 
+    def test_a_time_window_scopes_the_delay(self):
+        """``after=`` / ``before=`` bound when a rule fires, by the
+        sender's virtual clock: a window that closes before the first
+        message delays nothing, one that covers the run delays every
+        message, and one that opens halfway delays only the later
+        ones."""
+        def steps(comm):
+            for _ in range(8):
+                comm.compute(flops=10**6)
+                comm.ring_step(np.arange(4.0), True)
+
+        def clocks(plan=None):
+            return run_spmd(3, MEIKO_CS2, steps, backend="lockstep",
+                            fault_plan=plan).times
+
+        base = clocks()
+        first = base[0] / 8     # no message is sent before this
+        assert clocks(f"delay by=0.01 before={first / 2}") == base
+        whole = clocks("delay by=0.01")
+        later = clocks(f"delay by=0.01 after={base[0] / 2}")
+        for b, w, m in zip(base, whole, later):
+            assert b < m < w
+
+
 class TestDuplicateFaults:
     def test_duplicate_delivers_twice_and_counts_the_extra_wire(self):
         def prog(comm):

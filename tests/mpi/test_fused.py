@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_source
+from repro.interp.interpreter import run_source
 from repro.mpi import (
     MEIKO_CS2,
     FusedComm,
@@ -169,6 +170,15 @@ class TestFusionFallback:
         res = compile_source(src).run(nprocs=4, backend="fused")
         assert res.spmd.backend == "fused"
         assert res.workspace["t"] > 0
+
+    @pytest.mark.parametrize("value", ("rand(8, 8)", "rand(8, 8) + 2i"))
+    def test_isreal_of_a_distributed_matrix_stays_fused(self, value):
+        # isreal reads the descriptor's dtype, never one rank's block
+        src = f"A = {value};\nt = isreal(A);\ndisp(t);\n"
+        res = compile_source(src).run(nprocs=4, backend="fused")
+        assert res.spmd.backend == "fused"
+        assert res.output == "".join(run_source(src).output)
+        assert res.workspace["t"] == (1.0 if value == "rand(8, 8)" else 0.0)
 
 
 # -- compiled-program equivalence ---------------------------------------- #

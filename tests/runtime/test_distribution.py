@@ -215,8 +215,10 @@ def test_descriptors_answer_held_load_like(shape, nprocs, scheme):
     """One rank's descriptor and the all-ranks one, over the same array
     (ranks that hold nothing included): ``held`` is the real block / the
     whole array, ``load`` is read off the one and off the geometry for
-    the other — and they agree, rank by rank — and ``like`` wraps new
-    data in this geometry or in a same-scheme one of another shape."""
+    the other — and they agree, rank by rank — ``like`` wraps new data
+    in this geometry or in a same-scheme one of another shape, and
+    ``held_index`` finds every element in exactly one rank's block, on
+    the rank ``owner_of`` names, and in the whole array."""
     from repro.mpi.comm import Comm
     from repro.mpi.fused import FusedComm
     from repro.runtime.matrix import DMatrix, FusedDMatrix
@@ -224,15 +226,25 @@ def test_descriptors_answer_held_load_like(shape, nprocs, scheme):
     full = np.arange(1.0, shape[0] * shape[1] + 1).reshape(shape)
     fused = FusedDMatrix.from_full(full, nprocs, 0, scheme)
     geom = fused.geom
-    assert fused.held is fused.full is full
+    assert fused.held is full
     assert fused.load is geom.counts and sum(fused.load) == full.size
     column = (geom.map.n, 1)        # what a row reduction of it returns
     blocks = [block for run in fused.stacked() for block in run]
+    seen = np.zeros(full.size, int)
     for rank, block in enumerate(blocks):
         local = DMatrix.from_full(full, nprocs, rank, scheme)
         assert local.geom is geom
-        assert local.held is local.local
         np.testing.assert_array_equal(local.held, block)
+        for i in range(full.size):
+            at = local.held_index(i)
+            assert (at is not None) == (local.owner_of(i) == rank)
+            if at is not None:
+                seen[i] += 1
+                assert local.held[at] == full[fused.held_index(i)]
+            for j in range(shape[1]):
+                at = local.held_index(i % shape[0], j)
+                if at is not None:
+                    assert local.held[at] == full[i % shape[0], j]
         assert type(local.load) is int
         assert local.load == local.held.size == fused.load[rank]
         assert local.load * 3 == (fused.load * 3)[rank]
@@ -245,6 +257,7 @@ def test_descriptors_answer_held_load_like(shape, nprocs, scheme):
         other = local.like(part, shape=column)
         assert other.shape == column and other.scheme == scheme
         assert other.load == part.size
+    assert (seen == 1).all()
     assert fused.like(full + 1).geom is geom
     other = fused.like(np.zeros(column[0]), shape=column)
     assert other.held.shape == column and other.scheme == scheme

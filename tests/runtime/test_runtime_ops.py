@@ -100,14 +100,17 @@ class TestElementAccess:
         assert got.shape == (4, 4) and got[3, 3] == 1.0
 
     def test_owner_unique(self):
-        def fn(rt):
+        def rank_main(comm):
+            rt = RuntimeContext(comm, seed=1)
             a = rt.rand(8.0, 3.0)
-            owners = [rt.owner(a, i, 0) for i in range(8)]
-            total = rt.comm.allreduce(float(sum(owners)))
-            return total
+            held = [i for i in range(8) if a.held_index(i, 0) is not None]
+            assert all(a.owner_of(i, 0) == comm.rank for i in held)
+            return held
 
-        # across all ranks, each element has exactly one owner
-        assert run_op(fn, p=4) == 8.0
+        # across all ranks, each element is in exactly one rank's block
+        res = run_spmd(4, MEIKO_CS2, rank_main, backend="lockstep")
+        assert sorted(i for held in res.results for i in held) == \
+            list(range(8))
 
 
 class TestIndexing:

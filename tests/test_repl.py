@@ -1,9 +1,11 @@
 """Scriptable-REPL tests."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.frontend.mfile import DictProvider
+from repro.frontend.mfile import DictProvider, DirectoryProvider
 from repro.repl import Repl, _block_delta
 
 
@@ -127,3 +129,18 @@ class TestMFiles:
                      provider=provider)
         assert repl.workspace["a"] == 101.0
         assert repl.workspace["b"] == 20.0  # now indexing the variable
+
+    def test_an_edited_mfile_is_read_again(self, tmp_path):
+        helper = tmp_path / "triple.m"
+        helper.write_text("function y = triple(x)\ny = x * 3;\n",
+                          encoding="utf-8")
+        repl = Repl(provider=DirectoryProvider([str(tmp_path)]))
+        repl.run_lines(["a = triple(7); disp(a);"])
+        assert "".join(repl.output).split() == ["21"]
+        # the same size: the modification time tells the edit apart
+        stamp = helper.stat().st_mtime_ns
+        helper.write_text("function y = triple(x)\ny = x * 4;\n",
+                          encoding="utf-8")
+        os.utime(helper, ns=(stamp + 10**9, stamp + 10**9))
+        repl.run_lines(["a = triple(7); disp(a);"])
+        assert "".join(repl.output).split() == ["21", "28"]
