@@ -31,7 +31,7 @@ from ..ewops import TAP
 from ..interp import values as V
 from ..mpi.comm import LAND, Comm
 from ..mpi.fused import PerRankScalar
-from .distribution import owns_memory
+from .distribution import get_geometry, owns_memory
 from .matrix import DMatrix, FusedDMatrix, RValue
 from .memory import MemoryTracker, current_tracker, install_tracker
 
@@ -39,6 +39,53 @@ COLON = V.COLON
 
 _FLOAT64 = np.dtype(np.float64)
 _refs = sys.getrefcount
+
+#: how a creation fills what a descriptor holds
+#: (:meth:`RuntimeContext._create`): ``fill(held, extent, width, shape)``
+Fill = Callable[[range, int, int, tuple], np.ndarray]
+
+#: the most normal deviates ``randn`` draws at once to skip positions
+#: another rank holds: 64 KB, under glibc's 128 KB mmap threshold
+RANDN_CHUNK = 8192
+
+
+def _eye(held: range, extent: int, width: int, shape: tuple) -> np.ndarray:
+    """The identity's held positions: a one where the global row is the
+    column (a vector's one is its first element) — the first ``ones``
+    held rows, every ``width + step``-th element from ``held.start``."""
+    out = np.zeros(shape)
+    ones = len(range(held.start, min(held.stop, width), held.step))
+    stride = width + held.step
+    out.reshape(-1)[held.start:held.start + ones * stride:stride] = 1.0
+    return out
+
+
+def _drawn(draw: Callable, skip: Callable[[int], object]) -> Fill:
+    """A fill from the shared random stream, which lays the positions
+    end to end, ``width`` doubles each (row-major, as drawing the whole
+    array would): ``draw`` the held runs in place and ``skip`` the rest,
+    so the stream ends where the whole draw would have left it."""
+    def fill(held: range, extent: int, width: int,
+             shape: tuple) -> np.ndarray:
+        if held.step == 1:          # one run (a block, every position)
+            if held.start:
+                skip(held.start * width)
+            out = draw(shape)
+            if held.stop < extent:
+                skip((extent - held.stop) * width)
+            return out
+        out = np.empty(shape)
+        rows = out.reshape(len(held), width)
+        at = 0                      # in doubles
+        for row, position in enumerate(held):
+            if position * width > at:
+                skip(position * width - at)
+            draw(out=rows[row])
+            at = (position + 1) * width
+        if extent * width > at:
+            skip(extent * width - at)
+        return out
+    return fill
 
 
 class RuntimeContext:
@@ -220,19 +267,20 @@ class RuntimeContext:
     # creation (ML_init + fill)
     # ------------------------------------------------------------------ #
 
-    def _create(self, rows: int, cols: int,
-                fill: Callable[[tuple[int, int]], np.ndarray]) -> RValue:
-        """Create a distributed matrix; ``fill`` produces the *full* array
-        (deterministically identical on every rank), each rank keeps its
-        block, and only the local share is charged."""
+    def _create(self, rows: int, cols: int, fill: Fill) -> RValue:
+        """Create a distributed matrix: ``fill(held, extent, width,
+        shape)`` builds the ``shape`` array of exactly the positions the
+        descriptor holds (``created``) — ``held``, a range along the
+        distributed axis of ``extent`` positions (a matrix's rows, a
+        vector's elements) of ``width`` elements each, which is one
+        rank's block under lockstep and every position under fusion —
+        and only the local share is charged."""
         if rows < 0 or cols < 0:
             raise MatlabRuntimeError("matrix dimensions must be nonnegative")
-        full = fill((rows, cols))
         if rows * cols <= 1:
-            return V.simplify(np.asarray(full).reshape(rows, cols)
-                              if rows * cols else np.zeros((rows, cols)))
-        mat = self.descriptor.from_full(full, self.size, self.rank,
-                                        self._creation_scheme())
+            return V.simplify(fill(range(rows), rows, cols, (rows, cols)))
+        geom = get_geometry(rows, cols, self.size, self._creation_scheme())
+        mat = self.descriptor.created(geom, self.rank, fill)
         self.comm.charge(mem=mat.load)
         return mat
 
@@ -246,46 +294,68 @@ class RuntimeContext:
     def zeros(self, rows: RValue = 1.0, cols: RValue | None = None) -> RValue:
         r = self.int_scalar(rows, "zeros")
         c = r if cols is None else self.int_scalar(cols, "zeros")
-        return self._create(r, c, lambda s: np.zeros(s))
+        return self._create(r, c, lambda held, extent, width, shape:
+                            np.zeros(shape))
 
     def ones(self, rows: RValue = 1.0, cols: RValue | None = None) -> RValue:
         r = self.int_scalar(rows, "ones")
         c = r if cols is None else self.int_scalar(cols, "ones")
-        return self._create(r, c, lambda s: np.ones(s))
+        return self._create(r, c, lambda held, extent, width, shape:
+                            np.ones(shape))
 
     def eye(self, rows: RValue = 1.0, cols: RValue | None = None) -> RValue:
         r = self.int_scalar(rows, "eye")
         c = r if cols is None else self.int_scalar(cols, "eye")
-        return self._create(r, c, lambda s: np.eye(*s))
+        return self._create(r, c, _eye)
 
     def rand(self, rows: RValue = 1.0, cols: RValue | None = None) -> RValue:
         r = self.int_scalar(rows, "rand")
         c = r if cols is None else self.int_scalar(cols, "rand")
-        # Generated identically on every rank from the shared stream so
-        # results match the sequential oracle bit-for-bit.
-        return self._create(r, c, lambda s: self.rng.random(s))
+        # every rank draws its own positions of the stream the sequential
+        # oracle draws whole (bit for bit) and skips the rest:
+        # ``Generator.random`` takes one PCG64 output per double
+        rng = self.rng
+        return self._create(r, c, _drawn(rng.random,
+                                         rng.bit_generator.advance))
 
     def randn(self, rows: RValue = 1.0, cols: RValue | None = None) -> RValue:
         r = self.int_scalar(rows, "randn")
         c = r if cols is None else self.int_scalar(cols, "randn")
-        return self._create(r, c, lambda s: self.rng.standard_normal(s))
+        # the ziggurat takes a variable number of outputs per double, so
+        # the skipped positions are drawn, in chunks, and dropped
+        draw = self.rng.standard_normal
+
+        def drop(count: int) -> None:
+            while count > 0:
+                draw(min(count, RANDN_CHUNK))
+                count -= RANDN_CHUNK
+
+        return self._create(r, c, _drawn(draw, drop))
 
     def linspace(self, a: RValue, b: RValue, n: RValue = 100.0) -> RValue:
         av = float(np.real(self.scalar(a, "linspace")))
         bv = float(np.real(self.scalar(b, "linspace")))
         nv = self.int_scalar(n, "linspace")
-        return self._create(1, nv,
-                            lambda s: np.linspace(av, bv, nv).reshape(1, -1))
+        if nv < 0:
+            raise MatlabRuntimeError("matrix dimensions must be nonnegative")
+        return self._cut(np.linspace(av, bv, nv).reshape(1, -1))
 
     def range_vector(self, start: RValue, step: RValue,
                      stop: RValue) -> RValue:
         sv = float(np.real(self.scalar(start, "range")))
         pv = float(np.real(self.scalar(step, "range")))
         ev = float(np.real(self.scalar(stop, "range")))
-        full = V.colon_range(sv, pv, ev)
+        return self._cut(V.colon_range(sv, pv, ev))
+
+    def _cut(self, full: np.ndarray) -> RValue:
+        """A created vector whose full array every rank makes anyway
+        (small): each rank keeps its block of it."""
         if full.size <= 1:
             return V.simplify(full)
-        return self._create(1, full.shape[1], lambda s: full)
+        mat = self.descriptor.from_full(full, self.size, self.rank,
+                                        self._creation_scheme())
+        self.comm.charge(mem=mat.load)
+        return mat
 
     def from_literal(self, rows: Sequence[Sequence[RValue]]) -> RValue:
         """Build a matrix literal ``[a, b; c, d]``; distributed elements

@@ -527,6 +527,15 @@ class Geometry:
                 np.arange(span.start, span.stop))
         return indices
 
+    def positions(self, rank: int) -> range:
+        """``rank``'s positions along the distributed axis, as a range:
+        its block's, or every ``nprocs``-th from ``rank`` under the
+        cyclic map (:meth:`global_indices` without the table)."""
+        if self.scheme == "block":
+            span = self.slices[rank]
+            return range(span.start, span.stop)
+        return range(rank, self.map.n, self.nprocs)
+
     def run_indices(self) -> tuple[np.ndarray, ...]:
         """Per run, the read-only ``(ranks, items per rank)`` table of
         global indices along the distributed axis: row ``i`` is

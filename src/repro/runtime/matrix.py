@@ -33,6 +33,8 @@ computes its partials over ``stacked()`` and combines them with
 — where an element is in ``held``, ``None`` when another rank holds
 it — and ``owns_memory(held)`` — may a store write into it in place —
 are all an element read or a guarded store asks of the descriptor.
+``created(geom, rank, fill)`` builds a new array of only the positions
+the descriptor holds: one rank's rows (a vector's elements), or all.
 """
 
 from __future__ import annotations
@@ -159,6 +161,17 @@ class DMatrix:
         base = full.reshape(-1, order="F") if geom.is_vector else full
         local = np.ascontiguousarray(base[geom.global_indices(rank)])
         return cls(geom, full.dtype, local, rank)
+
+    @classmethod
+    def created(cls, geom: Geometry, rank: int, fill) -> "DMatrix":
+        """A new ``geom`` array on ``rank`` of what ``fill(held, extent,
+        width, shape)`` makes: the ``shape`` block of the positions
+        ``held`` (a range of the ``extent`` positions along the
+        distributed axis, each ``width`` elements) — this rank's
+        (:meth:`Geometry.positions`), and nothing of the others'."""
+        held = fill(geom.positions(rank), geom.map.n, geom.width,
+                    geom.local_shapes[rank])
+        return cls(geom, held.dtype, held, rank)
 
     def assemble(self, parts: list[np.ndarray]) -> np.ndarray:
         """Reconstruct the full array from every rank's local block
@@ -322,6 +335,14 @@ class FusedDMatrix(DMatrix):
         array."""
         return cls(get_geometry(*full.shape, nprocs, scheme), full.dtype,
                    full)
+
+    @classmethod
+    def created(cls, geom: Geometry, rank: int, fill) -> "FusedDMatrix":
+        """A new ``geom`` array of what ``fill`` makes (see
+        :meth:`DMatrix.created`) of every rank's positions: the full
+        array."""
+        full = fill(range(geom.map.n), geom.map.n, geom.width, geom.shape)
+        return cls(geom, full.dtype, full)
 
     def like(self, data: np.ndarray, shape=None) -> "FusedDMatrix":
         geom = self.geom

@@ -74,6 +74,12 @@ _REQUEST_KNOBS = ("backend", "native", "watchdog", "trace")
 _NPROCS, _SEED = integer(1), integer(0)
 _MACHINE = choice("machine", tuple(sorted(MACHINES)))
 
+#: the largest ``nprocs`` a request may ask of each backend
+#: (docs/SERVICE.md): a lockstep rank is a thread of this process, a
+#: fused run carries its ranks in one pass (the benchmarks sweep it to
+#: 1024).  Local CLI runs have no ceiling.
+MAX_NPROCS = {"lockstep": 64, "fused": 1024}
+
 #: every top-level field a compile, run or trace request may carry
 #: (docs/SERVICE.md)
 _REQUEST_FIELDS = frozenset({"op", "source", "name", "plan", "mfiles",
@@ -328,6 +334,10 @@ class ServiceServer:
             knobs["trace"] = True
         config = resolve(**knobs)
         nprocs = _NPROCS(request.get("nprocs", 1), "nprocs=")
+        if nprocs > MAX_NPROCS[config.backend]:
+            raise ConfigError(
+                f"nprocs=: must be <= {MAX_NPROCS[config.backend]} on the "
+                f"{config.backend} backend (got {nprocs})")
         seed = _SEED(request.get("seed", 0), "seed=")
         machine = _MACHINE(request.get("machine") or "meiko", "machine=")
         compile_response, outcome, plan = self._compile(request, session_id)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from repro import datastore
+from repro.mpi import executor
 from repro.service import ServiceClient, ServiceError, ServiceServer
 from repro.service.cache import CompileCache
+from repro.service.server import MAX_NPROCS
 
 SRC = "x = ones(8, 8);\ndisp(sum(sum(x)));\n"
 SRC_FUN = "a = double_it(21);\ndisp(a);\n"
@@ -267,6 +269,27 @@ def test_bad_run_field_is_a_config_error_naming_it(server, client, fields,
     # checked before any work: nothing was compiled for the bad request
     assert server.cache.stats()["compiles"] == 0
     assert client.stats()["counters"]["errors"] == 1
+
+
+@pytest.mark.parametrize("backend", sorted(MAX_NPROCS))
+def test_nprocs_above_the_backend_ceiling_is_refused_before_any_work(
+        server, client, backend, monkeypatch):
+    """A lockstep rank is a thread: a request may not ask the server for
+    more of them (or more fused ranks) than ``MAX_NPROCS`` allows."""
+    def never(*args, **kwargs):
+        raise AssertionError("an over-ceiling run was launched")
+
+    monkeypatch.setattr(executor, "_run_lockstep", never)
+    monkeypatch.setattr(executor, "_run_fused", never)
+    ceiling = MAX_NPROCS[backend]
+    with pytest.raises(ServiceError) as err:
+        client.run(SRC, nprocs=ceiling + 1, backend=backend)
+    assert err.value.kind == "ConfigError"
+    assert "nprocs" in str(err.value) and str(ceiling) in str(err.value)
+    assert server.cache.stats()["compiles"] == 0
+    monkeypatch.undo()
+    assert client.run(SRC, nprocs=4, backend=backend)["output"].strip() \
+        == "64"
 
 
 def test_fault_plan_is_not_a_request_field(server, client):
