@@ -89,7 +89,9 @@ class SSABuilder:
         self.params = list(params or [])
         self._counters: dict[str, int] = {}
         self._stacks: dict[str, list[SSAValue]] = {}
-        self._uses: dict[int, list[A.Node]] = {}  # id(event) -> event.uses()
+        #: id(event) -> (event.defs(), event.implicit_uses(),
+        #: event.uses()), each asked once per build
+        self._names: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -113,9 +115,10 @@ class SSABuilder:
     def _all_variables(self) -> set[str]:
         names: set[str] = set(self.params)
         for _bid, event in self.cfg.all_events():
-            names.update(event.defs())
-            names.update(event.implicit_uses())
-            uses = self._uses[id(event)] = event.uses()
+            defs, implicit, uses = self._names[id(event)] = (
+                event.defs(), event.implicit_uses(), event.uses())
+            names.update(defs)
+            names.update(implicit)
             for node in uses:
                 names.add(_use_name(node))
         return names
@@ -123,7 +126,7 @@ class SSABuilder:
     def _definition_blocks(self, variables: set[str]) -> dict[str, set[int]]:
         blocks: dict[str, set[int]] = {v: set() for v in variables}
         for bid, event in self.cfg.all_events():
-            for var in event.defs():
+            for var in self._names[id(event)][0]:
                 blocks[var].add(bid)
         for var in self.params:
             blocks[var].add(self.cfg.entry)
@@ -181,13 +184,14 @@ class SSABuilder:
             self._stacks[phi.var].append(phi.result)
             pushed.append(phi.var)
         for event in self.cfg.blocks[block].events:
-            for node in self._uses[id(event)]:
+            defs, implicit, uses = self._names[id(event)]
+            for node in uses:
                 var = _use_name(node)
                 self.info.use_of[id(node)] = self._stacks[var][-1]
-            for var in event.implicit_uses():
+            for var in implicit:
                 self.info.implicit_use_of[(id(event), var)] = self._stacks[var][-1]
             defined: list[SSAValue] = []
-            for var in event.defs():
+            for var in defs:
                 value = self._fresh(var)
                 self._stacks[var].append(value)
                 pushed.append(var)

@@ -364,33 +364,11 @@ class Comm:
         if self._rec is not None:
             self._rec.charge(self.line, dt)
 
-    def compute(self, flops: int = 0, elems: int = 0, mem: int = 0) -> None:
-        """Charge local computation to this rank's clock."""
-        cpu = self.machine.cpu
-        scale = self._scale
-        # MachineModel.compute_time's terms, in its order
-        dt = (flops * cpu.flop_time + elems * cpu.elem_time * scale
-              + mem * cpu.mem_time * scale)
-        if self._rec is not None and dt > 0.0:
-            self._rec.compute(self.line, self.world.clocks[self.rank], dt)
-        self.advance(dt)
-
-    #: "charge each rank its own load" — what an op body written once
-    #: for both descriptors calls with ``mat.load``: this rank's ``int``
-    #: here, every rank's under :class:`~repro.mpi.fused.FusedComm`
-    compute_own = compute
-
     def own(self, loads: list) -> int:
-        """The load ``compute_own``/``charge`` bill, out of a list with
-        one entry per rank an op body holds — here one, this rank's
-        (the data-dependent loads a ``mat.load`` cannot name)."""
+        """The load :meth:`charge` bills, out of a list with one entry
+        per rank an op body holds — here one, this rank's (the
+        data-dependent loads a ``mat.load`` cannot name)."""
         return loads[0]
-
-    def overhead(self, calls: int = 1) -> None:
-        """Charge run-time-library call overhead."""
-        if self._rec is not None:
-            self._rec.calls(self.line, calls)
-        self.advance(calls * self.machine.cpu.call_overhead)
 
     def user_call(self) -> None:
         """Tally a call of a user (M-file) function on the calling line:
@@ -399,31 +377,40 @@ class Comm:
         if self._rec is not None:
             self._rec.calls(self.line, 1)
 
-    def charge(self, flops: int = 0, elems: int = 0, mem: int = 0) -> None:
-        """One run-time-library call and its local work: exactly
-        ``overhead()`` then ``compute_own(flops, elems, mem)`` — the
-        same two clock additions and trace hooks, in the same order —
-        in one frame."""
+    def charge(self, flops: int = 0, elems: int = 0, mem: int = 0,
+               calls: int = 1) -> None:
+        """Bill ``calls`` run-time-library call overheads, then the local
+        work of ``flops``/``elems``/``mem`` — this rank's counts, what
+        ``mat.load`` is on one rank's descriptor (``calls=0`` bills the
+        work alone).  Two clock additions, each with its trace hooks, in
+        that order: the call overhead, then
+        :meth:`MachineModel.compute_time
+        <repro.mpi.machine.MachineModel.compute_time>`'s terms in its
+        order.  A zero addition is skipped (it leaves a clock's bits as
+        they are), and so is zero work (its hooks add nothing)."""
         clocks = self.world.clocks
         rank = self.rank
         rec = self._rec
         line = self.line
         cpu = self.machine.cpu
-        dt = cpu.call_overhead
+        dt = calls * cpu.call_overhead
         if rec is not None:
-            rec.calls(line, 1)
+            rec.calls(line, calls)
         if dt < 0:
             raise MpiError("cannot advance the clock backwards")
-        clocks[rank] += dt
+        if dt:
+            clocks[rank] += dt
         if rec is not None:
             rec.charge(line, dt)
+        if not (flops or elems or mem):
+            return
         scale = self._scale
         dt = (flops * cpu.flop_time + elems * cpu.elem_time * scale
               + mem * cpu.mem_time * scale)
         if dt < 0:
             raise MpiError("cannot advance the clock backwards")
         if rec is not None and dt > 0.0:
-            rec.compute(line, clocks[rank], dt)
+            rec.event("compute", "compute", line, clocks[rank], dt)
         clocks[rank] += dt
         if rec is not None:
             rec.charge(line, dt)

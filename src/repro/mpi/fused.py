@@ -12,8 +12,9 @@ Communication ops never move data here — the fused runtime paths already
 computed every rank's result as an in-process permutation or reduction —
 but each op charges **exactly** what the lockstep backend would charge:
 
-* per-rank virtual clocks (``compute_ranks`` groups ranks by identical
-  work, so a P-rank charge costs O(distinct counts) model evaluations);
+* per-rank virtual clocks (``charge`` prices every rank's work with one
+  vectorized model evaluation, memoised per distinct operand, so a
+  P-rank charge costs a dict lookup once its counts have been seen);
 * ``messages_sent`` / ``bytes_sent`` for point-to-point patterns
   (``ring_exchange`` mirrors P simultaneous ``sendrecv`` calls);
 * ``collectives`` / ``collective_counts`` via the ``charge_*`` helpers,
@@ -38,7 +39,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -148,11 +149,10 @@ class FusedComm:
     """All P ranks' communicator, driven by one pass of the program.
 
     Exposes the subset of the :class:`~repro.mpi.comm.Comm` surface that
-    rank-agnostic runtime code needs (``size``, ``machine``, replicated
-    ``compute``/``overhead``/``advance``, ``charge``/``compute_own`` of
-    per-rank loads, and the replicated collectives
-    ``barrier``/``bcast``/``allreduce``/``allgather``), plus the fused
-    accounting helpers.  Everything rank-dependent raises
+    rank-agnostic runtime code needs (``size``, ``machine``, ``advance``,
+    ``charge`` of replicated or per-rank loads, and the replicated
+    collectives ``barrier``/``bcast``/``allreduce``/``allgather``), plus
+    the fused accounting helpers.  Everything rank-dependent raises
     :class:`FusionDivergence`.
     """
 
@@ -218,28 +218,6 @@ class FusedComm:
         if self._trace is not None:
             self._trace.batch_charge(self.line, dt)
 
-    def compute(self, flops: int = 0, elems: int = 0, mem: int = 0) -> None:
-        """Identical local computation on every rank."""
-        dt = self.machine.compute_time(
-            flops=flops, elems=elems, mem=mem, active_cpus=self.size)
-        if self._trace is not None and dt > 0.0:
-            self._trace.batch_compute(self.line, self.world.clocks, dt)
-        self.advance(dt)
-
-    def overhead(self, calls: int = 1) -> None:
-        # :meth:`advance` by ``calls`` call overheads, inline: every op
-        # charges one, so the frame it would cost is measurable
-        dt = calls * self.machine.cpu.call_overhead
-        if dt < 0:
-            raise FusionDivergence("cannot advance the clock backwards")
-        trace = self._trace
-        if trace is None:
-            self.world.clocks += dt
-            return
-        trace.batch_calls(self.line, calls)
-        self.world.clocks += dt
-        trace.batch_charge(self.line, dt)
-
     def user_call(self) -> None:
         """:meth:`Comm.user_call <repro.mpi.comm.Comm.user_call>` on
         every rank."""
@@ -257,73 +235,53 @@ class FusedComm:
             self._trace.recorders[0].io(self.line, self.world.clocks[0],
                                         nbytes)
 
-    def compute_ranks(self, flops: Optional[Sequence[int]] = None,
-                      elems: Optional[Sequence[int]] = None,
-                      mem: Optional[Sequence[int]] = None) -> None:
-        """Per-rank local computation (one sequence entry per rank).
-
-        One vectorized model evaluation charges all P clocks; each
-        element of :meth:`MachineModel.compute_time_vec` is bit-identical
-        to the scalar ``compute_time`` call the lockstep backend makes.
-        Hashable operands (the shared geometry tuples) evaluate the
-        model once per run; lists are data-dependent and never cached.
-        """
-        clocks = self.world.clocks
-        key = (flops, elems, mem)
-        try:
-            dts = self._compute_memo[key]
-        except KeyError:
-            dts = _remember(self._compute_memo, key,
-                            self._rank_costs(flops, elems, mem))
-        except TypeError:
-            dts = self._rank_costs(flops, elems, mem)
-        if self._trace is not None:
-            self._trace.batch_rank_compute(self.line, clocks, dts)
-        clocks += dts
-
-    #: :attr:`Comm.compute_own`'s counterpart: a fused ``mat.load`` is
-    #: the per-rank sequence
-    compute_own = compute_ranks
-
     def own(self, loads: list) -> list:
         """:meth:`Comm.own <repro.mpi.comm.Comm.own>`: every rank's
         load is the list itself."""
         return loads
 
-    def charge(self, flops: Optional[Sequence[int]] = None,
-               elems: Optional[Sequence[int]] = None,
-               mem: Optional[Sequence[int]] = None) -> None:
-        """:meth:`Comm.charge`: exactly ``overhead()`` then
-        ``compute_ranks(flops, elems, mem)`` — the same clock additions
-        and trace hooks, in the same order — in one frame."""
+    def charge(self, flops=0, elems=0, mem=0, calls: int = 1) -> None:
+        """:meth:`Comm.charge <repro.mpi.comm.Comm.charge>` on every
+        rank: ``calls`` call overheads, then the local work (zero ones
+        skipped, as there).  A count is one ``int`` every rank does, or
+        a per-rank list or tuple (a fused ``mat.load``) that charges
+        each rank its own entry; either is priced through the charge
+        memo, each rank's cost bit-identical to the scalar
+        ``compute_time`` the lockstep backend evaluates: a read-only
+        column, or one ``float`` when every count is an ``int``.
+        Hashable counts (ints, the shared geometry tuples) evaluate the
+        model once per run; lists are data-dependent and never
+        cached."""
         clocks = self.world.clocks
         trace = self._trace
         line = self.line
-        dt = self.machine.cpu.call_overhead
+        dt = calls * self.machine.cpu.call_overhead
         if dt < 0:
             raise FusionDivergence("cannot advance the clock backwards")
         if trace is not None:
-            trace.batch_calls(line, 1)
-        clocks += dt
+            trace.batch_calls(line, calls)
+        if dt:
+            clocks += dt
         if trace is not None:
             trace.batch_charge(line, dt)
+        if not (flops or elems or mem):
+            return
         key = (flops, elems, mem)
         try:
             dts = self._compute_memo[key]
-        except KeyError:
-            dts = _remember(self._compute_memo, key,
-                            self._rank_costs(flops, elems, mem))
-        except TypeError:
-            dts = self._rank_costs(flops, elems, mem)
+        except (KeyError, TypeError) as miss:
+            dts = self.machine.compute_time_vec(
+                flops=flops, elems=elems, mem=mem, active_cpus=self.size)
+            # (the ufunc's reduce: ``(dts < 0).any()`` is three calls more)
+            if np.minimum.reduce(dts, axis=None) < 0:
+                raise FusionDivergence("cannot advance the clock backwards")
+            if dts.__class__ is np.ndarray:
+                dts.setflags(write=False)
+            if miss.__class__ is KeyError:   # a list key is never cached
+                _remember(self._compute_memo, key, dts)
         if trace is not None:
             trace.batch_rank_compute(line, clocks, dts)
         clocks += dts
-
-    def _rank_costs(self, flops, elems, mem) -> np.ndarray:
-        dts = np.asarray(self.machine.compute_time_vec(
-            flops=flops, elems=elems, mem=mem, active_cpus=self.size))
-        dts.setflags(write=False)
-        return dts
 
     # -- collective accounting -------------------------------------------- #
 

@@ -158,22 +158,28 @@ class MachineModel:
 
     def compute_time(self, flops: int = 0, elems: int = 0, mem: int = 0,
                      active_cpus: int = 1) -> float:
+        """Seconds of local work on one rank: the scalar reference.
+        ``Comm.charge`` evaluates these terms inline, in this order, and
+        :meth:`compute_time_vec` (what ``FusedComm.charge`` prices
+        through) is pinned to it element for element by the tests."""
         scale = self.memory_scale(active_cpus)
         return (flops * self.cpu.flop_time
                 + elems * self.cpu.elem_time * scale
                 + mem * self.cpu.mem_time * scale)
 
-    def compute_time_vec(self, flops=None, elems=None, mem=None,
-                         active_cpus: int = 1) -> np.ndarray:
-        """Rank-indexed :meth:`compute_time`: each argument is a per-rank
-        count vector (or ``None`` for zero), the result is the per-rank
-        cost array.  Term order and association match the scalar formula
-        exactly, so each element is *bit-identical* to the scalar call —
-        the contract the vectorized fused accounting relies on."""
+    def compute_time_vec(self, flops=0, elems=0, mem=0,
+                         active_cpus: int = 1):
+        """Rank-indexed :meth:`compute_time`: each count is a per-rank
+        sequence, or one ``int`` every rank does (kept a Python number),
+        and the result the per-rank costs (one cost, when every count is
+        an ``int``).  Term order and association match the scalar
+        formula exactly, so each element is *bit-identical* to the
+        scalar call — the contract the vectorized fused accounting
+        relies on."""
         scale = self.memory_scale(active_cpus)
-        f = 0.0 if flops is None else np.asarray(flops, dtype=np.float64)
-        e = 0.0 if elems is None else np.asarray(elems, dtype=np.float64)
-        m = 0.0 if mem is None else np.asarray(mem, dtype=np.float64)
+        f = flops if type(flops) is int else np.asarray(flops, np.float64)
+        e = elems if type(elems) is int else np.asarray(elems, np.float64)
+        m = mem if type(mem) is int else np.asarray(mem, np.float64)
         return (f * self.cpu.flop_time
                 + e * self.cpu.elem_time * scale
                 + m * self.cpu.mem_time * scale)

@@ -236,17 +236,17 @@ class RuntimeContext:
         if isinstance(value, FusedDMatrix):
             # the full array is already in hand; charge exactly what the
             # lockstep allgather would (max per-rank block, symmetric)
-            self.comm.overhead()
+            self.comm.charge()
             self.comm.charge_allgather(
                 value.geom.max_count * value.held.itemsize)
             # callers may scribble on the result unless they promised
             # not to
             full = np.array(value.held) if copy else value.held
-            self.comm.compute(mem=value.numel)
+            self.comm.charge(mem=value.numel, calls=0)
             return full
-        self.comm.overhead()
+        self.comm.charge()
         full = value.assemble(self.comm.allgather(value.held))
-        self.comm.compute(mem=value.numel)
+        self.comm.charge(mem=value.numel, calls=0)
         return full
 
     def to_interp_value(self, value: RValue):
@@ -387,7 +387,7 @@ class RuntimeContext:
             return V.simplify(full)
         mat = self.descriptor.from_full(full, self.size, self.rank,
                                         self._creation_scheme())
-        self.comm.compute_own(mem=mat.load)
+        self.comm.charge(mem=mat.load, calls=0)
         return mat
 
     # ------------------------------------------------------------------ #
@@ -416,7 +416,7 @@ class RuntimeContext:
             held = mat.held
             payload = complex(held[at]) if held.dtype.kind == "c" \
                 else float(held[at])
-        self.comm.overhead()
+        self.comm.charge()
         return self.comm.bcast(payload, root=mat.owner_of(i, jj))
 
     def _bounds_check(self, mat: DMatrix, i: int, j: int | None) -> None:
@@ -517,7 +517,7 @@ class RuntimeContext:
                 return self.element(mat, i, j)
             return _remap.read(self, mat, subs)
         result = V.index_read(mat, list(subs))
-        self.comm.overhead()
+        self.comm.charge()
         return self.distribute_full(V.as_matrix(result)) \
             if V.numel(result) > 1 else result
 
@@ -534,7 +534,7 @@ class RuntimeContext:
                 else mat
         rhs_rep = self.to_interp_value(rhs) if isinstance(rhs, DMatrix) else rhs
         result = V.index_assign(base, list(subs), rhs_rep)
-        self.comm.overhead()
+        self.comm.charge()
         if V.numel(result) > 1:
             return self.distribute_full(V.as_matrix(result))
         return result
@@ -845,7 +845,7 @@ class RuntimeContext:
         # rank 0 reads the file and scatters row blocks; a store URL
         # charges exactly what the local-file path does, so the same
         # script traces bit-identically against hosted or sample data
-        self.comm.overhead()
+        self.comm.charge()
         self.comm.advance(self.comm.machine.collective_time(
             "scatter", full.nbytes // max(self.size, 1), self.size))
         return self.distribute_full(full)

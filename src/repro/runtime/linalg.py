@@ -106,7 +106,7 @@ def dot(rt, a: RValue, b: RValue) -> RValue:
         return _vector_dot(rt, a, b)
     full_a = _as_full(rt, a).reshape(-1)
     full_b = _as_full(rt, b).reshape(-1)
-    rt.comm.compute(flops=2 * full_a.size)
+    rt.comm.charge(flops=2 * full_a.size, calls=0)
     return V.simplify(np.dot(full_a, full_b))
 
 
@@ -123,7 +123,7 @@ def outer(rt, a: RValue, b: RValue) -> RValue:
         rt.comm.charge(flops=out.load, mem=out.load)
         return out
     full = np.outer(_as_full(rt, a).reshape(-1), b_full)
-    rt.comm.compute(flops=full.size, mem=full.size)
+    rt.comm.charge(flops=full.size, mem=full.size, calls=0)
     return rt.distribute_full(full)
 
 
@@ -137,7 +137,7 @@ def matvec(rt, a: RValue, x: RValue) -> RValue:
         rt.comm.charge(flops=a.load * 2)
         return y
     full = _as_full(rt, a) @ _as_full(rt, x)
-    rt.comm.compute(flops=2 * _as_full(rt, a).size)
+    rt.comm.charge(flops=2 * _as_full(rt, a).size, calls=0)
     return rt.distribute_full(full) if full.size > 1 else V.simplify(full)
 
 
@@ -154,7 +154,7 @@ def vecmat(rt, x: RValue, a: RValue) -> RValue:
         return rt.distribute_full(result) if result.size > 1 \
             else V.simplify(result)
     full = _as_full(rt, x) @ _as_full(rt, a)
-    rt.comm.compute(flops=2 * _as_full(rt, a).size)
+    rt.comm.charge(flops=2 * _as_full(rt, a).size, calls=0)
     return rt.distribute_full(full) if full.size > 1 else V.simplify(full)
 
 
@@ -167,8 +167,8 @@ def _matmat(rt, a: RValue, b: RValue) -> RValue:
         rt.comm.charge(flops=a.load * (2 * n))
         return out
     a_full = _as_full(rt, a)
-    rt.comm.compute(flops=2 * a_full.shape[0] * a_full.shape[1]
-                    * b_full.shape[1] // max(rt.size, 1))
+    rt.comm.charge(flops=2 * a_full.shape[0] * a_full.shape[1]
+                   * b_full.shape[1] // max(rt.size, 1), calls=0)
     return rt.distribute_full(a_full @ b_full)
 
 
@@ -182,7 +182,7 @@ def transpose(rt, a: RValue, conjugate: bool = True) -> RValue:
     if a.is_vector:
         # both orientations share the element-block layout: free relabel
         held = a.held
-        rt.comm.overhead()
+        rt.comm.charge()
         return a.like(held.conj() if conjugate and np.iscomplexobj(held)
                       else held.copy(), shape=(a.cols, a.rows))
     # the corner turn: element (i, j) of the result is (j, i) of ``a``,

@@ -97,7 +97,7 @@ def reduce_op(rt, name: str, value: RValue,
             return 0.0 if name == "sum" else 1.0 if name == "prod" \
                 else np.zeros((0, 0))
         fn = _REDUCERS[name][0]
-        rt.comm.compute(elems=arr.size)
+        rt.comm.charge(elems=arr.size, calls=0)
         if dim is not None:
             out = np.asarray(fn(arr, axis=dim - 1))
             out = out.reshape(1, -1) if dim == 1 else out.reshape(-1, 1)
@@ -116,7 +116,7 @@ def reduce_op(rt, name: str, value: RValue,
         # explicit dim on a vector: reduce only along that dim
         rows, cols = value.shape
         if (dim == 1 and rows == 1) or (dim == 2 and cols == 1):
-            rt.comm.overhead()
+            rt.comm.charge()
             return value  # reducing a singleton dimension is the identity
         return _replicated_scalar(
             _reduced(rt, value, local_fn, combine, identity))
@@ -155,7 +155,7 @@ def reduce2(rt, name: str, value: RValue) -> RValue:
     local_fn, combine, identity = _REDUCERS[name]
     row = np.asarray(_reduced(rt, value, local_fn, combine, identity))
     pieces = get_geometry(1, row.size, rt.size, rt.scheme).stacked(row)
-    rt.comm.compute(elems=row.size)
+    rt.comm.charge(elems=row.size, calls=0)
     return _replicated_scalar(fold_ranks(
         combine, _partials(pieces, local_fn, identity)))
 
@@ -173,9 +173,9 @@ def reduce_batch(rt, name: str, values: list) -> tuple:
                                             else name]
     parts = np.array([_partials(v.stacked(), local_fn, identity)
                       for v in values]).T       # (ranks, vectors)
-    rt.comm.overhead()
+    rt.comm.charge()
     for v in values:
-        rt.comm.compute_own(elems=v.load)
+        rt.comm.charge(elems=v.load, calls=0)
     totals = rt.comm.fold(parts, combine).tolist()
     if name == "mean":
         totals = [V.simplify(np.asarray(total) / v.numel)
@@ -249,8 +249,9 @@ def median(rt, value: RValue) -> RValue:
         return (lo + hi) / 2.0
     full = rt.gather_full(value) if isinstance(value, DMatrix) \
         else V.as_matrix(value)
-    rt.comm.compute(elems=full.size * max(int(np.log2(full.size))
-                                          if full.size > 1 else 1, 1))
+    rt.comm.charge(elems=full.size * max(int(np.log2(full.size))
+                                         if full.size > 1 else 1, 1),
+                   calls=0)
     if is_vec:
         return float(np.median(np.real(full)))
     out = np.median(np.real(full), axis=0).reshape(1, -1)
@@ -267,7 +268,7 @@ def find(rt, value: RValue) -> RValue:
     shape = rt.shape_of(value)
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
-        rt.comm.compute(elems=arr.size)
+        rt.comm.charge(elems=arr.size, calls=0)
         flat = arr.reshape(-1, order="F")
         idx = np.flatnonzero(flat != 0).astype(float) + 1.0
         if idx.size == 0:
@@ -385,7 +386,7 @@ def norm(rt, value: RValue, mode: RValue | None = None) -> float:
     full = rt.gather_full(value) if isinstance(value, DMatrix) \
         else V.as_matrix(value)
     n = min(full.shape)
-    rt.comm.compute(flops=8 * n ** 3)
+    rt.comm.charge(flops=8 * n ** 3, calls=0)
     return float(np.linalg.norm(full, 2))
 
 
@@ -416,7 +417,7 @@ def trapz(rt, x: RValue | None, y: RValue) -> RValue:
         xa = None if x is None else (
             rt.gather_full(x) if isinstance(x, DMatrix)
             else V.as_matrix(x)).reshape(-1)
-        rt.comm.compute(elems=full_y.size * 2)
+        rt.comm.charge(elems=full_y.size * 2, calls=0)
         out = np_trapz(full_y, xa, axis=0).reshape(1, -1)
         return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
     n = shape[0] * shape[1]
@@ -436,7 +437,7 @@ def trapz(rt, x: RValue | None, y: RValue) -> RValue:
         return rt.comm.fold(parts, mpi_ops.SUM)
     ya = V.as_matrix(y).reshape(-1)
     xa = None if x is None else V.as_matrix(x).reshape(-1)
-    rt.comm.compute(elems=ya.size * 2)
+    rt.comm.charge(elems=ya.size * 2, calls=0)
     return float(np_trapz(ya, xa))
 
 
@@ -460,7 +461,7 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
         rt.comm.charge(elems=z.load * 3)
         return float(rt.comm.fold(parts, mpi_ops.SUM) * dxv * dyv)
     full = V.as_matrix(z)
-    rt.comm.compute(elems=full.size * 3)
+    rt.comm.charge(elems=full.size * 3, calls=0)
     return float(wr @ (full.real @ wc) * dxv * dyv)
 
 
@@ -478,7 +479,7 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
     np_fn = ufunc.accumulate            # np.cumsum / np.cumprod, axis 0
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
-        rt.comm.compute(elems=arr.size)
+        rt.comm.charge(elems=arr.size, calls=0)
         axis = 1 if arr.shape[0] == 1 else 0
         return V.simplify(np_fn(arr, axis=axis))
     if value.is_vector:
@@ -509,5 +510,5 @@ def cumulative(rt, name: str, value: RValue) -> RValue:
     # matrix: per-column scans stay within row blocks only if P == 1;
     # gather-based general path
     full = rt.gather_full(value)
-    rt.comm.compute(elems=full.size)
+    rt.comm.charge(elems=full.size, calls=0)
     return rt.distribute_full(np_fn(full, axis=0))

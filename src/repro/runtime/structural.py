@@ -39,7 +39,7 @@ def reshape(rt, value: RValue, rows: RValue, cols: RValue) -> RValue:
         return remap(rt, value, linear % shape[0], linear // shape[0],
                      (r, c))
     full = V.as_matrix(value)
-    rt.comm.compute(mem=full.size)
+    rt.comm.charge(mem=full.size, calls=0)
     out = full.reshape((r, c), order="F")
     return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
 
@@ -55,7 +55,7 @@ def repmat(rt, value: RValue, m: RValue, n: RValue) -> RValue:
                      (mv * rows, nv * cols))
     full = V.as_matrix(value)
     out = np.tile(full, (mv, nv))
-    rt.comm.compute(mem=out.size // max(rt.size, 1))
+    rt.comm.charge(mem=out.size // max(rt.size, 1), calls=0)
     return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
 
 
@@ -190,7 +190,7 @@ def charge_shift(comm, load, plan) -> None:
         comm.charge(mem=load)
         comm.charge_alltoall(row[1])
     else:
-        comm.overhead()
+        comm.charge()
 
 
 def circshift(rt, value: RValue, shift: RValue) -> RValue:
@@ -203,7 +203,7 @@ def circshift(rt, value: RValue, shift: RValue) -> RValue:
     kr, kc = _shift_amounts(rt, shift)
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
-        rt.comm.compute(mem=arr.size)
+        rt.comm.charge(mem=arr.size, calls=0)
         if kc is not None:
             return V.simplify(np.roll(arr, (kr, kc), axis=(0, 1)))
         axis = 1 if arr.shape[0] == 1 else 0
@@ -236,10 +236,10 @@ def circshift(rt, value: RValue, shift: RValue) -> RValue:
                 held[amap.local_indices(dest)] = items
         return out
     if row is COPY:
-        comm.overhead()  # a whole turn still returns a fresh copy
+        comm.charge()  # a whole turn still returns a fresh copy
         return value.like(value.held.copy())
     full = rt.gather_full(value, copy=False)  # np.roll allocates fresh
-    comm.compute(mem=full.size)
+    comm.charge(mem=full.size, calls=0)
     return rt.distribute_full(np.roll(full, k, axis=1 if value.rows == 1
                                       else 0))
 
@@ -264,7 +264,7 @@ def flip(rt, value: RValue, axis: int) -> RValue:
     """fliplr (axis=1) / flipud (axis=0)."""
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
-        rt.comm.compute(mem=arr.size)
+        rt.comm.charge(mem=arr.size, calls=0)
         return V.simplify(np.flip(arr, axis=axis))
     if axis == 1 and not value.is_vector:
         # column flip is local for row-distributed matrices
@@ -283,7 +283,7 @@ def triangle(rt, value: RValue, k: RValue, lower: bool) -> RValue:
     kv = 0 if k is None else rt.int_scalar(k, "tril/triu")
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
-        rt.comm.compute(elems=arr.size)
+        rt.comm.charge(elems=arr.size, calls=0)
         return V.simplify(np.tril(arr, kv) if lower else np.triu(arr, kv))
     # local masking using the held items' global indices (a vector's
     # elements, a matrix's rows) — no communication
@@ -309,13 +309,13 @@ def diag(rt, value: RValue) -> RValue:
                   else V.as_matrix(value)).reshape(-1)
         n = full_v.size
         out = np.diag(full_v)
-        rt.comm.compute(mem=n)
+        rt.comm.charge(mem=n, calls=0)
         return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
     # matrix -> main diagonal column vector: local extraction + assembly
     full = rt.gather_full(value) if isinstance(value, DMatrix) \
         else V.as_matrix(value)
     out = np.diag(full).reshape(-1, 1)
-    rt.comm.compute(mem=out.size)
+    rt.comm.charge(mem=out.size, calls=0)
     return rt.distribute_full(out) if out.size > 1 else V.simplify(out)
 
 
@@ -328,13 +328,13 @@ def sort(rt, value: RValue) -> RValue:
     """Ascending sort; vectors use a parallel sample sort."""
     if not isinstance(value, DMatrix):
         arr = V.as_matrix(value)
-        rt.comm.compute(elems=_sort_cost(arr.size))
+        rt.comm.charge(elems=_sort_cost(arr.size), calls=0)
         axis = 1 if arr.shape[0] == 1 else 0
         return V.simplify(np.sort(arr, axis=axis))
     if value.is_vector and value.scheme == "block" and rt.size > 1:
         return _sample_sort(rt, value)
     full = rt.gather_full(value)
-    rt.comm.compute(elems=_sort_cost(full.size))
+    rt.comm.charge(elems=_sort_cost(full.size), calls=0)
     axis = 1 if value.rows == 1 else 0
     return rt.distribute_full(np.sort(full, axis=axis))
 
@@ -368,7 +368,8 @@ def _sample_sort(rt, vec: DMatrix) -> DMatrix:
         outgoing.append([block[bucket_ids == b] for b in range(p)])
     merged = [np.sort(np.concatenate(incoming))
               for incoming in comm.route(outgoing)]
-    comm.compute_own(elems=comm.own([_sort_cost(m.size) for m in merged]))
+    comm.charge(elems=comm.own([_sort_cost(m.size) for m in merged]),
+                calls=0)
     # rebalance to the canonical block distribution
     counts = comm.collect([int(m.size) for m in merged])
     offsets = np.cumsum([0] + counts)

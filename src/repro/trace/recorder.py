@@ -100,17 +100,13 @@ class RankRecorder:
     # asserted in tests/trace/test_trace_layer.py).
 
     def charge(self, line: int, dt: float) -> None:
-        """Virtual seconds charged by ``advance`` (compute/overhead)."""
+        """Virtual seconds added to the clock (a call overhead, local
+        work, or a raw ``advance``)."""
         self._row(line)[_VTIME] += dt
 
     def calls(self, line: int, n: int) -> None:
-        """Run-time-library call tally (``overhead``)."""
+        """Run-time-library call tally (``Comm.charge``'s ``calls``)."""
         self._row(line)[_CALLS] += n
-
-    def compute(self, line: int, t0: float, dt: float) -> None:
-        """A local-computation span (time itself is charged by the
-        ``advance`` that follows — this only records the event)."""
-        self.event("compute", "compute", line, t0, dt)
 
     def send(self, line: int, t0: float, dur: float, dest: int,
              tag: int, nbytes: int) -> None:
@@ -203,16 +199,11 @@ class WorldTrace:
         for rec in self.recorders:
             rec._row(line)[_CALLS] += n
 
-    def batch_compute(self, line: int, t0s, dt: float) -> None:
-        """A compute event on every rank: per-rank starts, uniform
-        duration (the matching charge arrives via batch_charge)."""
-        dt = float(dt)
-        for rec, t0 in zip(self.recorders, t0s.tolist()):
-            rec.event("compute", "compute", line, t0, dt)
-
     def batch_rank_compute(self, line: int, t0s, dts) -> None:
-        """Per-rank compute: event iff that rank's dt > 0, charge
-        always (mirrors the fused scalar compute_ranks loop)."""
+        """The work half of a fused ``charge``: a compute event iff that
+        rank's dt > 0, the charge always — what ``Comm.charge`` records
+        on one rank.  ``dts`` is a per-rank column or one uniform cost
+        (broadcast)."""
         for rec, t0, dt in zip(self.recorders,
                                np.asarray(t0s).tolist(),
                                np.broadcast_to(dts,

@@ -75,7 +75,7 @@ def _make_program(ops):
         for op in ops:
             kind = op[0]
             if kind == "compute":
-                comm.compute(flops=op[1] * (comm.rank + 1))
+                comm.charge(flops=op[1] * (comm.rank + 1), calls=0)
             elif kind == "ring":
                 acc = float(comm.sendrecv(acc, dest=right, sendtag=op[1],
                                           source=left, recvtag=op[1]))
@@ -537,7 +537,7 @@ def test_backends_identical_on_mixed_fixed_program():
             local = np.asarray(
                 comm.sendrecv(local, dest=right, source=left,
                               sendtag=step, recvtag=step))
-            comm.compute(flops=50 * (comm.rank + 1), mem=local.size)
+            comm.charge(flops=50 * (comm.rank + 1), mem=local.size, calls=0)
             total = comm.allreduce(float(local.sum()))
             local = local + comm.bcast(total, root=step % comm.size)
             comm.send(float(local[0]), dest=right, tag=100 + step)

@@ -1,20 +1,33 @@
-"""``comm.charge`` is ``overhead()`` then ``compute_own(...)``, and the
-fused communicator's memoised machine costs are the model's.
+"""``comm.charge`` is the one call that bills a clock, on both
+communicators, and it bills exactly what the calls it replaced did.
 
-``charge(flops, elems, mem)`` is the one frame a run-time-library call
-pays for its accounting on both communicators.  These properties pin it
-to the pair it replaced — hex-identical clocks, identical per-line
-trace rows and identical canonical events, with tracing on and off —
-and pin every :class:`FusedComm` ``charge_*`` to a fresh
+``charge(flops, elems, mem, calls=1)`` adds ``calls`` run-time-library
+call overheads, then the local work: one rank's ``int`` counts under
+lockstep; under :class:`FusedComm` an ``int`` every rank does, or a
+per-rank sequence (``mat.load``) that charges each rank its own entry.
+The same bills used to be spelled ``overhead(calls)``, ``compute(...)``,
+``compute_own(...)``, the fused ``compute_ranks(...)``, and
+``overhead()`` followed by ``compute(...)`` or ``compute_own(...)``.
+``charge_pins.json`` holds what those spellings produced for each bill
+of :data:`BILLS` — every rank's clock as ``float.hex``, and a digest of
+every recorder's per-line rows and canonical events — at P in {1, 3, 16}
+on a flat and a hierarchical machine.  Both communicators must
+reproduce every pin through ``charge``, with tracing on and off, the
+fused one with its counts interned (``RankLoads``, memoised) and as
+plain lists (never memoised).
+
+The file also pins every :class:`FusedComm` ``charge_*`` to a fresh
 ``collective_time`` evaluation, however often its price was memoised.
 """
 
+import hashlib
+import json
+from collections import namedtuple
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import FusionDivergence
 from repro.mpi import MEIKO_CS2, SPARC20_CLUSTER, MpiError
@@ -26,17 +39,66 @@ from repro.trace import WorldTrace, canonical_events
 #: a flat machine, and a hierarchical one whose bus contention makes the
 #: memory scale differ from 1 past one CPU
 MACHINES = (MEIKO_CS2, SPARC20_CLUSTER)
+NPROCS = (1, 3, 16)
 
-_count = st.integers(min_value=0, max_value=5000) | st.just(0)
+#: each rank's element count of a ``rows`` x ``cols`` matrix in the
+#: ``scheme`` distribution, times ``k`` — what ``mat.load * k`` is: a
+#: ``RankLoads`` on the fused communicator, one rank's ``int`` under
+#: lockstep
+Spread = namedtuple("Spread", "rows cols scheme k")
+
+_A = Spread(40, 3, "block", 1)
+_B = Spread(17, 1, "cyclic", 2)
+_EMPTY = Spread(0, 1, "block", 1)
+
+#: bill -> steps ``(line, calls, flops, elems, mem)``.  A bill is named
+#: by the spelling it had before ``charge``; the repeated steps meet the
+#: fused charge memo the first ones filled.
+BILLS = {
+    # overhead(calls)
+    "overhead": [(1, 1, 0, 0, 0), (2, 3, 0, 0, 0), (1, 1, 0, 0, 0)],
+    # compute(flops, elems, mem): the same ints on every rank
+    "compute": [(1, 0, 500, 32, 0), (2, 0, 0, 0, 0), (2, 0, 0, 7, 11),
+                (3, 0, 3, 0, 4096), (1, 0, 500, 32, 0)],
+    # compute_own(...): each rank its own load (fused compute_ranks)
+    "compute_own": [(1, 0, 0, _A, _A), (2, 0, _B, 0, 0),
+                    (2, 0, 0, _EMPTY, 0), (3, 0, 0, _A, _A)],
+    # overhead() then compute(...)
+    "overhead_compute": [(1, 1, 500, 32, 0), (2, 1, 0, 0, 0),
+                         (1, 1, 0, 7, 11), (1, 1, 500, 32, 0)],
+    # overhead() then compute_own(...)
+    "overhead_compute_own": [(1, 1, 0, _A, _A), (2, 1, _B, 0, 0),
+                             (2, 1, 0, _EMPTY, 0), (1, 1, 0, _A, _A)],
+}
+
+PINS = json.loads((Path(__file__).with_name("charge_pins.json"))
+                  .read_text(encoding="utf-8"))
 
 
-def _observed(clocks, trace):
-    """Clocks as hex, and the trace's per-line rows and events."""
-    observed = [c.hex() for c in np.asarray(clocks, dtype=float).tolist()]
+def pin_key(bill, nprocs, machine):
+    return f"{bill}/P{nprocs}/{machine.name}"
+
+
+def rank_loads(count, nprocs):
+    """Every rank's value of one count of a step."""
+    if isinstance(count, Spread):
+        return get_geometry(count.rows, count.cols, nprocs,
+                            count.scheme).counts * count.k
+    return count
+
+
+def observed(clocks, trace):
+    """Every rank's clock as hex, and a digest of the trace's per-line
+    rows (floats as hex) and canonical events (``None`` untraced)."""
+    hexes = [c.hex() for c in np.asarray(clocks, dtype=float).tolist()]
     if trace is None:
-        return observed, None, None
-    rows = [sorted(rec.lines.items()) for rec in trace.recorders]
-    return observed, rows, canonical_events(trace)
+        return hexes, None
+    rows = [[(line, [float(v).hex() if isinstance(v, float) else v
+                     for v in row])
+             for line, row in sorted(rec.lines.items())]
+            for rec in trace.recorders]
+    text = repr(rows) + "\n" + canonical_events(trace)
+    return hexes, hashlib.sha256(text.encode()).hexdigest()
 
 
 def _outcome(call):
@@ -48,111 +110,133 @@ def _outcome(call):
     return None
 
 
-# -------------------------------------------------------------------------- #
-# lockstep: one rank's int counts
-# -------------------------------------------------------------------------- #
-
-
 def _lockstep(nprocs, machine, traced):
     trace = WorldTrace(nprocs) if traced else None
     world = World(nprocs, machine, trace=trace)
     return world, trace, [Comm(world, rank) for rank in range(nprocs)]
 
 
-@settings(max_examples=40, deadline=None)
-@given(nprocs=st.sampled_from([1, 2, 3, 16]),
-       machine=st.sampled_from(MACHINES),
-       traced=st.booleans(),
-       steps=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 4),
-                                _count, _count, _count),
-                      min_size=1, max_size=10))
-def test_a_lockstep_charge_is_the_pair(nprocs, machine, traced, steps):
-    pair_world, pair_trace, pair = _lockstep(nprocs, machine, traced)
-    one_world, one_trace, one = _lockstep(nprocs, machine, traced)
-    for rank, line, flops, elems, mem in steps:
-        a, b = pair[rank % nprocs], one[rank % nprocs]
-        a.line = b.line = line
-        a.overhead()
-        a.compute_own(flops, elems, mem)
-        b.charge(flops, elems, mem)
-    assert _observed(one_world.clocks, one_trace) == \
-        _observed(pair_world.clocks, pair_trace)
+def lockstep_bill(nprocs, machine, traced, steps, bill_one):
+    """Run ``steps`` on every rank of a lockstep world, one rank's counts
+    each, through ``bill_one(comm, calls, flops, elems, mem)``."""
+    world, trace, comms = _lockstep(nprocs, machine, traced)
+    for line, calls, *counts in steps:
+        loads = [rank_loads(count, nprocs) for count in counts]
+        for comm in comms:
+            comm.line = line
+            bill_one(comm, calls, *(load[comm.rank]
+                                    if isinstance(load, tuple) else load
+                                    for load in loads))
+    return observed(world.clocks, trace)
+
+
+def fused_bill(nprocs, machine, traced, steps, bill_all, as_list=False):
+    """Run ``steps`` on a fused communicator through
+    ``bill_all(comm, calls, flops, elems, mem)``, every rank's counts at
+    once (``as_list``: as plain lists, past the memo)."""
+    trace = WorldTrace(nprocs) if traced else None
+    comm = FusedComm(nprocs, machine, trace=trace)
+    for line, calls, *counts in steps:
+        loads = [rank_loads(count, nprocs) for count in counts]
+        if as_list:
+            loads = [list(load) if isinstance(load, tuple) else load
+                     for load in loads]
+        comm.line = line
+        bill_all(comm, calls, *loads)
+    return observed(comm.clocks, trace)
+
+
+def _charge(comm, calls, flops, elems, mem):
+    comm.charge(flops, elems, mem, calls=calls)
+
+
+def _cases():
+    for bill, steps in BILLS.items():
+        for nprocs in NPROCS:
+            for machine in MACHINES:
+                yield pin_key(bill, nprocs, machine), steps, nprocs, machine
+
+
+def _assert_pinned(key, traced, got):
+    clocks, digest = got
+    assert clocks == PINS[key]["clocks"], key
+    if traced:
+        assert digest == PINS[key]["trace"], key
+
+
+# -------------------------------------------------------------------------- #
+# the bills, pinned
+# -------------------------------------------------------------------------- #
+
+
+def test_a_lockstep_charge_is_the_pair():
+    """Every bill, one rank's counts on each rank, matches its pin."""
+    for key, steps, nprocs, machine in _cases():
+        for traced in (False, True):
+            _assert_pinned(key, traced, lockstep_bill(
+                nprocs, machine, traced, steps, _charge))
+
+
+def test_a_fused_charge_is_the_pair():
+    """Every bill, every rank's counts at once — interned and as lists —
+    matches its pin: the lockstep numbers, bit for bit."""
+    for key, steps, nprocs, machine in _cases():
+        for traced in (False, True):
+            for as_list in (False, True):
+                _assert_pinned(key, traced, fused_bill(
+                    nprocs, machine, traced, steps, _charge, as_list))
+
+
+def test_every_bill_has_a_pin():
+    assert sorted(PINS) == sorted(
+        [key for key, *_ in _cases()]
+        + [negative_key(counts) for counts, _ in LOCKSTEP_NEGATIVES])
+    assert all(PINS[key]["trace"] for key in PINS)
+
+
+# -------------------------------------------------------------------------- #
+# negative counts
+# -------------------------------------------------------------------------- #
+
+#: counts one lockstep rank is charged, and what the pair raised for
+#: them (its pin: the call overhead billed, the work refused — or
+#: billed, where the negative term is outweighed)
+LOCKSTEP_NEGATIVES = [
+    (dict(flops=-1), MpiError), (dict(flops=2, elems=-7), MpiError),
+    # a negative term the others outweigh: no backwards step
+    (dict(elems=3, mem=-2), None)]
+
+
+def negative_key(counts):
+    return "negative/" + ",".join(f"{name}={value}" for name, value
+                                  in sorted(counts.items()))
 
 
 @pytest.mark.parametrize("traced", [False, True])
-@pytest.mark.parametrize("counts, fails", [
-    (dict(flops=-1), MpiError), (dict(flops=2, elems=-7), MpiError),
-    # a negative term the others outweigh: no backwards step
-    (dict(elems=3, mem=-2), None)])
+@pytest.mark.parametrize("counts, fails", LOCKSTEP_NEGATIVES)
 def test_a_negative_lockstep_count_fails_as_the_pair_does(traced, counts,
                                                           fails):
-    pair_world, pair_trace, pair = _lockstep(2, MEIKO_CS2, traced)
-    one_world, one_trace, one = _lockstep(2, MEIKO_CS2, traced)
-    want = _outcome(lambda: (pair[1].overhead(),
-                             pair[1].compute_own(**counts)))
-    assert want is fails
-    assert _outcome(lambda: one[1].charge(**counts)) is want
-    assert _observed(one_world.clocks, one_trace) == \
-        _observed(pair_world.clocks, pair_trace)
-
-
-# -------------------------------------------------------------------------- #
-# fused: every rank's counts at once
-# -------------------------------------------------------------------------- #
-
-
-def _loads(nprocs):
-    """A per-rank count operand: ``None``, an interned geometry table
-    (``RankLoads``, as ``mat.load * k`` hands it over), or a plain list
-    (unhashable: past the memo)."""
-    interned = st.builds(
-        lambda rows, cols, scheme, k:
-        get_geometry(rows, cols, nprocs, scheme).counts * k,
-        st.integers(0, 40), st.integers(1, 5),
-        st.sampled_from(["block", "cyclic"]), st.integers(1, 4))
-    plain = st.lists(_count, min_size=nprocs, max_size=nprocs)
-    return st.none() | interned | plain
-
-
-@st.composite
-def fused_steps(draw):
-    nprocs = draw(st.sampled_from([1, 2, 3, 16]))
-    step = st.tuples(st.integers(1, 4), _loads(nprocs), _loads(nprocs),
-                     _loads(nprocs))
-    return nprocs, draw(st.lists(step, min_size=1, max_size=10))
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=fused_steps(), machine=st.sampled_from(MACHINES),
-       traced=st.booleans())
-def test_a_fused_charge_is_the_pair(case, machine, traced):
-    nprocs, steps = case
-    pair_trace = WorldTrace(nprocs) if traced else None
-    one_trace = WorldTrace(nprocs) if traced else None
-    pair = FusedComm(nprocs, machine, trace=pair_trace)
-    one = FusedComm(nprocs, machine, trace=one_trace)
-    # twice over, so the second pass meets the memo the first one filled
-    for line, flops, elems, mem in steps + steps:
-        pair.line = one.line = line
-        pair.overhead()
-        pair.compute_own(flops, elems, mem)
-        one.charge(flops, elems, mem)
-    assert _observed(one.clocks, one_trace) == \
-        _observed(pair.clocks, pair_trace)
+    """Rank 1 of two is charged ``counts`` on MEIKO_CS2."""
+    world, trace, comms = _lockstep(2, MEIKO_CS2, traced)
+    assert _outcome(lambda: comms[1].charge(**counts)) is fails
+    _assert_pinned(negative_key(counts), traced,
+                   observed(world.clocks, trace))
 
 
 @pytest.mark.parametrize("traced", [False, True])
 @pytest.mark.parametrize("counts", [
-    dict(flops=(3, -1)), dict(elems=[5, -4], mem=(1, 1))])
+    dict(flops=(3, -1)), dict(elems=[5, -4], mem=(1, 1)),
+    dict(flops=-1), dict(flops=2, elems=-7)])
 def test_a_negative_fused_count_fails_as_the_pair_does(traced, counts):
-    pair_trace = WorldTrace(2) if traced else None
-    one_trace = WorldTrace(2) if traced else None
-    pair = FusedComm(2, MEIKO_CS2, trace=pair_trace)
-    one = FusedComm(2, MEIKO_CS2, trace=one_trace)
-    want = _outcome(lambda: (pair.overhead(), pair.compute_own(**counts)))
-    assert _outcome(lambda: one.charge(**counts)) is want
-    assert _observed(one.clocks, one_trace) == \
-        _observed(pair.clocks, pair_trace)
+    """A negative cost raises after the call overhead is billed, as the
+    pair raised for a negative ``int`` (``compute``).  The pair let a
+    negative per-rank entry (``compute_ranks``) step that rank's clock
+    back; ``charge`` refuses it as well."""
+    trace = WorldTrace(2) if traced else None
+    comm = FusedComm(2, MEIKO_CS2, trace=trace)
+    assert _outcome(lambda: comm.charge(**counts)) is FusionDivergence
+    assert observed(comm.clocks, trace) == fused_bill(
+        2, MEIKO_CS2, traced, [(0, 1, 0, 0, 0)], _charge)
 
 
 # -------------------------------------------------------------------------- #
@@ -188,7 +272,7 @@ def _fresh_price(machine, name, nbytes, nprocs):
     return machine.collective_time(name, nbytes, nprocs)
 
 
-def _charge(comm, name, nbytes):
+def _charge_collective(comm, name, nbytes):
     if name == "barrier":
         comm.charge_barrier()
     else:
@@ -205,9 +289,9 @@ def test_every_memoised_collective_price_is_the_models(machine, nprocs):
         for name in ("barrier", "bcast", "reduce", "allgather",
                      "alltoall", "scan"):
             for nbytes in (0, 8, 24, 4096):
-                comm.compute_ranks(elems=skew)   # ranks arrive apart
+                comm.charge(elems=skew, calls=0)   # ranks arrive apart
                 pre = comm.clocks.copy()
-                _charge(comm, name, nbytes)
+                _charge_collective(comm, name, nbytes)
                 cost = _fresh_price(machine, name, nbytes, nprocs)
                 want = pre if cost is None \
                     else np.full(nprocs, float(np.max(pre)) + cost)

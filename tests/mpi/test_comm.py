@@ -48,7 +48,7 @@ class TestPointToPoint:
     def test_recv_advances_clock_past_arrival(self):
         def prog(comm):
             if comm.rank == 0:
-                comm.compute(flops=10_000_000)  # sender is busy first
+                comm.charge(flops=10_000_000, calls=0)  # sender is busy first
                 comm.send("late", dest=1)
                 return comm.time
             comm.recv(source=0)
@@ -155,7 +155,7 @@ class TestCollectives:
     def test_barrier_synchronizes_clocks(self):
         def prog(comm):
             if comm.rank == 0:
-                comm.compute(flops=50_000_000)
+                comm.charge(flops=50_000_000, calls=0)
             comm.barrier()
             return comm.time
 
@@ -175,7 +175,7 @@ class TestCollectives:
 
 class TestVirtualTime:
     def test_compute_advances_clock(self):
-        res = spmd(1, lambda c: c.compute(flops=65_000_000) or c.time)
+        res = spmd(1, lambda c: c.charge(flops=65_000_000, calls=0) or c.time)
         assert abs(res.times[0] - 1.0) < 0.05  # ~65 Mflop/s model
 
     def test_communication_costs_scale_with_size(self):

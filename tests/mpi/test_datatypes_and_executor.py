@@ -61,7 +61,7 @@ class TestExecutor:
 
     def test_elapsed_is_slowest_rank(self):
         def fn(comm):
-            comm.compute(flops=int(1e6) * (comm.rank + 1))
+            comm.charge(flops=int(1e6) * (comm.rank + 1), calls=0)
 
         res = run_spmd(3, MEIKO_CS2, fn)
         assert res.elapsed == max(res.times)

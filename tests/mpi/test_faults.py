@@ -272,7 +272,7 @@ class TestDelayFaults:
         ones."""
         def steps(comm):
             for _ in range(8):
-                comm.compute(flops=10**6)
+                comm.charge(flops=10**6, calls=0)
                 comm.ring_step(np.arange(4.0), True)
 
         def clocks(plan=None):

@@ -82,7 +82,8 @@ class ScalarReference:
             flops=flops, elems=elems, mem=mem, active_cpus=self.size)
         if self._recs is not None and dt > 0.0:
             for r, rec in enumerate(self._recs):
-                rec.compute(self.line, self.clocks[r], dt)
+                rec.event("compute", "compute", self.line, self.clocks[r],
+                          dt)
         self.advance(dt)
 
     def overhead(self, calls=1):
@@ -100,9 +101,20 @@ class ScalarReference:
                 active_cpus=self.size)
             if self._recs is not None:
                 if dt > 0.0:
-                    self._recs[r].compute(self.line, self.clocks[r], dt)
+                    self._recs[r].event("compute", "compute", self.line,
+                                        self.clocks[r], dt)
                 self._recs[r].charge(self.line, dt)
             self.clocks[r] += dt
+
+    def charge(self, flops=0, elems=0, mem=0, calls=1):
+        """What ``FusedComm.charge`` bills, in the loops above: the call
+        overheads, then replicated work (``int`` counts) or per-rank
+        work (lists)."""
+        self.overhead(calls)
+        if isinstance(elems, list):
+            self.compute_ranks(elems=elems, mem=mem)
+        else:
+            self.compute(flops, elems, mem)
 
     def _sync_cost(self, op, cost, nbytes=0):
         pre = list(self.clocks)
@@ -219,12 +231,12 @@ def _apply(comm, step, line):
     if kind == "advance":
         comm.advance(step[1])
     elif kind == "compute":
-        comm.compute(flops=step[1], elems=step[2], mem=step[3])
+        comm.charge(flops=step[1], elems=step[2], mem=step[3], calls=0)
     elif kind == "overhead":
-        comm.overhead(step[1])
+        comm.charge(calls=step[1])
     elif kind == "compute_ranks":
-        comm.compute_ranks(elems=step[1][:comm.size],
-                           mem=step[2][:comm.size])
+        comm.charge(elems=step[1][:comm.size], mem=step[2][:comm.size],
+                    calls=0)
     elif kind == "barrier":
         comm.charge_barrier()
     elif kind == "bcast":
@@ -509,20 +521,20 @@ def test_large_shift_alltoall_sizing_matches_lockstep(nprocs):
 def test_memoized_cost_vectors_are_read_only_and_never_alias_clocks():
     comm = FusedComm(4, MEIKO_CS2)
     counts = (5, 5, 4, 4)
-    comm.compute_ranks(elems=counts, mem=counts)
+    comm.charge(elems=counts, mem=counts, calls=0)
     (dts,) = comm._compute_memo.values()
     with pytest.raises(ValueError):
         dts[0] = 1.0
     want = MEIKO_CS2.compute_time_vec(elems=counts, mem=counts,
                                       active_cpus=4)
     assert dts.tolist() == want.tolist()
-    comm.compute_ranks(elems=counts, mem=counts)        # the memo hit
+    comm.charge(elems=counts, mem=counts, calls=0)      # the memo hit
     assert len(comm._compute_memo) == 1
     assert not np.shares_memory(comm.world.clocks, dts)
     assert dts.tolist() == want.tolist()                # += left it alone
     assert comm.world.clocks.tolist() == (want + want).tolist()
     # list operands are data-dependent: charged, never cached
-    comm.compute_ranks(elems=list(counts))
+    comm.charge(elems=list(counts), calls=0)
     assert len(comm._compute_memo) == 1
 
     comm.ring_exchange(64, forward=True)

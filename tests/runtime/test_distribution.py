@@ -263,6 +263,9 @@ def test_descriptors_answer_held_load_like(shape, nprocs, scheme):
     assert other.held.shape == column and other.scheme == scheme
     with pytest.raises(DistributionError):
         fused.like(np.zeros((shape[0] + 1, shape[1])))
-    # one comm name charges "each rank its own load", with no frame added
-    assert Comm.compute_own is Comm.compute
-    assert FusedComm.compute_own is FusedComm.compute_ranks
+    # one comm name charges "each rank its own load": ``charge``, the
+    # only billing method either communicator has
+    for comm in (Comm, FusedComm):
+        assert callable(comm.charge)
+        for gone in ("compute", "compute_own", "compute_ranks", "overhead"):
+            assert not hasattr(comm, gone), (comm, gone)

@@ -748,8 +748,8 @@ def test_a_benchmark_stencil_makes_a_few_native_calls(name, most, batched):
 def test_a_loop_group_records_one_charge_per_member(monkeypatch):
     """What ``image_filter``'s batch replays per iteration: one
     ``charge`` for each of its 14 members and its two halo taps' ring
-    exchanges — no ``overhead`` / ``compute_ranks`` pairs, so the
-    replay is 16 calls an iteration."""
+    exchanges — a call's overhead and its work are one ``charge``, so
+    the replay is 16 calls an iteration."""
     from repro.runtime.context import LoopGroup
     from tests.corpus import shipped_programs
 

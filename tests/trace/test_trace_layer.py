@@ -20,8 +20,8 @@ BACKENDS = ("lockstep", "fused")
 def _mixed_program(comm):
     """Touches every traced op kind that is fusion-compatible."""
     comm.line = 2
-    comm.compute(flops=500, elems=32)
-    comm.overhead(3)
+    comm.charge(flops=500, elems=32, calls=0)
+    comm.charge(calls=3)
     comm.line = 3
     acc = comm.allreduce(1.5)
     comm.line = 4
@@ -38,7 +38,7 @@ def _rank_dependent_program(comm):
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
     comm.line = 2
-    comm.compute(flops=100 * (comm.rank + 1))
+    comm.charge(flops=100 * (comm.rank + 1), calls=0)
     comm.line = 3
     got = comm.sendrecv(np.full(3, float(comm.rank)), dest=right,
                         source=left)

@@ -50,7 +50,7 @@ def _make_program(ops):
             comm.line = line      # what the emitted markers do
             kind = op[0]
             if kind == "compute":
-                comm.compute(flops=op[1] * (comm.rank + 1))
+                comm.charge(flops=op[1] * (comm.rank + 1), calls=0)
             elif kind == "ring":
                 acc = float(comm.sendrecv(np.full(3, acc), dest=right,
                                           sendtag=op[1], source=left,
