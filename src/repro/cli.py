@@ -358,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="SPMD execution backend (default: fused, or "
                          "$REPRO_SPMD_BACKEND): 'fused' executes all "
                          "ranks in one pass and re-runs a rank-dependent "
-                         "program or a chaos plan under 'lockstep', the "
-                         "one-thread-per-rank oracle (~10x the host time "
-                         "at 16 ranks)")
+                         "program under 'lockstep', the one-thread-per-"
+                         "rank oracle (~10x the host time at 16 ranks); "
+                         "any --fault-plan runs on 'lockstep'")
     pr.add_argument("--no-peephole", action="store_true")
     pr.add_argument("--fault-plan", metavar="SPEC",
                     help="deterministic chaos plan: an inline spec "

@@ -25,9 +25,14 @@ keyword, its environment variable and its default):
     is bit-identical to ``lockstep``.  If the program turns out to be
     rank-dependent (it reads ``comm.rank``, or hits an op with no fused
     path), the run raises :class:`~repro.errors.FusionDivergence` and
-    ``run_spmd`` transparently re-runs it under ``lockstep`` (the next
-    turn of the same attempt loop, on what is left of the same watchdog
-    budget) — fusion is an optimization, never a semantics change.
+    ``run_spmd`` transparently re-runs it under ``lockstep`` (on what is
+    left of the same watchdog budget) — fusion is an optimization, never
+    a semantics change.
+
+A run with a fault plan (fault rules, a timeout, or both) is a
+``lockstep`` run whatever backend was asked for, chosen before any rank
+starts: injected faults, their healing and the virtual-clock timeout
+act on per-rank waits and wait graphs, which only lockstep has.
 
 Self-healing (the ``on_fault`` knob; see
 :mod:`repro.mpi.recovery` and docs/RESILIENCE.md): with a non-abort
@@ -37,8 +42,8 @@ layer, and — under ``restart``/``degrade`` — replays terminal faults
 up to ``max_restarts`` times, with ``degrade`` returning a partial
 result carrying a :class:`~repro.mpi.recovery.RecoveryReport` instead
 of raising when the budget runs out.  One host-watchdog budget covers
-the *whole* call: the fused attempt, any lockstep fallback, and every
-restart attempt draw down the same allowance.
+the *whole* call: the fused attempt and its lockstep re-run, or every
+restart attempt, draw down the same allowance.
 """
 
 from __future__ import annotations
@@ -73,8 +78,9 @@ class SpmdResult:
     machine: MachineModel
     nprocs: int
     #: the backend that produced this result: ``lockstep`` under the
-    #: default configuration means the fused pass diverged (a
-    #: rank-dependent program, a chaos plan) and the run was redone
+    #: default configuration means the run had a fault plan (it never
+    #: starts fused) or the fused pass diverged on a rank-dependent
+    #: program and the run was redone
     backend: str
     messages_sent: int = 0
     bytes_sent: int = 0
@@ -107,11 +113,12 @@ def _watchdog(world: World, scheduler: Optional[LockstepScheduler],
               budget: Optional[float], total: Optional[float]):
     """Host-wall-clock watchdog around one execution attempt (a no-op
     when ``budget`` is ``None``).  The timer fires after ``budget`` (the
-    *remaining* allowance — one budget spans fused attempt, fallback,
-    and restarts) but the diagnostic names ``total``, the allowance the
-    caller configured.  It aborts the *world*: parked ranks unwind
-    through the normal abort path, and the fused backend (no scheduler,
-    nobody parked) checks the abort flag at every collective charge."""
+    *remaining* allowance — one budget spans the whole call: a fused
+    attempt and its re-run, or every restart) but the diagnostic names
+    ``total``, the allowance the caller configured.  It aborts the
+    *world*: parked ranks unwind through the normal abort path, and the
+    fused backend (no scheduler, nobody parked) checks the abort flag at
+    every collective charge."""
     if budget is None:
         yield
         return
@@ -188,15 +195,13 @@ def _unconsumed(world: World) -> Optional[MpiError]:
 
 
 def _run_fused(nprocs: int, machine: MachineModel, fn: Callable,
-               args: tuple, kwargs: dict, plan: Optional[FaultPlan],
-               recovery: Optional[ActiveRecovery], world_trace,
+               args: tuple, kwargs: dict, world_trace,
                budget: Optional[float], watchdog_total: Optional[float]):
     """One fused pass: ``(world, results, None)``.  A rank-dependent
     program raises :class:`FusionDivergence` for the caller to re-run
     under lockstep; any other failure raises as rank 0's would (there
     is no second rank whose error could outrank it)."""
-    comm = FusedComm(nprocs, machine, fault_plan=plan, trace=world_trace,
-                     recovery=recovery)
+    comm = FusedComm(nprocs, machine, trace=world_trace)
     world = comm.world
     with _watchdog(world, None, budget, watchdog_total):
         try:
@@ -301,6 +306,9 @@ def run_spmd(nprocs: int, machine: MachineModel,
     ``on_fault=``, ...; docs/CONFIGURATION.md) are resolved here, once,
     against the environment; every other keyword goes to ``fn``.
 
+    Any ``fault_plan`` makes this a ``lockstep`` run, whatever
+    ``backend`` asks for (see the module docstring).
+
     ``on_fused_fallback`` is invoked (if given) when a ``fused`` run
     diverges, *before* the lockstep re-run — and again before each
     recovery restart attempt — callers use it to discard any partial
@@ -309,17 +317,13 @@ def run_spmd(nprocs: int, machine: MachineModel,
     if config is None:
         config = resolve(**{name: kwargs.pop(name)
                             for name in RunConfig._fields if name in kwargs})
-    backend, watchdog, tracing = config.backend, config.watchdog, config.trace
+    watchdog, tracing = config.watchdog, config.trace
     plan: Optional[FaultPlan] = config.fault_plan
-
-    def new_recovery() -> Optional[ActiveRecovery]:
-        # without a plan there is nothing injectable to heal — the
-        # policy stays inert and healthy runs pay nothing
-        if config.on_fault != "abort" and plan is not None:
-            return ActiveRecovery(config, nprocs)
-        return None
-
-    recovery = new_recovery()
+    backend = config.backend if plan is None else "lockstep"
+    # without a plan there is nothing injectable to heal — the policy
+    # stays inert and healthy runs pay nothing
+    recovery = ActiveRecovery(config, nprocs) \
+        if plan is not None and config.on_fault != "abort" else None
     deadline = time.monotonic() + watchdog if watchdog is not None \
         else None
 
@@ -359,18 +363,17 @@ def run_spmd(nprocs: int, machine: MachineModel,
         if backend == "fused":
             try:
                 world, results, exc = _run_fused(
-                    nprocs, machine, fn, args, kwargs, plan, recovery,
-                    world_trace, budget, watchdog)
+                    nprocs, machine, fn, args, kwargs, world_trace, budget,
+                    watchdog)
             except FusionDivergence:
-                # rank-dependent program — or a chaos plan, whose fault
-                # schedule is inherently rank-dependent: re-run honestly
-                # under lockstep.  The aborted pass is discarded with
-                # its World, trace and recovery ledger; the watchdog
-                # deadline is not — one budget covers the whole call.
+                # a rank-dependent program (toc feeding control flow, a
+                # raw fn reading comm.rank): re-run it honestly under
+                # lockstep.  The aborted pass is discarded with its World
+                # and trace; the watchdog deadline is not — one budget
+                # covers the whole call.
                 if on_fused_fallback is not None:
                     on_fused_fallback()
                 backend = "lockstep"
-                recovery = new_recovery()
                 stage = "the lockstep re-run"
                 continue
         else:

@@ -28,9 +28,9 @@ This module defines the fault *schedule*:
     acting rank, per-rank occurrence index)`` via a cryptographic hash —
     never of wall-clock time, thread interleaving, or a shared RNG
     stream — so an identical plan+seed reproduces the identical fault
-    schedule on every run and on every backend (each rank executes the
-    same operation sequence under ``lockstep`` and the lockstep
-    fallback of ``fused``).
+    schedule on every run (a run with a plan is a ``lockstep`` run
+    whatever backend was asked for, so each rank executes the same
+    operation sequence every time).
 
 Payload integrity (the ``corrupt`` detector) also lives here: when a
 plan is active every message carries a CRC32 checksum computed at send

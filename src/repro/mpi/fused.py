@@ -30,7 +30,10 @@ scheduler's arrival order.
 Divergence: anything that would make the single pass rank-dependent —
 reading ``comm.rank``, point-to-point with data, rank-dependent truth
 values — raises :class:`~repro.errors.FusionDivergence`; ``run_spmd``
-catches it and re-runs the program under ``lockstep``.
+catches it and re-runs the program under ``lockstep``.  A fused pass
+never meets a fault plan: ``run_spmd`` sends every run that has one
+(fault rules, a timeout or both) to ``lockstep`` before any rank
+starts, so no injected fault, healing or timeout state lives here.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..errors import FusionDivergence
+from ..errors import FusionDivergence, MpiError
 from . import datatypes
 from .comm import MAX, MIN, PROD, SUM, World
 from .machine import MachineModel
@@ -158,19 +161,10 @@ class FusedComm:
 
     is_fused = True
 
-    def __init__(self, nprocs: int, machine: MachineModel,
-                 fault_plan=None, trace=None, recovery=None):
-        if fault_plan is not None and fault_plan.has_faults:
-            # fault schedules are per-rank by construction; a single
-            # fused pass cannot honor them — fall back to lockstep,
-            # which heals under the same recovery policy
-            raise FusionDivergence(
-                "fault injection is rank-dependent; chaos runs fall "
-                "back to lockstep")
+    def __init__(self, nprocs: int, machine: MachineModel, trace=None):
         # World doubles as the stats/clocks container so SpmdResult and
         # compiler instrumentation read the same fields on every backend
-        self.world = World(nprocs, machine, fault_plan=fault_plan,
-                           trace=trace, recovery=recovery)
+        self.world = World(nprocs, machine, trace=trace)
         self.size = nprocs
         self.machine = machine
         self.line = 0
@@ -213,7 +207,7 @@ class FusedComm:
 
     def advance(self, dt: float) -> None:
         if dt < 0:
-            raise FusionDivergence("cannot advance the clock backwards")
+            raise MpiError("cannot advance the clock backwards")
         self.world.clocks += dt
         if self._trace is not None:
             self._trace.batch_charge(self.line, dt)
@@ -257,7 +251,7 @@ class FusedComm:
         line = self.line
         dt = calls * self.machine.cpu.call_overhead
         if dt < 0:
-            raise FusionDivergence("cannot advance the clock backwards")
+            raise MpiError("cannot advance the clock backwards")
         if trace is not None:
             trace.batch_calls(line, calls)
         if dt:
@@ -274,7 +268,7 @@ class FusedComm:
                 flops=flops, elems=elems, mem=mem, active_cpus=self.size)
             # (the ufunc's reduce: ``(dts < 0).any()`` is three calls more)
             if np.minimum.reduce(dts, axis=None) < 0:
-                raise FusionDivergence("cannot advance the clock backwards")
+                raise MpiError("cannot advance the clock backwards")
             if dts.__class__ is np.ndarray:
                 dts.setflags(write=False)
             if miss.__class__ is KeyError:   # a list key is never cached
@@ -308,8 +302,6 @@ class FusedComm:
         w.collectives += 1
         w.rank_collectives += 1
         w._count(op)
-        if w.recovery is not None:
-            w.recovery.at_collective(w, tnew)
         if self._trace is not None:
             self._trace.batch_collective(op, self.line, pre, tnew, nbytes)
 

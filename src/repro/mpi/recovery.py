@@ -17,8 +17,8 @@ This module adds the three layers that let a chaotic run *finish*:
     A message still lost after ``MAX_RETRIES`` re-sends escalates to
     :class:`~repro.errors.MpiRetryExhaustedError`.
 
-**Checkpoint/restart** (wired into ``World._run_combine`` /
-``FusedComm._sync_cost`` and the ``run_spmd`` attempt loop)
+**Checkpoint/restart** (wired into ``World._run_combine`` and the
+``run_spmd`` attempt loop)
     Generated programs keep their workspace in Python frame locals,
     which cannot be captured from outside the frame — so restart is
     *replay-based*: the program deterministically re-executes from the
@@ -191,7 +191,8 @@ class ActiveRecovery:
         """A collective just completed at common clock ``tnew``: take a
         checkpoint every ``checkpoint_every`` collectives.  Collective
         boundaries are the only instants where every rank's position is
-        known, on the per-rank and the fused backends alike."""
+        known.  (Only lockstep gets here: a run with a fault plan never
+        starts fused.)"""
         every = self.config.checkpoint_every
         if not every or world.collectives % every:
             return

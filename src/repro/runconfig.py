@@ -25,7 +25,8 @@ from typing import Any, Optional
 from .errors import ConfigError
 
 #: ``fused`` is the production path; ``lockstep`` is the oracle it is
-#: tested against and the re-run of a program that cannot fuse
+#: tested against, the re-run of a program that cannot fuse and the
+#: backend of every run with a fault plan
 BACKENDS = ("lockstep", "fused")
 NATIVE_MODES = ("auto", "off", "require")
 #: the four degradation policies, in increasing order of self-healing

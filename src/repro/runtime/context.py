@@ -438,9 +438,9 @@ class RuntimeContext:
         ``reuse=True`` (emitted only for ``v = rt.set_element(v, ...)``
         rebinds, where the old descriptor dies on return) allows an
         in-place write when the descriptor and its storage are uniquely
-        owned (``mat.owns_memory``) — turning element-init loops from
-        O(n²) copying into O(n).  Aliased descriptors still get the
-        defensive copy (counted in ``set_element_copies``).
+        owned (``distribution.owns_memory``) — turning element-init
+        loops from O(n²) copying into O(n).  Aliased descriptors still
+        get the defensive copy (counted in ``set_element_copies``).
 
         Falls back to the general indexed store for non-scalar subscripts,
         stores that grow the matrix and a complex value into a real one.
@@ -467,7 +467,7 @@ class RuntimeContext:
         # In-place fast path: safe only when nothing else can observe
         # this descriptor or its buffer (refcounts: caller's variable
         # + our argument binding + getrefcount's own temp = 3).
-        if (reuse and mat.owns_memory(held) and held.flags.writeable
+        if (reuse and owns_memory(held) and held.flags.writeable
                 and sys.getrefcount(mat) <= 3
                 and sys.getrefcount(held) <= 3):
             new_held = held

@@ -398,10 +398,10 @@ def owns_memory(full: np.ndarray) -> bool:
     ``full`` refers to — and, for an allocation a free list keeps
     (:meth:`FreeList.fresh`), that list?  The one answer of the
     sole-owner tests (:meth:`FusedDMatrix.__del__
-    <repro.runtime.matrix.FusedDMatrix.__del__>`, fused ``set_element``,
-    ``ew_group``'s old values); the caller holds no reference to the
-    base.  (Three references to a base are its array's ``base`` slot,
-    ``base`` here and getrefcount's argument.)"""
+    <repro.runtime.matrix.FusedDMatrix.__del__>`, ``set_element`` on
+    both backends, ``ew_group``'s old values); the caller holds no
+    reference to the base.  (Three references to a base are its array's
+    ``base`` slot, ``base`` here and getrefcount's argument.)"""
     base = full.base
     if base is None:
         return full.flags.owndata

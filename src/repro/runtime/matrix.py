@@ -31,8 +31,9 @@ a remap's target, the same way) — with its inverse
 computes its partials over ``stacked()`` and combines them with
 ``comm.fold`` is the same code on both backends.  ``held_index(i, j)``
 — where an element is in ``held``, ``None`` when another rank holds
-it — and ``owns_memory(held)`` — may a store write into it in place —
-are all an element read or a guarded store asks of the descriptor.
+it — is all an element read or a guarded store asks of the descriptor
+(whether a store may write ``held`` in place is
+``distribution.owns_memory``'s one answer for both).
 ``created(geom, rank, fill)`` builds a new array of only the positions
 the descriptor holds: one rank's rows (a vector's elements), or all.
 """
@@ -138,13 +139,6 @@ class DMatrix:
             return None
         return (amap.local_index(i), j)
 
-    #: may a store write into ``held`` in place (given no other
-    #: reference)?  One rank's block only when the memory is its own
-    #: array's: a view — of a remap's runs, say — is copied
-    @staticmethod
-    def owns_memory(held: np.ndarray) -> bool:
-        return held.base is None and held.flags.owndata
-
     # ------------------------------------------------------------------ #
     # conversion
     # ------------------------------------------------------------------ #
@@ -239,10 +233,6 @@ class FusedDMatrix(DMatrix):
     """
 
     __slots__ = ()
-
-    #: a full array's memory is its own when a base only it refers to
-    #: is (the free lists' placed buffers)
-    owns_memory = staticmethod(owns_memory)
 
     def __init__(self, geom: Geometry, dtype, full: np.ndarray):
         self.geom = geom

@@ -506,13 +506,15 @@ def test_what_cannot_fuse_ends_on_lockstep_under_the_default(
         knobs, default_config):
     """A rank-dependent program and a chaos plan, with no backend named:
     the result is the lockstep oracle's — and the interpreter's — and
-    ``SpmdResult.backend`` says which backend produced it."""
+    ``SpmdResult.backend`` says which backend produced it.  The program
+    alone is re-run once, not in a loop; with the plan it runs lockstep
+    from the start."""
     from repro.interp.interpreter import run_source
 
     prog = compile_source(_TOC_BRANCH)
     default = prog.run(nprocs=3, **knobs)
     assert default.spmd.backend == "lockstep"
-    assert len(default_config) == 1         # one re-run, not a loop
+    assert len(default_config) == (0 if knobs else 1)
     oracle = prog.run(nprocs=3, backend="lockstep", **knobs)
     out_d, obs_d, ws_d = _run_observables(default)
     out_o, obs_o, ws_o = _run_observables(oracle)

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FusionDivergence
-from repro.mpi import MEIKO_CS2, SPARC20_CLUSTER, MpiError
+from repro.mpi import MEIKO_CS2, SPARC20_CLUSTER, MpiError, run_spmd
 from repro.mpi.comm import Comm, World
 from repro.mpi.fused import _CHARGE_MEMO_MAX, FusedComm
 from repro.runtime.distribution import get_geometry
@@ -228,15 +228,46 @@ def test_a_negative_lockstep_count_fails_as_the_pair_does(traced, counts,
     dict(flops=(3, -1)), dict(elems=[5, -4], mem=(1, 1)),
     dict(flops=-1), dict(flops=2, elems=-7)])
 def test_a_negative_fused_count_fails_as_the_pair_does(traced, counts):
-    """A negative cost raises after the call overhead is billed, as the
-    pair raised for a negative ``int`` (``compute``).  The pair let a
-    negative per-rank entry (``compute_ranks``) step that rank's clock
-    back; ``charge`` refuses it as well."""
+    """A negative cost raises ``MpiError`` after the call overhead is
+    billed, as the pair raised for a negative ``int`` (``compute``) and
+    as the lockstep ``charge`` does.  The pair let a negative per-rank
+    entry (``compute_ranks``) step that rank's clock back; ``charge``
+    refuses it as well."""
     trace = WorldTrace(2) if traced else None
     comm = FusedComm(2, MEIKO_CS2, trace=trace)
-    assert _outcome(lambda: comm.charge(**counts)) is FusionDivergence
+    assert _outcome(lambda: comm.charge(**counts)) is MpiError
     assert observed(comm.clocks, trace) == fused_bill(
         2, MEIKO_CS2, traced, [(0, 1, 0, 0, 0)], _charge)
+
+
+#: clock steps that go backwards on every rank
+BACKWARDS = {
+    "advance": lambda comm: comm.advance(-1e-6),
+    "charge-calls": lambda comm: comm.charge(calls=-1),
+    "charge-work": lambda comm: comm.charge(flops=-1, calls=0),
+}
+
+
+@pytest.mark.parametrize("step", sorted(BACKWARDS))
+def test_a_backwards_step_is_the_same_error_on_both_communicators(step):
+    """A negative step is a program error on both communicators — one
+    ``MpiError`` text — and, through ``run_spmd``, never a divergence
+    that re-runs a fused pass under lockstep."""
+    bill = BACKWARDS[step]
+    raised = []
+    for comm in (_lockstep(2, MEIKO_CS2, False)[2][1],
+                 FusedComm(2, MEIKO_CS2)):
+        with pytest.raises(MpiError) as info:
+            bill(comm)
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [(MpiError, "cannot advance the clock backwards")] * 2
+    fallbacks = []
+    for backend in ("fused", "lockstep"):
+        with pytest.raises(MpiError) as info:
+            run_spmd(2, MEIKO_CS2, bill, backend=backend,
+                     on_fused_fallback=lambda: fallbacks.append(backend))
+        raised.append((type(info.value), str(info.value)))
+    assert raised[2:] == raised[:2] and fallbacks == []
 
 
 # -------------------------------------------------------------------------- #

@@ -32,8 +32,15 @@ from repro.errors import (
 from repro.mpi import MEIKO_CS2, FaultPlan, executor, load_plan, run_spmd
 from repro.mpi.faults import FaultState, corrupt_payload, payload_checksum
 from repro.mpi.scheduler import DeadlockError
+from repro.runtime.context import RuntimeContext
 
 BACKENDS = ["lockstep", "fused"]
+
+#: plans no program below trips: a timeout alone, fault rules alone
+#: (one that matches no message, one that drops the first message
+#: rank 0 sends and lets the retry layer heal it), and both
+PLANS = ["timeout=100", "seed=1; drop tag=999", "seed=7; drop src=0 count=1",
+         "seed=1; timeout=100; drop tag=999"]
 
 
 # ------------------------------------------------------------------------- #
@@ -525,13 +532,14 @@ class TestFusedChaos:
         assert res.backend == "lockstep"
         assert res.results == [4.0] * 4
 
-    def test_zero_fault_plan_stays_fused(self):
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_any_plan_runs_lockstep(self, plan):
         def prog(comm):
             return comm.allreduce(1.0)
 
-        res = run_spmd(4, MEIKO_CS2, prog, backend="fused",
-                       fault_plan="timeout=100")
-        assert res.backend == "fused"
+        res = run_spmd(4, MEIKO_CS2, prog, backend="fused", fault_plan=plan)
+        assert res.backend == "lockstep"
+        assert res.results == [4.0] * 4
 
     def test_fused_chaos_diagnostic_matches_lockstep(self):
         plan = "seed=6; corrupt rank=0"
@@ -541,6 +549,119 @@ class TestFusedChaos:
                      fault_plan=plan)
         assert type(info.value) is type(direct)
         assert str(info.value) == str(direct)
+
+
+# ------------------------------------------------------------------------- #
+# a fault plan picks lockstep before any rank starts
+# ------------------------------------------------------------------------- #
+
+
+def summed(comm):
+    """A collective wait: ``sum(ones(7, 1))``'s uneven blocks reach its
+    allreduce at different clocks."""
+    rt = RuntimeContext(comm)
+    return rt.call_builtin("sum", [rt.ones(7.0, 1.0)])
+
+
+def edged(comm):
+    """A recv wait: a ring shift's boundary exchange, with no rank read."""
+    comm.ring_edge(np.zeros(4), 1, 8)
+    return 1.0
+
+
+#: compiled programs that wait, at P = 4, in a collective and in a recv
+TRIPPING_SOURCES = {
+    "collective": "v = ones(7, 1); s = sum(v); disp(s);",
+    "recv": "v = ones(8, 1); w = circshift(v, 1); disp(w(1));",
+}
+
+#: a trip wire no wait stays under
+TRIPPING = "timeout=1e-12"
+
+
+@pytest.fixture
+def default_backend(monkeypatch):
+    """No backend named anywhere: the environment's is removed too."""
+    monkeypatch.delenv("REPRO_SPMD_BACKEND", raising=False)
+
+
+def _raised(call):
+    with pytest.raises(MpiTimeoutError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.usefixtures("default_backend")
+class TestAPlanRunsLockstep:
+    """A timeout is judged on per-rank waits, which a fused pass does not
+    have: under the default backend a timeout that trips must fail as
+    the lockstep oracle fails, on a raw ``fn``, a compiled program and
+    the CLI."""
+
+    @pytest.mark.parametrize("fn", [summed, edged])
+    def test_a_tripped_timeout_fails_as_lockstep_does(self, fn):
+        oracle = _raised(lambda: run_spmd(4, MEIKO_CS2, fn,
+                                          backend="lockstep",
+                                          fault_plan=TRIPPING))
+        assert _raised(lambda: run_spmd(4, MEIKO_CS2, fn,
+                                        fault_plan=TRIPPING)) == oracle
+
+    @pytest.mark.parametrize("wait", sorted(TRIPPING_SOURCES))
+    def test_a_compiled_program_times_out_as_lockstep_does(self, wait):
+        from repro.compiler import compile_source
+
+        program = compile_source(TRIPPING_SOURCES[wait])
+        oracle = _raised(lambda: program.run(nprocs=4, backend="lockstep",
+                                             fault_plan=TRIPPING))
+        assert _raised(lambda: program.run(nprocs=4,
+                                           fault_plan=TRIPPING)) == oracle
+        assert "timed out in " + ("allreduce" if wait == "collective"
+                                  else "recv(") in oracle[1]
+
+    @pytest.mark.parametrize("wait", sorted(TRIPPING_SOURCES))
+    def test_the_cli_times_out_as_lockstep_does(self, wait, tmp_path,
+                                                 capsys):
+        from repro.cli import main
+
+        script = tmp_path / "t.m"
+        script.write_text(TRIPPING_SOURCES[wait] + "\n")
+        runs = []
+        for backend in ([], ["--backend", "lockstep"]):
+            code = main(["run", "-n", "4", "--fault-plan", TRIPPING,
+                         str(script), *backend])
+            out, err = capsys.readouterr()
+            runs.append((code, out, err))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 1 and out == ""
+        assert err.startswith("error: rank ") and " timed out in " in err
+
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_no_fused_pass_starts(self, plan, monkeypatch):
+        from repro import compiler
+        from repro.compiler import compile_source
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a run with a fault plan built a FusedComm")
+
+        monkeypatch.setattr(executor, "FusedComm", refused)
+        fallbacks = []
+        res = run_spmd(4, MEIKO_CS2, summed, fault_plan=plan,
+                       on_fault="retry",
+                       on_fused_fallback=lambda: fallbacks.append(1))
+        assert res.backend == "lockstep" and res.results == [7.0] * 4
+
+        run = compiler.run_spmd
+
+        def spying(*args, on_fused_fallback, **kwargs):
+            return run(*args, on_fused_fallback=lambda: fallbacks.append(2),
+                       **kwargs)
+
+        monkeypatch.setattr(compiler, "run_spmd", spying)
+        result = compile_source(TRIPPING_SOURCES["recv"]).run(
+            nprocs=4, fault_plan=plan, on_fault="retry")
+        assert result.spmd.backend == "lockstep" and result.output
+        assert fallbacks == []
 
 
 # ------------------------------------------------------------------------- #

@@ -438,11 +438,10 @@ class TestWatchdogReArm:
         finally:
             release.set()
 
-    def test_fallback_reuses_resolved_knobs_but_not_the_fused_ledger(self):
-        # the fused pass takes three checkpoints, then diverges; the
-        # lockstep re-run is the next turn of the same attempt loop
-        # (same plan, policy, deadline) with a fresh recovery ledger, so
-        # it reports exactly what a plain lockstep run reports
+    def test_a_plan_under_the_fused_backend_reports_as_lockstep(self):
+        # a plan makes the run lockstep before any rank starts: no fused
+        # pass takes checkpoints or diverges, nothing is discarded, and
+        # the one ledger reports exactly what a plain lockstep run reports
         def prog(comm):
             total = comm.allreduce(1.0) + comm.allreduce(2.0)
             comm.barrier()
@@ -455,7 +454,7 @@ class TestWatchdogReArm:
                              on_fused_fallback=lambda: discarded.append(1),
                              **knobs)
         direct = run_spmd(4, MEIKO_CS2, prog, backend="lockstep", **knobs)
-        assert via_fused.backend == "lockstep" and discarded == [1]
+        assert via_fused.backend == "lockstep" and discarded == []
         assert via_fused.recovery.checkpoints == \
             direct.recovery.checkpoints == 4
         assert via_fused.recovery.summary() == direct.recovery.summary()

@@ -120,10 +120,10 @@ AT_PARENT = {
 }
 
 #: the defensive copies each rank's stores took: the aliased ``w(2)``
-#: and ``A(20, 3)`` on both backends, and under lockstep ``A(3, 2)``
-#: too, since a rank's block of the remap's result is a view of its
-#: runs (a fused array whose base only it refers to is written in place)
-COPIES = {"lockstep": 3, "fused": 2}
+#: and ``A(20, 3)``, on both backends (``A(3, 2)`` writes in place: a
+#: block whose base only it refers to is its own memory, the one
+#: ``distribution.owns_memory`` rule both descriptors share)
+COPIES = {"lockstep": 2, "fused": 2}
 
 
 @pytest.fixture(scope="module")
