@@ -62,7 +62,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
         _read(args.file), name=_name_of(args.file),
         provider=_provider_for(args.file, args.path),
         plan=_cli_plan(args))
-    program = outcome.program
+    # a miss's own compile carries the front end the C, IR and MATLAB
+    # emitters read: a cold invocation runs the passes once
+    program = outcome.full or outcome.program
     if args.emit == "project":
         return _emit_project(program, args.output or f"{_name_of(args.file)}_c")
     if args.emit == "c":

@@ -84,11 +84,17 @@ class RunResult:
 
 @dataclass
 class CompiledProgram:
-    """A fully compiled MATLAB program."""
+    """A fully compiled MATLAB program.
+
+    A fresh compile carries its pass-1..6 artifacts (``resolved``,
+    ``types``, ``ir``).  A program the compile cache holds, on either
+    tier, carries ``None`` in all three: running it reads only the
+    emitted Python, and :meth:`front_end` recompiles them for the rare
+    reader.
+    """
 
     name: str
-    #: pass-1..6 artifacts; ``None`` on a program rehydrated from the
-    #: on-disk compile cache (recompiled lazily by :meth:`ensure_front_end`)
+    #: pass-1..6 artifacts; ``None`` on a cached program
     resolved: Optional[ResolvedProgram]
     types: Optional[ProgramTypes]
     ir: Optional[IRProgram]
@@ -107,36 +113,23 @@ class CompiledProgram:
 
     # ------------------------------------------------------------------ #
 
-    @property
-    def from_cache(self) -> bool:
-        """True for a program rehydrated from the on-disk compile cache:
-        it runs straight from the cached emitted Python; the front-end
-        artifacts (AST, types, IR) are recompiled lazily on demand."""
-        return self.ir is None
-
-    def ensure_front_end(self) -> None:
-        """Recompile the pass-1..6 artifacts for a rehydrated program.
-
-        A disk-cache hit carries only what execution needs (the emitted
-        Python, stats, plan, source); ``c_source``/``ir_dump`` are the
-        rare consumers of the IR, and they pay the passes on demand —
-        execution never does.
-        """
+    def front_end(self) -> "CompiledProgram":
+        """This program when it carries its pass-1..6 artifacts, else a
+        throwaway recompile of its source that does.  Nothing is stored
+        back, so a cached program stays slim: ``c_source``, ``ir_dump``
+        and ``matlab_source``, the rare readers of the front end, pay
+        the passes on every call there."""
         if self.ir is not None:
-            return
-        fresh = compile_source(self.source, self.provider, name=self.name,
-                               plan=self.plan)
-        self.resolved = fresh.resolved
-        self.types = fresh.types
-        self.ir = fresh.ir
+            return self
+        return compile_source(self.source, self.provider, name=self.name,
+                              plan=self.plan)
 
     @property
     def c_source(self) -> str:
         """SPMD C with run-time library calls (textual backend)."""
         from .codegen.c_emitter import emit_c
 
-        self.ensure_front_end()
-        return emit_c(self.ir)
+        return emit_c(self.front_end().ir)
 
     @property
     def matlab_source(self) -> str:
@@ -144,12 +137,10 @@ class CompiledProgram:
         output: pass-2 AST unparsed back to canonical MATLAB)."""
         from .frontend.unparse import unparse_script
 
-        self.ensure_front_end()
-        return unparse_script(self.resolved.script.node)
+        return unparse_script(self.front_end().resolved.script.node)
 
     def ir_dump(self) -> str:
-        self.ensure_front_end()
-        return pretty_ir(self.ir)
+        return pretty_ir(self.front_end().ir)
 
     def rewrite_summary(self) -> str:
         """What passes 6 and 6b did to the program, for the CLI reports:
@@ -358,6 +349,10 @@ def compile_cached(source: str, provider: MFileProvider | None = None,
     object back for the same (source tokens and their lines, name,
     provider, compile-side plan knobs), so the autotuner's candidate sweep pays
     the passes once per distinct lowering, not once per candidate.
+
+    The program back is the cache's slim one: it carries no pass-1..6
+    artifacts (``ir`` is ``None``), so its ``c_source``, ``ir_dump`` and
+    ``matlab_source`` recompile the front end, and keep nothing of it.
 
     Safe to share: a CompiledProgram is immutable after compilation and
     ``run`` keeps no per-run state on it.  Run-time plan knobs

@@ -39,6 +39,13 @@ The one key names the entry in both tiers:
     out is a miss that recompiles and republishes (its text is never
     executed).
 
+Both tiers hold one shape of program: what running it needs (the
+emitted Python, the pass-6 statistics, the compile-side plan, the
+source) and none of the pass-1..6 artifacts (``resolved``, ``types``,
+``ir`` are ``None``).  A miss hands its caller the full compile once,
+as :attr:`CacheOutcome.full`; emitting C, IR or MATLAB from a cached
+program recompiles the front end and keeps nothing of it.
+
 Both tiers apply one validity rule.  Every entry carries a
 **dependency record** of what the compile read that its key does not
 hash: under a provider that reads files (a
@@ -63,6 +70,7 @@ import json
 import os
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -228,6 +236,10 @@ class CacheOutcome:
     tier: Optional[str]            # "memory" | "disk" | None (fresh miss)
     #: compiler passes executed *for this request* — ``[]`` on any hit
     passes: list[tuple[str, float]] = field(default_factory=list)
+    #: a miss's own compile, pass-1..6 artifacts attached, for this
+    #: request's caller only (``program`` is the slim object the cache
+    #: holds); ``None`` on a hit
+    full: Optional[CompiledProgram] = None
 
     @property
     def compile_seconds(self) -> float:
@@ -277,6 +289,7 @@ class CompileCache:
         # raw-source sha -> sha of its key text: keeps the hit path
         # parse-free, and holds no source-sized string per entry
         self._key_memo: dict[str, str] = {}
+        self._disk_warned = False      # an unwritable disk tier warned
         self._stats = {"hits": 0, "misses": 0, "disk_hits": 0,
                        "disk_rejects": 0, "compiles": 0,
                        "evictions_lru": 0, "evictions_ttl": 0}
@@ -375,9 +388,17 @@ class CompileCache:
                                 tier="disk")
 
         compile_plan = None if plan is None else plan.compile_side()
-        program = OtterCompiler(provider, plan=compile_plan).compile(
+        full = OtterCompiler(provider, plan=compile_plan).compile(
             source, name, parsed)
-        record = _dependency_record(program, provider)
+        record = _dependency_record(full, provider)
+        # the entry is the shape a disk hit has: nothing on the run path
+        # reads the AST, the types or the IR again
+        program = CompiledProgram(
+            name=full.name, resolved=None, types=None, ir=None,
+            python_source=full.python_source,
+            peephole_stats=full.peephole_stats, licm_stats=full.licm_stats,
+            provider=full.provider, pass_timings=full.pass_timings,
+            plan=full.plan, source=full.source)
         with self._lock:
             self._stats["misses"] += 1
             self._stats["compiles"] += 1
@@ -385,7 +406,7 @@ class CompileCache:
         if disk_ok:
             self._disk_publish(key, program, record)
         return CacheOutcome(program=program, key=key, hit=False, tier=None,
-                            passes=list(program.pass_timings))
+                            passes=list(program.pass_timings), full=full)
 
     # ------------------------------------------------------------------ #
     # memory tier bookkeeping (call with the lock held)
@@ -481,8 +502,14 @@ class CompileCache:
         payload["digest"] = _payload_digest(payload)
         try:
             atomic_write_bytes(str(path), json.dumps(payload).encode("utf-8"))
-        except OSError:
-            pass                      # disk tier is best-effort
+        except OSError as exc:
+            # best-effort: serve from memory, but say so once
+            with self._lock:
+                warned, self._disk_warned = self._disk_warned, True
+            if not warned:
+                warnings.warn(f"compile cache: cannot write the disk tier "
+                              f"at {self.disk_root} ({exc}); serving from "
+                              f"memory only", RuntimeWarning)
 
     # ------------------------------------------------------------------ #
     # introspection / maintenance

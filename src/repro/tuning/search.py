@@ -226,10 +226,9 @@ def tune_program(source: str, nprocs: int = 4,
 
     # a source that does not compile fails identically under every plan:
     # let the compile error propagate rather than report a non-search
-    default_program = compile_cached(source, provider, name=name,
-                                     plan=DEFAULT_PLAN)
-    # the axis pruning below reads the IR, which a disk-tier hit lacks
-    default_program.ensure_front_end()
+    compiled = get_compile_cache().get_or_compile(
+        source, name=name, provider=provider, plan=DEFAULT_PLAN)
+    default_program = compiled.program
     # after the compile, whose one parse also keyed the source
     program_key = get_compile_cache().key(source, name=name,
                                           provider=provider)
@@ -246,7 +245,10 @@ def tune_program(source: str, nprocs: int = 4,
         result._best_program = default_program
         return result
 
-    for plan in enumerate_plans(default_program, probe_counts,
+    # the axis pruning reads the IR, which no cached program holds: a
+    # miss's own compile, else one recompile
+    front_end = (compiled.full or default_program).front_end()
+    for plan in enumerate_plans(front_end, probe_counts,
                                 nprocs=nprocs, budget=budget,
                                 machine=machine)[1:]:
         cand, _, _ = evaluate(plan, reference)

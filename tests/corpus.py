@@ -81,6 +81,16 @@ fprintf('%.6f %.6f %.6f %.6f\\n', c1(45), c2(6), real(z(12)), imag(z(12)));
 """
 
 
+def e2e_programs():
+    """``{name: (script source, {M-file name: source})}`` of the frozen
+    end-to-end benchmark inputs: seven scripts sharing two M-files."""
+    e2e = ROOT / "benchmarks" / "e2e" / "programs"
+    mfiles = {path.stem: path.read_text(encoding="utf-8")
+              for path in sorted((e2e / "mfiles").glob("*.m"))}
+    return {path.stem: (path.read_text(encoding="utf-8"), mfiles)
+            for path in sorted(e2e.glob("*.m"))}
+
+
 def shipped_programs():
     """``{label: (script source, {M-file name: source})}``."""
     programs = {"tests/indexing": (INDEXING, {}),
@@ -89,12 +99,8 @@ def shipped_programs():
         for workload in all_workloads(scale):
             programs[f"bench/{workload.key}@{scale}"] = (workload.source, {})
     programs["bench/image_filter"] = (image_filter().source, {})
-    e2e = ROOT / "benchmarks" / "e2e" / "programs"
-    mfiles = {path.stem: path.read_text(encoding="utf-8")
-              for path in sorted((e2e / "mfiles").glob("*.m"))}
-    for path in sorted(e2e.glob("*.m")):
-        programs[f"e2e/{path.stem}"] = (path.read_text(encoding="utf-8"),
-                                        mfiles)
+    for stem, program in e2e_programs().items():
+        programs[f"e2e/{stem}"] = program
     for path in sorted((ROOT / "examples").glob("*.py")):
         module = _example(path)
         if hasattr(module, "SCRIPT"):

@@ -213,7 +213,7 @@ def test_typing_the_run_and_the_interpreter_read_one_hosted_object():
     _put_matrix("mem://one/x", np.arange(1.0, 7.0).reshape(2, 3))
     src = "a = load('mem://one/x');\ndisp(a);\n"
     outcome = get_compile_cache().get_or_compile(src)
-    assert outcome.program.types.loads == {
+    assert outcome.full.types.loads == {
         "mem://one/x": datastore.data_digest(_get_matrix("mem://one/x"))}
     ran = outcome.program.run(nprocs=2, machine=MEIKO_CS2).output
     assert ran == "".join(run_source(src).output)
