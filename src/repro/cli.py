@@ -171,8 +171,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     outcome = get_compile_cache().get_or_compile(
         _read(args.file), name=_name_of(args.file),
         provider=_provider_for(args.file, args.path), plan=plan)
-    result = outcome.program.run(args.nprocs, machine, args.seed,
-                                 plan=plan, config=config)
+    # a miss runs its own compile: it carries the IR a tuned run's
+    # search reads, which the cached program does not
+    result = (outcome.full or outcome.program).run(
+        args.nprocs, machine, args.seed, plan=plan, config=config)
     sys.stdout.write(result.output)
     if result.tune is not None and (args.explain_plan or not trace_summary):
         print(result.tune.report() if args.explain_plan else

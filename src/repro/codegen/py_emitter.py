@@ -515,6 +515,13 @@ class PyEmitter:
         self._indent -= 1
 
 
+def builtin_binding(name: str) -> str:
+    """The module-level line that binds builtin ``name`` in an emitted
+    module: the module has it exactly when the program, or an M-file
+    function it calls, calls ``name``."""
+    return f"_bi_{name} = _B[{name!r}]"
+
+
 def emit_python(ir: IRProgram) -> str:
     """Emit the SPMD Python module source for an IR program."""
     try:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .analysis.infer import ProgramTypes, infer_types
 from .analysis.resolve import ResolvedProgram, resolve_program
+from .codegen.py_emitter import builtin_binding
 from .errors import NESTED_TOO_DEEPLY, CodegenError
 from .frontend.mfile import EMPTY_PROVIDER, MFileProvider
 from .frontend.lexer import tokenize
@@ -42,10 +43,16 @@ from .ir.nodes import IRProgram
 from .ir.licm import LicmStats, licm_program
 from .ir.peephole import PeepholeStats, peephole_program
 from .ir.pretty import pretty_ir
-from .mpi.executor import SpmdResult, run_spmd
+from .mpi.executor import SpmdResult, backend_for, run_spmd
 from .mpi.machine import MEIKO_CS2, MachineModel
 from .runconfig import RunConfig, resolve
 from .runtime.context import RuntimeContext, replicate_workspace
+
+
+#: an emitted module's lines that bind the builtins which read the
+#: rank's own clock (``tic``, ``toc``)
+_CLOCK_BINDINGS = tuple(f"\n{builtin_binding(name)}\n"
+                        for name in ("tic", "toc"))
 
 
 @dataclass
@@ -142,6 +149,15 @@ class CompiledProgram:
     def ir_dump(self) -> str:
         return pretty_ir(self.front_end().ir)
 
+    @property
+    def reads_clock(self) -> bool:
+        """Does the program, or an M-file function it calls, call
+        ``tic`` or ``toc``?  Read off the emitted module's builtin
+        bindings, so a cached program of either tier answers it."""
+        tic, toc = _CLOCK_BINDINGS
+        source = self.python_source
+        return tic in source or toc in source
+
     def rewrite_summary(self) -> str:
         """What passes 6 and 6b did to the program, for the CLI reports:
         ``"1 transpose_matmul, 1 cse; 6b hoisted 2"``."""
@@ -195,7 +211,7 @@ class CompiledProgram:
             tuned = tune_program(self.source or "", nprocs=nprocs,
                                  machine=machine, budget=config.tune_budget,
                                  provider=self.provider, seed=seed,
-                                 name=self.name)
+                                 name=self.name, front_end=self)
             result = tuned.best_program.run(
                 nprocs, machine, seed, plan=tuned.best.plan,
                 config=config._replace(tune=False))
@@ -209,6 +225,9 @@ class CompiledProgram:
             scheme, dist_plan = plan.scheme, dict(plan.dist)
 
         machine = machine or MEIKO_CS2
+        backend = backend_for(config, self.reads_clock)
+        if backend != config.backend:
+            config = config._replace(backend=backend)
         main = self._load_module().main
         output: list[str] = []
         provider = self.provider
@@ -235,14 +254,14 @@ class CompiledProgram:
                 # run on the caller's thread: don't leak the tracker
                 rt.close()
 
-        def discard_partial_fused():
-            # a diverged fused pass may have produced output/peaks already;
-            # the lockstep re-run must start from a clean slate
+        def discard_partial_run():
+            # a failed attempt may have produced output/peaks already;
+            # a recovery restart must start from a clean slate
             output.clear()
             peaks.clear()
 
         spmd = run_spmd(nprocs, machine, rank_main, config=config,
-                        on_fused_fallback=discard_partial_fused)
+                        on_fused_fallback=discard_partial_run)
         if spmd.backend == "fused":
             # one pass stood in for all ranks: its (rank-0-modeled) peak
             # applies to every rank's local share estimate

@@ -29,7 +29,7 @@ from ..errors import (
 from ..runconfig import BACKENDS, ON_FAULT_POLICIES
 from .executor import SpmdResult, run_spmd
 from .faults import FaultPlan, FaultRule, load_plan
-from .fused import FusedComm, PerRankScalar
+from .fused import FusedComm
 from .recovery import RecoveryReport
 from .machine import (
     CpuModel,
@@ -50,7 +50,7 @@ __all__ = [
     "SUM", "PROD", "MAX", "MIN", "LAND", "LOR", "sizeof",
     "SpmdResult", "run_spmd", "BACKENDS",
     "LockstepScheduler", "DeadlockError", "MpiError",
-    "FusedComm", "PerRankScalar", "FusionDivergence",
+    "FusedComm", "FusionDivergence",
     "FaultPlan", "FaultRule", "load_plan",
     "MpiTimeoutError", "SpmdWatchdogError", "MpiCorruptionError",
     "RankCrashedError", "MpiRetryExhaustedError",

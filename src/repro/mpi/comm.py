@@ -351,12 +351,6 @@ class Comm:
     def time(self) -> float:
         return self.world.clocks[self.rank]
 
-    def clock_snapshot(self) -> float:
-        """What ``tic``/``toc`` read: this rank's clock (a
-        :class:`~repro.mpi.fused.FusedComm`'s is every rank's, a
-        list)."""
-        return self.world.clocks[self.rank]
-
     def advance(self, dt: float) -> None:
         if dt < 0:
             raise MpiError("cannot advance the clock backwards")

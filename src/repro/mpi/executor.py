@@ -22,17 +22,21 @@ keyword, its environment variable and its default):
     :class:`~repro.mpi.fused.FusedComm` carrying all ranks' state, so
     the interpreter's control-flow overhead is paid once instead of P
     times.  Accounting (virtual clocks, message/byte/collective counts)
-    is bit-identical to ``lockstep``.  If the program turns out to be
-    rank-dependent (it reads ``comm.rank``, or hits an op with no fused
-    path), the run raises :class:`~repro.errors.FusionDivergence` and
-    ``run_spmd`` transparently re-runs it under ``lockstep`` (on what is
-    left of the same watchdog budget) — fusion is an optimization, never
-    a semantics change.
+    is bit-identical to ``lockstep``.  A raw body that turns out to be
+    rank-dependent (it reads ``comm.rank`` or ``comm.time``, or hits an
+    op with no fused path) raises :class:`~repro.errors.FusionDivergence`,
+    and ``run_spmd`` re-runs it under ``lockstep`` (on what is left of
+    the same watchdog budget).  No compiled program takes that re-run:
+    what makes one rank-dependent is known before it starts.
 
-A run with a fault plan (fault rules, a timeout, or both) is a
-``lockstep`` run whatever backend was asked for, chosen before any rank
-starts: injected faults, their healing and the virtual-clock timeout
-act on per-rank waits and wait graphs, which only lockstep has.
+:func:`backend_for` picks the backend before any rank starts, and
+``run_spmd``, ``CompiledProgram.run`` and the compile service all ask
+it.  A run is ``lockstep`` whatever backend was asked for when it has
+a fault plan (fault rules, a timeout, or both: injected faults, their
+healing and the virtual-clock timeout act on per-rank waits and wait
+graphs, which only lockstep has), or when its program reads the clock
+(``tic``/``toc``: each rank reads its own clock, which ranks that did
+unequal work read differently).
 
 Self-healing (the ``on_fault`` knob; see
 :mod:`repro.mpi.recovery` and docs/RESILIENCE.md): with a non-abort
@@ -78,9 +82,9 @@ class SpmdResult:
     machine: MachineModel
     nprocs: int
     #: the backend that produced this result: ``lockstep`` under the
-    #: default configuration means the run had a fault plan (it never
-    #: starts fused) or the fused pass diverged on a rank-dependent
-    #: program and the run was redone
+    #: default configuration means :func:`backend_for` picked it (a
+    #: fault plan, or a program that reads the clock) or a raw body's
+    #: fused pass diverged and the run was redone
     backend: str
     messages_sent: int = 0
     bytes_sent: int = 0
@@ -198,7 +202,7 @@ def _run_fused(nprocs: int, machine: MachineModel, fn: Callable,
                args: tuple, kwargs: dict, world_trace,
                budget: Optional[float], watchdog_total: Optional[float]):
     """One fused pass: ``(world, results, None)``.  A rank-dependent
-    program raises :class:`FusionDivergence` for the caller to re-run
+    raw body raises :class:`FusionDivergence` for the caller to re-run
     under lockstep; any other failure raises as rank 0's would (there
     is no second rank whose error could outrank it)."""
     comm = FusedComm(nprocs, machine, trace=world_trace)
@@ -293,6 +297,16 @@ def _run_lockstep(nprocs: int, machine: MachineModel, fn: Callable,
     return world, results, _select_error(world, errors)
 
 
+def backend_for(config: RunConfig, reads_clock: bool = False) -> str:
+    """The backend a run under ``config`` executes on, decided before
+    any rank starts: ``lockstep`` when the run has a fault plan or its
+    program reads the clock (``reads_clock``; see the module
+    docstring), else ``config.backend``."""
+    if config.fault_plan is not None or reads_clock:
+        return "lockstep"
+    return config.backend
+
+
 def run_spmd(nprocs: int, machine: MachineModel,
              fn: Callable[..., Any], *args: Any,
              config: Optional[RunConfig] = None,
@@ -307,19 +321,19 @@ def run_spmd(nprocs: int, machine: MachineModel,
     against the environment; every other keyword goes to ``fn``.
 
     Any ``fault_plan`` makes this a ``lockstep`` run, whatever
-    ``backend`` asks for (see the module docstring).
+    ``backend`` asks for (:func:`backend_for`).
 
-    ``on_fused_fallback`` is invoked (if given) when a ``fused`` run
-    diverges, *before* the lockstep re-run — and again before each
-    recovery restart attempt — callers use it to discard any partial
-    side effects the aborted pass left behind.
+    ``on_fused_fallback`` is invoked (if given) when a raw body's
+    ``fused`` pass diverges, *before* the lockstep re-run — and again
+    before each recovery restart attempt — callers use it to discard
+    any partial side effects the aborted attempt left behind.
     """
     if config is None:
         config = resolve(**{name: kwargs.pop(name)
                             for name in RunConfig._fields if name in kwargs})
     watchdog, tracing = config.watchdog, config.trace
     plan: Optional[FaultPlan] = config.fault_plan
-    backend = config.backend if plan is None else "lockstep"
+    backend = backend_for(config)
     # without a plan there is nothing injectable to heal — the policy
     # stays inert and healthy runs pay nothing
     recovery = ActiveRecovery(config, nprocs) \
@@ -366,8 +380,9 @@ def run_spmd(nprocs: int, machine: MachineModel,
                     nprocs, machine, fn, args, kwargs, world_trace, budget,
                     watchdog)
             except FusionDivergence:
-                # a rank-dependent program (toc feeding control flow, a
-                # raw fn reading comm.rank): re-run it honestly under
+                # a raw body that reads comm.rank or comm.time (a
+                # compiled program never does: backend_for sent one that
+                # reads the clock to lockstep): re-run it honestly under
                 # lockstep.  The aborted pass is discarded with its World
                 # and trace; the watchdog deadline is not — one budget
                 # covers the whole call.

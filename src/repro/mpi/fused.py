@@ -27,13 +27,15 @@ functions of the per-rank contributions (max of ``sizeof``), so the
 fused charges are *bit-identical* to lockstep without simulating the
 scheduler's arrival order.
 
-Divergence: anything that would make the single pass rank-dependent —
-reading ``comm.rank``, point-to-point with data, rank-dependent truth
-values — raises :class:`~repro.errors.FusionDivergence`; ``run_spmd``
-catches it and re-runs the program under ``lockstep``.  A fused pass
-never meets a fault plan: ``run_spmd`` sends every run that has one
-(fault rules, a timeout or both) to ``lockstep`` before any rank
-starts, so no injected fault, healing or timeout state lives here.
+Every value a fused pass holds is the same on every rank.  What could
+make one rank-varying is decided before the run
+(:func:`repro.mpi.executor.backend_for`): a run with a fault plan
+(fault rules, a timeout or both) and a compiled program that reads the
+clock (``tic``/``toc``) start on ``lockstep``, so no injected fault,
+healing, timeout or per-rank scalar lives here.  A raw body that reads
+``comm.rank`` or ``comm.time``, or sends point to point, raises
+:class:`~repro.errors.FusionDivergence`; ``run_spmd`` catches it and
+re-runs the body under ``lockstep``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -99,55 +101,6 @@ def fold_ranks(op: Callable, parts: np.ndarray):
     return acc.item() if parts.ndim == 1 else acc.copy()
 
 
-class PerRankScalar:
-    """A scalar whose value differs across the fused ranks (``toc`` is
-    the canonical producer: clocks advance per rank).  Collapses back to
-    a plain float wherever the values agree; using a disagreeing one for
-    control flow or as a replicated scalar raises FusionDivergence."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence):
-        self.values = tuple(
-            complex(v) if isinstance(v, (complex, np.complexfloating))
-            else float(v) for v in values)
-
-    def collapse(self):
-        """A plain scalar when all ranks agree, else self."""
-        if len(set(self.values)) == 1:
-            return self.values[0]
-        return self
-
-    def __repr__(self) -> str:
-        return f"PerRankScalar({list(self.values)})"
-
-    # Any implicit coercion means a code path without explicit per-rank
-    # handling is about to treat this as a replicated value — abort
-    # fusion rather than silently computing one rank's answer.
-
-    def _diverge(self):
-        raise FusionDivergence(
-            "rank-varying scalar used as a replicated value")
-
-    def __array__(self, dtype=None, copy=None):
-        self._diverge()
-
-    def __float__(self):
-        self._diverge()
-
-    def __int__(self):
-        self._diverge()
-
-    def __index__(self):
-        self._diverge()
-
-    def __complex__(self):
-        self._diverge()
-
-    def __bool__(self):
-        self._diverge()
-
-
 class FusedComm:
     """All P ranks' communicator, driven by one pass of the program.
 
@@ -197,11 +150,7 @@ class FusedComm:
 
     @property
     def time(self) -> float:
-        raise FusionDivergence("per-rank clock read outside tic/toc")
-
-    def clock_snapshot(self) -> list:
-        """Every rank's clock, for ``tic``/``toc``."""
-        return self.world.clocks.tolist()
+        raise FusionDivergence("program reads the per-rank clock")
 
     # -- replicated virtual time ------------------------------------------ #
 

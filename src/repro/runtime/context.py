@@ -26,11 +26,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .. import datastore
-from ..errors import FusionDivergence, MatlabRuntimeError, MpiError
+from ..errors import MatlabRuntimeError, MpiError
 from ..ewops import TAP
 from ..interp import values as V
 from ..mpi.comm import LAND, Comm
-from ..mpi.fused import PerRankScalar
 from .distribution import get_geometry, owns_memory
 from .matrix import DMatrix, FusedDMatrix, RValue
 from .memory import MemoryTracker, current_tracker, install_tracker
@@ -173,12 +172,6 @@ class RuntimeContext:
             return float(value)
         if isinstance(value, complex):
             return value
-        if isinstance(value, PerRankScalar):
-            collapsed = value.collapse()
-            if isinstance(collapsed, PerRankScalar):
-                raise FusionDivergence(
-                    f"{what}: rank-varying scalar used as a replicated value")
-            return collapsed
         if isinstance(value, DMatrix):
             if value.numel != 1:
                 raise MatlabRuntimeError(f"{what}: expected a scalar")
@@ -259,8 +252,6 @@ class RuntimeContext:
         free lists."""
         if isinstance(value, DMatrix):
             return V.simplify(self.gather_full(value, copy=False))
-        if isinstance(value, PerRankScalar):
-            return value.values[0]  # what rank 0 holds under lockstep
         return value
 
     # ------------------------------------------------------------------ #
@@ -432,8 +423,7 @@ class RuntimeContext:
         """Guarded scalar store ``a(i, j) = rhs`` (pass 5's conditional):
         only the ranks that hold the element write it (``held_index``),
         every rank charges a pass over its block; the updated matrix is
-        returned.  A rank-varying ``rhs`` under fusion stores the
-        owner's value, as the owner alone would.
+        returned.
 
         ``reuse=True`` (emitted only for ``v = rt.set_element(v, ...)``
         rebinds, where the old descriptor dies on return) allows an
@@ -445,22 +435,17 @@ class RuntimeContext:
         Falls back to the general indexed store for non-scalar subscripts,
         stores that grow the matrix and a complex value into a real one.
         """
-        for sub in subs:
-            if isinstance(sub, PerRankScalar):
-                raise FusionDivergence("rank-varying subscript in a store")
         if not (isinstance(mat, DMatrix)
                 and all(sub is not COLON and not isinstance(sub, DMatrix)
                         and V.numel(sub) == 1 for sub in subs)
-                and (isinstance(rhs, PerRankScalar)
-                     or (not isinstance(rhs, (DMatrix, str))
-                         and V.numel(rhs) == 1))
+                and not isinstance(rhs, (DMatrix, str))
+                and V.numel(rhs) == 1
                 and self._in_bounds(mat, subs)):
             return self.index_assign(mat, subs, rhs)
         i = int(float(np.real(self.scalar(subs[0])))) - 1
         j = None if len(subs) == 1 else \
             int(float(np.real(self.scalar(subs[1])))) - 1
-        value = rhs.values[mat.owner_of(i, j)] \
-            if isinstance(rhs, PerRankScalar) else self.scalar(rhs)
+        value = self.scalar(rhs)
         held = mat.held
         if isinstance(value, complex) and held.dtype.kind != "c":
             return self.index_assign(mat, subs, rhs)
@@ -564,7 +549,7 @@ class RuntimeContext:
         # is out of the ordinary.  The ordinary case — Python floats and
         # matrices of one interned geometry — meets no other check.
         template = clash = None
-        per_rank = realign = False
+        realign = False
         args = []
         for op in operands:
             kind = op.__class__
@@ -584,24 +569,7 @@ class RuntimeContext:
                 raise MatlabRuntimeError(
                     "elementwise operation: expected a numeric value")
             else:       # complex, replicated arrays, numpy scalars, ...
-                per_rank = per_rank or isinstance(op, PerRankScalar)
                 args.append(op)
-        if per_rank:
-            if template is not None:
-                raise FusionDivergence(
-                    "rank-varying scalar mixed into distributed arithmetic")
-            # pure-scalar chain over rank-varying values: apply per rank
-            # (charge-free, matching the lockstep scalar path)
-            outs = []
-            for r in range(self.size):
-                locals_ = [
-                    op.values[r] if isinstance(op, PerRankScalar)
-                    else complex(op) if isinstance(op, complex)
-                    else np.asarray(V.as_matrix(op)) for op in operands]
-                res = np.asarray(fn(*locals_)).reshape(-1)[0]
-                outs.append(complex(res) if np.iscomplexobj(res)
-                            else float(res))
-            return PerRankScalar(outs).collapse()
         if template is None:
             locals_ = [complex(op) if isinstance(op, complex) else
                        np.asarray(V.as_matrix(op)) for op in operands]
@@ -758,9 +726,6 @@ class RuntimeContext:
     # ------------------------------------------------------------------ #
 
     def truthy(self, value: RValue) -> bool:
-        if isinstance(value, PerRankScalar):
-            # the branch outcome would differ across ranks: abort fusion
-            raise FusionDivergence("control flow on a rank-varying scalar")
         if isinstance(value, DMatrix):
             # every held element nonzero, on every rank
             held = value.held
@@ -860,17 +825,14 @@ class RuntimeContext:
             except datastore.StoreError as exc:
                 raise MatlabRuntimeError(f"save: {exc}") from exc
 
-    def tic(self) -> None:
-        # this rank's clock, or under fusion every rank's (a list)
-        self.tic_time = self.comm.clock_snapshot()
+    # ``tic``/``toc`` read this rank's own clock: a program that calls
+    # either runs on lockstep (``CompiledProgram.reads_clock``)
 
-    def toc(self):
-        now = self.comm.clock_snapshot()
-        if not isinstance(now, list):
-            return float(now - self.tic_time)
-        base = self.tic_time if isinstance(self.tic_time, list) \
-            else [self.tic_time] * self.size
-        return PerRankScalar([n - b for n, b in zip(now, base)]).collapse()
+    def tic(self) -> None:
+        self.tic_time = self.comm.time
+
+    def toc(self) -> float:
+        return float(self.comm.time - self.tic_time)
 
 
 def replicate_workspace(results: list, fused: bool) -> Optional[dict]:
@@ -879,8 +841,8 @@ def replicate_workspace(results: list, fused: bool) -> Optional[dict]:
     under ``fused`` one pass stood in for every rank): a distributed
     value is assembled from the ranks' blocks as a gather would end (a
     fused one hands over its full array, uncopied, as
-    :meth:`RuntimeContext.to_interp_value` does), a rank-varying scalar
-    is rank 0's, and never-assigned variables are dropped.  No
+    :meth:`RuntimeContext.to_interp_value` does), a replicated value is
+    rank 0's, and never-assigned variables are dropped.  No
     collective, clock or trace sees it.  ``None`` when rank 0 did not
     finish, or a peer's block is missing (a degraded run)."""
     workspace = results[0]
@@ -904,8 +866,6 @@ def replicate_workspace(results: list, fused: bool) -> Optional[dict]:
         if name in distributed:
             value = V.simplify(value.held if fused else value.assemble(
                 [peer[name].held for peer in results]))
-        elif isinstance(value, PerRankScalar):
-            value = value.values[0]   # what rank 0 holds under lockstep
         elif value is None:
             continue
         replicated[name] = value

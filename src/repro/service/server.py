@@ -57,6 +57,7 @@ import numpy as np
 
 from ..datastore import SCHEMES
 from ..errors import ConfigError, OtterError
+from ..mpi.executor import backend_for
 from ..mpi.machine import MACHINES
 from ..runconfig import choice, integer, resolve
 from .cache import CompileCache, plan_from_dict
@@ -77,8 +78,17 @@ _MACHINE = choice("machine", tuple(sorted(MACHINES)))
 #: the largest ``nprocs`` a request may ask of each backend
 #: (docs/SERVICE.md): a lockstep rank is a thread of this process, a
 #: fused run carries its ranks in one pass (the benchmarks sweep it to
-#: 1024).  Local CLI runs have no ceiling.
+#: 1024).  A request is held to the ceiling of the backend that will run
+#: it (``repro.mpi.executor.backend_for``).  Local CLI runs have no ceiling.
 MAX_NPROCS = {"lockstep": 64, "fused": 1024}
+
+
+def _check_ceiling(nprocs: int, backend: str) -> None:
+    if nprocs > MAX_NPROCS[backend]:
+        raise ConfigError(
+            f"nprocs=: must be <= {MAX_NPROCS[backend]} on the "
+            f"{backend} backend (got {nprocs})")
+
 
 #: every top-level field a compile, run or trace request may carry
 #: (docs/SERVICE.md)
@@ -327,20 +337,21 @@ class ServiceServer:
 
     def _op_run(self, request: dict, session_id: int,
                 force_trace: bool) -> dict:
-        # the whole run configuration is checked before any work is done
+        # the whole run configuration is checked before any work is
+        # done; the compile then says whether the program reads the
+        # clock, which can lower the ceiling, before a rank starts
         knobs = {knob: request[knob]
                  for knob in _REQUEST_KNOBS if knob in request}
         if force_trace:
             knobs["trace"] = True
         config = resolve(**knobs)
         nprocs = _NPROCS(request.get("nprocs", 1), "nprocs=")
-        if nprocs > MAX_NPROCS[config.backend]:
-            raise ConfigError(
-                f"nprocs=: must be <= {MAX_NPROCS[config.backend]} on the "
-                f"{config.backend} backend (got {nprocs})")
+        _check_ceiling(nprocs, config.backend)
         seed = _SEED(request.get("seed", 0), "seed=")
         machine = _MACHINE(request.get("machine") or "meiko", "machine=")
         compile_response, outcome, plan = self._compile(request, session_id)
+        _check_ceiling(nprocs,
+                       backend_for(config, outcome.program.reads_clock))
         result = outcome.program.run(nprocs, MACHINES[machine], seed,
                                      plan=plan, config=config)
         with self._lock:

@@ -180,12 +180,16 @@ def _numerics_match(ref: dict, got: dict) -> bool:
 def tune_program(source: str, nprocs: int = 4,
                  machine: MachineModel | None = None,
                  budget: int = 64, provider=None, seed: int = 0,
-                 name: str = "script") -> TuneResult:
+                 name: str = "script", front_end=None) -> TuneResult:
     """Search the plan space for ``source`` and return the full report.
 
     Every candidate (including candidate 0, the default plan) is costed
     by a fused-backend run; the winner is the valid candidate with the
     smallest final virtual clock.
+
+    ``front_end`` is the caller's compile of ``source``: when it carries
+    the IR under the default plan (a miss's ``CacheOutcome.full``), the
+    axis pruning reads it instead of compiling the front end again.
     """
     from ..service.cache import get_compile_cache
 
@@ -246,9 +250,12 @@ def tune_program(source: str, nprocs: int = 4,
         return result
 
     # the axis pruning reads the IR, which no cached program holds: a
-    # miss's own compile, else one recompile
-    front_end = (compiled.full or default_program).front_end()
-    for plan in enumerate_plans(front_end, probe_counts,
+    # miss's own compile, else the caller's (under the default plan),
+    # else one recompile
+    if compiled.full is not None or front_end is None \
+            or front_end.plan is not None:
+        front_end = compiled.full or default_program
+    for plan in enumerate_plans(front_end.front_end(), probe_counts,
                                 nprocs=nprocs, budget=budget,
                                 machine=machine)[1:]:
         cand, _, _ = evaluate(plan, reference)

@@ -18,8 +18,9 @@ collective cost formulas charge the symmetric ``max`` of the per-slot
 The raw-comm programs below all read ``comm.rank``, so under
 ``backend="fused"`` they exercise the FusionDivergence → lockstep
 fallback: the run must still be observationally identical (it *is* a
-lockstep run, transparently).  Compiled MATLAB programs are rank-
-agnostic at the source level and execute genuinely fused.
+lockstep run, transparently).  Compiled MATLAB programs never take that
+re-run: one that reads the clock (``tic``/``toc``) runs on lockstep from
+the start, and every other one executes genuinely fused.
 """
 
 import hashlib
@@ -36,7 +37,9 @@ from repro.compiler import compile_source
 from repro.frontend.mfile import DictProvider
 from repro.mpi import MEIKO_CS2, run_spmd
 from repro.mpi.scheduler import LockstepScheduler
+from repro.interp.interpreter import run_source
 from repro.trace import canonical_events
+from repro.tuning import Plan
 from tests.corpus import shipped_programs
 
 # -- program generator --------------------------------------------------- #
@@ -439,7 +442,8 @@ def test_unguarded_element_store_is_backend_invariant(nprocs, scheme):
 def default_config(monkeypatch):
     """No ``REPRO_*`` variable set (CI's oracle leg exports the backend),
     and a list that receives one entry per fused→lockstep re-run of a
-    compiled program."""
+    compiled program — which then fails the run: no compiled program
+    may take that re-run."""
     import os
 
     from repro import compiler
@@ -452,7 +456,7 @@ def default_config(monkeypatch):
     def spying(*args, on_fused_fallback, **kwargs):
         def hook():
             fallbacks.append(args[2].__name__)
-            on_fused_fallback()
+            raise AssertionError("a compiled program re-ran on lockstep")
         return run(*args, on_fused_fallback=hook, **kwargs)
 
     monkeypatch.setattr(compiler, "run_spmd", spying)
@@ -506,15 +510,13 @@ def test_what_cannot_fuse_ends_on_lockstep_under_the_default(
         knobs, default_config):
     """A rank-dependent program and a chaos plan, with no backend named:
     the result is the lockstep oracle's — and the interpreter's — and
-    ``SpmdResult.backend`` says which backend produced it.  The program
-    alone is re-run once, not in a loop; with the plan it runs lockstep
-    from the start."""
-    from repro.interp.interpreter import run_source
-
+    ``SpmdResult.backend`` says which backend produced it.  Both run
+    lockstep from the start: neither is re-run."""
     prog = compile_source(_TOC_BRANCH)
+    assert prog.reads_clock
     default = prog.run(nprocs=3, **knobs)
     assert default.spmd.backend == "lockstep"
-    assert len(default_config) == (0 if knobs else 1)
+    assert len(default_config) == 0
     oracle = prog.run(nprocs=3, backend="lockstep", **knobs)
     out_d, obs_d, ws_d = _run_observables(default)
     out_o, obs_o, ws_o = _run_observables(oracle)
@@ -526,6 +528,64 @@ def test_what_cannot_fuse_ends_on_lockstep_under_the_default(
     for name in ("v", "s", "total"):
         np.testing.assert_array_equal(
             np.asarray(default.workspace[name]), np.asarray(expected[name]))
+
+
+#: programs that read the clock; each prints only what does not depend on
+#: a clock's magnitude, so the interpreter (whose clock models one
+#: serial run) prints the same
+_CLOCK_READERS = {
+    "toc-feeds-a-branch": (_TOC_BRANCH + "disp(total);\n", {}),
+    "uniform-toc": ("v = ones(8, 1);\ntic;\ns = sum(v);\nt = toc;\n"
+                    "disp(s);\n", {}),
+    "toc-scales-a-vector": ("disp(42);\nv = ones(5, 1);\ntic;\n"
+                            "s = sum(v);\nt = toc;\nv = v * t;\n"
+                            "disp(sum(v) >= 0);\n", {}),
+    "toc-stored": ("v = zeros(1, 6);\ntic;\ns = sum(v);\nt = toc;\n"
+                   "v(2) = t;\ndisp(v(2) >= 0);\n", {}),
+    "while-on-toc": ("k = 0;\ntic;\nwhile toc < 0\n  k = k + 1;\nend\n"
+                     "disp(k);\n", {}),
+    "toc-in-an-mfile": ("rand('seed', 2);\nv = rand(7, 1);\n"
+                        "y = timed(v);\nfprintf('%.6f\\n', y);\n",
+                        {"timed": "function y = timed(a)\ntic;\n"
+                                  "y = sum(a);\nt = toc;\n"}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SHIPPED) + sorted(_CLOCK_READERS))
+def test_no_compiled_program_reruns_under_the_default(label, default_config):
+    """Every shipped program, and programs that read the clock, at
+    P ∈ {1, 4, 16} × {block, cyclic} with no backend named: none takes
+    the fused→lockstep re-run (the fixture fails the run if one does).
+    A program that reads the clock runs lockstep from the start and
+    agrees with an explicit lockstep run on values, clocks, counts and
+    canonical trace, and with the interpreter on what it prints; every
+    other program runs fused."""
+    source, mfiles = _SHIPPED.get(label) or _CLOCK_READERS[label]
+    prog = compile_source(source, provider=DictProvider(mfiles))
+    assert prog.reads_clock == (label in _CLOCK_READERS)
+    printed = None
+    for nprocs in (1, 4, 16):
+        for scheme in ("block", "cyclic"):
+            plan = Plan(scheme=scheme)
+            default = prog.run(nprocs=nprocs, plan=plan,
+                               trace=prog.reads_clock)
+            if not prog.reads_clock:
+                assert default.spmd.backend == "fused"
+                continue
+            assert default.spmd.backend == "lockstep"
+            oracle = prog.run(nprocs=nprocs, plan=plan, backend="lockstep",
+                              trace=True)
+            out_d, obs_d, ws_d = _run_observables(default)
+            out_o, obs_o, ws_o = _run_observables(oracle)
+            obs_d.pop("results"), obs_o.pop("results")
+            assert (out_d, obs_d, ws_d) == (out_o, obs_o, ws_o)
+            assert canonical_events(default.trace) \
+                == canonical_events(oracle.trace)
+            if printed is None:
+                printed = "".join(run_source(
+                    source, provider=DictProvider(mfiles)).output)
+            assert out_d == printed
+    assert default_config == []
 
 
 def test_backends_identical_on_mixed_fixed_program():

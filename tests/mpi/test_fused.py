@@ -2,11 +2,12 @@
 
 Covers the fusion contract from three angles:
 
-* unit level — ``PerRankScalar`` collapse/poisoning and the ``FusedComm``
-  facade's accounting primitives;
-* fallback level — any rank-dependent observation raises
+* unit level — the ``FusedComm`` facade's accounting primitives;
+* fallback level — a raw body's rank-dependent observation raises
   ``FusionDivergence`` and ``run_spmd`` transparently re-runs under
   lockstep, returning the *fallback* result (never partial fused state);
+  a compiled program that reads the clock (``tic``/``toc``) runs on
+  lockstep from the start and never takes that re-run;
 * program level — compiled MATLAB runs fused with workspaces, per-rank
   virtual clocks, and message/byte/collective tallies bit-identical to
   lockstep, and the guarded-store fast path stops copying the local
@@ -22,33 +23,18 @@ from repro.mpi import (
     MEIKO_CS2,
     FusedComm,
     FusionDivergence,
-    PerRankScalar,
     run_spmd,
 )
+from repro.mpi import executor
 from repro.runtime.context import RuntimeContext
 
 
-# -- PerRankScalar ------------------------------------------------------- #
+def _no_fused_pass(monkeypatch):
+    """Make any fused pass (and so any fused→lockstep re-run) fail."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a fused pass started")
 
-
-class TestPerRankScalar:
-    def test_collapse_to_plain_scalar_when_uniform(self):
-        assert PerRankScalar([2.0, 2.0, 2.0]).collapse() == 2.0
-        assert isinstance(PerRankScalar([2.0, 2.0]).collapse(), float)
-
-    def test_stays_per_rank_when_divergent(self):
-        s = PerRankScalar([1.0, 2.0]).collapse()
-        assert isinstance(s, PerRankScalar)
-        assert s.values == (1.0, 2.0)
-
-    @pytest.mark.parametrize("coerce", [
-        float, int, bool, complex, np.asarray,
-        lambda s: [0, 1][s],                      # __index__
-    ])
-    def test_unguarded_coercion_diverges(self, coerce):
-        s = PerRankScalar([1.0, 2.0])
-        with pytest.raises(FusionDivergence):
-            coerce(s)
+    monkeypatch.setattr(executor, "_run_fused", refused)
 
 
 # -- FusedComm ----------------------------------------------------------- #
@@ -118,11 +104,30 @@ class TestFusionFallback:
         assert res.backend == "fused"
         assert res.results == [3.0] * 3
 
-    def test_compiled_divergence_discards_partial_fused_state(self):
-        """A program that prints *before* folding a rank-varying scalar
-        into distributed data: the fused pass emits output, then diverges
-        — the lockstep re-run must not duplicate it, and the result is
-        the fallback's."""
+    def test_divergence_discards_partial_fused_state(self):
+        """A raw body that writes *before* it reads ``comm.rank``: the
+        fused pass writes, then diverges — the hook discards what it
+        wrote, so the lockstep re-run's writes are the only ones."""
+        written = []
+
+        def prog(comm):
+            written.append(comm.allreduce(1.0))
+            return comm.allreduce(float(comm.rank))
+
+        fused = run_spmd(3, MEIKO_CS2, prog, backend="fused",
+                         on_fused_fallback=written.clear)
+        assert fused.backend == "lockstep"
+        assert written == [3.0] * 3
+        lockstep = run_spmd(3, MEIKO_CS2, prog, backend="lockstep")
+        assert fused.results == lockstep.results == [3.0] * 3
+        assert fused.times == lockstep.times
+
+    def test_compiled_toc_program_runs_lockstep_from_the_start(
+            self, monkeypatch):
+        """A program that prints *before* folding a rank-varying ``toc``
+        into distributed data: it runs on lockstep from the start (no
+        fused pass, so nothing to discard), prints once, and matches an
+        explicit lockstep run."""
         src = """
         disp(42);
         n = 5;
@@ -134,21 +139,21 @@ class TestFusionFallback:
         total = sum(v);
         """
         prog = compile_source(src)
+        assert prog.reads_clock
+        _no_fused_pass(monkeypatch)
         # n=5 over 3 ranks → uneven blocks → per-rank compute times differ
-        # → toc yields a rank-varying scalar → scaling a distributed
-        # vector by it cannot be fused
-        fused = prog.run(nprocs=3, backend="fused")
-        assert fused.spmd.backend == "lockstep"
+        # → toc differs by rank
+        default = prog.run(nprocs=3, backend="fused")
+        assert default.spmd.backend == "lockstep"
         lockstep = prog.run(nprocs=3, backend="lockstep")
-        assert fused.output == lockstep.output
-        assert fused.output.count("42") == 1
-        assert fused.workspace["total"] == lockstep.workspace["total"]
-        assert fused.spmd.times == lockstep.spmd.times
+        assert default.output == lockstep.output
+        assert default.output.count("42") == 1
+        assert default.workspace["total"] == lockstep.workspace["total"]
+        assert default.spmd.times == lockstep.spmd.times
 
-    def test_uniform_branch_on_divergent_scalar_stays_fused(self):
-        """`if t > 0` with a rank-varying (all-positive) t: the predicate
-        collapses to the same truth value on every rank, so control flow
-        is uniform and fusion survives."""
+    def test_branch_on_toc_runs_lockstep(self, monkeypatch):
+        """`if t > 0` with a rank-varying (all-positive) t: every rank
+        takes the branch on its own clock."""
         src = """
         n = 5;
         v = ones(n, 1);
@@ -160,16 +165,19 @@ class TestFusionFallback:
         end
         total = sum(v);
         """
+        _no_fused_pass(monkeypatch)
         res = compile_source(src).run(nprocs=3, backend="fused")
-        assert res.spmd.backend == "fused"
+        assert res.spmd.backend == "lockstep"
         assert res.workspace["total"] == 10.0
 
-    def test_compiled_uniform_toc_stays_fused(self):
-        # even split → identical per-rank clocks → toc collapses
+    def test_compiled_uniform_toc_runs_lockstep(self, monkeypatch):
+        # even split → identical per-rank clocks, yet the program reads
+        # the clock: lockstep, and toc is a plain positive float
         src = "v = ones(8, 1);\ntic;\ns = sum(v);\nt = toc;\n"
+        _no_fused_pass(monkeypatch)
         res = compile_source(src).run(nprocs=4, backend="fused")
-        assert res.spmd.backend == "fused"
-        assert res.workspace["t"] > 0
+        assert res.spmd.backend == "lockstep"
+        assert type(res.workspace["t"]) is float and res.workspace["t"] > 0
 
     @pytest.mark.parametrize("value", ("rand(8, 8)", "rand(8, 8) + 2i"))
     def test_isreal_of_a_distributed_matrix_stays_fused(self, value):

@@ -296,10 +296,9 @@ def test_a_guard_that_fires_runs_every_member_through_ew():
     assert _observed(got) == _observed(want)
 
 
-def test_a_rank_varying_operand_leaves_the_fused_run_as_before():
-    """``toc`` differs per rank: mixed into array arithmetic it ends the
-    fused run, which re-runs on lockstep — the group refused it, and the
-    member's own ``ew`` raised as it would have alone."""
+def test_a_rank_varying_operand_runs_lockstep_with_or_without_groups():
+    """``toc`` differs per rank: a program that reads it runs on
+    lockstep from the start, grouped or not, and both agree."""
     source = ("tic;\nx = ones(6, 4);\ny = x + 1;\nt = toc;\n"
               "z = y .* t;\nw = z + x;\n")
     runs = []

@@ -14,7 +14,6 @@ from repro.compiler import compile_source
 from repro.errors import MpiError
 from repro.interp.interpreter import run_source
 from repro.mpi import MEIKO_CS2
-from repro.mpi.fused import PerRankScalar
 from repro.runtime.context import replicate_workspace
 from repro.runtime.matrix import DMatrix
 from repro.trace import canonical_events
@@ -124,10 +123,11 @@ def test_a_degraded_run_keeps_its_workspace():
 
 def _raw(nprocs, rank):
     """One lockstep rank's raw workspace: a distributed row vector, a
-    replicated scalar, a rank-varying one and a never-assigned name."""
+    replicated scalar, a rank-varying one (each lockstep rank's own
+    ``toc``) and a never-assigned name."""
     full = np.arange(10.0).reshape(1, 10)
     return {"v": DMatrix.from_full(full, nprocs, rank, "cyclic"),
-            "s": 2.5, "t": PerRankScalar([1.0, 2.0, 3.0]), "u": None}
+            "s": 2.5, "t": float(rank + 1), "u": None}
 
 
 def test_replicate_workspace_assembles_the_ranks_blocks():

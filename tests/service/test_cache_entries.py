@@ -127,6 +127,27 @@ def test_memory_and_disk_hits_hold_no_front_end(tmp_path):
     assert disk.program.ir is None
 
 
+@pytest.mark.parametrize("source, mfiles", [
+    ("tic;\nx = ones(4, 1);\nt = toc;\n", {}),
+    ("x = timed(3);\n",
+     {"timed": "function y = timed(a)\ntic;\ny = a + toc;\n"}),
+], ids=["script", "mfile"])
+def test_both_tiers_know_that_a_program_reads_the_clock(tmp_path, source,
+                                                        mfiles):
+    """``reads_clock`` (which sends a run to lockstep) is read off the
+    emitted module, which a memory and a disk entry both keep."""
+    provider = DictProvider(mfiles)
+    cache = CompileCache(disk_root=tmp_path)
+    miss = cache.get_or_compile(source, provider=provider)
+    memory = cache.get_or_compile(source, provider=provider)
+    disk = CompileCache(disk_root=tmp_path).get_or_compile(
+        source, provider=provider)
+    assert (memory.tier, disk.tier) == ("memory", "disk")
+    assert miss.full.reads_clock and disk.program.reads_clock
+    assert memory.program.reads_clock
+    assert not cache.get_or_compile(SRC).program.reads_clock
+
+
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_emits_from_a_cached_program_equal_an_uncached_compile(name):
     source, mfiles = PROGRAMS[name]

@@ -292,6 +292,31 @@ def test_nprocs_above_the_backend_ceiling_is_refused_before_any_work(
         == "64"
 
 
+def test_a_fused_request_that_reads_the_clock_has_the_lockstep_ceiling(
+        server, client, monkeypatch):
+    """A program that calls ``toc`` runs on lockstep whatever backend is
+    asked for, so a fused request above the lockstep ceiling is refused
+    after the compile and before any rank starts."""
+    def never(*args, **kwargs):
+        raise AssertionError("an over-ceiling run was launched")
+
+    source = ("v = ones(67, 1);\ntic;\ns = sum(v);\nt = toc;\n"
+              "v = v * t;\n")
+    nprocs = MAX_NPROCS["lockstep"] + 1
+    assert nprocs <= MAX_NPROCS["fused"]
+    monkeypatch.setattr(executor, "_run_lockstep", never)
+    monkeypatch.setattr(executor, "_run_fused", never)
+    with pytest.raises(ServiceError) as err:
+        client.run(source, nprocs=nprocs, backend="fused", machine="fattree")
+    assert err.value.kind == "ConfigError"
+    assert "nprocs" in str(err.value) and "lockstep" in str(err.value)
+    assert str(MAX_NPROCS["lockstep"]) in str(err.value)
+    assert client.ping()["pong"]          # session survived
+    monkeypatch.undo()
+    ran = client.run(source, nprocs=4, backend="fused")
+    assert ran["cached"] and ran["backend"] == "lockstep"
+
+
 def test_fault_plan_is_not_a_request_field(server, client):
     """It can name a file to read on the server: a remote request that
     sends one is refused before anything runs."""

@@ -139,6 +139,36 @@ class TestRun:
         assert capsys.readouterr().out == "42\n"
 
 
+    def test_tune_compiles_the_default_plan_once(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """The plan search reads the IR of the run's own miss instead of
+        compiling the default plan's front end again."""
+        from repro.compiler import OtterCompiler
+        from repro.service.cache import CompileCache, set_compile_cache
+        from repro.tuning import clear_eval_memo
+
+        path = tmp_path / "means.m"
+        path.write_text("x = rand(64, 1);\na = mean(x);\nb = mean(x);\n"
+                        "c = mean(x);\ndisp(a + b + c > 0);\n")
+        compiles = []
+        compile_ = OtterCompiler.compile
+
+        def counted(self, *args, **kwargs):
+            compiles.append(self.plan)
+            return compile_(self, *args, **kwargs)
+
+        monkeypatch.setattr(OtterCompiler, "compile", counted)
+        clear_eval_memo()
+        previous = set_compile_cache(CompileCache(disk_root=False))
+        try:
+            assert main(["run", "--tune", "--tune-budget", "4", "-n", "4",
+                         str(path)]) == 0
+        finally:
+            set_compile_cache(previous)
+        assert capsys.readouterr().out.strip() == "1"
+        assert compiles.count(None) == 1
+
+
 class TestRunConfiguration:
     """The CLI resolves the run knobs once, through the one table
     (tests/test_runconfig.py): a bad value is one ``error:`` line that
